@@ -14,7 +14,7 @@ handlers charge target host cores.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..hw.cpu import CoreGroup
 from ..hw.params import HardwareParams, TESTBED
@@ -23,6 +23,7 @@ from ..sim.core import Simulator
 from ..sim.stats import Counter
 from ..store.chained import ChainedTable
 from ..store.object import VersionedObject
+from ..store.replicas import group_by_shard, load_replicas
 from ..core.txn import Transaction, TxnSpec, TxnStatus
 
 __all__ = ["BaselineNode", "BaselineCluster", "BaselineCoordinator"]
@@ -84,10 +85,6 @@ class BaselineNode:
         return [(shard + i) % self.n_nodes
                 for i in range(1, self.replication_factor)]
 
-    def load_object(self, shard: int, key: int, value, size: int) -> None:
-        self.tables[shard].insert(key, VersionedObject(key, value=value,
-                                                       size=size))
-
     def next_txn_id(self) -> int:
         self.txn_seq += 1
         from ..core.txn import make_txn_id
@@ -141,11 +138,20 @@ class BaselineCluster:
         return self.nodes[shard].backups_of(shard)
 
     def load_key(self, key: int, value=None, size: Optional[int] = None) -> None:
-        size = size if size is not None else self.value_size
-        shard = self.shard_of(key)
-        self.nodes[shard].load_object(shard, key, value, size)
-        for backup in self.backups_of(shard):
-            self.nodes[backup].load_object(shard, key, value, size)
+        self.load_keys(((key, value, size),))
+
+    def load_keys(self, items: Iterable[Tuple[int, object, Optional[int]]]
+                  ) -> None:
+        """Install ``(key, value, size)`` items (``size`` None: the
+        cluster's ``value_size``) on their primaries and every backup
+        replica, each table receiving its keys in the order given."""
+        by_shard = group_by_shard(items, self.partition, self.value_size)
+        for shard, objs in by_shard.items():
+            load_replicas(
+                self.nodes[shard].tables[shard],
+                [self.nodes[n].tables[shard] for n in self.backups_of(shard)],
+                objs,
+            )
 
     def read_committed_value(self, key: int):
         shard = self.shard_of(key)

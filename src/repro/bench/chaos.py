@@ -93,8 +93,7 @@ def _build_cluster(system: str, sim: Simulator, n_nodes: int, keys: int,
                                   replication_factor=rf)
     else:
         raise ValueError("unknown system %r" % system)
-    for k in range(keys):
-        cluster.load_key(k, value=0)
+    cluster.load_keys((k, 0, None) for k in range(keys))
     cluster.start()
     return cluster
 

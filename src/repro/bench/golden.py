@@ -20,7 +20,8 @@ import hashlib
 import json
 from typing import Any, Dict
 
-__all__ = ["canonical_digest", "fig8d_point_payload", "chaos_payload"]
+__all__ = ["canonical_digest", "fig8d_point_payload", "fig8d_peak_payload",
+           "chaos_payload"]
 
 
 def canonical_digest(payload: Any) -> str:
@@ -31,9 +32,22 @@ def canonical_digest(payload: Any) -> str:
 
 def fig8d_point_payload(obs: bool = False) -> Dict[str, Any]:
     """Simulated metrics of the reduced Figure-8d point the perf harness
-    times (Xenic on Smallbank, 3 nodes, quick window).  ``obs=True`` runs
-    the same seed under a live Observer — the digest must not change
-    (observer neutrality)."""
+    times (Xenic on Smallbank, 3 nodes, quick window, 16 contexts per
+    node: NIC cores never queue).  ``obs=True`` runs the same seed under
+    a live Observer — the digest must not change (observer neutrality)."""
+    return _fig8d_payload(16, obs)
+
+
+def fig8d_peak_payload() -> Dict[str, Any]:
+    """The same cluster at the load the benchmark's peak phase applies
+    (64 contexts per node).  NIC cores have waiters here, which is where
+    the fused and stepwise paths are known to differ (``REPRO_FUSION=off``
+    and a live Observer both take stepwise paths), so this digest is
+    pinned for the default leg, unobserved, only."""
+    return _fig8d_payload(64, False)
+
+
+def _fig8d_payload(concurrency: int, obs: bool) -> Dict[str, Any]:
     from ..workloads import Smallbank
     from .runner import Bench, to_jsonable
 
@@ -43,7 +57,7 @@ def fig8d_point_payload(obs: bool = False) -> Dict[str, Any]:
         n_nodes=3,
         obs=obs,
     )
-    result = bench.measure(16, warmup_us=100.0, window_us=300.0)
+    result = bench.measure(concurrency, warmup_us=100.0, window_us=300.0)
     payload = to_jsonable(result)
     payload["sim_now_us"] = bench.sim.now
     payload["total_commits"] = bench._total_commits()

@@ -210,7 +210,7 @@ def _bench_commit_path(n: int) -> Tuple[float, int]:
 
     sim = Simulator()
     cluster = XenicCluster(sim, 3, keys_per_shard=4096, value_size=64)
-    cluster.load_keys(range(1000))
+    cluster.load_keys((k, None, None) for k in range(1000))
     cluster.prewarm_nic_caches()
     cluster.start()
     proto = cluster.protocols[0]

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..hw.network import Fabric
 from ..sim.core import Simulator
+from ..store import group_by_shard, load_replicas
 from .config import XenicConfig
 from .node import XenicNode
 from .protocol import XenicProtocol
@@ -50,12 +51,6 @@ class XenicCluster:
         self._primary: Dict[int, int] = {i: i for i in range(n_nodes)}
         self.failed: set = set()
         self._workers_started = False
-        # Per-shard backup list cache for the bulk-load path: load_key
-        # recomputes backups_of for every key, which at 64 nodes times
-        # hundreds of thousands of keys dominates construction.  Only
-        # trusted while no node has failed and no primary has moved
-        # (set_primary invalidates; a non-empty failed set bypasses).
-        self._backups_cache: Dict[int, List[int]] = {}
 
     def start(self) -> None:
         """Spawn the background host worker threads (idempotent)."""
@@ -84,7 +79,6 @@ class XenicCluster:
         a replica and a NIC index for it)."""
         self.nodes[node_id].index_for(shard)  # validates
         self._primary[shard] = node_id
-        self._backups_cache.clear()
 
     def backups_of(self, shard: int) -> List[int]:
         """Live backup node ids for ``shard`` (a promoted primary and
@@ -100,22 +94,19 @@ class XenicCluster:
 
     def load_key(self, key: int, value: Any = None, size: Optional[int] = None) -> None:
         """Install a key on its primary and every backup replica."""
-        size = size if size is not None else self.value_size
-        shard = self.shard_of(key)
-        self.nodes[shard].load_object(shard, key, value, size)
-        if self.failed:
-            backups = self.backups_of(shard)
-        else:
-            backups = self._backups_cache.get(shard)
-            if backups is None:
-                backups = self._backups_cache[shard] = self.backups_of(shard)
-        for backup in backups:
-            self.nodes[backup].load_object(shard, key, value, size)
+        self.load_keys(((key, value, size),))
 
-    def load_keys(self, keys, value_fn: Optional[Callable[[int], Any]] = None,
-                  size: Optional[int] = None) -> None:
-        for key in keys:
-            self.load_key(key, value_fn(key) if value_fn else None, size)
+    def load_keys(self, items: Iterable[Tuple[int, Any, Optional[int]]]) -> None:
+        """Install ``(key, value, size)`` items (``size`` None: the
+        cluster's ``value_size``) on their primaries and every backup
+        replica, each table receiving its keys in the order given."""
+        by_shard = group_by_shard(items, self.partition, self.value_size)
+        for shard, objs in by_shard.items():
+            load_replicas(
+                self.nodes[shard].tables[shard],
+                [self.nodes[n].tables[shard] for n in self.backups_of(shard)],
+                objs,
+            )
 
     def prewarm_nic_caches(self) -> None:
         """Install every primary object into its NIC cache (up to

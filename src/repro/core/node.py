@@ -160,13 +160,6 @@ class XenicNode:
         rf = min(self.config.replication_factor, self.n_nodes)
         return [(shard + i) % self.n_nodes for i in range(1, rf)]
 
-    # -- data loading ------------------------------------------------------------
-
-    def load_object(self, shard: int, key: int, value: Any, size: int) -> None:
-        """Install one replica of an object (used at cluster load time)."""
-        table = self.tables[shard]
-        table.insert(key, VersionedObject(key, value=value, size=size))
-
     # -- log application ------------------------------------------------------------
 
     def append_log(self, record: LogRecord) -> bool:

@@ -50,7 +50,7 @@ typedef struct {
     /* Event slot offsets (shared by every Event subclass) */
     Py_ssize_t ev_sim, ev_cb0, ev_cbs, ev_ok, ev_value, ev_name, ev_riders;
     Py_ssize_t to_delay;
-    Py_ssize_t pr_waiting, pr_send, pr_throw, pr_waitcb;
+    Py_ssize_t pr_gen, pr_waiting, pr_send, pr_throw, pr_waitcb;
     Py_ssize_t sim_now, sim_riders_pending, sim_open, sim_floors,
                sim_hwm, sim_push;
     Py_ssize_t req_off[REQ_NFIELDS], resp_off[RESP_NFIELDS];
@@ -2120,6 +2120,18 @@ c_event_dispatch(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
+/* A completed process drops its generator and the three cached bound
+ * methods that make it reachable from itself, so it is freed by
+ * reference count (Python twin: the same four stores in _resume). */
+static void
+process_release(PyObject *self)
+{
+    slot_set(self, K.pr_gen, Py_None);
+    slot_set(self, K.pr_send, Py_None);
+    slot_set(self, K.pr_throw, Py_None);
+    slot_set(self, K.pr_waitcb, Py_None);
+}
+
 /* Process._resume(self, ev).  The Python method tail-recurses into
  * itself when the yielded target has already triggered; here that is
  * the `continue` of the loop. */
@@ -2202,6 +2214,7 @@ c_process_resume(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
                     else
                         return NULL;
                 }
+                process_release(self);
                 int r = succeed_core(self, retval);
                 Py_DECREF(retval);
                 if (r < 0)
@@ -2218,6 +2231,7 @@ c_process_resume(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
             Py_XDECREF(etb);
             if (evalue == NULL)
                 return NULL;
+            process_release(self);
             int r = fail_core(self, evalue);
             Py_DECREF(evalue);
             if (r < 0)
@@ -2663,6 +2677,7 @@ k_bind(PyObject *mod, PyObject *args)
         {K.EventType, "_name", &K.ev_name},
         {K.EventType, "_riders", &K.ev_riders},
         {K.TimeoutType, "delay", &K.to_delay},
+        {K.ProcessType, "_gen", &K.pr_gen},
         {K.ProcessType, "_waiting_on", &K.pr_waiting},
         {K.ProcessType, "_send", &K.pr_send},
         {K.ProcessType, "_gthrow", &K.pr_throw},

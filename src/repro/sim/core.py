@@ -275,22 +275,25 @@ class AllOf(Event):
     child values in the original order.  Fails fast on the first child
     failure, detaching from (and unpinning) the still-pending children."""
 
-    __slots__ = ("_pending", "_children", "_child_cb")
+    __slots__ = ("_pending", "_children")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim, name="all_of")
         self._children = list(events)
         self._pending = len(self._children)
-        self._child_cb = self._on_child
         if self._pending == 0:
             self.succeed([])
             return
+        # Not cached on self: a bound method of self stored on self is a
+        # cycle only the collector could free, and remove_callback
+        # matches an equal bound method in _detach_children.
+        on_child = self._on_child
         for ev in self._children:
             if self._ok is not None:
                 # fail-fast already triggered by an immediate child; do
                 # not register on (and thereby pin) the rest
                 break
-            ev.add_callback(self._child_cb)
+            ev.add_callback(on_child)
 
     def _on_child(self, ev: Event) -> None:
         if self._ok is not None:
@@ -304,7 +307,7 @@ class AllOf(Event):
             self.succeed([c.value for c in self._children])
 
     def _detach_children(self) -> None:
-        cb = self._child_cb
+        cb = self._on_child
         for child in self._children:
             if child._ok is None:
                 child.remove_callback(cb)
@@ -400,6 +403,10 @@ class Process(Event):
         # Wakeups call _resume directly; its _waiting_on guard filters
         # stale wakeups (e.g. an interrupt racing the event trigger), so
         # no intermediate callback frame is needed on the per-yield path.
+        # This and the two bindings above make self reachable from self;
+        # all four slots are cleared when the generator completes, so a
+        # finished process is freed by reference count, not by the cycle
+        # collector.
         self._wait_cb = self._resume
         if immediate:
             # Delay-fusion fast path (Simulator.start): drive the
@@ -443,9 +450,11 @@ class Process(Event):
             else:
                 target = self._gthrow(ev._value)
         except StopIteration as stop:
+            self._gen = self._send = self._gthrow = self._wait_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+            self._gen = self._send = self._gthrow = self._wait_cb = None
             self.fail(exc)
             return
         # Inlined _wait_for: this runs once per yield across the whole
@@ -483,9 +492,11 @@ class Process(Event):
         try:
             target = self._gthrow(exc)
         except StopIteration as stop:
+            self._gen = self._send = self._gthrow = self._wait_cb = None
             self.succeed(stop.value)
             return
         except BaseException as raised:  # noqa: BLE001
+            self._gen = self._send = self._gthrow = self._wait_cb = None
             self.fail(raised)
             return
         self._wait_for(target)

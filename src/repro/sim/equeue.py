@@ -81,9 +81,14 @@ QUEUE_KINDS = ("heap", "calendar")
 
 
 def selected_queue_kind() -> str:
-    """The implementation a ``Simulator()`` built right now would use."""
+    """The implementation a ``Simulator()`` built right now would use; a
+    value other than ``heap`` / ``calendar`` is a ``ValueError``, not
+    the default."""
     kind = os.environ.get("REPRO_QUEUE", DEFAULT_QUEUE)
-    return kind if kind in QUEUE_KINDS else DEFAULT_QUEUE
+    if kind not in QUEUE_KINDS:
+        raise ValueError("REPRO_QUEUE=%r: expected one of %s"
+                         % (kind, ", ".join(QUEUE_KINDS)))
+    return kind
 
 
 def make_queue(kind: Optional[str] = None) -> "EventQueue":

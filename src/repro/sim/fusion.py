@@ -8,8 +8,13 @@ callback-based event (the pattern PR 5 introduced with
 ``repro.core.nic_runtime``, ``repro.sim.link``, and ``repro.hw.rdma``;
 each one falls back to the stepwise path whenever a fault injector,
 observer annotation point, or resource contention needs the intermediate
-timestamps, so simulated results stay byte-identical either way
-(``tests/test_golden_digest.py`` pins this on both legs).
+timestamps.  Simulated results are identical between the legs while NIC
+cores have no waiters (``tests/test_golden_digest.py`` pins this at 16
+contexts per node on both legs) and are known to differ under core
+queueing: ``XenicProtocol._fused_dispatch`` takes a NIC core inside the
+delivery callback and holds it across the c1|c2 split, where the
+stepwise leg asks one scheduler step later and re-queues in between
+(``tests/test_fusion_ab.py`` records the 64-context numbers).
 
 Selection mirrors ``REPRO_QUEUE`` (:mod:`repro.sim.equeue`): the
 ``REPRO_FUSION`` environment variable is read at *model construction*
@@ -32,9 +37,13 @@ FUSION_KINDS = ("on", "off")
 
 
 def selected_fusion() -> str:
-    """The fusion leg a component built right now would use."""
+    """The fusion leg a component built right now would use; a value
+    other than ``on`` / ``off`` is a ``ValueError``, not the default."""
     kind = os.environ.get("REPRO_FUSION", DEFAULT_FUSION)
-    return kind if kind in FUSION_KINDS else DEFAULT_FUSION
+    if kind not in FUSION_KINDS:
+        raise ValueError("REPRO_FUSION=%r: expected one of %s"
+                         % (kind, ", ".join(FUSION_KINDS)))
+    return kind
 
 
 def fusion_enabled() -> bool:

@@ -6,6 +6,7 @@ from .hopscotch import HopscotchLookup, HopscotchTable
 from .log import HostLog, LogRecord, record_size_bytes
 from .nic_index import DmaLookupCost, NicIndex, TxnMeta
 from .object import LARGE_OBJECT_THRESHOLD, VersionedObject, mix64
+from .replicas import group_by_shard, load_replicas
 from .robinhood import DeleteResult, InsertResult, LookupResult, RobinhoodTable
 
 __all__ = [
@@ -16,6 +17,8 @@ __all__ = [
     "InsertResult",
     "LookupResult",
     "DeleteResult",
+    "group_by_shard",
+    "load_replicas",
     "HopscotchTable",
     "HopscotchLookup",
     "ChainedTable",

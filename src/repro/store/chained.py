@@ -9,7 +9,7 @@ amplification and extra roundtrips at high occupancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from .object import VersionedObject, mix64
 
@@ -66,22 +66,60 @@ class ChainedTable:
 
     def insert(self, key: int, obj: Optional[VersionedObject] = None) -> int:
         """Insert ``key``; returns the 1-based depth of the bucket used."""
-        if key in self:
+        # _objects holds exactly the keys in the chains, so the duplicate
+        # check needs no chain walk (and no second hash of the key)
+        if key in self._objects:
             raise KeyError("duplicate key %d" % key)
         self._objects[key] = obj if obj is not None else VersionedObject(key)
         bucket = self._buckets[self.bucket_index(key)]
         depth = 1
         while True:
-            for i, k in enumerate(bucket.keys):
-                if k is None:
-                    bucket.keys[i] = key
-                    self.size += 1
-                    return depth
+            keys = bucket.keys
+            if None in keys:
+                keys[keys.index(None)] = key
+                self.size += 1
+                return depth
             if bucket.next is None:
                 bucket.next = _Bucket(self.b)
                 self.linked_buckets += 1
             bucket = bucket.next
             depth += 1
+
+    def insert_many(self, objs: Iterable[VersionedObject]) -> None:
+        """Insert ``objs`` in order (cluster loading)."""
+        insert = self.insert
+        for obj in objs:
+            insert(obj.key, obj)
+
+    def is_blank(self) -> bool:
+        """True while the table is as constructed: no key and no linked
+        bucket (deletes empty linked buckets but never unlink them)."""
+        return self.size == 0 and self.linked_buckets == 0
+
+    def clone_from(self, other: "ChainedTable") -> bool:
+        """Become a copy of ``other`` if this table is blank and was built
+        with ``other``'s parameters — the state it would reach by
+        receiving ``other``'s insert sequence — and return True; otherwise
+        change nothing and return False.  Objects are copied (replicas are
+        updated independently); their values are shared, as they are
+        between replicas loaded key by key."""
+        if not (
+            type(other) is type(self) and self.is_blank()
+            and (self.n_buckets, self.b, self.hash_salt)
+            == (other.n_buckets, other.b, other.hash_salt)
+        ):
+            return False
+        for mine, theirs in zip(self._buckets, other._buckets):
+            mine.keys = list(theirs.keys)
+            while theirs.next is not None:
+                theirs = theirs.next
+                mine.next = _Bucket(self.b)
+                mine = mine.next
+                mine.keys = list(theirs.keys)
+        self._objects = {k: o.copy() for k, o in other._objects.items()}
+        self.size = other.size
+        self.linked_buckets = other.linked_buckets
+        return True
 
     def get_object(self, key: int) -> Optional[VersionedObject]:
         return self._objects.get(key)

@@ -61,6 +61,13 @@ class VersionedObject:
             )
         self.lock_owner = None
 
+    def copy(self) -> "VersionedObject":
+        """An independent object in the same state (the value is shared)."""
+        dup = VersionedObject(self.key, self.value, self.size)
+        dup.version = self.version
+        dup.lock_owner = self.lock_owner
+        return dup
+
     def commit_write(self, value: Any) -> None:
         """Install a new value and bump the version (lock must be held)."""
         self.value = value

@@ -19,7 +19,7 @@ segment) that the SmartNIC index uses to size its DMA reads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim.stats import OnlineStats
 from .object import VersionedObject, mix64
@@ -167,63 +167,67 @@ class RobinhoodTable:
             raise KeyError("duplicate key %d" % key)
         if obj is None:
             obj = VersionedObject(key)
-        # Compute the displacement chain without mutating, then apply the
-        # moves from the free end backwards (DMA-consistent order).
-        cur_key = key
-        cur_disp = 0
-        pos = self.home(key)
+        chain, overflowed = self._plan_insert(key, self.home(key))
+        seg_size = self.segment_size
+        seg_max_disp = self._seg_max_disp
+        if overflowed is not None:
+            over_key, over_home = overflowed
+            self._overflow.setdefault(over_home // seg_size, []).append(over_key)
+            seg_max_disp[over_home // seg_size] = None
+        # Apply moves last-first: the element headed to the free slot is
+        # written first (duplicating it momentarily), so no key is ever
+        # absent from the table during the swap sequence (DMA-consistent
+        # order).
+        chain.reverse()
+        slots = self._slots
+        for slot, k, k_home in chain:
+            slots[slot] = k
+            seg_max_disp[k_home // seg_size] = None
+        self._objects[key] = obj
+        self.size += 1
+        swaps = len(chain) if overflowed is not None else len(chain) - 1
+        return InsertResult(True, swaps, overflowed is not None,
+                            [(slot, k) for slot, k, _ in chain])
+
+    def _plan_insert(self, key: int, home: int):
+        """Walk ``key``'s displacement chain without mutating anything.
+
+        Returns ``(chain, overflowed)``: ``chain`` lists the
+        ``(slot, key, key's home)`` writes in probe order, and
+        ``overflowed`` is the ``(key, home)`` of the carried element that
+        reached ``Dm`` (it belongs in its home segment's overflow bucket)
+        or None when the chain ended at a free slot.  Probe positions
+        never repeat before the walk gives up, so the unmodified slot
+        array is the only state it has to read.
+        """
         cap = self.capacity
         dm = self.dm
         slots = self._slots
         homes = self._homes
         salt = self.hash_salt
-        chain: List[Tuple[int, int]] = []  # (slot, key placed there)
-        swaps = 0
-        scanned = 0
-        pending: Dict[int, int] = {}  # virtual writes along the chain
-        while True:
-            if scanned > cap:
-                raise RuntimeError("robinhood table is full")
+        chain: List[Tuple[int, int, int]] = []
+        cur_key, cur_home, cur_disp = key, home, 0
+        pos = home
+        for _ in range(cap + 1):
             if cur_disp >= dm:
-                # the carried element hits the limit: it overflows to the
-                # bucket of its own home segment
-                self._overflow.setdefault(self.segment_of_key(cur_key), []).append(
-                    cur_key
-                )
-                self._mark_dirty_for_key(cur_key)
-                self._finalize_insert(key, obj, chain)
-                return InsertResult(True, swaps, True, list(reversed(chain)))
-            occupant = pending.get(pos, slots[pos])
+                return chain, (cur_key, cur_home)
+            occupant = slots[pos]
             if occupant is None:
-                chain.append((pos, cur_key))
-                break
+                chain.append((pos, cur_key, cur_home))
+                return chain, None
             occ_home = homes.get(occupant)
             if occ_home is None:
                 occ_home = homes[occupant] = mix64(occupant ^ salt) % cap
             occ_disp = (pos - occ_home) % cap
             if occ_disp < cur_disp:
                 # steal the slot; carry the occupant forward
-                chain.append((pos, cur_key))
-                pending[pos] = cur_key
-                cur_key, cur_disp = occupant, occ_disp
-                swaps += 1
-            pos = (pos + 1) % cap
+                chain.append((pos, cur_key, cur_home))
+                cur_key, cur_home, cur_disp = occupant, occ_home, occ_disp
+            pos += 1
+            if pos == cap:
+                pos = 0
             cur_disp += 1
-            scanned += 1
-        self._finalize_insert(key, obj, chain)
-        return InsertResult(True, swaps, False, list(reversed(chain)))
-
-    def _finalize_insert(
-        self, key: int, obj: VersionedObject, chain: List[Tuple[int, int]]
-    ) -> None:
-        # Apply moves last-first: the element headed to the free slot is
-        # written first (duplicating it momentarily), so no key is ever
-        # absent from the table during the swap sequence.
-        for slot, k in reversed(chain):
-            self._slots[slot] = k
-            self._mark_dirty_for_key(k)
-        self._objects[key] = obj
-        self.size += 1
+        raise RuntimeError("robinhood table is full")
 
     def insert_steps(self, key: int) -> Iterator[None]:
         """Generator form of :meth:`insert` yielding after each atomic slot
@@ -231,42 +235,97 @@ class RobinhoodTable:
         concurrent reader between steps."""
         if key in self._objects:
             raise KeyError("duplicate key %d" % key)
-        obj = VersionedObject(key)
-        cur_key, cur_disp, pos = key, 0, self.home(key)
-        chain: List[Tuple[int, int]] = []
-        pending: Dict[int, int] = {}
-        scanned = 0
-        overflowed = False
-        while True:
-            if scanned > self.capacity:
-                raise RuntimeError("robinhood table is full")
-            if cur_disp >= self.dm:
-                self._overflow.setdefault(self.segment_of_key(cur_key), []).append(
-                    cur_key
-                )
-                self._mark_dirty_for_key(cur_key)
-                overflowed = True
-                break
-            occupant = pending.get(pos, self._slots[pos])
-            if occupant is None:
-                chain.append((pos, cur_key))
-                break
-            occ_disp = self._disp(occupant, pos)
-            if occ_disp < cur_disp:
-                chain.append((pos, cur_key))
-                pending[pos] = cur_key
-                cur_key, cur_disp = occupant, occ_disp
-            pos = (pos + 1) % self.capacity
-            cur_disp += 1
-            scanned += 1
-        self._objects[key] = obj
+        chain, overflowed = self._plan_insert(key, self.home(key))
+        self._objects[key] = VersionedObject(key)
         self.size += 1
-        if overflowed:
+        seg_size = self.segment_size
+        if overflowed is not None:
+            over_key, over_home = overflowed
+            self._overflow.setdefault(over_home // seg_size, []).append(over_key)
+            self._seg_max_disp[over_home // seg_size] = None
             yield
-        for slot, k in reversed(chain):
+        for slot, k, k_home in reversed(chain):
             self._slots[slot] = k
-            self._mark_dirty_for_key(k)
+            self._seg_max_disp[k_home // seg_size] = None
             yield
+
+    def insert_many(self, objs: Iterable[VersionedObject]) -> None:
+        """Insert ``objs`` in order, as :meth:`insert` would one by one,
+        for callers that read no :class:`InsertResult` (cluster loading).
+
+        Nothing can probe the table between two inserts of a batch, so
+        moves are written in probe order, the common free-home-slot case
+        skips the chain walk, and the per-segment displacement cache is
+        invalidated once at the end.  On an error the objects before the
+        offending one stay inserted, as they would in a loop.
+        """
+        slots = self._slots
+        homes = self._homes
+        objects = self._objects
+        overflow = self._overflow
+        cap = self.capacity
+        salt = self.hash_salt
+        seg_size = self.segment_size
+        plan = self._plan_insert
+        dirty = set()
+        mark = dirty.add
+        try:
+            for obj in objs:
+                key = obj.key
+                if key in objects:
+                    raise KeyError("duplicate key %d" % key)
+                home = homes.get(key)
+                if home is None:
+                    home = homes[key] = mix64(key ^ salt) % cap
+                if slots[home] is None:
+                    slots[home] = key
+                    mark(home // seg_size)
+                else:
+                    chain, overflowed = plan(key, home)
+                    if overflowed is not None:
+                        over_key, over_home = overflowed
+                        overflow.setdefault(over_home // seg_size,
+                                            []).append(over_key)
+                        mark(over_home // seg_size)
+                    for slot, k, k_home in chain:
+                        slots[slot] = k
+                        mark(k_home // seg_size)
+                objects[key] = obj
+        finally:
+            self.size = len(objects)
+            seg_max_disp = self._seg_max_disp
+            for seg in dirty:
+                seg_max_disp[seg] = None
+
+    def is_blank(self) -> bool:
+        """True while the table is as constructed: no key, and therefore
+        no occupied slot or overflow bucket (deletes leave no tombstones)."""
+        return self.size == 0
+
+    def clone_from(self, other: "RobinhoodTable") -> bool:
+        """Become a copy of ``other`` if this table is blank and was built
+        with ``other``'s parameters — the state it would reach by
+        receiving ``other``'s insert sequence — and return True; otherwise
+        change nothing and return False.
+
+        Objects are copied (replicas are updated independently), values
+        are shared as they are between replicas loaded key by key, and
+        the ``home()`` memo, a pure function of the shared parameters, is
+        shared outright.
+        """
+        if not (
+            type(other) is type(self) and self.is_blank()
+            and (self.capacity, self.dm, self.segment_size, self.hash_salt)
+            == (other.capacity, other.dm, other.segment_size, other.hash_salt)
+        ):
+            return False
+        self._slots = list(other._slots)
+        self._overflow = {seg: list(b) for seg, b in other._overflow.items()}
+        self._seg_max_disp = list(other._seg_max_disp)
+        self._homes = other._homes
+        self._objects = {k: o.copy() for k, o in other._objects.items()}
+        self.size = other.size
+        return True
 
     # -- lookup ------------------------------------------------------------
 

@@ -55,9 +55,10 @@ class Retwis(Workload):
         return self.keys_per_server
 
     def load(self, cluster) -> None:
-        for rank in range(self.total_keys):
-            cluster.load_key(self.key_at(rank), value=("data", rank),
-                             size=VALUE_SIZE)
+        cluster.load_keys(
+            (self.key_at(rank), ("data", rank), VALUE_SIZE)
+            for rank in range(self.total_keys)
+        )
 
     def _pick_keys(self, rng: RngStream, n: int):
         zipf = self._zipfs.get(rng.name)

@@ -67,11 +67,12 @@ class Smallbank(Workload):
         return self.accounts_per_server * 2
 
     def load(self, cluster) -> None:
-        for customer in range(self.total_accounts):
-            cluster.load_key(self.checking_key(customer),
-                             value=INITIAL_BALANCE, size=VALUE_SIZE)
-            cluster.load_key(self.savings_key(customer),
-                             value=INITIAL_BALANCE, size=VALUE_SIZE)
+        def accounts():
+            for customer in range(self.total_accounts):
+                yield self.checking_key(customer), INITIAL_BALANCE, VALUE_SIZE
+                yield self.savings_key(customer), INITIAL_BALANCE, VALUE_SIZE
+
+        cluster.load_keys(accounts())
 
     def _customer(self, rng: RngStream) -> int:
         picker = self._pickers.get(rng.name)

@@ -116,19 +116,18 @@ class _TpccBase(Workload):
     # -- loading ------------------------------------------------------------
 
     def load(self, cluster) -> None:
+        cluster.load_keys(self._load_items())
+
+    def _load_items(self):
         for wid in range(self.total_warehouses):
-            cluster.load_key(self.warehouse_key(wid),
-                             value={"ytd": 0}, size=WAREHOUSE_BYTES)
+            yield self.warehouse_key(wid), {"ytd": 0}, WAREHOUSE_BYTES
             for did in range(DISTRICTS_PER_WAREHOUSE):
-                cluster.load_key(self.district_key(wid, did),
-                                 value={"next_o_id": 1, "ytd": 0},
-                                 size=DISTRICT_BYTES)
+                yield (self.district_key(wid, did),
+                       {"next_o_id": 1, "ytd": 0}, DISTRICT_BYTES)
             for cid in range(self.customers_per_wh):
-                cluster.load_key(self.customer_key(wid, cid),
-                                 value={"balance": 0}, size=CUSTOMER_BYTES)
+                yield self.customer_key(wid, cid), {"balance": 0}, CUSTOMER_BYTES
             for item in range(self.stock_per_wh):
-                cluster.load_key(self.stock_key(wid, item),
-                                 value={"qty": 100}, size=STOCK_BYTES)
+                yield self.stock_key(wid, item), {"qty": 100}, STOCK_BYTES
 
     # -- new-order ------------------------------------------------------------
 

@@ -58,8 +58,11 @@ def test_env_selection(monkeypatch):
     monkeypatch.setenv("REPRO_QUEUE", "heap")
     assert selected_queue_kind() == "heap"
     assert Simulator().queue_kind == "heap"
-    monkeypatch.setenv("REPRO_QUEUE", "not-a-queue")
-    assert selected_queue_kind() == DEFAULT_QUEUE
+    monkeypatch.setenv("REPRO_QUEUE", "calender")
+    with pytest.raises(ValueError, match="REPRO_QUEUE='calender'.*heap, calendar"):
+        selected_queue_kind()
+    with pytest.raises(ValueError, match="REPRO_QUEUE"):
+        Simulator()
     monkeypatch.delenv("REPRO_QUEUE")
     assert selected_queue_kind() == DEFAULT_QUEUE
 

@@ -1,22 +1,30 @@
 """Delay-fusion A/B invariants (``REPRO_FUSION``).
 
-Fusion must be a pure scheduler-work optimization: the simulated results
-of a run are byte-identical between the ``off`` and ``on`` legs, on
-either queue implementation, with or without an observer installed —
+Fusion is meant to be a pure scheduler-work optimization: the simulated
+results of a run are byte-identical between the ``off`` and ``on`` legs,
+on either queue implementation, with or without an observer installed —
 what changes is only how many queue entries the engine pushes to produce
-them.  The tests here pin both halves: digest equality across the legs,
-and the event-count reduction the fused paths exist to deliver.
+them.  That holds while NIC cores have no waiters, which is the load the
+golden point (c=16) applies; under core queueing the legs are known to
+differ.  The tests here pin all three: digest equality across the legs
+at c=16, the default leg's digest and the recorded cross-leg difference
+at c=64, and the event-count reduction the fused paths exist to deliver.
 """
 
 import os
 
 import pytest
 
-from repro.bench.golden import canonical_digest, fig8d_point_payload
+from repro.bench.golden import (canonical_digest, fig8d_peak_payload,
+                                fig8d_point_payload)
 from repro.core.cluster import XenicCluster
 from repro.sim.core import Simulator
 
 from .test_golden_digest import FIG8D_DIGEST
+
+# The fig8d cluster at the benchmark's peak load (c=64), default leg.
+FIG8D_PEAK_DIGEST = (
+    "9d3c521bdbd3ec7be53fddf8c1e3cce6b7c3e4e337760aad0b454a9bdfd21f83")
 
 
 @pytest.fixture
@@ -31,6 +39,17 @@ def fusion_env():
             os.environ[k] = v
 
 
+def test_bad_fusion_value_is_an_error(monkeypatch):
+    """REPRO_FUSION=0 is not a quiet way to spell the default."""
+    from repro.sim.fusion import selected_fusion
+
+    monkeypatch.setenv("REPRO_FUSION", "0")
+    with pytest.raises(ValueError, match="REPRO_FUSION='0'.*on, off"):
+        selected_fusion()
+    with pytest.raises(ValueError, match="REPRO_FUSION"):
+        Simulator()
+
+
 @pytest.mark.parametrize("queue", ["heap", "calendar"])
 def test_digests_identical_off_vs_on(fusion_env, queue):
     """Both fusion legs reproduce the pinned pre-fusion digest, on both
@@ -41,6 +60,35 @@ def test_digests_identical_off_vs_on(fusion_env, queue):
         fusion_env["REPRO_FUSION"] = leg
         digests[leg] = canonical_digest(fig8d_point_payload())
     assert digests["off"] == digests["on"] == FIG8D_DIGEST
+
+
+@pytest.mark.parametrize("queue", ["heap", "calendar"])
+def test_peak_digest_pinned_on_default_leg(fusion_env, queue):
+    """The load level the benchmark's peak phase measures (c=64, NIC
+    cores queueing) is pinned too, on the fused default leg and both
+    queue kinds; the golden point is c=16."""
+    fusion_env["REPRO_FUSION"] = "on"
+    fusion_env["REPRO_QUEUE"] = queue
+    assert canonical_digest(fig8d_peak_payload()) == FIG8D_PEAK_DIGEST
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "fused dispatch holds a NIC core across the c1|c2 split and asks for "
+    "it one scheduler step earlier than the stepwise leg: the legs differ "
+    "once cores have waiters (ROADMAP item 2 decides which is the model)"))
+def test_peak_digests_identical_off_vs_on(fusion_env):
+    """Known difference, recorded so it cannot be forgotten or fixed
+    unnoticed.  On the fig8d cluster with warm-up 100 us / window 300 us
+    the legs agree at c=16 (1851 commits / 58 aborts) and c=24 (2646 /
+    128) and part at c=32 (on 3339 / 242, off 3377 / 232); at c=64 on
+    gives 5795 / 842 with p50 9.41 us, off 5689 / 845 with p50 9.60 us.
+    Bisecting the fusion_enabled() sites isolates
+    XenicProtocol._fused_dispatch."""
+    digests = {}
+    for leg in ("off", "on"):
+        fusion_env["REPRO_FUSION"] = leg
+        digests[leg] = canonical_digest(fig8d_peak_payload())
+    assert digests["off"] == digests["on"]
 
 
 def test_observer_neutral_with_fusion_on(fusion_env):
@@ -128,14 +176,33 @@ def test_baseline_rdma_identical_off_vs_on(fusion_env, system):
     assert off[-1] > on[-1]  # and the fused leg did schedule less
 
 
-def test_construction_is_event_free_and_linear(fusion_env):
-    """Cluster construction + bulk load at 64 nodes schedules no events
-    and allocates per-node state independent of cluster size (tables
-    per node == replication factor, one port and one handler per node)."""
+def test_construction_is_event_free_and_linear(fusion_env, monkeypatch):
+    """Cluster construction + bulk load at 64 nodes schedules no events,
+    allocates per-node state independent of cluster size (tables
+    per node == replication factor, one port and one handler per node),
+    and inserts each key into a table once: backups are cloned from
+    their finished primary, not loaded key by key."""
+    from repro.store import RobinhoodTable
+
     fusion_env["REPRO_FUSION"] = "on"
+    inserted = []
+    insert_many, insert = RobinhoodTable.insert_many, RobinhoodTable.insert
+
+    def counting_insert_many(table, objs):
+        objs = list(objs)
+        inserted.append(len(objs))
+        insert_many(table, objs)
+
+    def counting_insert(table, key, obj=None):
+        inserted.append(1)
+        return insert(table, key, obj)
+
+    monkeypatch.setattr(RobinhoodTable, "insert_many", counting_insert_many)
+    monkeypatch.setattr(RobinhoodTable, "insert", counting_insert)
     sim = Simulator()
     cluster = XenicCluster(sim, 64, keys_per_shard=64)
-    cluster.load_keys(range(64 * 32))
+    cluster.load_keys((k, None, None) for k in range(64 * 32))
+    assert sum(inserted) == 64 * 32
     assert sim.events_scheduled == 0
     assert len(cluster.nodes) == 64
     rf = cluster.config.replication_factor
@@ -147,24 +214,23 @@ def test_construction_is_event_free_and_linear(fusion_env):
     assert total == 64 * 32 * rf
 
 
-def test_load_key_backups_cached_once_per_shard():
-    """The bulk-load fast path computes each shard's backup list once,
-    and the cache changes nothing about what gets loaded where or in
-    what order (Robinhood layout is insert-order sensitive)."""
+def test_bulk_load_asks_for_backups_once_per_shard():
+    """The bulk-load path computes each shard's backup list once, and
+    cloning changes nothing about what gets loaded where or in what
+    order (Robinhood layout is insert-order sensitive)."""
     n, keys = 8, 256
     sim = Simulator()
     fast = XenicCluster(sim, n, keys_per_shard=64)
     calls = []
     orig = fast.backups_of
     fast.backups_of = lambda shard: (calls.append(shard), orig(shard))[1]
-    fast.load_keys(range(keys))
+    fast.load_keys((k, None, None) for k in range(keys))
     assert len(calls) == n  # once per shard, not once per key
-    # reference: same load with the cache bypassed (non-empty failed set
-    # forces the uncached path; no node id 999 exists so placement is
-    # unchanged)
+    # reference: the same keys one load_key at a time, which replays
+    # every insert on every backup after the first key of a shard
     ref = XenicCluster(Simulator(), n, keys_per_shard=64)
-    ref.failed.add(999)
-    ref.load_keys(range(keys))
+    for k in range(keys):
+        ref.load_key(k)
     for a, b in zip(fast.nodes, ref.nodes):
         for shard in a.tables:
             akeys = [o.key for o in a.tables[shard].objects()]

@@ -7,17 +7,19 @@ from repro.core import TxnSpec, XenicCluster, XenicConfig
 from repro.sim import Simulator
 
 
-def test_cluster_load_keys_with_value_fn():
+def test_cluster_load_keys_items():
     sim = Simulator()
-    cluster = XenicCluster(sim, 3, keys_per_shard=64)
-    cluster.load_keys(range(9), value_fn=lambda k: k * 10)
+    cluster = XenicCluster(sim, 3, keys_per_shard=64, value_size=48)
+    cluster.load_keys((k, k * 10, 32 if k == 4 else None) for k in range(9))
     assert cluster.read_committed_value(4) == 40
+    assert cluster.nodes[1].tables[1].get_object(4).size == 32
+    assert cluster.nodes[2].tables[2].get_object(5).size == 48
 
 
 def test_cluster_drain_logs():
     sim = Simulator()
     cluster = XenicCluster(sim, 3, keys_per_shard=64)
-    cluster.load_keys(range(9), value_fn=lambda k: 0)
+    cluster.load_keys((k, 0, None) for k in range(9))
     cluster.start()
     proc = sim.spawn(cluster.protocols[0].run_transaction(
         TxnSpec(read_keys=[1], write_keys=[1],

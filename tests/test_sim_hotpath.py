@@ -222,3 +222,44 @@ def test_rdma_public_utilization_accessor():
     sim.run_until_event(done)
     assert a.wire_bytes > 0
     assert a.utilization() == a._wire.utilization(0.0)
+
+
+# ---------------------------------------------------------------------------
+# cycle-free completion
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("system", ["xenic", "drtmh"])
+def test_finished_processes_need_no_cycle_collector(system):
+    """A finished Process and a fired AllOf/AnyOf drop their cached bound
+    methods, so they are freed by reference count: with the collector
+    off and DEBUG_SAVEALL on, a window of ~200 transactions leaves no
+    Process, combinator or generator for gc.collect() to find."""
+    import gc
+    import types
+
+    from repro.bench.runner import Bench
+    from repro.sim.core import Process
+    from repro.workloads import Smallbank
+
+    bench = Bench(system, Smallbank(3, accounts_per_server=300,
+                                    hot_keys_fraction=0.25), n_nodes=3)
+    bench.measure(4, warmup_us=0.0, window_us=30.0)
+    gc.collect()
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = bench.measure(4, warmup_us=0.0, window_us=250.0)
+        gc.collect()
+        leaked = sorted({
+            type(o).__name__ for o in gc.garbage
+            if isinstance(o, (Process, AllOf, AnyOf, types.GeneratorType))})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+        gc.collect()
+    assert result.commits >= 200
+    assert leaked == []
