@@ -514,7 +514,8 @@ def run_chaos_command(args) -> int:
 
 def run_perf_command(args) -> int:
     from .bench.perf import (BENCH_FILE, append_entry, baseline_entry,
-                             compare_entries, format_ab, format_compiled_ab,
+                             collection_failures, compare_entries,
+                             format_ab, format_compiled_ab,
                              format_fusion_ab, format_results,
                              measure_scaling, run_compiled_ab, run_perf,
                              run_fusion_ab, run_queue_ab)
@@ -594,6 +595,10 @@ def run_perf_command(args) -> int:
                  "identical" if s["identical"] else "DIFFER"))
     base = baseline_entry(quick, path)
     rc = 0
+    for msg in collection_failures(results):
+        print("COLLECTOR %s" % msg)
+        if args.check:
+            rc = 1
     if base is not None:
         failures = compare_entries(results, base,
                                    max_regression=args.max_regression)

@@ -19,6 +19,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..hw.cpu import CoreGroup
 from ..hw.params import HardwareParams, TESTBED
 from ..hw.rdma import RdmaNic
+from ..sim.collector import collector_quiet
 from ..sim.core import Simulator
 from ..sim.stats import Counter
 from ..store.chained import ChainedTable
@@ -112,15 +113,18 @@ class BaselineCluster:
         self.n_nodes = n_nodes
         self.value_size = value_size
         self.partition = partition or (lambda key: key % n_nodes)
-        self.nodes = [
-            BaselineNode(sim, i, n_nodes, host_threads, keys_per_shard,
-                         value_size, replication_factor, hardware,
-                         bucket_size)
-            for i in range(n_nodes)
-        ]
-        self.coordinators: List[BaselineCoordinator] = [
-            system(self, node) for node in self.nodes
-        ]
+        # Construction and loading allocate only objects that stay
+        # alive, so both run collector-quiet.
+        with collector_quiet:
+            self.nodes = [
+                BaselineNode(sim, i, n_nodes, host_threads, keys_per_shard,
+                             value_size, replication_factor, hardware,
+                             bucket_size)
+                for i in range(n_nodes)
+            ]
+            self.coordinators: List[BaselineCoordinator] = [
+                system(self, node) for node in self.nodes
+            ]
         # uniform interface with XenicCluster
         self.protocols = self.coordinators
 
@@ -145,13 +149,15 @@ class BaselineCluster:
         """Install ``(key, value, size)`` items (``size`` None: the
         cluster's ``value_size``) on their primaries and every backup
         replica, each table receiving its keys in the order given."""
-        by_shard = group_by_shard(items, self.partition, self.value_size)
-        for shard, objs in by_shard.items():
-            load_replicas(
-                self.nodes[shard].tables[shard],
-                [self.nodes[n].tables[shard] for n in self.backups_of(shard)],
-                objs,
-            )
+        with collector_quiet:
+            by_shard = group_by_shard(items, self.partition, self.value_size)
+            for shard, objs in by_shard.items():
+                load_replicas(
+                    self.nodes[shard].tables[shard],
+                    [self.nodes[n].tables[shard]
+                     for n in self.backups_of(shard)],
+                    objs,
+                )
 
     def read_committed_value(self, key: int):
         shard = self.shard_of(key)

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Union
 from ..baselines import SYSTEMS, BaselineCluster
 from ..core import TxnSpec, XenicCluster, XenicConfig
 from ..obs import Observer
-from ..sim import RngStream, Simulator
+from ..sim import RngStream, Simulator, collector_quiet
 from ..sim.faults import FaultPlan, FaultSpec, FaultTrace
 
 __all__ = ["ChaosResult", "run_chaos", "DEFAULT_CHAOS_FAULTS"]
@@ -118,68 +118,70 @@ def run_chaos(
     trace export (fault injections from the plan land on the same
     timeline as instant events)."""
     spec = FaultSpec.parse(faults) if isinstance(faults, str) else faults
-    sim = Simulator()
-    cluster = _build_cluster(system, sim, n_nodes, keys, config, rf)
-    plan = FaultPlan(spec, RngStream(seed, "faults")).install(cluster)
-    observer = Observer(sim).install(cluster) if obs else None
+    with collector_quiet:
+        sim = Simulator()
+        cluster = _build_cluster(system, sim, n_nodes, keys, config, rf)
+        plan = FaultPlan(spec, RngStream(seed, "faults")).install(cluster)
+        observer = Observer(sim).install(cluster) if obs else None
 
-    # deterministic commuting-increment workload, independent RNG stream
-    wl = RngStream(seed, "workload")
-    crashing = {c.node for c in spec.crashes}
-    coords = [n for n in range(n_nodes) if n not in crashing] or [0]
-    ops = []
-    for _ in range(n_txns):
-        coord = coords[wl.randrange(len(coords))]
-        n_keys = wl.randint(1, 3)
-        op_keys = tuple(sorted(wl.sample(range(keys), n_keys)))
-        amount = wl.randint(1, 9)
-        start = wl.uniform(0.0, span_us)
-        ops.append((coord, op_keys, amount, start))
-    reference: Dict[int, int] = {k: 0 for k in range(keys)}
-    for _coord, op_keys, amount, _start in ops:
-        for k in op_keys:
-            reference[k] += amount
+        # deterministic commuting-increment workload, independent RNG stream
+        wl = RngStream(seed, "workload")
+        crashing = {c.node for c in spec.crashes}
+        coords = [n for n in range(n_nodes) if n not in crashing] or [0]
+        ops = []
+        for _ in range(n_txns):
+            coord = coords[wl.randrange(len(coords))]
+            n_keys = wl.randint(1, 3)
+            op_keys = tuple(sorted(wl.sample(range(keys), n_keys)))
+            amount = wl.randint(1, 9)
+            start = wl.uniform(0.0, span_us)
+            ops.append((coord, op_keys, amount, start))
+        reference: Dict[int, int] = {k: 0 for k in range(keys)}
+        for _coord, op_keys, amount, _start in ops:
+            for k in op_keys:
+                reference[k] += amount
 
-    done: List[int] = []
+        done: List[int] = []
 
-    def run_op(i, coord, op_keys, amount, start):
-        yield sim.timeout(start)
+        def run_op(i, coord, op_keys, amount, start):
+            yield sim.timeout(start)
 
-        def logic(reads, state, keys=op_keys, amount=amount):
-            return {k: (reads[k] or 0) + amount for k in keys}
+            def logic(reads, state, keys=op_keys, amount=amount):
+                return {k: (reads[k] or 0) + amount for k in keys}
 
-        spec_ = TxnSpec(read_keys=list(op_keys), write_keys=list(op_keys),
-                        logic=logic)
-        yield from cluster.protocols[coord].run_transaction(spec_)
-        done.append(i)
+            spec_ = TxnSpec(read_keys=list(op_keys), write_keys=list(op_keys),
+                            logic=logic)
+            yield from cluster.protocols[coord].run_transaction(spec_)
+            done.append(i)
 
-    for i, (coord, op_keys, amount, start) in enumerate(ops):
-        sim.spawn(run_op(i, coord, op_keys, amount, start),
-                  name="chaos-txn-%d" % i)
-    sim.run(until=limit_us)
+        for i, (coord, op_keys, amount, start) in enumerate(ops):
+            sim.spawn(run_op(i, coord, op_keys, amount, start),
+                      name="chaos-txn-%d" % i)
+        sim.run(until=limit_us)
 
-    commits = sum(p.stats.get("commits") for p in cluster.protocols)
-    aborts = sum(p.stats.get("aborts") for p in cluster.protocols)
-    limbo = n_txns - len(done)
-    result = ChaosResult(system=system, seed=seed, spec=spec,
-                         commits=commits, aborts=aborts, limbo=limbo,
-                         trace=plan.trace, sim_time_us=sim.now,
-                         observer=observer,
-                         final_values={k: cluster.read_committed_value(k)
-                                       for k in range(keys)},
-                         events_scheduled=sim.events_scheduled)
-    if not spec.crashes:
-        if limbo:
-            result.violations.append(
-                "limbo: %d/%d transactions never resolved" % (limbo, n_txns))
-        if commits != n_txns:
-            result.violations.append(
-                "commit conservation: %d commits for %d transactions"
-                % (commits, n_txns))
-        for k in range(keys):
-            got = cluster.read_committed_value(k)
-            if got != reference[k]:
+        commits = sum(p.stats.get("commits") for p in cluster.protocols)
+        aborts = sum(p.stats.get("aborts") for p in cluster.protocols)
+        limbo = n_txns - len(done)
+        result = ChaosResult(system=system, seed=seed, spec=spec,
+                             commits=commits, aborts=aborts, limbo=limbo,
+                             trace=plan.trace, sim_time_us=sim.now,
+                             observer=observer,
+                             final_values={k: cluster.read_committed_value(k)
+                                           for k in range(keys)},
+                             events_scheduled=sim.events_scheduled)
+        if not spec.crashes:
+            if limbo:
                 result.violations.append(
-                    "serializability: key %d = %r, reference %d"
-                    % (k, got, reference[k]))
-    return result
+                    "limbo: %d/%d transactions never resolved"
+                    % (limbo, n_txns))
+            if commits != n_txns:
+                result.violations.append(
+                    "commit conservation: %d commits for %d transactions"
+                    % (commits, n_txns))
+            for k in range(keys):
+                got = cluster.read_committed_value(k)
+                if got != reference[k]:
+                    result.violations.append(
+                        "serializability: key %d = %r, reference %d"
+                        % (k, got, reference[k]))
+        return result

@@ -26,16 +26,24 @@ baseline carries history, not just the latest number.  ``--check``
 compares against the last recorded entry at the same scale and fails on
 a worse-than-``max_regression``x slowdown (events/second ratio).
 
+Every bench also counts the automatic garbage collections that fired
+inside its timed region (``gc_collections``, and their host seconds
+``gc_s``).  The end-to-end benches run entirely inside collector-quiet
+library scopes (``repro.sim.collector``), so for them the count is an
+exact zero and ``--check`` fails on anything else.
+
 Usage::
 
     python -m repro perf                 # run + compare, informational
-    python -m repro perf --check         # exit 1 on >2x regression
+    python -m repro perf --check         # exit 1 on >2x regression, or
+                                         # on a collection in a timed region
     python -m repro perf --update        # append an entry to the file
     PYTHONPATH=src python benchmarks/bench_wallclock.py   # standalone
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -50,7 +58,7 @@ from ..sim.link import SerialLink
 from ..sim.resources import Resource
 
 __all__ = ["run_perf", "run_queue_ab", "run_fusion_ab", "run_compiled_ab",
-           "compare_entries",
+           "compare_entries", "collection_failures",
            "load_trajectory", "append_entry", "baseline_entry",
            "format_results", "format_ab", "format_fusion_ab",
            "format_compiled_ab",
@@ -62,11 +70,47 @@ SCHEMA = 1
 
 
 # ---------------------------------------------------------------------------
-# the benches — each returns (wall_seconds, events_dispatched)
+# the benches — each returns (timed region, events_dispatched[, txns])
 # ---------------------------------------------------------------------------
 
 
-def _bench_timeout_churn(n: int) -> Tuple[float, int]:
+class _Timed:
+    """A bench's timed region: wall seconds plus the garbage collections
+    that fired inside it (the object is its own ``gc.callbacks`` entry).
+    Entering it again adds a second region to the same totals."""
+
+    def __init__(self):
+        self.wall_s = 0.0
+        self.gc_collections = 0
+        self.gc_s = 0.0
+        self._t0 = self._gc_t0 = 0.0
+
+    def __enter__(self):
+        # Settle the collector first: a collection deferred by an
+        # earlier quiet scope (an untimed cluster build) would otherwise
+        # fire on this region's first allocation.
+        gc.collect()
+        gc.callbacks.append(self)
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        # Nothing here may allocate a container before the callback is
+        # gone: leaving a quiet scope restores the thresholds, and the
+        # collection it deferred belongs to the caller, not the region.
+        self.wall_s += time.perf_counter() - self._t0
+        gc.callbacks.remove(self)
+        return False
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._gc_t0 = time.perf_counter()
+        else:
+            self.gc_collections += 1
+            self.gc_s += time.perf_counter() - self._gc_t0
+
+
+def _bench_timeout_churn(n: int) -> Tuple[_Timed, int]:
     """Sequential timeout yields: the engine's single hottest pattern."""
     sim = Simulator()
 
@@ -75,12 +119,12 @@ def _bench_timeout_churn(n: int) -> Tuple[float, int]:
             yield Timeout(sim, 1.0)
 
     sim.spawn(churn())
-    t0 = time.perf_counter()
-    sim.run()
-    return time.perf_counter() - t0, sim.events_scheduled
+    with _Timed() as timed:
+        sim.run()
+    return timed, sim.events_scheduled
 
 
-def _bench_resource_churn(n: int) -> Tuple[float, int]:
+def _bench_resource_churn(n: int) -> Tuple[_Timed, int]:
     """8 contexts contending for a 4-slot resource: acquire/yield/release,
     half the acquisitions queueing."""
     sim = Simulator()
@@ -94,12 +138,12 @@ def _bench_resource_churn(n: int) -> Tuple[float, int]:
 
     for _ in range(8):
         sim.spawn(worker())
-    t0 = time.perf_counter()
-    sim.run()
-    return time.perf_counter() - t0, sim.events_scheduled
+    with _Timed() as timed:
+        sim.run()
+    return timed, sim.events_scheduled
 
 
-def _bench_anyof_cancel(n: int) -> Tuple[float, int]:
+def _bench_anyof_cancel(n: int) -> Tuple[_Timed, int]:
     """First-of-two races where the loser is a far timeout: exercises
     loser detach + lazy heap deletion/compaction."""
     sim = Simulator()
@@ -109,12 +153,12 @@ def _bench_anyof_cancel(n: int) -> Tuple[float, int]:
             yield AnyOf(sim, [Timeout(sim, 1.0), Timeout(sim, 1000.0)])
 
     sim.spawn(churn())
-    t0 = time.perf_counter()
-    sim.run()
-    return time.perf_counter() - t0, sim.events_scheduled
+    with _Timed() as timed:
+        sim.run()
+    return timed, sim.events_scheduled
 
 
-def _bench_queue_churn(n: int) -> Tuple[float, int]:
+def _bench_queue_churn(n: int) -> Tuple[_Timed, int]:
     """Near/far horizon mix: ``n`` sequential 1µs timeouts churning
     against a large standing population of far timers — the queue shape
     of an open-loop sweep, where every node keeps retransmission/lease
@@ -147,11 +191,13 @@ def _bench_queue_churn(n: int) -> Tuple[float, int]:
     # first-activation rebalance over the standing population here, not
     # in the timed window: this bench measures steady-state churn.
     sim.run(until=16.0)
-    sim.run(until=64.0 + float(n))
-    return stamps[1] - stamps[0], n
+    with _Timed() as timed:
+        sim.run(until=64.0 + float(n))
+    timed.wall_s = stamps[1] - stamps[0]
+    return timed, n
 
 
-def _bench_link_stream(n: int) -> Tuple[float, int]:
+def _bench_link_stream(n: int) -> Tuple[_Timed, int]:
     """Back-to-back transfers over one serialized link from 4 senders."""
     sim = Simulator()
     link = SerialLink(sim, bandwidth_gbps=100.0, overhead_us=0.1)
@@ -162,12 +208,12 @@ def _bench_link_stream(n: int) -> Tuple[float, int]:
 
     for _ in range(4):
         sim.spawn(sender())
-    t0 = time.perf_counter()
-    sim.run()
-    return time.perf_counter() - t0, sim.events_scheduled
+    with _Timed() as timed:
+        sim.run()
+    return timed, sim.events_scheduled
 
 
-def _bench_workload_specs(n: int) -> Tuple[float, int]:
+def _bench_workload_specs(n: int) -> Tuple[_Timed, int]:
     """Model-layer: transaction-spec generation — mix-table dispatch plus
     Zipf/hotspot key draws — with no simulator in the loop."""
     from ..workloads import Retwis, Smallbank
@@ -177,15 +223,15 @@ def _bench_workload_specs(n: int) -> Tuple[float, int]:
                   hot_keys_fraction=0.25).generator_for(0, "perf"),
         Retwis(3, keys_per_server=2000).generator_for(0, "perf"),
     ]
-    t0 = time.perf_counter()
-    for stream in streams:
-        nxt = stream.next
-        for _ in range(n // len(streams)):
-            nxt()
-    return time.perf_counter() - t0, n
+    with _Timed() as timed:
+        for stream in streams:
+            nxt = stream.next
+            for _ in range(n // len(streams)):
+                nxt()
+    return timed, n
 
 
-def _bench_store_probe(n: int) -> Tuple[float, int]:
+def _bench_store_probe(n: int) -> Tuple[_Timed, int]:
     """Model-layer: Robinhood probe loop at 50% load, alternating hits
     and misses (the per-key cost behind every NIC index operation)."""
     from ..store.robinhood import RobinhoodTable
@@ -194,14 +240,14 @@ def _bench_store_probe(n: int) -> Tuple[float, int]:
     for i in range(2048):
         table.insert(i * 7)
     lookup = table.lookup
-    t0 = time.perf_counter()
-    for i in range(n // 2):
-        lookup((i % 2048) * 7)      # hit
-        lookup((i % 2048) * 7 + 3)  # miss
-    return time.perf_counter() - t0, n
+    with _Timed() as timed:
+        for i in range(n // 2):
+            lookup((i % 2048) * 7)      # hit
+            lookup((i % 2048) * 7 + 3)  # miss
+    return timed, n
 
 
-def _bench_commit_path(n: int) -> Tuple[float, int]:
+def _bench_commit_path(n: int) -> Tuple[_Timed, int]:
     """Model-layer: the no-conflict commit path — one coordinator running
     disjoint single-key read-write transactions back to back through the
     full Xenic stack (execute, validate, log, commit; 1/3 local keys)."""
@@ -223,15 +269,15 @@ def _bench_commit_path(n: int) -> Tuple[float, int]:
         done.append(True)
 
     sim.spawn(driver(), name="commit-path")
-    t0 = time.perf_counter()
-    # background host workers never exit, so run in bounded slices until
-    # the driver reports completion
-    while not done:
-        sim.run(until=sim.now + 10_000.0)
-    return time.perf_counter() - t0, sim.events_scheduled
+    with _Timed() as timed:
+        # background host workers never exit, so run in bounded slices
+        # until the driver reports completion
+        while not done:
+            sim.run(until=sim.now + 10_000.0)
+    return timed, sim.events_scheduled
 
 
-def _bench_fig8d_point(quick: bool) -> Tuple[float, int, int]:
+def _bench_fig8d_point(quick: bool) -> Tuple[_Timed, int, int]:
     """One reduced Figure-8d point: Xenic on Smallbank, full protocol
     stack (NIC runtime, DMA, fabric, transactions)."""
     from ..workloads import Smallbank
@@ -242,28 +288,26 @@ def _bench_fig8d_point(quick: bool) -> Tuple[float, int, int]:
         Smallbank(3, accounts_per_server=2000, hot_keys_fraction=0.25),
         n_nodes=3,
     )
-    t0 = time.perf_counter()
-    bench.measure(16 if quick else 64, warmup_us=100.0,
-                  window_us=300.0 if quick else 800.0)
-    wall = time.perf_counter() - t0
-    return wall, bench.sim.events_scheduled, bench._total_commits()
+    with _Timed() as timed:
+        bench.measure(16 if quick else 64, warmup_us=100.0,
+                      window_us=300.0 if quick else 800.0)
+    return timed, bench.sim.events_scheduled, bench._total_commits()
 
 
-def _bench_retwis_point(quick: bool) -> Tuple[float, int, int]:
+def _bench_retwis_point(quick: bool) -> Tuple[_Timed, int, int]:
     """One reduced Retwis point: read-dominated mix with multi-key
     timeline reads, complementing fig8d's write-heavy Smallbank."""
     from ..workloads import Retwis
     from .runner import Bench
 
     bench = Bench("xenic", Retwis(3, keys_per_server=2000), n_nodes=3)
-    t0 = time.perf_counter()
-    bench.measure(16 if quick else 64, warmup_us=100.0,
-                  window_us=300.0 if quick else 800.0)
-    wall = time.perf_counter() - t0
-    return wall, bench.sim.events_scheduled, bench._total_commits()
+    with _Timed() as timed:
+        bench.measure(16 if quick else 64, warmup_us=100.0,
+                      window_us=300.0 if quick else 800.0)
+    return timed, bench.sim.events_scheduled, bench._total_commits()
 
 
-def _bench_nodes64(quick: bool) -> Tuple[float, int, int]:
+def _bench_nodes64(quick: bool) -> Tuple[_Timed, int, int]:
     """A 64-node Smallbank point: cluster construction, bulk load, and a
     short measurement window at scale.  Exists to keep construction and
     loading O(n_nodes) honest (a quadratic term that is invisible at 3
@@ -272,30 +316,32 @@ def _bench_nodes64(quick: bool) -> Tuple[float, int, int]:
     from ..workloads import Smallbank
     from .runner import Bench
 
-    t0 = time.perf_counter()
-    bench = Bench(
-        "xenic",
-        Smallbank(64, accounts_per_server=250, hot_keys_fraction=0.25),
-        n_nodes=64,
-    )
-    bench.measure(2 if quick else 8, warmup_us=25.0 if quick else 50.0,
-                  window_us=50.0 if quick else 250.0)
-    wall = time.perf_counter() - t0
-    return wall, bench.sim.events_scheduled, bench._total_commits()
+    # Two timed regions: build and measure are each collector-quiet, and
+    # the collection they defer belongs to the seam between them.
+    timed = _Timed()
+    with timed:
+        bench = Bench(
+            "xenic",
+            Smallbank(64, accounts_per_server=250, hot_keys_fraction=0.25),
+            n_nodes=64,
+        )
+    with timed:
+        bench.measure(2 if quick else 8, warmup_us=25.0 if quick else 50.0,
+                      window_us=50.0 if quick else 250.0)
+    return timed, bench.sim.events_scheduled, bench._total_commits()
 
 
-def _bench_chaos_seed(quick: bool) -> Tuple[float, int, int]:
+def _bench_chaos_seed(quick: bool) -> Tuple[_Timed, int, int]:
     """One seeded chaos run: fault injection + invariant checking."""
     from .chaos import run_chaos
 
-    t0 = time.perf_counter()
-    result = run_chaos(system="xenic", seed=3,
-                       n_txns=150 if quick else 400, n_nodes=3)
-    wall = time.perf_counter() - t0
+    with _Timed() as timed:
+        result = run_chaos(system="xenic", seed=3,
+                           n_txns=150 if quick else 400, n_nodes=3)
     # ChaosResult surfaces the engine's real event count (sized so even
     # the quick run schedules >=10k events), making the rate column
     # comparable with the other end-to-end benches.
-    return wall, result.events_scheduled, result.commits
+    return timed, result.events_scheduled, result.commits
 
 
 # name -> (factory, micro?) ; micro benches take an op count, end-to-end
@@ -320,7 +366,7 @@ _MICRO_N_FULL = {
     "store_probe": 400_000,
     "commit_path": 5_000,
 }
-_MICRO: Dict[str, Callable[[int], Tuple[float, int]]] = {
+_MICRO: Dict[str, Callable[[int], Tuple[_Timed, int]]] = {
     "timeout_churn": _bench_timeout_churn,
     "resource_churn": _bench_resource_churn,
     "anyof_cancel": _bench_anyof_cancel,
@@ -330,7 +376,7 @@ _MICRO: Dict[str, Callable[[int], Tuple[float, int]]] = {
     "store_probe": _bench_store_probe,
     "commit_path": _bench_commit_path,
 }
-_END_TO_END: Dict[str, Callable[[bool], Tuple[float, int, int]]] = {
+_END_TO_END: Dict[str, Callable[[bool], Tuple[_Timed, int, int]]] = {
     "fig8d_point": _bench_fig8d_point,
     "retwis_point": _bench_retwis_point,
     "nodes64": _bench_nodes64,
@@ -358,11 +404,11 @@ def run_perf(quick: bool = True, repeats: int = 3,
              benches: Optional[List[str]] = None,
              verbose: bool = False) -> Dict[str, Dict[str, float]]:
     """Run the harness; returns ``{bench: {wall_s, events,
-    events_per_sec}}`` — end-to-end benches additionally carry ``txns``
-    and ``events_per_txn`` (ev/s understates a win when the events
-    needed per committed transaction drops) — using the best (minimum)
-    wall time of ``repeats`` runs, the standard way to strip scheduler
-    noise from wall-clock benchmarks."""
+    events_per_sec, gc_collections, gc_s}}`` — end-to-end benches
+    additionally carry ``txns`` and ``events_per_txn`` (ev/s understates
+    a win when the events needed per committed transaction drops) —
+    using the best (minimum) wall time of ``repeats`` runs, the standard
+    way to strip scheduler noise from wall-clock benchmarks."""
     sizes = _MICRO_N_QUICK if quick else _MICRO_N_FULL
     results: Dict[str, Dict[str, float]] = {}
     for name in benches or list(_MICRO) + list(_END_TO_END):
@@ -373,12 +419,15 @@ def run_perf(quick: bool = True, repeats: int = 3,
         else:
             raise ValueError("unknown bench %r (have: %s)" % (
                 name, ", ".join(list(_MICRO) + list(_END_TO_END))))
-        best = min(runs)
-        wall, events = best[0], best[1]
+        best = min(runs, key=lambda run: run[0].wall_s)
+        timed, events = best[0], best[1]
+        wall = timed.wall_s
         results[name] = {
             "wall_s": wall,
             "events": events,
             "events_per_sec": events / wall if wall > 0 else 0.0,
+            "gc_collections": timed.gc_collections,
+            "gc_s": timed.gc_s,
         }
         if len(best) > 2 and best[2]:
             txns = best[2]
@@ -515,14 +564,15 @@ def format_compiled_ab(ab: Dict[str, Dict[str, Dict[str, float]]]) -> str:
 
 
 def format_results(results: Dict[str, Dict[str, float]]) -> str:
-    lines = ["%-16s %10s %12s %14s %8s" % ("bench", "wall_s", "events",
-                                           "ev/s", "ev/txn")]
+    lines = ["%-16s %10s %12s %14s %8s %6s %8s"
+             % ("bench", "wall_s", "events", "ev/s", "ev/txn", "gc", "gc_s")]
     for name, r in results.items():
         per_txn = ("%8.1f" % r["events_per_txn"]
                    if "events_per_txn" in r else "%8s" % "-")
-        lines.append("%-16s %10.3f %12d %14.0f %s"
+        lines.append("%-16s %10.3f %12d %14.0f %s %6d %8.3f"
                      % (name, r["wall_s"], r["events"],
-                        r["events_per_sec"], per_txn))
+                        r["events_per_sec"], per_txn,
+                        r["gc_collections"], r["gc_s"]))
     return "\n".join(lines)
 
 
@@ -653,3 +703,16 @@ def compare_entries(results: Dict[str, Dict[str, float]], baseline: dict,
                 "limit %.1fx)" % (name, rate, base_rate, slowdown,
                                   max_regression))
     return failures
+
+
+def collection_failures(results: Dict[str, Dict[str, float]]) -> List[str]:
+    """One message per end-to-end bench whose timed region saw an
+    automatic collection.  Those regions are collector-quiet, so this is
+    an exact counter that needs no baseline: any non-zero count means a
+    library scope was lost or the steady state started to grow."""
+    return [
+        "%s: %d automatic collection(s) (%.3fs) inside a collector-quiet "
+        "timed region" % (name, r["gc_collections"], r["gc_s"])
+        for name, r in results.items()
+        if name in _END_TO_END and r.get("gc_collections")
+    ]

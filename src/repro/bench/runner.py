@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..baselines import SYSTEMS, BaselineCluster
 from ..core import XenicCluster, XenicConfig
 from ..obs import Observer
-from ..sim import LatencyRecorder, Simulator
+from ..sim import LatencyRecorder, Simulator, collector_quiet
 from ..workloads import WORKLOADS
 from ..workloads.base import Workload
 
@@ -139,7 +139,12 @@ class RunResult:
 
 
 class Bench:
-    """A (system, workload) pair under closed-loop load."""
+    """A (system, workload) pair under closed-loop load.
+
+    Construction and :meth:`measure` are each one collector-quiet scope
+    (``repro.sim.collector``): the cluster funnel and the event loop are
+    quiet on their own, and the outer scope keeps the thresholds raised
+    across the seams between them."""
 
     def __init__(
         self,
@@ -153,88 +158,92 @@ class Bench:
         obs=None,
         obs_interval_us: float = 20.0,
     ):
-        self.system = system
-        self.workload = workload
-        self.n_nodes = n_nodes
-        self.sim = Simulator()
-        self.seed = seed
-        if system.startswith(XENIC):
-            config = xenic_config
-            if config is None:
-                config = XenicConfig(
-                    host_app_threads=getattr(workload, "xenic_app_threads", 2),
-                    host_worker_threads=getattr(
-                        workload, "xenic_worker_threads", 3),
+        with collector_quiet:
+            self.system = system
+            self.workload = workload
+            self.n_nodes = n_nodes
+            self.sim = Simulator()
+            self.seed = seed
+            if system.startswith(XENIC):
+                config = xenic_config
+                if config is None:
+                    config = XenicConfig(
+                        host_app_threads=getattr(
+                            workload, "xenic_app_threads", 2),
+                        host_worker_threads=getattr(
+                            workload, "xenic_worker_threads", 3),
+                    )
+                if hardware is not None:
+                    import dataclasses
+
+                    config = dataclasses.replace(config, hardware=hardware)
+                self.cluster = XenicCluster(
+                    self.sim, n_nodes, config=config,
+                    keys_per_shard=workload.keys_per_shard(),
+                    value_size=workload.value_size,
+                    partition=workload.partition,
                 )
-            if hardware is not None:
-                import dataclasses
+            elif system in SYSTEMS:
+                if baseline_host_threads is None:
+                    baseline_host_threads = getattr(
+                        workload, "baseline_host_threads", 16)
+                kw = {}
+                if hardware is not None:
+                    kw["hardware"] = hardware
+                self.cluster = BaselineCluster(
+                    self.sim, n_nodes, SYSTEMS[system],
+                    host_threads=baseline_host_threads,
+                    keys_per_shard=workload.keys_per_shard(),
+                    value_size=workload.value_size,
+                    partition=workload.partition,
+                    **kw,
+                )
+            else:
+                raise ValueError("unknown system %r" % system)
+            workload.load(self.cluster)
+            if system.startswith(XENIC):
+                # measure warm-cache steady state (the paper's long-running
+                # systems have their hot sets resident in NIC DRAM)
+                self.cluster.prewarm_nic_caches()
+            self.cluster.start()
+            self.fault_plan = None
+            if _DEFAULT_FAULTS is not None:
+                from ..sim.faults import FaultPlan, FaultSpec
+                from ..sim.rng import RngStream
 
-                config = dataclasses.replace(config, hardware=hardware)
-            self.cluster = XenicCluster(
-                self.sim, n_nodes, config=config,
-                keys_per_shard=workload.keys_per_shard(),
-                value_size=workload.value_size,
-                partition=workload.partition,
-            )
-        elif system in SYSTEMS:
-            if baseline_host_threads is None:
-                baseline_host_threads = getattr(
-                    workload, "baseline_host_threads", 16)
-            kw = {}
-            if hardware is not None:
-                kw["hardware"] = hardware
-            self.cluster = BaselineCluster(
-                self.sim, n_nodes, SYSTEMS[system],
-                host_threads=baseline_host_threads,
-                keys_per_shard=workload.keys_per_shard(),
-                value_size=workload.value_size,
-                partition=workload.partition,
-                **kw,
-            )
-        else:
-            raise ValueError("unknown system %r" % system)
-        workload.load(self.cluster)
-        if system.startswith(XENIC):
-            # measure warm-cache steady state (the paper's long-running
-            # systems have their hot sets resident in NIC DRAM)
-            self.cluster.prewarm_nic_caches()
-        self.cluster.start()
-        self.fault_plan = None
-        if _DEFAULT_FAULTS is not None:
-            from ..sim.faults import FaultPlan, FaultSpec
-            from ..sim.rng import RngStream
-
-            spec_text, fault_seed = _DEFAULT_FAULTS
-            spec = (spec_text if isinstance(spec_text, FaultSpec)
-                    else FaultSpec.parse(spec_text))
-            self.fault_plan = FaultPlan(
-                spec, RngStream(fault_seed, "faults")).install(self.cluster)
-        # Observability: an explicit Observer/True wins; otherwise the
-        # process-wide default (set_default_obs) applies.
-        self.observer: Optional[Observer] = None
-        if obs is None and _DEFAULT_OBS is not None:
-            obs = True
-            obs_interval_us = _DEFAULT_OBS["interval_us"]
-        if obs:
-            self.observer = (obs if isinstance(obs, Observer)
-                             else Observer(self.sim,
-                                           sample_interval_us=obs_interval_us))
-            self.observer.install(self.cluster)
-            if _DEFAULT_OBS is not None:
-                _LIVE_OBSERVERS.append((self.observer, self))
-        self._contexts = 0
-        self._recorder: Optional[LatencyRecorder] = None
-        self._counting = False
-        self._count = 0
-        self._aborts_base = 0
-        self.counted_label = getattr(workload, "counted_label", None)
-        # Abort accounting: every abort during the measurement window
-        # records how deep into the transaction it struck, plus a
-        # per-reason counter (lock conflict, validation, ...).
-        self._abort_recorder: Optional[LatencyRecorder] = None
-        self._abort_reasons: Dict[str, int] = {}
-        for proto in self.cluster.protocols:
-            proto.on_abort = self._note_abort
+                spec_text, fault_seed = _DEFAULT_FAULTS
+                spec = (spec_text if isinstance(spec_text, FaultSpec)
+                        else FaultSpec.parse(spec_text))
+                self.fault_plan = FaultPlan(
+                    spec, RngStream(fault_seed, "faults"),
+                ).install(self.cluster)
+            # Observability: an explicit Observer/True wins; otherwise the
+            # process-wide default (set_default_obs) applies.
+            self.observer: Optional[Observer] = None
+            if obs is None and _DEFAULT_OBS is not None:
+                obs = True
+                obs_interval_us = _DEFAULT_OBS["interval_us"]
+            if obs:
+                self.observer = (
+                    obs if isinstance(obs, Observer)
+                    else Observer(self.sim,
+                                  sample_interval_us=obs_interval_us))
+                self.observer.install(self.cluster)
+                if _DEFAULT_OBS is not None:
+                    _LIVE_OBSERVERS.append((self.observer, self))
+            self._contexts = 0
+            self._recorder: Optional[LatencyRecorder] = None
+            self._counting = False
+            self._count = 0
+            self._aborts_base = 0
+            self.counted_label = getattr(workload, "counted_label", None)
+            # Abort accounting: every abort during the measurement window
+            # records how deep into the transaction it struck, plus a
+            # per-reason counter (lock conflict, validation, ...).
+            self._abort_recorder: Optional[LatencyRecorder] = None
+            self._abort_reasons: Dict[str, int] = {}
+            for proto in self.cluster.protocols:
+                proto.on_abort = self._note_abort
 
     def _note_abort(self, txn) -> None:
         if not self._counting or self._abort_recorder is None:
@@ -281,54 +290,57 @@ class Bench:
         warmup_us: float = 150.0,
         window_us: float = 500.0,
     ) -> RunResult:
-        if concurrency_per_node < self._contexts:
-            raise ValueError(
-                "sweeps must use ascending concurrency (have %d, asked %d)"
-                % (self._contexts, concurrency_per_node)
+        with collector_quiet:
+            if concurrency_per_node < self._contexts:
+                raise ValueError(
+                    "sweeps must use ascending concurrency (have %d, asked %d)"
+                    % (self._contexts, concurrency_per_node)
+                )
+            self.ensure_contexts(concurrency_per_node)
+            self.sim.run(until=self.sim.now + warmup_us)
+            self._recorder = LatencyRecorder()
+            self._abort_recorder = LatencyRecorder()
+            self._abort_reasons = {}
+            self._count = 0
+            self._counting = True
+            aborts0 = self._total_aborts()
+            commits0 = self._total_commits()
+            events0 = self.sim.events_scheduled
+            start = self.sim.now
+            self.sim.run(until=start + window_us)
+            self._counting = False
+            elapsed = self.sim.now - start
+            throughput = (self._count / elapsed * 1e6 / self.n_nodes
+                          if elapsed else 0.0)
+            rec = self._recorder
+            result = RunResult(
+                system=self.system,
+                workload=self.workload.name,
+                concurrency=concurrency_per_node,
+                throughput_per_server=throughput,
+                median_latency_us=rec.median,
+                p99_latency_us=rec.p99,
+                mean_latency_us=rec.mean,
+                commits=self._total_commits() - commits0,
+                aborts=self._total_aborts() - aborts0,
+                window_us=elapsed,
+                extra=self._utilization_snapshot(),
             )
-        self.ensure_contexts(concurrency_per_node)
-        self.sim.run(until=self.sim.now + warmup_us)
-        self._recorder = LatencyRecorder()
-        self._abort_recorder = LatencyRecorder()
-        self._abort_reasons = {}
-        self._count = 0
-        self._counting = True
-        aborts0 = self._total_aborts()
-        commits0 = self._total_commits()
-        events0 = self.sim.events_scheduled
-        start = self.sim.now
-        self.sim.run(until=start + window_us)
-        self._counting = False
-        elapsed = self.sim.now - start
-        throughput = self._count / elapsed * 1e6 / self.n_nodes if elapsed else 0.0
-        rec = self._recorder
-        result = RunResult(
-            system=self.system,
-            workload=self.workload.name,
-            concurrency=concurrency_per_node,
-            throughput_per_server=throughput,
-            median_latency_us=rec.median,
-            p99_latency_us=rec.p99,
-            mean_latency_us=rec.mean,
-            commits=self._total_commits() - commits0,
-            aborts=self._total_aborts() - aborts0,
-            window_us=elapsed,
-            extra=self._utilization_snapshot(),
-        )
-        # Attached as plain instance attributes, not dataclass fields:
-        # to_jsonable() serializes fields only, so pinned result digests
-        # (tests/test_golden_digest.py) are unaffected.
-        result.abort_latency = self._abort_recorder.summary()
-        result.abort_reasons = dict(self._abort_reasons)
-        # Scheduler work attribution for this window: queue entries
-        # pushed during the measurement window and the same per committed
-        # txn — the honest cost metric for delay fusion (REPRO_FUSION),
-        # which removes events without moving any simulated timestamp.
-        result.events_scheduled = self.sim.events_scheduled - events0
-        result.events_per_txn = (
-            result.events_scheduled / result.commits if result.commits else 0.0
-        )
-        return result
+            # Attached as plain instance attributes, not dataclass fields:
+            # to_jsonable() serializes fields only, so pinned result digests
+            # (tests/test_golden_digest.py) are unaffected.
+            result.abort_latency = self._abort_recorder.summary()
+            result.abort_reasons = dict(self._abort_reasons)
+            # Scheduler work attribution for this window: queue entries
+            # pushed during the measurement window and the same per committed
+            # txn — the honest cost metric for delay fusion (REPRO_FUSION),
+            # which removes events without moving any simulated timestamp.
+            result.events_scheduled = self.sim.events_scheduled - events0
+            result.events_per_txn = (
+                result.events_scheduled / result.commits
+                if result.commits else 0.0
+            )
+            return result
 
     def _total_commits(self) -> int:
         return sum(p.stats.get("commits") for p in self.cluster.protocols)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..hw.network import Fabric
+from ..sim.collector import collector_quiet
 from ..sim.core import Simulator
 from ..store import group_by_shard, load_replicas
 from .config import XenicConfig
@@ -38,16 +39,19 @@ class XenicCluster:
         self.value_size = value_size
         self.partition = partition or (lambda key: key % n_nodes)
         self.fabric = Fabric(sim)
-        self.nodes: List[XenicNode] = [
-            XenicNode(
-                sim, self.fabric, i, n_nodes, self.config,
-                keys_per_shard=keys_per_shard, value_size=value_size,
-            )
-            for i in range(n_nodes)
-        ]
-        self.protocols: List[XenicProtocol] = [
-            XenicProtocol(self, node) for node in self.nodes
-        ]
+        # Construction, loading and prewarming allocate only objects
+        # that stay alive, so all three run collector-quiet.
+        with collector_quiet:
+            self.nodes: List[XenicNode] = [
+                XenicNode(
+                    sim, self.fabric, i, n_nodes, self.config,
+                    keys_per_shard=keys_per_shard, value_size=value_size,
+                )
+                for i in range(n_nodes)
+            ]
+            self.protocols: List[XenicProtocol] = [
+                XenicProtocol(self, node) for node in self.nodes
+            ]
         self._primary: Dict[int, int] = {i: i for i in range(n_nodes)}
         self.failed: set = set()
         self._workers_started = False
@@ -100,28 +104,31 @@ class XenicCluster:
         """Install ``(key, value, size)`` items (``size`` None: the
         cluster's ``value_size``) on their primaries and every backup
         replica, each table receiving its keys in the order given."""
-        by_shard = group_by_shard(items, self.partition, self.value_size)
-        for shard, objs in by_shard.items():
-            load_replicas(
-                self.nodes[shard].tables[shard],
-                [self.nodes[n].tables[shard] for n in self.backups_of(shard)],
-                objs,
-            )
+        with collector_quiet:
+            by_shard = group_by_shard(items, self.partition, self.value_size)
+            for shard, objs in by_shard.items():
+                load_replicas(
+                    self.nodes[shard].tables[shard],
+                    [self.nodes[n].tables[shard]
+                     for n in self.backups_of(shard)],
+                    objs,
+                )
 
     def prewarm_nic_caches(self) -> None:
         """Install every primary object into its NIC cache (up to
         capacity), modeling the steady state of a long-running system
         where the hot set has been pulled into NIC DRAM."""
-        for shard in range(self.n_nodes):
-            node = self.primary_of(shard)
-            index = node.index_for(shard)
-            budget = index.cache_capacity - index.cache_size
-            for obj in node.tables[shard].objects():
-                if budget <= 0:
-                    break
-                if not index.cache_contains(obj.key):
-                    index.install_cache(obj.key, obj.value)
-                    budget -= 1
+        with collector_quiet:
+            for shard in range(self.n_nodes):
+                node = self.primary_of(shard)
+                index = node.index_for(shard)
+                budget = index.cache_capacity - index.cache_size
+                for obj in node.tables[shard].objects():
+                    if budget <= 0:
+                        break
+                    if not index.cache_contains(obj.key):
+                        index.install_cache(obj.key, obj.value)
+                        budget -= 1
 
     # -- verification helpers ------------------------------------------------
 

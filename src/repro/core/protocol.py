@@ -56,6 +56,9 @@ HOST_COMPLETE_US = 0.15
 LOG_RETRY_US = 2.0
 # Small PCIe payloads (control messages).
 DONE_MSG_BYTES = 24
+# Duplicate suppression: how many wire ids from one peer may arrive ahead
+# of a missing one before it is written off as lost rather than late.
+WIRE_REORDER_WINDOW = 4096
 
 
 class XenicProtocol:
@@ -76,13 +79,19 @@ class XenicProtocol:
         # through it); called with the Transaction on every aborted attempt.
         self.on_abort = None
         self._req_seq = 0
-        # Transport-level exactly-once delivery: outbound messages carry a
-        # per-sender wire sequence number; inbound duplicates (retransmit
-        # races under fault injection) are suppressed by (src, wire_id),
-        # the way an RC transport dedups PSNs.  A real NIC keeps a sliding
-        # window per peer; the simulation keeps the full set.
-        self._wire_seq = 0
-        self._seen_wire: set = set()
+        # Transport-level exactly-once delivery, the way an RC transport
+        # dedups PSNs: outbound messages carry a per-(sender, receiver)
+        # sequence number, and the receiver keeps, per peer, the highest
+        # id below which everything has arrived plus the set of ids that
+        # arrived ahead of a gap.  Without faults the fabric is FIFO per
+        # pair, so the sets stay empty and the state is one int per peer
+        # however long the run; a delayed or reordered message parks its
+        # successors in the set only until it lands, and one that never
+        # lands (crash-dropped) until WIRE_REORDER_WINDOW have passed it.
+        n_nodes = node.n_nodes
+        self._wire_seq = [0] * n_nodes
+        self._wire_seen_upto = [0] * n_nodes
+        self._wire_seen_ahead = [set() for _ in range(n_nodes)]
         # bound-method dispatch table: saves an explicit self pass per
         # served request on the hot path
         self._handlers = {kind: handler.__get__(self)
@@ -1008,7 +1017,7 @@ class XenicProtocol:
                 self.node.node_id, target, "log_ack",
                 response_size(resp, self.cluster.value_size),
                 ("log_ack", txn_id, resp),
-                wire_id=self._next_wire_id(),
+                wire_id=self._next_wire_id(target),
             )
             self.node.nic.send(msg)
 
@@ -1240,7 +1249,7 @@ class XenicProtocol:
             self.node.node_id, dst, req.kind,
             request_size(req, self.cluster.value_size),
             ("req", rid, req),
-            wire_id=self._next_wire_id(),
+            wire_id=self._next_wire_id(dst),
         )
         self.node.nic.send(msg)
         self.stats.inc("requests_sent")
@@ -1258,24 +1267,28 @@ class XenicProtocol:
             self.node.node_id, dst, req.kind,
             request_size(req, self.cluster.value_size),
             ("oneway", req),
-            wire_id=self._next_wire_id(),
+            wire_id=self._next_wire_id(dst),
         )
         self.node.nic.send(msg)
 
     def _handle_oneway_local(self, req: Request):
         yield from self._dispatch_oneway(req)
 
-    def _next_wire_id(self) -> int:
-        self._wire_seq += 1
-        return self._wire_seq
+    def _next_wire_id(self, dst: int) -> int:
+        seq = self._wire_seq
+        seq[dst] = wire_id = seq[dst] + 1
+        return wire_id
 
     def _on_wire(self, msg: NetMessage) -> None:
-        if msg.wire_id is not None:
-            key = (msg.src, msg.wire_id)
-            if key in self._seen_wire:
+        wire_id = msg.wire_id
+        if wire_id is not None:
+            src = msg.src
+            upto = self._wire_seen_upto
+            if wire_id == upto[src] + 1 and not self._wire_seen_ahead[src]:
+                upto[src] = wire_id  # in order, nothing parked: the norm
+            elif self._wire_out_of_order(src, wire_id):
                 self.stats.inc("dup_wire_dropped")
                 return
-            self._seen_wire.add(key)
         tag = msg.payload[0]
         if tag == "req":
             _tag, rid, req = msg.payload
@@ -1299,6 +1312,26 @@ class XenicProtocol:
                                  self._receive_log_ack)
         else:  # pragma: no cover - defensive
             raise RuntimeError("unknown wire tag %r" % (tag,))
+
+    def _wire_out_of_order(self, src: int, wire_id: int) -> bool:
+        """Record a ``wire_id`` that did not simply extend ``src``'s
+        contiguous prefix; True if it had already been delivered."""
+        upto = self._wire_seen_upto
+        ahead = self._wire_seen_ahead[src]
+        if wire_id <= upto[src] or wire_id in ahead:
+            return True
+        ahead.add(wire_id)
+        nxt = upto[src] + 1
+        if nxt not in ahead and len(ahead) > WIRE_REORDER_WINDOW:
+            # a window's worth of traffic has overtaken the gap: what it
+            # waits for was dropped with a crashed node, not delayed
+            nxt = min(ahead)
+        # absorb the parked run that now extends the prefix, if any
+        while nxt in ahead:
+            ahead.remove(nxt)
+            nxt += 1
+        upto[src] = nxt - 1
+        return False
 
     def _charge_rx_then(self, fn, a, b, slow_gen) -> None:
         """Charge one NIC core for inbound-message handling, then run
@@ -1349,7 +1382,7 @@ class XenicProtocol:
             self.node.node_id, src, "resp",
             response_size(resp, self.cluster.value_size),
             ("resp", rid, resp),
-            wire_id=self._next_wire_id(),
+            wire_id=self._next_wire_id(src),
         )
         self.node.nic.send(msg)
         # the request's single consumption point: any duplicate delivery

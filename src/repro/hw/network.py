@@ -32,10 +32,10 @@ class NetMessage:
         self.size = size
         self.payload = payload
         self.sent_at = 0.0
-        # Transport-level sequence number (set by the sender's protocol
-        # engine): receivers suppress duplicate deliveries by (src, wire_id),
-        # the way RC transports dedup retransmitted PSNs.  None disables
-        # dedup (e.g. raw messages in unit tests).
+        # Transport-level sequence number, counted per (src, dst) pair by
+        # the sender's protocol engine: receivers suppress duplicate
+        # deliveries by it, the way RC transports dedup retransmitted
+        # PSNs.  None disables dedup (e.g. raw messages in unit tests).
         self.wire_id = wire_id
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -1,5 +1,6 @@
 """Discrete-event simulation substrate (clock, processes, resources, RNG)."""
 
+from .collector import collector_quiet
 from .core import AllOf, AnyOf, Event, Interrupt, Process, SimulationError, Simulator, Timeout
 from .equeue import (
     CalendarEventQueue,
@@ -23,6 +24,7 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
+    "collector_quiet",
     "EventQueue",
     "HeapEventQueue",
     "CalendarEventQueue",

@@ -53,9 +53,14 @@ _ORIG: Dict[str, Tuple[type, str, Any]] = {}
 
 def selected_compiled() -> str:
     """The ``REPRO_COMPILED`` leg a ``Simulator()`` built right now
-    would request (before availability is considered)."""
+    would request (before availability is considered); a value other
+    than ``auto`` / ``on`` / ``off`` (any case) is a ``ValueError``,
+    not the default."""
     kind = os.environ.get("REPRO_COMPILED", DEFAULT_COMPILED).lower()
-    return kind if kind in COMPILED_KINDS else DEFAULT_COMPILED
+    if kind not in COMPILED_KINDS:
+        raise ValueError("REPRO_COMPILED=%r: expected one of %s"
+                         % (kind, ", ".join(COMPILED_KINDS)))
+    return kind
 
 
 def compiled_available() -> bool:

@@ -38,6 +38,7 @@ from .equeue import (  # noqa: F401  (_COMPACT_MIN_CANCELLED re-exported)
     EventQueue,
     make_queue,
 )
+from .collector import collector_quiet
 from .compiled import active_kernel, ensure_leg
 from .fusion import fusion_enabled
 
@@ -827,26 +828,32 @@ class Simulator:
         loops (``drain_all``/``drain_until``), which fire and dispatch
         without per-event method calls; the hooked paths go through
         :meth:`step` so every fired entry is reported.
+
+        Both drain entry points run collector-quiet
+        (``repro.sim.collector``): steady-state simulation frees its
+        state by reference count, so automatic collections are deferred
+        to the caller's next allocation after the drain returns.
         """
-        if until is None:
+        with collector_quiet:
+            if until is None:
+                if self._hook is not None:
+                    while self.step():
+                        pass
+                else:
+                    self._q.drain_all(self)
+                return self._now
+            if until < self._now:
+                raise SimulationError("until=%r is in the past" % (until,))
             if self._hook is not None:
-                while self.step():
+                while self._step_bounded(until):
                     pass
             else:
-                self._q.drain_all(self)
+                self._q.drain_until(self, until)
+            # The loop only fires entries <= until, so the clock never
+            # overruns; land exactly on the boundary in both queue states.
+            if self._now < until:
+                self._now = until
             return self._now
-        if until < self._now:
-            raise SimulationError("until=%r is in the past" % (until,))
-        if self._hook is not None:
-            while self._step_bounded(until):
-                pass
-        else:
-            self._q.drain_until(self, until)
-        # The loop only fires entries <= until, so the clock never
-        # overruns; land exactly on the boundary in both queue states.
-        if self._now < until:
-            self._now = until
-        return self._now
 
     def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
         """Run until ``event`` triggers; returns its value.
@@ -855,14 +862,16 @@ class Simulator:
         reached) without the event firing.
         """
         peek = self._q.peek_time
-        while not event.triggered:
-            if limit is not None:
-                head = peek()
-                if head is not None and head > limit:
+        with collector_quiet:
+            while not event.triggered:
+                if limit is not None:
+                    head = peek()
+                    if head is not None and head > limit:
+                        raise SimulationError(
+                            "time limit reached before event fired")
+                if not self.step():
                     raise SimulationError(
-                        "time limit reached before event fired")
-            if not self.step():
-                raise SimulationError("simulation drained before event fired")
+                        "simulation drained before event fired")
         if not event.ok:
             raise event.value
         return event.value

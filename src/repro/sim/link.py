@@ -146,6 +146,10 @@ class BatchingLink:
             batch_window_us if batch_window_us is not None else 3.0 * overhead_us
         )
         self.name = name
+        # formatted once: a park or respawn happens several times per
+        # transaction
+        self._wake_name = "%s.wake" % name
+        self._drain_name = "%s.drain" % name
         self._queue: Deque[Tuple[Any, int, Any]] = deque()
         self._drainer: Optional[Any] = None
         self._wake: Optional[Event] = None
@@ -177,7 +181,8 @@ class BatchingLink:
     def send(self, dest: Any, nbytes: int, payload: Any) -> None:
         self._queue.append((dest, nbytes, payload))
         if self._drainer is None or not self._drainer.alive:
-            self._drainer = self.sim.spawn(self._drain(), name="%s.drain" % self.name)
+            self._drainer = self.sim.spawn(self._drain(),
+                                           name=self._drain_name)
         elif self._wake is not None and not self._wake.triggered:
             if self.sim._now >= self._floor:
                 self._wake.succeed()
@@ -263,7 +268,7 @@ class BatchingLink:
                                 # wake there (see ``send``).
                                 self._park_floor(floor)
                                 self._wake = self.sim.event(
-                                    name="%s.wake" % self.name)
+                                    name=self._wake_name)
                                 yield self._wake
                                 self._wake = None
                                 self._floor = 0.0
@@ -274,7 +279,7 @@ class BatchingLink:
                             # same-instant cohort position.
                         yield self.sim.timeout(idle)
                     if not queue:
-                        self._wake = self.sim.event(name="%s.wake" % self.name)
+                        self._wake = self.sim.event(name=self._wake_name)
                         yield self._wake
                         self._wake = None
                     continue
@@ -312,7 +317,7 @@ class BatchingLink:
                             # Fused park (see the sporadic path above).
                             self._park_floor(floor)
                             self._wake = self.sim.event(
-                                name="%s.wake" % self.name)
+                                name=self._wake_name)
                             yield self._wake
                             self._wake = None
                             self._floor = 0.0
@@ -329,7 +334,7 @@ class BatchingLink:
                 )
             if not self._queue:
                 # Park until the next send arrives, then loop.
-                self._wake = self.sim.event(name="%s.wake" % self.name)
+                self._wake = self.sim.event(name=self._wake_name)
                 yield self._wake
                 self._wake = None
 

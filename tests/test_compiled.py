@@ -17,7 +17,6 @@ import pytest
 from repro.sim import compiled
 from repro.sim.compiled import (
     COMPILED_KINDS,
-    DEFAULT_COMPILED,
     compiled_active,
     compiled_available,
     ensure_leg,
@@ -59,8 +58,11 @@ def test_selected_compiled_env(leg):
         assert selected_compiled() == kind
     leg("ON")  # case-insensitive
     assert selected_compiled() == "on"
-    leg("not-a-leg")
-    assert selected_compiled() == DEFAULT_COMPILED
+    leg("not-a-leg")  # fails loud, like REPRO_QUEUE / REPRO_FUSION
+    with pytest.raises(ValueError, match="REPRO_COMPILED='not-a-leg'"):
+        selected_compiled()
+    with pytest.raises(ValueError, match="auto, on, off"):
+        Simulator()
 
 
 def test_off_leg_is_pure_python(leg):

@@ -245,7 +245,7 @@ def test_nodes64_bench_completes_quick(fusion_env):
     from repro.bench.perf import _bench_nodes64
 
     fusion_env["REPRO_FUSION"] = "on"
-    wall, events, commits = _bench_nodes64(True)
+    timed, events, commits = _bench_nodes64(True)
     assert commits > 0
     assert events > 0
-    assert wall < 60.0
+    assert timed.wall_s < 60.0

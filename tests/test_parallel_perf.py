@@ -9,7 +9,8 @@ import pytest
 
 from repro.bench.parallel import (SweepSpec, run_chaos_seeds, run_sweeps,
                                   set_default_jobs)
-from repro.bench.perf import (append_entry, baseline_entry, compare_entries,
+from repro.bench.perf import (append_entry, baseline_entry,
+                              collection_failures, compare_entries,
                               load_trajectory, run_perf)
 from repro.bench.runner import to_jsonable
 
@@ -95,6 +96,25 @@ def test_run_perf_micro_smoke():
         assert r["wall_s"] > 0
         assert r["events"] > 0
         assert r["events_per_sec"] > 0
+        assert r["gc_collections"] >= 0 and r["gc_s"] >= 0.0
+
+
+def test_collection_gate_counts_end_to_end_benches_only():
+    """``perf --check`` fails on any collection inside an end-to-end
+    bench's timed region; micro benches are reported, not gated."""
+    clean = {"wall_s": 0.1, "events": 1, "events_per_sec": 10.0,
+             "gc_collections": 0, "gc_s": 0.0}
+    dirty = dict(clean, gc_collections=3, gc_s=0.002)
+    assert collection_failures({"fig8d_point": clean,
+                                "timeout_churn": dirty}) == []
+    failures = collection_failures({"fig8d_point": dirty,
+                                    "chaos_seed": clean})
+    assert len(failures) == 1 and failures[0].startswith("fig8d_point: 3 ")
+
+
+def test_end_to_end_bench_timed_region_is_collection_free():
+    results = run_perf(quick=True, repeats=1, benches=["chaos_seed"])
+    assert collection_failures(results) == []
 
 
 def test_run_perf_rejects_unknown_bench():
