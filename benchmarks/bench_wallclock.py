@@ -8,12 +8,11 @@ Runnable two ways::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_wallclock.py -q
     PYTHONPATH=src python benchmarks/bench_wallclock.py          # standalone
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --ab     # heap vs calendar
 """
 
 import sys
 
-from repro.bench.perf import format_ab, format_results, run_perf, run_queue_ab
+from repro.bench.perf import format_results, run_perf
 
 
 def test_wallclock(benchmark, quick):
@@ -31,7 +30,4 @@ def test_wallclock(benchmark, quick):
 
 if __name__ == "__main__":
     quick = "--full" not in sys.argv
-    if "--ab" in sys.argv:
-        print(format_ab(run_queue_ab(quick=quick, repeats=3)))
-    else:
-        print(format_results(run_perf(quick=quick, repeats=3)))
+    print(format_results(run_perf(quick=quick, repeats=3)))

@@ -328,25 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--update", action="store_true",
                       help="append this run to the trajectory file")
     perf.add_argument("--label", default="", help="label for --update")
-    perf.add_argument("--ab-fusion", action="store_true",
-                      help="run the bench set once per REPRO_FUSION leg "
-                           "(off, on) and print the event-count ratio "
-                           "table (simulated results are byte-identical "
-                           "between legs; only scheduler work differs)")
-    perf.add_argument("--ab-queues", action="store_true",
-                      help="run each bench once per event-queue "
-                           "implementation (REPRO_QUEUE=heap|calendar) "
-                           "and print the side-by-side ratio")
-    perf.add_argument("--ab-compiled", action="store_true",
-                      help="run the bench set once per compiled-engine "
-                           "leg (REPRO_COMPILED=off, on) and print the "
-                           "wall-time ratio table (simulated results "
-                           "are byte-identical between legs; requires "
-                           "the repro.sim._ckern extension)")
-    perf.add_argument("--ab-out", default=None, metavar="FILE",
-                      help="with --ab-queues/--ab-fusion/--ab-compiled: "
-                           "also write the raw A/B results as JSON "
-                           "(CI artifact)")
     perf.add_argument("--profile", action="store_true",
                       help="run the benches under cProfile and print the "
                            "hottest functions (skips baseline compare: "
@@ -515,54 +496,11 @@ def run_chaos_command(args) -> int:
 def run_perf_command(args) -> int:
     from .bench.perf import (BENCH_FILE, append_entry, baseline_entry,
                              collection_failures, compare_entries,
-                             format_ab, format_compiled_ab,
-                             format_fusion_ab, format_results,
-                             measure_scaling, run_compiled_ab, run_perf,
-                             run_fusion_ab, run_queue_ab)
+                             format_results, measure_scaling, run_perf)
 
     quick = not args.full
     repeats = 1 if args.quick else args.repeats
     path = args.baseline or BENCH_FILE
-    if args.ab_compiled:
-        try:
-            ab = run_compiled_ab(quick=quick, repeats=repeats,
-                                 benches=args.bench)
-        except RuntimeError as exc:
-            print("error: %s" % exc)
-            return 2
-        print(format_compiled_ab(ab))
-        if args.ab_out:
-            import json
-
-            with open(args.ab_out, "w") as fh:
-                json.dump(ab, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print("wrote %s" % args.ab_out)
-        return 0
-    if args.ab_fusion:
-        ab = run_fusion_ab(quick=quick, repeats=repeats,
-                           benches=args.bench)
-        print(format_fusion_ab(ab))
-        if args.ab_out:
-            import json
-
-            with open(args.ab_out, "w") as fh:
-                json.dump(ab, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print("wrote %s" % args.ab_out)
-        return 0
-    if args.ab_queues:
-        ab = run_queue_ab(quick=quick, repeats=repeats,
-                          benches=args.bench)
-        print(format_ab(ab))
-        if args.ab_out:
-            import json
-
-            with open(args.ab_out, "w") as fh:
-                json.dump(ab, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print("wrote %s" % args.ab_out)
-        return 0
     if args.profile:
         import cProfile
         import pstats

@@ -38,13 +38,14 @@ def fig8d_point_payload(obs: bool = False) -> Dict[str, Any]:
     return _fig8d_payload(16, obs)
 
 
-def fig8d_peak_payload() -> Dict[str, Any]:
+def fig8d_peak_payload(obs: bool = False) -> Dict[str, Any]:
     """The same cluster at the load the benchmark's peak phase applies
     (64 contexts per node).  NIC cores have waiters here, which is where
-    the fused and stepwise paths are known to differ (``REPRO_FUSION=off``
-    and a live Observer both take stepwise paths), so this digest is
-    pinned for the default leg, unobserved, only."""
-    return _fig8d_payload(64, False)
+    the fused inbound dispatch and the stepwise one a live Observer
+    falls back to are known to differ, so this digest is pinned
+    unobserved only (``tests/test_fusion_ab.py`` records the observed
+    numbers)."""
+    return _fig8d_payload(64, obs)
 
 
 def _fig8d_payload(concurrency: int, obs: bool) -> Dict[str, Any]:

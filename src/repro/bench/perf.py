@@ -10,7 +10,7 @@ Two kinds of benches:
 * **event-loop micro benches** (``timeout_churn``, ``resource_churn``,
   ``anyof_cancel``, ``queue_churn``, ``link_stream``): tight loops over
   one engine primitive, reported as events/second dispatched
-  (``queue_churn`` is the scheduler A/B workhorse: near-horizon churn
+  (``queue_churn`` is the scheduler-sensitive one: near-horizon churn
   against a large standing population of far timers);
 * **model-layer micro benches** (``workload_specs``, ``store_probe``,
   ``commit_path``): the layers *above* the engine — workload spec
@@ -52,18 +52,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.compiled import compiled_available, selected_compiled
 from ..sim.core import AnyOf, Simulator, Timeout
-from ..sim.equeue import QUEUE_KINDS, selected_queue_kind
+from ..sim.equeue import selected_queue_kind
 from ..sim.fusion import selected_fusion
 from ..sim.link import SerialLink
 from ..sim.resources import Resource
 
-__all__ = ["run_perf", "run_queue_ab", "run_fusion_ab", "run_compiled_ab",
-           "compare_entries", "collection_failures",
+__all__ = ["run_perf", "compare_entries", "collection_failures",
            "load_trajectory", "append_entry", "baseline_entry",
-           "format_results", "format_ab", "format_fusion_ab",
-           "format_compiled_ab",
-           "measure_scaling", "BENCH_FILE", "SCHEMA", "AB_BENCHES",
-           "FUSION_AB_BENCHES", "COMPILED_AB_BENCHES"]
+           "format_results", "measure_scaling", "BENCH_FILE", "SCHEMA"]
 
 BENCH_FILE = "BENCH_simperf.json"
 SCHEMA = 1
@@ -383,22 +379,6 @@ _END_TO_END: Dict[str, Callable[[bool], Tuple[_Timed, int, int]]] = {
     "chaos_seed": _bench_chaos_seed,
 }
 
-# Default bench set for the heap-vs-calendar A/B: the queue-sensitive
-# engine micro benches plus one end-to-end point.
-AB_BENCHES = ["timeout_churn", "anyof_cancel", "queue_churn",
-              "link_stream", "fig8d_point"]
-
-# Default bench set for the fusion A/B: the link-layer micro bench plus
-# the end-to-end points where fused chains dominate the event count.
-FUSION_AB_BENCHES = ["link_stream", "fig8d_point", "nodes64"]
-
-# Default bench set for the compiled-core A/B: the engine-bound micro
-# benches (where the C fast paths dominate wall time) plus one
-# end-to-end point (where Amdahl dilutes them — see
-# docs/PERFORMANCE.md, compiled core).
-COMPILED_AB_BENCHES = ["timeout_churn", "anyof_cancel", "queue_churn",
-                       "link_stream", "fig8d_point"]
-
 
 def run_perf(quick: bool = True, repeats: int = 3,
              benches: Optional[List[str]] = None,
@@ -439,130 +419,6 @@ def run_perf(quick: bool = True, repeats: int = 3,
     return results
 
 
-def run_queue_ab(quick: bool = True, repeats: int = 3,
-                 benches: Optional[List[str]] = None,
-                 ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Run the same benches once per queue implementation (``heap`` and
-    ``calendar``), returning ``{kind: results}``.  Selection goes
-    through ``REPRO_QUEUE`` — every ``Simulator()`` a bench builds reads
-    it at construction — and the caller's value is restored on exit."""
-    saved = os.environ.get("REPRO_QUEUE")
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    try:
-        for kind in QUEUE_KINDS:
-            os.environ["REPRO_QUEUE"] = kind
-            out[kind] = run_perf(quick=quick, repeats=repeats,
-                                 benches=benches or AB_BENCHES)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_QUEUE", None)
-        else:
-            os.environ["REPRO_QUEUE"] = saved
-    return out
-
-
-def run_fusion_ab(quick: bool = True, repeats: int = 3,
-                  benches: Optional[List[str]] = None,
-                  ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Run the same benches once per delay-fusion leg (``off`` then
-    ``on``), returning ``{leg: results}``.  Selection goes through
-    ``REPRO_FUSION`` — components capture the flag at construction, so
-    each bench run builds fresh models on the requested leg — and the
-    caller's value is restored on exit.  Simulated results are
-    byte-identical between legs (pinned by tests/test_fusion_ab.py);
-    what differs is the scheduler work needed to produce them."""
-    saved = os.environ.get("REPRO_FUSION")
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    try:
-        for kind in ("off", "on"):
-            os.environ["REPRO_FUSION"] = kind
-            out[kind] = run_perf(quick=quick, repeats=repeats,
-                                 benches=benches or FUSION_AB_BENCHES)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_FUSION", None)
-        else:
-            os.environ["REPRO_FUSION"] = saved
-    return out
-
-
-def run_compiled_ab(quick: bool = True, repeats: int = 3,
-                    benches: Optional[List[str]] = None,
-                    ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Run the same benches once per compiled-engine leg (``off`` then
-    ``on``), returning ``{leg: results}``.  Selection goes through
-    ``REPRO_COMPILED`` — every ``Simulator()`` re-reads it at
-    construction and installs/removes the extension's method patches to
-    match, so the two legs run in the same process — and the caller's
-    value is restored on exit.  Simulated results are byte-identical
-    between legs (pinned by tests/test_compiled.py); only wall time
-    differs, so the headline metric is the wall ratio.
-
-    Raises RuntimeError when the ``repro.sim._ckern`` extension is not
-    importable (there is nothing to A/B against)."""
-    if not compiled_available():
-        raise RuntimeError(
-            "repro.sim._ckern is not importable — build it with "
-            "`python setup.py build_ext --inplace` before running "
-            "the compiled A/B")
-    saved = os.environ.get("REPRO_COMPILED")
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    try:
-        for kind in ("off", "on"):
-            os.environ["REPRO_COMPILED"] = kind
-            out[kind] = run_perf(quick=quick, repeats=repeats,
-                                 benches=benches or COMPILED_AB_BENCHES)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_COMPILED", None)
-        else:
-            os.environ["REPRO_COMPILED"] = saved
-    return out
-
-
-def format_fusion_ab(ab: Dict[str, Dict[str, Dict[str, float]]]) -> str:
-    """Per-bench off-vs-on table.  The headline column is the *event*
-    ratio (fusion removes scheduler entries outright, so events/second —
-    the queue-A/B metric — would understate or even invert the win);
-    ev/txn columns appear for the end-to-end benches."""
-    off, on = ab.get("off", {}), ab.get("on", {})
-    names = [n for n in off if n in on]
-    lines = ["%-16s %12s %12s %9s %9s %9s %9s"
-             % ("bench", "off ev", "on ev", "ev ratio",
-                "wall", "off e/t", "on e/t")]
-    for name in names:
-        o, n = off[name], on[name]
-        ev_ratio = o["events"] / n["events"] if n["events"] else 0.0
-        wall_ratio = o["wall_s"] / n["wall_s"] if n["wall_s"] else 0.0
-        per_txn = (("%9.1f %9.1f" % (o["events_per_txn"],
-                                     n["events_per_txn"]))
-                   if "events_per_txn" in o and "events_per_txn" in n
-                   else "%9s %9s" % ("-", "-"))
-        lines.append("%-16s %12d %12d %8.2fx %8.2fx %s"
-                     % (name, o["events"], n["events"], ev_ratio,
-                        wall_ratio, per_txn))
-    return "\n".join(lines)
-
-
-def format_compiled_ab(ab: Dict[str, Dict[str, Dict[str, float]]]) -> str:
-    """Per-bench off-vs-on table for the compiled legs.  Event counts
-    are identical between legs (same simulation, same schedule), so the
-    headline column is the wall-time ratio off/on — >1.0 means the
-    compiled leg is faster."""
-    off, on = ab.get("off", {}), ab.get("on", {})
-    names = [n for n in off if n in on]
-    lines = ["%-16s %10s %10s %9s %12s"
-             % ("bench", "off wall", "on wall", "speedup", "events")]
-    for name in names:
-        o, n = off[name], on[name]
-        ratio = o["wall_s"] / n["wall_s"] if n["wall_s"] else 0.0
-        ev = ("%12d" % o["events"] if o["events"] == n["events"]
-              else "%d!=%d" % (o["events"], n["events"]))
-        lines.append("%-16s %9.3fs %9.3fs %8.2fx %s"
-                     % (name, o["wall_s"], n["wall_s"], ratio, ev))
-    return "\n".join(lines)
-
-
 def format_results(results: Dict[str, Dict[str, float]]) -> str:
     lines = ["%-16s %10s %12s %14s %8s %6s %8s"
              % ("bench", "wall_s", "events", "ev/s", "ev/txn", "gc", "gc_s")]
@@ -573,28 +429,6 @@ def format_results(results: Dict[str, Dict[str, float]]) -> str:
                      % (name, r["wall_s"], r["events"],
                         r["events_per_sec"], per_txn,
                         r["gc_collections"], r["gc_s"]))
-    return "\n".join(lines)
-
-
-def format_ab(ab: Dict[str, Dict[str, Dict[str, float]]]) -> str:
-    """Side-by-side heap/calendar table with the speedup ratio."""
-    kinds = list(ab)
-    names: List[str] = []
-    for results in ab.values():
-        for name in results:
-            if name not in names:
-                names.append(name)
-    lines = ["%-16s" % "bench"
-             + "".join(" %14s" % ("%s ev/s" % k) for k in kinds)
-             + " %10s" % "ratio"]
-    for name in names:
-        rates = [ab[k].get(name, {}).get("events_per_sec", 0.0)
-                 for k in kinds]
-        ratio = (rates[-1] / rates[0]
-                 if len(rates) > 1 and rates[0] > 0 else 0.0)
-        lines.append("%-16s" % name
-                     + "".join(" %14.0f" % r for r in rates)
-                     + " %9.2fx" % ratio)
     return "\n".join(lines)
 
 

@@ -333,8 +333,8 @@ class Bench:
             result.abort_reasons = dict(self._abort_reasons)
             # Scheduler work attribution for this window: queue entries
             # pushed during the measurement window and the same per committed
-            # txn — the honest cost metric for delay fusion (REPRO_FUSION),
-            # which removes events without moving any simulated timestamp.
+            # txn — the honest cost metric for delay fusion, which removes
+            # events without moving any simulated timestamp.
             result.events_scheduled = self.sim.events_scheduled - events0
             result.events_per_txn = (
                 result.events_scheduled / result.commits

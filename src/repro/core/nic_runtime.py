@@ -20,7 +20,6 @@ from typing import Any, Dict, List
 from ..hw.dma import DmaOp
 from ..hw.nic import SmartNic
 from ..sim.core import Event, Simulator, Timeout
-from ..sim.fusion import fusion_enabled
 from .config import XenicConfig
 
 __all__ = ["NicRuntime", "PendingTable"]
@@ -121,9 +120,8 @@ class NicRuntime:
             if config.ethernet_aggregation
             else MSG_HANDLE_WALL_US
         )
-        # Delay fusion (REPRO_FUSION): the burst flusher self-rearms via
-        # a callback Timeout instead of re-spawning a Process per burst.
-        self._fused = fusion_enabled()
+        # The burst flusher self-rearms via a callback Timeout (no
+        # Process per burst).
         self._burst_cb_bound = self._burst_cb
 
     # -- compute ------------------------------------------------------------
@@ -212,11 +210,8 @@ class NicRuntime:
 
     def _arm_flusher(self) -> None:
         self._flusher_running = True
-        if self._fused:
-            Timeout(self.sim, BURST_INTERVAL_US).add_callback(
-                self._burst_cb_bound)
-        else:
-            self.sim.spawn(self._burst_flusher(), name="dma-flusher")
+        Timeout(self.sim, BURST_INTERVAL_US).add_callback(
+            self._burst_cb_bound)
 
     def _flush_log(self) -> None:
         if not self._log_waiters:
@@ -243,19 +238,9 @@ class NicRuntime:
         self.nic.cores.charge_wall(self.nic.dma.submission_cost_us)
         self.nic.dma.submit(ops)
 
-    def _burst_flusher(self):
-        """Submits partially filled vectors and coalesced log appends at
-        burst-loop boundaries."""
-        while self._read_vec or self._write_vec or self._log_waiters:
-            yield self.sim.timeout(BURST_INTERVAL_US)
-            self._flush(self._read_vec)
-            self._flush(self._write_vec)
-            self._flush_log()
-        self._flusher_running = False
-
     def _burst_cb(self, _ev: Event) -> None:
-        """Fused burst flusher: one callback Timeout per burst boundary
-        instead of a respawned Process (spawn + start event) per burst."""
+        """Submits partially filled vectors and coalesced log appends at
+        burst-loop boundaries: one callback Timeout per boundary."""
         self._flush(self._read_vec)
         self._flush(self._write_vec)
         self._flush_log()

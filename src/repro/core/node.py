@@ -20,7 +20,6 @@ from ..hw.network import Fabric
 from ..hw.nic import SmartNic
 from ..hw.pcie import PcieChannel
 from ..sim.core import Simulator
-from ..sim.fusion import fusion_enabled
 from ..sim.resources import Semaphore
 from ..store.log import HostLog, LogRecord
 from ..store.nic_index import NicIndex
@@ -206,9 +205,9 @@ class XenicNode:
         sets to the replica tables off the critical path (§4.2 step 7).
         The cluster spawns ``host_worker_threads`` of these per node.
 
-        Delay fusion (``REPRO_FUSION``): an uncontended batch charges all
-        its per-record apply costs up front and sleeps to one fused
-        deadline instead of one timeout per record.  Poll instants and
+        Delay fusion: an uncontended batch charges all its per-record
+        apply costs up front and sleeps to one fused deadline instead
+        of one timeout per record.  Poll instants and
         batch contents are unchanged — the deadline is the left-associated
         sum of the stepwise service times and the core accounting
         replicates the stepwise float operations term by term (including
@@ -228,14 +227,13 @@ class XenicNode:
         sim = self.sim
         pool = cores.pool
         slowdown = cores.slowdown
-        fused = fusion_enabled()
         while True:
             yield signal_down()
             while log.pending:
                 batch = log.poll(max_records=4)
                 if not batch:
                     break
-                if (fused and len(batch) > 1 and cores.obs_sink is None
+                if (len(batch) > 1 and cores.obs_sink is None
                         and (self.protocol is None
                              or self.protocol.runtime.injector is None)
                         and pool.try_acquire()):

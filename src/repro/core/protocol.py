@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..hw.network import NetMessage
 from ..sim.core import Timeout
-from ..sim.fusion import fusion_enabled
 from ..sim.stats import Counter
 from ..store.log import LogRecord, record_size_bytes
 from .messages import (
@@ -96,14 +95,12 @@ class XenicProtocol:
         # served request on the hot path
         self._handlers = {kind: handler.__get__(self)
                           for kind, handler in self._HANDLERS.items()}
-        # Delay fusion (REPRO_FUSION, repro.sim.fusion): captured at
-        # construction like the queue kind.  When on, inbound dispatch
-        # charges the leading NIC-core cost as a single callback Timeout
-        # and fan-out generators start immediately (sim.start) instead of
-        # spawning a start event; every fused site falls back to the
-        # stepwise path under observer/injector/contention.
-        self._fused = fusion_enabled()
-        self._launch = self.sim.start if self._fused else self.sim.spawn
+        # Delay fusion: inbound dispatch charges the leading NIC-core
+        # cost as a single callback Timeout and fan-out generators start
+        # immediately (sim.start) instead of spawning a start event;
+        # every fused site falls back to the stepwise path under
+        # observer/injector/contention.
+        self._launch = self.sim.start
         node.nic.set_handler(self._on_wire)
         node.pcie.set_handlers(self._on_pcie_host, self._on_pcie_nic)
         node.protocol = self
@@ -1257,11 +1254,7 @@ class XenicProtocol:
 
     def _send_oneway(self, dst: int, req: Request) -> None:
         if dst == self.node.node_id:
-            if self._fused:
-                self._oneway_fused(req)
-            else:
-                self.sim.spawn(self._handle_oneway_local(req),
-                               name="oneway-local")
+            self._oneway_fused(req)
             return
         msg = NetMessage(
             self.node.node_id, dst, req.kind,
@@ -1270,9 +1263,6 @@ class XenicProtocol:
             wire_id=self._next_wire_id(dst),
         )
         self.node.nic.send(msg)
-
-    def _handle_oneway_local(self, req: Request):
-        yield from self._dispatch_oneway(req)
 
     def _next_wire_id(self, dst: int) -> int:
         seq = self._wire_seq
@@ -1292,20 +1282,13 @@ class XenicProtocol:
         tag = msg.payload[0]
         if tag == "req":
             _tag, rid, req = msg.payload
-            if self._fused:
-                self._serve_fused(msg.src, rid, req)
-            else:
-                self.sim.spawn(self._serve(msg.src, rid, req), name="serve")
+            self._serve_fused(msg.src, rid, req)
         elif tag == "resp":
             _tag, rid, resp = msg.payload
             self._charge_rx_then(self._resolve_response, rid, resp,
                                  self._receive_response)
         elif tag == "oneway":
-            if self._fused:
-                self._oneway_fused(msg.payload[1])
-            else:
-                self.sim.spawn(self._dispatch_oneway(msg.payload[1]),
-                               name="oneway")
+            self._oneway_fused(msg.payload[1])
         elif tag == "log_ack":
             _tag, txn_id, resp = msg.payload
             self._charge_rx_then(self._resolve_mh_ack, txn_id, resp,
@@ -1389,7 +1372,7 @@ class XenicProtocol:
         # was already dropped by wire id before the payload is read
         recycle_request(req)
 
-    # -- fused inbound dispatch (REPRO_FUSION, repro.sim.fusion) ------------
+    # -- fused inbound dispatch ---------------------------------------------
     #
     # The stepwise path spawns a Process per inbound request and charges
     # the NIC cores twice (message handling, then the per-key handler
@@ -1585,19 +1568,19 @@ class XenicProtocol:
         tag = payload[0]
         if tag == "start":
             txn = payload[1]
-            if not (self._fused and self._fused_dispatch(
+            if not self._fused_dispatch(
                     NIC_ADMIT_US, 0.0,
                     lambda: self.sim.start(self._nic_coordinate_rest(txn),
-                                           name="nic-coord"))):
+                                           name="nic-coord")):
                 self.sim.spawn(self._nic_coordinate(txn), name="nic-coord")
         elif tag == "local_commit":
             txn = payload[1]
-            if not (self._fused and self._fused_dispatch(
+            if not self._fused_dispatch(
                     self.runtime.msg_handle_us
                     + len(txn.spec.all_keys()) * self.config.nic_per_key_us,
                     0.0,
                     lambda: self.sim.start(self._nic_local_commit_rest(txn),
-                                           name="nic-local"))):
+                                           name="nic-local")):
                 self.sim.spawn(self._nic_local_commit(txn), name="nic-local")
         elif tag == "logic_resp":
             _tag, txn_id, attempt, round_no, result = payload
@@ -1614,8 +1597,7 @@ class XenicProtocol:
                                              (ok, reason)):
                 self.stats.inc("stray_done")
         elif tag == "logic_req":
-            if not (self._fused and self._host_logic_fused(payload[1],
-                                                           payload[2])):
+            if not self._host_logic_fused(payload[1], payload[2]):
                 self.sim.spawn(self._host_run_logic(payload[1], payload[2]),
                                name="host-logic")
         else:  # pragma: no cover - defensive

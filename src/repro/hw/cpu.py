@@ -13,7 +13,6 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from ..sim.core import Event, Simulator, Timeout
-from ..sim.fusion import fusion_enabled
 from ..sim.resources import Resource
 from .params import CpuParams, XEON_GOLD_5218
 
@@ -49,9 +48,6 @@ class CoreGroup:
         self.slowdown = reference.coremark_per_thread / params.coremark_per_thread
         self.jobs_executed = 0
         self.busy_us = 0.0
-        # Delay fusion (REPRO_FUSION): fire-and-forget charges become
-        # virtual occupancies on the pool (no release event).
-        self._fused = fusion_enabled()
         # Observability hook (repro.obs): when attached, each job emits a
         # per-core span.  None keeps the hot path to a single branch.
         self.obs_sink = None
@@ -91,10 +87,9 @@ class CoreGroup:
 
         Queueing semantics match ``execute_wall`` exactly — when all cores
         are busy the charge waits its FIFO turn — but the free-core case
-        runs without a Process or a done event (one Timeout instead of
-        four heap entries).  Under delay fusion the release event goes
-        too: the pool tracks the slot as a virtual occupancy expiring at
-        the same instant the stepwise release Timeout would have fired
+        runs without a Process, a done event or a release event: the
+        pool tracks the slot as a virtual occupancy expiring at the
+        instant a release Timeout would have fired
         (``Resource.charge_until``), so the uncontended charge costs zero
         events.  Falls back to ``execute_wall`` when an observability
         sink is attached so per-core spans stay complete."""
@@ -104,15 +99,9 @@ class CoreGroup:
         self.jobs_executed += 1
         self.busy_us += wall_us
         if wall_us > 0:
-            if self._fused:
-                self.pool.charge_until(self.sim._now + wall_us)
-            else:
-                Timeout(self.sim, wall_us).add_callback(self._release_cb)
+            self.pool.charge_until(self.sim._now + wall_us)
         else:
             self.pool.release()
-
-    def _release_cb(self, _ev: Event) -> None:
-        self.pool.release()
 
     def run_wall(self, wall_us: float):
         """Generator form of :meth:`execute_wall`."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.core import Event, Simulator
-from ..sim.fusion import fusion_enabled
 from ..sim.link import SerialLink
 from .cpu import CoreGroup
 from .params import RdmaParams
@@ -106,13 +105,6 @@ class RdmaNic:
         self.retries = 0
         # Verbs issued but not yet completed (gauge source for repro.obs).
         self.inflight = 0
-        # Delay fusion (repro.sim.fusion): merge each transfer with the
-        # pure delay that follows it (wire+propagation, RX+fixed-budget)
-        # into one event via SerialLink.transfer_then.  Every reservation
-        # and the on_target linearization point stay at their stepwise
-        # instants; checked at run time against self.injector so a chaos
-        # harness installing an injector later gets the stepwise chain.
-        self._fused = fusion_enabled()
 
     # -- introspection ----------------------------------------------------
 
@@ -172,9 +164,11 @@ class RdmaNic:
         # initiator NIC descriptor processing + wire out
         yield self._tx_pipe.transfer(0)
         prop = self.params.propagation_us
-        if self._fused and self.injector is None:
+        if self.injector is None:
             # Fused chain: both wire+propagation pairs become one event
-            # each.  Every link reservation happens at the exact
+            # each (SerialLink.transfer_then); an injector, whenever it
+            # was installed, gets the stepwise chain below.  Every link
+            # reservation happens at the exact
             # stepwise instant (wire at tx-done, RX pipe at arrival,
             # response wire at the post-budget instant) and on_target
             # still runs at the linearization point.  Do NOT merge the
@@ -256,7 +250,7 @@ class RdmaNic:
         self.inflight += 1
         yield self._tx_pipe.transfer(0)
         prop = self.params.propagation_us
-        if self._fused and self.injector is None:
+        if self.injector is None:
             # Fused RPC: request wire+propagation and response
             # wire+propagation merge (two events saved); the RX-pipe
             # stage and the host-core grant stay stepwise — the core

@@ -6,7 +6,6 @@ from .equeue import (
     CalendarEventQueue,
     EventQueue,
     HeapEventQueue,
-    make_queue,
     selected_queue_kind,
 )
 from .faults import CrashEvent, FaultEvent, FaultPlan, FaultSpec, FaultTrace
@@ -28,7 +27,6 @@ __all__ = [
     "EventQueue",
     "HeapEventQueue",
     "CalendarEventQueue",
-    "make_queue",
     "selected_queue_kind",
     "Resource",
     "Semaphore",

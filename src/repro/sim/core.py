@@ -22,25 +22,24 @@ observability — a per-event hook exists (:meth:`Simulator.set_event_hook`)
 but is checked once per ``run`` call, never inside the loop, so disabled
 observability is zero-overhead.
 
-The scheduler data structure itself is pluggable (``repro.sim.equeue``):
-every scheduling site funnels through ``Simulator._push`` — the bound
-``push`` of an :class:`~repro.sim.equeue.EventQueue` — so the engine
-runs on either the calendar/bucket queue (default) or the binary-heap
-fallback (``REPRO_QUEUE=heap``) with byte-identical simulated results.
+The scheduler data structure sits behind one narrow interface
+(:class:`~repro.sim.equeue.EventQueue`): every scheduling site funnels
+through ``Simulator._riding_push`` into the queue's ``push``.  The
+engine runs on the calendar/bucket queue; the binary heap is kept as
+the reference the tests swap in (``Simulator(queue=HeapEventQueue())``)
+to prove byte-identical simulated results.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, Union
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .equeue import (  # noqa: F401  (_COMPACT_MIN_CANCELLED re-exported)
     _COMPACT_MIN_CANCELLED,
+    CalendarEventQueue,
     EventQueue,
-    make_queue,
 )
 from .collector import collector_quiet
-from .compiled import active_kernel, ensure_leg
-from .fusion import fusion_enabled
 
 __all__ = [
     "Simulator",
@@ -82,7 +81,7 @@ class Event:
     allocates the overflow list, so the ubiquitous one-waiter events
     (timeouts, transfers, resource grants) never build a list at all.
 
-    ``_riders`` is the same-deadline merging hook (``REPRO_FUSION``, see
+    ``_riders`` is the same-deadline merging hook (see
     :meth:`Simulator._riding_push`): on an event that owns a queue entry
     it holds the list of ``(event, value)`` pairs scheduled for the same
     timestamp, fired in attach order right after this event's entry pops;
@@ -265,8 +264,8 @@ class Timeout(Event):
             return False
         if self._riders is not _RIDING:
             # A rider has no queue entry: counting its cancellation would
-            # skew the lazy-deletion compaction trigger off the stepwise
-            # leg's schedule.
+            # skew the lazy-deletion compaction trigger off the schedule
+            # one queue entry per push gives.
             self.sim._note_cancelled()
         return True
 
@@ -530,53 +529,39 @@ class Simulator:
         assert proc.value == "done"
     """
 
-    # Fixed layout: the compiled kernel (repro.sim._ckern, selected via
-    # REPRO_COMPILED) drives these fields through their slot offsets, so
-    # the set is closed.  _open/_floors/_hwm exist only on the fused leg.
     __slots__ = ("_now", "_q", "_riders_pending", "_open", "_floors",
                  "_hwm", "_push", "_processes_spawned", "_hook")
 
-    def __init__(self, queue: Union[str, EventQueue, None] = None):
+    def __init__(self, queue: Optional[EventQueue] = None):
         self._now = 0.0
-        # Compiled-leg selection happens per construction (REPRO_COMPILED,
-        # see repro.sim.compiled): ensure_leg() installs or removes the
-        # compiled method patches to match the environment, and the
-        # kernel handle below picks the compiled queue/push counterparts.
-        kern = active_kernel() if ensure_leg() else None
-        # The scheduler structure is pluggable (docs/PERFORMANCE.md):
-        # "calendar" (default) or "heap", selected per instance, via the
-        # REPRO_QUEUE environment variable, or by passing an EventQueue.
-        if queue is None or isinstance(queue, str):
-            queue = make_queue(queue)
+        # The scheduler structure sits behind the EventQueue protocol
+        # (docs/PERFORMANCE.md): the calendar queue, unless the caller
+        # hands in another implementation (the tests' heap reference).
+        if queue is None:
+            queue = CalendarEventQueue()
+        elif not isinstance(queue, EventQueue):
+            raise TypeError("queue must be an EventQueue instance, not %r"
+                            % (queue,))
         self._q = queue
         # Every scheduling path funnels through this one bound method —
-        # the queue assigns seq numbers and owns the entry layout.  Under
-        # delay fusion the funnel is _riding_push, which absorbs pushes
-        # whose deadline collides with a pending entry as riders on that
-        # entry instead of growing the queue.
+        # the queue assigns seq numbers and owns the entry layout —
+        # which absorbs pushes whose deadline collides with a pending
+        # entry as riders on that entry instead of growing the queue.
+        self._push = self._riding_push
         self._riders_pending = 0
-        if fusion_enabled():
-            # High-water mark of every timestamp ever pushed: a push
-            # strictly above it cannot collide with any pending entry,
-            # so _riding_push skips the slot-table work entirely for
-            # monotone (push-dominated) schedules.
-            self._hwm = -1.0
-            self._open: dict = {}
-            # Parked drain loops (repro.sim.link) by the instant their
-            # skipped idle timeout would have fired.  The first push at
-            # exactly that instant materializes the parked wake *first*,
-            # so it hosts the timestamp and fires ahead of the incoming
-            # entry — the position the stepwise timeout (pushed at round
-            # start, before anything else now pending there) would hold.
-            self._floors: dict = {}
-            if kern is not None:
-                # Compiled riding push, bound to (sim, queue) so the C
-                # code reaches both without per-call attribute lookups.
-                self._push = kern.RidingPush(self, queue).push
-            else:
-                self._push = self._riding_push
-        else:
-            self._push = queue.push
+        # High-water mark of every timestamp ever pushed: a push
+        # strictly above it cannot collide with any pending entry, so
+        # _riding_push skips the slot-table work entirely for monotone
+        # (push-dominated) schedules.
+        self._hwm = -1.0
+        self._open: dict = {}
+        # Parked drain loops (repro.sim.link) by the instant their
+        # skipped idle timeout would have fired.  The first push at
+        # exactly that instant materializes the parked wake *first*, so
+        # it hosts the timestamp and fires ahead of the incoming entry —
+        # the position the stepwise timeout (pushed at round start,
+        # before anything else now pending there) would hold.
+        self._floors: dict = {}
         self._processes_spawned = 0
         self._hook: Optional[Callable[[Event, float, Any], None]] = None
 
@@ -584,11 +569,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in microseconds."""
         return self._now
-
-    @property
-    def queue_kind(self) -> str:
-        """Name of the scheduler implementation ("heap"/"calendar")."""
-        return self._q.kind
 
     @property
     def pending_events(self) -> int:
@@ -610,8 +590,8 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
 
     def _riding_push(self, when: float, event: Event, value: Any) -> None:
-        """Same-deadline rider merging (the ``REPRO_FUSION`` queue-layer
-        fast path).  Two entries with equal timestamps always pop
+        """Same-deadline rider merging (the queue-layer half of delay
+        fusion).  Two entries with equal timestamps always pop
         consecutively in push order — nothing at another time can sort
         between them — so a push whose ``when`` collides with a *pending*
         queue entry need not enter the queue at all: it rides that host
@@ -624,8 +604,8 @@ class Simulator:
         (entries leave only via pop or compaction, and both set or
         require ``_ok`` — compaction keeps stale hosts whose riders
         still must fire).  A dead host is simply replaced: the new entry
-        pops after any in-flight rider batch, matching the seq order the
-        stepwise leg would have produced."""
+        pops after any in-flight rider batch, matching the seq order
+        one queue entry per push would have produced."""
         floors = self._floors
         if floors:
             parked = floors.pop(when, None)
@@ -717,7 +697,7 @@ class Simulator:
         bare event is returned for a process to ``yield`` on.
 
         The absolute-time counterpart of ``Timeout(...).add_callback``
-        for fused delay chains (``repro.sim.fusion``): a chain replacing
+        for fused delay chains: a chain replacing
         ``timeout(a) → timeout(b)`` must land on exactly the float
         timestamp ``(now + a) + b``, which ``Timeout(sim, a + b)`` does
         not guarantee (float addition is not associative)."""
@@ -736,9 +716,8 @@ class Simulator:
         to its first yield inside this call, with no start event pushed
         through the scheduler.
 
-        The delay-fusion fast path (``REPRO_FUSION``, see
-        ``repro.sim.fusion``): a ``spawn`` defers the generator's first
-        slice to the next same-timestamp scheduler step, which costs one
+        The delay-fusion fast path: a ``spawn`` defers the generator's
+        first slice to the next same-timestamp scheduler step, which costs one
         queue entry purely to preserve hand-off laziness the fused call
         sites do not rely on.  Semantics otherwise match :meth:`spawn` —
         the returned :class:`Process` is still an event that fires with

@@ -8,15 +8,12 @@ timers — dominates engine wall time.
 
 Two implementations share one small protocol (:class:`EventQueue`):
 
-* :class:`HeapEventQueue` — the classic binary heap (``heapq``).
-  O(log n) push/pop with C-implemented sift loops.  Robust under any
-  timestamp distribution; this is the fallback for adversarial horizons
-  and the A/B reference.
-
-* :class:`CalendarEventQueue` — a calendar/bucket queue tuned for the
-  clustered event horizons this simulator actually produces (NIC core
-  ticks, link serialization, DMA completions all land within narrow
-  bands of ``now``).  Push is O(1): drop the entry into the bucket for
+* :class:`CalendarEventQueue` — the queue every ``Simulator()`` runs
+  on: a calendar/bucket queue tuned for the clustered event horizons
+  this simulator actually produces (NIC core ticks, link serialization,
+  DMA completions all land within narrow bands of ``now``), where a
+  heap pays O(log n) sifts against the standing population of far
+  timers.  Push is O(1): drop the entry into the bucket for
   its time band.  Pop sorts one bucket at activation (C timsort over a
   small list) and then pops in O(1).  Bucket widths are powers of two —
   multiplying a non-negative float by a power of two only shifts the
@@ -25,6 +22,12 @@ Two implementations share one small protocol (:class:`EventQueue`):
   and the width is re-derived from the live event distribution when
   load-factor triggers fire (buckets too dense, or activations running
   dry).
+
+* :class:`HeapEventQueue` — the classic binary heap (``heapq``), kept
+  as the reference the tests compare the calendar against: the five
+  protocol methods and nothing else, so it also exercises the generic
+  drain loops.  Nothing in the package constructs one; a test passes
+  ``Simulator(queue=HeapEventQueue())``.
 
 Determinism contract (both implementations, pinned by
 ``tests/test_golden_digest.py`` and ``tests/test_event_queue.py``):
@@ -38,14 +41,12 @@ Determinism contract (both implementations, pinned by
   same logical instants and the simulated clock — which stale pops
   advance — stays byte-identical per seed.
 
-Selection: ``Simulator(queue="heap"|"calendar")``, or process-wide via
-the ``REPRO_QUEUE`` environment variable (read at Simulator
-construction; the default is ``calendar``).
+``Simulator(queue=<EventQueue instance>)`` is the one way to run on
+anything else: swappability lives behind the protocol, not in a switch.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, List, Optional, Tuple
@@ -54,10 +55,7 @@ __all__ = [
     "EventQueue",
     "HeapEventQueue",
     "CalendarEventQueue",
-    "make_queue",
     "selected_queue_kind",
-    "QUEUE_KINDS",
-    "DEFAULT_QUEUE",
     "_COMPACT_MIN_CANCELLED",
 ]
 
@@ -76,49 +74,21 @@ Entry = Tuple[float, int, Any, Any]
 # advance the clock when popped — i.e. it is digest-visible.
 _COMPACT_MIN_CANCELLED = 64
 
-DEFAULT_QUEUE = "calendar"
-QUEUE_KINDS = ("heap", "calendar")
-
 
 def selected_queue_kind() -> str:
-    """The implementation a ``Simulator()`` built right now would use; a
-    value other than ``heap`` / ``calendar`` is a ``ValueError``, not
-    the default."""
-    kind = os.environ.get("REPRO_QUEUE", DEFAULT_QUEUE)
-    if kind not in QUEUE_KINDS:
-        raise ValueError("REPRO_QUEUE=%r: expected one of %s"
-                         % (kind, ", ".join(QUEUE_KINDS)))
-    return kind
-
-
-def make_queue(kind: Optional[str] = None) -> "EventQueue":
-    """Build an event queue by name (``heap`` / ``calendar``); ``None``
-    resolves through ``REPRO_QUEUE`` with the calendar default.
-
-    When the compiled leg is active (``REPRO_COMPILED``, see
-    :mod:`repro.sim.compiled`) the extension's queue twins are returned
-    instead — same ``kind`` names, same pop order, same digest."""
-    if kind is None:
-        kind = selected_queue_kind()
-    from .compiled import active_kernel  # lazy: avoids an import cycle
-    kern = active_kernel()
-    if kind == "heap":
-        return kern.CHeapQueue() if kern is not None else HeapEventQueue()
-    if kind == "calendar":
-        return (kern.CCalendarQueue() if kern is not None
-                else CalendarEventQueue())
-    raise ValueError("unknown event queue %r (have: %s)"
-                     % (kind, ", ".join(QUEUE_KINDS)))
+    """The queue a ``Simulator()`` runs on (for the ``info`` block of
+    result files)."""
+    return CalendarEventQueue.kind
 
 
 class EventQueue:
     """Protocol + generic drain loops for scheduler implementations.
 
     Subclasses must implement ``push``, ``pop_min``, ``peek_time``,
-    ``abandon`` and ``__len__``; the built-in implementations also
-    override :meth:`drain_all` / :meth:`drain_until` with inlined loops
-    (the generic versions here go through ``pop_min`` per event and are
-    correct for any conforming implementation).
+    ``abandon`` and ``__len__``; the calendar also overrides
+    :meth:`drain_all` / :meth:`drain_until` with inlined loops (the
+    generic versions here go through ``pop_min`` per event, are correct
+    for any conforming implementation, and are what the heap runs).
 
     The queue owns the scheduling sequence number: ``push(when, event,
     value)`` assigns the next ``seq`` internally, so every scheduling
@@ -151,7 +121,7 @@ class EventQueue:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    # -- drain loops (generic; both built-ins override with inlined ones) --
+    # -- drain loops (generic; the calendar overrides with inlined ones) --
 
     def drain_all(self, sim) -> None:
         """Pop and fire every entry; stale entries advance the clock and
@@ -206,9 +176,10 @@ class EventQueue:
 
 
 class HeapEventQueue(EventQueue):
-    """Binary-heap scheduler (``heapq``), with lazy deletion + in-place
-    compaction.  O(log n) push/pop; the safe choice for adversarial
-    timestamp distributions and the reference side of the A/B bench."""
+    """Binary-heap scheduler (``heapq``), with lazy deletion +
+    compaction: the reference implementation the cross-implementation
+    tests compare :class:`CalendarEventQueue` against.  Only the
+    protocol methods, so it drains through the generic loops."""
 
     kind = "heap"
 
@@ -238,9 +209,7 @@ class HeapEventQueue(EventQueue):
         heap = self._heap
         if (self._cancelled >= _COMPACT_MIN_CANCELLED
                 and 2 * self._cancelled >= len(heap)):
-            # Filter in place: drain loops hold a local alias to the
-            # list object, so its identity must survive compaction.
-            # Stale hosts still carrying riders must survive too — their
+            # Stale hosts still carrying riders must survive — their
             # riders are live events that fire at the host's pop.
             heap[:] = [entry for entry in heap
                        if entry[2]._ok is None
@@ -250,71 +219,6 @@ class HeapEventQueue(EventQueue):
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    # -- inlined drain loops ----------------------------------------------
-
-    def drain_all(self, sim) -> None:
-        queue = self._heap
-        pop = heappop
-        while queue:
-            when, _seq, event, value = pop(queue)
-            sim._now = when
-            if event._ok is None:
-                event._ok = True
-                event._value = value
-                cb0 = event._cb0
-                callbacks = event._callbacks
-                if cb0 is not None:
-                    event._cb0 = None
-                    event._callbacks = None
-                    cb0(event)
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(event)
-                elif callbacks:
-                    event._callbacks = None
-                    for fn in callbacks:
-                        fn(event)
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                for rev, rval in riders:
-                    if rev._ok is None:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
-
-    def drain_until(self, sim, until: float) -> None:
-        queue = self._heap
-        pop = heappop
-        while queue:
-            when = queue[0][0]
-            if when > until:
-                return
-            _w, _s, event, value = pop(queue)
-            sim._now = when
-            if event._ok is None:
-                event._ok = True
-                event._value = value
-                cb0 = event._cb0
-                callbacks = event._callbacks
-                event._cb0 = None
-                event._callbacks = None
-                if cb0 is not None:
-                    cb0(event)
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                for rev, rval in riders:
-                    if rev._ok is None:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
 
 
 # Calendar tuning knobs (see docs/PERFORMANCE.md, "Scheduler

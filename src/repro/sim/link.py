@@ -14,7 +14,6 @@ from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
 from .core import Event, Simulator, Timeout
-from .fusion import fusion_enabled
 from .stats import OnlineStats
 
 __all__ = ["SerialLink", "BatchingLink"]
@@ -155,7 +154,7 @@ class BatchingLink:
         self._wake: Optional[Event] = None
         self.packets_sent = 0
         self.payloads_sent = 0
-        # Delay fusion (REPRO_FUSION): when a drain round leaves the
+        # Delay fusion: when a drain round leaves the
         # queue empty, the fused drainer parks immediately instead of
         # sleeping out the wire-clear wait, recording in ``_floor`` the
         # instant its stepwise idle timeout would have fired.  A send
@@ -170,10 +169,9 @@ class BatchingLink:
         # stepwise timeout (pushed at round start) would.  When an
         # entry at the floor already exists at round end, the stepwise
         # timeout is pushed as-is: it rides that entry for free with
-        # its exact cohort position.  The stepwise leg never moves
-        # ``_floor`` off zero, so its parked sends take the
-        # immediate-wake branch unchanged.
-        self._fused = fusion_enabled()
+        # its exact cohort position.  A drainer that slept the wait
+        # out (fault injector on the link) leaves ``_floor`` at zero,
+        # so sends to it take the immediate-wake branch unchanged.
         self._floor = 0.0
         self._armed = False
         self._arm_cb_bound = self._arm_cb
@@ -257,8 +255,7 @@ class BatchingLink:
                     )
                     idle = link._busy_until - self.sim.now
                     if idle > 0:
-                        if (self._fused and not queue
-                                and link.injector is None):
+                        if not queue and link.injector is None:
                             floor = self.sim._now + idle
                             host = self.sim._open.get(floor)
                             if host is None or host._ok is not None:
@@ -309,8 +306,7 @@ class BatchingLink:
                 if self._queue:
                     idle = max(idle, self.batch_window_us)
                 if idle > 0:
-                    if (self._fused and not self._queue
-                            and self.link.injector is None):
+                    if not self._queue and self.link.injector is None:
                         floor = self.sim._now + idle
                         host = self.sim._open.get(floor)
                         if host is None or host._ok is not None:

@@ -1,12 +1,11 @@
 """Scheduler edge cases, exercised identically on both event-queue
-implementations (PR 6): the pluggable-queue contract says pop order,
-stale-entry handling, and the simulated clock are byte-identical between
-the heap and the calendar queue, so every test here is parametrized over
-both ``Simulator(queue=...)`` kinds and several also assert cross-impl
+implementations: the ``EventQueue`` contract says pop order, stale-entry
+handling, and the simulated clock are byte-identical between the
+calendar queue the engine runs on and the heap kept as its reference,
+so every test here is parametrized over both, passed as
+``Simulator(queue=<instance>)``, and several also assert cross-impl
 identity directly.
 """
-
-import os
 
 import pytest
 
@@ -15,56 +14,27 @@ from repro.sim.core import AnyOf
 from repro.sim.equeue import (
     _COMPACT_MIN_CANCELLED,
     CalendarEventQueue,
-    DEFAULT_QUEUE,
     HeapEventQueue,
-    make_queue,
     selected_queue_kind,
 )
 
-KINDS = ["heap", "calendar"]
+KINDS = (HeapEventQueue, CalendarEventQueue)
+both_kinds = pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.kind)
 
 
 # ---------------------------------------------------------------------------
-# selection / construction
+# construction
 # ---------------------------------------------------------------------------
 
 
-def test_make_queue_by_name():
-    # With the compiled leg active (REPRO_COMPILED, PR 10) make_queue
-    # returns the extension's queue twins; the contract is the kind
-    # name plus the EventQueue protocol, not the concrete class.
-    from repro.sim.compiled import compiled_active
-
-    heap, cal = make_queue("heap"), make_queue("calendar")
-    assert heap.kind == "heap" and cal.kind == "calendar"
-    if not compiled_active():
-        assert isinstance(heap, HeapEventQueue)
-        assert isinstance(cal, CalendarEventQueue)
-    with pytest.raises(ValueError):
-        make_queue("splay")
-
-
-def test_simulator_accepts_kind_string_and_instance():
-    assert Simulator(queue="heap").queue_kind == "heap"
-    assert Simulator(queue="calendar").queue_kind == "calendar"
-    q = CalendarEventQueue()
+def test_simulator_accepts_queue_instance_only():
+    q = HeapEventQueue()
     sim = Simulator(queue=q)
-    assert sim.queue_kind == "calendar"
+    assert sim._q is q
     Timeout(sim, 1.0)
     assert len(q) == 1
-
-
-def test_env_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_QUEUE", "heap")
-    assert selected_queue_kind() == "heap"
-    assert Simulator().queue_kind == "heap"
-    monkeypatch.setenv("REPRO_QUEUE", "calender")
-    with pytest.raises(ValueError, match="REPRO_QUEUE='calender'.*heap, calendar"):
-        selected_queue_kind()
-    with pytest.raises(ValueError, match="REPRO_QUEUE"):
-        Simulator()
-    monkeypatch.delenv("REPRO_QUEUE")
-    assert selected_queue_kind() == DEFAULT_QUEUE
+    with pytest.raises(TypeError, match="EventQueue instance"):
+        Simulator(queue="heap")
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +42,9 @@ def test_env_selection(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@both_kinds
 def test_empty_queue_peek_time(kind):
-    q = make_queue(kind)
+    q = kind()
     assert q.peek_time() is None
     assert q.pop_min() is None
     assert len(q) == 0
@@ -92,9 +62,9 @@ def test_empty_queue_peek_time(kind):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@both_kinds
 def test_equal_timestamp_fifo(kind):
-    sim = Simulator(queue=kind)
+    sim = Simulator(queue=kind())
     fired = []
     for i in range(50):
         Timeout(sim, 10.0).add_callback(lambda _e, i=i: fired.append(i))
@@ -102,11 +72,11 @@ def test_equal_timestamp_fifo(kind):
     assert fired == list(range(50))
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@both_kinds
 def test_fifo_across_bucket_boundaries(kind):
     # Interleave schedule order across many distinct deadlines so bucket
     # routing (calendar) must still produce global (when, seq) order.
-    sim = Simulator(queue=kind)
+    sim = Simulator(queue=kind())
     fired = []
     lanes = [3.0, 3.5, 100.25, 7.0, 100.25, 0.5, 3.0]
     expect = []
@@ -121,7 +91,7 @@ def test_fifo_across_bucket_boundaries(kind):
 
 def test_pop_order_identical_across_impls():
     def trace(kind):
-        sim = Simulator(queue=kind)
+        sim = Simulator(queue=kind())
         out = []
         delays = [(i * 37 % 19) + (0.5 if i % 3 else 0.0) for i in range(400)]
         for i, d in enumerate(delays):
@@ -130,7 +100,7 @@ def test_pop_order_identical_across_impls():
         sim.run()
         return out
 
-    assert trace("heap") == trace("calendar")
+    assert trace(HeapEventQueue) == trace(CalendarEventQueue)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +108,9 @@ def test_pop_order_identical_across_impls():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@both_kinds
 def test_run_until_with_abandoned_head(kind):
-    sim = Simulator(queue=kind)
+    sim = Simulator(queue=kind())
     t_stale = Timeout(sim, 5.0)
     t_live = Timeout(sim, 30.0)
     fired = []
@@ -157,9 +127,9 @@ def test_run_until_with_abandoned_head(kind):
     assert sim.now == 40.0
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@both_kinds
 def test_run_until_leaves_live_head_past_boundary(kind):
-    sim = Simulator(queue=kind)
+    sim = Simulator(queue=kind())
     fired = []
     Timeout(sim, 50.0).add_callback(lambda _e: fired.append(sim.now))
     sim.run(until=49.999)
@@ -173,12 +143,12 @@ def test_run_until_leaves_live_head_past_boundary(kind):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@both_kinds
 def test_abandon_then_reschedule_interleaved(kind):
     """A process that repeatedly races a near winner against a far loser:
     every iteration cancels the far timeout and schedules fresh ones, so
     stale entries interleave with live ones throughout the queue."""
-    sim = Simulator(queue=kind)
+    sim = Simulator(queue=kind())
     won = []
 
     def racer():
@@ -193,9 +163,9 @@ def test_abandon_then_reschedule_interleaved(kind):
     assert sim.pending_events == 0  # full drain retires every stale entry
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@both_kinds
 def test_cancel_reschedule_same_horizon(kind):
-    sim = Simulator(queue=kind)
+    sim = Simulator(queue=kind())
     fired = []
     stale = [Timeout(sim, 10.0) for _ in range(2 * _COMPACT_MIN_CANCELLED)]
     for t in stale:
@@ -213,7 +183,7 @@ def test_final_clock_identical_after_cancel_storm():
     the same stale entries at the same logical instants."""
 
     def run(kind):
-        sim = Simulator(queue=kind)
+        sim = Simulator(queue=kind())
         log = []
 
         def storm():
@@ -226,7 +196,7 @@ def test_final_clock_identical_after_cancel_storm():
         sim.run()
         return log, sim.now, sim.events_scheduled
 
-    assert run("heap") == run("calendar")
+    assert run(HeapEventQueue) == run(CalendarEventQueue)
 
 
 # ---------------------------------------------------------------------------
@@ -273,44 +243,36 @@ def test_calendar_push_into_active_band():
 # ---------------------------------------------------------------------------
 
 
-def _drive(queue_kind, compiled_leg, ops):
-    """Replay one random op stream on one (queue, compiled) variant and
+def _drive(kind, ops):
+    """Replay one random op stream on one queue implementation and
     return everything digest-visible: the fire/cancel log, the final
     clock, and the scheduled-event counter."""
-    saved = os.environ.get("REPRO_COMPILED")
-    os.environ["REPRO_COMPILED"] = compiled_leg
-    try:
-        sim = Simulator(queue=queue_kind)
-        log = []
-        handles = []
-        for op in ops:
-            if op[0] == "push":
-                i = len(handles)
-                t = Timeout(sim, op[1])
-                cb = lambda _e, i=i: log.append(("fire", i, sim.now))  # noqa: E731
-                t.add_callback(cb)
-                handles.append((t, cb))
-            elif op[0] == "cancel":
-                if handles:
-                    idx = op[1] % len(handles)
-                    t, cb = handles[idx]
-                    if t._ok is None:
-                        # Detach first, the way the engine abandons a
-                        # timeout (cancel refuses with live callbacks).
-                        t.remove_callback(cb)
-                        log.append(("cancel", idx, t.cancel()))
-                    else:
-                        log.append(("cancel", idx, False))
-            else:  # ("run", dt): bounded drain, stale heads included
-                sim.run(until=sim.now + op[1])
-                log.append(("clock", sim.now))
-        sim.run()
-        return log, sim.now, sim.events_scheduled
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_COMPILED", None)
-        else:
-            os.environ["REPRO_COMPILED"] = saved
+    sim = Simulator(queue=kind())
+    log = []
+    handles = []
+    for op in ops:
+        if op[0] == "push":
+            i = len(handles)
+            t = Timeout(sim, op[1])
+            cb = lambda _e, i=i: log.append(("fire", i, sim.now))  # noqa: E731
+            t.add_callback(cb)
+            handles.append((t, cb))
+        elif op[0] == "cancel":
+            if handles:
+                idx = op[1] % len(handles)
+                t, cb = handles[idx]
+                if t._ok is None:
+                    # Detach first, the way the engine abandons a
+                    # timeout (cancel refuses with live callbacks).
+                    t.remove_callback(cb)
+                    log.append(("cancel", idx, t.cancel()))
+                else:
+                    log.append(("cancel", idx, False))
+        else:  # ("run", dt): bounded drain, stale heads included
+            sim.run(until=sim.now + op[1])
+            log.append(("clock", sim.now))
+    sim.run()
+    return log, sim.now, sim.events_scheduled
 
 
 _hyp = pytest.importorskip("hypothesis")
@@ -333,23 +295,18 @@ _ops = st.lists(
 @given(ops=_ops)
 def test_random_streams_identical_across_impls(ops):
     """Random push/cancel/run(until) streams must produce the identical
-    pop order, final clock, and event counter on the heap queue, the
-    calendar queue, and (when built) both compiled twins."""
-    from repro.sim.compiled import compiled_available
-
-    legs = ["off"] + (["on"] if compiled_available() else [])
-    traces = [_drive(kind, leg, ops) for kind in KINDS for leg in legs]
-    for t in traces[1:]:
-        assert t == traces[0]
+    pop order, final clock, and event counter on the heap queue and the
+    calendar queue."""
+    assert _drive(HeapEventQueue, ops) == _drive(CalendarEventQueue, ops)
 
 
 def test_queue_kind_metadata_roundtrip():
-    saved = os.environ.get("REPRO_QUEUE")
-    try:
-        os.environ["REPRO_QUEUE"] = "heap"
-        assert Simulator().queue_kind == "heap"
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_QUEUE", None)
-        else:
-            os.environ["REPRO_QUEUE"] = saved
+    """What result files record about the engine (their ``info`` block,
+    the perf trajectory) is what a ``Simulator()`` actually runs."""
+    from repro.sim.compiled import compiled_available, selected_compiled
+    from repro.sim.fusion import selected_fusion
+
+    sim = Simulator()
+    assert selected_queue_kind() == sim._q.kind == "calendar"
+    assert selected_fusion() == "on" and sim._push == sim._riding_push
+    assert selected_compiled() == "off" and compiled_available() is False

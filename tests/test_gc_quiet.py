@@ -24,7 +24,6 @@ from repro.core import messages, protocol
 from repro.hw.network import NetMessage
 from repro.sim import RngStream, Simulator, collector_quiet
 from repro.sim.collector import QUIET_ALLOCATION_BUDGET
-from repro.sim.compiled import compiled_available, ensure_leg
 from repro.sim.faults import FaultPlan, FaultSpec
 from repro.workloads import Smallbank
 
@@ -65,24 +64,13 @@ def counter():
     gc.callbacks.remove(probe)
 
 
-@pytest.fixture(params=["off", "on"])
-def compiled_leg(request, monkeypatch):
-    if request.param == "on" and not compiled_available():
-        pytest.skip("repro.sim._ckern extension not built")
-    monkeypatch.setenv("REPRO_COMPILED", request.param)
-    yield request.param
-    monkeypatch.undo()
-    ensure_leg()
-
-
 # ---------------------------------------------------------------------------
 # (a) no automatic collection inside the quiet phases
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("system", ["xenic", "drtmh"])
-def test_no_collection_inside_bench_build_or_measure(counter, compiled_leg,
-                                                     system):
+def test_no_collection_inside_bench_build_or_measure(counter, system):
     counter.on = True
     bench = golden_bench(system)
     counter.on = False
