@@ -208,10 +208,8 @@ class XenicNode:
         Delay fusion: an uncontended batch charges all its per-record
         apply costs up front and sleeps to one fused deadline instead
         of one timeout per record.  Poll instants and
-        batch contents are unchanged — the deadline is the left-associated
-        sum of the stepwise service times and the core accounting
-        replicates the stepwise float operations term by term (including
-        the busy-area summation points, via ``note_split``) — only the
+        batch contents are unchanged — ``CoreGroup.try_hold`` reproduces
+        the stepwise deadline and core accounting exactly — only the
         table applies and log acks shift from intermediate instants to
         the batch end.  Those are off-critical-path by design: reads
         overlay ``pending_local`` until the ack (§4.2 step 7), replica
@@ -225,33 +223,25 @@ class XenicNode:
         log = self.log
         signal_down = self.log_signal.down
         sim = self.sim
-        pool = cores.pool
-        slowdown = cores.slowdown
         while True:
             yield signal_down()
             while log.pending:
                 batch = log.poll(max_records=4)
                 if not batch:
                     break
+                end = None
                 if (len(batch) > 1 and cores.obs_sink is None
                         and (self.protocol is None
-                             or self.protocol.runtime.injector is None)
-                        and pool.try_acquire()):
-                    end = sim._now
+                             or self.protocol.runtime.injector is None)):
+                    end = cores.try_hold(
+                        [apply_us * max(1, len(record.writes))
+                         for record in batch])
+                if end is not None:
                     try:
-                        last = len(batch) - 1
-                        for i, record in enumerate(batch):
-                            cost = apply_us * max(1, len(record.writes))
-                            service = (cost / slowdown) * slowdown
-                            cores.jobs_executed += 1
-                            cores.busy_us += service
-                            end = end + service
-                            if i != last:
-                                pool.note_split(end)
                         if end > sim._now:
                             yield sim.call_at(end)
                     finally:
-                        pool.release()
+                        cores.pool.release()
                     for record in batch:
                         apply_record(record)
                         log.ack(record)

@@ -60,6 +60,17 @@ DONE_MSG_BYTES = 24
 WIRE_REORDER_WINDOW = 4096
 
 
+def _execute_args(req: Request):
+    """``_execute_core`` / ``_execute_rest`` arguments of an EXECUTE."""
+    return (req.shard, req.txn_id, req.read_keys, req.write_keys,
+            bool(req.versions.pop("inline", None)))
+
+
+def _coordinator_reports(_txn, _result) -> None:
+    """``done`` of the PCIe entries: nothing waits on a coordination, it
+    reports to the host itself (``_notify_host``)."""
+
+
 class XenicProtocol:
     """Protocol engine for one node."""
 
@@ -91,15 +102,8 @@ class XenicProtocol:
         self._wire_seq = [0] * n_nodes
         self._wire_seen_upto = [0] * n_nodes
         self._wire_seen_ahead = [set() for _ in range(n_nodes)]
-        # bound-method dispatch table: saves an explicit self pass per
-        # served request on the hot path
-        self._handlers = {kind: handler.__get__(self)
-                          for kind, handler in self._HANDLERS.items()}
-        # Delay fusion: inbound dispatch charges the leading NIC-core
-        # cost as a single callback Timeout and fan-out generators start
-        # immediately (sim.start) instead of spawning a start event;
-        # every fused site falls back to the stepwise path under
-        # observer/injector/contention.
+        # Delay fusion: fan-out generators start immediately (sim.start)
+        # instead of spawning a start event.
         self._launch = self.sim.start
         node.nic.set_handler(self._on_wire)
         node.pcie.set_handlers(self._on_pcie_host, self._on_pcie_nic)
@@ -215,14 +219,9 @@ class XenicProtocol:
 
     def _nic_local_commit(self, txn: Transaction):
         """Coordinator-NIC side of a local write transaction: lock,
-        validate against the authoritative NIC versions, replicate, commit."""
-        yield from self.runtime.handle_message_cost(len(txn.spec.all_keys()),
-                                                    txn.txn_id)
-        yield from self._nic_local_commit_rest(txn)
-
-    def _nic_local_commit_rest(self, txn: Transaction):
-        """Post-charge half of the local-commit path (fused dispatch
-        enters here after its single combined core charge)."""
+        validate against the authoritative NIC versions, replicate, commit.
+        Entered through ``_dispatch``, which has charged the message and
+        per-key handling."""
         index = self.node.index
         shard = self.node.node_id
         locked: List[int] = []
@@ -269,12 +268,8 @@ class XenicProtocol:
     # ------------------------------------------------------------------
 
     def _nic_coordinate(self, txn: Transaction):
-        yield from self.runtime.nic_compute(NIC_ADMIT_US, txn.txn_id)
-        yield from self._nic_coordinate_rest(txn)
-
-    def _nic_coordinate_rest(self, txn: Transaction):
-        """Post-admission half of coordination (fused dispatch enters
-        here after charging NIC_ADMIT_US as one callback event)."""
+        """Coordinate one distributed attempt.  Entered through
+        ``_dispatch``, which has charged NIC_ADMIT_US."""
         spec = txn.spec
         by_shard = self._group_by_shard(spec)
         if self._multihop_applicable(txn, by_shard):
@@ -383,6 +378,18 @@ class XenicProtocol:
         self.stats.inc("host_executions")
         return result
 
+    def _gather(self, evs, txn_id: int):
+        """Wait for every event of one fan-out (remote responses and
+        launched local cores alike); returns their values in order.  The
+        wait is attributed to ``wire``."""
+        t0 = self._t0()
+        if len(evs) == 1:
+            values = ((yield evs[0]),)
+        else:
+            values = yield self.sim.all_of(evs)
+        self._attrib("wire", t0, txn_id)
+        return values
+
     # -- EXECUTE ------------------------------------------------------------
 
     def _phase_execute(self, txn: Transaction, by_shard):
@@ -393,39 +400,6 @@ class XenicProtocol:
         primary_of = self.cluster.primary_node_id
         single_shard = len(by_shard) == 1
         inline = smart and single_shard and txn.read_only
-        if smart and single_shard:
-            # single-shard transaction: one EXECUTE — run a local core
-            # inline (no spawn) or await the single remote request
-            for shard, (rkeys, wkeys) in by_shard.items():
-                primary = primary_of(shard)
-                if primary == own:
-                    resp0 = yield from self._execute_core(
-                        shard, txn.txn_id, rkeys, wkeys, inline)
-                else:
-                    req = take_request(
-                        EXECUTE, txn.txn_id, shard, txn.coord_node,
-                        read_keys=rkeys, write_keys=wkeys,
-                    )
-                    if inline:
-                        req.versions = {"inline": 1}  # flag: validate inline
-                    t0 = self._t0()
-                    resp0 = yield self._send_request(primary, req)
-                    self._attrib("wire", t0, txn.txn_id)
-            ok = True
-            reason = None
-            if resp0.ok:
-                read_values = txn.read_values
-                read_values.update(resp0.read_values)
-                for k, ver in resp0.versions.items():
-                    read_values.setdefault(k, (None, ver))
-                    txn.record_lock(resp0.shard, k)
-            else:
-                ok = False
-                reason = resp0.reason or "execute-abort"
-            recycle_response(resp0)
-            if ok and txn.read_only:
-                txn.status = TxnStatus.VALIDATING  # validated inline
-            return ok, reason
         for shard, (rkeys, wkeys) in by_shard.items():
             primary = primary_of(shard)
             if primary == own:
@@ -458,13 +432,7 @@ class XenicProtocol:
                                          txn.coord_node, read_keys=[k]),
                         )
                     )
-        t0 = self._t0()
-        if len(evs) == 1:
-            resp0 = yield evs[0]
-            responses = (resp0,)
-        else:
-            responses = yield self.sim.all_of(evs)
-        self._attrib("wire", t0, txn.txn_id)
+        responses = yield from self._gather(evs, txn.txn_id)
         if not smart:
             lock_evs = []
             for shard, (_rkeys, wkeys) in by_shard.items():
@@ -480,9 +448,8 @@ class XenicProtocol:
                             take_request(EXECUTE, txn.txn_id, shard,
                                          txn.coord_node, write_keys=[k])))
             if lock_evs:
-                t0 = self._t0()
-                lock_responses = yield self.sim.all_of(lock_evs)
-                self._attrib("wire", t0, txn.txn_id)
+                lock_responses = yield from self._gather(lock_evs,
+                                                         txn.txn_id)
                 responses = list(responses) + list(lock_responses)
         ok = True
         reason = None
@@ -527,25 +494,6 @@ class XenicProtocol:
             if g is None:
                 g = groups[s] = {}
             g[k] = read_values[k][1]
-        if self.config.smart_remote_ops and len(groups) == 1:
-            for shard, versions in groups.items():
-                primary = self.cluster.primary_node_id(shard)
-                if primary == self.node.node_id:
-                    # single local validation: run inline, no spawn
-                    resp0 = yield from self._validate_core(
-                        shard, txn.txn_id, versions)
-                else:
-                    t0 = self._t0()
-                    resp0 = yield self._send_request(
-                        primary,
-                        take_request(VALIDATE, txn.txn_id, shard,
-                                     txn.coord_node, versions=versions),
-                    )
-                    self._attrib("wire", t0, txn.txn_id)
-            ok = resp0.ok
-            reason = None if ok else (resp0.reason or "validate-abort")
-            recycle_response(resp0)
-            return ok, reason
         evs = []
         for shard, versions in groups.items():
             primary = self.cluster.primary_node_id(shard)
@@ -573,13 +521,7 @@ class XenicProtocol:
                                          txn.coord_node, versions={k: ver}),
                         )
                     )
-        t0 = self._t0()
-        if len(evs) == 1:
-            resp0 = yield evs[0]
-            responses = (resp0,)
-        else:
-            responses = yield self.sim.all_of(evs)
-        self._attrib("wire", t0, txn.txn_id)
+        responses = yield from self._gather(evs, txn.txn_id)
         ok = True
         reason = None
         for resp in responses:
@@ -611,14 +553,6 @@ class XenicProtocol:
 
     def _phase_log(self, txn: Transaction, writes_by_shard):
         txn.status = TxnStatus.LOGGING
-        if len(writes_by_shard) == 1:
-            # single write shard (the common case): replicate inline in
-            # this frame instead of spawning a per-shard process
-            for shard, writes in writes_by_shard.items():
-                versions = self._write_versions(txn, writes)
-                ok = yield from self._replicate_shard(
-                    txn, shard, writes, versions)
-                return ok
         evs = []
         for shard, writes in writes_by_shard.items():
             versions = self._write_versions(txn, writes)
@@ -643,7 +577,7 @@ class XenicProtocol:
         for backup in self.cluster.backups_of(shard):
             if backup == own:
                 # plain Request: consumed by the spawned generator itself
-                # (no _serve to recycle it), so keep it off the pool
+                # (no _respond to recycle it), so keep it off the pool
                 req = Request(
                     LOG, txn.txn_id, shard, txn.coord_node,
                     write_values=writes, versions=versions,
@@ -659,13 +593,7 @@ class XenicProtocol:
                     value_bytes=txn.spec.write_bytes,
                 )
                 evs.append(self._send_request(backup, req))
-        t0 = self._t0()
-        if len(evs) == 1:
-            resp0 = yield evs[0]
-            responses = (resp0,)
-        else:
-            responses = yield self.sim.all_of(evs)
-        self._attrib("wire", t0, txn.txn_id)
+        responses = yield from self._gather(evs, txn.txn_id)
         ok = True
         for r in responses:
             if not r.ok:
@@ -678,22 +606,6 @@ class XenicProtocol:
     def _phase_commit(self, txn: Transaction, writes_by_shard):
         txn.status = TxnStatus.COMMITTING
         own = self.node.node_id
-        if len(writes_by_shard) == 1:
-            for shard, writes in writes_by_shard.items():
-                if self.cluster.primary_node_id(shard) == own:
-                    # single local commit: run inline, no spawn
-                    yield from self._commit_local(txn, shard, writes)
-                else:
-                    t0 = self._t0()
-                    resp0 = yield self._send_request(
-                        self.cluster.primary_node_id(shard),
-                        take_request(COMMIT, txn.txn_id, shard,
-                                     txn.coord_node, write_values=writes,
-                                     value_bytes=txn.spec.write_bytes),
-                    )
-                    self._attrib("wire", t0, txn.txn_id)
-                    recycle_response(resp0)
-            return
         evs = []
         for shard, writes in writes_by_shard.items():
             primary = self.cluster.primary_node_id(shard)
@@ -713,20 +625,11 @@ class XenicProtocol:
                                      value_bytes=txn.spec.write_bytes),
                     )
                 )
-        t0 = self._t0()
-        if len(evs) == 1:
-            resp0 = yield evs[0]
-            self._attrib("wire", t0, txn.txn_id)
-            if resp0 is not None:
-                recycle_response(resp0)
-        else:
-            responses = yield self.sim.all_of(evs)
-            self._attrib("wire", t0, txn.txn_id)
-            for r in responses:
-                # local commits (_commit_local) recycle their own response
-                # and resolve to None
-                if r is not None:
-                    recycle_response(r)
+        for r in (yield from self._gather(evs, txn.txn_id)):
+            # local commits (_commit_local) recycle their own response
+            # and resolve to None
+            if r is not None:
+                recycle_response(r)
 
     def _commit_local(self, txn: Transaction, shard: int, writes):
         req = take_request(COMMIT, txn.txn_id, shard, txn.coord_node,
@@ -754,23 +657,14 @@ class XenicProtocol:
             if primary == self.node.node_id:
                 index = self.node.index_for(shard)
                 for k in keys:
-                    meta = index._meta.get(k)
-                    if meta is not None and meta.lock_owner == txn.txn_id:
-                        index.unlock(k, txn.txn_id)
+                    index.unlock_if_held(k, txn.txn_id)
             else:
                 req = take_request(UNLOCK, txn.txn_id, shard, txn.coord_node,
                                    write_keys=list(keys))
                 evs.append(self._send_request(primary, req))
         if evs:
-            t0 = self._t0()
-            if len(evs) == 1:
-                resp0 = yield evs[0]
-                recycle_response(resp0)
-            else:
-                responses = yield self.sim.all_of(evs)
-                for r in responses:
-                    recycle_response(r)
-            self._attrib("wire", t0, txn.txn_id)
+            for r in (yield from self._gather(evs, txn.txn_id)):
+                recycle_response(r)
         txn.clear_locks()
 
     # ------------------------------------------------------------------
@@ -913,14 +807,9 @@ class XenicProtocol:
 
         Write keys are locked; read-only keys are fetched optimistically
         and re-validated after the fetches complete (FaRM-style: lock,
-        read, validate, then log), so reads never block other readers."""
-        keys = dict.fromkeys(req.read_keys + req.write_keys)
-        yield from self.runtime.handle_message_cost(len(keys), req.txn_id)
-        resp = yield from self._exec_ship_rest(req)
-        return resp
-
-    def _exec_ship_rest(self, req: Request):
-        """Post-charge half of EXEC_SHIP."""
+        read, validate, then log), so reads never block other readers.
+        Entered through ``_dispatch``, which has charged the message and
+        per-key handling."""
         index = self.node.index_for(req.shard)
         locked: List[int] = []
         for k in req.write_keys:
@@ -1002,9 +891,7 @@ class XenicProtocol:
                              write_values=write_values)
 
     def _log_core_redirect(self, req: Request):
-        resp = yield from self._log_core(req)
-        self._deliver_log_ack(req.reply_to, req.txn_id, resp)
-        recycle_request(req)
+        self._redirect_log_ack(req, (yield from self._log_core(req)))
 
     def _deliver_log_ack(self, target: int, txn_id: int, resp: Response) -> None:
         if target == self.node.node_id:
@@ -1196,18 +1083,13 @@ class XenicProtocol:
         self.node.append_log(record)
         self.node.note_pending_commit(record)
         for k in req.write_values:
-            meta = index._meta.get(k)
-            if meta is not None and meta.lock_owner == req.txn_id:
-                index.unlock(k, req.txn_id)
-            else:
+            if not index.unlock_if_held(k, req.txn_id):
                 # lock rebuilt/reassigned (e.g. recovery resolved this txn
                 # while the COMMIT was in flight) — nothing to release
                 self.stats.inc("commit_unlock_mismatch")
         # multi-hop: read keys locked during shipped execution release here
         for k in req.read_keys:
-            meta = index._meta.get(k)
-            if meta is not None and meta.lock_owner == req.txn_id:
-                index.unlock(k, req.txn_id)
+            index.unlock_if_held(k, req.txn_id)
         return take_response(COMMIT, req.txn_id, req.shard, True)
 
     def _unlock_core(self, req: Request):
@@ -1221,9 +1103,7 @@ class XenicProtocol:
         """Post-charge half of UNLOCK — fully synchronous."""
         index = self.node.index_for(req.shard)
         for k in req.write_keys:
-            meta = index._meta.get(k)
-            if meta is not None and meta.lock_owner == req.txn_id:
-                index.unlock(k, req.txn_id)
+            index.unlock_if_held(k, req.txn_id)
         return take_response(UNLOCK, req.txn_id, req.shard, True)
 
     # ------------------------------------------------------------------
@@ -1253,9 +1133,6 @@ class XenicProtocol:
         return fut
 
     def _send_oneway(self, dst: int, req: Request) -> None:
-        if dst == self.node.node_id:
-            self._oneway_fused(req)
-            return
         msg = NetMessage(
             self.node.node_id, dst, req.kind,
             request_size(req, self.cluster.value_size),
@@ -1282,17 +1159,20 @@ class XenicProtocol:
         tag = msg.payload[0]
         if tag == "req":
             _tag, rid, req = msg.payload
-            self._serve_fused(msg.src, rid, req)
+            src = msg.src
+            self._dispatch(
+                req.kind, req,
+                lambda req, resp: self._respond(src, rid, req, resp), "serve")
         elif tag == "resp":
             _tag, rid, resp = msg.payload
-            self._charge_rx_then(self._resolve_response, rid, resp,
-                                 self._receive_response)
+            self._charge_rx_then(self._resolve_response, rid, resp)
         elif tag == "oneway":
-            self._oneway_fused(msg.payload[1])
+            # the only one-ways are multi-hop LOGs (_handle_exec_ship)
+            req = msg.payload[1]
+            self._dispatch(req.kind, req, self._redirect_log_ack, "oneway")
         elif tag == "log_ack":
             _tag, txn_id, resp = msg.payload
-            self._charge_rx_then(self._resolve_mh_ack, txn_id, resp,
-                                 self._receive_log_ack)
+            self._charge_rx_then(self._resolve_mh_ack, txn_id, resp)
         else:  # pragma: no cover - defensive
             raise RuntimeError("unknown wire tag %r" % (tag,))
 
@@ -1316,18 +1196,18 @@ class XenicProtocol:
         upto[src] = nxt - 1
         return False
 
-    def _charge_rx_then(self, fn, a, b, slow_gen) -> None:
+    def _charge_rx_then(self, fn, a, b) -> None:
         """Charge one NIC core for inbound-message handling, then run
         ``fn(a, b)`` — the no-Process form of ``yield from
         handle_message_cost(0)`` followed by a synchronous action.
 
         Replaces a spawned two-step generator (Process + start event +
         core-run machinery) with at most one Timeout.  When an
-        observability sink is attached the spawned ``slow_gen`` path is
-        used instead so per-core spans stay complete."""
+        observability sink is attached that generator (``_rx_stepwise``)
+        is spawned instead so per-core spans stay complete."""
         cores = self.node.nic.cores
         if cores.obs_sink is not None:
-            self.sim.spawn(slow_gen(a, b), name="recv")
+            self.sim.spawn(self._rx_stepwise(fn, a, b), name="recv")
             return
         wall = self.runtime.msg_handle_us + self.runtime._stall_us()
         pool = cores.pool
@@ -1346,19 +1226,16 @@ class XenicProtocol:
         Timeout(self.sim, wall).add_callback(
             lambda _e: (cores.pool.release(), fn(a, b)))
 
+    def _rx_stepwise(self, fn, a, b):
+        yield from self.runtime.handle_message_cost(0)
+        fn(a, b)
+
     def _resolve_response(self, rid, resp: Response) -> None:
         fut = self.runtime.pending._futures.pop(rid, None)
         if fut is None:
             self.stats.inc("stray_responses")
         else:
             fut.succeed(resp)
-
-    def _serve(self, src: int, rid, req: Request):
-        handler = self._handlers.get(req.kind)
-        if handler is None:  # pragma: no cover - defensive
-            raise RuntimeError("no handler for %r" % req.kind)
-        resp = yield from handler(req)
-        self._respond(src, rid, req, resp)
 
     def _respond(self, src: int, rid, req: Request, resp: Response) -> None:
         msg = NetMessage(
@@ -1372,216 +1249,132 @@ class XenicProtocol:
         # was already dropped by wire id before the payload is read
         recycle_request(req)
 
-    # -- fused inbound dispatch ---------------------------------------------
+    # -- inbound dispatch -----------------------------------------------------
     #
-    # The stepwise path spawns a Process per inbound request and charges
-    # the NIC cores twice (message handling, then the per-key handler
-    # cost).  When no observer, fault injector, or core contention needs
-    # the intermediate timestamps, the fused path merges both charges
-    # into ONE callback Timeout and runs the handler's post-charge half
-    # from the callback — no Process, no start event, and for the fully
-    # synchronous handlers (VALIDATE/UNLOCK) no generator at all.
+    # The NIC runtime has one burst loop that takes every inbound message
+    # to its handler (§4.3.2): ``_dispatch``.  Each message kind — the six
+    # wire kinds and the two PCIe entries from the host — is one row of
+    # ``_INBOUND``, ``(charges, core, rest, sync)`` over the protocol ``p``
+    # and the message ``m`` (a Request; a Transaction for PCIe entries):
+    #
+    # * ``charges(p, m)`` — the handler's leading NIC-core charges in
+    #   wall-µs: ``(msg, keys)`` where message handling and per-key index
+    #   work are two back-to-back core jobs (EXECUTE / VALIDATE / UNLOCK),
+    #   one element where the keys fold into the message charge;
+    # * ``core(p, m)`` — generator entered once the *first* charge is
+    #   paid; it pays the second and produces the result.  None when there
+    #   is no second charge (``rest`` is entered either way).  These are
+    #   the interposable ``*_core`` methods the coordinator also runs for
+    #   its local shards, so server spans cover remote and local alike;
+    # * ``rest(p, m)`` — the body entered once *all* charges are paid;
+    # * ``sync`` — ``rest`` returns the result itself (it never waits)
+    #   instead of being a generator.
+    #
+    # Methods are looked up on ``p`` at call time, so an Observer's
+    # instance-level span wrappers are honoured.
 
-    def _fused_dispatch(self, c1: float, c2: float, then) -> bool:
-        """Try the fused inbound dispatch: charge one NIC core for the
-        stepwise path's charges ``c1`` (+ ``c2``, when the stepwise path
-        makes a second back-to-back charge) as a single callback event
-        that runs ``then()`` at completion.  Returns False — charging
-        nothing — when the stepwise spawn must be used instead (observer
-        attached, fault injector present, or no core free).
+    def _msg_then_keys(self, n_keys: int) -> Tuple[float, float]:
+        return (self.runtime.msg_handle_us,
+                self.config.nic_per_key_us * max(1, n_keys))
 
-        Timestamps and the core pool's busy-area summation replicate the
-        stepwise float arithmetic exactly (per-charge slowdown
-        round-trips, left-associated end time, ``note_split`` at the
-        stepwise release point) so golden digests stay byte-identical."""
-        runtime = self.runtime
-        cores = self.node.nic.cores
-        if (self.obs is not None or cores.obs_sink is not None
-                or runtime.obs_sink is not None
-                or runtime.injector is not None):
-            return False
-        pool = cores.pool
-        if not pool.try_acquire():
-            return False
-        slowdown = cores.slowdown
-        w1 = (c1 / slowdown) * slowdown
-        cores.jobs_executed += 1
-        cores.busy_us += w1
-        end = self.sim._now + w1
-        if c2 > 0.0:
-            w2 = (c2 / slowdown) * slowdown
-            cores.jobs_executed += 1
-            cores.busy_us += w2
-            pool.note_split(end)
-            end = end + w2
-        self.sim.call_at(end, lambda _e: (pool.release(), then()))
-        return True
+    def _msg_with_keys(self, n_keys: int) -> Tuple[float]:
+        return (self.runtime.msg_handle_us
+                + n_keys * self.config.nic_per_key_us,)
 
-    def _serve_fused(self, src: int, rid, req: Request) -> None:
-        """Fused twin of spawning ``_serve``: the leading message +
-        per-key charges collapse to one event; falls back to the spawned
-        stepwise path when _fused_dispatch declines."""
-        per_key = self.config.nic_per_key_us
-        msg_us = self.runtime.msg_handle_us
-        kind = req.kind
-        # (c1, c2) mirror the stepwise handler's charges: EXECUTE /
-        # VALIDATE / UNLOCK charge message handling then per-key work
-        # separately; LOG / COMMIT / EXEC_SHIP fold the keys into one
-        # handle_message_cost call.
-        if kind == EXECUTE:
-            c1 = msg_us
-            c2 = per_key * max(1, len(req.read_keys) + len(req.write_keys))
-        elif kind == VALIDATE:
-            c1 = msg_us
-            c2 = per_key * max(1, len(req.versions))
-        elif kind == UNLOCK:
-            c1 = msg_us
-            c2 = per_key * max(1, len(req.write_keys))
-        elif kind == EXEC_SHIP:
-            c1 = msg_us + len(dict.fromkeys(req.read_keys
-                                            + req.write_keys)) * per_key
-            c2 = 0.0
-        else:  # LOG / COMMIT
-            c1 = msg_us + len(req.write_values) * per_key
-            c2 = 0.0
-        if not self._fused_dispatch(
-                c1, c2, lambda: self._serve_rest(src, rid, req)):
-            self.sim.spawn(self._serve(src, rid, req), name="serve")
-
-    def _serve_rest(self, src: int, rid, req: Request) -> None:
-        """Post-charge half of a fused serve.  VALIDATE and UNLOCK are
-        fully synchronous; the rest still need a generator (DMA, log
-        back-pressure) but start it immediately with no start event."""
-        kind = req.kind
-        if kind == VALIDATE:
-            self._respond(src, rid, req,
-                          self._validate_sync(req.shard, req.txn_id,
-                                              req.versions))
-        elif kind == UNLOCK:
-            self._respond(src, rid, req, self._unlock_sync(req))
-        else:
-            self.sim.start(self._serve_rest_gen(src, rid, req), name="serve")
-
-    def _serve_rest_gen(self, src: int, rid, req: Request):
-        kind = req.kind
-        if kind == EXECUTE:
-            inline = bool(req.versions.pop("inline", None))
-            resp = yield from self._execute_rest(
-                req.shard, req.txn_id, req.read_keys, req.write_keys, inline)
-        elif kind == LOG:
-            resp = yield from self._log_core(req)
-        elif kind == COMMIT:
-            resp = yield from self._commit_core(req)
-        else:  # EXEC_SHIP
-            resp = yield from self._exec_ship_rest(req)
-        self._respond(src, rid, req, resp)
-
-    def _oneway_fused(self, req: Request) -> None:
-        """Fused twin of spawning ``_dispatch_oneway``."""
-        per_key = self.config.nic_per_key_us
-        msg_us = self.runtime.msg_handle_us
-        if req.kind == UNLOCK:
-            ok = self._fused_dispatch(
-                msg_us, per_key * max(1, len(req.write_keys)),
-                lambda: self._oneway_unlock_done(req))
-        else:  # LOG
-            ok = self._fused_dispatch(
-                msg_us + len(req.write_values) * per_key, 0.0,
-                lambda: self.sim.start(self._log_core_redirect(req),
-                                       name="oneway"))
-        if not ok:
-            self.sim.spawn(self._dispatch_oneway(req), name="oneway")
-
-    def _oneway_unlock_done(self, req: Request) -> None:
-        recycle_response(self._unlock_sync(req))
-        recycle_request(req)
-
-    def _handle_execute_req(self, req: Request):
-        yield from self.runtime.handle_message_cost(0, req.txn_id)
-        inline = bool(req.versions.pop("inline", None))
-        resp = yield from self._execute_core(
-            req.shard, req.txn_id, req.read_keys, req.write_keys, inline
-        )
-        return resp
-
-    def _handle_validate_req(self, req: Request):
-        yield from self.runtime.handle_message_cost(0, req.txn_id)
-        resp = yield from self._validate_core(req.shard, req.txn_id,
-                                              req.versions)
-        return resp
-
-    def _handle_log_req(self, req: Request):
-        yield from self.runtime.handle_message_cost(len(req.write_values),
-                                                    req.txn_id)
-        resp = yield from self._log_core(req)
-        return resp
-
-    def _handle_commit_req(self, req: Request):
-        yield from self.runtime.handle_message_cost(len(req.write_values),
-                                                    req.txn_id)
-        resp = yield from self._commit_core(req)
-        return resp
-
-    def _handle_unlock_req(self, req: Request):
-        yield from self.runtime.handle_message_cost(0, req.txn_id)
-        resp = yield from self._unlock_core(req)
-        return resp
-
-    _HANDLERS = {
-        EXECUTE: _handle_execute_req,
-        VALIDATE: _handle_validate_req,
-        LOG: _handle_log_req,
-        COMMIT: _handle_commit_req,
-        UNLOCK: _handle_unlock_req,
-        EXEC_SHIP: _handle_exec_ship,
+    _INBOUND = {
+        EXECUTE: (
+            lambda p, r: p._msg_then_keys(len(r.read_keys)
+                                          + len(r.write_keys)),
+            lambda p, r: p._execute_core(*_execute_args(r)),
+            lambda p, r: p._execute_rest(*_execute_args(r)),
+            False),
+        VALIDATE: (
+            lambda p, r: p._msg_then_keys(len(r.versions)),
+            lambda p, r: p._validate_core(r.shard, r.txn_id, r.versions),
+            lambda p, r: p._validate_sync(r.shard, r.txn_id, r.versions),
+            True),
+        UNLOCK: (
+            lambda p, r: p._msg_then_keys(len(r.write_keys)),
+            lambda p, r: p._unlock_core(r),
+            lambda p, r: p._unlock_sync(r),
+            True),
+        LOG: (
+            lambda p, r: p._msg_with_keys(len(r.write_values)),
+            None, lambda p, r: p._log_core(r), False),
+        COMMIT: (
+            lambda p, r: p._msg_with_keys(len(r.write_values)),
+            None, lambda p, r: p._commit_core(r), False),
+        EXEC_SHIP: (
+            lambda p, r: p._msg_with_keys(
+                len(dict.fromkeys(r.read_keys + r.write_keys))),
+            None, lambda p, r: p._handle_exec_ship(r), False),
+        "local_commit": (
+            lambda p, t: p._msg_with_keys(len(t.spec.all_keys())),
+            None, lambda p, t: p._nic_local_commit(t), False),
+        "start": (
+            lambda p, t: (NIC_ADMIT_US,),
+            None, lambda p, t: p._nic_coordinate(t), False),
     }
 
-    def _dispatch_oneway(self, req: Request):
-        if req.kind == UNLOCK:
-            resp = yield from self._handle_unlock_req(req)
-            recycle_response(resp)
-            recycle_request(req)
-        elif req.kind == LOG:
-            yield from self.runtime.handle_message_cost(len(req.write_values),
-                                                        req.txn_id)
-            resp = yield from self._log_core(req)
-            self._deliver_log_ack(req.reply_to, req.txn_id, resp)
-            recycle_request(req)
-        else:  # pragma: no cover - defensive
-            raise RuntimeError("unexpected one-way %r" % req.kind)
+    def _dispatch(self, kind, msg, done, name: str) -> None:
+        """Take one inbound message to its kind's handler and pass the
+        handler's result to ``done(msg, result)``.
 
-    def _receive_response(self, rid, resp: Response):
-        yield from self.runtime.handle_message_cost(0)
-        fut = self.runtime.pending._futures.pop(rid, None)
-        if fut is None:
-            self.stats.inc("stray_responses")
-        else:
-            fut.succeed(resp)
+        Fast form (the model): the leading charges are held as ONE core
+        occupancy ending in ONE callback event, which releases the core
+        and enters the post-charge body — no Process, no start event,
+        and for the synchronous bodies no generator at all.  The core is
+        taken here, inside the delivery callback, and held across the
+        split between two charges; ``CoreGroup.try_hold`` keeps the
+        timestamps and core accounting those of the stepwise chain.
 
-    def _receive_log_ack(self, txn_id: int, resp: Response):
-        yield from self.runtime.handle_message_cost(0)
-        self._resolve_mh_ack(txn_id, resp)
+        Fallback, when an observer or a fault injector needs the
+        intermediate instants or no core is free: one spawned stepwise
+        generator, the same for every kind — start event, the first
+        charge as its own core job (its injected stall drawn then), and
+        ``core`` making the second one after the first completes."""
+        charges, core, rest, sync = self._INBOUND[kind]
+        walls = charges(self, msg)
+        runtime = self.runtime
+        cores = self.node.nic.cores
+        if (self.obs is None and cores.obs_sink is None
+                and runtime.obs_sink is None and runtime.injector is None):
+            end = cores.try_hold(walls)
+            if end is not None:
+                def enter(_e):
+                    cores.pool.release()
+                    if sync:
+                        done(msg, rest(self, msg))
+                    else:
+                        self.sim.start(self._handle(rest, msg, done),
+                                       name=name)
+                self.sim.call_at(end, enter)
+                return
+        self.stats.inc("stepwise_dispatches")
+        self.sim.spawn(self._handle(core or rest, msg, done, walls[0]),
+                       name=name)
+
+    def _handle(self, body, msg, done, c1: Optional[float] = None):
+        """Generator behind ``_dispatch``: the stepwise form's own first
+        charge ``c1`` if given, then a kind's ``body``, then ``done``."""
+        if c1 is not None:
+            yield from self.runtime.nic_compute(c1, msg.txn_id)
+        done(msg, (yield from body(self, msg)))
+
+    def _redirect_log_ack(self, req: Request, resp: Response) -> None:
+        """``done`` of a multi-hop LOG: the ack goes to the coordinator
+        NIC (``reply_to``), not back to the shipping primary."""
+        self._deliver_log_ack(req.reply_to, req.txn_id, resp)
+        recycle_request(req)
 
     # -- PCIe handlers ------------------------------------------------------------
 
     def _on_pcie_nic(self, payload) -> None:
         tag = payload[0]
         if tag == "start":
-            txn = payload[1]
-            if not self._fused_dispatch(
-                    NIC_ADMIT_US, 0.0,
-                    lambda: self.sim.start(self._nic_coordinate_rest(txn),
-                                           name="nic-coord")):
-                self.sim.spawn(self._nic_coordinate(txn), name="nic-coord")
+            self._dispatch(tag, payload[1], _coordinator_reports, "nic-coord")
         elif tag == "local_commit":
-            txn = payload[1]
-            if not self._fused_dispatch(
-                    self.runtime.msg_handle_us
-                    + len(txn.spec.all_keys()) * self.config.nic_per_key_us,
-                    0.0,
-                    lambda: self.sim.start(self._nic_local_commit_rest(txn),
-                                           name="nic-local")):
-                self.sim.spawn(self._nic_local_commit(txn), name="nic-local")
+            self._dispatch(tag, payload[1], _coordinator_reports, "nic-local")
         elif tag == "logic_resp":
             _tag, txn_id, attempt, round_no, result = payload
             self.runtime.pending.resolve(

@@ -180,7 +180,5 @@ class RecoveryManager:
                 report.aborted.append(txn_id)
             any_record = next(iter(by_node.values()))
             for key, _value, _version in any_record.writes:
-                meta = index._meta.get(key)
-                if meta is not None and meta.lock_owner == txn_id:
-                    index.unlock(key, txn_id)
+                index.unlock_if_held(key, txn_id)
         return report

@@ -42,7 +42,6 @@ class CoreGroup:
             raise ValueError("need at least one core")
         self.name = name or params.name
         self.pool = Resource(sim, self.cores, name=self.name)
-        self._job_name = "%s.job" % self.name
         self._exec_name = "%s.exec" % self.name
         # scale factor: >1 means these cores are slower than the reference
         self.slowdown = reference.coremark_per_thread / params.coremark_per_thread
@@ -72,9 +71,7 @@ class CoreGroup:
 
     def execute(self, ref_us: float) -> Event:
         """Queue a job; event fires on completion."""
-        done = Event(self.sim, self._job_name)
-        self.sim.spawn(self._run(ref_us, done), name=self._exec_name)
-        return done
+        return self.sim.spawn(self.run(ref_us), name=self._exec_name)
 
     def execute_wall(self, wall_us: float) -> Event:
         """Queue a job whose cost is given in *these cores'* wall time
@@ -103,30 +100,37 @@ class CoreGroup:
         else:
             self.pool.release()
 
+    def try_hold(self, walls) -> Optional[float]:
+        """Occupy one free core for several back-to-back jobs (``walls``:
+        each one's cost in these cores' wall time) as a single hold.
+        Returns the absolute instant the last job ends — the caller
+        schedules its continuation there and releases the pool slot — or
+        None, charging nothing, when no core is free.
+
+        The accounting replays term by term what the same jobs run one
+        :meth:`run_wall` after another produce: each cost takes the
+        ``(wall / slowdown) * slowdown`` round trip, the end time is the
+        left-associated sum, and the pool's busy-area summation is split
+        (``note_split``) at every instant a stepwise job would have
+        released its core — so results are bit-identical to the stepwise
+        chain whenever nothing else queues for a core in between."""
+        pool = self.pool
+        if not pool.try_acquire():
+            return None
+        slowdown = self.slowdown
+        end = self.sim._now
+        for i, wall in enumerate(walls):
+            if i:
+                pool.note_split(end)
+            service = (wall / slowdown) * slowdown
+            self.jobs_executed += 1
+            self.busy_us += service
+            end = end + service
+        return end
+
     def run_wall(self, wall_us: float):
         """Generator form of :meth:`execute_wall`."""
         return self.run(wall_us / self.slowdown)
-
-    def _run(self, ref_us: float, done: Event):
-        if not self.pool.try_acquire():
-            yield self.pool.acquire()
-        sink = self.obs_sink
-        slot = heappop(self._obs_free) if (sink is not None and self._obs_free) else None
-        start = self.sim.now
-        try:
-            service = self.service_us(ref_us)
-            self.jobs_executed += 1
-            self.busy_us += service
-            if service > 0:
-                yield self.sim.timeout(service)
-        finally:
-            if sink is not None:
-                sink.core_job(self._obs_node, self._obs_track, slot,
-                              start, self.sim.now)
-                if slot is not None:
-                    heappush(self._obs_free, slot)
-            self.pool.release()
-        done.succeed()
 
     def run(self, ref_us: float):
         """Generator form for use inside a process: ``yield from cores.run(w)``."""

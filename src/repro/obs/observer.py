@@ -181,18 +181,18 @@ class Observer:
             self._protocols.append(proto)
 
     def _interpose_protocol(self, proto, node_id: int) -> None:
+        # A name XenicProtocol no longer has raises here (interpose looks
+        # it up) rather than dropping its spans silently.
         for name in _COORD_PHASES:
-            if hasattr(proto, name):
-                interpose(proto, name, self, self._span_factory(
-                    name.lstrip("_"), "phase", node_id, "proto",
-                    lambda args: args[0].txn_id))
-                self._interposed.append((proto, name))
+            interpose(proto, name, self, self._span_factory(
+                name.lstrip("_"), "phase", node_id, "proto",
+                lambda args: args[0].txn_id))
+            self._interposed.append((proto, name))
         for name, txn_id_of in _SERVER_HANDLERS.items():
-            if hasattr(proto, name):
-                interpose(proto, name, self, self._span_factory(
-                    name.lstrip("_"), "server", node_id, "nicrt",
-                    txn_id_of))
-                self._interposed.append((proto, name))
+            interpose(proto, name, self, self._span_factory(
+                name.lstrip("_"), "server", node_id, "nicrt",
+                txn_id_of))
+            self._interposed.append((proto, name))
 
     def _span_factory(self, name: str, cat: str, node_id: int, track: str,
                       txn_id_of: Callable) -> Callable:

@@ -129,13 +129,21 @@ class NicIndex:
         return meta.lock_owner != txn_id
 
     def unlock(self, key: int, txn_id: int) -> None:
-        meta = self._meta.get(key)
-        if meta is None or meta.lock_owner != txn_id:
+        if not self.unlock_if_held(key, txn_id):
             raise RuntimeError(
                 "txn %d unlocking key %d it does not hold" % (txn_id, key)
             )
+
+    def unlock_if_held(self, key: int, txn_id: int) -> bool:
+        """Release ``key`` only if ``txn_id`` still owns its lock (an
+        abort, a duplicate or a recovery may have released or reassigned
+        it already); returns whether it did."""
+        meta = self._meta.get(key)
+        if meta is None or meta.lock_owner != txn_id:
+            return False
         meta.lock_owner = None
         self._maybe_purge(key)
+        return True
 
     def read_version(self, key: int) -> int:
         meta = self._meta.get(key)

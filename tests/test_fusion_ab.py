@@ -10,16 +10,16 @@ inbound dispatch and the stepwise one are known to differ.  The tests
 here pin the digest at the benchmark's peak load (c=64) on the engine's
 queue and on the heap oracle, the recorded observed-vs-unobserved
 difference at that load, equality of fused paths and their fallbacks
-where it does hold, and the event count the fused paths exist to
-deliver.
+where it does hold, how much of each the pinned runs exercise, and the
+event count the fused paths exist to deliver.
 """
 
 import contextlib
 
 import pytest
 
-from repro.bench.golden import (canonical_digest, fig8d_peak_payload,
-                                fig8d_point_payload)
+from repro.bench.golden import (_fig8d_run, canonical_digest,
+                                fig8d_peak_payload, fig8d_point_payload)
 from repro.bench.runner import Bench, set_default_faults
 from repro.core.cluster import XenicCluster
 from repro.sim.core import Simulator
@@ -90,14 +90,39 @@ def test_peak_digest_observer_neutral():
     unobserved run gives 7721 commits / 1093 aborts over the whole run
     (5795 / 842 in the window, p50 9.41 us), the observed one 7438 /
     1112 (5544 / 851, p50 9.79 us).  The site is
-    XenicProtocol._fused_dispatch, which declines under an observer."""
+    XenicProtocol._dispatch, whose fast form declines under an observer."""
     assert canonical_digest(fig8d_peak_payload(obs=True)) == FIG8D_PEAK_DIGEST
 
 
-def test_observer_neutral_with_fusion_on():
-    """An observed run matches the pinned digest: observer fallbacks
-    reproduce the fused timestamps exactly while no NIC core queues."""
-    assert canonical_digest(fig8d_point_payload(obs=True)) == FIG8D_DIGEST
+def golden_run(concurrency, obs=False):
+    """One run of the golden cluster: its digest and, summed over the
+    cluster's protocols, how many inbound dispatches took the generic
+    stepwise fallback and how many requests were sent."""
+    bench, payload = _fig8d_run(concurrency, obs)
+    stats = [proto.stats for proto in bench.cluster.protocols]
+    return (canonical_digest(payload),
+            sum(s.get("stepwise_dispatches") for s in stats),
+            sum(s.get("requests_sent") for s in stats))
+
+
+def test_pins_cover_fast_path_fallback_and_mix():
+    """What the three pinned digests exercise, counted rather than
+    assumed.  An Observer and an injector each send every inbound
+    dispatch down the fallback, so either count is the total (11,078 at
+    c=16, and the run is observer-neutral there).  Unobserved, the golden
+    point is the fast path (3 of them fall back: a NIC core does, rarely,
+    queue) and the peak point a mix (2,342 of 36,551; 17,752 requests
+    sent)."""
+    fast, fast_stepwise, _ = golden_run(16)
+    observed, total, _ = golden_run(16, obs=True)
+    with stepwise_fallbacks():
+        injected, injected_stepwise, _ = golden_run(16)
+    peak, peak_stepwise, peak_sent = golden_run(64)
+    assert fast == observed == injected == FIG8D_DIGEST
+    assert peak == FIG8D_PEAK_DIGEST
+    assert injected_stepwise == total > 0
+    assert fast_stepwise < 0.001 * total
+    assert 0 < peak_stepwise < peak_sent
 
 
 def test_attribution_sums_with_fusion_on():

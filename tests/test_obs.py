@@ -2,6 +2,7 @@
 the Observer, and the Chrome trace / metrics exporters."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -241,6 +242,33 @@ def test_observer_collects_spans_and_gauges_on_xenic():
     obs.snapshot_counters()
     d = obs.registry.as_dict()
     assert d["counters"]["n0/proto_commits"] >= 4
+
+
+def test_observer_spans_every_entry_the_protocol_dispatches():
+    """The span lists name methods the inbound dispatch really calls:
+    shipped executions get a server span each (none did while the
+    dispatch went through a table bound before any Observer existed),
+    and the two PCIe entries keep their phase spans."""
+    sim, cluster = make_xenic()
+    obs = Observer(sim).install(cluster)
+    # from node 0: keys 0 and 3 are local writes, the rest ship execution
+    run_txns(sim, cluster, [0, 1, 2, 3, 4, 8])
+    count = Counter((e.cat, e.name) for e in obs.log.spans())
+    shipped = sum(p.stats.get("shipped_executions")
+                  for p in cluster.protocols)
+    assert count["server", "handle_exec_ship"] == shipped == 4
+    assert count["phase", "nic_coordinate"] == 4
+    assert count["phase", "nic_local_commit"] == 2
+
+
+def test_observer_install_fails_loud_on_a_stale_span_list(monkeypatch):
+    from repro.obs import observer
+
+    monkeypatch.setattr(observer, "_COORD_PHASES",
+                        observer._COORD_PHASES + ("_phase_renamed_away",))
+    sim, cluster = make_xenic()
+    with pytest.raises(AttributeError):
+        Observer(sim).install(cluster)
 
 
 def test_observer_double_install_raises():

@@ -49,6 +49,18 @@ def test_unlock_wrong_owner_raises():
         index.unlock(1, txn_id=8)
 
 
+def test_unlock_if_held_releases_only_the_owners_lock():
+    table, index = make_pair()
+    load(table, 5)
+    index.try_lock(1, txn_id=7)
+    assert not index.unlock_if_held(1, txn_id=8)  # someone else's lock
+    assert index.is_locked(1)
+    assert index.unlock_if_held(1, txn_id=7)
+    assert not index.is_locked(1)
+    assert not index.unlock_if_held(1, txn_id=7)  # already released
+    assert not index.unlock_if_held(4, txn_id=7)  # never locked
+
+
 def test_version_reads_host_when_no_meta():
     table, index = make_pair()
     load(table, 5)
