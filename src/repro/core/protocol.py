@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..hw.network import NetMessage
-from ..sim.core import Timeout
 from ..sim.stats import Counter
 from ..store.log import LogRecord, record_size_bytes
 from .messages import (
@@ -64,6 +63,11 @@ def _execute_args(req: Request):
     """``_execute_core`` / ``_execute_rest`` arguments of an EXECUTE."""
     return (req.shard, req.txn_id, req.read_keys, req.write_keys,
             bool(req.versions.pop("inline", None)))
+
+
+def _whole(msg):
+    """Arguments of a handler that takes the message itself."""
+    return (msg,)
 
 
 def _coordinator_reports(_txn, _result) -> None:
@@ -1199,36 +1203,22 @@ class XenicProtocol:
     def _charge_rx_then(self, fn, a, b) -> None:
         """Charge one NIC core for inbound-message handling, then run
         ``fn(a, b)`` — the no-Process form of ``yield from
-        handle_message_cost(0)`` followed by a synchronous action.
-
-        Replaces a spawned two-step generator (Process + start event +
-        core-run machinery) with at most one Timeout.  When an
-        observability sink is attached that generator (``_rx_stepwise``)
-        is spawned instead so per-core spans stay complete."""
+        handle_message_cost(0)`` followed by a synchronous action:
+        one callback event instead of a spawned two-step generator
+        (Process + start event + core-run machinery)."""
         cores = self.node.nic.cores
-        if cores.obs_sink is not None:
-            self.sim.spawn(self._rx_stepwise(fn, a, b), name="recv")
-            return
-        wall = self.runtime.msg_handle_us + self.runtime._stall_us()
-        pool = cores.pool
-        if pool.try_acquire():
-            cores.jobs_executed += 1
-            cores.busy_us += wall
-            Timeout(self.sim, wall).add_callback(
-                lambda _e: (pool.release(), fn(a, b)))
+        walls = (self.runtime.msg_handle_us + self.runtime._stall_us(),)
+
+        def then(_e):
+            cores.pool.release()
+            fn(a, b)
+
+        end = cores.try_hold(walls)
+        if end is not None:
+            self.sim.call_at(end, then)
         else:
-            pool.acquire().add_callback(
-                lambda _e: self._charge_rx_granted(cores, wall, fn, a, b))
-
-    def _charge_rx_granted(self, cores, wall, fn, a, b) -> None:
-        cores.jobs_executed += 1
-        cores.busy_us += wall
-        Timeout(self.sim, wall).add_callback(
-            lambda _e: (cores.pool.release(), fn(a, b)))
-
-    def _rx_stepwise(self, fn, a, b):
-        yield from self.runtime.handle_message_cost(0)
-        fn(a, b)
+            cores.pool.acquire().add_callback(
+                lambda _e: self.sim.call_at(cores.hold(walls), then))
 
     def _resolve_response(self, rid, resp: Response) -> None:
         fut = self.runtime.pending._futures.pop(rid, None)
@@ -1254,19 +1244,23 @@ class XenicProtocol:
     # The NIC runtime has one burst loop that takes every inbound message
     # to its handler (§4.3.2): ``_dispatch``.  Each message kind — the six
     # wire kinds and the two PCIe entries from the host — is one row of
-    # ``_INBOUND``, ``(charges, core, rest, sync)`` over the protocol ``p``
-    # and the message ``m`` (a Request; a Transaction for PCIe entries):
+    # ``_INBOUND``, ``(charges, args, core, rest, sync)`` over the protocol
+    # ``p`` and the message ``m`` (a Request; a Transaction for PCIe
+    # entries):
     #
     # * ``charges(p, m)`` — the handler's leading NIC-core charges in
     #   wall-µs: ``(msg, keys)`` where message handling and per-key index
     #   work are two back-to-back core jobs (EXECUTE / VALIDATE / UNLOCK),
     #   one element where the keys fold into the message charge;
-    # * ``core(p, m)`` — generator entered once the *first* charge is
-    #   paid; it pays the second and produces the result.  None when there
-    #   is no second charge (``rest`` is entered either way).  These are
-    #   the interposable ``*_core`` methods the coordinator also runs for
-    #   its local shards, so server spans cover remote and local alike;
-    # * ``rest(p, m)`` — the body entered once *all* charges are paid;
+    # * ``args(m)`` — the arguments ``core`` and ``rest`` both take;
+    # * ``core`` — name of the generator method entered once the *first*
+    #   charge is paid; it pays the second and produces the result.  None
+    #   when there is no second charge (``rest`` is entered either way).
+    #   These are the interposable ``*_core`` methods the coordinator also
+    #   runs for its local shards, and the fast form names the server span
+    #   it emits after them, so server spans cover remote and local,
+    #   fused and stepwise alike;
+    # * ``rest`` — name of the body entered once *all* charges are paid;
     # * ``sync`` — ``rest`` returns the result itself (it never waits)
     #   instead of being a generator.
     #
@@ -1285,35 +1279,30 @@ class XenicProtocol:
         EXECUTE: (
             lambda p, r: p._msg_then_keys(len(r.read_keys)
                                           + len(r.write_keys)),
-            lambda p, r: p._execute_core(*_execute_args(r)),
-            lambda p, r: p._execute_rest(*_execute_args(r)),
-            False),
+            _execute_args, "_execute_core", "_execute_rest", False),
         VALIDATE: (
             lambda p, r: p._msg_then_keys(len(r.versions)),
-            lambda p, r: p._validate_core(r.shard, r.txn_id, r.versions),
-            lambda p, r: p._validate_sync(r.shard, r.txn_id, r.versions),
-            True),
+            lambda r: (r.shard, r.txn_id, r.versions),
+            "_validate_core", "_validate_sync", True),
         UNLOCK: (
             lambda p, r: p._msg_then_keys(len(r.write_keys)),
-            lambda p, r: p._unlock_core(r),
-            lambda p, r: p._unlock_sync(r),
-            True),
+            _whole, "_unlock_core", "_unlock_sync", True),
         LOG: (
             lambda p, r: p._msg_with_keys(len(r.write_values)),
-            None, lambda p, r: p._log_core(r), False),
+            _whole, None, "_log_core", False),
         COMMIT: (
             lambda p, r: p._msg_with_keys(len(r.write_values)),
-            None, lambda p, r: p._commit_core(r), False),
+            _whole, None, "_commit_core", False),
         EXEC_SHIP: (
             lambda p, r: p._msg_with_keys(
                 len(dict.fromkeys(r.read_keys + r.write_keys))),
-            None, lambda p, r: p._handle_exec_ship(r), False),
+            _whole, None, "_handle_exec_ship", False),
         "local_commit": (
             lambda p, t: p._msg_with_keys(len(t.spec.all_keys())),
-            None, lambda p, t: p._nic_local_commit(t), False),
+            _whole, None, "_nic_local_commit", False),
         "start": (
             lambda p, t: (NIC_ADMIT_US,),
-            None, lambda p, t: p._nic_coordinate(t), False),
+            _whole, None, "_nic_coordinate", False),
     }
 
     def _dispatch(self, kind, msg, done, name: str) -> None:
@@ -1326,40 +1315,67 @@ class XenicProtocol:
         and for the synchronous bodies no generator at all.  The core is
         taken here, inside the delivery callback, and held across the
         split between two charges; ``CoreGroup.try_hold`` keeps the
-        timestamps and core accounting those of the stepwise chain.
+        timestamps and core accounting those of the stepwise chain, and
+        an observer gets the chain's spans from them (``_log_hold``).
 
-        Fallback, when an observer or a fault injector needs the
-        intermediate instants or no core is free: one spawned stepwise
-        generator, the same for every kind — start event, the first
-        charge as its own core job (its injected stall drawn then), and
-        ``core`` making the second one after the first completes."""
-        charges, core, rest, sync = self._INBOUND[kind]
+        Fallback, when no core is free or a fault plan may stall this
+        NIC's cores: one spawned stepwise generator, the same for every
+        kind — start event, the first charge as its own core job (its
+        injected stall drawn then), and ``core`` making the second one
+        after the first completes."""
+        charges, args, core, rest, sync = self._INBOUND[kind]
         walls = charges(self, msg)
-        runtime = self.runtime
         cores = self.node.nic.cores
-        if (self.obs is None and cores.obs_sink is None
-                and runtime.obs_sink is None and runtime.injector is None):
+        if self.runtime.injector is None:
+            start = self.sim._now
             end = cores.try_hold(walls)
             if end is not None:
                 def enter(_e):
                     cores.pool.release()
+                    then = done if self.obs is None else self._log_hold(
+                        walls, core, start, msg.txn_id, done)
                     if sync:
-                        done(msg, rest(self, msg))
+                        then(msg, getattr(self, rest)(*args(msg)))
                     else:
-                        self.sim.start(self._handle(rest, msg, done),
+                        self.sim.start(self._handle(rest, args, msg, then),
                                        name=name)
                 self.sim.call_at(end, enter)
                 return
         self.stats.inc("stepwise_dispatches")
-        self.sim.spawn(self._handle(core or rest, msg, done, walls[0]),
+        self.sim.spawn(self._handle(core or rest, args, msg, done, walls[0]),
                        name=name)
 
-    def _handle(self, body, msg, done, c1: Optional[float] = None):
+    def _handle(self, body: str, args, msg, done,
+                c1: Optional[float] = None):
         """Generator behind ``_dispatch``: the stepwise form's own first
         charge ``c1`` if given, then a kind's ``body``, then ``done``."""
         if c1 is not None:
             yield from self.runtime.nic_compute(c1, msg.txn_id)
-        done(msg, (yield from body(self, msg)))
+        done(msg, (yield from getattr(self, body)(*args(msg))))
+
+    def _log_hold(self, walls, core: Optional[str], start: float,
+                  txn_id: int, done):
+        """At the end of an observed fast-form hold taken at ``start``:
+        log each charge's ``nic`` attribution span from the instants the
+        hold computed and, for a two-charge kind, return ``done`` wrapped
+        to log the ``server`` span from the c1|c2 split to the body's
+        completion — what the stepwise form logs at its events there
+        (``NicRuntime._attrib_run``, the Observer's ``core`` wrapper)."""
+        obs, node, cores = self.obs, self.node.node_id, self.node.nic.cores
+        edges = [start]
+        for wall in walls:
+            edges.append(edges[-1] + cores.service_us(wall / cores.slowdown))
+            obs.attrib_span("nic", node, edges[-2], edges[-1], txn_id,
+                            svc=wall)
+        if core is None:
+            return done
+        split = edges[1]
+
+        def spanned(msg, result):
+            obs.span(core.lstrip("_"), "server", node, "nicrt", split,
+                     self.sim._now - split, txn_id=txn_id)
+            done(msg, result)
+        return spanned
 
     def _redirect_log_ack(self, req: Request, resp: Response) -> None:
         """``done`` of a multi-hop LOG: the ack goes to the coordinator
@@ -1403,26 +1419,26 @@ class XenicProtocol:
         self._host_logic_done(txn, round_no)
 
     def _host_logic_fused(self, txn: Transaction, round_no: int) -> bool:
-        """Fused host-logic execution: one callback Timeout charging a
+        """Fused host-logic execution: one callback event charging a
         host app core for the (known) logic cost, then the synchronous
-        logic + PCIe ship.  Declines when an observer needs the host
-        span or all app cores are busy."""
+        logic + PCIe ship.  Declines when all app cores are busy."""
         cores = self.node.host_app_cores
-        if (self.obs is not None or cores.obs_sink is not None
-                or self.runtime.injector is not None):
-            return False
-        service = txn.spec.logic_cost_us * cores.slowdown
-        if service <= 0:
+        service = cores.service_us(txn.spec.logic_cost_us)
+        if service <= 0 or self.runtime.injector is not None:
             # stepwise resolves zero-cost logic synchronously inside the
             # start event; keep that ordering.
             return False
-        pool = cores.pool
-        if not pool.try_acquire():
+        end = cores.try_hold((service,))
+        if end is None:
             return False
-        cores.jobs_executed += 1
-        cores.busy_us += service
-        Timeout(self.sim, service).add_callback(
-            lambda _e: (pool.release(), self._host_logic_done(txn, round_no)))
+        t0 = self._t0()
+
+        def then(_e):
+            cores.pool.release()
+            self._attrib("host", t0, txn.txn_id)
+            self._host_logic_done(txn, round_no)
+
+        self.sim.call_at(end, then)
         return True
 
     def _host_logic_done(self, txn: Transaction, round_no: int) -> None:

@@ -48,11 +48,15 @@ class CoreGroup:
         self.jobs_executed = 0
         self.busy_us = 0.0
         # Observability hook (repro.obs): when attached, each job emits a
-        # per-core span.  None keeps the hot path to a single branch.
+        # per-core span on a logical lane.  A lane a hold or a lazy charge
+        # occupies has no completion event to free it, so it waits in
+        # ``_obs_held`` (a heap of ``(end, lane)``) until the next job
+        # that needs a lane finds it expired.
         self.obs_sink = None
         self._obs_node = 0
         self._obs_track = self.name
         self._obs_free: list = []
+        self._obs_held: list = []
 
     def attach_obs(self, sink, node: int, track: str) -> None:
         """Attach an observability sink; jobs are attributed to logical
@@ -61,9 +65,17 @@ class CoreGroup:
         self._obs_node = node
         self._obs_track = track
         self._obs_free = list(range(self.cores))
+        self._obs_held = []
 
     def detach_obs(self) -> None:
         self.obs_sink = None
+
+    def _take_lane(self) -> Optional[int]:
+        free, held = self._obs_free, self._obs_held
+        now = self.sim._now
+        while held and held[0][0] <= now:
+            heappush(free, heappop(held)[1])
+        return heappop(free) if free else None
 
     def service_us(self, ref_us: float) -> float:
         """Wall time on one of these cores for a reference-cost job."""
@@ -88,24 +100,30 @@ class CoreGroup:
         pool tracks the slot as a virtual occupancy expiring at the
         instant a release Timeout would have fired
         (``Resource.charge_until``), so the uncontended charge costs zero
-        events.  Falls back to ``execute_wall`` when an observability
-        sink is attached so per-core spans stay complete."""
-        if self.obs_sink is not None or not self.pool.try_acquire():
+        events."""
+        pool = self.pool
+        if not pool.try_acquire():
             self.execute_wall(wall_us)
             return
-        self.jobs_executed += 1
-        self.busy_us += wall_us
-        if wall_us > 0:
-            self.pool.charge_until(self.sim._now + wall_us)
+        end = self.hold((wall_us,))
+        if end > self.sim._now:
+            pool.charge_until(end)
         else:
-            self.pool.release()
+            pool.release()
 
     def try_hold(self, walls) -> Optional[float]:
-        """Occupy one free core for several back-to-back jobs (``walls``:
-        each one's cost in these cores' wall time) as a single hold.
-        Returns the absolute instant the last job ends — the caller
-        schedules its continuation there and releases the pool slot — or
-        None, charging nothing, when no core is free.
+        """:meth:`hold` on a free core, or None, charging nothing, when
+        no core is free."""
+        if not self.pool.try_acquire():
+            return None
+        return self.hold(walls)
+
+    def hold(self, walls) -> float:
+        """Occupy the core the caller just acquired for several
+        back-to-back jobs (``walls``: each one's cost in these cores' wall
+        time) as a single hold.  Returns the absolute instant the last
+        job ends — the caller schedules its continuation there and
+        releases the pool slot.
 
         The accounting replays term by term what the same jobs run one
         :meth:`run_wall` after another produce: each cost takes the
@@ -113,20 +131,30 @@ class CoreGroup:
         left-associated sum, and the pool's busy-area summation is split
         (``note_split``) at every instant a stepwise job would have
         released its core — so results are bit-identical to the stepwise
-        chain whenever nothing else queues for a core in between."""
+        chain whenever nothing else queues for a core in between.  An
+        attached sink gets each job's span now, from those instants."""
         pool = self.pool
-        if not pool.try_acquire():
-            return None
         slowdown = self.slowdown
+        sink = self.obs_sink
+        lane = self._take_lane() if sink is not None else None
         end = self.sim._now
         for i, wall in enumerate(walls):
             if i:
                 pool.note_split(end)
             service = (wall / slowdown) * slowdown
-            self.jobs_executed += 1
-            self.busy_us += service
-            end = end + service
+            self._book(service)
+            start, end = end, end + service
+            if sink is not None:
+                sink.core_job(self._obs_node, self._obs_track, lane,
+                              start, end)
+        if lane is not None:
+            heappush(self._obs_held, (end, lane))
         return end
+
+    def _book(self, service: float) -> None:
+        """Utilisation accounting of one job, whichever form runs it."""
+        self.jobs_executed += 1
+        self.busy_us += service
 
     def run_wall(self, wall_us: float):
         """Generator form of :meth:`execute_wall`."""
@@ -137,31 +165,19 @@ class CoreGroup:
         if not self.pool.try_acquire():
             yield self.pool.acquire()
         sink = self.obs_sink
-        if sink is None:
-            # Hot path: no span bookkeeping, no try/finally frame setup
-            # beyond the one needed for correct release on interrupt.
-            service = ref_us * self.slowdown
-            self.jobs_executed += 1
-            self.busy_us += service
-            try:
-                if service > 0:
-                    yield Timeout(self.sim, service)
-            finally:
-                self.pool.release()
-            return
-        slot = heappop(self._obs_free) if self._obs_free else None
-        start = self.sim.now
+        lane = self._take_lane() if sink is not None else None
+        start = self.sim._now
+        service = ref_us * self.slowdown
+        self._book(service)
         try:
-            service = self.service_us(ref_us)
-            self.jobs_executed += 1
-            self.busy_us += service
             if service > 0:
-                yield self.sim.timeout(service)
+                yield Timeout(self.sim, service)
         finally:
-            sink.core_job(self._obs_node, self._obs_track, slot,
-                          start, self.sim.now)
-            if slot is not None:
-                heappush(self._obs_free, slot)
+            if sink is not None:
+                sink.core_job(self._obs_node, self._obs_track, lane,
+                              start, self.sim._now)
+                if lane is not None:
+                    heappush(self._obs_free, lane)
             self.pool.release()
 
     def utilization(self, since: float = 0.0) -> float:

@@ -1,7 +1,7 @@
 """Safe, stackable method interposition.
 
-Both the phase tracer (`bench.trace.Tracer`) and the observability layer
-(`repro.obs.Observer`) wrap protocol methods on *instances*.  Naive
+The observability layer (`repro.obs.Observer`) wraps protocol methods
+on *instances*, and more than one owner may.  Naive
 wrapping corrupts the object when two interposers attach, or when one
 detaches while another is still installed (the classic "restore the
 original" dance restores a stale wrapper).  This module keeps the chain

@@ -5,8 +5,10 @@ models expose — core groups, DMA engines, the protocol's span hooks —
 registers occupancy gauges with the sampler, and interposes span wrappers
 on the protocol's coordinator phases and server-side handlers.  Every
 hook is reversible (``uninstall``), reads simulated time only, and adds
-no simulation events beyond the sampler's own timeouts, so installing an
-Observer never changes simulated results.
+no simulation events beyond the sampler's own timeouts; and no model site
+chooses its form from whether a sink is attached (the fused forms emit
+their spans from the instants they computed), so installing an Observer
+never changes simulated results, at any load.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .registry import MetricsRegistry, Sampler
 
 __all__ = ["Observer"]
 
-# Coordinator-side phases (txn is args[0]); mirrors bench.trace.Tracer.
+# Coordinator-side phases (txn is args[0]).
 _COORD_PHASES = (
     "_phase_execute", "_run_logic", "_phase_validate", "_phase_log",
     "_phase_commit", "_multihop", "_nic_local_commit", "_nic_coordinate",

@@ -238,30 +238,40 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def install(self, cluster, recovery=None) -> "FaultPlan":
-        """Attach this plan to a Xenic or baseline cluster.
+        """Attach this plan to a Xenic or baseline cluster, at each site
+        whose fault kind the spec enables: a site the plan cannot fire
+        at keeps no injector, so it runs the schedule it runs with no
+        plan at all, and an empty spec changes nothing.
 
         ``recovery`` may supply an existing
         :class:`~repro.core.recovery.RecoveryManager`; one is created on
         demand when the spec schedules crashes on a Xenic cluster.
         """
         self.sim = cluster.sim
+        spec = self.spec
         if hasattr(cluster, "fabric"):  # XenicCluster
+            # message faults and crash drops: every delivery asks
             cluster.fabric.set_injector(self)
-            for node in cluster.nodes:
-                node.nic.port._link.link.injector = self
-                node.nic.port._rx_pipe.injector = self
-            for proto in cluster.protocols:
-                proto.runtime.injector = self
-            if self.spec.crashes and recovery is None:
+            if spec.stall:
+                for node in cluster.nodes:
+                    node.nic.port._link.link.injector = self
+                    node.nic.port._rx_pipe.injector = self
+            if spec.nic_stall:
+                for proto in cluster.protocols:
+                    proto.runtime.injector = self
+            if spec.crashes and recovery is None:
                 from ..core.recovery import RecoveryManager
 
                 recovery = RecoveryManager(cluster)
             self.recovery = recovery
         else:  # BaselineCluster
-            for node in cluster.nodes:
-                node.rdma.injector = self
-                node.rdma._wire.injector = self
-            if self.spec.crashes:
+            if spec.rdma_fail:
+                for node in cluster.nodes:
+                    node.rdma.injector = self
+            if spec.stall:
+                for node in cluster.nodes:
+                    node.rdma._wire.injector = self
+            if spec.crashes:
                 raise ValueError(
                     "crash scheduling requires a Xenic cluster "
                     "(baselines model no recovery path)")

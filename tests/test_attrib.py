@@ -143,16 +143,20 @@ def test_attribution_on_baseline_system():
 
 def test_observer_neutral_with_attribution_installed():
     """An observed run commits the same transactions as an unobserved one
-    (attribution instrumentation must not perturb timing)."""
-    wl = Smallbank(3, accounts_per_server=1500, hot_keys_fraction=0.25,
-                   seed=7)
-    plain = Bench("xenic", wl, n_nodes=3, seed=7)
-    r0 = plain.measure(3, warmup_us=60.0, window_us=200.0)
-    wl2 = Smallbank(3, accounts_per_server=1500, hot_keys_fraction=0.25,
-                    seed=7)
-    observed = Bench("xenic", wl2, n_nodes=3, seed=7, obs=True)
-    r1 = observed.measure(3, warmup_us=60.0, window_us=200.0)
-    assert r0.commits == r1.commits
-    assert r0.aborts == r1.aborts
-    assert r0.median_latency_us == pytest.approx(r1.median_latency_us)
-    assert r0.p99_latency_us == pytest.approx(r1.p99_latency_us)
+    (attribution instrumentation must not perturb timing) — at low load
+    and at c=64, where NIC cores queue and the attribution explains the
+    peak the benchmark measures."""
+    def run(concurrency, **obs):
+        wl = Smallbank(3, accounts_per_server=1500, hot_keys_fraction=0.25,
+                       seed=7)
+        bench = Bench("xenic", wl, n_nodes=3, seed=7, **obs)
+        return bench, bench.measure(concurrency, warmup_us=60.0,
+                                    window_us=200.0)
+
+    for concurrency in (3, 64):
+        _plain, r0 = run(concurrency)
+        observed, r1 = run(concurrency, obs=True)
+        assert (r0.commits, r0.aborts) == (r1.commits, r1.aborts)
+        assert r0.median_latency_us == r1.median_latency_us
+        assert r0.p99_latency_us == r1.p99_latency_us
+        assert attribute_bench(observed).count > 0

@@ -2,16 +2,16 @@
 
 Fusion is the model: a delay chain whose length is known up front runs
 as one callback event, and each fused site falls back to its stepwise
-form when an observer, a fault injector or core contention needs the
-intermediate instants.  The fallbacks are meant to be invisible in the
-simulated results.  That holds while NIC cores have no waiters, which is
-the load the golden point (c=16) applies; under core queueing the fused
-inbound dispatch and the stepwise one are known to differ.  The tests
-here pin the digest at the benchmark's peak load (c=64) on the engine's
-queue and on the heap oracle, the recorded observed-vs-unobserved
-difference at that load, equality of fused paths and their fallbacks
-where it does hold, how much of each the pinned runs exercise, and the
-event count the fused paths exist to deliver.
+form only for what the traffic or the fault plan decides — no free
+core, or a fault kind that can fire at that site.  Who is attached
+decides nothing: an Observer gets the fused form's spans from the
+instants it computed, and a plan with no kind for a site is not
+installed there.  The tests here pin the digest at the benchmark's
+peak load (c=64) on the engine's queue and on the heap oracle,
+unobserved, observed and under an empty fault plan alike; equality of
+the fused paths and the stepwise reference where it holds (c=16, NIC
+cores almost never queue); how much of each the pinned runs exercise;
+and the event count the fused paths exist to deliver.
 """
 
 import contextlib
@@ -35,17 +35,27 @@ FIG8D_PEAK_DIGEST = (
     "9d3c521bdbd3ec7be53fddf8c1e3cce6b7c3e4e337760aad0b454a9bdfd21f83")
 
 
+# Every fault kind a fused site selects on, at a probability that never
+# fires: each category draws from its own child stream, so nothing else
+# in the run moves.
+NEVER_FIRING = FaultSpec(stall=1e-300, nic_stall=1e-300, rdma_fail=1e-300)
+
+
 @contextlib.contextmanager
-def stepwise_fallbacks():
-    """A ``Bench`` built inside runs every fused site that selects on a
-    fault injector (inbound dispatch, link parks, worker batches, RDMA
-    verb chains) on its stepwise fallback: it gets a fault plan that
-    injects nothing."""
-    set_default_faults(FaultSpec())
+def default_faults(spec):
+    set_default_faults(spec)
     try:
         yield
     finally:
         set_default_faults(None)
+
+
+def stepwise_fallbacks():
+    """A ``Bench`` built inside runs every fused site that selects on a
+    fault injector (inbound dispatch, host logic, link parks, worker
+    batches, RDMA verb chains) on its stepwise fallback — the reference
+    the fused forms are compared against."""
+    return default_faults(NEVER_FIRING)
 
 
 def smallbank_bench(system, accounts, **kwargs):
@@ -75,59 +85,57 @@ def test_peak_digest_pinned_on_default_leg(monkeypatch, queue):
     assert canonical_digest(fig8d_peak_payload()) == FIG8D_PEAK_DIGEST
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "fused dispatch takes a NIC core inside the delivery callback and "
-    "holds it across the c1|c2 split; the stepwise dispatch an observed "
-    "run falls back to asks one scheduler step later and re-queues in "
-    "between, so the two differ once cores have waiters (ROADMAP item 5: "
-    "observed runs must be made to follow the fused order)"))
 def test_peak_digest_observer_neutral():
-    """Known difference, recorded so it cannot be forgotten or fixed
-    unnoticed: at peak load ``repro.obs.attrib`` explains a different
-    schedule from the one the benchmark measures.  On the fig8d cluster
-    with warm-up 100 us / window 300 us, observed and unobserved runs
-    agree at c=16 (the golden point, no core ever queues); at c=64 the
-    unobserved run gives 7721 commits / 1093 aborts over the whole run
-    (5795 / 842 in the window, p50 9.41 us), the observed one 7438 /
-    1112 (5544 / 851, p50 9.79 us).  The site is
-    XenicProtocol._dispatch, whose fast form declines under an observer."""
+    """At peak load ``repro.obs.attrib`` explains the schedule the
+    benchmark measures: on the fig8d cluster with warm-up 100 us /
+    window 300 us at c=64 the observed run gives the unobserved run's
+    7721 commits / 1093 aborts over the whole run (5795 / 842 in the
+    window, p50 9.41 us)."""
     assert canonical_digest(fig8d_peak_payload(obs=True)) == FIG8D_PEAK_DIGEST
 
 
-def golden_run(concurrency, obs=False):
+def golden_run(concurrency, obs=False, faults=None):
     """One run of the golden cluster: its digest and, summed over the
     cluster's protocols, how many inbound dispatches took the generic
-    stepwise fallback and how many requests were sent."""
-    bench, payload = _fig8d_run(concurrency, obs)
-    stats = [proto.stats for proto in bench.cluster.protocols]
+    stepwise fallback."""
+    with default_faults(faults):
+        bench, payload = _fig8d_run(concurrency, obs)
     return (canonical_digest(payload),
-            sum(s.get("stepwise_dispatches") for s in stats),
-            sum(s.get("requests_sent") for s in stats))
+            sum(proto.stats.get("stepwise_dispatches")
+                for proto in bench.cluster.protocols))
 
 
-def test_pins_cover_fast_path_fallback_and_mix():
-    """What the three pinned digests exercise, counted rather than
-    assumed.  An Observer and an injector each send every inbound
-    dispatch down the fallback, so either count is the total (11,078 at
-    c=16, and the run is observer-neutral there).  Unobserved, the golden
-    point is the fast path (3 of them fall back: a NIC core does, rarely,
-    queue) and the peak point a mix (2,342 of 36,551; 17,752 requests
-    sent)."""
-    fast, fast_stepwise, _ = golden_run(16)
-    observed, total, _ = golden_run(16, obs=True)
-    with stepwise_fallbacks():
-        injected, injected_stepwise, _ = golden_run(16)
-    peak, peak_stepwise, peak_sent = golden_run(64)
-    assert fast == observed == injected == FIG8D_DIGEST
-    assert peak == FIG8D_PEAK_DIGEST
-    assert injected_stepwise == total > 0
-    assert fast_stepwise < 0.001 * total
-    assert 0 < peak_stepwise < peak_sent
+def test_pins_cover_fast_path_fallback_and_mix(monkeypatch):
+    """What the pinned digests exercise, counted rather than assumed,
+    and the same whoever is attached — no one, an Observer, a fault plan
+    that can inject nothing: the golden point is the fast path (3 of
+    11,078 inbound dispatches fall back: a NIC core does, rarely, queue)
+    and the peak point a mix (2,342 of 36,551).  Only the forced
+    reference sends every dispatch down the fallback, and at the golden
+    point it reaches the same digest."""
+    from repro.core.protocol import XenicProtocol
+
+    dispatched = []
+    dispatch = XenicProtocol._dispatch
+    monkeypatch.setattr(
+        XenicProtocol, "_dispatch",
+        lambda self, *a: (dispatched.append(1), dispatch(self, *a))[1])
+    for mode in ({}, {"obs": True}, {"faults": FaultSpec()}):
+        del dispatched[:]
+        assert golden_run(16, **mode) == (FIG8D_DIGEST, 3), mode
+        assert len(dispatched) == 11078
+        del dispatched[:]
+        assert golden_run(64, **mode) == (FIG8D_PEAK_DIGEST, 2342), mode
+        assert len(dispatched) == 36551
+    del dispatched[:]
+    assert golden_run(16, faults=NEVER_FIRING) == (FIG8D_DIGEST, 11078)
+    assert len(dispatched) == 11078
 
 
 def test_attribution_sums_with_fusion_on():
-    """Per-phase latency attribution stays exact (the observed run takes
-    the stepwise fallbacks, so every annotation point still exists)."""
+    """Per-phase latency attribution stays exact (the fused forms emit
+    every annotation the stepwise ones do, from their computed
+    instants)."""
     from repro.obs.attrib import attribute_bench
 
     bench = smallbank_bench("xenic", 1500, obs=True)

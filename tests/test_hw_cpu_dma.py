@@ -62,6 +62,49 @@ def test_core_group_utilization():
     assert cores.utilization() == pytest.approx(0.6)
 
 
+def test_every_form_books_a_job_the_same():
+    """One job of the same wall cost reads the same in ``jobs_executed``
+    and ``busy_us`` whether it ran as a process, a hold or a lazy charge
+    (0.12 us does not survive the wall -> reference -> wall round trip
+    on the NIC's speed ratio, so raw and round-tripped costs differ)."""
+    wall = 0.12
+
+    def booked(occupy):
+        sim = Simulator()
+        cores = CoreGroup(sim, LIQUIDIO3_CPU, cores=2)
+        occupy(sim, cores)
+        sim.run()
+        return cores.jobs_executed, cores.busy_us
+
+    def hold(sim, cores):
+        sim.call_at(cores.try_hold((wall,)), lambda _e: cores.pool.release())
+
+    stepwise = booked(lambda sim, cores: cores.execute_wall(wall))
+    assert stepwise[1] != wall
+    assert booked(hold) == stepwise
+    assert booked(lambda sim, cores: cores.charge_wall(wall)) == stepwise
+
+
+def test_observed_holds_and_charges_keep_to_their_lanes():
+    """Under a sink every form logs its jobs, the fused ones from their
+    computed instants; a lane a hold or a lazy charge occupies is not
+    handed out again before it ends."""
+    sim = Simulator()
+    cores = CoreGroup(sim, XEON_GOLD_5218, cores=2)
+    spans = []
+    cores.attach_obs(
+        type("Sink", (), {"core_job": lambda self, *a: spans.append(a[2:])})(),
+        0, "host")
+    cores.charge_wall(3.0)                      # lane 0 until t=3
+    end = cores.try_hold((1.0, 1.0))            # lane 1 until t=2
+    sim.call_at(end, lambda _e: (cores.pool.release(),
+                                 cores.charge_wall(2.0)))
+    sim.run()
+    assert spans == [(0, 0.0, 3.0), (1, 0.0, 1.0), (1, 1.0, 2.0),
+                     (1, 2.0, 4.0)]
+    assert cores.jobs_executed == 4 and cores.busy_us == 7.0
+
+
 def test_core_group_validates_core_count():
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -261,6 +261,31 @@ def test_observer_spans_every_entry_the_protocol_dispatches():
     assert count["phase", "nic_local_commit"] == 2
 
 
+def phase_spans_of_one_txn(keys):
+    sim, cluster = make_xenic()
+    obs = Observer(sim).install(cluster)
+    spec = TxnSpec(read_keys=keys, write_keys=keys,
+                   logic=lambda r, s: {k: "t" for k in keys})
+    proc = sim.spawn(cluster.protocols[0].run_transaction(spec))
+    txn = sim.run_until_event(proc, limit=1e7)
+    sim.run()
+    spans = [e for e in obs.log.spans() if e.cat == "phase"]
+    assert {e.txn_id for e in spans} == {txn.txn_id}
+    assert all(e.dur >= 0 for e in spans)
+    return {e.name for e in spans}
+
+
+def test_observer_phase_spans_on_standard_path():
+    # two remote shards -> standard (non-multihop) path
+    names = phase_spans_of_one_txn([1, 2])
+    assert {"phase_execute", "phase_log"} <= names
+    assert "multihop" not in names
+
+
+def test_observer_phase_spans_on_multihop_path():
+    assert "multihop" in phase_spans_of_one_txn([1])
+
+
 def test_observer_install_fails_loud_on_a_stale_span_list(monkeypatch):
     from repro.obs import observer
 
@@ -320,6 +345,60 @@ def test_observer_neutral_for_bench_results():
                 r.p99_latency_us, r.mean_latency_us, r.commits, r.aborts)
 
     assert run(False) == run(True)
+
+
+# Every (cat, name) an observed run of the golden cluster (c=16) logged
+# while each observed dispatch still took the stepwise form; the fused
+# form's own emission must log the same.
+GOLDEN_SPAN_COUNTS = {
+    ("attrib", "backoff"): 72, ("attrib", "dma"): 8231,
+    ("attrib", "host"): 3005, ("attrib", "wire"): 5838,
+    ("dma", "vector"): 3071,
+    ("phase", "multihop"): 1452, ("phase", "nic_coordinate"): 1911,
+    ("phase", "nic_local_commit"): 473, ("phase", "phase_commit"): 202,
+    ("phase", "phase_execute"): 463, ("phase", "phase_log"): 204,
+    ("phase", "phase_validate"): 446, ("phase", "run_logic"): 206,
+    ("server", "commit_core"): 2722, ("server", "execute_core"): 678,
+    ("server", "handle_exec_ship"): 1473, ("server", "log_core"): 5509,
+    ("server", "unlock_core"): 8,
+    ("txn", "abort"): 72, ("txn", "amalgamate"): 389,
+    ("txn", "balance"): 369, ("txn", "deposit_checking"): 345,
+    ("txn", "send_payment"): 588, ("txn", "transact_savings"): 397,
+    ("txn", "write_check"): 361,
+}
+# Spans of work on a core: no fewer, and a few more core jobs — a hold or
+# a lazy charge logs its jobs when it is taken, so the ones still in
+# flight when the run stops are in the log too.
+GOLDEN_CORE_SPANS = {("core", "job"): 36794, ("attrib", "nic"): 14884}
+
+
+def test_fused_forms_emit_the_stepwise_spans_on_the_golden_cluster():
+    from repro.bench.golden import _fig8d_run
+
+    bench, _payload = _fig8d_run(16, obs=True)
+    log = bench.observer.log
+    assert log.dropped == 0
+    count = Counter((e.cat, e.name) for e in log)
+    for key, floor in GOLDEN_CORE_SPANS.items():
+        assert floor <= count.pop(key) <= floor * 1.001, key
+    assert count == GOLDEN_SPAN_COUNTS
+    lanes = {}
+    for e in log.spans():
+        if e.cat == "core":
+            lanes.setdefault((e.node, e.track), []).append(
+                (e.ts, e.ts + e.dur))
+    assert all(".c" in lane for _node, lane in lanes)
+    for node in bench.cluster.nodes:
+        for group, track in ((node.nic.cores, "nic"),
+                             (node.host_app_cores, "host"),
+                             (node.worker_cores, "worker")):
+            used = [lane for n, lane in lanes
+                    if n == node.node_id and lane.startswith(track + ".c")]
+            assert 0 < len(used) <= group.cores
+    for jobs in lanes.values():
+        jobs.sort()
+        assert all(end <= start
+                   for (_s, end), (start, _e) in zip(jobs, jobs[1:]))
 
 
 # ---------------------------------------------------------------------------
