@@ -7,29 +7,31 @@ CX5 RDMA model.  They differ only in which verb implements each phase —
 exactly the §5.1 comparison axes — expressed here as strategy methods that
 each variant overrides.
 
-Locks and versions live on the host :class:`VersionedObject`s; one-sided
-verbs mutate them via their ``on_target`` linearization callback, and RPC
-handlers charge target host cores.
+Locks and versions live on the host :class:`VersionedObject`s, reached
+through the participant verbs of their table
+(:class:`~repro.store.object.ObjectTable`); one-sided verbs run them in
+their ``on_target`` linearization callback, and RPC handlers charge
+target host cores.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..hw.cpu import CoreGroup
 from ..hw.params import HardwareParams, TESTBED
 from ..hw.rdma import RdmaNic
 from ..sim.collector import collector_quiet
 from ..sim.core import Simulator
-from ..sim.stats import Counter
 from ..store.chained import ChainedTable
 from ..store.object import VersionedObject
-from ..store.replicas import group_by_shard, load_replicas
-from ..core.txn import Transaction, TxnSpec, TxnStatus
+from ..store.replicas import group_keys, group_values
+from ..core.cluster import ShardedCluster
+from ..core.node import ReplicaPlacement
+from ..core.txn import Coordinator, Transaction
 
 __all__ = ["BaselineNode", "BaselineCluster", "BaselineCoordinator"]
 
-ABORT_BACKOFF_US = 1.5
 # host core cost of issuing one RDMA verb: doorbell write, WQE build,
 # completion poll amortization (FaSST/Herd report 0.2-0.4us per verb)
 ISSUE_WALL_US = 0.15
@@ -41,7 +43,7 @@ OBJ_HEADER = 16  # key + version + lock word alongside the value
 RECORD_HEADER = 24
 
 
-class BaselineNode:
+class BaselineNode(ReplicaPlacement):
     """One server: host cores + RDMA NIC + replicated chained tables."""
 
     def __init__(
@@ -56,11 +58,9 @@ class BaselineNode:
         hardware: HardwareParams,
         bucket_size: int = 8,
     ):
+        super().__init__(node_id, n_nodes, replication_factor)
         self.sim = sim
-        self.node_id = node_id
-        self.n_nodes = n_nodes
         self.value_size = value_size
-        self.replication_factor = min(replication_factor, n_nodes)
         self.host_cores = CoreGroup(
             sim, hardware.host.cpu, cores=host_threads,
             name="b%d.host" % node_id,
@@ -76,24 +76,9 @@ class BaselineNode:
             self.tables[shard] = ChainedTable(
                 n_buckets, bucket_size=bucket_size, hash_salt=shard
             )
-        self.txn_seq = 0
-
-    def replicated_shards(self) -> List[int]:
-        return [(self.node_id - i) % self.n_nodes
-                for i in range(self.replication_factor)]
-
-    def backups_of(self, shard: int) -> List[int]:
-        return [(shard + i) % self.n_nodes
-                for i in range(1, self.replication_factor)]
-
-    def next_txn_id(self) -> int:
-        self.txn_seq += 1
-        from ..core.txn import make_txn_id
-
-        return make_txn_id(self.node_id, self.txn_seq)
 
 
-class BaselineCluster:
+class BaselineCluster(ShardedCluster):
     """A cluster of baseline nodes running one system variant."""
 
     def __init__(
@@ -141,68 +126,17 @@ class BaselineCluster:
     def backups_of(self, shard: int) -> List[int]:
         return self.nodes[shard].backups_of(shard)
 
-    def load_key(self, key: int, value=None, size: Optional[int] = None) -> None:
-        self.load_keys(((key, value, size),))
-
-    def load_keys(self, items: Iterable[Tuple[int, object, Optional[int]]]
-                  ) -> None:
-        """Install ``(key, value, size)`` items (``size`` None: the
-        cluster's ``value_size``) on their primaries and every backup
-        replica, each table receiving its keys in the order given."""
-        with collector_quiet:
-            by_shard = group_by_shard(items, self.partition, self.value_size)
-            for shard, objs in by_shard.items():
-                load_replicas(
-                    self.nodes[shard].tables[shard],
-                    [self.nodes[n].tables[shard]
-                     for n in self.backups_of(shard)],
-                    objs,
-                )
-
     def read_committed_value(self, key: int):
         shard = self.shard_of(key)
         obj = self.nodes[shard].tables[shard].get_object(key)
         return obj.value if obj is not None else None
 
 
-class BaselineCoordinator:
-    """Base OCC coordinator; variants override the ``_remote_*`` hooks."""
+class BaselineCoordinator(Coordinator):
+    """Base OCC coordinator (``run_transaction``: the shared retry
+    driver); variants override the ``_remote_*`` hooks."""
 
     name = "baseline"
-
-    def __init__(self, cluster: BaselineCluster, node: BaselineNode):
-        self.cluster = cluster
-        self.node = node
-        self.sim = node.sim
-        self.stats = Counter()
-        # Observability sink (repro.obs.Observer); None disables spans.
-        self.obs = None
-        # Optional abort callback (bench harnesses record abort latencies
-        # through it); called with the Transaction on every aborted attempt.
-        self.on_abort = None
-
-    # -- public API ------------------------------------------------------------
-
-    def run_transaction(self, spec: TxnSpec):
-        txn = Transaction(self.node.next_txn_id(), self.node.node_id, spec)
-        txn.started_at = self.sim.now
-        while True:
-            ok = yield from self._attempt(txn)
-            if ok:
-                break
-            self.stats.inc("aborts")
-            if self.obs is not None:
-                self.obs.txn_abort(self.node.node_id, txn)
-            if self.on_abort is not None:
-                self.on_abort(txn)
-            txn.reset_for_retry()
-            yield self.sim.timeout(ABORT_BACKOFF_US * min(txn.attempts, 16))
-        txn.committed_at = self.sim.now
-        txn.status = TxnStatus.COMMITTED
-        self.stats.inc("commits")
-        if self.obs is not None:
-            self.obs.txn_commit(self.node.node_id, txn)
-        return txn
 
     # -- shared skeleton ------------------------------------------------------------
 
@@ -210,40 +144,48 @@ class BaselineCoordinator:
         spec = txn.spec
         if spec.local_compute_us > 0:
             yield from self.node.host_cores.run(spec.local_compute_us)
-        by_shard = self._group_by_shard(spec)
+        by_shard = group_keys(spec.read_keys, spec.write_keys,
+                              self.cluster.shard_of)
         ok = yield from self._execute_phase(txn, by_shard)
-        if not ok:
-            yield from self._abort_cleanup(txn)
-            return False
-        if not txn.read_only:
-            if spec.logic_cost_us > 0:
-                yield from self.node.host_cores.run(spec.logic_cost_us)
-            txn.write_values = txn.run_logic()
-        ok = yield from self._validate_phase(txn)
-        if not ok:
-            yield from self._abort_cleanup(txn)
-            return False
-        if txn.read_only:
+        if ok:
+            if not txn.read_only:
+                if spec.logic_cost_us > 0:
+                    yield from self.node.host_cores.run(spec.logic_cost_us)
+                txn.write_values = txn.run_logic()
+            ok = yield from self._validate_phase(txn)
+        if ok and txn.read_only:
             yield from self._release_read_locks(txn)
             return True
-        ok = yield from self._log_phase(txn)
+        if ok:
+            writes_by_shard = group_values(txn.write_values,
+                                           self.cluster.shard_of)
+            ok = yield from self._log_phase(txn, writes_by_shard)
         if not ok:
             yield from self._abort_cleanup(txn)
             return False
         # commit point: writes are durable on all backups
-        self.sim.spawn(self._commit_phase(txn), name="%s-commit" % self.name)
+        self.sim.spawn(self._commit_phase(txn, writes_by_shard),
+                       name="%s-commit" % self.name)
         return True
 
-    def _group_by_shard(self, spec: TxnSpec):
-        groups: Dict[int, Tuple[List[int], List[int]]] = {}
-        for k in spec.read_keys:
-            groups.setdefault(self.cluster.shard_of(k), ([], []))[0].append(k)
-        for k in spec.write_keys:
-            groups.setdefault(self.cluster.shard_of(k), ([], []))[1].append(k)
-        return groups
+    def _primary_table(self, shard: int) -> ChainedTable:
+        return self.cluster.nodes[shard].tables[shard]
 
     def _primary_obj(self, shard: int, key: int) -> Optional[VersionedObject]:
-        return self.cluster.nodes[shard].tables[shard].get_object(key)
+        return self._primary_table(shard).get_object(key)
+
+    def _read_obj(self, shard: int, key: int) -> Tuple[object, int]:
+        """``(value, version)`` of ``key`` at its primary; a missing key
+        reads as ``(None, 0)``."""
+        obj = self._primary_obj(shard, key)
+        return (None, 0) if obj is None else (obj.value, obj.version)
+
+    def _still_current(self, txn: Transaction, shard: int, keys) -> bool:
+        """Read validation at ``shard``'s primary of the versions ``txn``
+        captured for ``keys``."""
+        read_values = txn.read_values
+        return self._primary_table(shard).reads_current(
+            [(k, read_values[k][1]) for k in keys], txn.txn_id)
 
     def _obj_bytes(self, shard: int, key: int) -> int:
         obj = self._primary_obj(shard, key)
@@ -273,21 +215,18 @@ class BaselineCoordinator:
         yield from self.node.host_cores.run_wall(
             HOST_PER_KEY_US * max(1, len(rkeys) + len(wkeys))
         )
+        # key by key, each lock recorded as taken: one lost to a conflict
+        # leaves the earlier ones held until the abort cleanup
+        table = self._primary_table(shard)
         for k in wkeys:
-            obj = self._primary_obj(shard, k)
-            if obj is None or not obj.try_lock(txn.txn_id):
+            if not table.try_lock(k, txn.txn_id):
                 self.stats.inc("lock_conflicts")
                 return False
             txn.record_lock(shard, k)
         for k in rkeys:
-            obj = self._primary_obj(shard, k)
-            if obj is None:
-                txn.read_values[k] = (None, 0)
-            else:
-                txn.read_values[k] = (obj.value, obj.version)
+            txn.read_values[k] = self._read_obj(shard, k)
         for k in wkeys:
-            obj = self._primary_obj(shard, k)
-            txn.read_values.setdefault(k, (None, obj.version if obj else 0))
+            txn.read_values.setdefault(k, (None, self._read_obj(shard, k)[1]))
         return True
 
     def _remote_execute(self, txn, shard, rkeys, wkeys):  # pragma: no cover
@@ -301,11 +240,9 @@ class BaselineCoordinator:
         to_check = [k for k in spec.read_keys if k not in write_set]
         if not to_check:
             return True
-        groups: Dict[int, List[int]] = {}
-        for k in to_check:
-            groups.setdefault(self.cluster.shard_of(k), []).append(k)
         evs = []
-        for shard, keys in groups.items():
+        for shard, (keys, _none) in group_keys(
+                to_check, (), self.cluster.shard_of).items():
             if shard == self.node.node_id:
                 gen = self._local_validate(txn, shard, keys)
             else:
@@ -319,14 +256,7 @@ class BaselineCoordinator:
 
     def _local_validate(self, txn, shard, keys):
         yield from self.node.host_cores.run_wall(HOST_PER_KEY_US * len(keys))
-        for k in keys:
-            obj = self._primary_obj(shard, k)
-            _v, ver = txn.read_values[k]
-            if obj is None or obj.version != ver or (
-                obj.locked and obj.lock_owner != txn.txn_id
-            ):
-                return False
-        return True
+        return self._still_current(txn, shard, keys)
 
     def _remote_validate(self, txn, shard, keys):  # pragma: no cover
         raise NotImplementedError
@@ -338,9 +268,9 @@ class BaselineCoordinator:
         vb = write_bytes if write_bytes is not None else self.cluster.value_size
         return RECORD_HEADER + len(writes) * (16 + vb)
 
-    def _log_phase(self, txn: Transaction):
+    def _log_phase(self, txn: Transaction, writes_by_shard):
         evs = []
-        for shard, writes in self._writes_by_shard(txn).items():
+        for shard, writes in writes_by_shard.items():
             for backup in self.cluster.backups_of(shard):
                 evs.append(
                     self.sim.spawn(
@@ -350,12 +280,6 @@ class BaselineCoordinator:
                 )
         results = yield self.sim.all_of(evs)
         return all(results)
-
-    def _writes_by_shard(self, txn: Transaction):
-        groups: Dict[int, Dict[int, object]] = {}
-        for k, v in txn.write_values.items():
-            groups.setdefault(self.cluster.shard_of(k), {})[k] = v
-        return groups
 
     def _log_one(self, txn, shard, backup, writes):
         versions = {
@@ -368,12 +292,7 @@ class BaselineCoordinator:
             # background application charged to the backup's host cores
             node.host_cores.execute_wall(APPLY_WALL_US * max(1, len(writes)))
             for k, v in writes.items():
-                obj = table.get_object(k)
-                if obj is None:
-                    obj = VersionedObject(k, value=v, size=node.value_size)
-                    table.insert(k, obj)
-                obj.value = v
-                obj.version = versions[k]
+                table.get_or_create(k, node.value_size).install(v, versions[k])
             return True
 
         if backup == self.node.node_id:
@@ -405,8 +324,8 @@ class BaselineCoordinator:
 
     # -- COMMIT ------------------------------------------------------------
 
-    def _commit_phase(self, txn: Transaction):
-        for shard, writes in self._writes_by_shard(txn).items():
+    def _commit_phase(self, txn: Transaction, writes_by_shard):
+        for shard, writes in writes_by_shard.items():
             if shard == self.node.node_id:
                 yield from self.node.host_cores.run_wall(
                     HOST_PER_KEY_US * max(1, len(writes))
@@ -416,17 +335,10 @@ class BaselineCoordinator:
                 yield from self._remote_commit(txn, shard, writes)
 
     def _apply_commit_at(self, shard: int, txn, writes: Dict[int, object]) -> None:
-        table = self.cluster.nodes[shard].tables[shard]
+        table = self._primary_table(shard)
         for k, v in writes.items():
-            obj = table.get_object(k)
-            if obj is None:
-                obj = VersionedObject(k, value=v,
-                                      size=self.cluster.value_size)
-                table.insert(k, obj)
-                obj.lock_owner = txn.txn_id
-            obj.commit_write(v)
-            if obj.lock_owner == txn.txn_id:
-                obj.unlock(txn.txn_id)
+            table.get_or_create(k, self.cluster.value_size).commit_write(v)
+        table.unlock_all(writes, txn.txn_id)
 
     def _remote_commit(self, txn, shard, writes):  # pragma: no cover
         raise NotImplementedError
@@ -436,10 +348,7 @@ class BaselineCoordinator:
     def _abort_cleanup(self, txn: Transaction):
         for shard, keys in list(txn.locked.items()):
             if shard == self.node.node_id:
-                for k in keys:
-                    obj = self._primary_obj(shard, k)
-                    if obj is not None and obj.lock_owner == txn.txn_id:
-                        obj.unlock(txn.txn_id)
+                self._primary_table(shard).unlock_all(keys, txn.txn_id)
             else:
                 yield from self._remote_unlock(txn, shard, keys)
         txn.clear_locks()

@@ -41,30 +41,21 @@ class DrTMH(BaselineCoordinator):
         per_bucket = table.b * (self.cluster.value_size + OBJ_HEADER)
         return [per_bucket] * max(1, res.roundtrips)
 
-    def _one_sided_read(self, txn, shard, key):
-        """Sequential READ roundtrips, last one observing the object."""
+    def _read_chain(self, shard, key, observe, last_bytes=None):
+        """The sequential READ roundtrips of one remote lookup, the last
+        one (of ``last_bytes``, if given) running ``observe`` at the
+        target; returns what it observed."""
         sizes = self._read_roundtrips(shard, key)
+        if last_bytes is not None:
+            sizes[-1] = last_bytes
         target = self._rdma_to(shard)
-        result = {}
-
-        def observe():
-            obj = self._primary_obj(shard, key)
-            if obj is None:
-                result[key] = (None, 0, False)
-            else:
-                result[key] = (
-                    obj.value, obj.version,
-                    obj.locked and obj.lock_owner != txn.txn_id,
-                )
-            return result[key]
-
         for i, nbytes in enumerate(sizes):
             yield from self._issue()
             last = i == len(sizes) - 1
-            value = yield self.node.rdma.read(
+            seen = yield self.node.rdma.read(
                 target, nbytes, on_target=observe if last else None
             )
-        return value
+        return seen
 
     # -- EXECUTE ------------------------------------------------------------
 
@@ -73,30 +64,28 @@ class DrTMH(BaselineCoordinator):
         # version (+ lock word), in parallel (doorbell-batched)
         all_keys = list(dict.fromkeys(rkeys + wkeys))
         read_evs = [
-            self.sim.spawn(self._one_sided_read(txn, shard, k), name="osr")
+            self.sim.spawn(
+                self._read_chain(shard, k,
+                                 lambda k=k: self._read_obj(shard, k)),
+                name="osr")
             for k in all_keys
         ]
         results = yield self.sim.all_of(read_evs)
-        for k, (value, version, _locked) in zip(all_keys, results):
-            txn.read_values[k] = (value, version)
+        txn.read_values.update(zip(all_keys, results))
         # write-set keys then need a *separate* lock RPC (writes go over
         # RPC in DrTM+H); the handler verifies the version read earlier is
         # still current, so locking doubles as write-set validation
         if not wkeys:
             return True
-        expected = {k: txn.read_values[k][1] for k in wkeys}
 
         def lock_at_versions():
-            acquired = []
-            for k in wkeys:
-                obj = self._primary_obj(shard, k)
-                if (obj is None or obj.version != expected[k]
-                        or not obj.try_lock(txn.txn_id)):
-                    for kk in acquired:
-                        self._primary_obj(shard, kk).unlock(txn.txn_id)
-                    return False
-                acquired.append(k)
-            return True
+            table = self._primary_table(shard)
+            if not table.lock_all(wkeys, txn.txn_id):
+                return False
+            if self._still_current(txn, shard, wkeys):
+                return True
+            table.unlock_all(wkeys, txn.txn_id)
+            return False
 
         yield from self._issue()
         req = RPC_HEADER + (PER_KEY + 6) * len(wkeys)
@@ -115,68 +104,41 @@ class DrTMH(BaselineCoordinator):
     # -- VALIDATE ------------------------------------------------------------
 
     def _remote_validate(self, txn, shard, keys):
+        # re-read the version word (+lock) with one-sided READ(s), a
+        # version-only read on the final hop
         evs = [
-            self.sim.spawn(self._validate_one(txn, shard, k), name="val1")
+            self.sim.spawn(
+                self._read_chain(
+                    shard, k,
+                    lambda k=k: self._still_current(txn, shard, (k,)),
+                    last_bytes=OBJ_HEADER),
+                name="val1")
             for k in keys
         ]
         results = yield self.sim.all_of(evs)
         return all(results)
 
-    def _validate_one(self, txn, shard, k):
-        # re-read the version word (+lock) with one-sided READ(s)
-        sizes = self._read_roundtrips(shard, k)
-        sizes[-1] = OBJ_HEADER  # version-only read on the final hop
-        target = self._rdma_to(shard)
-
-        def observe():
-            obj = self._primary_obj(shard, k)
-            if obj is None:
-                return (0, True)
-            return (obj.version,
-                    obj.locked and obj.lock_owner != txn.txn_id)
-
-        for i, nbytes in enumerate(sizes):
-            yield from self._issue()
-            last = i == len(sizes) - 1
-            out = yield self.node.rdma.read(
-                target, nbytes, on_target=observe if last else None
-            )
-        version, locked = out
-        if locked or version != txn.read_values[k][1]:
-            return False
-        return True
-
     # -- COMMIT ------------------------------------------------------------
 
     def _remote_commit(self, txn, shard, writes):
-        def apply_commit():
-            self._apply_commit_at(shard, txn, writes)
-            return True
-
         yield from self._issue()
         req = RPC_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
         yield self.node.rdma.rpc(
             self._rdma_to(shard), req, RPC_HEADER,
             handler_ref_us=HOST_PER_KEY_US * len(writes),
-            on_target=apply_commit,
+            on_target=lambda: self._apply_commit_at(shard, txn, writes),
         )
 
     # -- aborts ------------------------------------------------------------
 
     def _remote_unlock(self, txn, shard, keys):
-        def unlock():
-            for k in keys:
-                obj = self._primary_obj(shard, k)
-                if obj is not None and obj.lock_owner == txn.txn_id:
-                    obj.unlock(txn.txn_id)
-            return True
-
         yield from self._issue()
         req = RPC_HEADER + PER_KEY * len(keys)
         yield self.node.rdma.rpc(
             self._rdma_to(shard), req, RPC_HEADER,
             handler_ref_us=HOST_PER_KEY_US * len(keys),
-            on_target=unlock,
+            on_target=lambda: self._primary_table(shard).unlock_all(
+                keys, txn.txn_id),
         )
 
 

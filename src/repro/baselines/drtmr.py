@@ -25,14 +25,14 @@ class DrTMR(BaselineCoordinator):
     def _remote_execute(self, txn, shard, rkeys, wkeys):
         all_keys = list(dict.fromkeys(rkeys + wkeys))
         target = self._rdma_to(shard)
+        table = self._primary_table(shard)
         # CAS-lock every key (doorbell-batched in parallel)
         cas_evs = []
         for k in all_keys:
             def cas(k=k):
-                obj = self._primary_obj(shard, k)
-                if obj is None or not obj.try_lock(txn.txn_id):
+                if not table.try_lock(k, txn.txn_id):
                     return None
-                return obj.version
+                return self._read_obj(shard, k)[1]
 
             yield from self._issue()
             cas_evs.append(self.node.rdma.atomic(target, 8, on_target=cas))
@@ -48,13 +48,10 @@ class DrTMR(BaselineCoordinator):
         # READ each value under lock, in parallel
         read_evs = []
         for k in rkeys:
-            def observe(k=k):
-                obj = self._primary_obj(shard, k)
-                return obj.value if obj is not None else None
-
             yield from self._issue()
             read_evs.append(self.node.rdma.read(
-                target, self._obj_bytes(shard, k), on_target=observe
+                target, self._obj_bytes(shard, k),
+                on_target=lambda k=k: self._read_obj(shard, k)[0]
             ))
         if read_evs:
             values = yield self.sim.all_of(read_evs)
@@ -68,13 +65,13 @@ class DrTMR(BaselineCoordinator):
         yield from self.node.host_cores.run_wall(
             HOST_PER_KEY_US * max(1, len(all_keys))
         )
+        table = self._primary_table(shard)
         for k in all_keys:
-            obj = self._primary_obj(shard, k)
-            if obj is None or not obj.try_lock(txn.txn_id):
+            if not table.try_lock(k, txn.txn_id):
                 self.stats.inc("lock_conflicts")
                 return False
             txn.record_lock(shard, k)
-            txn.read_values[k] = (obj.value, obj.version)
+            txn.read_values[k] = self._read_obj(shard, k)
         return True
 
     # -- VALIDATE: none (everything is locked) --------------------------------
@@ -99,88 +96,50 @@ class DrTMR(BaselineCoordinator):
 
     def _commit_one(self, txn, shard, k, v):
         target = self._rdma_to(shard)
+        table = self._primary_table(shard)
         # DrTM+R writes back the updated fields plus the version word
-
-        def apply():
-            table = self.cluster.nodes[shard].tables[shard]
-            obj = table.get_object(k)
-            if obj is None:
-                from ..store.object import VersionedObject
-
-                obj = VersionedObject(k, value=v,
-                                      size=self.cluster.value_size)
-                table.insert(k, obj)
-                obj.lock_owner = txn.txn_id
-            obj.commit_write(v)
-            return True
-
         yield self.node.rdma.write(
-            target, self._write_bytes(txn) + 16, on_target=apply
+            target, self._write_bytes(txn) + 16,
+            on_target=lambda: table.get_or_create(
+                k, self.cluster.value_size).commit_write(v),
         )
+        yield self._atomic_unlock(txn, shard, k)
 
-        def unlock():
-            obj = self._primary_obj(shard, k)
-            if obj is not None and obj.lock_owner == txn.txn_id:
-                obj.unlock(txn.txn_id)
-            return True
-
-        yield self.node.rdma.atomic(target, 8, on_target=unlock)
+    def _atomic_unlock(self, txn, shard, k):
+        """One ATOMIC releasing ``k`` at ``shard`` if ``txn`` holds it."""
+        return self.node.rdma.atomic(
+            self._rdma_to(shard), 8,
+            on_target=lambda: self._primary_table(shard).unlock_if_held(
+                k, txn.txn_id))
 
     def _unlock_read_keys(self, txn, shard, exclude):
         keys = [k for k in txn.locked.get(shard, []) if k not in exclude]
-        target = self._rdma_to(shard)
-        for k in keys:
-            def unlock(k=k):
-                obj = self._primary_obj(shard, k)
-                if obj is not None and obj.lock_owner == txn.txn_id:
-                    obj.unlock(txn.txn_id)
-                return True
-
-            if shard == self.node.node_id:
-                unlock()
-                continue
-            yield from self._issue()
-            yield self.node.rdma.atomic(target, 8, on_target=unlock)
+        if shard == self.node.node_id:
+            self._primary_table(shard).unlock_all(keys, txn.txn_id)
+            return
+        yield from self._remote_unlock(txn, shard, keys)
 
     def _release_read_locks(self, txn):
         """Read-only transactions must still unlock everything."""
         for shard in list(txn.locked):
-            if shard == self.node.node_id:
-                for k in txn.locked[shard]:
-                    obj = self._primary_obj(shard, k)
-                    if obj is not None and obj.lock_owner == txn.txn_id:
-                        obj.unlock(txn.txn_id)
-            else:
-                yield from self._unlock_read_keys(txn, shard, exclude=set())
+            yield from self._unlock_read_keys(txn, shard, exclude=())
         txn.clear_locks()
 
     # -- aborts ------------------------------------------------------------
 
     def _remote_unlock(self, txn, shard, keys):
-        target = self._rdma_to(shard)
         for k in keys:
-            def unlock(k=k):
-                obj = self._primary_obj(shard, k)
-                if obj is not None and obj.lock_owner == txn.txn_id:
-                    obj.unlock(txn.txn_id)
-                return True
-
             yield from self._issue()
-            yield self.node.rdma.atomic(target, 8, on_target=unlock)
+            yield self._atomic_unlock(txn, shard, k)
 
-    def _commit_phase(self, txn):
-        yield from super()._commit_phase(txn)
+    def _commit_phase(self, txn, writes_by_shard):
+        yield from super()._commit_phase(txn, writes_by_shard)
         # remaining read locks: read-only shards, plus the local shard's
         # read keys (remote written shards were handled by _remote_commit)
-        written_shards = set(self._writes_by_shard(txn))
         for shard in list(txn.locked):
             if shard == self.node.node_id:
-                for k in txn.locked[shard]:
-                    if k in txn.write_values:
-                        continue
-                    obj = self._primary_obj(shard, k)
-                    if obj is not None and obj.lock_owner == txn.txn_id:
-                        obj.unlock(txn.txn_id)
-            elif shard not in written_shards:
-                yield from self._unlock_read_keys(txn, shard, exclude=set())
+                yield from self._unlock_read_keys(txn, shard,
+                                                  exclude=txn.write_values)
+            elif shard not in writes_by_shard:
+                yield from self._unlock_read_keys(txn, shard, exclude=())
         txn.clear_locks()

@@ -10,8 +10,6 @@ thread count in Table 3).
 
 from __future__ import annotations
 
-from typing import Dict
-
 from .common import BaselineCoordinator, HOST_PER_KEY_US, OBJ_HEADER
 
 __all__ = ["FaSST"]
@@ -39,20 +37,9 @@ class FaSST(BaselineCoordinator):
 
     def _remote_execute(self, txn, shard, rkeys, wkeys):
         def handler():
-            acquired = []
-            out: Dict[int, tuple] = {}
-            for k in wkeys:
-                obj = self._primary_obj(shard, k)
-                if obj is None or not obj.try_lock(txn.txn_id):
-                    for kk in acquired:
-                        self._primary_obj(shard, kk).unlock(txn.txn_id)
-                    return None
-                acquired.append(k)
-                out[k] = (obj.value, obj.version)
-            for k in rkeys:
-                obj = self._primary_obj(shard, k)
-                out[k] = (obj.value, obj.version) if obj is not None else (None, 0)
-            return out
+            if not self._primary_table(shard).lock_all(wkeys, txn.txn_id):
+                return None
+            return {k: self._read_obj(shard, k) for k in wkeys + rkeys}
 
         n = len(set(rkeys) | set(wkeys))
         req = RPC_HEADER + PER_KEY * n
@@ -70,18 +57,10 @@ class FaSST(BaselineCoordinator):
     # -- VALIDATE: one RPC per shard ------------------------------------------
 
     def _remote_validate(self, txn, shard, keys):
-        def handler():
-            for k in keys:
-                obj = self._primary_obj(shard, k)
-                _v, ver = txn.read_values[k]
-                if obj is None or obj.version != ver or (
-                    obj.locked and obj.lock_owner != txn.txn_id
-                ):
-                    return False
-            return True
-
         req = RPC_HEADER + (PER_KEY + PER_VERSION) * len(keys)
-        ok = yield from self._rpc(shard, req, RPC_HEADER, len(keys), handler)
+        ok = yield from self._rpc(
+            shard, req, RPC_HEADER, len(keys),
+            lambda: self._still_current(txn, shard, keys))
         return bool(ok)
 
     # -- LOG: RPC to each backup (no one-sided verbs at all) -----------------
@@ -95,20 +74,13 @@ class FaSST(BaselineCoordinator):
     # -- COMMIT ------------------------------------------------------------
 
     def _remote_commit(self, txn, shard, writes):
-        def handler():
-            self._apply_commit_at(shard, txn, writes)
-            return True
-
         req = RPC_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
-        yield from self._rpc(shard, req, RPC_HEADER, len(writes), handler)
+        yield from self._rpc(
+            shard, req, RPC_HEADER, len(writes),
+            lambda: self._apply_commit_at(shard, txn, writes))
 
     def _remote_unlock(self, txn, shard, keys):
-        def handler():
-            for k in keys:
-                obj = self._primary_obj(shard, k)
-                if obj is not None and obj.lock_owner == txn.txn_id:
-                    obj.unlock(txn.txn_id)
-            return True
-
         req = RPC_HEADER + PER_KEY * len(keys)
-        yield from self._rpc(shard, req, RPC_HEADER, len(keys), handler)
+        yield from self._rpc(
+            shard, req, RPC_HEADER, len(keys),
+            lambda: self._primary_table(shard).unlock_all(keys, txn.txn_id))

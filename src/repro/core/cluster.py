@@ -12,10 +12,35 @@ from .config import XenicConfig
 from .node import XenicNode
 from .protocol import XenicProtocol
 
-__all__ = ["XenicCluster"]
+__all__ = ["ShardedCluster", "XenicCluster"]
 
 
-class XenicCluster:
+class ShardedCluster:
+    """Loading, the same in every system: a key goes on the whole replica
+    set of the shard ``partition`` maps it to.  A cluster supplies
+    ``partition``, ``nodes`` (each with ``tables[shard]``), ``value_size``
+    and ``backups_of(shard)``."""
+
+    def load_key(self, key: int, value: Any = None, size: Optional[int] = None) -> None:
+        """Install a key on its primary and every backup replica."""
+        self.load_keys(((key, value, size),))
+
+    def load_keys(self, items: Iterable[Tuple[int, Any, Optional[int]]]) -> None:
+        """Install ``(key, value, size)`` items (``size`` None: the
+        cluster's ``value_size``) on their primaries and every backup
+        replica, each table receiving its keys in the order given."""
+        with collector_quiet:
+            by_shard = group_by_shard(items, self.partition, self.value_size)
+            for shard, objs in by_shard.items():
+                load_replicas(
+                    self.nodes[shard].tables[shard],
+                    [self.nodes[n].tables[shard]
+                     for n in self.backups_of(shard)],
+                    objs,
+                )
+
+
+class XenicCluster(ShardedCluster):
     """A set of Xenic nodes over one fabric, with a keyspace partitioner.
 
     ``partition`` maps a key to its shard (default: modulo).  Every shard's
@@ -95,24 +120,6 @@ class XenicCluster:
         ]
 
     # -- loading ------------------------------------------------------------
-
-    def load_key(self, key: int, value: Any = None, size: Optional[int] = None) -> None:
-        """Install a key on its primary and every backup replica."""
-        self.load_keys(((key, value, size),))
-
-    def load_keys(self, items: Iterable[Tuple[int, Any, Optional[int]]]) -> None:
-        """Install ``(key, value, size)`` items (``size`` None: the
-        cluster's ``value_size``) on their primaries and every backup
-        replica, each table receiving its keys in the order given."""
-        with collector_quiet:
-            by_shard = group_by_shard(items, self.partition, self.value_size)
-            for shard, objs in by_shard.items():
-                load_replicas(
-                    self.nodes[shard].tables[shard],
-                    [self.nodes[n].tables[shard]
-                     for n in self.backups_of(shard)],
-                    objs,
-                )
 
     def prewarm_nic_caches(self) -> None:
         """Install every primary object into its NIC cache (up to

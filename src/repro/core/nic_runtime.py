@@ -15,7 +15,7 @@ pending future; responses (and redirected multi-hop acks) resolve it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from ..hw.dma import DmaOp
 from ..hw.nic import SmartNic
@@ -57,17 +57,27 @@ class PendingTable:
         ev.succeed(value)
         return True
 
-    def expect_count(self, key: Any, n: int) -> Event:
+    def expect_count(self, key: Any, n: Optional[int] = None) -> Event:
         """A future that fires after ``n`` resolve_one() calls; its value is
-        the list of delivered values."""
-        if n <= 0:
+        the list of delivered values.  ``n`` None leaves the count open:
+        deliveries accumulate until :meth:`set_count` fixes it."""
+        if n is not None and n <= 0:
             ev = self.sim.event(name="pending-zero")
             ev.succeed([])
             return ev
         ev = self.sim.event(name="pending-count")
         self._futures[key] = ev
-        self._counters[key] = [n, []]
+        # [deliveries still awaited (negative while the count is open),
+        #  values delivered]
+        self._counters[key] = [n or 0, []]
         return ev
+
+    def set_count(self, key: Any, n: int) -> None:
+        """Fix the count of a future expected open: it fires once ``n``
+        deliveries have arrived, those already made included."""
+        state = self._counters[key]
+        state[0] += n
+        self._fire_if_complete(key, state)
 
     def resolve_one(self, key: Any, value: Any = None) -> bool:
         state = self._counters.get(key)
@@ -75,11 +85,13 @@ class PendingTable:
             return False
         state[0] -= 1
         state[1].append(value)
+        self._fire_if_complete(key, state)
+        return True
+
+    def _fire_if_complete(self, key: Any, state) -> None:
         if state[0] == 0:
             del self._counters[key]
-            ev = self._futures.pop(key)
-            ev.succeed(state[1])
-        return True
+            self._futures.pop(key).succeed(state[1])
 
     def cancel(self, key: Any) -> bool:
         """Drop a pending future without firing it (abort cleanup)."""

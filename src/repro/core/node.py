@@ -13,7 +13,7 @@ transaction coordinator (§4).  The pieces assembled here mirror Figure 6:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..hw.cpu import CoreGroup
 from ..hw.network import Fabric
@@ -23,15 +23,41 @@ from ..sim.core import Simulator
 from ..sim.resources import Semaphore
 from ..store.log import HostLog, LogRecord
 from ..store.nic_index import NicIndex
-from ..store.object import VersionedObject
 from ..store.robinhood import RobinhoodTable
 from .config import XenicConfig
 from .txn import TOMBSTONE, make_txn_id
 
-__all__ = ["XenicNode"]
+__all__ = ["ReplicaPlacement", "XenicNode"]
 
 
-class XenicNode:
+class ReplicaPlacement:
+    """Where a node sits in the replication ring, in every system: node
+    ``s`` is the primary of shard ``s`` and the next
+    ``replication_factor - 1`` nodes round-robin back it up.  Also names
+    the transactions the node coordinates."""
+
+    def __init__(self, node_id: int, n_nodes: int, replication_factor: int):
+        self.node_id = node_id
+        self.n_nodes = n_nodes
+        self.replication_factor = min(replication_factor, n_nodes)
+        self.txn_seq = 0
+
+    def replicated_shards(self) -> List[int]:
+        """Shards this node holds a replica of (own + backed-up)."""
+        return [(self.node_id - i) % self.n_nodes
+                for i in range(self.replication_factor)]
+
+    def backups_of(self, shard: int) -> List[int]:
+        """Backup node ids for ``shard`` (primary is node ``shard``)."""
+        return [(shard + i) % self.n_nodes
+                for i in range(1, self.replication_factor)]
+
+    def next_txn_id(self) -> int:
+        self.txn_seq += 1
+        return make_txn_id(self.node_id, self.txn_seq)
+
+
+class XenicNode(ReplicaPlacement):
     """One server in a Xenic cluster."""
 
     def __init__(
@@ -44,9 +70,8 @@ class XenicNode:
         keys_per_shard: int,
         value_size: int = 64,
     ):
+        super().__init__(node_id, n_nodes, config.replication_factor)
         self.sim = sim
-        self.node_id = node_id
-        self.n_nodes = n_nodes
         self.config = config
         self.value_size = value_size
 
@@ -103,7 +128,6 @@ class XenicNode:
 
         # filled in by XenicProtocol.install()
         self.protocol: Optional[Any] = None
-        self.txn_seq = 0
 
     @staticmethod
     def _table_capacity(keys_per_shard: int, config: XenicConfig) -> int:
@@ -146,18 +170,6 @@ class XenicNode:
     @property
     def primary_shard(self) -> int:
         return self.node_id
-
-    def replicated_shards(self):
-        """Shards this node holds a replica of (own + backed-up)."""
-        rf = min(self.config.replication_factor, self.n_nodes)
-        return [
-            (self.node_id - i) % self.n_nodes for i in range(rf)
-        ]
-
-    def backups_of(self, shard: int):
-        """Backup node ids for ``shard`` (primary is node ``shard``)."""
-        rf = min(self.config.replication_factor, self.n_nodes)
-        return [(shard + i) % self.n_nodes for i in range(1, rf)]
 
     # -- log application ------------------------------------------------------------
 
@@ -270,15 +282,5 @@ class XenicNode:
                     table.delete(key)
                 continue
             if obj is None:
-                obj = VersionedObject(key, value=value, size=self.value_size)
-                obj.version = version
-                table.insert(key, obj)
-            else:
-                obj.value = value
-                obj.version = version
-
-    # -- transaction ids ------------------------------------------------------------
-
-    def next_txn_id(self) -> int:
-        self.txn_seq += 1
-        return make_txn_id(self.node_id, self.txn_seq)
+                obj = table.get_or_create(key, self.value_size)
+            obj.install(value, version)

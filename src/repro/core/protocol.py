@@ -18,11 +18,11 @@ through the modeled DMA engine, PCIe channel, and Ethernet fabric.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..hw.network import NetMessage
-from ..sim.stats import Counter
 from ..store.log import LogRecord, record_size_bytes
+from ..store.replicas import group_keys, group_values
 from .messages import (
     COMMIT,
     EXEC_SHIP,
@@ -40,12 +40,11 @@ from .messages import (
     take_response,
 )
 from .nic_runtime import NicRuntime, PendingTable
-from .txn import NeedMoreKeys, TOMBSTONE, Transaction, TxnSpec, TxnStatus
+from .txn import (Coordinator, NeedMoreKeys, TOMBSTONE, Transaction, TxnSpec,
+                  TxnStatus)
 
 __all__ = ["XenicProtocol"]
 
-# Abort backoff: linear in the attempt count, in microseconds.
-ABORT_BACKOFF_US = 1.5
 # NIC-side admission cost for a new transaction (wall-µs on a NIC core).
 NIC_ADMIT_US = 0.08
 # Host-side completion handling per transaction (wall-µs on an app core).
@@ -65,6 +64,11 @@ def _execute_args(req: Request):
             bool(req.versions.pop("inline", None)))
 
 
+def _versions(read_values):
+    """The ``(key, version)`` pairs of a ``key -> (value, version)`` map."""
+    return ((k, vv[1]) for k, vv in read_values.items())
+
+
 def _whole(msg):
     """Arguments of a handler that takes the message itself."""
     return (msg,)
@@ -75,23 +79,14 @@ def _coordinator_reports(_txn, _result) -> None:
     reports to the host itself (``_notify_host``)."""
 
 
-class XenicProtocol:
+class XenicProtocol(Coordinator):
     """Protocol engine for one node."""
 
     def __init__(self, cluster, node):
-        self.cluster = cluster
-        self.node = node
-        self.sim = node.sim
+        super().__init__(cluster, node)
         self.config = node.config
         self.runtime = NicRuntime(self.sim, node.nic, node.config)
         self.host_pending = PendingTable(self.sim)
-        self.stats = Counter()
-        # Observability sink (repro.obs.Observer); None disables span
-        # emission at the cost of one branch per transaction outcome.
-        self.obs = None
-        # Optional abort callback (bench harnesses record abort latencies
-        # through it); called with the Transaction on every aborted attempt.
-        self.on_abort = None
         self._req_seq = 0
         # Transport-level exactly-once delivery, the way an RC transport
         # dedups PSNs: outbound messages carry a per-(sender, receiver)
@@ -129,33 +124,8 @@ class XenicProtocol:
                             txn_id)
 
     # ------------------------------------------------------------------
-    # host-side API
+    # host-side API (``run_transaction``: the shared retry driver)
     # ------------------------------------------------------------------
-
-    def run_transaction(self, spec: TxnSpec):
-        """Host coordinator entry point (generator).  Retries on abort;
-        returns the committed :class:`Transaction`."""
-        txn = Transaction(self.node.next_txn_id(), self.node.node_id, spec)
-        txn.started_at = self.sim.now
-        while True:
-            ok = yield from self._attempt(txn)
-            if ok:
-                break
-            self.stats.inc("aborts")
-            if self.obs is not None:
-                self.obs.txn_abort(self.node.node_id, txn)
-            if self.on_abort is not None:
-                self.on_abort(txn)
-            txn.reset_for_retry()
-            t0 = self._t0()
-            yield self.sim.timeout(ABORT_BACKOFF_US * min(txn.attempts, 16))
-            self._attrib("backoff", t0, txn.txn_id)
-        txn.committed_at = self.sim.now
-        txn.status = TxnStatus.COMMITTED
-        self.stats.inc("commits")
-        if self.obs is not None:
-            self.obs.txn_commit(self.node.node_id, txn)
-        return txn
 
     def _attempt(self, txn: Transaction):
         spec = txn.spec
@@ -228,44 +198,28 @@ class XenicProtocol:
         per-key handling."""
         index = self.node.index
         shard = self.node.node_id
-        locked: List[int] = []
-        ok = True
-        for k in txn.write_values:
-            if not index.try_lock(k, txn.txn_id):
-                ok = False
-                break
-            locked.append(k)
-        if ok:
-            for k, (_v, ver) in txn.read_values.items():
-                if k in txn.write_values:
-                    continue
-                if index.is_locked(k, txn.txn_id) or index.read_version(k) != ver:
-                    ok = False
-                    break
-            # host may have read stale (not-yet-applied) values: versions
-            # for the write set must also match
-            if ok:
-                for k in txn.write_values:
-                    host_ver = txn.read_values.get(k, (None, None))[1]
-                    if host_ver is not None and index.read_version(k) != host_ver:
-                        ok = False
-                        break
+        writes = txn.write_values
+        ok = index.lock_all(writes, txn.txn_id)
+        # the host may have read stale (not-yet-applied) values, so the
+        # versions it saw of the keys it writes must match too (those are
+        # now locked by this transaction, which reads_current allows)
+        if ok and not index.reads_current(_versions(txn.read_values),
+                                          txn.txn_id):
+            index.unlock_all(writes, txn.txn_id)
+            ok = False
         if not ok:
-            for k in locked:
-                index.unlock(k, txn.txn_id)
             self._notify_host(txn, False, "local-conflict")
             return
-        for k in locked:
+        for k in writes:
             txn.record_lock(shard, k)
-        versions = {k: index.read_version(k) for k in txn.write_values}
-        ok = yield from self._replicate_shard(txn, shard, txn.write_values, versions)
+        versions = {k: index.read_version(k) for k in writes}
+        ok = yield from self._replicate_shard(txn, shard, writes, versions)
         if not ok:
-            for k in locked:
-                index.unlock(k, txn.txn_id)
+            index.unlock_all(writes, txn.txn_id)
             self._notify_host(txn, False, "log-failed")
             return
         self._notify_host(txn, True, None)
-        yield from self._commit_local(txn, shard, txn.write_values)
+        yield from self._commit_local(txn, shard, writes)
 
     # ------------------------------------------------------------------
     # coordinator-side NIC
@@ -275,85 +229,51 @@ class XenicProtocol:
         """Coordinate one distributed attempt.  Entered through
         ``_dispatch``, which has charged NIC_ADMIT_US."""
         spec = txn.spec
-        by_shard = self._group_by_shard(spec)
+        shard_of = self.cluster.shard_of
+        by_shard = group_keys(spec.read_keys, spec.write_keys, shard_of)
         if self._multihop_applicable(txn, by_shard):
             yield from self._multihop(txn, by_shard)
             return
         ok, reason = yield from self._phase_execute(txn, by_shard)
-        if not ok:
-            yield from self._abort_cleanup(txn)
-            self._notify_host(txn, False, reason)
-            return
         # execution rounds: multi-shot logic may extend the key sets and
         # re-run until it produces the final write set (§4.2 step 3)
-        if spec.logic is not None or not txn.read_only:
+        if ok and (spec.logic is not None or not txn.read_only):
             round_no = 0
             while True:
                 result = yield from self._run_logic(txn, round_no)
-                if isinstance(result, NeedMoreKeys):
-                    self.stats.inc("multi_shot_rounds")
-                    txn.add_keys(result)
-                    delta = self._group_keys(result.read_keys,
-                                             result.write_keys)
-                    ok, reason = yield from self._phase_execute(txn, delta)
-                    if not ok:
-                        yield from self._abort_cleanup(txn)
-                        self._notify_host(txn, False, reason)
-                        return
-                    round_no += 1
-                    continue
-                txn.write_values = result or {}
-                break
-        if txn.extra_read_keys or txn.extra_write_keys:
-            # multi-shot rounds may have pulled in new shards; regroup.
-            # (Single-shot transactions reuse the EXECUTE grouping:
-            # _phase_validate only consults the shard count and regroups
-            # the version checks itself from read_values.)
-            by_shard = self._group_keys(txn.effective_read_keys(),
-                                        txn.effective_write_keys())
-        ok, reason = yield from self._phase_validate(txn, by_shard)
+                if not isinstance(result, NeedMoreKeys):
+                    txn.write_values = result or {}
+                    break
+                self.stats.inc("multi_shot_rounds")
+                txn.add_keys(result)
+                ok, reason = yield from self._phase_execute(
+                    txn, group_keys(result.read_keys, result.write_keys,
+                                    shard_of))
+                if not ok:
+                    break
+                round_no += 1
+        if ok:
+            if txn.extra_read_keys or txn.extra_write_keys:
+                # multi-shot rounds may have pulled in new shards; regroup.
+                # (Single-shot transactions reuse the EXECUTE grouping:
+                # _phase_validate only consults the shard count and
+                # regroups the version checks itself from read_values.)
+                by_shard = group_keys(txn.effective_read_keys(),
+                                      txn.effective_write_keys(), shard_of)
+            ok, reason = yield from self._phase_validate(txn, by_shard)
+        writes_by_shard = None
+        if ok and not txn.read_only:
+            writes_by_shard = group_values(txn.write_values, shard_of)
+            ok = yield from self._phase_log(txn, writes_by_shard)
+            reason = "log-failed"
         if not ok:
             yield from self._abort_cleanup(txn)
             self._notify_host(txn, False, reason)
             return
-        if txn.read_only:
-            self._notify_host(txn, True, None)
-            return
-        writes_by_shard = self._writes_by_shard(txn)
-        ok = yield from self._phase_log(txn, writes_by_shard)
-        if not ok:
-            yield from self._abort_cleanup(txn)
-            self._notify_host(txn, False, "log-failed")
-            return
         # Committed: report to the host, then apply at the primaries.
         self._notify_host(txn, True, None)
-        yield from self._phase_commit(txn, writes_by_shard)
-
-    def _group_by_shard(
-        self, spec: TxnSpec
-    ) -> Dict[int, Tuple[List[int], List[int]]]:
-        return self._group_keys(spec.read_keys, spec.write_keys)
-
-    def _group_keys(
-        self, read_keys, write_keys
-    ) -> Dict[int, Tuple[List[int], List[int]]]:
-        # get-then-insert instead of setdefault: avoids building a
-        # throwaway ([], []) pair per key on this per-transaction path
-        groups: Dict[int, Tuple[List[int], List[int]]] = {}
-        shard_of = self.cluster.shard_of
-        for k in read_keys:
-            s = shard_of(k)
-            g = groups.get(s)
-            if g is None:
-                g = groups[s] = ([], [])
-            g[0].append(k)
-        for k in write_keys:
-            s = shard_of(k)
-            g = groups.get(s)
-            if g is None:
-                g = groups[s] = ([], [])
-            g[1].append(k)
-        return groups
+        if writes_by_shard is not None:
+            yield from self._phase_commit(txn, writes_by_shard)
 
     def _run_logic(self, txn: Transaction, round_no: int = 0):
         """Run one execution round; returns the logic result (a final
@@ -489,15 +409,9 @@ class XenicProtocol:
             and len(by_shard) == 1
         ):
             return True, None  # validated inline during EXECUTE
-        groups: Dict[int, Dict[int, int]] = {}
-        shard_of = self.cluster.shard_of
         read_values = txn.read_values
-        for k in to_check:
-            s = shard_of(k)
-            g = groups.get(s)
-            if g is None:
-                g = groups[s] = {}
-            g[k] = read_values[k][1]
+        groups = group_values({k: read_values[k][1] for k in to_check},
+                              self.cluster.shard_of)
         evs = []
         for shard, versions in groups.items():
             primary = self.cluster.primary_node_id(shard)
@@ -536,17 +450,6 @@ class XenicProtocol:
         return ok, reason
 
     # -- LOG ------------------------------------------------------------
-
-    def _writes_by_shard(self, txn: Transaction) -> Dict[int, Dict[int, object]]:
-        groups: Dict[int, Dict[int, object]] = {}
-        shard_of = self.cluster.shard_of
-        for k, v in txn.write_values.items():
-            s = shard_of(k)
-            g = groups.get(s)
-            if g is None:
-                g = groups[s] = {}
-            g[k] = v
-        return groups
 
     def _write_versions(self, txn: Transaction, keys) -> Dict[int, int]:
         versions = {}
@@ -659,9 +562,7 @@ class XenicProtocol:
                 continue
             primary = self.cluster.primary_node_id(shard)
             if primary == self.node.node_id:
-                index = self.node.index_for(shard)
-                for k in keys:
-                    index.unlock_if_held(k, txn.txn_id)
+                self.node.index_for(shard).unlock_all(keys, txn.txn_id)
             else:
                 req = take_request(UNLOCK, txn.txn_id, shard, txn.coord_node,
                                    write_keys=list(keys))
@@ -694,49 +595,30 @@ class XenicProtocol:
         index = self.node.index
         self.stats.inc("multihop")
 
-        local_keys = []
-        if local in by_shard:
-            rkeys, wkeys = by_shard[local]
-            local_keys = list(dict.fromkeys(rkeys + wkeys))
+        local_rkeys, local_wkeys = by_shard.get(local, ((), ()))
+        local_keys = list(dict.fromkeys(local_rkeys + local_wkeys))
         # Lock every local key (reads too: execution happens remotely, so
         # the lock stands in for validation) and gather local read values.
         yield from self.runtime.nic_compute(
             NIC_ADMIT_US + self.config.nic_per_key_us * len(local_keys),
             txn.txn_id,
         )
-        locked: List[int] = []
-        for k in local_keys:
-            if not index.try_lock(k, txn.txn_id):
-                for kk in locked:
-                    index.unlock(kk, txn.txn_id)
-                self._notify_host(txn, False, "multihop-local-conflict")
-                return
-            locked.append(k)
-        pre_read = {}
-        local_reads = by_shard.get(local, ([], []))[0]
-        if local_reads:
-            if len(local_reads) == 1:
-                k0 = local_reads[0]
-                pre_read[k0] = yield from self._fetch_value(local, k0,
-                                                            txn.txn_id)
-            else:
-                fetched = yield self.sim.all_of([
-                    self._launch(self._fetch_value(local, k, txn.txn_id),
-                                   name="fetch")
-                    for k in local_reads
-                ])
-                for k, vv in zip(local_reads, fetched):
-                    pre_read[k] = vv
-        for k in by_shard.get(local, ([], []))[1]:
+        if not index.lock_all(local_keys, txn.txn_id):
+            self._notify_host(txn, False, "multihop-local-conflict")
+            return
+        pre_read = yield from self._fetch_many(local, local_rkeys, txn.txn_id)
+        for k in local_wkeys:
             if k not in pre_read:
                 pre_read[k] = (None, index.read_version(k))
 
-        # Count expected backup acks: backups of every involved shard.
-        n_acks = sum(len(self.cluster.backups_of(s)) for s in by_shard)
-        ack_key = ("mh_log", txn.txn_id, txn.attempts)
-        fut_acks = self.runtime.pending.expect_count(ack_key, n_acks)
+        # The remote primary LOGs to the backups of the shards its logic
+        # *writes*, acks redirected here.  Which shards those are is known
+        # only from its response, and an ack can overtake the response:
+        # collect them from now, fix the count when the response lands.
+        ack_key = ("mh_log", txn.txn_id)
+        fut_acks = self.runtime.pending.expect_count(ack_key)
 
-        rkeys, wkeys = by_shard.get(remote, ([], []))
+        rkeys, wkeys = by_shard[remote]
         req = take_request(
             EXEC_SHIP, txn.txn_id, remote, txn.coord_node,
             read_keys=rkeys, write_keys=wkeys,
@@ -747,8 +629,7 @@ class XenicProtocol:
         self._attrib("wire", t0, txn.txn_id)
         if not resp.ok:
             self.runtime.pending.cancel(ack_key)
-            for k in locked:
-                index.unlock(k, txn.txn_id)
+            index.unlock_all(local_keys, txn.txn_id)
             self._notify_host(txn, False, resp.reason or "multihop-remote-conflict")
             recycle_response(resp)
             return
@@ -756,6 +637,10 @@ class XenicProtocol:
         # fields are reassigned, never cleared in place)
         txn.write_values = resp.write_values
         recycle_response(resp)
+        writes_by_shard = group_values(txn.write_values,
+                                       self.cluster.shard_of)
+        self.runtime.pending.set_count(ack_key, sum(
+            len(self.cluster.backups_of(s)) for s in writes_by_shard))
         t0 = self._t0()
         acks = yield fut_acks
         self._attrib("wire", t0, txn.txn_id)
@@ -766,8 +651,7 @@ class XenicProtocol:
             recycle_response(a)
         if not ok:
             # a backup failed the append: release and retry
-            for k in locked:
-                index.unlock(k, txn.txn_id)
+            index.unlock_all(local_keys, txn.txn_id)
             # awaited so a delayed release can't outlive this attempt and
             # steal the lock from the retry (same txn_id re-locks)
             t0 = self._t0()
@@ -781,22 +665,13 @@ class XenicProtocol:
             return
         self._notify_host(txn, True, None)
         # commit the local shard writes, release local read locks
-        local_writes = {
-            k: v for k, v in txn.write_values.items()
-            if self.cluster.shard_of(k) == local
-        }
-        if local in by_shard:
-            if local_writes:
-                yield from self._commit_local(txn, local, local_writes)
-            for k in locked:
-                if k not in local_writes:
-                    index.unlock(k, txn.txn_id)
+        local_writes = writes_by_shard.get(local)
+        if local_writes:
+            yield from self._commit_local(txn, local, local_writes)
+        index.unlock_all(local_keys, txn.txn_id)
         # commit the remote shard (unlocks its read locks too; versions are
         # assigned by the primary from its own metadata)
-        remote_writes = {
-            k: v for k, v in txn.write_values.items()
-            if self.cluster.shard_of(k) == remote
-        }
+        remote_writes = writes_by_shard.get(remote, {})
         req = take_request(COMMIT, txn.txn_id, remote, txn.coord_node,
                            write_values=remote_writes,
                            value_bytes=txn.spec.write_bytes)
@@ -815,39 +690,18 @@ class XenicProtocol:
         Entered through ``_dispatch``, which has charged the message and
         per-key handling."""
         index = self.node.index_for(req.shard)
-        locked: List[int] = []
-        for k in req.write_keys:
-            if not index.try_lock(k, req.txn_id):
-                for kk in locked:
-                    index.unlock(kk, req.txn_id)
-                return take_response(EXEC_SHIP, req.txn_id, req.shard, False,
-                                     reason="ship-lock-conflict")
-            locked.append(k)
-        read_values: Dict[int, Tuple[object, int]] = {}
-        if req.read_keys:
-            if len(req.read_keys) == 1:
-                k0 = req.read_keys[0]
-                read_values[k0] = yield from self._fetch_value(req.shard, k0,
-                                                               req.txn_id)
-            else:
-                fetched = yield self.sim.all_of([
-                    self._launch(self._fetch_value(req.shard, k,
-                                                     req.txn_id),
-                                   name="fetch")
-                    for k in req.read_keys
-                ])
-                for k, vv in zip(req.read_keys, fetched):
-                    read_values[k] = vv
-            # inline validation of unlocked reads (no yields below until
-            # the LOGs are issued, so this is the serialization point)
-            for k, (_v, ver) in read_values.items():
-                if k in locked:
-                    continue
-                if index.is_locked(k, req.txn_id) or index.read_version(k) != ver:
-                    for kk in locked:
-                        index.unlock(kk, req.txn_id)
-                    return take_response(EXEC_SHIP, req.txn_id, req.shard,
-                                         False, reason="ship-validate")
+        if not index.lock_all(req.write_keys, req.txn_id):
+            return take_response(EXEC_SHIP, req.txn_id, req.shard, False,
+                                 reason="ship-lock-conflict")
+        read_values = yield from self._fetch_many(req.shard, req.read_keys,
+                                                  req.txn_id)
+        # inline validation of unlocked reads (no yields below until the
+        # LOGs are issued, so this is the serialization point)
+        if not index.reads_current(_versions(read_values), req.txn_id,
+                                   skip=req.write_keys):
+            index.unlock_all(req.write_keys, req.txn_id)
+            return take_response(EXEC_SHIP, req.txn_id, req.shard, False,
+                                 reason="ship-validate")
         # merge coordinator-side pre-read values and run the logic here
         spec: TxnSpec = req.spec
         shadow = Transaction(req.txn_id, req.coord_node, spec)
@@ -865,10 +719,8 @@ class XenicProtocol:
 
         # issue LOG records for every involved shard's writes, acks
         # redirected to the coordinator NIC
-        writes_by_shard: Dict[int, Dict[int, object]] = {}
-        for k, v in write_values.items():
-            writes_by_shard.setdefault(self.cluster.shard_of(k), {})[k] = v
-        for shard, writes in writes_by_shard.items():
+        for shard, writes in group_values(write_values,
+                                          self.cluster.shard_of).items():
             versions = {}
             for k in writes:
                 if k in read_values:
@@ -910,13 +762,10 @@ class XenicProtocol:
             self.node.nic.send(msg)
 
     def _resolve_mh_ack(self, txn_id: int, resp: Response) -> None:
-        # attempt number is unknown to the backup; resolve the only
-        # outstanding counter for this txn
-        for key in list(self.runtime.pending._counters):
-            if key[0] == "mh_log" and key[1] == txn_id:
-                self.runtime.pending.resolve_one(key, resp)
-                return
-        self.stats.inc("stray_log_acks")
+        # keyed by transaction alone: the backup does not know the attempt
+        # number, and an attempt collects all its acks before it can retry
+        if not self.runtime.pending.resolve_one(("mh_log", txn_id), resp):
+            self.stats.inc("stray_log_acks")
 
     # ------------------------------------------------------------------
     # server-side request handlers
@@ -939,43 +788,35 @@ class XenicProtocol:
         """Post-charge half of EXECUTE (the fused dispatch enters here
         after its single combined core charge)."""
         index = self.node.index_for(shard)
-        locked: List[int] = []
-        for k in write_keys:
-            if not index.try_lock(k, txn_id):
-                for kk in locked:
-                    index.unlock(kk, txn_id)
-                self.stats.inc("lock_conflicts")
-                return take_response(EXECUTE, txn_id, shard, False,
-                                     reason="lock-conflict")
-            locked.append(k)
-        read_values: Dict[int, Tuple[object, int]] = {}
-        if read_keys:
-            if len(read_keys) == 1:
-                # single fetch: run inline in this frame — no Process spawn,
-                # no start event, no completion event
-                k0 = read_keys[0]
-                read_values[k0] = yield from self._fetch_value(shard, k0,
-                                                               txn_id)
-            else:
-                fetched = yield self.sim.all_of([
-                    self._launch(self._fetch_value(shard, k, txn_id),
-                                   name="fetch")
-                    for k in read_keys
-                ])
-                for k, vv in zip(read_keys, fetched):
-                    read_values[k] = vv
-        if validate_inline:
-            for k, (_v, ver) in read_values.items():
-                if k in locked:
-                    continue
-                if index.is_locked(k, txn_id) or index.read_version(k) != ver:
-                    for kk in locked:
-                        index.unlock(kk, txn_id)
-                    return take_response(EXECUTE, txn_id, shard, False,
-                                         reason="inline-validate")
+        if not index.lock_all(write_keys, txn_id):
+            self.stats.inc("lock_conflicts")
+            return take_response(EXECUTE, txn_id, shard, False,
+                                 reason="lock-conflict")
+        read_values = yield from self._fetch_many(shard, read_keys, txn_id)
+        if validate_inline and not index.reads_current(
+                _versions(read_values), txn_id, skip=write_keys):
+            index.unlock_all(write_keys, txn_id)
+            return take_response(EXECUTE, txn_id, shard, False,
+                                 reason="inline-validate")
         versions = {k: index.read_version(k) for k in write_keys}
         return take_response(EXECUTE, txn_id, shard, True,
                              read_values=read_values, versions=versions)
+
+    def _fetch_many(self, shard: int, keys, txn_id: int):
+        """Fetch ``keys`` at this (primary) NIC in parallel; returns
+        ``key -> (value, version)``."""
+        if len(keys) == 1:
+            # single fetch: run inline in this frame — no Process spawn,
+            # no start event, no completion event
+            return {keys[0]: (yield from self._fetch_value(shard, keys[0],
+                                                           txn_id))}
+        if not keys:
+            return {}
+        fetched = yield self.sim.all_of([
+            self._launch(self._fetch_value(shard, k, txn_id), name="fetch")
+            for k in keys
+        ])
+        return dict(zip(keys, fetched))
 
     def _fetch_value(self, shard: int, key: int, txn_id=None):
         """Fetch one object's (value, version) at this (primary) NIC:
@@ -1024,13 +865,27 @@ class XenicProtocol:
                        versions: Dict[int, int]) -> Response:
         """Post-charge half of VALIDATE — fully synchronous, so the fused
         dispatch runs it straight from its charge callback."""
-        index = self.node.index_for(shard)
-        for k, ver in versions.items():
-            if index.is_locked(k, txn_id) or index.read_version(k) != ver:
-                self.stats.inc("validate_conflicts")
-                return take_response(VALIDATE, txn_id, shard, False,
-                                     reason="version-changed")
-        return take_response(VALIDATE, txn_id, shard, True)
+        if self.node.index_for(shard).reads_current(versions.items(), txn_id):
+            return take_response(VALIDATE, txn_id, shard, True)
+        self.stats.inc("validate_conflicts")
+        return take_response(VALIDATE, txn_id, shard, False,
+                             reason="version-changed")
+
+    def _dma_append(self, req: Request, n_writes: int):
+        """The durable append of ``req``'s record: wait out a full host
+        log (back-pressure), then DMA-write the record's bytes."""
+        log = self.node.log
+        if log.full:
+            t0 = self._t0()
+            while log.full:
+                self.stats.inc("log_backpressure")
+                yield self.sim.timeout(LOG_RETRY_US)
+            self._attrib("log_wait", t0, req.txn_id)
+        vb = req.value_bytes if req.value_bytes is not None \
+            else self.cluster.value_size
+        t0 = self._t0()
+        yield self.runtime.dma_log_append(record_size_bytes(n_writes, vb))
+        self._attrib("dma", t0, req.txn_id)
 
     def _log_core(self, req: Request):
         """LOG at a backup: durably append the record via DMA write."""
@@ -1038,20 +893,9 @@ class XenicProtocol:
             (k, v, req.versions.get(k, 0) + 1) for k, v in req.write_values.items()
         ]
         record = LogRecord(req.txn_id, "log", req.shard, writes)
-        if self.node.log.full:
-            t0 = self._t0()
-            while self.node.log.full:
-                self.stats.inc("log_backpressure")
-                yield self.sim.timeout(LOG_RETRY_US)
-            self._attrib("log_wait", t0, req.txn_id)
-        vb = req.value_bytes if req.value_bytes is not None \
-            else self.cluster.value_size
-        nbytes = record_size_bytes(len(writes), vb)
         # the DMA write IS the append: the record only becomes visible to
         # the host workers once the bytes land in host memory
-        t0 = self._t0()
-        yield self.runtime.dma_log_append(nbytes)
-        self._attrib("dma", t0, req.txn_id)
+        yield from self._dma_append(req, len(writes))
         self.node.append_log(record)
         return take_response(LOG, req.txn_id, req.shard, True)
 
@@ -1068,32 +912,20 @@ class XenicProtocol:
             for k, v in req.write_values.items()
         ]
         record = LogRecord(req.txn_id, "commit", req.shard, writes)
-        if self.node.log.full:
-            t0 = self._t0()
-            while self.node.log.full:
-                self.stats.inc("log_backpressure")
-                yield self.sim.timeout(LOG_RETRY_US)
-            self._attrib("log_wait", t0, req.txn_id)
-        vb = req.value_bytes if req.value_bytes is not None \
-            else self.cluster.value_size
-        nbytes = record_size_bytes(len(writes), vb)
-        t0 = self._t0()
-        yield self.runtime.dma_log_append(nbytes)
-        self._attrib("dma", t0, req.txn_id)
+        yield from self._dma_append(req, len(writes))
         # apply to the NIC cache (pinning) before the host can see the
         # record, so the unpin ack can never race ahead of the pin
         for k, v, _ver in writes:
             index.apply_commit(k, v)
         self.node.append_log(record)
         self.node.note_pending_commit(record)
-        for k in req.write_values:
-            if not index.unlock_if_held(k, req.txn_id):
-                # lock rebuilt/reassigned (e.g. recovery resolved this txn
-                # while the COMMIT was in flight) — nothing to release
-                self.stats.inc("commit_unlock_mismatch")
+        # a lock rebuilt/reassigned since EXECUTE (e.g. recovery resolved
+        # this txn while the COMMIT was in flight) is not ours to release
+        missed = len(writes) - index.unlock_all(req.write_values, req.txn_id)
+        if missed:
+            self.stats.inc("commit_unlock_mismatch", missed)
         # multi-hop: read keys locked during shipped execution release here
-        for k in req.read_keys:
-            index.unlock_if_held(k, req.txn_id)
+        index.unlock_all(req.read_keys, req.txn_id)
         return take_response(COMMIT, req.txn_id, req.shard, True)
 
     def _unlock_core(self, req: Request):
@@ -1105,9 +937,7 @@ class XenicProtocol:
 
     def _unlock_sync(self, req: Request) -> Response:
         """Post-charge half of UNLOCK — fully synchronous."""
-        index = self.node.index_for(req.shard)
-        for k in req.write_keys:
-            index.unlock_if_held(k, req.txn_id)
+        self.node.index_for(req.shard).unlock_all(req.write_keys, req.txn_id)
         return take_response(UNLOCK, req.txn_id, req.shard, True)
 
     # ------------------------------------------------------------------

@@ -153,32 +153,27 @@ class RecoveryManager:
         report.recovering_txns = sorted(pending)
 
         # 3. re-acquire write locks for every recovering transaction
-        for txn_id, by_node in pending.items():
-            any_record = next(iter(by_node.values()))
-            for key, _value, _version in any_record.writes:
+        write_keys = {
+            txn_id: [key for key, _value, _version
+                     in next(iter(by_node.values())).writes]
+            for txn_id, by_node in pending.items()
+        }
+        for txn_id, keys in write_keys.items():
+            for key in keys:
                 index.try_lock(key, txn_id)
-                report.locks_rebuilt += 1
+            report.locks_rebuilt += len(keys)
 
         # 4. resolve: commit iff the record reached every surviving backup
+        table = node.tables[shard]
         for txn_id in sorted(pending):
             by_node = pending[txn_id]
             if set(by_node) >= set(survivors):
-                record = by_node[new_primary]
-                for key, value, version in record.writes:
-                    obj = node.tables[shard].get_object(key)
-                    if obj is None:
-                        from ..store.object import VersionedObject
-
-                        obj = VersionedObject(key, value=value,
-                                              size=node.value_size)
-                        node.tables[shard].insert(key, obj)
+                for key, value, version in by_node[new_primary].writes:
+                    obj = table.get_or_create(key, node.value_size)
                     if version > obj.version:
-                        obj.value = value
-                        obj.version = version
+                        obj.install(value, version)
                 report.committed.append(txn_id)
             else:
                 report.aborted.append(txn_id)
-            any_record = next(iter(by_node.values()))
-            for key, _value, _version in any_record.writes:
-                index.unlock_if_held(key, txn_id)
+            index.unlock_all(write_keys[txn_id], txn_id)
         return report

@@ -11,14 +11,18 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..sim.stats import Counter
+
 __all__ = [
     "TxnStatus",
     "TxnLogic",
     "TxnSpec",
     "Transaction",
+    "Coordinator",
     "NeedMoreKeys",
     "TOMBSTONE",
     "make_txn_id",
+    "abort_backoff_us",
 ]
 
 
@@ -49,6 +53,16 @@ def make_txn_id(node_id: int, seq: int) -> int:
 
 def txn_node(txn_id: int) -> int:
     return txn_id & ((1 << _NODE_BITS) - 1)
+
+
+# Abort backoff: linear in the attempt count, in microseconds.
+ABORT_BACKOFF_US = 1.5
+
+
+def abort_backoff_us(attempts: int) -> float:
+    """How long a coordinator waits before attempt number ``attempts``
+    (the aborted attempts so far plus one), on every system."""
+    return ABORT_BACKOFF_US * min(attempts, 16)
 
 
 class TxnStatus(enum.Enum):
@@ -236,3 +250,47 @@ class Transaction:
         self.extra_write_keys.clear()
         self.attempts += 1
         self.abort_reason = None
+
+
+class Coordinator:
+    """What the coordinators of all five systems share (§2.2.1): the
+    retry driver around one OCC attempt.  A system supplies
+    ``_attempt(txn)``, a generator returning whether the attempt
+    committed."""
+
+    def __init__(self, cluster, node):
+        self.cluster = cluster
+        self.node = node
+        self.sim = node.sim
+        self.stats = Counter()
+        # Observability sink (repro.obs.Observer); None disables span
+        # emission at the cost of one branch per transaction outcome.
+        self.obs = None
+        # Optional abort callback (bench harnesses record abort latencies
+        # through it); called with the Transaction on every aborted attempt.
+        self.on_abort = None
+
+    def run_transaction(self, spec: TxnSpec):
+        """Coordinator entry point (generator).  Retries on abort;
+        returns the committed :class:`Transaction`."""
+        node_id = self.node.node_id
+        txn = Transaction(self.node.next_txn_id(), node_id, spec)
+        txn.started_at = self.sim.now
+        while not (yield from self._attempt(txn)):
+            self.stats.inc("aborts")
+            if self.obs is not None:
+                self.obs.txn_abort(node_id, txn)
+            if self.on_abort is not None:
+                self.on_abort(txn)
+            txn.reset_for_retry()
+            t0 = self.sim.now
+            yield self.sim.timeout(abort_backoff_us(txn.attempts))
+            if self.obs is not None:
+                self.obs.attrib_span("backoff", node_id, t0, self.sim.now,
+                                     txn.txn_id)
+        txn.committed_at = self.sim.now
+        txn.status = TxnStatus.COMMITTED
+        self.stats.inc("commits")
+        if self.obs is not None:
+            self.obs.txn_commit(node_id, txn)
+        return txn

@@ -5,12 +5,13 @@ from .chained import ChainedLookup, ChainedTable
 from .hopscotch import HopscotchLookup, HopscotchTable
 from .log import HostLog, LogRecord, record_size_bytes
 from .nic_index import DmaLookupCost, NicIndex, TxnMeta
-from .object import LARGE_OBJECT_THRESHOLD, VersionedObject, mix64
-from .replicas import group_by_shard, load_replicas
+from .object import LARGE_OBJECT_THRESHOLD, ObjectTable, VersionedObject, mix64
+from .replicas import group_by_shard, group_keys, group_values, load_replicas
 from .robinhood import DeleteResult, InsertResult, LookupResult, RobinhoodTable
 
 __all__ = [
     "VersionedObject",
+    "ObjectTable",
     "mix64",
     "LARGE_OBJECT_THRESHOLD",
     "RobinhoodTable",
@@ -18,6 +19,8 @@ __all__ = [
     "LookupResult",
     "DeleteResult",
     "group_by_shard",
+    "group_keys",
+    "group_values",
     "load_replicas",
     "HopscotchTable",
     "HopscotchLookup",

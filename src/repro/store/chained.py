@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from .object import VersionedObject, mix64
+from .object import ObjectTable, VersionedObject, mix64
 
 __all__ = ["ChainedTable", "ChainedLookup"]
 
@@ -31,7 +31,7 @@ class _Bucket:
         self.next: Optional["_Bucket"] = None
 
 
-class ChainedTable:
+class ChainedTable(ObjectTable):
     """Fixed-bucket chained hash table."""
 
     def __init__(self, n_buckets: int, bucket_size: int = 8, hash_salt: int = 0):

@@ -19,8 +19,9 @@ NIC-resident metadata for the host-side Robinhood table:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
+from .object import Participant
 from .robinhood import RobinhoodTable
 
 __all__ = ["NicIndex", "TxnMeta", "DmaLookupCost"]
@@ -76,7 +77,7 @@ class DmaLookupCost:
         return self.first_read_bytes + self.second_read_bytes + self.extra_object_bytes
 
 
-class NicIndex:
+class NicIndex(Participant):
     """Caching index over one host-side Robinhood table."""
 
     def __init__(
@@ -143,6 +144,17 @@ class NicIndex:
             return False
         meta.lock_owner = None
         self._maybe_purge(key)
+        return True
+
+    def reads_current(self, versions: Iterable[Tuple[int, int]], txn_id: int,
+                      skip=()) -> bool:
+        """Read validation: every ``(key, version)`` pair outside
+        ``skip`` is still at that version and not locked by another
+        transaction."""
+        for k, ver in versions:
+            if k not in skip and (self.is_locked(k, txn_id)
+                                  or self.read_version(k) != ver):
+                return False
         return True
 
     def read_version(self, key: int) -> int:

@@ -7,9 +7,9 @@ transaction currently holding the write lock (or ``None``).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Tuple
 
-__all__ = ["VersionedObject", "mix64"]
+__all__ = ["VersionedObject", "Participant", "ObjectTable", "mix64"]
 
 # Objects larger than this live outside the host hash table behind a
 # pointer (§4.1.2), turning one DMA lookup into a region read + a
@@ -42,6 +42,10 @@ class VersionedObject:
     def locked(self) -> bool:
         return self.lock_owner is not None
 
+    def locked_by_other(self, txn_id: int) -> bool:
+        """True when a transaction other than ``txn_id`` holds the lock."""
+        return self.lock_owner is not None and self.lock_owner != txn_id
+
     @property
     def is_large(self) -> bool:
         return self.size > LARGE_OBJECT_THRESHOLD
@@ -54,12 +58,19 @@ class VersionedObject:
         return False
 
     def unlock(self, txn_id: int) -> None:
-        if self.lock_owner != txn_id:
+        if not self.unlock_if_held(txn_id):
             raise RuntimeError(
                 "txn %d unlocking object %d held by %r"
                 % (txn_id, self.key, self.lock_owner)
             )
+
+    def unlock_if_held(self, txn_id: int) -> bool:
+        """Release the lock only if ``txn_id`` still owns it; returns
+        whether it did."""
+        if self.lock_owner != txn_id:
+            return False
         self.lock_owner = None
+        return True
 
     def copy(self) -> "VersionedObject":
         """An independent object in the same state (the value is shared)."""
@@ -73,9 +84,78 @@ class VersionedObject:
         self.value = value
         self.version += 1
 
+    def install(self, value: Any, version: int) -> None:
+        """Install a replicated write at the version its record carries."""
+        self.value = value
+        self.version = version
+
     def __repr__(self) -> str:  # pragma: no cover
         return "<Obj %d v%d%s>" % (
             self.key,
             self.version,
             " L" if self.locked else "",
         )
+
+
+class Participant:
+    """The all-or-nothing forms of the OCC participant's lock verbs
+    (§2.2.1), for whatever holds the lock words: a holder supplies
+    ``try_lock(key, txn_id)`` (re-entrant) and ``unlock_if_held(key,
+    txn_id)``, and its own ``reads_current``."""
+
+    def lock_all(self, keys: Iterable[int], txn_id: int) -> bool:
+        """Write-lock every key for ``txn_id``, or none: on the first key
+        it cannot take, release the ones taken and return False."""
+        taken = []
+        for k in keys:
+            if not self.try_lock(k, txn_id):
+                self.unlock_all(taken, txn_id)
+                return False
+            taken.append(k)
+        return True
+
+    def unlock_all(self, keys: Iterable[int], txn_id: int) -> int:
+        """Release every key ``txn_id`` still holds; returns how many."""
+        return sum([self.unlock_if_held(k, txn_id) for k in keys])
+
+
+class ObjectTable(Participant):
+    """The participant over lock words kept in host memory: what
+    :class:`~repro.store.nic_index.NicIndex` is over NIC-resident ones,
+    for any table of :class:`VersionedObject` with ``get_object`` /
+    ``insert``.  A key the table does not hold can be neither locked nor
+    validated (the NIC index, fronting the transactional insert path,
+    treats it as unlocked at version 0)."""
+
+    def get_or_create(self, key: int, size: int) -> VersionedObject:
+        """The object stored under ``key``, inserted blank (version 0)
+        first if the table does not hold it."""
+        obj = self.get_object(key)
+        if obj is None:
+            obj = VersionedObject(key, size=size)
+            self.insert(key, obj)
+        return obj
+
+    def try_lock(self, key: int, txn_id: int) -> bool:
+        obj = self.get_object(key)
+        return obj is not None and obj.try_lock(txn_id)
+
+    def unlock_if_held(self, key: int, txn_id: int) -> bool:
+        """Release ``key`` only if ``txn_id`` still owns its lock;
+        returns whether it did."""
+        obj = self.get_object(key)
+        return obj is not None and obj.unlock_if_held(txn_id)
+
+    def reads_current(self, versions: Iterable[Tuple[int, int]], txn_id: int,
+                      skip=()) -> bool:
+        """Read validation: every ``(key, version)`` pair outside
+        ``skip`` is still at that version and not locked by another
+        transaction."""
+        for k, ver in versions:
+            if k in skip:
+                continue
+            obj = self.get_object(k)
+            if (obj is None or obj.version != ver
+                    or obj.locked_by_other(txn_id)):
+                return False
+        return True

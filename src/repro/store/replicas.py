@@ -1,4 +1,5 @@
-"""Loading one shard's replica set (primary + backups, §4.2)."""
+"""Keys by the shard that owns them, and loading one shard's replica
+set (primary + backups, §4.2)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,45 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from .object import VersionedObject
 
-__all__ = ["group_by_shard", "load_replicas"]
+__all__ = ["group_keys", "group_values", "group_by_shard", "load_replicas"]
+
+
+def group_keys(
+    read_keys: Iterable[int], write_keys: Iterable[int],
+    shard_of: Callable[[int], int],
+) -> Dict[int, Tuple[List[int], List[int]]]:
+    """A transaction's key sets as ``shard -> (read keys, write keys)``,
+    shards in first-touched order."""
+    # get-then-insert instead of setdefault: avoids building a
+    # throwaway ([], []) pair per key on this per-transaction path
+    groups: Dict[int, Tuple[List[int], List[int]]] = {}
+    for k in read_keys:
+        s = shard_of(k)
+        g = groups.get(s)
+        if g is None:
+            g = groups[s] = ([], [])
+        g[0].append(k)
+    for k in write_keys:
+        s = shard_of(k)
+        g = groups.get(s)
+        if g is None:
+            g = groups[s] = ([], [])
+        g[1].append(k)
+    return groups
+
+
+def group_values(values: Dict[int, Any],
+                 shard_of: Callable[[int], int]) -> Dict[int, Dict[int, Any]]:
+    """A ``key -> value`` map (a write set, the versions to validate) as
+    ``shard -> {key: value}``."""
+    groups: Dict[int, Dict[int, Any]] = {}
+    for k, v in values.items():
+        s = shard_of(k)
+        g = groups.get(s)
+        if g is None:
+            g = groups[s] = {}
+        g[k] = v
+    return groups
 
 
 def group_by_shard(

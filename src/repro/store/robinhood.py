@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim.stats import OnlineStats
-from .object import VersionedObject, mix64
+from .object import ObjectTable, VersionedObject, mix64
 
 __all__ = ["RobinhoodTable", "InsertResult", "LookupResult", "DeleteResult"]
 
@@ -68,7 +68,7 @@ class DeleteResult:
         self.shift_len = shift_len
 
 
-class RobinhoodTable:
+class RobinhoodTable(ObjectTable):
     """Closed Robinhood hash table with displacement limit and segments."""
 
     def __init__(

@@ -71,6 +71,23 @@ def test_pending_count_zero_fires_immediately():
     assert fut.triggered and fut.value == []
 
 
+@pytest.mark.parametrize("early, n", [(0, 2), (1, 2), (2, 2), (0, 0)])
+def test_pending_open_count_includes_early_deliveries(early, n):
+    """A count left open collects deliveries until ``set_count`` fixes
+    it; the ones that raced ahead count toward it."""
+    table = PendingTable(Simulator())
+    fut = table.expect_count("acks")
+    for i in range(early):
+        assert table.resolve_one("acks", i)
+    assert not fut.triggered
+    table.set_count("acks", n)
+    for i in range(early, n):
+        assert not fut.triggered
+        assert table.resolve_one("acks", i)
+    assert fut.value == list(range(n))
+    assert not table.resolve_one("acks", "late") and len(table) == 0
+
+
 def test_pending_cancel():
     table = PendingTable(Simulator())
     table.expect("gone")

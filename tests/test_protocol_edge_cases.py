@@ -203,3 +203,25 @@ def test_insert_new_key_via_transaction():
     assert cluster.read_committed_value(new_key) == "fresh"
     obj = cluster.nodes[1].tables[1].get_object(new_key)
     assert obj is not None and obj.version == 1
+
+
+def test_multihop_with_a_read_only_shard_commits():
+    """Multi-hop over a shard the logic only reads: the remote primary
+    LOGs the written shard alone, so only its backups' acks may be
+    awaited (the coordinator used to wait for the read-only shard's
+    backups too, and hang with its local key locked)."""
+    sim, cluster = make_cluster()
+    k_local, k_remote = 0, 1
+    proc = sim.spawn(cluster.protocols[0].run_transaction(
+        TxnSpec(read_keys=[k_local, k_remote], write_keys=[k_remote],
+                logic=lambda r, s: {k_remote: ("sum", r[k_local],
+                                               r[k_remote])})))
+    txn = sim.run_until_event(proc, limit=1000.0)
+    assert txn.attempts == 1
+    assert cluster.protocols[0].stats.get("multihop") == 1
+    sim.run()
+    assert cluster.read_committed_value(k_remote) == (
+        "sum", ("init", k_local), ("init", k_remote))
+    assert not cluster.nodes[0].index.is_locked(k_local)
+    assert not cluster.nodes[1].index.is_locked(k_remote)
+    assert sum(p.stats.get("stray_log_acks") for p in cluster.protocols) == 0
