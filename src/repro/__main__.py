@@ -300,44 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "layer and print its latency attribution")
     _add_jobs_arg(slo)
     _add_fault_args(slo)
-    perf = sub.add_parser(
-        "perf",
-        help="wall-clock performance of the simulator itself "
-             "(docs/PERFORMANCE.md)")
-    perf.add_argument("--full", action="store_true",
-                      help="larger op counts / windows")
-    perf.add_argument("--repeat", "--repeats", dest="repeats", type=int,
-                      default=3,
-                      help="runs per bench; best wall time wins "
-                           "(default: %(default)s)")
-    perf.add_argument("--quick", action="store_true",
-                      help="single-shot smoke run: one repeat per bench "
-                           "(skips the best-of-N noise stripping)")
-    perf.add_argument("--bench", action="append", default=None,
-                      metavar="NAME", help="run only this bench "
-                      "(repeatable)")
-    perf.add_argument("--baseline", default=None, metavar="FILE",
-                      help="trajectory file to compare/append "
-                           "(default: BENCH_simperf.json)")
-    perf.add_argument("--check", action="store_true",
-                      help="exit nonzero on a regression beyond "
-                           "--max-regression")
-    perf.add_argument("--max-regression", type=float, default=2.0,
-                      metavar="X", help="allowed slowdown vs the baseline "
-                      "(default: %(default)s)")
-    perf.add_argument("--update", action="store_true",
-                      help="append this run to the trajectory file")
-    perf.add_argument("--label", default="", help="label for --update")
-    perf.add_argument("--profile", action="store_true",
-                      help="run the benches under cProfile and print the "
-                           "hottest functions (skips baseline compare: "
-                           "profiled wall times carry tracer overhead)")
-    perf.add_argument("--profile-top", type=int, default=25, metavar="N",
-                      help="rows of profile output (default: %(default)s)")
-    perf.add_argument("--profile-out", default=None, metavar="FILE",
-                      help="with --profile, also dump raw pstats data "
-                           "(inspect with python -m pstats FILE)")
-    _add_jobs_arg(perf)
     return parser
 
 
@@ -493,100 +455,28 @@ def run_chaos_command(args) -> int:
     return 0
 
 
-def run_perf_command(args) -> int:
-    from .bench.perf import (BENCH_FILE, append_entry, baseline_entry,
-                             collection_failures, compare_entries,
-                             format_results, measure_scaling, run_perf)
-
-    quick = not args.full
-    repeats = 1 if args.quick else args.repeats
-    path = args.baseline or BENCH_FILE
-    if args.profile:
-        import cProfile
-        import pstats
-
-        prof = cProfile.Profile()
-        prof.enable()
-        results = run_perf(quick=quick, repeats=repeats,
-                           benches=args.bench, verbose=False)
-        prof.disable()
-        print(format_results(results))
-        stats = pstats.Stats(prof)
-        stats.sort_stats("cumulative")
-        stats.print_stats(args.profile_top)
-        if args.profile_out:
-            stats.dump_stats(args.profile_out)
-            print("wrote %s (raw pstats)" % args.profile_out)
-        # Profiled wall times carry tracer overhead — never compare them
-        # against (or record them into) the un-profiled trajectory.
-        return 0
-    results = run_perf(quick=quick, repeats=repeats,
-                       benches=args.bench, verbose=False)
-    print(format_results(results))
-    jobs = getattr(args, "jobs", 1)
-    if jobs > 1:
-        s = measure_scaling(jobs, quick=quick)
-        print("scaling: %d curves, serial %.2fs, --jobs %d %.2fs "
-              "(%.2fx, results %s)"
-              % (s["curves"], s["serial_s"], s["jobs"], s["parallel_s"],
-                 s["speedup"],
-                 "identical" if s["identical"] else "DIFFER"))
-    base = baseline_entry(quick, path)
-    rc = 0
-    for msg in collection_failures(results):
-        print("COLLECTOR %s" % msg)
-        if args.check:
-            rc = 1
-    if base is not None:
-        failures = compare_entries(results, base,
-                                   max_regression=args.max_regression)
-        if failures:
-            for msg in failures:
-                print("REGRESSION %s" % msg)
-            if args.check:
-                rc = 1
-        else:
-            print("vs baseline %r: within %.1fx"
-                  % (base.get("label", "?"), args.max_regression))
-    elif args.check:
-        print("no baseline at matching scale in %s; recording one" % path)
-    if args.update or (args.check and base is None):
-        entry = append_entry(results, quick, path=path, label=args.label)
-        print("appended %r to %s" % (entry["label"], path))
-    return rc
+# Subcommands that are not paper experiments: name -> (list text, runner).
+_TOOLS = {
+    "chaos": ("randomized fault schedules + invariant checks",
+              run_chaos_command),
+    "trace": ("observed run -> Chrome trace export", run_trace_command),
+    "metrics": ("observed run -> metrics summary (--diff a b)",
+                run_metrics_command),
+    "attrib": ("observed run -> per-phase latency attribution",
+               run_attrib_command),
+    "slo": ("open-loop sweep -> latency vs offered load", run_slo_command),
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command in (None, "list"):
         width = max(len(name) for name in COMMANDS)
-        for name, (help_text, _fn) in COMMANDS.items():
+        for name, (help_text, _fn) in {**COMMANDS, **_TOOLS}.items():
             print("%-*s  %s" % (width, name, help_text))
-        print("%-*s  %s" % (width, "chaos",
-                            "randomized fault schedules + invariant checks"))
-        print("%-*s  %s" % (width, "trace",
-                            "observed run -> Chrome trace export"))
-        print("%-*s  %s" % (width, "metrics",
-                            "observed run -> metrics summary (--diff a b)"))
-        print("%-*s  %s" % (width, "attrib",
-                            "observed run -> per-phase latency attribution"))
-        print("%-*s  %s" % (width, "slo",
-                            "open-loop sweep -> latency vs offered load"))
-        print("%-*s  %s" % (width, "perf",
-                            "wall-clock performance of the simulator"))
         return 0
-    if args.command == "chaos":
-        return run_chaos_command(args)
-    if args.command == "trace":
-        return run_trace_command(args)
-    if args.command == "metrics":
-        return run_metrics_command(args)
-    if args.command == "attrib":
-        return run_attrib_command(args)
-    if args.command == "slo":
-        return run_slo_command(args)
-    if args.command == "perf":
-        return run_perf_command(args)
+    if args.command in _TOOLS:
+        return _TOOLS[args.command][1](args)
     if getattr(args, "faults", None):
         set_default_faults(args.faults, args.fault_seed)
     if getattr(args, "obs", False) or getattr(args, "trace_out", None):

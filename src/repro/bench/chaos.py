@@ -57,8 +57,7 @@ class ChaosResult:
     sim_time_us: float = 0.0
     observer: Optional[Observer] = None
     # simulated end-state + engine work, surfaced for golden-digest checks
-    # and the wall-clock perf harness (events_scheduled is the real event
-    # count, not a commit-count proxy).
+    # (events_scheduled is the real event count, not a commit-count proxy).
     final_values: Dict[int, object] = field(default_factory=dict)
     events_scheduled: int = 0
 

@@ -31,8 +31,8 @@ def canonical_digest(payload: Any) -> str:
 
 
 def fig8d_point_payload(obs: bool = False) -> Dict[str, Any]:
-    """Simulated metrics of the reduced Figure-8d point the perf harness
-    times (Xenic on Smallbank, 3 nodes, quick window, 16 contexts per
+    """Simulated metrics of the reduced Figure-8d point ``FIG8D_DIGEST``
+    pins (Xenic on Smallbank, 3 nodes, quick window, 16 contexts per
     node: NIC cores almost never queue — 3 of 11,078 inbound dispatches
     find no free core).  ``obs=True`` runs the same seed under
     a live Observer — the digest must not change (observer neutrality)."""

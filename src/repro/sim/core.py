@@ -583,8 +583,8 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Total queue entries pushed so far (the perf harness's
-        events/second numerator)."""
+        """Total queue entries pushed so far: the numerator of
+        ``events_per_txn`` and of the exact events-per-op test gates."""
         return self._q.seq
 
     # -- scheduling -------------------------------------------------------

@@ -301,8 +301,8 @@ def test_random_streams_identical_across_impls(ops):
 
 
 def test_queue_kind_metadata_roundtrip():
-    """What result files record about the engine (their ``info`` block,
-    the perf trajectory) is what a ``Simulator()`` actually runs."""
+    """What the benchmark suite's result files record about the engine
+    (their ``info`` block) is what a ``Simulator()`` actually runs."""
     from repro.sim.compiled import compiled_available, selected_compiled
     from repro.sim.fusion import selected_fusion
 

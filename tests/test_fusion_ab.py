@@ -248,12 +248,16 @@ def test_bulk_load_asks_for_backups_once_per_shard():
 
 
 def test_nodes64_bench_completes_quick():
-    """The 64-node scale bench finishes a quick-mode point and reports
-    commits (the quick budget gate: construction, load, and window all
-    complete without timeout at scale)."""
-    from repro.bench.perf import _bench_nodes64
+    """A 64-node Smallbank point builds, loads and measures a short
+    window inside the quick budget and reports commits: keeps
+    construction and loading O(n_nodes) honest (a quadratic term that is
+    invisible at 3 nodes dominates here)."""
+    import time
 
-    timed, events, commits = _bench_nodes64(True)
-    assert commits > 0
-    assert events > 0
-    assert timed.wall_s < 60.0
+    t0 = time.perf_counter()
+    bench = Bench("xenic", Smallbank(64, accounts_per_server=250,
+                                     hot_keys_fraction=0.25), n_nodes=64)
+    result = bench.measure(2, warmup_us=25.0, window_us=50.0)
+    assert result.commits > 0
+    assert bench.sim.events_scheduled > 0
+    assert time.perf_counter() - t0 < 60.0

@@ -25,14 +25,14 @@ from repro.hw.network import NetMessage
 from repro.sim import RngStream, Simulator, collector_quiet
 from repro.sim.collector import QUIET_ALLOCATION_BUDGET
 from repro.sim.faults import FaultPlan, FaultSpec
-from repro.workloads import Smallbank
+from repro.workloads import Retwis, Smallbank
 
 
-def golden_bench(system="xenic"):
-    """The cluster of ``repro.bench.golden`` (the perf harness's
-    fig8d point)."""
-    return Bench(system, Smallbank(3, accounts_per_server=2000,
-                                   hot_keys_fraction=0.25), n_nodes=3)
+def golden_bench(system="xenic", workload=None):
+    """The cluster of ``repro.bench.golden`` (the reduced fig8d point
+    ``FIG8D_DIGEST`` pins), or the same three nodes on ``workload``."""
+    return Bench(system, workload or Smallbank(
+        3, accounts_per_server=2000, hot_keys_fraction=0.25), n_nodes=3)
 
 
 class CollectionCounter:
@@ -69,10 +69,15 @@ def counter():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("system", ["xenic", "drtmh"])
-def test_no_collection_inside_bench_build_or_measure(counter, system):
+@pytest.mark.parametrize("system, workload", [
+    pytest.param("xenic", None, id="xenic"),
+    pytest.param("drtmh", None, id="drtmh"),
+    pytest.param("xenic", Retwis(3, keys_per_server=2000), id="retwis"),
+])
+def test_no_collection_inside_bench_build_or_measure(counter, system,
+                                                     workload):
     counter.on = True
-    bench = golden_bench(system)
+    bench = golden_bench(system, workload)
     counter.on = False
     assert counter.collections == 0
     gc.collect()
@@ -80,6 +85,16 @@ def test_no_collection_inside_bench_build_or_measure(counter, system):
     result = bench.measure(16, warmup_us=100.0, window_us=300.0)
     counter.on = False
     assert result.commits > 1000
+    assert counter.collections == 0
+
+
+def test_no_collection_inside_a_chaos_run(counter):
+    """``run_chaos`` builds, runs and checks inside the library's quiet
+    scopes: fault injection and invariant checking add no collection."""
+    counter.on = True
+    result = chaos.run_chaos(system="xenic", seed=3, n_txns=150, n_nodes=3)
+    counter.on = False
+    assert result.ok and result.commits > 0
     assert counter.collections == 0
 
 

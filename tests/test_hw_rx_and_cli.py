@@ -58,6 +58,22 @@ def test_cli_list_and_unknown():
         main(["definitely-not-a-command"])
 
 
+def test_cli_every_subcommand_has_a_table_row(capsys):
+    """``list`` and the dispatch read the same two tables the parser is
+    built from: a subcommand with no row (or a row with no parser) is a
+    command that parses but cannot run, or runs but is never listed."""
+    import argparse
+
+    from repro.__main__ import _TOOLS, COMMANDS, build_parser, main
+
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMANDS) | set(_TOOLS) | {"list", "all"}
+    main(["list"])
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == list(COMMANDS) + list(_TOOLS)
+
+
 def test_cli_tab1_runs():
     from repro.__main__ import main
 

@@ -1,17 +1,10 @@
-"""Tests for the parallel sweep executor and the wall-clock perf harness:
---jobs N output must be byte-identical to serial, chaos seeds must fan
-out unchanged, and the trajectory-file compare logic must catch
-regressions."""
+"""Tests for the parallel sweep executor: --jobs N output must be
+byte-identical to serial, and chaos seeds must fan out unchanged."""
 
 import json
 
-import pytest
-
 from repro.bench.parallel import (SweepSpec, run_chaos_seeds, run_sweeps,
                                   set_default_jobs)
-from repro.bench.perf import (append_entry, baseline_entry,
-                              collection_failures, compare_entries,
-                              load_trajectory, run_perf)
 from repro.bench.runner import to_jsonable
 
 
@@ -81,95 +74,3 @@ def test_fig8_entry_point_accepts_jobs():
         warmup_us=50.0, jobs=2)
     assert set(curves) == {"xenic"}
     assert [r.concurrency for r in curves["xenic"]] == [2, 4]
-
-
-# ---------------------------------------------------------------------------
-# perf harness
-# ---------------------------------------------------------------------------
-
-
-def test_run_perf_micro_smoke():
-    results = run_perf(quick=True, repeats=1,
-                       benches=["timeout_churn", "anyof_cancel"])
-    assert set(results) == {"timeout_churn", "anyof_cancel"}
-    for r in results.values():
-        assert r["wall_s"] > 0
-        assert r["events"] > 0
-        assert r["events_per_sec"] > 0
-        assert r["gc_collections"] >= 0 and r["gc_s"] >= 0.0
-
-
-def test_collection_gate_counts_end_to_end_benches_only():
-    """``perf --check`` fails on any collection inside an end-to-end
-    bench's timed region; micro benches are reported, not gated."""
-    clean = {"wall_s": 0.1, "events": 1, "events_per_sec": 10.0,
-             "gc_collections": 0, "gc_s": 0.0}
-    dirty = dict(clean, gc_collections=3, gc_s=0.002)
-    assert collection_failures({"fig8d_point": clean,
-                                "timeout_churn": dirty}) == []
-    failures = collection_failures({"fig8d_point": dirty,
-                                    "chaos_seed": clean})
-    assert len(failures) == 1 and failures[0].startswith("fig8d_point: 3 ")
-
-
-def test_end_to_end_bench_timed_region_is_collection_free():
-    results = run_perf(quick=True, repeats=1, benches=["chaos_seed"])
-    assert collection_failures(results) == []
-
-
-def test_run_perf_rejects_unknown_bench():
-    with pytest.raises(ValueError):
-        run_perf(benches=["not_a_bench"])
-
-
-def test_trajectory_roundtrip_and_regression_check(tmp_path):
-    path = str(tmp_path / "traj.json")
-    results = {"timeout_churn": {"wall_s": 0.1, "events": 100_000,
-                                 "events_per_sec": 1_000_000.0}}
-    entry = append_entry(results, quick=True, path=path, label="base")
-    assert entry["label"] == "base"
-    data = load_trajectory(path)
-    assert data["schema"] == 1 and len(data["trajectory"]) == 1
-
-    base = baseline_entry(True, path)
-    assert base is not None and base["label"] == "base"
-    assert baseline_entry(False, path) is None  # no full-scale entry
-
-    ok = {"timeout_churn": {"wall_s": 0.12, "events": 100_000,
-                            "events_per_sec": 833_333.0}}
-    assert compare_entries(ok, base, max_regression=2.0) == []
-    slow = {"timeout_churn": {"wall_s": 0.5, "events": 100_000,
-                              "events_per_sec": 200_000.0}}
-    failures = compare_entries(slow, base, max_regression=2.0)
-    assert len(failures) == 1 and "timeout_churn" in failures[0]
-
-    # appending keeps history: the newest same-scale entry wins
-    append_entry(slow, quick=True, path=path, label="later")
-    assert baseline_entry(True, path)["label"] == "later"
-    assert len(load_trajectory(path)["trajectory"]) == 2
-
-
-def test_committed_baseline_is_valid():
-    """The repo ships BENCH_simperf.json; it must parse and hold at least
-    one quick-scale entry with the core benches."""
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), "..",
-                        "BENCH_simperf.json")
-    data = load_trajectory(path)
-    assert data["trajectory"], "committed trajectory is empty"
-    base = baseline_entry(True, path)
-    assert base is not None
-    assert "timeout_churn" in base["results"]
-
-
-def test_perf_cli_check_mode(tmp_path):
-    from repro.__main__ import main
-
-    path = str(tmp_path / "perf.json")
-    # first --check run records a baseline and passes
-    assert main(["perf", "--repeats", "1", "--bench", "timeout_churn",
-                 "--baseline", path, "--check"]) == 0
-    # second run compares against it (same machine: well within 2x)
-    assert main(["perf", "--repeats", "1", "--bench", "timeout_churn",
-                 "--baseline", path, "--check"]) == 0

@@ -4,8 +4,11 @@ behavior, lazy heap deletion + compaction, and the resource fast path."""
 
 import pytest
 
+from repro.core import XenicCluster
+from repro.core.txn import TxnSpec
 from repro.sim.core import (AllOf, AnyOf, SimulationError, Simulator,
                             Timeout)
+from repro.sim.link import SerialLink
 from repro.sim.resources import Resource
 
 
@@ -263,3 +266,61 @@ def test_finished_processes_need_no_cycle_collector(system):
         gc.collect()
     assert result.commits >= 200
     assert leaked == []
+
+
+# ---------------------------------------------------------------------------
+# exact events per operation: each loop returns its process bodies (a
+# generator expression is a body that yields one event per item)
+# ---------------------------------------------------------------------------
+
+
+def _timeouts(sim):
+    return [(Timeout(sim, 1.0) for _ in range(100))]
+
+
+def _resource(sim):
+    res = Resource(sim, 4)
+
+    def worker():
+        for _ in range(25):
+            yield res.acquire()
+            yield Timeout(sim, 1.0)
+            res.release()
+    return [worker() for _ in range(8)]
+
+
+def _anyof(sim):
+    return [(AnyOf(sim, [Timeout(sim, 1.0), Timeout(sim, 1000.0)])
+             for _ in range(100))]
+
+
+def _link(sim):
+    link = SerialLink(sim, bandwidth_gbps=100.0, overhead_us=0.1)
+    return [(link.transfer(256) for _ in range(25)) for _ in range(4)]
+
+
+def _commit_path(sim):
+    cluster = XenicCluster(sim, 3, keys_per_shard=4096, value_size=64)
+    cluster.load_keys((k, None, None) for k in range(200))
+    cluster.prewarm_nic_caches()
+    cluster.start()
+
+    def driver():
+        for key in range(200):
+            yield from cluster.protocols[0].run_transaction(
+                TxnSpec([key], [key]))
+    return [driver()]
+
+
+@pytest.mark.parametrize("loop, events", [
+    (_timeouts, 101), (_resource, 102), (_anyof, 201), (_link, 102),
+    (_commit_path, 6729)],
+    ids=["timeouts", "resource", "anyof", "link", "commit_path"])
+def test_events_scheduled_per_op_is_exact(loop, events):
+    """``events_scheduled`` is a pure function of the code: a de-fused
+    site or a reintroduced spawn moves the count of the primitive that
+    caused it, with no wall time involved."""
+    sim = Simulator()
+    for proc in [sim.spawn(body) for body in loop(sim)]:
+        sim.run_until_event(proc)
+    assert sim.events_scheduled == events
