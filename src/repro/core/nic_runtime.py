@@ -266,10 +266,16 @@ class NicRuntime:
         """A NIC core busy-waits on the DMA completion (non-async mode)."""
         start = self.sim.now
         yield self.nic.cores.pool.acquire()
+        # Released on completion or an interrupt, never on GeneratorExit
+        # (see CoreGroup.run).
         try:
             if not op.done.triggered:
                 yield op.done
-            # the core was occupied from acquisition to completion
-            self.nic.cores.busy_us += self.sim.now - start
-        finally:
+        except GeneratorExit:
+            raise
+        except BaseException:
             self.nic.cores.pool.release()
+            raise
+        # the core was occupied from acquisition to completion
+        self.nic.cores.busy_us += self.sim.now - start
+        self.nic.cores.pool.release()

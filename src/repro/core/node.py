@@ -249,11 +249,17 @@ class XenicNode(ReplicaPlacement):
                         [apply_us * max(1, len(record.writes))
                          for record in batch])
                 if end is not None:
+                    # Released on completion or an interrupt, never on
+                    # GeneratorExit (see CoreGroup.run).
                     try:
                         if end > sim._now:
                             yield sim.call_at(end)
-                    finally:
+                    except GeneratorExit:
+                        raise
+                    except BaseException:
                         cores.pool.release()
+                        raise
+                    cores.pool.release()
                     for record in batch:
                         apply_record(record)
                         log.ack(record)

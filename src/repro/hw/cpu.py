@@ -82,8 +82,13 @@ class CoreGroup:
         return ref_us * self.slowdown
 
     def execute(self, ref_us: float) -> Event:
-        """Queue a job; event fires on completion."""
-        return self.sim.spawn(self.run(ref_us), name=self._exec_name)
+        """Queue a job; event fires on completion.
+
+        The job is a callback chain (:class:`_Job`) on exactly the
+        events a spawned :meth:`run` process would wait on — a start
+        entry at now, the FIFO grant when no core is free, one service
+        ``Timeout`` — and is itself the completion event."""
+        return _Job(self, ref_us * self.slowdown)
 
     def execute_wall(self, wall_us: float) -> Event:
         """Queue a job whose cost is given in *these cores'* wall time
@@ -161,7 +166,13 @@ class CoreGroup:
         return self.run(wall_us / self.slowdown)
 
     def run(self, ref_us: float):
-        """Generator form for use inside a process: ``yield from cores.run(w)``."""
+        """Generator form for use inside a process: ``yield from cores.run(w)``.
+
+        The core is released on completion and on an exception thrown
+        in (an interrupt), but not on ``GeneratorExit``: the collector
+        closes the suspended generators of a dropped simulation, and a
+        release there would hand the core to a waiter and resume that
+        dead cluster's processes from inside ``gc.collect()``."""
         if not self.pool.try_acquire():
             yield self.pool.acquire()
         sink = self.obs_sink
@@ -172,16 +183,67 @@ class CoreGroup:
         try:
             if service > 0:
                 yield Timeout(self.sim, service)
-        finally:
-            if sink is not None:
-                sink.core_job(self._obs_node, self._obs_track, lane,
-                              start, self.sim._now)
-                if lane is not None:
-                    heappush(self._obs_free, lane)
-            self.pool.release()
+        except GeneratorExit:
+            raise
+        except BaseException:
+            self._end_job(sink, lane, start)
+            raise
+        self._end_job(sink, lane, start)
+
+    def _end_job(self, sink, lane: Optional[int], start: float) -> None:
+        """Finish a job that started at ``start`` under ``sink`` (the
+        one attached then, if any): log its span on ``lane``, free the
+        lane, release the core."""
+        if sink is not None:
+            sink.core_job(self._obs_node, self._obs_track, lane,
+                          start, self.sim._now)
+            if lane is not None:
+                heappush(self._obs_free, lane)
+        self.pool.release()
 
     def utilization(self, since: float = 0.0) -> float:
         return self.pool.utilization(since)
 
     def reset_utilization(self) -> None:
         self.pool.reset_utilization()
+
+
+class _Job(Event):
+    """One :meth:`CoreGroup.execute` job, firing when it completes.
+
+    Each stage is the ``_cb0`` of the event a spawned :meth:`CoreGroup.run`
+    process would resume on at that point, so every push happens at the
+    same instant and in the same same-instant order as the process's —
+    without the generator, its resumes or the ``Process``."""
+
+    __slots__ = ("cores", "service", "sink", "lane", "start")
+
+    def __init__(self, cores: CoreGroup, service: float):
+        sim = cores.sim
+        Event.__init__(self, sim, cores._exec_name)
+        self.cores = cores
+        self.service = service
+        # the start event a spawned process would push
+        sim.call_at(sim._now, self._arrive)
+
+    def _arrive(self, _ev: Event) -> None:
+        pool = self.cores.pool
+        if pool.try_acquire():
+            self._run(None)
+        else:
+            pool.acquire().add_callback(self._run)
+
+    def _run(self, _ev: Optional[Event]) -> None:
+        cores = self.cores
+        self.sink = sink = cores.obs_sink
+        self.lane = cores._take_lane() if sink is not None else None
+        self.start = cores.sim._now
+        cores._book(self.service)
+        if self.service > 0:
+            Timeout(cores.sim, self.service)._cb0 = self._end
+        else:
+            self._end(None)
+
+    def _end(self, _ev: Optional[Event]) -> None:
+        self.cores._end_job(self.sink, self.lane, self.start)
+        self.succeed()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim.core import Event, Simulator
+from ..sim.core import Event, Simulator, Timeout
 from ..sim.link import SerialLink
 from .cpu import CoreGroup
 from .params import RdmaParams
@@ -150,6 +150,9 @@ class RdmaNic:
             back_bytes = size + self.params.per_op_wire_bytes
 
         name = self._verb_names[verb]
+        if self.injector is None:
+            return _Verb(self, target, name, out_bytes, back_bytes,
+                         self._fixed[verb], on_target)
         done = self.sim.event(name=name)
         self.sim.spawn(
             self._one_sided_proc(target, verb, out_bytes, back_bytes, done,
@@ -160,31 +163,13 @@ class RdmaNic:
 
     def _one_sided_proc(self, target, verb, out_bytes, back_bytes, done,
                         on_target=None):
+        """The stepwise verb chain, run under a fault injector: transient
+        failures retry before the linearization point.  With no injector
+        :class:`_Verb` runs the fused chain; the tests compare the two."""
         self.inflight += 1
         # initiator NIC descriptor processing + wire out
         yield self._tx_pipe.transfer(0)
         prop = self.params.propagation_us
-        if self.injector is None:
-            # Fused chain: both wire+propagation pairs become one event
-            # each (SerialLink.transfer_then); an injector, whenever it
-            # was installed, gets the stepwise chain below.  Every link
-            # reservation happens at the exact
-            # stepwise instant (wire at tx-done, RX pipe at arrival,
-            # response wire at the post-budget instant) and on_target
-            # still runs at the linearization point.  Do NOT merge the
-            # RX-pipe stage with the fixed budget: that moves the
-            # on_target-carrying event's push earlier, and a same-float
-            # collision with an event pushed in the moved window flips
-            # CAS linearization order (observed: one abort<->commit flip
-            # on a DrTM+R smallbank point).
-            yield self._wire.transfer_then(out_bytes, prop)
-            yield target._rx_pipe.transfer(0)
-            yield self.sim.timeout(self._fixed[verb])
-            result = on_target() if on_target is not None else None
-            yield target._wire.transfer_then(back_bytes, prop)
-            self.inflight -= 1
-            done.succeed(result)
-            return
         yield from self._transient_failures(verb)
         yield self._wire.transfer(out_bytes)
         yield self.sim.timeout(prop)
@@ -226,6 +211,11 @@ class RdmaNic:
         if target.host_cores is None:
             raise RuntimeError("target %s has no host cores attached" % target.name)
         self.ops[SEND] += 1
+        if self.injector is None:
+            per_op = self.params.per_op_wire_bytes
+            return _Rpc(self, target, self._rpc_name, req_size + per_op,
+                        resp_size + per_op, self._fixed[SEND], on_target,
+                        target.host_rpc_handle_us + handler_ref_us)
         done = self.sim.event(name=self._rpc_name)
         self.sim.spawn(
             self._rpc_proc(target, req_size, resp_size, handler_ref_us, done,
@@ -238,8 +228,6 @@ class RdmaNic:
         """Transient verb failures before the linearization point: the RC
         transport retries after a timeout, so the verb completes late but
         exactly once."""
-        if self.injector is None:
-            return
         retries = self.injector.rdma_retries(self, verb)
         for _ in range(retries):
             self.retries += 1
@@ -247,31 +235,13 @@ class RdmaNic:
 
     def _rpc_proc(self, target, req_size, resp_size, handler_ref_us, done,
                   on_target=None):
+        """The stepwise RPC chain, run under a fault injector; with none
+        :class:`_Rpc` runs it fused."""
         self.inflight += 1
         yield self._tx_pipe.transfer(0)
-        prop = self.params.propagation_us
-        if self.injector is None:
-            # Fused RPC: request wire+propagation and response
-            # wire+propagation merge (two events saved); the RX-pipe
-            # stage and the host-core grant stay stepwise — the core
-            # reservation at RX-done and the fixed-budget start at
-            # handler-done are both contended instants.
-            yield self._wire.transfer_then(
-                req_size + self.params.per_op_wire_bytes, prop)
-            yield target._rx_pipe.transfer(0)
-            yield target.host_cores.execute(
-                target.host_rpc_handle_us + handler_ref_us
-            )
-            result = on_target() if on_target is not None else None
-            yield self.sim.timeout(self._fixed[SEND])
-            yield target._wire.transfer_then(
-                resp_size + self.params.per_op_wire_bytes, prop)
-            self.inflight -= 1
-            done.succeed(result)
-            return
         yield from self._transient_failures(SEND)
         yield self._wire.transfer(req_size + self.params.per_op_wire_bytes)
-        yield self.sim.timeout(prop)
+        yield self.sim.timeout(self.params.propagation_us)
         yield target._rx_pipe.transfer(0)
         # Host CPU polls, handles the buffer, runs the handler, posts reply.
         yield target.host_cores.execute(
@@ -283,3 +253,102 @@ class RdmaNic:
         yield self.sim.timeout(self.params.propagation_us)
         self.inflight -= 1
         done.succeed(result)
+
+
+class _Verb(Event):
+    """A one-sided verb in flight with no fault injector, firing at the
+    initiator when the response or ack lands (value: ``on_target``'s).
+
+    A callback chain, not a process: each stage is the ``_cb0`` of one
+    event — an entry at now (where a spawned process's start event
+    goes), TX pipe, wire + propagation, the target's RX pipe, fixed
+    budget, response wire + propagation — so every push happens at the
+    instant and in the same-instant position a process yielding those
+    events would give it.  Each wire + propagation pair is one event
+    (``SerialLink.transfer_then``) where the stepwise chain
+    (:meth:`RdmaNic._one_sided_proc`) has two: each link reservation
+    still happens at its stepwise instant (wire at TX-done, RX pipe at
+    arrival, response wire after the budget) and ``on_target`` runs at
+    the linearization point.  Do NOT merge the RX-pipe stage with the
+    fixed budget: that pushes the ``on_target``-carrying event earlier,
+    and a same-float collision with an event pushed in the moved window
+    flips CAS linearization order (observed: one abort<->commit flip on
+    a DrTM+R smallbank point)."""
+
+    __slots__ = ("nic", "target", "out_bytes", "back_bytes", "budget",
+                 "on_target", "result")
+
+    def __init__(self, nic: RdmaNic, target: RdmaNic, name: str,
+                 out_bytes: int, back_bytes: int, budget: float, on_target):
+        sim = nic.sim
+        Event.__init__(self, sim, name)
+        self.nic = nic
+        self.target = target
+        self.out_bytes = out_bytes
+        self.back_bytes = back_bytes
+        self.budget = budget
+        self.on_target = on_target
+        self.result = None
+        sim.call_at(sim._now, self._start)
+
+    def _start(self, _ev: Event) -> None:
+        self.nic.inflight += 1
+        # initiator NIC descriptor processing
+        self.nic._tx_pipe.transfer(0)._cb0 = self._send
+
+    def _send(self, _ev: Event) -> None:
+        nic = self.nic
+        nic._wire.transfer_then(
+            self.out_bytes, nic.params.propagation_us)._cb0 = self._arrive
+
+    def _arrive(self, _ev: Event) -> None:
+        # target NIC descriptor processing (incl. PCIe DMA to host memory)
+        self.target._rx_pipe.transfer(0)._cb0 = self._serve
+
+    def _serve(self, _ev: Event) -> None:
+        # fixed processing budget reproduces the measured RTT floor
+        Timeout(self.sim, self.budget)._cb0 = self._touch
+
+    def _touch(self, _ev: Event) -> None:
+        if self.on_target is not None:
+            self.result = self.on_target()
+        # response over the target's wire
+        self.target._wire.transfer_then(
+            self.back_bytes, self.nic.params.propagation_us)._cb0 = self._land
+
+    def _land(self, _ev: Event) -> None:
+        self.nic.inflight -= 1
+        self.succeed(self.result)
+
+
+class _Rpc(_Verb):
+    """A two-sided RPC in flight with no fault injector: the
+    :class:`_Verb` chain with the target's host cores between RX pipe
+    and linearization point — the handler job (:meth:`CoreGroup.execute`),
+    then ``on_target``, then the fixed budget, then the response (the
+    stepwise form is :meth:`RdmaNic._rpc_proc`).  The RX-pipe stage and
+    the core grant stay separate events, and so do the handler's end
+    and the budget: the grant at RX-done and the budget start at
+    handler-done are both contended instants."""
+
+    __slots__ = ("handler_us",)
+
+    def __init__(self, nic: RdmaNic, target: RdmaNic, name: str,
+                 out_bytes: int, back_bytes: int, budget: float, on_target,
+                 handler_us: float):
+        self.handler_us = handler_us
+        _Verb.__init__(self, nic, target, name, out_bytes, back_bytes,
+                       budget, on_target)
+
+    def _serve(self, _ev: Event) -> None:
+        # host CPU polls, handles the buffer, runs the handler
+        self.target.host_cores.execute(self.handler_us)._cb0 = self._touch
+
+    def _touch(self, _ev: Event) -> None:
+        if self.on_target is not None:
+            self.result = self.on_target()
+        Timeout(self.sim, self.budget)._cb0 = self._respond
+
+    def _respond(self, _ev: Event) -> None:
+        self.target._wire.transfer_then(
+            self.back_bytes, self.nic.params.propagation_us)._cb0 = self._land

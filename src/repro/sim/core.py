@@ -587,6 +587,14 @@ class Simulator:
         ``events_per_txn`` and of the exact events-per-op test gates."""
         return self._q.seq
 
+    @property
+    def processes_spawned(self) -> int:
+        """Processes created so far by :meth:`spawn` and :meth:`start`.
+        Beside ``events_scheduled`` it tells a callback chain from a
+        process on the same events: the chain schedules the same
+        entries and spawns nothing."""
+        return self._processes_spawned
+
     # -- scheduling -------------------------------------------------------
 
     def _riding_push(self, when: float, event: Event, value: Any) -> None:

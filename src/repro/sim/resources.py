@@ -159,15 +159,20 @@ class Resource:
         return ev
 
     def release(self) -> None:
+        now = self.sim._now
         if self._lazy:
-            self._expire(self.sim._now)
+            self._expire(now)
         if self._in_use <= 0:
             raise SimulationError("release of idle resource %r" % self.name)
         if self._waiters:
             # Hand the slot directly to the next waiter; occupancy unchanged.
             self._waiters.popleft().succeed()
         else:
-            self._account()
+            # _account() inlined: lazy charges are already expired.
+            if self._splits:
+                self._consume_splits(now)
+            self._busy_area += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use -= 1
 
     def utilization(self, since: float = 0.0) -> float:

@@ -165,14 +165,16 @@ def test_fig8d_events_per_txn_reduction():
     assert on.events_per_txn <= 29.0
 
 
-@pytest.mark.parametrize("system", ["drtmh", "drtmr"])
+@pytest.mark.parametrize("system", ["drtmh", "drtmr", "fasst", "drtmh_nc"])
 def test_baseline_rdma_identical_off_vs_on(system):
-    """The fused RDMA verb chains (wire+propagation merges) change no
-    simulated quantity in the baseline systems against the stepwise
-    chain an injector selects.  DrTM+R is the sensitive one: its CAS
-    linearization order flips if the on_target-carrying event is pushed
-    early (the rejected RX+fixed-budget merge), so this scale is chosen
-    to have caught exactly that."""
+    """The fused RDMA verb and RPC chains (callback chains with the
+    wire+propagation pairs merged) change no simulated quantity in the
+    four baseline systems against the stepwise processes an injector
+    selects.  DrTM+R is the sensitive one: its CAS linearization order
+    flips if the on_target-carrying event is pushed early (the rejected
+    RX+fixed-budget merge), so this scale is chosen to have caught
+    exactly that.  FaSST is all RPCs: the one full exercise of the RPC
+    chain's host-core job."""
     with stepwise_fallbacks():
         off_bench = smallbank_bench(system, 1500)
     legs = []

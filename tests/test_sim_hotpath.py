@@ -6,6 +6,9 @@ import pytest
 
 from repro.core import XenicCluster
 from repro.core.txn import TxnSpec
+from repro.hw.cpu import CoreGroup
+from repro.hw.params import TESTBED
+from repro.hw.rdma import RdmaNic
 from repro.sim.core import (AllOf, AnyOf, SimulationError, Simulator,
                             Timeout)
 from repro.sim.link import SerialLink
@@ -214,8 +217,6 @@ def test_try_acquire_defers_to_waiters():
 
 
 def test_rdma_public_utilization_accessor():
-    from repro.hw.rdma import RdmaNic
-
     sim = Simulator()
     a = RdmaNic(sim, 0)
     b = RdmaNic(sim, 1)
@@ -268,6 +269,43 @@ def test_finished_processes_need_no_cycle_collector(system):
     assert leaked == []
 
 
+@pytest.mark.parametrize("system", ["xenic", "drtmh"])
+def test_dropped_simulation_stays_dead_in_the_collector(system,
+                                                         monkeypatch):
+    """A contended run leaves generators suspended while they hold a
+    core (``CoreGroup.run``, the worker batch) with waiters queued.  Once
+    nobody references the run, the collector closes those generators;
+    closing must not release the core, or the waiter it hands the core to
+    resumes the dead cluster's processes inside ``gc.collect()`` and
+    keeps the whole cluster alive for another collection."""
+    import gc
+
+    from repro.bench.runner import Bench
+    from repro.workloads import Smallbank
+
+    def contended_run():
+        bench = Bench(system, Smallbank(3, accounts_per_server=2000,
+                                        hot_keys_fraction=0.25), n_nodes=3)
+        bench.measure(64, warmup_us=0.0, window_us=50.0)
+        return id(bench.sim)
+
+    released = []
+    release = Resource.release
+    gc.collect()
+    gc.disable()
+    try:
+        sim_id = contended_run()
+        monkeypatch.setattr(
+            Resource, "release",
+            lambda self: (released.append(1), release(self))[1])
+        gc.collect()
+    finally:
+        gc.enable()
+    assert released == []
+    assert not any(type(o) is Simulator and id(o) == sim_id
+                   for o in gc.get_objects())
+
+
 # ---------------------------------------------------------------------------
 # exact events per operation: each loop returns its process bodies (a
 # generator expression is a body that yields one event per item)
@@ -312,15 +350,41 @@ def _commit_path(sim):
     return [driver()]
 
 
-@pytest.mark.parametrize("loop, events", [
-    (_timeouts, 101), (_resource, 102), (_anyof, 201), (_link, 102),
-    (_commit_path, 6729)],
-    ids=["timeouts", "resource", "anyof", "link", "commit_path"])
-def test_events_scheduled_per_op_is_exact(loop, events):
+def _rdma_read(sim):
+    a, b = RdmaNic(sim, 0), RdmaNic(sim, 1)
+    return [(a.read(b, 64) for _ in range(25)) for _ in range(4)]
+
+
+def _host_cores(sim):
+    return CoreGroup(sim, TESTBED.host.cpu, cores=2)
+
+
+def _rpc(sim):
+    a, b = RdmaNic(sim, 0), RdmaNic(sim, 1, host_cores=_host_cores(sim))
+    return [(a.rpc(b, 64, 16, handler_ref_us=0.1) for _ in range(25))
+            for _ in range(4)]
+
+
+def _core_execute(sim):
+    cores = _host_cores(sim)
+    return [(cores.execute(0.5) for _ in range(25)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("loop, events, spawned", [
+    (_timeouts, 101, 1), (_resource, 102, 8), (_anyof, 201, 1),
+    (_link, 102, 4), (_commit_path, 6729, 880), (_rdma_read, 542, 4),
+    (_rpc, 732, 4), (_core_execute, 151, 4)],
+    ids=["timeouts", "resource", "anyof", "link", "commit_path",
+         "rdma_read", "rpc", "core_execute"])
+def test_events_scheduled_per_op_is_exact(loop, events, spawned):
     """``events_scheduled`` is a pure function of the code: a de-fused
     site or a reintroduced spawn moves the count of the primitive that
-    caused it, with no wall time involved."""
+    caused it, with no wall time involved.  ``processes_spawned`` counts
+    the generators behind them: an RDMA verb, an RPC and a queued core
+    job run as callback chains, so those loops spawn only their
+    drivers."""
     sim = Simulator()
     for proc in [sim.spawn(body) for body in loop(sim)]:
         sim.run_until_event(proc)
     assert sim.events_scheduled == events
+    assert sim.processes_spawned == spawned
