@@ -42,9 +42,9 @@ def fig8d_point_payload(obs: bool = False) -> Dict[str, Any]:
 def fig8d_peak_payload(obs: bool = False) -> Dict[str, Any]:
     """The same cluster at the load the benchmark's peak phase applies
     (64 contexts per node).  NIC cores have waiters here — 2,342 of
-    36,551 inbound dispatches find no free core and take the stepwise
-    form — and the digest is the same observed, unobserved and under an
-    empty fault plan (``tests/test_fusion_ab.py``)."""
+    36,551 inbound dispatches find no free core and take the contended
+    form — and the digest is the same observed, unobserved and under a
+    fault plan that never fires (``tests/test_fusion_ab.py``)."""
     return _fig8d_run(64, obs)[1]
 
 

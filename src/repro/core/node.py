@@ -215,22 +215,22 @@ class XenicNode(ReplicaPlacement):
     def worker_loop(self):
         """One host Robinhood-worker thread: poll the log, apply write
         sets to the replica tables off the critical path (§4.2 step 7).
-        The cluster spawns ``host_worker_threads`` of these per node.
+        The cluster spawns ``host_worker_threads`` of these per node, one
+        per worker core, so a core is always free when a batch starts.
 
-        Delay fusion: an uncontended batch charges all its per-record
-        apply costs up front and sleeps to one fused deadline instead
-        of one timeout per record.  Poll instants and
-        batch contents are unchanged — ``CoreGroup.try_hold`` reproduces
-        the stepwise deadline and core accounting exactly — only the
-        table applies and log acks shift from intermediate instants to
-        the batch end.  Those are off-critical-path by design: reads
-        overlay ``pending_local`` until the ack (§4.2 step 7), replica
+        Delay fusion: a batch charges all its per-record apply costs up
+        front and sleeps to one deadline instead of one timeout per
+        record.  Poll instants and batch contents are those of records
+        applied one after another — ``CoreGroup.try_hold`` reproduces
+        their deadline and core accounting exactly — only the table
+        applies and log acks shift from intermediate instants to the
+        batch end.  Those are off-critical-path by design: reads overlay
+        ``pending_local`` until the ack (§4.2 step 7), replica
         application is version-idempotent, and the NIC cache pins
-        committed writes until ``log_acked``.  Falls back to the stepwise
-        loop under a fault plan that stalls NIC cores, or core contention."""
+        committed writes until ``log_acked``.  A fault plan's NIC stalls
+        never touch host worker cores."""
         apply_us = self.config.worker_apply_us
         cores = self.worker_cores
-        run_wall = cores.run_wall
         apply_record = self._apply_record
         log = self.log
         signal_down = self.log_signal.down
@@ -241,32 +241,20 @@ class XenicNode(ReplicaPlacement):
                 batch = log.poll(max_records=4)
                 if not batch:
                     break
-                end = None
-                if len(batch) > 1 and (
-                        self.protocol is None
-                        or self.protocol.runtime.injector is None):
-                    end = cores.try_hold(
-                        [apply_us * max(1, len(record.writes))
-                         for record in batch])
-                if end is not None:
-                    # Released on completion or an interrupt, never on
-                    # GeneratorExit (see CoreGroup.run).
-                    try:
-                        if end > sim._now:
-                            yield sim.call_at(end)
-                    except GeneratorExit:
-                        raise
-                    except BaseException:
-                        cores.pool.release()
-                        raise
+                end = cores.try_hold([apply_us * max(1, len(record.writes))
+                                      for record in batch])
+                # Released on completion or an interrupt, never on
+                # GeneratorExit (see CoreGroup.run).
+                try:
+                    if end > sim._now:
+                        yield sim.call_at(end)
+                except GeneratorExit:
+                    raise
+                except BaseException:
                     cores.pool.release()
-                    for record in batch:
-                        apply_record(record)
-                        log.ack(record)
-                    continue
+                    raise
+                cores.pool.release()
                 for record in batch:
-                    cost = apply_us * max(1, len(record.writes))
-                    yield from run_wall(cost)
                     apply_record(record)
                     log.ack(record)
 

@@ -1089,7 +1089,7 @@ class XenicProtocol(Coordinator):
     #   These are the interposable ``*_core`` methods the coordinator also
     #   runs for its local shards, and the fast form names the server span
     #   it emits after them, so server spans cover remote and local,
-    #   fused and stepwise alike;
+    #   fast and contended forms alike;
     # * ``rest`` — name of the body entered once *all* charges are paid;
     # * ``sync`` — ``rest`` returns the result itself (it never waits)
     #   instead of being a generator.
@@ -1139,45 +1139,49 @@ class XenicProtocol(Coordinator):
         """Take one inbound message to its kind's handler and pass the
         handler's result to ``done(msg, result)``.
 
-        Fast form (the model): the leading charges are held as ONE core
-        occupancy ending in ONE callback event, which releases the core
-        and enters the post-charge body — no Process, no start event,
-        and for the synchronous bodies no generator at all.  The core is
-        taken here, inside the delivery callback, and held across the
-        split between two charges; ``CoreGroup.try_hold`` keeps the
-        timestamps and core accounting those of the stepwise chain, and
-        an observer gets the chain's spans from them (``_log_hold``).
+        Fast form, whenever a NIC core is free: the leading charges are
+        held as ONE core occupancy ending in ONE callback event, which
+        releases the core and enters the post-charge body — no Process,
+        no start event, and for the synchronous bodies no generator at
+        all.  The core is taken here, inside the delivery callback, and
+        held across the split between two charges; ``CoreGroup.hold``
+        keeps the timestamps and core accounting those of two jobs run
+        back to back, and an observer gets their spans from them
+        (``_log_hold``).  Under a fault plan that stalls NIC cores, each
+        charge draws its stall once the core is taken.
 
-        Fallback, when no core is free or a fault plan may stall this
-        NIC's cores: one spawned stepwise generator, the same for every
-        kind — start event, the first charge as its own core job (its
-        injected stall drawn then), and ``core`` making the second one
-        after the first completes."""
+        Contended form, when no core is free: one spawned generator, the
+        same for every kind — start event, the first charge as its own
+        core job (its stall drawn then), and ``core`` making the second
+        one after the first completes, on a core it queues for again."""
         charges, args, core, rest, sync = self._INBOUND[kind]
         walls = charges(self, msg)
         cores = self.node.nic.cores
-        if self.runtime.injector is None:
+        if cores.pool.try_acquire():
+            runtime = self.runtime
+            if runtime.injector is not None:
+                walls = tuple(w + runtime._stall_us() for w in walls)
             start = self.sim._now
-            end = cores.try_hold(walls)
-            if end is not None:
-                def enter(_e):
-                    cores.pool.release()
-                    then = done if self.obs is None else self._log_hold(
-                        walls, core, start, msg.txn_id, done)
-                    if sync:
-                        then(msg, getattr(self, rest)(*args(msg)))
-                    else:
-                        self.sim.start(self._handle(rest, args, msg, then),
-                                       name=name)
-                self.sim.call_at(end, enter)
-                return
+            end = cores.hold(walls)
+
+            def enter(_e):
+                cores.pool.release()
+                then = done if self.obs is None else self._log_hold(
+                    walls, core, start, msg.txn_id, done)
+                if sync:
+                    then(msg, getattr(self, rest)(*args(msg)))
+                else:
+                    self.sim.start(self._handle(rest, args, msg, then),
+                                   name=name)
+            self.sim.call_at(end, enter)
+            return
         self.stats.inc("stepwise_dispatches")
         self.sim.spawn(self._handle(core or rest, args, msg, done, walls[0]),
                        name=name)
 
     def _handle(self, body: str, args, msg, done,
                 c1: Optional[float] = None):
-        """Generator behind ``_dispatch``: the stepwise form's own first
+        """Generator behind ``_dispatch``: the contended form's own first
         charge ``c1`` if given, then a kind's ``body``, then ``done``."""
         if c1 is not None:
             yield from self.runtime.nic_compute(c1, msg.txn_id)
@@ -1189,7 +1193,7 @@ class XenicProtocol(Coordinator):
         log each charge's ``nic`` attribution span from the instants the
         hold computed and, for a two-charge kind, return ``done`` wrapped
         to log the ``server`` span from the c1|c2 split to the body's
-        completion — what the stepwise form logs at its events there
+        completion — what the contended form logs at its events there
         (``NicRuntime._attrib_run``, the Observer's ``core`` wrapper)."""
         obs, node, cores = self.obs, self.node.node_id, self.node.nic.cores
         edges = [start]
@@ -1236,40 +1240,34 @@ class XenicProtocol(Coordinator):
                                              (ok, reason)):
                 self.stats.inc("stray_done")
         elif tag == "logic_req":
-            if not self._host_logic_fused(payload[1], payload[2]):
-                self.sim.spawn(self._host_run_logic(payload[1], payload[2]),
-                               name="host-logic")
+            self._host_logic(payload[1], payload[2])
         else:  # pragma: no cover - defensive
             raise RuntimeError("unknown pcie->host tag %r" % (tag,))
 
-    def _host_run_logic(self, txn: Transaction, round_no: int = 0):
-        t0 = self._t0()
-        yield from self.node.host_app_cores.run(txn.spec.logic_cost_us)
-        self._attrib("host", t0, txn.txn_id)
-        self._host_logic_done(txn, round_no)
-
-    def _host_logic_fused(self, txn: Transaction, round_no: int) -> bool:
-        """Fused host-logic execution: one callback event charging a
-        host app core for the (known) logic cost, then the synchronous
-        logic + PCIe ship.  Declines when all app cores are busy."""
+    def _host_logic(self, txn: Transaction, round_no: int) -> None:
+        """Run the transaction's logic on a host app core, then ship the
+        result to the NIC.  A free core is held for the (known) cost and
+        one callback event ends it; otherwise, and for zero-cost logic,
+        the :meth:`CoreGroup.execute` job runs it with the continuation
+        as its callback — the job's start entry, FIFO grant and single
+        timeout are the contended and zero-cost instants."""
         cores = self.node.host_app_cores
-        service = cores.service_us(txn.spec.logic_cost_us)
-        if service <= 0 or self.runtime.injector is not None:
-            # stepwise resolves zero-cost logic synchronously inside the
-            # start event; keep that ordering.
-            return False
-        end = cores.try_hold((service,))
-        if end is None:
-            return False
+        cost = txn.spec.logic_cost_us
+        service = cores.service_us(cost)
         t0 = self._t0()
 
         def then(_e):
-            cores.pool.release()
             self._attrib("host", t0, txn.txn_id)
             self._host_logic_done(txn, round_no)
 
-        self.sim.call_at(end, then)
-        return True
+        if service > 0 and cores.pool.try_acquire():
+            def release_then(e):
+                cores.pool.release()
+                then(e)
+
+            self.sim.call_at(cores.hold((service,)), release_then)
+        else:
+            cores.execute(cost)._cb0 = then
 
     def _host_logic_done(self, txn: Transaction, round_no: int) -> None:
         result = txn.run_logic()

@@ -98,9 +98,10 @@ class RdmaNic:
         self.ops = {READ: 0, WRITE: 0, ATOMIC: 0, SEND: 0}
         self._verb_names = {v: "%s.%s" % (self.name, v)
                             for v in (READ, WRITE, ATOMIC)}
-        self._rpc_name = "%s.rpc" % self.name
+        self._verb_names[SEND] = "%s.rpc" % self.name
         # Optional fault injector (repro.sim.faults): transient verb
-        # failures retried by the RC transport, each paying a timeout.
+        # failures retried by the RC transport, each paying a timeout
+        # (``_Verb._draw``).
         self.injector = None
         self.retries = 0
         # Verbs issued but not yet completed (gauge source for repro.obs).
@@ -148,41 +149,8 @@ class RdmaNic:
         else:  # ATOMIC
             out_bytes = _ATOMIC_DESC + self.params.per_op_wire_bytes
             back_bytes = size + self.params.per_op_wire_bytes
-
-        name = self._verb_names[verb]
-        if self.injector is None:
-            return _Verb(self, target, name, out_bytes, back_bytes,
-                         self._fixed[verb], on_target)
-        done = self.sim.event(name=name)
-        self.sim.spawn(
-            self._one_sided_proc(target, verb, out_bytes, back_bytes, done,
-                                 on_target),
-            name=name,
-        )
-        return done
-
-    def _one_sided_proc(self, target, verb, out_bytes, back_bytes, done,
-                        on_target=None):
-        """The stepwise verb chain, run under a fault injector: transient
-        failures retry before the linearization point.  With no injector
-        :class:`_Verb` runs the fused chain; the tests compare the two."""
-        self.inflight += 1
-        # initiator NIC descriptor processing + wire out
-        yield self._tx_pipe.transfer(0)
-        prop = self.params.propagation_us
-        yield from self._transient_failures(verb)
-        yield self._wire.transfer(out_bytes)
-        yield self.sim.timeout(prop)
-        # target NIC descriptor processing (incl. PCIe DMA to host memory)
-        yield target._rx_pipe.transfer(0)
-        # fixed processing budget reproduces the measured RTT floor
-        yield self.sim.timeout(self._fixed[verb])
-        result = on_target() if on_target is not None else None
-        # response over target's wire
-        yield target._wire.transfer(back_bytes)
-        yield self.sim.timeout(prop)
-        self.inflight -= 1
-        done.succeed(result)
+        return _Verb(self, target, verb, out_bytes, back_bytes,
+                     self._fixed[verb], on_target)
 
     def read(self, target: "RdmaNic", size: int, on_target=None) -> Event:
         return self.one_sided(target, READ, size, on_target)
@@ -211,53 +179,15 @@ class RdmaNic:
         if target.host_cores is None:
             raise RuntimeError("target %s has no host cores attached" % target.name)
         self.ops[SEND] += 1
-        if self.injector is None:
-            per_op = self.params.per_op_wire_bytes
-            return _Rpc(self, target, self._rpc_name, req_size + per_op,
-                        resp_size + per_op, self._fixed[SEND], on_target,
-                        target.host_rpc_handle_us + handler_ref_us)
-        done = self.sim.event(name=self._rpc_name)
-        self.sim.spawn(
-            self._rpc_proc(target, req_size, resp_size, handler_ref_us, done,
-                           on_target),
-            name=self._rpc_name,
-        )
-        return done
-
-    def _transient_failures(self, verb: str):
-        """Transient verb failures before the linearization point: the RC
-        transport retries after a timeout, so the verb completes late but
-        exactly once."""
-        retries = self.injector.rdma_retries(self, verb)
-        for _ in range(retries):
-            self.retries += 1
-            yield self.sim.timeout(self.injector.spec.rdma_retry_us)
-
-    def _rpc_proc(self, target, req_size, resp_size, handler_ref_us, done,
-                  on_target=None):
-        """The stepwise RPC chain, run under a fault injector; with none
-        :class:`_Rpc` runs it fused."""
-        self.inflight += 1
-        yield self._tx_pipe.transfer(0)
-        yield from self._transient_failures(SEND)
-        yield self._wire.transfer(req_size + self.params.per_op_wire_bytes)
-        yield self.sim.timeout(self.params.propagation_us)
-        yield target._rx_pipe.transfer(0)
-        # Host CPU polls, handles the buffer, runs the handler, posts reply.
-        yield target.host_cores.execute(
-            target.host_rpc_handle_us + handler_ref_us
-        )
-        result = on_target() if on_target is not None else None
-        yield self.sim.timeout(self._fixed[SEND])
-        yield target._wire.transfer(resp_size + self.params.per_op_wire_bytes)
-        yield self.sim.timeout(self.params.propagation_us)
-        self.inflight -= 1
-        done.succeed(result)
+        per_op = self.params.per_op_wire_bytes
+        return _Rpc(self, target, req_size + per_op, resp_size + per_op,
+                    self._fixed[SEND], on_target,
+                    target.host_rpc_handle_us + handler_ref_us)
 
 
 class _Verb(Event):
-    """A one-sided verb in flight with no fault injector, firing at the
-    initiator when the response or ack lands (value: ``on_target``'s).
+    """A one-sided verb in flight, firing at the initiator when the
+    response or ack lands (value: ``on_target``'s).
 
     A callback chain, not a process: each stage is the ``_cb0`` of one
     event — an entry at now (where a spawned process's start event
@@ -265,25 +195,29 @@ class _Verb(Event):
     budget, response wire + propagation — so every push happens at the
     instant and in the same-instant position a process yielding those
     events would give it.  Each wire + propagation pair is one event
-    (``SerialLink.transfer_then``) where the stepwise chain
-    (:meth:`RdmaNic._one_sided_proc`) has two: each link reservation
-    still happens at its stepwise instant (wire at TX-done, RX pipe at
-    arrival, response wire after the budget) and ``on_target`` runs at
-    the linearization point.  Do NOT merge the RX-pipe stage with the
-    fixed budget: that pushes the ``on_target``-carrying event earlier,
-    and a same-float collision with an event pushed in the moved window
-    flips CAS linearization order (observed: one abort<->commit flip on
-    a DrTM+R smallbank point)."""
+    (``SerialLink.transfer_then``): each link reservation still happens
+    at its own instant (wire at TX-done, RX pipe at arrival, response
+    wire after the budget) and ``on_target`` runs at the linearization
+    point.  Do NOT merge the RX-pipe stage with the fixed budget: that
+    pushes the ``on_target``-carrying event earlier, and a same-float
+    collision with an event pushed in the moved window flips CAS
+    linearization order (observed: one abort<->commit flip on a DrTM+R
+    smallbank point).
 
-    __slots__ = ("nic", "target", "out_bytes", "back_bytes", "budget",
-                 "on_target", "result")
+    Under a fault injector the TX-done stage is :meth:`_draw`, which
+    puts one retry timeout per transient failure in front of the wire;
+    with none attached the chain is the one above, call for call."""
 
-    def __init__(self, nic: RdmaNic, target: RdmaNic, name: str,
+    __slots__ = ("nic", "target", "verb", "out_bytes", "back_bytes",
+                 "budget", "on_target", "result", "left")
+
+    def __init__(self, nic: RdmaNic, target: RdmaNic, verb: str,
                  out_bytes: int, back_bytes: int, budget: float, on_target):
         sim = nic.sim
-        Event.__init__(self, sim, name)
+        Event.__init__(self, sim, nic._verb_names[verb])
         self.nic = nic
         self.target = target
+        self.verb = verb
         self.out_bytes = out_bytes
         self.back_bytes = back_bytes
         self.budget = budget
@@ -292,9 +226,29 @@ class _Verb(Event):
         sim.call_at(sim._now, self._start)
 
     def _start(self, _ev: Event) -> None:
-        self.nic.inflight += 1
+        nic = self.nic
+        nic.inflight += 1
         # initiator NIC descriptor processing
-        self.nic._tx_pipe.transfer(0)._cb0 = self._send
+        nic._tx_pipe.transfer(0)._cb0 = (
+            self._send if nic.injector is None else self._draw)
+
+    def _draw(self, ev: Event) -> None:
+        """TX done under a fault plan: draw this verb's transient
+        failures, once, before the linearization point.  The RC transport
+        retries each after a timeout, so the verb goes out late but
+        exactly once."""
+        nic = self.nic
+        self.left = nic.injector.rdma_retries(nic, self.verb)
+        self._retry(ev)
+
+    def _retry(self, ev: Event) -> None:
+        if not self.left:
+            self._send(ev)
+            return
+        self.left -= 1
+        nic = self.nic
+        nic.retries += 1
+        Timeout(self.sim, nic.injector.spec.rdma_retry_us)._cb0 = self._retry
 
     def _send(self, _ev: Event) -> None:
         nic = self.nic
@@ -322,22 +276,21 @@ class _Verb(Event):
 
 
 class _Rpc(_Verb):
-    """A two-sided RPC in flight with no fault injector: the
-    :class:`_Verb` chain with the target's host cores between RX pipe
-    and linearization point — the handler job (:meth:`CoreGroup.execute`),
-    then ``on_target``, then the fixed budget, then the response (the
-    stepwise form is :meth:`RdmaNic._rpc_proc`).  The RX-pipe stage and
-    the core grant stay separate events, and so do the handler's end
-    and the budget: the grant at RX-done and the budget start at
-    handler-done are both contended instants."""
+    """A two-sided RPC in flight: the :class:`_Verb` chain (retries
+    included) with the target's host cores between RX pipe and
+    linearization point — the handler job (:meth:`CoreGroup.execute`),
+    then ``on_target``, then the fixed budget, then the response.  The
+    RX-pipe stage and the core grant stay separate events, and so do the
+    handler's end and the budget: the grant at RX-done and the budget
+    start at handler-done are both contended instants."""
 
     __slots__ = ("handler_us",)
 
-    def __init__(self, nic: RdmaNic, target: RdmaNic, name: str,
-                 out_bytes: int, back_bytes: int, budget: float, on_target,
+    def __init__(self, nic: RdmaNic, target: RdmaNic, out_bytes: int,
+                 back_bytes: int, budget: float, on_target,
                  handler_us: float):
         self.handler_us = handler_us
-        _Verb.__init__(self, nic, target, name, out_bytes, back_bytes,
+        _Verb.__init__(self, nic, target, SEND, out_bytes, back_bytes,
                        budget, on_target)
 
     def _serve(self, _ev: Event) -> None:

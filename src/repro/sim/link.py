@@ -170,8 +170,9 @@ class BatchingLink:
         # entry at the floor already exists at round end, the stepwise
         # timeout is pushed as-is: it rides that entry for free with
         # its exact cohort position.  A drainer that slept the wait
-        # out (fault injector on the link) leaves ``_floor`` at zero,
-        # so sends to it take the immediate-wake branch unchanged.
+        # out leaves ``_floor`` at zero, so sends to it take the
+        # immediate-wake branch unchanged.  A fault plan's link stall is
+        # drawn inside ``transfer`` and is already in the wait's length.
         self._floor = 0.0
         self._armed = False
         self._arm_cb_bound = self._arm_cb
@@ -255,7 +256,7 @@ class BatchingLink:
                     )
                     idle = link._busy_until - self.sim.now
                     if idle > 0:
-                        if not queue and link.injector is None:
+                        if not queue:
                             floor = self.sim._now + idle
                             host = self.sim._open.get(floor)
                             if host is None or host._ok is not None:
@@ -306,7 +307,7 @@ class BatchingLink:
                 if self._queue:
                     idle = max(idle, self.batch_window_us)
                 if idle > 0:
-                    if not self._queue and self.link.injector is None:
+                    if not self._queue:
                         floor = self.sim._now + idle
                         host = self.sim._open.get(floor)
                         if host is None or host._ok is not None:

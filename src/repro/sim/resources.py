@@ -48,7 +48,7 @@ class Resource:
         # registering the stepwise chain's intermediate release/re-acquire
         # timestamps here keeps the _busy_area float summation split at
         # exactly the same points, so utilization stays byte-identical
-        # between a fused chain and its stepwise fallback.
+        # to the same charges run one job after another.
         self._splits: list = []
         # Virtual occupancies (heap of expiry times).  A fused
         # fire-and-forget charge (CoreGroup.charge_wall) holds its slot

@@ -1,20 +1,22 @@
 """Delay-fusion invariants.
 
 Fusion is the model: a delay chain whose length is known up front runs
-as one callback event, and each fused site falls back to its stepwise
-form only for what the traffic or the fault plan decides — no free
-core, or a fault kind that can fire at that site.  Who is attached
-decides nothing: an Observer gets the fused form's spans from the
-instants it computed, and a plan with no kind for a site is not
-installed there.  The tests here pin the digest at the benchmark's
-peak load (c=64) on the engine's queue and on the heap oracle,
-unobserved, observed and under an empty fault plan alike; equality of
-the fused paths and the stepwise reference where it holds (c=16, NIC
-cores almost never queue); how much of each the pinned runs exercise;
-and the event count the fused paths exist to deliver.
+as one callback event, and a site takes its contended form only when
+the traffic leaves it no free core.  Who is attached decides nothing:
+an Observer gets the fused form's spans from the instants it computed,
+and a fault plan's draws are stages of the same chains, so a plan
+changes the schedule only where a fault fires.  The tests here pin the
+digest at the benchmark's peak load (c=64) on the engine's queue and on
+the heap oracle, unobserved, observed and under a plan that never fires
+alike; that such a plan is the bare run at every load tested, on Xenic
+and on the four baselines; how much of each form the pinned runs
+exercise; and the event count the fused paths exist to deliver.
 """
 
 import contextlib
+import functools
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.bench.golden import (_fig8d_run, canonical_digest,
                                 fig8d_peak_payload, fig8d_point_payload)
 from repro.bench.runner import Bench, set_default_faults
 from repro.core.cluster import XenicCluster
+from repro.core.protocol import XenicProtocol
 from repro.sim.core import Simulator
 from repro.sim.faults import FaultSpec
 from repro.workloads import Smallbank
@@ -35,9 +38,10 @@ FIG8D_PEAK_DIGEST = (
     "9d3c521bdbd3ec7be53fddf8c1e3cce6b7c3e4e337760aad0b454a9bdfd21f83")
 
 
-# Every fault kind a fused site selects on, at a probability that never
-# fires: each category draws from its own child stream, so nothing else
-# in the run moves.
+# Every fault kind drawn inside a fused chain (link stalls, NIC-core
+# stalls, RDMA verb retries), at a probability that never fires: each
+# category draws from its own child stream, so nothing else in the run
+# moves.
 NEVER_FIRING = FaultSpec(stall=1e-300, nic_stall=1e-300, rdma_fail=1e-300)
 
 
@@ -50,11 +54,9 @@ def default_faults(spec):
         set_default_faults(None)
 
 
-def stepwise_fallbacks():
-    """A ``Bench`` built inside runs every fused site that selects on a
-    fault injector (inbound dispatch, host logic, link parks, worker
-    batches, RDMA verb chains) on its stepwise fallback — the reference
-    the fused forms are compared against."""
+def never_firing_plan():
+    """A ``Bench`` built inside carries a fault plan that draws at every
+    site a fault can fire and never fires."""
     return default_faults(NEVER_FIRING)
 
 
@@ -68,11 +70,11 @@ def smallbank_bench(system, accounts, **kwargs):
 
 @both_queues
 def test_digests_identical_off_vs_on(monkeypatch, queue):
-    """Off: the stepwise fallbacks.  On: the fused paths, pinned in
-    test_golden_digest.  Same digest, on both queues — a chaos run at
-    this load measures the model the figures measure."""
+    """Under a plan that never fires the golden point keeps the digest
+    pinned in test_golden_digest, on both queues — a chaos run at this
+    load measures the model the figures measure."""
     use_queue(monkeypatch, queue)
-    with stepwise_fallbacks():
+    with never_firing_plan():
         assert canonical_digest(fig8d_point_payload()) == FIG8D_DIGEST
 
 
@@ -85,51 +87,70 @@ def test_peak_digest_pinned_on_default_leg(monkeypatch, queue):
     assert canonical_digest(fig8d_peak_payload()) == FIG8D_PEAK_DIGEST
 
 
+class GoldenRun(NamedTuple):
+    digest: str
+    contended: int  # inbound dispatches that found no free NIC core
+    dispatched: int
+    events: int
+    spawned: int
+
+
+@functools.lru_cache(maxsize=None)
+def golden_run(concurrency, obs=False, faults=None):
+    """One run of the golden cluster, cached: several tests read the
+    same runs.  Counts, summed over the cluster's protocols, the inbound
+    dispatches and those that took the contended form, and reads the
+    engine's ``events_scheduled`` and ``processes_spawned``."""
+    dispatched = []
+    dispatch = XenicProtocol._dispatch
+
+    def counting(self, *a):
+        dispatched.append(1)
+        return dispatch(self, *a)
+
+    with mock.patch.object(XenicProtocol, "_dispatch", counting), \
+            default_faults(faults):
+        bench, payload = _fig8d_run(concurrency, obs)
+    return GoldenRun(
+        canonical_digest(payload),
+        sum(proto.stats.get("stepwise_dispatches")
+            for proto in bench.cluster.protocols),
+        len(dispatched), bench.sim.events_scheduled,
+        bench.sim.processes_spawned)
+
+
 def test_peak_digest_observer_neutral():
     """At peak load ``repro.obs.attrib`` explains the schedule the
     benchmark measures: on the fig8d cluster with warm-up 100 us /
     window 300 us at c=64 the observed run gives the unobserved run's
     7721 commits / 1093 aborts over the whole run (5795 / 842 in the
     window, p50 9.41 us)."""
-    assert canonical_digest(fig8d_peak_payload(obs=True)) == FIG8D_PEAK_DIGEST
+    assert golden_run(64, obs=True).digest == FIG8D_PEAK_DIGEST
 
 
-def golden_run(concurrency, obs=False, faults=None):
-    """One run of the golden cluster: its digest and, summed over the
-    cluster's protocols, how many inbound dispatches took the generic
-    stepwise fallback."""
-    with default_faults(faults):
-        bench, payload = _fig8d_run(concurrency, obs)
-    return (canonical_digest(payload),
-            sum(proto.stats.get("stepwise_dispatches")
-                for proto in bench.cluster.protocols))
-
-
-def test_pins_cover_fast_path_fallback_and_mix(monkeypatch):
+def test_pins_cover_fast_path_fallback_and_mix():
     """What the pinned digests exercise, counted rather than assumed,
     and the same whoever is attached — no one, an Observer, a fault plan
-    that can inject nothing: the golden point is the fast path (3 of
-    11,078 inbound dispatches fall back: a NIC core does, rarely, queue)
-    and the peak point a mix (2,342 of 36,551).  Only the forced
-    reference sends every dispatch down the fallback, and at the golden
-    point it reaches the same digest."""
-    from repro.core.protocol import XenicProtocol
+    that never fires: the golden point is the fast path (3 of 11,078
+    inbound dispatches find no free core: a NIC core does, rarely,
+    queue) and the peak point a mix (2,342 of 36,551)."""
+    for mode in ({}, {"obs": True}, {"faults": NEVER_FIRING}):
+        assert golden_run(16, **mode)[:3] == (FIG8D_DIGEST, 3, 11078), mode
+        assert golden_run(64, **mode)[:3] == (
+            FIG8D_PEAK_DIGEST, 2342, 36551), mode
 
-    dispatched = []
-    dispatch = XenicProtocol._dispatch
-    monkeypatch.setattr(
-        XenicProtocol, "_dispatch",
-        lambda self, *a: (dispatched.append(1), dispatch(self, *a))[1])
-    for mode in ({}, {"obs": True}, {"faults": FaultSpec()}):
-        del dispatched[:]
-        assert golden_run(16, **mode) == (FIG8D_DIGEST, 3), mode
-        assert len(dispatched) == 11078
-        del dispatched[:]
-        assert golden_run(64, **mode) == (FIG8D_PEAK_DIGEST, 2342), mode
-        assert len(dispatched) == 36551
-    del dispatched[:]
-    assert golden_run(16, faults=NEVER_FIRING) == (FIG8D_DIGEST, 11078)
-    assert len(dispatched) == 11078
+
+@pytest.mark.parametrize("concurrency, contended",
+                         [(16, 3), (32, 62), (64, 2342)])
+def test_a_plan_that_never_fires_is_the_bare_run(concurrency, contended):
+    """A fault plan changes the schedule only where a fault fires: each
+    draw is a stage of the one chain its site runs, so a plan on every
+    kind that never fires gives the bare run's digest, contended
+    dispatches, events and processes, at the golden point, at c=32 and
+    at the peak."""
+    bare = golden_run(concurrency)
+    assert bare.contended == contended
+    assert golden_run(concurrency, faults=NEVER_FIRING) == bare
 
 
 def test_attribution_sums_with_fusion_on():
@@ -151,41 +172,42 @@ def test_attribution_sums_with_fusion_on():
 def test_fig8d_events_per_txn_reduction():
     """The headline fused-path win, pinned as a regression gate: the
     fig8d point's events per committed txn stay under a ceiling with
-    ~10% headroom over the measured value (26.4 at this scale), and the
-    stepwise fallbacks reach the identical simulated outcome through
-    more scheduler entries (1.18x here; they cover only the
-    injector-gated sites)."""
-    with stepwise_fallbacks():
-        off_bench = smallbank_bench("xenic", 2000)
-    off, on = (bench.measure(16, warmup_us=100.0, window_us=300.0)
-               for bench in (off_bench, smallbank_bench("xenic", 2000)))
-    assert (off.commits, off.aborts) == (on.commits, on.aborts)
-    assert off.throughput_per_server == on.throughput_per_server
-    assert off.events_scheduled / on.events_scheduled >= 1.15
-    assert on.events_per_txn <= 29.0
+    ~10% headroom over the measured value (26.4 at this scale).  A plan
+    that never fires schedules exactly these events
+    (``test_a_plan_that_never_fires_is_the_bare_run``)."""
+    result = smallbank_bench("xenic", 2000).measure(
+        16, warmup_us=100.0, window_us=300.0)
+    assert result.events_per_txn <= 29.0
+
+
+# (concurrency, warm-up us, window us) of one ascending sweep
+BASELINE_SWEEP = ((8, 80.0, 300.0), (32, 20.0, 100.0), (64, 20.0, 100.0))
 
 
 @pytest.mark.parametrize("system", ["drtmh", "drtmr", "fasst", "drtmh_nc"])
 def test_baseline_rdma_identical_off_vs_on(system):
-    """The fused RDMA verb and RPC chains (callback chains with the
-    wire+propagation pairs merged) change no simulated quantity in the
-    four baseline systems against the stepwise processes an injector
-    selects.  DrTM+R is the sensitive one: its CAS linearization order
-    flips if the on_target-carrying event is pushed early (the rejected
-    RX+fixed-budget merge), so this scale is chosen to have caught
-    exactly that.  FaSST is all RPCs: the one full exercise of the RPC
-    chain's host-core job."""
-    with stepwise_fallbacks():
-        off_bench = smallbank_bench(system, 1500)
+    """A plan that never fires leaves the four baseline systems' runs
+    untouched at c=8, 32 and 64: retries and link stalls are drawn in
+    the one verb and RPC chain, so commits, aborts, throughput, clock
+    and events all match the bare run.  DrTM+R is the sensitive one:
+    its CAS linearization order flips if the on_target-carrying event
+    is pushed early, so this scale is chosen to have caught exactly
+    that.  FaSST is all RPCs: the one full exercise of the RPC chain's
+    host-core job."""
     legs = []
-    for bench in (off_bench, smallbank_bench(system, 1500)):
-        result = bench.measure(8, warmup_us=80.0, window_us=300.0)
-        legs.append((result.commits, result.aborts,
-                     result.throughput_per_server, bench.sim.now,
-                     result.events_scheduled))
-    off, on = legs
-    assert off[:-1] == on[:-1]
-    assert off[-1] > on[-1]  # and the fused chain did schedule less
+    for faults in (NEVER_FIRING, None):
+        with default_faults(faults):
+            bench = smallbank_bench(system, 1500)
+        leg = []
+        for concurrency, warmup_us, window_us in BASELINE_SWEEP:
+            result = bench.measure(concurrency, warmup_us=warmup_us,
+                                   window_us=window_us)
+            leg.append((result.commits, result.aborts,
+                        result.throughput_per_server, bench.sim.now,
+                        result.events_scheduled))
+        legs.append(leg)
+    planned, bare = legs
+    assert planned == bare
 
 
 def test_construction_is_event_free_and_linear(monkeypatch):

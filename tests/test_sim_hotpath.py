@@ -2,6 +2,8 @@
 boundary semantics with stale heap entries, combinator detach/cancel
 behavior, lazy heap deletion + compaction, and the resource fast path."""
 
+import functools
+
 import pytest
 
 from repro.core import XenicCluster
@@ -11,8 +13,10 @@ from repro.hw.params import TESTBED
 from repro.hw.rdma import RdmaNic
 from repro.sim.core import (AllOf, AnyOf, SimulationError, Simulator,
                             Timeout)
+from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.link import SerialLink
 from repro.sim.resources import Resource
+from repro.sim.rng import RngStream
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +354,36 @@ def _commit_path(sim):
     return [driver()]
 
 
-def _rdma_read(sim):
-    a, b = RdmaNic(sim, 0), RdmaNic(sim, 1)
-    return [(a.read(b, 64) for _ in range(25)) for _ in range(4)]
-
-
 def _host_cores(sim):
     return CoreGroup(sim, TESTBED.host.cpu, cores=2)
 
 
-def _rpc(sim):
-    a, b = RdmaNic(sim, 0), RdmaNic(sim, 1, host_cores=_host_cores(sim))
-    return [(a.rpc(b, 64, 16, handler_ref_us=0.1) for _ in range(25))
-            for _ in range(4)]
+# RDMA loops whose initiator carries a fault plan: one that never fires,
+# and one whose 100 verbs draw 36 retries over 25 failures (seed 1)
+NEVER_FIRES = FaultSpec(rdma_fail=1e-300)
+RETRIED = FaultSpec(rdma_fail=0.3, rdma_retry_us=8.0)
+
+
+def _verbs(sim, rpc, spec=None):
+    """NIC 0, with a fault plan of ``spec`` when one is given, and four
+    drivers of 25 reads (or RPCs) from it to NIC 1."""
+    a = RdmaNic(sim, 0)
+    if spec is not None:
+        a.injector = FaultPlan(spec, RngStream(1, "faults"))
+        a.injector.sim = sim
+    b = RdmaNic(sim, 1, host_cores=_host_cores(sim))
+    if rpc:
+        return a, [(a.rpc(b, 64, 16, handler_ref_us=0.1) for _ in range(25))
+                   for _ in range(4)]
+    return a, [(a.read(b, 64) for _ in range(25)) for _ in range(4)]
+
+
+def _rdma_read(sim, spec=None):
+    return _verbs(sim, False, spec)[1]
+
+
+def _rpc(sim, spec=None):
+    return _verbs(sim, True, spec)[1]
 
 
 def _core_execute(sim):
@@ -370,21 +391,48 @@ def _core_execute(sim):
     return [(cores.execute(0.5) for _ in range(25)) for _ in range(4)]
 
 
+def _run_loop(sim, bodies):
+    for proc in [sim.spawn(body) for body in bodies]:
+        sim.run_until_event(proc)
+
+
 @pytest.mark.parametrize("loop, events, spawned", [
     (_timeouts, 101, 1), (_resource, 102, 8), (_anyof, 201, 1),
     (_link, 102, 4), (_commit_path, 6729, 880), (_rdma_read, 542, 4),
-    (_rpc, 732, 4), (_core_execute, 151, 4)],
+    (_rpc, 732, 4), (_core_execute, 151, 4),
+    (functools.partial(_rdma_read, spec=NEVER_FIRES), 542, 4),
+    (functools.partial(_rpc, spec=NEVER_FIRES), 732, 4),
+    (functools.partial(_rdma_read, spec=RETRIED), 632, 4),
+    (functools.partial(_rpc, spec=RETRIED), 834, 4)],
     ids=["timeouts", "resource", "anyof", "link", "commit_path",
-         "rdma_read", "rpc", "core_execute"])
+         "rdma_read", "rpc", "core_execute", "rdma_read_never_fires",
+         "rpc_never_fires", "rdma_read_retried", "rpc_retried"])
 def test_events_scheduled_per_op_is_exact(loop, events, spawned):
     """``events_scheduled`` is a pure function of the code: a de-fused
     site or a reintroduced spawn moves the count of the primitive that
     caused it, with no wall time involved.  ``processes_spawned`` counts
     the generators behind them: an RDMA verb, an RPC and a queued core
     job run as callback chains, so those loops spawn only their
-    drivers."""
+    drivers — under a fault plan too, where a plan that never fires
+    gives the bare counts and each retry is a timeout in the verb's own
+    chain."""
     sim = Simulator()
-    for proc in [sim.spawn(body) for body in loop(sim)]:
-        sim.run_until_event(proc)
+    _run_loop(sim, loop(sim))
     assert sim.events_scheduled == events
     assert sim.processes_spawned == spawned
+
+
+@pytest.mark.parametrize("rpc, end", [(False, 222.9146666666665),
+                                      (True, 243.05298550724615)],
+                         ids=["rdma_read", "rpc"])
+def test_rdma_retries_land_at_exact_instants(rpc, end):
+    """The retried loops above: 25 traced failures drawn at TX-done,
+    36 retries counted on the initiator, and the last verb lands at an
+    exact instant — each retry waits ``rdma_retry_us`` in front of the
+    wire."""
+    sim = Simulator()
+    nic, bodies = _verbs(sim, rpc, RETRIED)
+    _run_loop(sim, bodies)
+    assert sim.now == end
+    assert nic.retries == 36
+    assert len(nic.injector.trace) == 25
