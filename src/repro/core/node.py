@@ -275,6 +275,6 @@ class XenicNode(ReplicaPlacement):
                 if obj is not None:
                     table.delete(key)
                 continue
-            if obj is None:
+            if obj is None or obj.shared:  # absent, or not yet our own
                 obj = table.get_or_create(key, self.value_size)
             obj.install(value, version)

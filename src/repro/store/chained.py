@@ -9,9 +9,9 @@ amplification and extra roundtrips at high occupancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
-from .object import ObjectTable, VersionedObject, mix64
+from .object import ObjectTable, VersionedObject, mix64, share
 
 __all__ = ["ChainedTable", "ChainedLookup"]
 
@@ -100,9 +100,11 @@ class ChainedTable(ObjectTable):
         """Become a copy of ``other`` if this table is blank and was built
         with ``other``'s parameters — the state it would reach by
         receiving ``other``'s insert sequence — and return True; otherwise
-        change nothing and return False.  Objects are copied (replicas are
-        updated independently); their values are shared, as they are
-        between replicas loaded key by key."""
+        change nothing and return False.  Both tables then hold
+        ``other``'s objects, marked ``shared``: each table takes its own
+        copy of a key when it first writes it
+        (:meth:`~repro.store.object.ObjectTable.writable`), so replicas
+        are still updated independently."""
         if not (
             type(other) is type(self) and self.is_blank()
             and (self.n_buckets, self.b, self.hash_salt)
@@ -116,16 +118,11 @@ class ChainedTable(ObjectTable):
                 mine.next = _Bucket(self.b)
                 mine = mine.next
                 mine.keys = list(theirs.keys)
-        self._objects = {k: o.copy() for k, o in other._objects.items()}
+        share(other._objects.values())
+        self._objects = dict(other._objects)
         self.size = other.size
         self.linked_buckets = other.linked_buckets
         return True
-
-    def get_object(self, key: int) -> Optional[VersionedObject]:
-        return self._objects.get(key)
-
-    def objects(self) -> Iterator[VersionedObject]:
-        return iter(self._objects.values())
 
     def lookup(self, key: int) -> ChainedLookup:
         bucket = self._buckets[self.bucket_index(key)]

@@ -9,7 +9,9 @@ NIC-resident metadata for the host-side Robinhood table:
 * **object cache** — hot values served from NIC DRAM, with LRU eviction
   and commit pinning: a freshly committed value is pinned until the host
   acknowledges applying the log entry, so a DMA lookup can never observe a
-  stale host value (§4.2 step 6).
+  stale host value (§4.2 step 6).  The cache is a plain ``dict`` of bare
+  values in LRU order (a hit re-inserts its key at the end) beside a
+  pin-count ``dict`` that holds only the pinned keys.
 * **displacement hints** — per-segment ``d_i`` (max displacement of keys
   homed in the segment) plus a ``k``-slot slack; these bound the size of
   the single DMA read that serves a cache miss, and a second adjacent read
@@ -18,7 +20,6 @@ NIC-resident metadata for the host-side Robinhood table:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .object import Participant
@@ -30,6 +31,8 @@ __all__ = ["NicIndex", "TxnMeta", "DmaLookupCost"]
 # word, displacement byte, padding.
 SLOT_HEADER_BYTES = 16
 POINTER_SLOT_BYTES = 24
+
+_ABSENT = object()  # a cache miss (None is a value the cache may hold)
 
 
 class TxnMeta:
@@ -94,8 +97,12 @@ class NicIndex(Participant):
         self.k = k_slack
         self.value_size = value_size
         self._meta: Dict[int, TxnMeta] = {}
-        # key -> (value, pinned_count); ordered for LRU
-        self._cache: "OrderedDict[int, list]" = OrderedDict()
+        # key -> cached value, least recently used first: a hit pops the
+        # key and re-inserts it at the end, eviction scans from the start
+        self._cache: Dict[int, Any] = {}
+        # key -> pin count (> 0), for pinned keys only; always a subset
+        # of the cached keys, since a pinned key is never evicted
+        self._pins: Dict[int, int] = {}
         # exact location hints learned from past DMA reads: key ->
         # displacement observed in the host table.  Stale hints are safe:
         # the lookup falls back to a second adjacent read (§4.1.3).
@@ -176,63 +183,62 @@ class NicIndex(Participant):
     def log_acked(self, key: int) -> None:
         """Host applied the committed write; the cache entry may be
         evicted and idle metadata purged."""
-        entry = self._cache.get(key)
-        if entry is not None and entry[1] > 0:
-            entry[1] -= 1
+        pins = self._pins
+        count = pins.get(key)
+        if count is not None:
+            if count > 1:
+                pins[key] = count - 1
+            else:
+                del pins[key]
         self._maybe_purge(key)
 
     def _maybe_purge(self, key: int) -> None:
         meta = self._meta.get(key)
-        if meta is None or meta.locked:
-            return
-        entry = self._cache.get(key)
-        if entry is not None and entry[1] > 0:
+        if meta is None or meta.locked or key in self._cache:
             return
         host_obj = self.host_table.get_object(key)
         # keep metadata while the host copy is behind (version mismatch)
-        if host_obj is not None and host_obj.version == meta.version and entry is None:
+        if host_obj is not None and host_obj.version == meta.version:
             del self._meta[key]
 
     # -- object cache --------------------------------------------------------
 
     def cache_lookup(self, key: int) -> Tuple[bool, Any]:
-        entry = self._cache.get(key)
-        if entry is None:
+        cache = self._cache
+        value = cache.pop(key, _ABSENT)
+        if value is _ABSENT:
             self.misses += 1
             return False, None
-        self._cache.move_to_end(key)
+        cache[key] = value  # now the most recently used
         self.hits += 1
-        return True, entry[0]
+        return True, value
 
     def cache_contains(self, key: int) -> bool:
         return key in self._cache
 
     def install_cache(self, key: int, value: Any, pin: bool = False) -> None:
-        entry = self._cache.get(key)
-        if entry is not None:
-            entry[0] = value
-            if pin:
-                entry[1] += 1
-            self._cache.move_to_end(key)
-            return
-        self._evict_to_fit()
-        self._cache[key] = [value, 1 if pin else 0]
+        cache = self._cache
+        if cache.pop(key, _ABSENT) is _ABSENT:
+            self._evict_to_fit()
+        cache[key] = value
+        if pin:
+            self._pins[key] = self._pins.get(key, 0) + 1
 
     def pin(self, key: int) -> None:
-        entry = self._cache.get(key)
-        if entry is None:
+        if key not in self._cache:
             raise KeyError("pin of uncached key %d" % key)
-        entry[1] += 1
+        self._pins[key] = self._pins.get(key, 0) + 1
 
     def is_pinned(self, key: int) -> bool:
-        entry = self._cache.get(key)
-        return entry is not None and entry[1] > 0
+        return key in self._pins
 
     def _evict_to_fit(self) -> None:
-        while len(self._cache) >= self.cache_capacity:
+        cache = self._cache
+        pins = self._pins
+        while len(cache) >= self.cache_capacity:
             victim = None
-            for k, entry in self._cache.items():
-                if entry[1] == 0:
+            for k in cache:
+                if k not in pins:
                     victim = k
                     break
                 self.pins_blocked_eviction += 1
@@ -240,7 +246,7 @@ class NicIndex(Participant):
                 # everything pinned: allow temporary over-capacity rather
                 # than violating the stale-read protection
                 return
-            del self._cache[victim]
+            del cache[victim]
             self.evictions += 1
             self._maybe_purge(victim)
 

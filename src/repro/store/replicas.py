@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .object import VersionedObject
+from .object import VersionedObject, share
 
 __all__ = ["group_keys", "group_values", "group_by_shard", "load_replicas"]
 
@@ -73,12 +73,16 @@ def load_replicas(primary, backups: Sequence,
     that is observable — ``primary`` blank before this call, a backup
     blank with the primary's parameters — the backup is cloned from the
     finished primary instead of replaying the inserts; any other backup
-    gets its own copies of the objects, inserted in the same order.
-    Works on any table with ``is_blank`` / ``insert_many`` /
-    ``clone_from`` (:class:`RobinhoodTable`, :class:`ChainedTable`).
+    has the same objects inserted in the same order.  Either way every
+    replica holds the one object loaded per key, marked ``shared``, until
+    it first writes that key and takes its own copy
+    (:meth:`~repro.store.object.ObjectTable.writable`).  Works on any
+    table with ``is_blank`` / ``insert_many`` / ``clone_from``
+    (:class:`RobinhoodTable`, :class:`ChainedTable`).
     """
     replay = not primary.is_blank()
     primary.insert_many(objs)
     for table in backups:
         if replay or not table.clone_from(primary):
-            table.insert_many(obj.copy() for obj in objs)
+            share(objs)
+            table.insert_many(objs)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim.stats import OnlineStats
-from .object import ObjectTable, VersionedObject, mix64
+from .object import ObjectTable, VersionedObject, mix64, share
 
 __all__ = ["RobinhoodTable", "InsertResult", "LookupResult", "DeleteResult"]
 
@@ -146,14 +146,6 @@ class RobinhoodTable(ObjectTable):
 
     def __contains__(self, key: int) -> bool:
         return key in self._objects
-
-    # -- objects ------------------------------------------------------------
-
-    def get_object(self, key: int) -> Optional[VersionedObject]:
-        return self._objects.get(key)
-
-    def objects(self) -> Iterator[VersionedObject]:
-        return iter(self._objects.values())
 
     # -- insertion ------------------------------------------------------------
 
@@ -308,10 +300,11 @@ class RobinhoodTable(ObjectTable):
         receiving ``other``'s insert sequence — and return True; otherwise
         change nothing and return False.
 
-        Objects are copied (replicas are updated independently), values
-        are shared as they are between replicas loaded key by key, and
-        the ``home()`` memo, a pure function of the shared parameters, is
-        shared outright.
+        Both tables then hold ``other``'s objects, marked ``shared``:
+        each table takes its own copy of a key when it first writes it
+        (:meth:`~repro.store.object.ObjectTable.writable`), so replicas
+        are still updated independently.  The ``home()`` memo, a pure
+        function of the shared parameters, is shared outright.
         """
         if not (
             type(other) is type(self) and self.is_blank()
@@ -323,7 +316,8 @@ class RobinhoodTable(ObjectTable):
         self._overflow = {seg: list(b) for seg, b in other._overflow.items()}
         self._seg_max_disp = list(other._seg_max_disp)
         self._homes = other._homes
-        self._objects = {k: o.copy() for k, o in other._objects.items()}
+        share(other._objects.values())
+        self._objects = dict(other._objects)
         self.size = other.size
         return True
 

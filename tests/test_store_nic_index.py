@@ -1,6 +1,9 @@
 """Tests for the SmartNIC caching index: locks, versions, cache pinning,
 and DMA miss-cost accounting."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.store import NicIndex, RobinhoodTable, VersionedObject
@@ -163,6 +166,96 @@ def test_pin_uncached_raises():
     load(table, 5)
     with pytest.raises(KeyError):
         index.pin(99)
+
+
+class ReferenceCache:
+    """The object cache as an ``OrderedDict`` of ``[value, pin count]``
+    entries, least recently used first: the model the flat cache of
+    :class:`NicIndex` must match step for step."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+        self.pins_blocked_eviction = 0
+
+    def lookup(self, key):
+        entry = self.entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return False, None
+        self.entries.move_to_end(key)
+        self.hits += 1
+        return True, entry[0]
+
+    def install(self, key, value, pin):
+        entry = self.entries.get(key)
+        if entry is not None:
+            entry[0] = value
+            entry[1] += pin
+            self.entries.move_to_end(key)
+            return
+        while len(self.entries) >= self.capacity:
+            victim = None
+            for k, (_value, pins) in self.entries.items():
+                if pins == 0:
+                    victim = k
+                    break
+                self.pins_blocked_eviction += 1
+            if victim is None:
+                break
+            del self.entries[victim]
+            self.evictions += 1
+        self.entries[key] = [value, int(pin)]
+
+    def pin(self, key):
+        self.entries[key][1] += 1
+
+    def log_acked(self, key):
+        entry = self.entries.get(key)
+        if entry is not None and entry[1] > 0:
+            entry[1] -= 1
+
+
+@pytest.mark.parametrize("capacity", range(1, 9))
+def test_flat_cache_matches_the_ordered_dict_model(capacity):
+    """Random install / lookup / pin / ``log_acked`` sequences over a
+    few more keys than fit: hits, misses, evictions, blocked evictions,
+    size, LRU order, values and pins equal the reference after every
+    step."""
+    rng = random.Random(capacity)
+    keys = range(capacity + 3)
+    table, index = make_pair(cache=capacity)
+    load(table, len(keys))
+    ref = ReferenceCache(capacity)
+    for step in range(3000):
+        key = rng.choice(keys)
+        op = rng.randrange(5)
+        if op == 0:
+            assert index.cache_lookup(key) == ref.lookup(key)
+        elif op in (1, 2):
+            pin = op == 2 and rng.random() < 0.5
+            index.install_cache(key, (key, step), pin=pin)
+            ref.install(key, (key, step), pin)
+        elif op == 3:
+            if key in ref.entries:
+                index.pin(key)
+                ref.pin(key)
+            else:
+                with pytest.raises(KeyError):
+                    index.pin(key)
+        else:
+            index.log_acked(key)
+            ref.log_acked(key)
+        assert (index.hits, index.misses, index.evictions,
+                index.pins_blocked_eviction, index.cache_size) == (
+            ref.hits, ref.misses, ref.evictions,
+            ref.pins_blocked_eviction, len(ref.entries)), step
+        assert list(index._cache.items()) == [
+            (k, value) for k, (value, _pins) in ref.entries.items()]
+        assert index._pins == {
+            k: pins for k, (_value, pins) in ref.entries.items() if pins}
+    assert ref.evictions and ref.pins_blocked_eviction  # not vacuous
 
 
 # ---------------------------------------------------------------------------
