@@ -82,15 +82,13 @@ class XenicCluster(ShardedCluster):
         self._workers_started = False
 
     def start(self) -> None:
-        """Spawn the background host worker threads (idempotent)."""
+        """Start the background host worker threads (idempotent)."""
         if self._workers_started:
             return
         self._workers_started = True
         for node in self.nodes:
-            for w in range(self.config.host_worker_threads):
-                self.sim.spawn(
-                    node.worker_loop(), name="n%d.worker%d" % (node.node_id, w)
-                )
+            for _ in range(self.config.host_worker_threads):
+                node.start_worker()
 
     # -- placement ------------------------------------------------------------
 

@@ -122,11 +122,6 @@ class NicRuntime:
         # Optional fault injector (repro.sim.faults): transient NIC-core
         # scheduling stalls inflate compute slices.
         self.injector = None
-        # Latency-attribution sink (repro.obs.Observer) + owning node id;
-        # None keeps nic_compute/handle_message_cost on the branch-free
-        # return-the-generator fast path.
-        self.obs_sink = None
-        self.obs_node = 0
         self.msg_handle_us = (
             MSG_HANDLE_WALL_US_AGGREGATED
             if config.ethernet_aggregation
@@ -138,34 +133,9 @@ class NicRuntime:
 
     # -- compute ------------------------------------------------------------
 
-    def handle_message_cost(self, extra_keys: int = 0, txn_id=None):
-        """Generator: charge a NIC core for handling one inbound message
-        plus per-key index work.  ``txn_id`` labels the span for latency
-        attribution when an observer is attached."""
-        cost = self.msg_handle_us + extra_keys * self.config.nic_per_key_us
-        return self.nic_compute(cost, txn_id)
-
-    def nic_compute(self, wall_us: float, txn_id=None):
-        # _stall_us() is drawn eagerly in both paths (exactly once per
-        # call), so attaching an observer never perturbs the fault RNG.
-        cost = wall_us + self._stall_us()
-        if self.obs_sink is None or txn_id is None:
-            return self.nic.cores.run_wall(cost)
-        return self._attrib_run(cost, txn_id)
-
-    def _attrib_run(self, wall_us: float, txn_id: int):
-        """Timing-identical wrapper around ``run_wall`` that records the
-        queue+service interval as an attribution span.  ``svc`` is the
-        known service portion; the attributor splits the rest off as NIC
-        queueing."""
-        start = self.sim.now
-        yield from self.nic.cores.run_wall(wall_us)
-        sink = self.obs_sink
-        if sink is not None:
-            sink.attrib_span("nic", self.obs_node, start, self.sim.now,
-                             txn_id, svc=wall_us)
-
     def _stall_us(self) -> float:
+        """The stall a fault plan adds to one NIC-core charge, drawn when
+        the charge is taken (0 with no plan)."""
         if self.injector is None:
             return 0.0
         return self.injector.nic_stall_us(self)
@@ -183,7 +153,7 @@ class NicRuntime:
             # blocking mode: single-op submission, and a NIC core spins on
             # the completion status byte for the whole DMA duration
             self.nic.dma.submit([op])
-            self.sim.spawn(self._blocking_spin(op), name="dma-spin")
+            _Spin(self.nic.cores, op.done)
             return op.done
         vec = self._read_vec if is_read else self._write_vec
         vec.append(op)
@@ -262,20 +232,31 @@ class NicRuntime:
         else:
             self._flusher_running = False
 
-    def _blocking_spin(self, op: DmaOp):
-        """A NIC core busy-waits on the DMA completion (non-async mode)."""
-        start = self.sim.now
-        yield self.nic.cores.pool.acquire()
-        # Released on completion or an interrupt, never on GeneratorExit
-        # (see CoreGroup.run).
-        try:
-            if not op.done.triggered:
-                yield op.done
-        except GeneratorExit:
-            raise
-        except BaseException:
-            self.nic.cores.pool.release()
-            raise
+
+class _Spin:
+    """A NIC core busy-waiting on one blocking DMA (non-async mode), from
+    the grant of a core to the DMA's completion.  A callback chain: the
+    start entry a spawned spin pushed, the FIFO core grant, the
+    completion event."""
+
+    __slots__ = ("cores", "done", "start")
+
+    def __init__(self, cores, done: Event):
+        self.cores = cores
+        self.done = done
+        sim = cores.sim
+        sim.call_at(sim._now, self._arrive)
+
+    def _arrive(self, _ev: Event) -> None:
+        self.start = self.cores.sim._now
+        self.cores.pool.acquire().add_callback(self._spin)
+
+    def _spin(self, _ev: Event) -> None:
+        # done -> this stage -> self until done fires: no cycle outlives it
+        self.done.add_callback(self._release)
+
+    def _release(self, _ev: Event) -> None:
         # the core was occupied from acquisition to completion
-        self.nic.cores.busy_us += self.sim.now - start
-        self.nic.cores.pool.release()
+        cores = self.cores
+        cores.busy_us += cores.sim._now - self.start
+        cores.pool.release()

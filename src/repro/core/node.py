@@ -212,51 +212,11 @@ class XenicNode(ReplicaPlacement):
                 if cur is not None and cur[1] <= version:
                     del self.pending_local[key]
 
-    def worker_loop(self):
-        """One host Robinhood-worker thread: poll the log, apply write
-        sets to the replica tables off the critical path (§4.2 step 7).
-        The cluster spawns ``host_worker_threads`` of these per node, one
-        per worker core, so a core is always free when a batch starts.
-
-        Delay fusion: a batch charges all its per-record apply costs up
-        front and sleeps to one deadline instead of one timeout per
-        record.  Poll instants and batch contents are those of records
-        applied one after another — ``CoreGroup.try_hold`` reproduces
-        their deadline and core accounting exactly — only the table
-        applies and log acks shift from intermediate instants to the
-        batch end.  Those are off-critical-path by design: reads overlay
-        ``pending_local`` until the ack (§4.2 step 7), replica
-        application is version-idempotent, and the NIC cache pins
-        committed writes until ``log_acked``.  A fault plan's NIC stalls
-        never touch host worker cores."""
-        apply_us = self.config.worker_apply_us
-        cores = self.worker_cores
-        apply_record = self._apply_record
-        log = self.log
-        signal_down = self.log_signal.down
-        sim = self.sim
-        while True:
-            yield signal_down()
-            while log.pending:
-                batch = log.poll(max_records=4)
-                if not batch:
-                    break
-                end = cores.try_hold([apply_us * max(1, len(record.writes))
-                                      for record in batch])
-                # Released on completion or an interrupt, never on
-                # GeneratorExit (see CoreGroup.run).
-                try:
-                    if end > sim._now:
-                        yield sim.call_at(end)
-                except GeneratorExit:
-                    raise
-                except BaseException:
-                    cores.pool.release()
-                    raise
-                cores.pool.release()
-                for record in batch:
-                    apply_record(record)
-                    log.ack(record)
+    def start_worker(self) -> None:
+        """Start one host Robinhood-worker thread (:class:`_Worker`).  The
+        cluster starts ``host_worker_threads`` of these per node, one per
+        worker core, so a core is always free when a batch starts."""
+        _Worker(self)
 
     def _apply_record(self, record: LogRecord) -> None:
         table = self.tables.get(record.shard)
@@ -278,3 +238,85 @@ class XenicNode(ReplicaPlacement):
             if obj is None or obj.shared:  # absent, or not yet our own
                 obj = table.get_or_create(key, self.value_size)
             obj.install(value, version)
+
+
+class _Worker:
+    """One host Robinhood-worker thread: poll the log, apply write sets
+    to the replica tables off the critical path (§4.2 step 7).
+
+    A callback chain on the events a looping worker process would wait
+    on — its start entry, each signal it blocks on, each batch's end —
+    so every push lands at the same instant and in the same same-instant
+    order.  A signal already raised is taken in the loop of
+    :meth:`_wait`, not by a nested call, so a long backlog of signals
+    costs no stack.
+
+    Delay fusion: a batch charges all its per-record apply costs up
+    front and sleeps to one deadline instead of one timeout per record.
+    Poll instants and batch contents are those of records applied one
+    after another — ``CoreGroup.try_hold`` reproduces their deadline and
+    core accounting exactly — only the table applies and log acks shift
+    from intermediate instants to the batch end.  Those are
+    off-critical-path by design: reads overlay ``pending_local`` until
+    the ack (§4.2 step 7), replica application is version-idempotent,
+    and the NIC cache pins committed writes until ``log_acked``.  A fault
+    plan's NIC stalls never touch host worker cores."""
+
+    __slots__ = ("node", "batch")
+
+    def __init__(self, node: XenicNode):
+        self.node = node
+        self.batch = None
+        sim = node.sim
+        sim.call_at(sim._now, self._started)
+
+    def _started(self, _ev) -> None:
+        self._wait()
+
+    def _wait(self) -> None:
+        """Block on the log signal; drain at once while it is raised."""
+        down = self.node.log_signal.down
+        while True:
+            signal = down()
+            if signal._ok is None:
+                signal._cb0 = self._signalled
+                return
+            if self._drain():
+                return
+
+    def _signalled(self, _ev) -> None:
+        if not self._drain():
+            self._wait()
+
+    def _drain(self) -> bool:
+        """Apply polled batches until the log is empty (False) or one
+        batch holds its core past now (True: :meth:`_applied` resumes)."""
+        node = self.node
+        log = node.log
+        cores = node.worker_cores
+        apply_us = node.config.worker_apply_us
+        while log.pending:
+            batch = log.poll(max_records=4)
+            if not batch:
+                break
+            end = cores.try_hold([apply_us * max(1, len(record.writes))
+                                  for record in batch])
+            if end > node.sim._now:
+                self.batch = batch
+                node.sim.call_at(end, self._applied)
+                return True
+            self._apply(batch)
+        return False
+
+    def _applied(self, _ev) -> None:
+        batch, self.batch = self.batch, None
+        self._apply(batch)
+        if not self._drain():
+            self._wait()
+
+    def _apply(self, batch) -> None:
+        node = self.node
+        node.worker_cores.pool.release()
+        for record in batch:
+            node._apply_record(record)
+            node.log.ack(record)

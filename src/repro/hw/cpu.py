@@ -86,9 +86,25 @@ class CoreGroup:
 
         The job is a callback chain (:class:`_Job`) on exactly the
         events a spawned :meth:`run` process would wait on — a start
-        entry at now, the FIFO grant when no core is free, one service
-        ``Timeout`` — and is itself the completion event."""
-        return _Job(self, ref_us * self.slowdown)
+        entry at now, then :meth:`run_then`'s chain — and is itself the
+        completion event."""
+        sim = self.sim
+        job = _Job(self, ref_us * self.slowdown)
+        sim.call_at(sim._now, job._arrive)
+        return job
+
+    def run_then(self, ref_us: float, then) -> None:
+        """Chain form of ``yield from run(ref_us)`` inside a callback
+        chain: the job starts now, with no start entry, and
+        ``then(job)`` runs where the generator would resume — at once
+        when a free core finishes a zero-cost job."""
+        job = _Job(self, ref_us * self.slowdown)
+        job._cb0 = then
+        job._arrive(None)
+
+    def run_wall_then(self, wall_us: float, then) -> None:
+        """:meth:`run_then` for a cost in these cores' wall time."""
+        self.run_then(wall_us / self.slowdown, then)
 
     def execute_wall(self, wall_us: float) -> Event:
         """Queue a job whose cost is given in *these cores'* wall time
@@ -209,24 +225,22 @@ class CoreGroup:
 
 
 class _Job(Event):
-    """One :meth:`CoreGroup.execute` job, firing when it completes.
+    """One core job, firing when it completes (:meth:`CoreGroup.execute`,
+    :meth:`CoreGroup.run_then`).
 
-    Each stage is the ``_cb0`` of the event a spawned :meth:`CoreGroup.run`
-    process would resume on at that point, so every push happens at the
-    same instant and in the same same-instant order as the process's —
-    without the generator, its resumes or the ``Process``."""
+    Each stage is the ``_cb0`` of the event :meth:`CoreGroup.run` would
+    resume on at that point, so every push happens at the same instant
+    and in the same same-instant order as the generator's — without the
+    generator, its resumes or a ``Process``."""
 
     __slots__ = ("cores", "service", "sink", "lane", "start")
 
     def __init__(self, cores: CoreGroup, service: float):
-        sim = cores.sim
-        Event.__init__(self, sim, cores._exec_name)
+        Event.__init__(self, cores.sim, cores._exec_name)
         self.cores = cores
         self.service = service
-        # the start event a spawned process would push
-        sim.call_at(sim._now, self._arrive)
 
-    def _arrive(self, _ev: Event) -> None:
+    def _arrive(self, _ev: Optional[Event]) -> None:
         pool = self.cores.pool
         if pool.try_acquire():
             self._run(None)

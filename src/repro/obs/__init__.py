@@ -22,7 +22,6 @@ from .export import (chrome_trace_events, diff_metrics, dumps_chrome_trace,
                      format_metrics_diff, metrics_to_dict,
                      print_metrics_summary, write_chrome_trace,
                      write_metrics_json)
-from .interpose import interpose, interposers_of, remove_interposers
 from .observer import Observer
 from .registry import MetricsRegistry, Sampler
 
@@ -40,9 +39,6 @@ __all__ = [
     "EventLog",
     "SpanEvent",
     "InstantEvent",
-    "interpose",
-    "remove_interposers",
-    "interposers_of",
     "chrome_trace_events",
     "dumps_chrome_trace",
     "write_chrome_trace",

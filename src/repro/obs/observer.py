@@ -2,42 +2,25 @@
 
 ``Observer.install(cluster)`` attaches to every instrumentation point the
 models expose — core groups, DMA engines, the protocol's span hooks —
-registers occupancy gauges with the sampler, and interposes span wrappers
-on the protocol's coordinator phases and server-side handlers.  Every
-hook is reversible (``uninstall``), reads simulated time only, and adds
-no simulation events beyond the sampler's own timeouts; and no model site
-chooses its form from whether a sink is attached (the fused forms emit
-their spans from the instants they computed), so installing an Observer
-never changes simulated results, at any load.
+and registers occupancy gauges with the sampler.  The protocol's
+coordinator phases and server-side handlers log their own ``phase`` and
+``server`` spans, from the instants their callback chains computed, to
+the sink they find on the protocol.  Every hook is reversible
+(``uninstall``), reads simulated time only, and adds no simulation
+events beyond the sampler's own timeouts; and no model site chooses its
+form from whether a sink is attached, so installing an Observer never
+changes simulated results, at any load.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ..sim.core import Simulator
 from .events import EventLog, InstantEvent, SpanEvent
-from .interpose import interpose, remove_interposers
 from .registry import MetricsRegistry, Sampler
 
 __all__ = ["Observer"]
-
-# Coordinator-side phases (txn is args[0]).
-_COORD_PHASES = (
-    "_phase_execute", "_run_logic", "_phase_validate", "_phase_log",
-    "_phase_commit", "_multihop", "_nic_local_commit", "_nic_coordinate",
-)
-
-# Server-side handlers run at whichever node owns the shard; the value is
-# the positional index (or attribute path) of the transaction id.
-_SERVER_HANDLERS: Dict[str, Callable] = {
-    "_execute_core": lambda args: args[1],
-    "_validate_core": lambda args: args[1],
-    "_log_core": lambda args: args[0].txn_id,
-    "_commit_core": lambda args: args[0].txn_id,
-    "_unlock_core": lambda args: args[0].txn_id,
-    "_handle_exec_ship": lambda args: args[0].txn_id,
-}
 
 
 class Observer:
@@ -53,8 +36,6 @@ class Observer:
         self._protocols: List[Any] = []
         self._core_groups: List[Any] = []
         self._dma_engines: List[Any] = []
-        self._runtimes: List[Any] = []
-        self._interposed: List[Tuple[Any, str]] = []
 
     # ------------------------------------------------------------------
     # event emission (called from the instrumented models)
@@ -162,12 +143,8 @@ class Observer:
             i = proto.node.node_id
             proto.obs = self
             self._protocols.append(proto)
-            proto.runtime.obs_sink = self
-            proto.runtime.obs_node = i
-            self._runtimes.append(proto.runtime)
             self._gauge("n%d" % i, "nic_pending",
                         lambda p=proto.runtime.pending: len(p))
-            self._interpose_protocol(proto, i)
 
     def _install_baseline(self, cluster) -> None:
         for node in cluster.nodes:
@@ -182,49 +159,13 @@ class Observer:
             proto.obs = self
             self._protocols.append(proto)
 
-    def _interpose_protocol(self, proto, node_id: int) -> None:
-        # A name XenicProtocol no longer has raises here (interpose looks
-        # it up) rather than dropping its spans silently.
-        for name in _COORD_PHASES:
-            interpose(proto, name, self, self._span_factory(
-                name.lstrip("_"), "phase", node_id, "proto",
-                lambda args: args[0].txn_id))
-            self._interposed.append((proto, name))
-        for name, txn_id_of in _SERVER_HANDLERS.items():
-            interpose(proto, name, self, self._span_factory(
-                name.lstrip("_"), "server", node_id, "nicrt",
-                txn_id_of))
-            self._interposed.append((proto, name))
-
-    def _span_factory(self, name: str, cat: str, node_id: int, track: str,
-                      txn_id_of: Callable) -> Callable:
-        obs = self
-
-        def factory(call_inner):
-            def wrapper(*args, **kw):
-                start = obs.sim.now
-                result = yield from call_inner(*args, **kw)
-                obs.span(name, cat, node_id, track, start,
-                         obs.sim.now - start, txn_id=txn_id_of(args))
-                return result
-            return wrapper
-
-        return factory
-
     # ------------------------------------------------------------------
     # teardown and snapshots
     # ------------------------------------------------------------------
 
     def uninstall(self) -> None:
-        for obj, name in self._interposed:
-            remove_interposers(obj, name, self)
-        self._interposed.clear()
         for proto in self._protocols:
             proto.obs = None
-        for runtime in self._runtimes:
-            runtime.obs_sink = None
-            runtime.obs_node = 0
-        self._runtimes.clear()
         for group in self._core_groups:
             group.detach_obs()
         for dma in self._dma_engines:

@@ -183,17 +183,23 @@ def test_log_append_blocking_mode_per_record():
 
 
 def test_handle_cost_scales_with_keys():
-    sim, nic, runtime = make_runtime()
+    """An inbound message's NIC-core charge grows with the keys it
+    carries: handling ten keys takes longer than handling the message."""
+    from repro.core import XenicCluster
 
-    def proc():
-        yield from runtime.handle_message_cost(0)
-        t0 = sim.now
-        yield from runtime.handle_message_cost(10)
-        return sim.now - t0
-
-    p = sim.spawn(proc(), name="p")
-    sim.run()
-    assert p.value > runtime.msg_handle_us
+    sim = Simulator()
+    proto = XenicCluster(sim, 1).protocols[0]
+    cores = proto.node.nic.cores
+    took = []
+    for n_keys in (0, 10):
+        (wall,) = proto._msg_with_keys(n_keys)
+        start = sim.now
+        cores.run_wall_then(wall, lambda _job, t=start: took.append(
+            sim.now - t))
+        sim.run()
+    assert took[0] == pytest.approx(proto.runtime.msg_handle_us)
+    assert took[1] - took[0] == pytest.approx(
+        10 * proto.config.nic_per_key_us)
 
 
 def test_aggregation_lowers_message_handle_cost():
