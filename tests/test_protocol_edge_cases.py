@@ -3,7 +3,7 @@ cache eviction under pressure, ship-abort paths, and config variants."""
 
 import pytest
 
-from repro.core import TxnSpec, XenicCluster, XenicConfig
+from repro.core import RecoveryManager, TxnSpec, XenicCluster, XenicConfig
 from repro.sim import Simulator
 
 
@@ -225,3 +225,40 @@ def test_multihop_with_a_read_only_shard_commits():
     assert not cluster.nodes[0].index.is_locked(k_local)
     assert not cluster.nodes[1].index.is_locked(k_remote)
     assert sum(p.stats.get("stray_log_acks") for p in cluster.protocols) == 0
+
+
+def test_multihop_after_failover_counts_a_promoted_shard_as_local():
+    """Once recovery makes node 2 the primary of shard 1, a shard is
+    local to node 2 iff node 2 is its primary.  A transaction it
+    coordinates over shards {1, 2} runs both shards locally (multi-hop
+    used to count shard 1 as remote and send EXEC_SHIP from node 2 to
+    itself, an error the coordination swallowed, leaving the transaction
+    hung); one over {1, 0} is multi-hop with shard 1 as the local one.
+    Both commit the right values and nothing escapes ``sim.run``."""
+    sim, cluster = make_cluster()
+    recovery = RecoveryManager(cluster)
+    recovery.fail_node(1)
+    recovery.recover_shard(1)
+    assert cluster.primary_node_id(1) == 2
+    coord = cluster.protocols[2]
+    k1, k2 = 1, 2  # shards 1 and 2, both primaried at node 2 now
+    run_txn(sim, cluster, 2,
+            TxnSpec(read_keys=[k1, k2], write_keys=[k1, k2],
+                    logic=lambda r, s: {k1: ("both", r[k1]),
+                                        k2: ("both", r[k2])}))
+    sim.run()
+    assert coord.stats.get("multihop") == 0
+    assert cluster.read_committed_value(k1) == ("both", ("init", k1))
+    assert cluster.read_committed_value(k2) == ("both", ("init", k2))
+    k_local, k_remote = 4, 3  # shard 1 (promoted, local), shard 0
+    run_txn(sim, cluster, 2,
+            TxnSpec(read_keys=[k_local, k_remote],
+                    write_keys=[k_local, k_remote],
+                    logic=lambda r, s: {k_local: ("mh", r[k_remote]),
+                                        k_remote: ("mh", r[k_local])}))
+    sim.run()
+    assert coord.stats.get("multihop") == 1
+    assert cluster.read_committed_value(k_local) == ("mh", ("init", k_remote))
+    assert cluster.read_committed_value(k_remote) == ("mh", ("init", k_local))
+    assert not cluster.nodes[2].index_for(1).is_locked(k_local)
+    assert not cluster.nodes[0].index.is_locked(k_remote)
