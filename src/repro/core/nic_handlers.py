@@ -80,8 +80,8 @@ class _Handler:
     only stores the arguments; the handler starts where its caller
     enters it — :meth:`_inbound` for an inbound message's charges,
     :meth:`_core` for a two-charge kind's per-key charge, else ``_body``
-    — and runs its first stage right there, as a process started with
-    ``sim.start`` would.  It ends by calling ``then(result)``: a parent
+    — and runs its first stage right there, in the caller's frame, with
+    no start entry.  It ends by calling ``then(result)``: a parent
     handler's stage, the ``succeed`` of the event a fan-out gathers, or
     an inbound message's reply.
 

@@ -184,11 +184,12 @@ class CoreGroup:
     def run(self, ref_us: float):
         """Generator form for use inside a process: ``yield from cores.run(w)``.
 
-        The core is released on completion and on an exception thrown
-        in (an interrupt), but not on ``GeneratorExit``: the collector
-        closes the suspended generators of a dropped simulation, and a
-        release there would hand the core to a waiter and resume that
-        dead cluster's processes from inside ``gc.collect()``."""
+        The core is released after the ``yield``, on completion only:
+        nothing throws into a generator waiting on a timeout or a grant,
+        and the collector closing a dropped simulation's suspended
+        generator must not release — that would hand the core to a
+        waiter and resume the dead cluster's processes from inside
+        ``gc.collect()``."""
         if not self.pool.try_acquire():
             yield self.pool.acquire()
         sink = self.obs_sink
@@ -196,14 +197,8 @@ class CoreGroup:
         start = self.sim._now
         service = ref_us * self.slowdown
         self._book(service)
-        try:
-            if service > 0:
-                yield Timeout(self.sim, service)
-        except GeneratorExit:
-            raise
-        except BaseException:
-            self._end_job(sink, lane, start)
-            raise
+        if service > 0:
+            yield Timeout(self.sim, service)
         self._end_job(sink, lane, start)
 
     def _end_job(self, sink, lane: Optional[int], start: float) -> None:

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate (clock, processes, resources, RNG)."""
 
 from .collector import collector_quiet
-from .core import AllOf, AnyOf, Event, Interrupt, Process, SimulationError, Simulator, Timeout
+from .core import AllOf, Event, Process, SimulationError, Simulator, Timeout
 from .equeue import (
     CalendarEventQueue,
     EventQueue,
@@ -10,9 +10,9 @@ from .equeue import (
 )
 from .faults import CrashEvent, FaultEvent, FaultPlan, FaultSpec, FaultTrace
 from .link import BatchingLink, SerialLink
-from .resources import Resource, Semaphore, Store
+from .resources import Resource, Semaphore
 from .rng import HotspotGenerator, RngStream, ZipfGenerator
-from .stats import Counter, LatencyRecorder, LogHistogram, OnlineStats, ThroughputMeter
+from .stats import Counter, LatencyRecorder, LogHistogram, OnlineStats
 
 __all__ = [
     "Simulator",
@@ -20,8 +20,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
     "collector_quiet",
     "EventQueue",
@@ -30,7 +28,6 @@ __all__ = [
     "selected_queue_kind",
     "Resource",
     "Semaphore",
-    "Store",
     "SerialLink",
     "BatchingLink",
     "RngStream",
@@ -39,7 +36,6 @@ __all__ = [
     "OnlineStats",
     "LogHistogram",
     "LatencyRecorder",
-    "ThroughputMeter",
     "Counter",
     "FaultSpec",
     "FaultPlan",

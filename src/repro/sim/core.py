@@ -4,7 +4,7 @@ A small, deterministic, generator-based discrete-event engine in the style
 of SimPy, specialized for this reproduction.  Simulated time is measured in
 **microseconds** (float).  Processes are Python generators that ``yield``
 awaitables: :class:`Timeout`, :class:`Event`, another :class:`Process`, or
-the :class:`AllOf` / :class:`AnyOf` combinators.
+the :class:`AllOf` combinator.
 
 Determinism: events scheduled for the same timestamp fire in FIFO order of
 scheduling (a monotonically increasing sequence number breaks ties), so a
@@ -12,15 +12,11 @@ simulation driven by seeded RNG streams is exactly reproducible.
 
 Hot-path notes (see ``docs/PERFORMANCE.md``): events store their first
 callback in a dedicated slot so the common single-waiter case allocates no
-list; :class:`Timeout` bypasses the generic constructor and the
-schedule-in-the-past check; abandoned timeouts (:class:`AnyOf` losers,
-interrupted waits) are cancelled and lazily deleted from the scheduler
-queue, with a periodic in-place compaction once cancelled entries
-dominate; and :meth:`Simulator.run` dispatches scheduled events through
-the queue's inlined drain loop with no per-event attribute lookups for
-observability — a per-event hook exists (:meth:`Simulator.set_event_hook`)
-but is checked once per ``run`` call, never inside the loop, so disabled
-observability is zero-overhead.
+list; :class:`Timeout` bypasses the generic constructor; and
+:meth:`Simulator.run` dispatches scheduled events through the queue's
+inlined drain loop.  Nothing cancels a scheduled event or interrupts a
+process, so a queued event is triggered only by its own pop and a
+process is resumed only by the one event it waits on.
 
 The scheduler data structure sits behind one narrow interface
 (:class:`~repro.sim.equeue.EventQueue`): every scheduling site funnels
@@ -34,11 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from .equeue import (  # noqa: F401  (_COMPACT_MIN_CANCELLED re-exported)
-    _COMPACT_MIN_CANCELLED,
-    CalendarEventQueue,
-    EventQueue,
-)
+from .equeue import CalendarEventQueue, EventQueue
 from .collector import collector_quiet
 
 __all__ = [
@@ -47,26 +39,12 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation engine (e.g. double-trigger)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -110,23 +88,10 @@ class Event:
         return self._ok is True
 
     @property
-    def cancelled(self) -> bool:
-        """True if the event was abandoned via :meth:`cancel`."""
-        return self._ok is False and self._value is _CANCELLED
-
-    @property
     def value(self) -> Any:
         if self._ok is None:
             raise SimulationError("event %r has not been triggered" % (self._name,))
         return self._value
-
-    @property
-    def callback_count(self) -> int:
-        """Callbacks currently registered (0 once triggered)."""
-        n = 0 if self._cb0 is None else 1
-        if self._callbacks:
-            n += len(self._callbacks)
-        return n
 
     def succeed(self, value: Any = None) -> "Event":
         if self._ok is not None:
@@ -146,31 +111,6 @@ class Event:
         self._dispatch()
         return self
 
-    def cancel(self) -> bool:
-        """Abandon a pending event: it will never fire and its heap entry
-        (if any) is discarded lazily by the scheduler.
-
-        Only events with no registered callbacks may be cancelled — a
-        cancelled event dispatches nothing, so a live waiter would hang
-        forever.  Returns False if the event has already triggered.
-        """
-        if self._ok is not None:
-            return False
-        if self._cb0 is not None or self._callbacks:
-            raise SimulationError(
-                "cannot cancel %r: %d callback(s) still registered"
-                % (self._name, self.callback_count))
-        self._ok = False
-        self._value = _CANCELLED
-        if self._riders is _RIDING:
-            # A cancelled rider will be skipped (not fired) by its host's
-            # dispatch loop, so settle its pending-count here — mirroring
-            # how stepwise compaction eventually discards a cancelled
-            # queue entry.  The host's own entry stays queued, so this
-            # can never fake quiescence while the cohort is live.
-            self.sim._riders_pending -= 1
-        return True
-
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run ``fn(event)`` when this event fires (immediately if fired)."""
         if self._ok is None:
@@ -182,34 +122,6 @@ class Event:
                 self._callbacks.append(fn)
         else:
             fn(self)
-
-    def remove_callback(self, fn: Callable[["Event"], None]) -> bool:
-        """Detach a previously registered callback; no-op after trigger.
-
-        Comparison uses ``==`` so equivalent bound methods match.  Returns
-        True if a callback was removed.
-        """
-        if self._ok is not None:
-            return False
-        if self._cb0 == fn:
-            cbs = self._callbacks
-            if cbs:
-                self._cb0 = cbs.pop(0)
-                if not cbs:
-                    self._callbacks = None
-            else:
-                self._cb0 = None
-            return True
-        cbs = self._callbacks
-        if cbs is not None:
-            try:
-                cbs.remove(fn)
-            except ValueError:
-                return False
-            if not cbs:
-                self._callbacks = None
-            return True
-        return False
 
     def _dispatch(self) -> None:
         cb0 = self._cb0
@@ -227,10 +139,6 @@ class Event:
         return "<Event %s %s>" % (self._name or hex(id(self)), state)
 
 
-# Sentinel value of a cancelled event; never handed to user code because a
-# cancelled event has no callbacks and is skipped by the scheduler.
-_CANCELLED = SimulationError("event cancelled")
-
 # ``_riders`` marker for an event that was absorbed as a same-deadline
 # rider instead of entering the queue (see Simulator._riding_push).  An
 # empty tuple so the per-pop ``riders is not None`` check can never
@@ -247,8 +155,8 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError("negative timeout delay: %r" % (delay,))
-        # Fast path: bypass Event.__init__ and _schedule_at (delay >= 0
-        # means the deadline can never be in the past).
+        # Fast path: bypass Event.__init__ (delay >= 0 means the
+        # deadline can never be in the past).
         self.sim = sim
         self._cb0 = None
         self._callbacks = None
@@ -259,21 +167,11 @@ class Timeout(Event):
         self.delay = delay
         sim._push(sim._now + delay, self, value)
 
-    def cancel(self) -> bool:
-        if not Event.cancel(self):
-            return False
-        if self._riders is not _RIDING:
-            # A rider has no queue entry: counting its cancellation would
-            # skew the lazy-deletion compaction trigger off the schedule
-            # one queue entry per push gives.
-            self.sim._note_cancelled()
-        return True
-
 
 class AllOf(Event):
     """Fires once every child event has succeeded; value is the list of
-    child values in the original order.  Fails fast on the first child
-    failure, detaching from (and unpinning) the still-pending children."""
+    child values in the original order.  Fails fast, exactly once, on the
+    first child failure: children that fire later change nothing."""
 
     __slots__ = ("_pending", "_children")
 
@@ -285,8 +183,7 @@ class AllOf(Event):
             self.succeed([])
             return
         # Not cached on self: a bound method of self stored on self is a
-        # cycle only the collector could free, and remove_callback
-        # matches an equal bound method in _detach_children.
+        # cycle only the collector could free.
         on_child = self._on_child
         for ev in self._children:
             if self._ok is not None:
@@ -300,62 +197,10 @@ class AllOf(Event):
             return
         if not ev.ok:
             self.fail(ev.value)
-            self._detach_children()
             return
         self._pending -= 1
         if self._pending == 0:
             self.succeed([c.value for c in self._children])
-
-    def _detach_children(self) -> None:
-        cb = self._on_child
-        for child in self._children:
-            if child._ok is None:
-                child.remove_callback(cb)
-                if type(child) is Timeout and child._cb0 is None \
-                        and not child._callbacks:
-                    child.cancel()
-
-
-class AnyOf(Event):
-    """Fires when the first child event triggers; value is ``(index, value)``
-    of the winning child.  Losing children are detached so the combinator
-    pins neither them nor their values, and losing timeouts are cancelled
-    out of the scheduler heap."""
-
-    __slots__ = ("_children", "_child_cbs")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name="any_of")
-        self._children = list(events)
-        self._child_cbs: List[Optional[Callable]] = []
-        if not self._children:
-            raise ValueError("AnyOf requires at least one event")
-        for i, ev in enumerate(self._children):
-            if self._ok is not None:
-                # a child triggered immediately during registration; the
-                # rest are losers and must not be pinned at all
-                break
-            cb = lambda e, i=i: self._on_child(i, e)  # noqa: E731
-            self._child_cbs.append(cb)
-            ev.add_callback(cb)
-
-    def _on_child(self, index: int, ev: Event) -> None:
-        if self._ok is not None:
-            return
-        if ev.ok:
-            self.succeed((index, ev.value))
-        else:
-            self.fail(ev.value)
-        self._detach_losers()
-
-    def _detach_losers(self) -> None:
-        for child, cb in zip(self._children, self._child_cbs):
-            if child._ok is None:
-                child.remove_callback(cb)
-                if type(child) is Timeout and child._cb0 is None \
-                        and not child._callbacks:
-                    child.cancel()
-        self._child_cbs = []
 
 
 def _raise(exc: BaseException) -> None:
@@ -363,87 +208,46 @@ def _raise(exc: BaseException) -> None:
     raise exc
 
 
-class _StartNow:
-    """Pre-triggered pseudo-event that seeds an immediate process start.
-
-    Quacks like a succeeded Event as far as :meth:`Process._resume` is
-    concerned (``_ok`` truthy, ``_value`` None); never scheduled, never
-    dispatched, shared by every immediate start."""
-
-    __slots__ = ()
-    _ok = True
-    _value = None
-
-
-_START_NOW = _StartNow()
-
-
 class Process(Event):
     """A running coroutine.  Also an event: it fires with the generator's
     return value when the generator completes, or fails with its uncaught
     exception."""
 
-    __slots__ = ("_gen", "_waiting_on", "_send", "_gthrow", "_wait_cb")
+    __slots__ = ("_gen", "_send", "_gthrow", "_wait_cb")
 
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = "",
-                 immediate: bool = False):
+    def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
         # Bind the generator's send/throw and our wait callback once: the
         # resume path runs once per yield across the whole simulation, and
-        # each `self._gen.send` / `self._on_wait_done` attribute access
-        # would allocate a fresh bound method.  Plain iterators (no
-        # coroutine protocol) still work through next()/raise shims.
+        # each `self._gen.send` / `self._resume` attribute access would
+        # allocate a fresh bound method.  Plain iterators (no coroutine
+        # protocol) still work through next()/raise shims.
         try:
             self._send = gen.send
             self._gthrow = gen.throw
         except AttributeError:
             self._send = lambda _v: next(gen)
             self._gthrow = _raise
-        # Wakeups call _resume directly; its _waiting_on guard filters
-        # stale wakeups (e.g. an interrupt racing the event trigger), so
-        # no intermediate callback frame is needed on the per-yield path.
-        # This and the two bindings above make self reachable from self;
-        # all four slots are cleared when the generator completes, so a
-        # finished process is freed by reference count, not by the cycle
-        # collector.
+        # Wakeups call _resume directly: a process waits on one event at
+        # a time and that event fires once, so no intermediate callback
+        # frame is needed on the per-yield path.  This and the two
+        # bindings above make self reachable from self; all four slots
+        # are cleared when the generator completes, so a finished process
+        # is freed by reference count, not by the cycle collector.
         self._wait_cb = self._resume
-        if immediate:
-            # Delay-fusion fast path (Simulator.start): drive the
-            # generator to its first yield synchronously, scheduling
-            # nothing — the caller's frame is the start event.
-            self._waiting_on = _START_NOW
-            self._resume(_START_NOW)
-            return
         # Start on the next scheduler step so the spawner can keep a handle.
         start = Event(sim, name="start")
-        self._waiting_on: Optional[Event] = start
-        start._cb0 = self._resume
+        start._cb0 = self._wait_cb
         sim._push(sim._now, start, None)
 
     @property
     def alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is a no-op.
-        """
-        if self.triggered:
-            return
-        ev = Event(self.sim, name="interrupt")
-        ev._cb0 = lambda _e: self._throw(Interrupt(cause))
-        self.sim._schedule_at(self.sim._now, ev, None)
-
     # -- internal ---------------------------------------------------------
 
     def _resume(self, ev: Event) -> None:
-        # Ignore stale wakeups from events we stopped waiting on, and
-        # anything arriving after the generator already finished.
-        if self._waiting_on is not ev or self._ok is not None:
-            return
-        self._waiting_on = None
         try:
             if ev._ok:
                 target = self._send(ev._value)
@@ -457,10 +261,9 @@ class Process(Event):
             self._gen = self._send = self._gthrow = self._wait_cb = None
             self.fail(exc)
             return
-        # Inlined _wait_for: this runs once per yield across the whole
-        # simulation, so the callback registration is open-coded.
+        # The callback registration runs once per yield across the whole
+        # simulation, so it is open-coded.
         if isinstance(target, Event):
-            self._waiting_on = target
             if target._ok is None:
                 if target._cb0 is None:
                     target._cb0 = self._wait_cb
@@ -476,41 +279,6 @@ class Process(Event):
                     "process %r yielded a non-event: %r" % (self._name, target)
                 )
             )
-
-    def _throw(self, exc: BaseException) -> None:
-        if self._ok is not None:
-            return
-        # Detach from the event we were waiting on: the stale wakeup can
-        # no longer resume us, and an abandoned timeout leaves the heap.
-        prev = self._waiting_on
-        self._waiting_on = None
-        if prev is not None and prev._ok is None:
-            prev.remove_callback(self._wait_cb)
-            if type(prev) is Timeout and prev._cb0 is None \
-                    and not prev._callbacks:
-                prev.cancel()
-        try:
-            target = self._gthrow(exc)
-        except StopIteration as stop:
-            self._gen = self._send = self._gthrow = self._wait_cb = None
-            self.succeed(stop.value)
-            return
-        except BaseException as raised:  # noqa: BLE001
-            self._gen = self._send = self._gthrow = self._wait_cb = None
-            self.fail(raised)
-            return
-        self._wait_for(target)
-
-    def _wait_for(self, target: Any) -> None:
-        if not isinstance(target, Event):
-            self.fail(
-                SimulationError(
-                    "process %r yielded a non-event: %r" % (self._name, target)
-                )
-            )
-            return
-        self._waiting_on = target
-        target.add_callback(self._wait_cb)
 
 
 class Simulator:
@@ -530,7 +298,7 @@ class Simulator:
     """
 
     __slots__ = ("_now", "_q", "_riders_pending", "_open", "_floors",
-                 "_hwm", "_push", "_processes_spawned", "_hook")
+                 "_hwm", "_push", "_processes_spawned")
 
     def __init__(self, queue: Optional[EventQueue] = None):
         self._now = 0.0
@@ -563,7 +331,6 @@ class Simulator:
         # before anything else now pending there) would hold.
         self._floors: dict = {}
         self._processes_spawned = 0
-        self._hook: Optional[Callable[[Event, float, Any], None]] = None
 
     @property
     def now(self) -> float:
@@ -589,10 +356,10 @@ class Simulator:
 
     @property
     def processes_spawned(self) -> int:
-        """Processes created so far by :meth:`spawn` and :meth:`start`.
-        Beside ``events_scheduled`` it tells a callback chain from a
-        process on the same events: the chain schedules the same
-        entries and spawns nothing."""
+        """Processes created so far by :meth:`spawn`.  Beside
+        ``events_scheduled`` it tells a callback chain from a process on
+        the same events: the chain schedules the same entries and spawns
+        nothing."""
         return self._processes_spawned
 
     # -- scheduling -------------------------------------------------------
@@ -608,12 +375,11 @@ class Simulator:
         byte-identical to the stepwise pop order.
 
         ``_open`` maps each timestamp to the entry pushed for it;
-        ``host._ok is None`` holds iff that entry is still queued
-        (entries leave only via pop or compaction, and both set or
-        require ``_ok`` — compaction keeps stale hosts whose riders
-        still must fire).  A dead host is simply replaced: the new entry
-        pops after any in-flight rider batch, matching the seq order
-        one queue entry per push would have produced."""
+        ``host._ok is None`` holds iff that entry is still queued (an
+        entry leaves the queue only by its pop, which triggers it).  A
+        popped host is simply replaced: the new entry pops after any
+        in-flight rider batch, matching the seq order one queue entry
+        per push would have produced."""
         floors = self._floors
         if floors:
             parked = floors.pop(when, None)
@@ -635,7 +401,7 @@ class Simulator:
         # setdefault keeps the no-collision fast path at one dict probe:
         # it returns ``event`` iff the slot was empty and we just claimed
         # it; an existing pending host absorbs the push as a rider; a
-        # stale host is overwritten.
+        # popped host is overwritten.
         host = open_.setdefault(when, event)
         if host is not event:
             if host._ok is None:
@@ -651,46 +417,8 @@ class Simulator:
         self._q.push(when, event, value)
         if len(open_) >= 8192 and len(open_) > (len(self._q) << 2):
             # The slot table only ever grows on distinct timestamps;
-            # shed dead hosts once it dwarfs the live queue.
+            # shed popped hosts once it dwarfs the live queue.
             self._open = {w: e for w, e in open_.items() if e._ok is None}
-
-    def _fire_riders(self, riders: list) -> None:
-        """Dispatch a popped host entry's same-deadline riders in attach
-        order (slow path: step / hooked runs; the queue drain loops
-        inline this).  Cancelled riders are skipped exactly like stale
-        queue entries."""
-        hook = self._hook
-        for rev, rval in riders:
-            if rev._ok is None:
-                self._riders_pending -= 1
-                if hook is not None:
-                    hook(rev, self._now, rval)
-                rev._ok = True
-                rev._value = rval
-                rev._dispatch()
-
-    def _schedule_at(self, when: float, event: Event, value: Any) -> None:
-        if when < self._now:
-            raise SimulationError(
-                "cannot schedule in the past (%.3f < %.3f)" % (when, self._now)
-            )
-        self._push(when, event, value)
-
-    def _note_cancelled(self) -> None:
-        """Tell the queue one of its entries was cancelled; the queue
-        deletes lazily and compacts in place once stale entries dominate
-        (see ``repro.sim.equeue``)."""
-        self._q.abandon()
-
-    def set_event_hook(
-        self, hook: Optional[Callable[[Event, float, Any], None]]
-    ) -> None:
-        """Install ``hook(event, when, value)``, called for every scheduled
-        entry the loop fires (debug/observability aid).  When no hook is
-        installed — the default — the run loop takes an inlined fast path
-        that never looks the hook up per event, so disabled observability
-        costs nothing."""
-        self._hook = hook
 
     def event(self, name: str = "") -> Event:
         return Event(self, name)
@@ -719,125 +447,55 @@ class Simulator:
         self._processes_spawned += 1
         return Process(self, gen, name=name)
 
-    def start(self, gen: Generator, name: str = "") -> Process:
-        """Spawn a process that starts *immediately*: the generator runs
-        to its first yield inside this call, with no start event pushed
-        through the scheduler.
-
-        The delay-fusion fast path: a ``spawn`` defers the generator's
-        first slice to the next same-timestamp scheduler step, which costs one
-        queue entry purely to preserve hand-off laziness the fused call
-        sites do not rely on.  Semantics otherwise match :meth:`spawn` —
-        the returned :class:`Process` is still an event that fires with
-        the generator's return value (possibly already triggered, if the
-        generator never yields)."""
-        self._processes_spawned += 1
-        return Process(self, gen, name=name, immediate=True)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- execution --------------------------------------------------------
-
-    def _fire(self, event: Event, value: Any) -> None:
-        """Trigger one scheduled entry (slow path: step / hooked runs)."""
-        if self._hook is not None:
-            self._hook(event, self._now, value)
-        event._ok = True
-        event._value = value
-        event._dispatch()
 
     def step(self) -> bool:
         """Process one scheduled entry (plus any same-deadline riders it
-        carries); returns False if the queue is empty."""
-        pop = self._q.pop_min
-        while True:
-            entry = pop()
-            if entry is None:
-                return False
-            when, _seq, event, value = entry
-            self._now = when
-            if event._ok is not None:
-                # A Timeout that was abandoned (e.g. AnyOf loser) cannot be
-                # re-triggered; skip it — but its riders are live entries
-                # in their own right and still fire here.
-                riders = event._riders
-                if riders is not None:
-                    event._riders = None
-                    self._fire_riders(riders)
-                    return True
-                continue
-            self._fire(event, value)
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                self._fire_riders(riders)
-            return True
-
-    def _step_bounded(self, until: float) -> bool:
-        """Fire the next live entry if it is due at or before ``until``;
-        stale entries up to ``until`` are discarded (advancing the clock,
-        like :meth:`step`) but a live entry past ``until`` is left queued."""
-        q = self._q
-        while True:
-            when = q.peek_time()
-            if when is None or when > until:
-                return False
-            entry = q.pop_min()
-            self._now = when
-            event = entry[2]
-            if event._ok is not None:
-                riders = event._riders
-                if riders is not None:
-                    event._riders = None
-                    self._fire_riders(riders)
-                    return True
-                continue
-            self._fire(event, entry[3])
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                self._fire_riders(riders)
-            return True
+        carries, in attach order); returns False if the queue is empty."""
+        entry = self._q.pop_min()
+        if entry is None:
+            return False
+        when, _seq, event, value = entry
+        self._now = when
+        event._ok = True
+        event._value = value
+        event._dispatch()
+        riders = event._riders
+        if riders is not None:
+            event._riders = None
+            for rev, rval in riders:
+                self._riders_pending -= 1
+                rev._ok = True
+                rev._value = rval
+                rev._dispatch()
+        return True
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains, or until simulated time ``until``.
 
         Returns the simulated time at which execution stopped: the last
         event time when draining, exactly ``until`` otherwise.  Events
-        scheduled past ``until`` are never fired — not even when stale
-        abandoned entries precede them in the queue.
+        scheduled past ``until`` are never fired.
 
-        The no-hook fast paths delegate to the queue's inlined drain
-        loops (``drain_all``/``drain_until``), which fire and dispatch
-        without per-event method calls; the hooked paths go through
-        :meth:`step` so every fired entry is reported.
-
-        Both drain entry points run collector-quiet
+        Both forms delegate to the queue's drain loops
+        (``drain_all``/``drain_until``; the calendar's fire and dispatch
+        without per-event method calls), and both run collector-quiet
         (``repro.sim.collector``): steady-state simulation frees its
         state by reference count, so automatic collections are deferred
         to the caller's next allocation after the drain returns.
         """
         with collector_quiet:
             if until is None:
-                if self._hook is not None:
-                    while self.step():
-                        pass
-                else:
-                    self._q.drain_all(self)
+                self._q.drain_all(self)
                 return self._now
             if until < self._now:
                 raise SimulationError("until=%r is in the past" % (until,))
-            if self._hook is not None:
-                while self._step_bounded(until):
-                    pass
-            else:
-                self._q.drain_until(self, until)
+            self._q.drain_until(self, until)
             # The loop only fires entries <= until, so the clock never
-            # overruns; land exactly on the boundary in both queue states.
+            # overruns; land exactly on the boundary.
             if self._now < until:
                 self._now = until
             return self._now

@@ -24,22 +24,17 @@ Two implementations share one small protocol (:class:`EventQueue`):
   dry).
 
 * :class:`HeapEventQueue` — the classic binary heap (``heapq``), kept
-  as the reference the tests compare the calendar against: the five
+  as the reference the tests compare the calendar against: the four
   protocol methods and nothing else, so it also exercises the generic
   drain loops.  Nothing in the package constructs one; a test passes
   ``Simulator(queue=HeapEventQueue())``.
 
 Determinism contract (both implementations, pinned by
-``tests/test_golden_digest.py`` and ``tests/test_event_queue.py``):
-
-* pop order is strict ``(when, seq)`` order — equal-timestamp events
-  fire in FIFO scheduling order, including across bucket boundaries;
-* abandoned (cancelled) entries are deleted *lazily*: they stay queued,
-  are skipped when popped, and are bulk-compacted under exactly the same
-  trigger (``_COMPACT_MIN_CANCELLED`` cancelled entries that make up at
-  least half the queue) so both queues discard the same entries at the
-  same logical instants and the simulated clock — which stale pops
-  advance — stays byte-identical per seed.
+``tests/test_golden_digest.py`` and ``tests/test_event_queue.py``): pop
+order is strict ``(when, seq)`` order — equal-timestamp events fire in
+FIFO scheduling order, including across bucket boundaries.  Nothing
+abandons a queued entry, so every popped entry is live and the queues
+keep no stale-entry policy in step.
 
 ``Simulator(queue=<EventQueue instance>)`` is the one way to run on
 anything else: swappability lives behind the protocol, not in a switch.
@@ -56,7 +51,6 @@ __all__ = [
     "HeapEventQueue",
     "CalendarEventQueue",
     "selected_queue_kind",
-    "_COMPACT_MIN_CANCELLED",
 ]
 
 # Entry tuples are (when, seq, event, value) for the heap and
@@ -64,15 +58,6 @@ __all__ = [
 # ascending-sorted list pop its *minimum* timestamp from the tail in
 # O(1)).  ``seq`` is unique, so comparisons never reach the event.
 Entry = Tuple[float, int, Any, Any]
-
-# Lazy-deletion compaction trigger, shared by both implementations: once
-# at least this many cancelled entries sit in the queue AND they make up
-# at least half of it, the structure is filtered in place.  High enough
-# that small simulations never compact (preserving their exact
-# final-clock behavior), low enough that AnyOf-heavy workloads stay
-# O(live events).  Changing this changes which stale entries survive to
-# advance the clock when popped — i.e. it is digest-visible.
-_COMPACT_MIN_CANCELLED = 64
 
 
 def selected_queue_kind() -> str:
@@ -84,11 +69,11 @@ def selected_queue_kind() -> str:
 class EventQueue:
     """Protocol + generic drain loops for scheduler implementations.
 
-    Subclasses must implement ``push``, ``pop_min``, ``peek_time``,
-    ``abandon`` and ``__len__``; the calendar also overrides
-    :meth:`drain_all` / :meth:`drain_until` with inlined loops (the
-    generic versions here go through ``pop_min`` per event, are correct
-    for any conforming implementation, and are what the heap runs).
+    Subclasses must implement ``push``, ``pop_min``, ``peek_time`` and
+    ``__len__``; the calendar also overrides :meth:`drain_all` /
+    :meth:`drain_until` with inlined loops (the generic versions here
+    fire one :meth:`Simulator.step` per entry, are correct for any
+    conforming implementation, and are what the heap runs).
 
     The queue owns the scheduling sequence number: ``push(when, event,
     value)`` assigns the next ``seq`` internally, so every scheduling
@@ -103,19 +88,14 @@ class EventQueue:
         raise NotImplementedError
 
     def pop_min(self) -> Optional[Entry]:
-        """Remove and return the least ``(when, seq)`` entry (stale or
-        live), or ``None`` when empty."""
+        """Remove and return the least ``(when, seq)`` entry, or
+        ``None`` when empty."""
         raise NotImplementedError
 
     def peek_time(self) -> Optional[float]:
-        """Timestamp of the least entry (stale entries included), or
-        ``None`` when empty.  May reorganize internal structure but must
-        not change the pop sequence."""
-        raise NotImplementedError
-
-    def abandon(self) -> None:
-        """Note that one queued entry was cancelled; may trigger in-place
-        compaction of stale entries."""
+        """Timestamp of the least entry, or ``None`` when empty.  May
+        reorganize internal structure but must not change the pop
+        sequence."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -124,71 +104,37 @@ class EventQueue:
     # -- drain loops (generic; the calendar overrides with inlined ones) --
 
     def drain_all(self, sim) -> None:
-        """Pop and fire every entry; stale entries advance the clock and
-        are skipped, exactly like :meth:`Simulator.step`.  Same-deadline
-        riders (``Simulator._riding_push``) fire right after their host
-        entry, in attach order — stale hosts included, since a rider is
-        a live event in its own right."""
-        pop = self.pop_min
-        while True:
-            entry = pop()
-            if entry is None:
-                return
-            sim._now = entry[0]
-            event = entry[2]
-            if event._ok is None:
-                event._ok = True
-                event._value = entry[3]
-                event._dispatch()
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                for rev, rval in riders:
-                    if rev._ok is None:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
+        """Pop and fire every entry, each with its same-deadline riders
+        (``Simulator._riding_push``), one :meth:`Simulator.step` each."""
+        step = sim.step
+        while step():
+            pass
 
     def drain_until(self, sim, until: float) -> None:
         """Like :meth:`drain_all` but leave any entry past ``until``
         queued; the clock never overruns ``until``."""
+        peek = self.peek_time
+        step = sim.step
         while True:
-            t = self.peek_time()
+            t = peek()
             if t is None or t > until:
                 return
-            entry = self.pop_min()
-            sim._now = entry[0]
-            event = entry[2]
-            if event._ok is None:
-                event._ok = True
-                event._value = entry[3]
-                event._dispatch()
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                for rev, rval in riders:
-                    if rev._ok is None:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
+            step()
 
 
 class HeapEventQueue(EventQueue):
-    """Binary-heap scheduler (``heapq``), with lazy deletion +
-    compaction: the reference implementation the cross-implementation
-    tests compare :class:`CalendarEventQueue` against.  Only the
-    protocol methods, so it drains through the generic loops."""
+    """Binary-heap scheduler (``heapq``): the reference implementation
+    the cross-implementation tests compare :class:`CalendarEventQueue`
+    against.  Only the protocol methods, so it drains through the
+    generic loops."""
 
     kind = "heap"
 
-    __slots__ = ("seq", "_heap", "_cancelled")
+    __slots__ = ("seq", "_heap")
 
     def __init__(self):
         self.seq = 0
         self._heap: List[Entry] = []
-        self._cancelled = 0  # cancelled entries still sitting in the heap
 
     def push(self, when: float, event: Any, value: Any) -> None:
         self.seq = seq = self.seq + 1
@@ -203,19 +149,6 @@ class HeapEventQueue(EventQueue):
         if self._heap:
             return self._heap[0][0]
         return None
-
-    def abandon(self) -> None:
-        self._cancelled += 1
-        heap = self._heap
-        if (self._cancelled >= _COMPACT_MIN_CANCELLED
-                and 2 * self._cancelled >= len(heap)):
-            # Stale hosts still carrying riders must survive — their
-            # riders are live events that fire at the host's pop.
-            heap[:] = [entry for entry in heap
-                       if entry[2]._ok is None
-                       or entry[2]._riders is not None]
-            heapify(heap)
-            self._cancelled = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -266,7 +199,7 @@ class CalendarEventQueue(EventQueue):
     kind = "calendar"
 
     __slots__ = ("seq", "_buckets", "_bids", "_cur", "_cur_id", "_width",
-                 "_inv", "_removed", "_cancelled", "_acts", "_seq_mark")
+                 "_inv", "_removed", "_acts", "_seq_mark")
 
     def __init__(self, width: float = 1.0):
         self.seq = 0
@@ -278,8 +211,7 @@ class CalendarEventQueue(EventQueue):
         self._cur_id = -1           # bids <= _cur_id route into _cur
         # Population is derived, not counted on push: len() == seq -
         # _removed, so the push fast path touches one counter, not two.
-        self._removed = 0           # entries popped or compacted away
-        self._cancelled = 0
+        self._removed = 0           # entries popped
         self._acts = 0              # activations since last trigger check
         self._seq_mark = 0          # seq watermark for the sparse trigger
 
@@ -317,12 +249,6 @@ class CalendarEventQueue(EventQueue):
             cur = self._cur
         return -cur[-1][0]
 
-    def abandon(self) -> None:
-        self._cancelled += 1
-        if (self._cancelled >= _COMPACT_MIN_CANCELLED
-                and 2 * self._cancelled >= self.seq - self._removed):
-            self._compact()
-
     def __len__(self) -> int:
         return self.seq - self._removed
 
@@ -332,10 +258,6 @@ class CalendarEventQueue(EventQueue):
     def width(self) -> float:
         """Current bucket width in simulated microseconds."""
         return self._width
-
-    @property
-    def active_buckets(self) -> int:
-        return len(self._buckets) + (1 if self._cur else 0)
 
     # -- internals --------------------------------------------------------
 
@@ -355,9 +277,7 @@ class CalendarEventQueue(EventQueue):
             bids = self._bids
         while bids:
             bid = heappop(bids)
-            b = buckets.pop(bid, None)
-            if b is None:
-                continue  # stale id (compaction emptied the bucket)
+            b = buckets.pop(bid)
             self._acts += 1
             probed = False
             if self._acts >= _SPARSE_ACTS:
@@ -449,27 +369,6 @@ class CalendarEventQueue(EventQueue):
         self._seq_mark = self.seq
         return True
 
-    def _compact(self) -> None:
-        """Drop every already-triggered (cancelled/stale) entry, in
-        place: drain loops alias ``_cur``, so its identity survives.
-        Stale hosts still carrying same-deadline riders are kept — their
-        riders are live events that fire at the host's pop."""
-        cur = self._cur
-        cur[:] = [e for e in cur
-                  if e[2]._ok is None or e[2]._riders is not None]
-        n = len(cur)
-        buckets = self._buckets
-        for bid in list(buckets):
-            b = buckets[bid]
-            b[:] = [e for e in b
-                    if e[2]._ok is None or e[2]._riders is not None]
-            if b:
-                n += len(b)
-            else:
-                del buckets[bid]  # its id goes stale in _bids; _advance skips
-        self._removed = self.seq - n
-        self._cancelled = 0
-
     # -- inlined drain loops ----------------------------------------------
 
     def drain_all(self, sim) -> None:
@@ -479,31 +378,29 @@ class CalendarEventQueue(EventQueue):
                 nw, _ns, event, value = cur.pop()
                 self._removed += 1
                 sim._now = -nw
-                if event._ok is None:
-                    event._ok = True
-                    event._value = value
-                    cb0 = event._cb0
-                    callbacks = event._callbacks
-                    if cb0 is not None:
-                        event._cb0 = None
-                        event._callbacks = None
-                        cb0(event)
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                    elif callbacks:
-                        event._callbacks = None
+                event._ok = True
+                event._value = value
+                cb0 = event._cb0
+                callbacks = event._callbacks
+                if cb0 is not None:
+                    event._cb0 = None
+                    event._callbacks = None
+                    cb0(event)
+                    if callbacks:
                         for fn in callbacks:
                             fn(event)
+                elif callbacks:
+                    event._callbacks = None
+                    for fn in callbacks:
+                        fn(event)
                 riders = event._riders
                 if riders is not None:
                     event._riders = None
                     for rev, rval in riders:
-                        if rev._ok is None:
-                            sim._riders_pending -= 1
-                            rev._ok = True
-                            rev._value = rval
-                            rev._dispatch()
+                        sim._riders_pending -= 1
+                        rev._ok = True
+                        rev._value = rval
+                        rev._dispatch()
             if not self._advance():
                 return
 
@@ -518,30 +415,28 @@ class CalendarEventQueue(EventQueue):
                     return
                 self._removed += 1
                 sim._now = when
-                if event._ok is None:
-                    event._ok = True
-                    event._value = value
-                    cb0 = event._cb0
-                    callbacks = event._callbacks
-                    if cb0 is not None:
-                        event._cb0 = None
-                        event._callbacks = None
-                        cb0(event)
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                    elif callbacks:
-                        event._callbacks = None
+                event._ok = True
+                event._value = value
+                cb0 = event._cb0
+                callbacks = event._callbacks
+                if cb0 is not None:
+                    event._cb0 = None
+                    event._callbacks = None
+                    cb0(event)
+                    if callbacks:
                         for fn in callbacks:
                             fn(event)
+                elif callbacks:
+                    event._callbacks = None
+                    for fn in callbacks:
+                        fn(event)
                 riders = event._riders
                 if riders is not None:
                     event._riders = None
                     for rev, rval in riders:
-                        if rev._ok is None:
-                            sim._riders_pending -= 1
-                            rev._ok = True
-                            rev._value = rval
-                            rev._dispatch()
+                        sim._riders_pending -= 1
+                        rev._ok = True
+                        rev._value = rval
+                        rev._dispatch()
             if not self._advance():
                 return

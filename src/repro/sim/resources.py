@@ -5,18 +5,17 @@ API that fits generator-based processes:
 
 * :class:`Resource` — ``capacity`` interchangeable slots, FIFO granting.
 * :class:`Semaphore` — counting semaphore (non-slot-tracking Resource).
-* :class:`Store` — a FIFO queue of items with blocking ``get``/``put``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from .core import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Semaphore", "Store"]
+__all__ = ["Resource", "Semaphore"]
 
 
 class Resource:
@@ -24,11 +23,15 @@ class Resource:
 
     Usage from a process::
 
-        yield res.acquire()
-        try:
-            yield sim.timeout(service_time)
-        finally:
-            res.release()
+        if not res.try_acquire():
+            yield res.acquire()
+        yield sim.timeout(service_time)
+        res.release()
+
+    Release after the ``yield``, not in a ``finally``: the collector
+    closes the suspended generators of a dropped simulation, and a
+    release there would hand the slot to a waiter and resume that dead
+    simulation's processes from inside ``gc.collect()``.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = ""):
@@ -220,83 +223,3 @@ class Semaphore:
                 self._waiters.popleft().succeed()
             else:
                 self._count += 1
-
-
-class Store:
-    """FIFO item queue with blocking get and optionally bounded put."""
-
-    def __init__(
-        self, sim: Simulator, capacity: Optional[int] = None, name: str = ""
-    ):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._put_name = "%s.put" % name
-        self._get_name = "%s.get" % name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item) pairs
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Returns an event that fires when the item has been enqueued."""
-        ev = Event(self.sim, self._put_name)
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            return True
-        return False
-
-    def get(self) -> Event:
-        """Returns an event whose value is the dequeued item."""
-        ev = Event(self.sim, self._get_name)
-        if self._items:
-            ev.succeed(self._items.popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self):
-        """Non-blocking get; returns (True, item) or (False, None)."""
-        if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            return True, item
-        return False, None
-
-    def drain(self) -> list:
-        """Remove and return all currently queued items (non-blocking)."""
-        items = list(self._items)
-        self._items.clear()
-        while self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            self._admit_putter()
-        return items
-
-    def _admit_putter(self) -> None:
-        if self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            ev, item = self._putters.popleft()
-            self._items.append(item)
-            ev.succeed()

@@ -1,16 +1,15 @@
-"""Measurement helpers: online statistics, percentile recorders, meters."""
+"""Measurement helpers: online statistics, percentile recorders, counters."""
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = [
     "OnlineStats",
     "LogHistogram",
     "LatencyRecorder",
-    "ThroughputMeter",
     "Counter",
 ]
 
@@ -215,51 +214,6 @@ class LatencyRecorder:
     def clear(self) -> None:
         self.hist.clear()
         self.stats = OnlineStats()
-
-
-class ThroughputMeter:
-    """Counts completions between two timestamps to compute a rate."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.completed = 0
-        self._window_start: Optional[float] = None
-        self._window_count_base = 0
-        self._window_end: Optional[float] = None
-        self._window_count_end = 0
-
-    def record(self) -> None:
-        self.completed += 1
-
-    def start_window(self, now: float) -> None:
-        self._window_start = now
-        self._window_count_base = self.completed
-        self._window_end = None
-
-    def end_window(self, now: float) -> None:
-        if self._window_start is None:
-            raise RuntimeError("end_window without start_window")
-        self._window_end = now
-        self._window_count_end = self.completed
-
-    @property
-    def window_count(self) -> int:
-        if self._window_end is None:
-            raise RuntimeError("measurement window not closed")
-        return self._window_count_end - self._window_count_base
-
-    def rate_per_us(self) -> float:
-        """Completions per simulated microsecond over the closed window."""
-        if self._window_start is None or self._window_end is None:
-            raise RuntimeError("measurement window not closed")
-        span = self._window_end - self._window_start
-        if span <= 0:
-            return 0.0
-        return self.window_count / span
-
-    def rate_per_s(self) -> float:
-        """Completions per simulated second over the closed window."""
-        return self.rate_per_us() * 1e6
 
 
 class Counter:

@@ -1,18 +1,15 @@
 """Scheduler edge cases, exercised identically on both event-queue
-implementations: the ``EventQueue`` contract says pop order, stale-entry
-handling, and the simulated clock are byte-identical between the
-calendar queue the engine runs on and the heap kept as its reference,
-so every test here is parametrized over both, passed as
-``Simulator(queue=<instance>)``, and several also assert cross-impl
-identity directly.
+implementations: the ``EventQueue`` contract says pop order and the
+simulated clock are byte-identical between the calendar queue the
+engine runs on and the heap kept as its reference, so every test here
+is parametrized over both, passed as ``Simulator(queue=<instance>)``,
+and several also assert cross-impl identity directly.
 """
 
 import pytest
 
 from repro.sim import Simulator, Timeout
-from repro.sim.core import AnyOf
 from repro.sim.equeue import (
-    _COMPACT_MIN_CANCELLED,
     CalendarEventQueue,
     HeapEventQueue,
     selected_queue_kind,
@@ -104,27 +101,8 @@ def test_pop_order_identical_across_impls():
 
 
 # ---------------------------------------------------------------------------
-# run(until) boundary with stale/abandoned head entries
+# run(until) boundary
 # ---------------------------------------------------------------------------
-
-
-@both_kinds
-def test_run_until_with_abandoned_head(kind):
-    sim = Simulator(queue=kind())
-    t_stale = Timeout(sim, 5.0)
-    t_live = Timeout(sim, 30.0)
-    fired = []
-    t_live.add_callback(lambda _e: fired.append(sim.now))
-    assert t_stale.cancel()
-    # The stale head is <= until: it is discarded (advancing the clock
-    # transiently) but never dispatched; the clock lands exactly on until.
-    sim.run(until=10.0)
-    assert fired == []
-    assert sim.now == 10.0
-    assert sim.pending_events == 1  # the live far timeout survived
-    sim.run(until=40.0)
-    assert fired == [30.0]
-    assert sim.now == 40.0
 
 
 @both_kinds
@@ -136,67 +114,6 @@ def test_run_until_leaves_live_head_past_boundary(kind):
     assert fired == [] and sim.now == 49.999
     sim.run(until=50.0)
     assert fired == [50.0] and sim.now == 50.0
-
-
-# ---------------------------------------------------------------------------
-# interleaved abandon-then-reschedule
-# ---------------------------------------------------------------------------
-
-
-@both_kinds
-def test_abandon_then_reschedule_interleaved(kind):
-    """A process that repeatedly races a near winner against a far loser:
-    every iteration cancels the far timeout and schedules fresh ones, so
-    stale entries interleave with live ones throughout the queue."""
-    sim = Simulator(queue=kind())
-    won = []
-
-    def racer():
-        for i in range(3 * _COMPACT_MIN_CANCELLED):  # cross compaction
-            got = yield AnyOf(sim, [Timeout(sim, 1.0, value="near"),
-                                    Timeout(sim, 1000.0, value="far")])
-            won.append(got[1])
-
-    sim.spawn(racer())
-    sim.run()
-    assert won == ["near"] * (3 * _COMPACT_MIN_CANCELLED)
-    assert sim.pending_events == 0  # full drain retires every stale entry
-
-
-@both_kinds
-def test_cancel_reschedule_same_horizon(kind):
-    sim = Simulator(queue=kind())
-    fired = []
-    stale = [Timeout(sim, 10.0) for _ in range(2 * _COMPACT_MIN_CANCELLED)]
-    for t in stale:
-        assert t.cancel()
-    # Reschedule live work at the same deadline as the abandoned batch.
-    for i in range(5):
-        Timeout(sim, 10.0).add_callback(lambda _e, i=i: fired.append(i))
-    sim.run()
-    assert fired == [0, 1, 2, 3, 4]
-    assert sim.now == 10.0
-
-
-def test_final_clock_identical_after_cancel_storm():
-    """Full-drain final clock is digest-visible: both impls must retire
-    the same stale entries at the same logical instants."""
-
-    def run(kind):
-        sim = Simulator(queue=kind())
-        log = []
-
-        def storm():
-            for i in range(200):
-                got = yield AnyOf(sim, [Timeout(sim, 0.5, value=i),
-                                        Timeout(sim, 500.0 + i, value=-i)])
-                log.append((sim.now, got[1]))
-
-        sim.spawn(storm())
-        sim.run()
-        return log, sim.now, sim.events_scheduled
-
-    assert run(HeapEventQueue) == run(CalendarEventQueue)
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +162,17 @@ def test_calendar_push_into_active_band():
 
 def _drive(kind, ops):
     """Replay one random op stream on one queue implementation and
-    return everything digest-visible: the fire/cancel log, the final
-    clock, and the scheduled-event counter."""
+    return everything digest-visible: the fire log, the final clock,
+    and the scheduled-event counter."""
     sim = Simulator(queue=kind())
     log = []
-    handles = []
+    pushed = 0
     for op in ops:
         if op[0] == "push":
-            i = len(handles)
-            t = Timeout(sim, op[1])
-            cb = lambda _e, i=i: log.append(("fire", i, sim.now))  # noqa: E731
-            t.add_callback(cb)
-            handles.append((t, cb))
-        elif op[0] == "cancel":
-            if handles:
-                idx = op[1] % len(handles)
-                t, cb = handles[idx]
-                if t._ok is None:
-                    # Detach first, the way the engine abandons a
-                    # timeout (cancel refuses with live callbacks).
-                    t.remove_callback(cb)
-                    log.append(("cancel", idx, t.cancel()))
-                else:
-                    log.append(("cancel", idx, False))
-        else:  # ("run", dt): bounded drain, stale heads included
+            Timeout(sim, op[1]).add_callback(
+                lambda _e, i=pushed: log.append(("fire", i, sim.now)))
+            pushed += 1
+        else:  # ("run", dt): bounded drain
             sim.run(until=sim.now + op[1])
             log.append(("clock", sim.now))
     sim.run()
@@ -283,8 +187,6 @@ _delay = st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"), _delay),
-        st.tuples(st.just("cancel"), st.integers(min_value=0,
-                                                 max_value=10 ** 6)),
         st.tuples(st.just("run"), _delay),
     ),
     max_size=50,
@@ -294,7 +196,7 @@ _ops = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(ops=_ops)
 def test_random_streams_identical_across_impls(ops):
-    """Random push/cancel/run(until) streams must produce the identical
+    """Random push/run(until) streams must produce the identical
     pop order, final clock, and event counter on the heap queue and the
     calendar queue."""
     assert _drive(HeapEventQueue, ops) == _drive(CalendarEventQueue, ops)

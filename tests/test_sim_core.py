@@ -4,8 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -121,26 +119,6 @@ def test_all_of_empty_fires_immediately():
     assert ev.triggered and ev.value == []
 
 
-def test_any_of_returns_first():
-    sim = Simulator()
-
-    def main(sim):
-        t1 = sim.timeout(5.0, "slow")
-        t2 = sim.timeout(2.0, "fast")
-        idx, val = yield sim.any_of([t1, t2])
-        return idx, val
-
-    m = sim.spawn(main(sim))
-    sim.run()
-    assert m.value == (1, "fast")
-
-
-def test_any_of_requires_events():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
-
-
 def test_run_until_limit_pauses_at_time():
     sim = Simulator()
     done = []
@@ -174,68 +152,6 @@ def test_run_until_event_drained_raises():
         sim.run_until_event(ev)
 
 
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    seen = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            seen.append(intr.cause)
-            yield sim.timeout(1.0)
-        return "recovered"
-
-    def attacker(sim, target):
-        yield sim.timeout(2.0)
-        target.interrupt("stop")
-
-    v = sim.spawn(victim(sim))
-    sim.spawn(attacker(sim, v))
-    sim.run()
-    assert seen == ["stop"]
-    assert v.value == "recovered"
-    # The process finished at t=3; the abandoned 100us timeout may still
-    # advance the clock when it expires, which is fine.
-
-
-def test_interrupt_finished_process_noop():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    p = sim.spawn(quick(sim))
-    sim.run()
-    p.interrupt("late")  # must not raise
-    sim.run()
-
-
-def test_stale_timeout_after_interrupt_ignored():
-    sim = Simulator()
-    wakeups = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(5.0)
-            wakeups.append("timeout")
-        except Interrupt:
-            wakeups.append("interrupt")
-        yield sim.timeout(10.0)
-        wakeups.append("second")
-
-    v = sim.spawn(victim(sim))
-
-    def attacker(sim):
-        yield sim.timeout(1.0)
-        v.interrupt()
-
-    sim.spawn(attacker(sim))
-    sim.run()
-    # The original 5.0 timeout must not resume the process a second time.
-    assert wakeups == ["interrupt", "second"]
-
-
 def test_yield_non_event_fails_process():
     sim = Simulator()
 
@@ -246,14 +162,6 @@ def test_yield_non_event_fails_process():
     sim.run()
     assert not p.ok
     assert isinstance(p.value, SimulationError)
-
-
-def test_cannot_schedule_in_past():
-    sim = Simulator()
-    sim.spawn((sim.timeout(5.0) for _ in range(1)))
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim._schedule_at(sim.now - 1.0, sim.event(), None)
 
 
 def test_nested_process_spawning():

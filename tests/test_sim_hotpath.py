@@ -1,6 +1,6 @@
 """Regression tests for the event-loop hot-path work: run(until)
-boundary semantics with stale heap entries, combinator detach/cancel
-behavior, lazy heap deletion + compaction, and the resource fast path."""
+boundary semantics, AllOf fail-fast, the resource fast path, cycle-free
+completion, and exact events per operation."""
 
 import functools
 
@@ -11,8 +11,7 @@ from repro.core.txn import TxnSpec
 from repro.hw.cpu import CoreGroup
 from repro.hw.params import TESTBED
 from repro.hw.rdma import RdmaNic
-from repro.sim.core import (AllOf, AnyOf, SimulationError, Simulator,
-                            Timeout)
+from repro.sim.core import AllOf, SimulationError, Simulator, Timeout
 from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.link import SerialLink
 from repro.sim.resources import Resource
@@ -22,29 +21,6 @@ from repro.sim.rng import RngStream
 # ---------------------------------------------------------------------------
 # run(until=...) boundary
 # ---------------------------------------------------------------------------
-
-
-def test_run_until_not_overrun_by_stale_entries():
-    """A cancelled (stale) entry at t <= until must not make run(until)
-    fire a live event scheduled *past* until: the clock lands exactly on
-    until and the later event stays pending."""
-    sim = Simulator()
-    fired = []
-
-    stale = Timeout(sim, 3.0)
-    assert stale.cancel()
-
-    def proc():
-        yield Timeout(sim, 10.0)
-        fired.append(sim.now)
-
-    sim.spawn(proc())
-    sim.run(until=5.0)
-    assert sim.now == 5.0
-    assert not fired
-    assert sim.pending_events >= 1  # the live t=10 event is still queued
-    sim.run()
-    assert fired == [10.0]
 
 
 def test_run_until_fires_event_exactly_at_boundary():
@@ -68,53 +44,37 @@ def test_run_until_with_empty_queue_advances_clock():
 
 
 # ---------------------------------------------------------------------------
-# combinator detach / no double dispatch
+# AllOf fail-fast / no double dispatch
 # ---------------------------------------------------------------------------
 
 
-def test_anyof_winner_detaches_and_cancels_losing_timeout():
-    sim = Simulator()
-    winner = Timeout(sim, 1.0)
-    loser = Timeout(sim, 1000.0)
-    race = AnyOf(sim, [winner, loser])
-    dispatches = []
-    race.add_callback(lambda e: dispatches.append(e.value))
-    sim.run()
-    assert dispatches == [(0, None)]  # fired exactly once, index 0 won
-    assert loser.cancelled
-    assert loser.callback_count == 0
-    # the stale loser entry may advance the clock when popped, but the
-    # loser itself never dispatches — nothing ran after t=1 here
-    assert not race.callback_count
-
-
-def test_allof_fail_fast_detaches_pending_children():
+def test_allof_fails_once_on_its_first_failed_child():
     sim = Simulator()
     gate = sim.event()
     late = Timeout(sim, 1000.0)
     combo = AllOf(sim, [gate, late])
     dispatches = []
-    combo.add_callback(lambda e: dispatches.append(e.ok))
+    combo.add_callback(lambda e: dispatches.append((sim.now, e.ok)))
+    caught = []
 
     def failer():
         yield Timeout(sim, 1.0)
         gate.fail(RuntimeError("boom"))
 
+    def waiter():
+        try:
+            yield combo
+        except RuntimeError as exc:
+            caught.append((sim.now, str(exc)))
+
     sim.spawn(failer())
+    sim.spawn(waiter())
     sim.run()
-    assert dispatches == [False]  # failed exactly once
-    assert late.cancelled
-    assert late.callback_count == 0
-
-
-def test_anyof_immediate_winner_skips_registration():
-    sim = Simulator()
-    done = sim.event().succeed("v")
-    loser = Timeout(sim, 50.0)
-    race = AnyOf(sim, [done, loser])
-    assert race.triggered and race.value == (0, "v")
-    # the loser was never registered on, so it is free to be cancelled
-    assert loser.callback_count == 0
+    assert dispatches == [(1.0, False)]  # one dispatch, at the failure
+    assert caught == [(1.0, "boom")]  # the waiting process got it
+    # the pending child fired later and changed nothing
+    assert late.ok and sim.now == 1000.0
+    assert isinstance(combo.value, RuntimeError)
 
 
 def test_event_double_trigger_still_rejected():
@@ -122,50 +82,6 @@ def test_event_double_trigger_still_rejected():
     ev = sim.event().succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
-
-
-def test_cancel_with_registered_callback_rejected():
-    sim = Simulator()
-    t = Timeout(sim, 1.0)
-    t.add_callback(lambda e: None)
-    with pytest.raises(SimulationError):
-        t.cancel()
-
-
-# ---------------------------------------------------------------------------
-# lazy deletion + in-place compaction
-# ---------------------------------------------------------------------------
-
-
-def test_heap_compaction_discards_cancelled_entries():
-    sim = Simulator()
-    doomed = [Timeout(sim, 10.0) for _ in range(300)]
-    keeper_fired = []
-
-    def keeper():
-        yield Timeout(sim, 20.0)
-        keeper_fired.append(sim.now)
-
-    sim.spawn(keeper())
-    for t in doomed:
-        assert t.cancel()
-    # enough cancellations force in-place compactions: the heap shrinks
-    # to the live entries plus at most one sub-threshold tail of
-    # not-yet-compacted cancellations
-    from repro.sim.core import _COMPACT_MIN_CANCELLED
-
-    assert sim.pending_events <= 2 + _COMPACT_MIN_CANCELLED
-    sim.run()
-    assert keeper_fired == [20.0]
-
-
-def test_cancelled_timeouts_never_dispatch():
-    sim = Simulator()
-    t = Timeout(sim, 5.0)
-    assert t.cancel()
-    assert not t.cancel()  # second cancel reports already-dead
-    sim.run()
-    assert t.cancelled and not t.ok
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +156,8 @@ def test_rdma_public_utilization_accessor():
 @pytest.mark.parametrize("system", ["xenic", "drtmh"])
 def test_finished_processes_need_no_cycle_collector(system):
     """Everything the event loop allocates is freed by reference count:
-    a finished Process and a fired AllOf/AnyOf drop their cached bound
-    methods, and no callback chain (a verb, a core job, a NIC handler,
+    a finished Process drops its cached bound methods, an AllOf caches
+    none, and no callback chain (a verb, a core job, a NIC handler,
     a log worker) reaches itself.  With the collector off and
     DEBUG_SAVEALL on, a window of ~200 transactions at c=4, and one at
     c=64 where cores queue, leave nothing at all for gc.collect() to
@@ -335,11 +251,6 @@ def _resource(sim):
     return [worker() for _ in range(8)]
 
 
-def _anyof(sim):
-    return [(AnyOf(sim, [Timeout(sim, 1.0), Timeout(sim, 1000.0)])
-             for _ in range(100))]
-
-
 def _link(sim):
     link = SerialLink(sim, bandwidth_gbps=100.0, overhead_us=0.1)
     return [(link.transfer(256) for _ in range(25)) for _ in range(4)]
@@ -401,14 +312,13 @@ def _run_loop(sim, bodies):
 
 
 @pytest.mark.parametrize("loop, events, spawned", [
-    (_timeouts, 101, 1), (_resource, 102, 8), (_anyof, 201, 1),
-    (_link, 102, 4), (_commit_path, 6729, 5), (_rdma_read, 542, 4),
+    (_timeouts, 101, 1), (_resource, 102, 8), (_link, 102, 4), (_commit_path, 6729, 5), (_rdma_read, 542, 4),
     (_rpc, 732, 4), (_core_execute, 151, 4),
     (functools.partial(_rdma_read, spec=NEVER_FIRES), 542, 4),
     (functools.partial(_rpc, spec=NEVER_FIRES), 732, 4),
     (functools.partial(_rdma_read, spec=RETRIED), 632, 4),
     (functools.partial(_rpc, spec=RETRIED), 834, 4)],
-    ids=["timeouts", "resource", "anyof", "link", "commit_path",
+    ids=["timeouts", "resource", "link", "commit_path",
          "rdma_read", "rpc", "core_execute", "rdma_read_never_fires",
          "rpc_never_fires", "rdma_read_retried", "rpc_retried"])
 def test_events_scheduled_per_op_is_exact(loop, events, spawned):

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Semaphore, and Store primitives."""
+"""Unit tests for the Resource and Semaphore primitives."""
 
 import pytest
 
-from repro.sim import Resource, Semaphore, Simulator, Store
+from repro.sim import Resource, Semaphore, Simulator
 from repro.sim.core import SimulationError
 
 
@@ -95,87 +95,3 @@ def test_semaphore_up_n():
     sem = Semaphore(sim, initial=0)
     sem.up(3)
     assert sem.count == 3
-
-
-def test_store_put_get_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(sim):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    def producer(sim):
-        for i in range(3):
-            yield sim.timeout(1.0)
-            yield store.put(i)
-
-    sim.spawn(consumer(sim))
-    sim.spawn(producer(sim))
-    sim.run()
-    assert got == [0, 1, 2]
-
-
-def test_store_bounded_put_blocks():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
-
-    def producer(sim):
-        yield store.put("a")
-        events.append(("put-a", sim.now))
-        yield store.put("b")
-        events.append(("put-b", sim.now))
-
-    def consumer(sim):
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        events.append(("got-" + item, sim.now))
-
-    sim.spawn(producer(sim))
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert ("put-a", 0.0) in events
-    assert ("put-b", 5.0) in events
-
-
-def test_store_try_get_and_try_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    ok, item = store.try_get()
-    assert not ok and item is None
-    assert store.try_put("x")
-    assert not store.try_put("y")
-    ok, item = store.try_get()
-    assert ok and item == "x"
-
-
-def test_store_drain_returns_all():
-    sim = Simulator()
-    store = Store(sim)
-    for i in range(5):
-        store.try_put(i)
-    assert store.drain() == [0, 1, 2, 3, 4]
-    assert len(store) == 0
-
-
-def test_store_drain_admits_blocked_putters():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    put_done = []
-
-    def producer(sim):
-        for i in range(4):
-            yield store.put(i)
-            put_done.append(i)
-
-    sim.spawn(producer(sim))
-    sim.run()
-    assert put_done == [0, 1]
-    drained = store.drain()
-    assert drained == [0, 1]
-    sim.run()
-    assert put_done == [0, 1, 2, 3]
-    assert len(store) == 2

@@ -13,7 +13,6 @@ from repro.sim import (
     OnlineStats,
     RngStream,
     Simulator,
-    ThroughputMeter,
     ZipfGenerator,
 )
 from repro.sim.link import BatchingLink, SerialLink
@@ -241,27 +240,6 @@ def test_latency_recorder_percentile_validation():
     r.record(1.0)
     with pytest.raises(ValueError):
         r.percentile(101)
-
-
-def test_throughput_meter_window():
-    m = ThroughputMeter()
-    for _ in range(10):
-        m.record()
-    m.start_window(100.0)
-    for _ in range(50):
-        m.record()
-    m.end_window(150.0)
-    assert m.window_count == 50
-    assert m.rate_per_us() == pytest.approx(1.0)
-    assert m.rate_per_s() == pytest.approx(1e6)
-
-
-def test_throughput_meter_errors():
-    m = ThroughputMeter()
-    with pytest.raises(RuntimeError):
-        m.end_window(1.0)
-    with pytest.raises(RuntimeError):
-        m.rate_per_us()
 
 
 # ---------------------------------------------------------------------------
