@@ -18,10 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 __all__ = ["canonical_digest", "fig8d_point_payload", "fig8d_peak_payload",
-           "chaos_payload"]
+           "chaos_payload", "BASELINE_SWEEP", "baseline_payload"]
+
+# (concurrency, warm-up us, window us) of one ascending baseline sweep
+BASELINE_SWEEP = ((8, 80.0, 300.0), (32, 20.0, 100.0), (64, 20.0, 100.0))
+# ... and the one Retwis point the baseline payload adds to it
+BASELINE_RETWIS_POINT = (16, 40.0, 150.0)
 
 
 def canonical_digest(payload: Any) -> str:
@@ -66,6 +71,49 @@ def _fig8d_run(concurrency: int, obs: bool):
     payload["total_commits"] = bench._total_commits()
     payload["total_aborts"] = bench._total_aborts()
     return bench, payload
+
+
+def baseline_payload(system: str, obs: bool = False) -> List[Dict[str, Any]]:
+    """Simulated results of one baseline system over ``BASELINE_SWEEP`` on
+    Smallbank (3 nodes, 1,500 accounts per server) plus one Retwis point
+    (1,500 keys per server), one entry per measured run: commits, aborts,
+    throughput, the clock at the end of the run, the events its window
+    scheduled and a digest of every primary's committed values and
+    versions at that instant.  ``obs=True`` runs the same points under a
+    live Observer."""
+    from ..workloads import Retwis, Smallbank
+    from .runner import Bench
+
+    runs = []
+    for workload, points in (
+            (Smallbank(3, accounts_per_server=1500, hot_keys_fraction=0.25),
+             BASELINE_SWEEP),
+            (Retwis(3, keys_per_server=1500), (BASELINE_RETWIS_POINT,))):
+        bench = Bench(system, workload, n_nodes=3, obs=obs)
+        for concurrency, warmup_us, window_us in points:
+            result = bench.measure(concurrency, warmup_us=warmup_us,
+                                   window_us=window_us)
+            runs.append({
+                "workload": workload.name,
+                "concurrency": concurrency,
+                "commits": result.commits,
+                "aborts": result.aborts,
+                "throughput_per_server": result.throughput_per_server,
+                "sim_now_us": bench.sim.now,
+                "events_scheduled": result.events_scheduled,
+                "final_values": _primary_values_digest(bench.cluster),
+            })
+    return runs
+
+
+def _primary_values_digest(cluster) -> str:
+    """sha256 over ``(key, value, version)`` of every object at every
+    shard's primary, in key order."""
+    rows = sorted(
+        (obj.key, repr(obj.value), obj.version)
+        for shard, node in enumerate(cluster.nodes)
+        for obj in node.tables[shard].objects())
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
 
 
 def chaos_payload(obs: bool = False) -> Dict[str, Any]:
