@@ -13,9 +13,12 @@ quantified in Table 2 and exposed in Figure 8a.
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
+from typing import List, Optional
 
-from .common import BaselineCoordinator, HOST_PER_KEY_US, OBJ_HEADER
+from ..sim.core import Event
+from .common import (BaselineCoordinator, HOST_PER_KEY_US, OBJ_HEADER,
+                     _Gather, _Issue, _Step)
 
 __all__ = ["DrTMH", "DrTMH_NC"]
 
@@ -41,105 +44,36 @@ class DrTMH(BaselineCoordinator):
         per_bucket = table.b * (self.cluster.value_size + OBJ_HEADER)
         return [per_bucket] * max(1, res.roundtrips)
 
-    def _read_chain(self, shard, key, observe, last_bytes=None):
-        """The sequential READ roundtrips of one remote lookup, the last
-        one (of ``last_bytes``, if given) running ``observe`` at the
-        target; returns what it observed."""
-        sizes = self._read_roundtrips(shard, key)
-        if last_bytes is not None:
-            sizes[-1] = last_bytes
-        target = self._rdma_to(shard)
-        for i, nbytes in enumerate(sizes):
-            yield from self._issue()
-            last = i == len(sizes) - 1
-            seen = yield self.node.rdma.read(
-                target, nbytes, on_target=observe if last else None
-            )
-        return seen
-
     # -- EXECUTE ------------------------------------------------------------
 
-    def _remote_execute(self, txn, shard, rkeys, wkeys):
-        # every key is first fetched with one-sided READ(s): value +
-        # version (+ lock word), in parallel (doorbell-batched)
-        all_keys = list(dict.fromkeys(rkeys + wkeys))
-        read_evs = [
-            self.sim.spawn(
-                self._read_chain(shard, k,
-                                 lambda k=k: self._read_obj(shard, k)),
-                name="osr")
-            for k in all_keys
-        ]
-        results = yield self.sim.all_of(read_evs)
-        txn.read_values.update(zip(all_keys, results))
-        # write-set keys then need a *separate* lock RPC (writes go over
-        # RPC in DrTM+H); the handler verifies the version read earlier is
-        # still current, so locking doubles as write-set validation
-        if not wkeys:
-            return True
-
-        def lock_at_versions():
-            table = self._primary_table(shard)
-            if not table.lock_all(wkeys, txn.txn_id):
-                return False
-            if self._still_current(txn, shard, wkeys):
-                return True
-            table.unlock_all(wkeys, txn.txn_id)
-            return False
-
-        yield from self._issue()
-        req = RPC_HEADER + (PER_KEY + 6) * len(wkeys)
-        ok = yield self.node.rdma.rpc(
-            self._rdma_to(shard), req, RPC_HEADER,
-            handler_ref_us=HOST_PER_KEY_US * len(wkeys),
-            on_target=lock_at_versions,
-        )
-        if not ok:
-            self.stats.inc("lock_conflicts")
-            return False
-        for k in wkeys:
-            txn.record_lock(shard, k)
-        return True
+    def _remote_execute(self, txn, shard, rkeys, wkeys, then) -> _Step:
+        return _Execute(self, txn, shard, rkeys, wkeys, then)
 
     # -- VALIDATE ------------------------------------------------------------
 
-    def _remote_validate(self, txn, shard, keys):
-        # re-read the version word (+lock) with one-sided READ(s), a
-        # version-only read on the final hop
-        evs = [
-            self.sim.spawn(
-                self._read_chain(
-                    shard, k,
-                    lambda k=k: self._still_current(txn, shard, (k,)),
-                    last_bytes=OBJ_HEADER),
-                name="val1")
-            for k in keys
-        ]
-        results = yield self.sim.all_of(evs)
-        return all(results)
+    def _remote_validate(self, txn, shard, keys, then) -> _Step:
+        return _Validate(self, txn, shard, keys, then)
 
     # -- COMMIT ------------------------------------------------------------
 
-    def _remote_commit(self, txn, shard, writes):
-        yield from self._issue()
+    def _remote_commit(self, txn, shard, writes, then) -> _Step:
         req = RPC_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
-        yield self.node.rdma.rpc(
-            self._rdma_to(shard), req, RPC_HEADER,
+        return _Issue(self, partial(
+            self.node.rdma.rpc, self._rdma_to(shard), req, RPC_HEADER,
             handler_ref_us=HOST_PER_KEY_US * len(writes),
-            on_target=lambda: self._apply_commit_at(shard, txn, writes),
-        )
+            on_target=partial(self._apply_commit_at, shard, txn, writes),
+        ), then)
 
     # -- aborts ------------------------------------------------------------
 
-    def _remote_unlock(self, txn, shard, keys):
-        yield from self._issue()
+    def _remote_unlock(self, txn, shard, keys, then) -> _Step:
         req = RPC_HEADER + PER_KEY * len(keys)
-        yield self.node.rdma.rpc(
-            self._rdma_to(shard), req, RPC_HEADER,
+        return _Issue(self, partial(
+            self.node.rdma.rpc, self._rdma_to(shard), req, RPC_HEADER,
             handler_ref_us=HOST_PER_KEY_US * len(keys),
-            on_target=lambda: self._primary_table(shard).unlock_all(
-                keys, txn.txn_id),
-        )
+            on_target=partial(self._primary_table(shard).unlock_all, keys,
+                              txn.txn_id),
+        ), then)
 
 
 class DrTMH_NC(DrTMH):
@@ -148,3 +82,128 @@ class DrTMH_NC(DrTMH):
 
     name = "drtmh_nc"
     address_cache = False
+
+
+class _ReadChain(_Step):
+    """The sequential one-sided READ roundtrips of one remote lookup, the
+    last one (of ``last_bytes``, if given) running ``observe`` at the
+    target; ``then`` gets what it observed."""
+
+    __slots__ = ("shard", "key", "observe", "last_bytes", "sizes", "i")
+
+    def __init__(self, c, shard, key, observe, last_bytes, then):
+        _Step.__init__(self, c, None, then)
+        self.shard = shard
+        self.key = key
+        self.observe = observe
+        self.last_bytes = last_bytes
+
+    def _start(self, _ev: Optional[Event] = None) -> None:
+        self.sizes = sizes = self.c._read_roundtrips(self.shard, self.key)
+        if self.last_bytes is not None:
+            sizes[-1] = self.last_bytes
+        self.i = 0
+        self._issue(self._issued)
+
+    def _issued(self, _ev: Event) -> None:
+        c = self.c
+        last = self.i == len(self.sizes) - 1
+        c.node.rdma.read(
+            c._rdma_to(self.shard), self.sizes[self.i],
+            on_target=self.observe if last else None)._cb0 = self._landed
+
+    def _landed(self, ev: Event) -> None:
+        self.i += 1
+        if self.i < len(self.sizes):
+            self._issue(self._issued)
+        else:
+            self.then(ev._value)
+
+
+class _Execute(_Step):
+    """EXECUTE at a remote primary: every key fetched with one-sided
+    READ(s) — value + version (+ lock word), in parallel
+    (doorbell-batched) — then, for the write-set keys, a *separate* lock
+    RPC (writes go over RPC in DrTM+H)."""
+
+    __slots__ = ("shard", "rkeys", "wkeys", "keys")
+
+    def __init__(self, c, txn, shard, rkeys, wkeys, then):
+        _Step.__init__(self, c, txn, then)
+        self.shard = shard
+        self.rkeys = rkeys
+        self.wkeys = wkeys
+
+    def _start(self, _ev: Optional[Event] = None) -> None:
+        c, shard = self.c, self.shard
+        self.keys = keys = list(dict.fromkeys(self.rkeys + self.wkeys))
+        gather = _Gather(len(keys))
+        for i, k in enumerate(keys):
+            self._spawn(_ReadChain(c, shard, k,
+                                   partial(c._read_obj, shard, k), None,
+                                   partial(gather.put, i)))
+        gather.wait(self._read)
+
+    def _read(self, values) -> None:
+        self.txn.read_values.update(zip(self.keys, values))
+        if not self.wkeys:
+            self.then(True)
+        else:
+            self._issue(self._issued)
+
+    def _issued(self, _ev: Event) -> None:
+        c, wkeys = self.c, self.wkeys
+        req = RPC_HEADER + (PER_KEY + 6) * len(wkeys)
+        c.node.rdma.rpc(
+            c._rdma_to(self.shard), req, RPC_HEADER,
+            handler_ref_us=HOST_PER_KEY_US * len(wkeys),
+            on_target=self._lock_at_versions,
+        )._cb0 = self._locked
+
+    def _lock_at_versions(self) -> bool:
+        """The lock RPC's handler: it verifies that the versions read
+        earlier are still current, so locking doubles as write-set
+        validation."""
+        c, txn, shard, wkeys = self.c, self.txn, self.shard, self.wkeys
+        table = c._primary_table(shard)
+        if not table.lock_all(wkeys, txn.txn_id):
+            return False
+        if c._still_current(txn, shard, wkeys):
+            return True
+        table.unlock_all(wkeys, txn.txn_id)
+        return False
+
+    def _locked(self, ev: Event) -> None:
+        if not ev._value:
+            self.c.stats.inc("lock_conflicts")
+            self.then(False)
+            return
+        txn, shard = self.txn, self.shard
+        for k in self.wkeys:
+            txn.record_lock(shard, k)
+        self.then(True)
+
+
+class _Validate(_Step):
+    """VALIDATE at a remote primary: each key's version word (+lock)
+    re-read with one-sided READ(s), in parallel, a version-only read on
+    the final hop."""
+
+    __slots__ = ("shard", "keys")
+
+    def __init__(self, c, txn, shard, keys, then):
+        _Step.__init__(self, c, txn, then)
+        self.shard = shard
+        self.keys = keys
+
+    def _start(self, _ev: Optional[Event] = None) -> None:
+        c, txn, shard = self.c, self.txn, self.shard
+        gather = _Gather(len(self.keys))
+        for i, k in enumerate(self.keys):
+            self._spawn(_ReadChain(c, shard, k,
+                                   partial(c._still_current, txn, shard, (k,)),
+                                   OBJ_HEADER, partial(gather.put, i)))
+        gather.wait(self._read)
+
+    def _read(self, values) -> None:
+        self.then(all(values))

@@ -10,7 +10,12 @@ verbs are the cost that Figure 8 exposes.
 
 from __future__ import annotations
 
-from .common import BaselineCoordinator, HOST_PER_KEY_US
+from functools import partial
+from typing import Optional
+
+from ..sim.core import Event
+from .common import (BaselineCoordinator, HOST_PER_KEY_US, _Attempt,
+                     _Gather, _LocalExecute, _Step)
 
 __all__ = ["DrTMR"]
 
@@ -20,126 +25,279 @@ class DrTMR(BaselineCoordinator):
 
     name = "drtmr"
 
+    def _attempt(self, txn, then) -> None:
+        _LockAllAttempt(self, txn, then)._start()
+
     # -- EXECUTE: CAS-lock every key, then READ each value --------------------
 
-    def _remote_execute(self, txn, shard, rkeys, wkeys):
-        all_keys = list(dict.fromkeys(rkeys + wkeys))
-        target = self._rdma_to(shard)
-        table = self._primary_table(shard)
-        # CAS-lock every key (doorbell-batched in parallel)
-        cas_evs = []
-        for k in all_keys:
-            def cas(k=k):
-                if not table.try_lock(k, txn.txn_id):
-                    return None
-                return self._read_obj(shard, k)[1]
+    def _remote_execute(self, txn, shard, rkeys, wkeys, then) -> _Step:
+        return _Execute(self, txn, shard, rkeys, wkeys, then)
 
-            yield from self._issue()
-            cas_evs.append(self.node.rdma.atomic(target, 8, on_target=cas))
-        versions = yield self.sim.all_of(cas_evs)
-        failed = [k for k, v in zip(all_keys, versions) if v is None]
-        for k, v in zip(all_keys, versions):
-            if v is not None:
-                txn.record_lock(shard, k)
-                txn.read_values[k] = (None, v)
-        if failed:
-            self.stats.inc("lock_conflicts")
-            return False
-        # READ each value under lock, in parallel
-        read_evs = []
-        for k in rkeys:
-            yield from self._issue()
-            read_evs.append(self.node.rdma.read(
-                target, self._obj_bytes(shard, k),
-                on_target=lambda k=k: self._read_obj(shard, k)[0]
-            ))
-        if read_evs:
-            values = yield self.sim.all_of(read_evs)
-            for k, value in zip(rkeys, values):
-                txn.read_values[k] = (value, txn.read_values[k][1])
-        return True
-
-    def _local_execute(self, txn, shard, rkeys, wkeys):
-        """DrTM+R locks local keys too (via HTM on real hardware)."""
-        all_keys = list(dict.fromkeys(rkeys + wkeys))
-        yield from self.node.host_cores.run_wall(
-            HOST_PER_KEY_US * max(1, len(all_keys))
-        )
-        table = self._primary_table(shard)
-        for k in all_keys:
-            if not table.try_lock(k, txn.txn_id):
-                self.stats.inc("lock_conflicts")
-                return False
-            txn.record_lock(shard, k)
-            txn.read_values[k] = self._read_obj(shard, k)
-        return True
-
-    # -- VALIDATE: none (everything is locked) --------------------------------
-
-    def _validate_phase(self, txn):
-        return True
-        yield  # pragma: no cover
+    def _local_execute(self, txn, shard, rkeys, wkeys, then) -> _Step:
+        return _LocalLockAll(self, txn, shard, rkeys, wkeys, then)
 
     # -- COMMIT: WRITE value + ATOMIC unlock per key --------------------------
 
-    def _remote_commit(self, txn, shard, writes):
-        evs = [
-            self.sim.spawn(self._commit_one(txn, shard, k, v), name="cmt1")
-            for k, v in writes.items()
-        ]
-        for _ in evs:
-            yield from self._issue()
-            yield from self._issue()
-        yield self.sim.all_of(evs)
-        # release read locks on this shard (keys locked but not written)
-        yield from self._unlock_read_keys(txn, shard, exclude=set(writes))
+    def _remote_commit(self, txn, shard, writes, then) -> _Step:
+        return _Commit(self, txn, shard, writes, then)
 
-    def _commit_one(self, txn, shard, k, v):
-        target = self._rdma_to(shard)
-        table = self._primary_table(shard)
-        # DrTM+R writes back the updated fields plus the version word
-        yield self.node.rdma.write(
-            target, self._write_bytes(txn) + 16,
-            on_target=lambda: table.get_or_create(
-                k, self.cluster.value_size).commit_write(v),
-        )
-        yield self._atomic_unlock(txn, shard, k)
-
-    def _atomic_unlock(self, txn, shard, k):
+    def _atomic_unlock(self, txn, shard, k) -> Event:
         """One ATOMIC releasing ``k`` at ``shard`` if ``txn`` holds it."""
         return self.node.rdma.atomic(
             self._rdma_to(shard), 8,
-            on_target=lambda: self._primary_table(shard).unlock_if_held(
-                k, txn.txn_id))
+            on_target=partial(self._primary_table(shard).unlock_if_held, k,
+                              txn.txn_id))
 
-    def _unlock_read_keys(self, txn, shard, exclude):
+    def _unlock_read_keys(self, txn, shard, exclude, then) -> None:
+        """Release what ``txn`` holds at ``shard`` outside ``exclude``:
+        at once on this node's shard, else one ATOMIC after another."""
         keys = [k for k in txn.locked.get(shard, []) if k not in exclude]
         if shard == self.node.node_id:
             self._primary_table(shard).unlock_all(keys, txn.txn_id)
+            then(None)
             return
-        yield from self._remote_unlock(txn, shard, keys)
-
-    def _release_read_locks(self, txn):
-        """Read-only transactions must still unlock everything."""
-        for shard in list(txn.locked):
-            yield from self._unlock_read_keys(txn, shard, exclude=())
-        txn.clear_locks()
+        self._remote_unlock(txn, shard, keys, then)._start()
 
     # -- aborts ------------------------------------------------------------
 
-    def _remote_unlock(self, txn, shard, keys):
-        for k in keys:
-            yield from self._issue()
-            yield self._atomic_unlock(txn, shard, k)
+    def _remote_unlock(self, txn, shard, keys, then) -> _Step:
+        return _Unlock(self, txn, shard, keys, then)
 
-    def _commit_phase(self, txn, writes_by_shard):
-        yield from super()._commit_phase(txn, writes_by_shard)
+
+class _LockAllAttempt(_Attempt):
+    """An attempt that locked every key it touched: nothing to validate,
+    and the read locks are released at the end — of a read-only
+    transaction at once, of a writing one after its COMMIT phase."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
+        self._validated(True)
+
+    def _release(self) -> None:
+        self.todo = iter(list(self.txn.locked))
+        self._release_next()
+
+    def _release_next(self, _result=None) -> None:
+        for shard in self.todo:
+            self.c._unlock_read_keys(self.txn, shard, (), self._release_next)
+            return
+        self.txn.clear_locks()
+        self.then(True)
+
+    def _committed(self) -> None:
         # remaining read locks: read-only shards, plus the local shard's
         # read keys (remote written shards were handled by _remote_commit)
-        for shard in list(txn.locked):
-            if shard == self.node.node_id:
-                yield from self._unlock_read_keys(txn, shard,
-                                                  exclude=txn.write_values)
-            elif shard not in writes_by_shard:
-                yield from self._unlock_read_keys(txn, shard, exclude=())
+        self.todo = iter(list(self.txn.locked))
+        self._unlock_rest()
+
+    def _unlock_rest(self, _result=None) -> None:
+        c, txn = self.c, self.txn
+        for shard in self.todo:
+            if shard == c.node.node_id:
+                c._unlock_read_keys(txn, shard, txn.write_values,
+                                    self._unlock_rest)
+                return
+            if shard not in self.writes_by_shard:
+                c._unlock_read_keys(txn, shard, (), self._unlock_rest)
+                return
         txn.clear_locks()
+
+
+class _LocalLockAll(_LocalExecute):
+    """EXECUTE on the coordinator's own shard: DrTM+R locks local keys
+    too (via HTM on real hardware), reads included."""
+
+    __slots__ = ("keys",)
+
+    def _start(self, _ev: Optional[Event] = None) -> None:
+        self.keys = list(dict.fromkeys(self.rkeys + self.wkeys))
+        self.c.node.host_cores.run_wall_then(
+            HOST_PER_KEY_US * max(1, len(self.keys)), self._run)
+
+    def _run(self, _ev: Event) -> None:
+        c, txn, shard = self.c, self.txn, self.shard
+        table = c._primary_table(shard)
+        for k in self.keys:
+            if not table.try_lock(k, txn.txn_id):
+                c.stats.inc("lock_conflicts")
+                self.then(False)
+                return
+            txn.record_lock(shard, k)
+            txn.read_values[k] = c._read_obj(shard, k)
+        self.then(True)
+
+
+class _Execute(_Step):
+    """EXECUTE at a remote primary: a CAS lock on every key, one issue
+    after another (doorbell-batched in parallel), then a READ of each
+    read-set value under lock, likewise."""
+
+    __slots__ = ("shard", "rkeys", "wkeys", "keys", "gather", "i")
+
+    def __init__(self, c, txn, shard, rkeys, wkeys, then):
+        _Step.__init__(self, c, txn, then)
+        self.shard = shard
+        self.rkeys = rkeys
+        self.wkeys = wkeys
+
+    def _start(self, _ev: Optional[Event] = None) -> None:
+        self.keys = list(dict.fromkeys(self.rkeys + self.wkeys))
+        self.gather = _Gather(len(self.keys))
+        self.i = 0
+        self._issue(self._cas)
+
+    def _cas(self, _ev: Event) -> None:
+        c, i = self.c, self.i
+        c.node.rdma.atomic(
+            c._rdma_to(self.shard), 8,
+            on_target=partial(self._lock_and_version, self.keys[i]),
+        )._cb0 = partial(self.gather.landed, i)
+        self.i = i = i + 1
+        if i < len(self.keys):
+            self._issue(self._cas)
+        else:
+            gather, self.gather = self.gather, None
+            gather.wait(self._locked)
+
+    def _lock_and_version(self, k):
+        """The CAS at the target: ``k``'s version if the lock was
+        taken, else None."""
+        c, shard = self.c, self.shard
+        if not c._primary_table(shard).try_lock(k, self.txn.txn_id):
+            return None
+        return c._read_obj(shard, k)[1]
+
+    def _locked(self, versions) -> None:
+        txn, shard = self.txn, self.shard
+        failed = False
+        for k, v in zip(self.keys, versions):
+            if v is None:
+                failed = True
+            else:
+                txn.record_lock(shard, k)
+                txn.read_values[k] = (None, v)
+        if failed:
+            self.c.stats.inc("lock_conflicts")
+            self.then(False)
+        elif not self.rkeys:
+            self.then(True)
+        else:
+            self.gather = _Gather(len(self.rkeys))
+            self.i = 0
+            self._issue(self._read)
+
+    def _read(self, _ev: Event) -> None:
+        c, i = self.c, self.i
+        k = self.rkeys[i]
+        c.node.rdma.read(
+            c._rdma_to(self.shard), c._obj_bytes(self.shard, k),
+            on_target=partial(self._value_of, k),
+        )._cb0 = partial(self.gather.landed, i)
+        self.i = i = i + 1
+        if i < len(self.rkeys):
+            self._issue(self._read)
+        else:
+            gather, self.gather = self.gather, None
+            gather.wait(self._read_all)
+
+    def _value_of(self, k):
+        return self.c._read_obj(self.shard, k)[0]
+
+    def _read_all(self, values) -> None:
+        read_values = self.txn.read_values
+        for k, value in zip(self.rkeys, values):
+            read_values[k] = (value, read_values[k][1])
+        self.then(True)
+
+
+class _Commit(_Step):
+    """COMMIT at a remote primary: one WRITE-then-unlock per key (each
+    started at an entry at now), two issues per key, and once every key
+    is done the shard's read locks."""
+
+    __slots__ = ("shard", "writes", "gather", "left")
+
+    def __init__(self, c, txn, shard, writes, then):
+        _Step.__init__(self, c, txn, then)
+        self.shard = shard
+        self.writes = writes
+
+    def _start(self, _ev: Optional[Event] = None) -> None:
+        c, txn, shard = self.c, self.txn, self.shard
+        self.gather = gather = _Gather(len(self.writes))
+        for i, (k, v) in enumerate(self.writes.items()):
+            self._spawn(_CommitOne(c, txn, shard, k, v,
+                                   partial(gather.put, i)))
+        self.left = 2 * len(self.writes)
+        self._issued(None)
+
+    def _issued(self, _ev: Optional[Event]) -> None:
+        if self.left:
+            self.left -= 1
+            self._issue(self._issued)
+        else:
+            gather, self.gather = self.gather, None
+            gather.wait(self._written)
+
+    def _written(self, _values) -> None:
+        self.c._unlock_read_keys(self.txn, self.shard, set(self.writes),
+                                 self.then)
+
+
+class _CommitOne(_Step):
+    """One key's COMMIT: a WRITE of the updated fields plus the version
+    word, then the ATOMIC unlock."""
+
+    __slots__ = ("shard", "key", "value")
+
+    def __init__(self, c, txn, shard, key, value, then):
+        _Step.__init__(self, c, txn, then)
+        self.shard = shard
+        self.key = key
+        self.value = value
+
+    def _start(self, _ev: Optional[Event] = None) -> None:
+        c = self.c
+        c.node.rdma.write(
+            c._rdma_to(self.shard), c._write_bytes(self.txn) + 16,
+            on_target=self._install)._cb0 = self._written
+
+    def _install(self) -> None:
+        c = self.c
+        c._primary_table(self.shard).get_or_create(
+            self.key, c.cluster.value_size).commit_write(self.value)
+
+    def _written(self, _ev: Event) -> None:
+        self.c._atomic_unlock(self.txn, self.shard,
+                              self.key)._cb0 = self._unlocked
+
+    def _unlocked(self, ev: Event) -> None:
+        self.then(ev._value)
+
+
+class _Unlock(_Step):
+    """Release ``keys`` at a remote primary: one issue and one ATOMIC
+    after another."""
+
+    __slots__ = ("shard", "keys", "i")
+
+    def __init__(self, c, txn, shard, keys, then):
+        _Step.__init__(self, c, txn, then)
+        self.shard = shard
+        self.keys = keys
+        self.i = 0
+
+    def _start(self, _ev: Optional[Event] = None) -> None:
+        self._next(None)
+
+    def _next(self, _ev: Optional[Event]) -> None:
+        if self.i == len(self.keys):
+            self.then(None)
+        else:
+            self._issue(self._issued)
+
+    def _issued(self, _ev: Event) -> None:
+        k = self.keys[self.i]
+        self.i += 1
+        self.c._atomic_unlock(self.txn, self.shard, k)._cb0 = self._next

@@ -10,7 +10,10 @@ thread count in Table 3).
 
 from __future__ import annotations
 
-from .common import BaselineCoordinator, HOST_PER_KEY_US, OBJ_HEADER
+from functools import partial
+
+from .common import (BaselineCoordinator, HOST_PER_KEY_US, OBJ_HEADER,
+                     _Issue, _Step)
 
 __all__ = ["FaSST"]
 
@@ -24,63 +27,64 @@ class FaSST(BaselineCoordinator):
 
     name = "fasst"
 
-    def _rpc(self, shard, req_bytes, resp_bytes, n_keys, on_target):
-        yield from self._issue()
-        result = yield self.node.rdma.rpc(
-            self._rdma_to(shard), req_bytes, resp_bytes,
+    def _rpc(self, shard, req_bytes, resp_bytes, n_keys, on_target,
+             then) -> _Step:
+        """One RPC to ``shard``'s host: the issue, the RPC, then
+        ``then(on_target's result)``."""
+        return _Issue(self, partial(
+            self.node.rdma.rpc, self._rdma_to(shard), req_bytes, resp_bytes,
             handler_ref_us=HOST_PER_KEY_US * max(1, n_keys),
             on_target=on_target,
-        )
-        return result
+        ), then)
 
     # -- EXECUTE: one consolidated read+lock RPC per shard ------------------
 
-    def _remote_execute(self, txn, shard, rkeys, wkeys):
+    def _remote_execute(self, txn, shard, rkeys, wkeys, then) -> _Step:
         def handler():
             if not self._primary_table(shard).lock_all(wkeys, txn.txn_id):
                 return None
             return {k: self._read_obj(shard, k) for k in wkeys + rkeys}
 
+        def took(result):
+            if result is None:
+                self.stats.inc("lock_conflicts")
+                then(False)
+                return
+            for k, (value, version) in result.items():
+                txn.read_values.setdefault(k, (value, version))
+            for k in wkeys:
+                txn.record_lock(shard, k)
+            then(True)
+
         n = len(set(rkeys) | set(wkeys))
         req = RPC_HEADER + PER_KEY * n
         resp = RPC_HEADER + n * (self.cluster.value_size + OBJ_HEADER)
-        result = yield from self._rpc(shard, req, resp, n, handler)
-        if result is None:
-            self.stats.inc("lock_conflicts")
-            return False
-        for k, (value, version) in result.items():
-            txn.read_values.setdefault(k, (value, version))
-        for k in wkeys:
-            txn.record_lock(shard, k)
-        return True
+        return self._rpc(shard, req, resp, n, handler, took)
 
     # -- VALIDATE: one RPC per shard ------------------------------------------
 
-    def _remote_validate(self, txn, shard, keys):
+    def _remote_validate(self, txn, shard, keys, then) -> _Step:
         req = RPC_HEADER + (PER_KEY + PER_VERSION) * len(keys)
-        ok = yield from self._rpc(
-            shard, req, RPC_HEADER, len(keys),
-            lambda: self._still_current(txn, shard, keys))
-        return bool(ok)
+        return self._rpc(shard, req, RPC_HEADER, len(keys),
+                         partial(self._still_current, txn, shard, keys), then)
 
     # -- LOG: RPC to each backup (no one-sided verbs at all) -----------------
 
-    def _remote_log(self, txn, shard, backup, writes, apply_fn):
+    def _remote_log(self, txn, shard, backup, writes, apply_fn,
+                    then) -> _Step:
         req = self._record_bytes(writes, self._write_bytes(txn))
-        ok = yield from self._rpc(backup, req, RPC_HEADER, len(writes),
-                                  apply_fn)
-        return bool(ok)
+        return self._rpc(backup, req, RPC_HEADER, len(writes), apply_fn, then)
 
     # -- COMMIT ------------------------------------------------------------
 
-    def _remote_commit(self, txn, shard, writes):
+    def _remote_commit(self, txn, shard, writes, then) -> _Step:
         req = RPC_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
-        yield from self._rpc(
-            shard, req, RPC_HEADER, len(writes),
-            lambda: self._apply_commit_at(shard, txn, writes))
+        return self._rpc(shard, req, RPC_HEADER, len(writes),
+                         partial(self._apply_commit_at, shard, txn, writes),
+                         then)
 
-    def _remote_unlock(self, txn, shard, keys):
+    def _remote_unlock(self, txn, shard, keys, then) -> _Step:
         req = RPC_HEADER + PER_KEY * len(keys)
-        yield from self._rpc(
-            shard, req, RPC_HEADER, len(keys),
-            lambda: self._primary_table(shard).unlock_all(keys, txn.txn_id))
+        return self._rpc(shard, req, RPC_HEADER, len(keys),
+                         partial(self._primary_table(shard).unlock_all, keys,
+                                 txn.txn_id), then)

@@ -12,11 +12,13 @@ One :class:`XenicProtocol` instance per node plays three roles:
   NIC index and host table, with locks and authoritative versions living
   in NIC memory.
 
-The host coordinator is a generator inside the host's application
-thread.  Everything on the NIC is a callback chain
-(:mod:`repro.core.nic_handlers`): the NIC runtime is a run-to-completion
-handler loop (§4.3), in which a DMA completion, a response or a core
-grant simply continues the handler that waited on it.
+Nothing here is a generator.  The host coordinator's attempt
+(:class:`_HostAttempt`) and the shared retry driver
+(:class:`~repro.core.txn.Coordinator`) are callback chains, and so is
+everything on the NIC (:mod:`repro.core.nic_handlers`): the NIC runtime
+is a run-to-completion handler loop (§4.3), in which a DMA completion, a
+response or a core grant simply continues the handler that waited on
+it.
 
 All compute is charged to the owning core groups; all data movement goes
 through the modeled DMA engine, PCIe channel, and Ethernet fabric.
@@ -28,6 +30,7 @@ from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ..hw.network import NetMessage
+from ..sim.core import Event
 from .messages import (
     Request,
     Response,
@@ -100,67 +103,11 @@ class XenicProtocol(Coordinator):
     # host-side API (``run_transaction``: the shared retry driver)
     # ------------------------------------------------------------------
 
-    def _attempt(self, txn: Transaction):
-        spec = txn.spec
-        if spec.local_compute_us > 0:
-            t0 = self._t0()
-            yield from self.node.host_app_cores.run(spec.local_compute_us)
-            self._attrib("host", t0, txn.txn_id)
-        shards = {self.cluster.shard_of(k) for k in spec.all_keys()}
-        own = self.node.node_id
-        if (spec.single_round and shards <= {own}
-                and self.cluster.primary_node_id(own) == own):
-            ok = yield from self._local_attempt(txn)
-            return ok
-        # distributed: hand the transaction state to the coordinator NIC
-        fut = self.host_pending.expect(("done", txn.txn_id, txn.attempts))
-        self.node.pcie.host_to_nic(self._txn_state_bytes(spec), ("start", txn))
-        ok, reason = yield fut
-        txn.abort_reason = None if ok else (reason or "unknown")
-        t0 = self._t0()
-        yield from self.node.host_app_cores.run_wall(HOST_COMPLETE_US)
-        self._attrib("host", t0, txn.txn_id)
-        return ok
+    def _attempt(self, txn: Transaction, then) -> None:
+        _HostAttempt(self, txn, then)
 
     def _txn_state_bytes(self, spec: TxnSpec) -> int:
         return 18 + 10 * len(spec.all_keys()) + spec.external_state_bytes
-
-    # ------------------------------------------------------------------
-    # local fast path (§4.2.4)
-    # ------------------------------------------------------------------
-
-    def _local_attempt(self, txn: Transaction):
-        spec = txn.spec
-        n_keys = len(spec.all_keys())
-        # optimistic execution on the host against the host-side table
-        t0 = self._t0()
-        yield from self.node.host_app_cores.run_wall(
-            self.config.host_per_key_us * max(1, n_keys)
-        )
-        self._attrib("host", t0, txn.txn_id)
-        for k in spec.read_keys:
-            value, version = self.node.read_local(k)
-            if value is TOMBSTONE:
-                value = None
-            txn.read_values[k] = (value, version)
-        if txn.read_only:
-            # no PCIe, no network: validate against host versions (atomic
-            # within this handler activation)
-            self.stats.inc("local_readonly")
-            return True
-        if spec.logic_cost_us > 0:
-            t0 = self._t0()
-            yield from self.node.host_app_cores.run(spec.logic_cost_us)
-            self._attrib("host", t0, txn.txn_id)
-        txn.write_values = txn.run_logic()
-        fut = self.host_pending.expect(("done", txn.txn_id, txn.attempts))
-        state_bytes = self._txn_state_bytes(spec) + sum(
-            10 + self._value_bytes(k) for k in txn.write_values
-        )
-        self.node.pcie.host_to_nic(state_bytes, ("local_commit", txn))
-        ok, reason = yield fut
-        txn.abort_reason = None if ok else (reason or "unknown")
-        return ok
 
     # ------------------------------------------------------------------
     # NIC side: what the handlers (repro.core.nic_handlers) share
@@ -442,3 +389,109 @@ class XenicProtocol(Coordinator):
 
     def _value_bytes(self, key: int) -> int:
         return self.cluster.value_size
+
+
+class _HostAttempt:
+    """One attempt of the host coordinator, in the application thread.
+
+    A callback chain like the NIC's handlers: each stage is the ``_cb0``
+    of the event it waits on — an app-core job (``run_then`` /
+    ``run_wall_then``) or the ``host_pending`` future the NIC's ``done``
+    resolves — and the attempt reports ``then(committed)``.  The
+    ``host`` attribution spans run from the instant a job was entered to
+    the instant its stage runs.  A transaction whose keys all live on
+    this node's own shard, single round, takes the local fast path
+    (§4.2.4); any other hands its state to the coordinator NIC."""
+
+    __slots__ = ("p", "txn", "then", "t0", "ok")
+
+    def __init__(self, p: XenicProtocol, txn: Transaction, then):
+        self.p = p
+        self.txn = txn
+        self.then = then
+        spec = txn.spec
+        if spec.local_compute_us > 0:
+            self.t0 = p._t0()
+            p.node.host_app_cores.run_then(spec.local_compute_us,
+                                           self._computed)
+        else:
+            self._route()
+
+    def _computed(self, _ev: Event) -> None:
+        self.p._attrib("host", self.t0, self.txn.txn_id)
+        self._route()
+
+    def _route(self) -> None:
+        p, txn = self.p, self.txn
+        spec = txn.spec
+        shards = {p.cluster.shard_of(k) for k in spec.all_keys()}
+        own = p.node.node_id
+        if (spec.single_round and shards <= {own}
+                and p.cluster.primary_node_id(own) == own):
+            self._local()
+            return
+        # distributed: hand the transaction state to the coordinator NIC
+        fut = p.host_pending.expect(("done", txn.txn_id, txn.attempts))
+        p.node.pcie.host_to_nic(p._txn_state_bytes(spec), ("start", txn))
+        fut._cb0 = self._done
+
+    def _done(self, ev: Event) -> None:
+        p = self.p
+        self.ok, reason = ev._value
+        self.txn.abort_reason = None if self.ok else (reason or "unknown")
+        self.t0 = p._t0()
+        p.node.host_app_cores.run_wall_then(HOST_COMPLETE_US,
+                                            self._completed)
+
+    def _completed(self, _ev: Event) -> None:
+        self.p._attrib("host", self.t0, self.txn.txn_id)
+        self.then(self.ok)
+
+    # -- local fast path (§4.2.4) ---------------------------------------------
+
+    def _local(self) -> None:
+        # optimistic execution on the host against the host-side table
+        p = self.p
+        n_keys = len(self.txn.spec.all_keys())
+        self.t0 = p._t0()
+        p.node.host_app_cores.run_wall_then(
+            p.config.host_per_key_us * max(1, n_keys), self._executed)
+
+    def _executed(self, _ev: Event) -> None:
+        p, txn = self.p, self.txn
+        spec = txn.spec
+        p._attrib("host", self.t0, txn.txn_id)
+        for k in spec.read_keys:
+            value, version = p.node.read_local(k)
+            if value is TOMBSTONE:
+                value = None
+            txn.read_values[k] = (value, version)
+        if txn.read_only:
+            # no PCIe, no network: validate against host versions (atomic
+            # within this handler activation)
+            p.stats.inc("local_readonly")
+            self.then(True)
+        elif spec.logic_cost_us > 0:
+            self.t0 = p._t0()
+            p.node.host_app_cores.run_then(spec.logic_cost_us, self._ran)
+        else:
+            self._commit_local()
+
+    def _ran(self, _ev: Event) -> None:
+        self.p._attrib("host", self.t0, self.txn.txn_id)
+        self._commit_local()
+
+    def _commit_local(self) -> None:
+        p, txn = self.p, self.txn
+        txn.write_values = txn.run_logic()
+        fut = p.host_pending.expect(("done", txn.txn_id, txn.attempts))
+        state_bytes = p._txn_state_bytes(txn.spec) + sum(
+            10 + p._value_bytes(k) for k in txn.write_values
+        )
+        p.node.pcie.host_to_nic(state_bytes, ("local_commit", txn))
+        fut._cb0 = self._local_done
+
+    def _local_done(self, ev: Event) -> None:
+        ok, reason = ev._value
+        self.txn.abort_reason = None if ok else (reason or "unknown")
+        self.then(ok)

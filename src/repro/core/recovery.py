@@ -87,14 +87,6 @@ class ClusterManager:
             self.expired_log.append((self.sim.now, node_id))
             self.config_epoch += 1
 
-    def renewal_loop(self, node_id: int, interval_us: Optional[float] = None,
-                     alive=lambda: True):
-        """Process: periodically renew a node's lease while it is alive."""
-        interval = interval_us if interval_us is not None else self.lease_us / 3
-        while alive() and node_id in self._leases:
-            self.renew(node_id)
-            yield self.sim.timeout(interval)
-
 
 @dataclass
 class RecoveryReport:

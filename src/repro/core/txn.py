@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..sim.core import Event, Timeout
 from ..sim.stats import Counter
 
 __all__ = [
@@ -49,10 +50,6 @@ _NODE_BITS = 12
 def make_txn_id(node_id: int, seq: int) -> int:
     """Pack (node, sequence) into a transaction id."""
     return (seq << _NODE_BITS) | node_id
-
-
-def txn_node(txn_id: int) -> int:
-    return txn_id & ((1 << _NODE_BITS) - 1)
 
 
 # Abort backoff: linear in the attempt count, in microseconds.
@@ -255,8 +252,8 @@ class Transaction:
 class Coordinator:
     """What the coordinators of all five systems share (§2.2.1): the
     retry driver around one OCC attempt.  A system supplies
-    ``_attempt(txn)``, a generator returning whether the attempt
-    committed."""
+    ``_attempt(txn, then)``, a callback chain that reports
+    ``then(committed)``."""
 
     def __init__(self, cluster, node):
         self.cluster = cluster
@@ -271,26 +268,58 @@ class Coordinator:
         self.on_abort = None
 
     def run_transaction(self, spec: TxnSpec):
-        """Coordinator entry point (generator).  Retries on abort;
-        returns the committed :class:`Transaction`."""
-        node_id = self.node.node_id
-        txn = Transaction(self.node.next_txn_id(), node_id, spec)
-        txn.started_at = self.sim.now
-        while not (yield from self._attempt(txn)):
-            self.stats.inc("aborts")
-            if self.obs is not None:
-                self.obs.txn_abort(node_id, txn)
-            if self.on_abort is not None:
-                self.on_abort(txn)
-            txn.reset_for_retry()
-            t0 = self.sim.now
-            yield self.sim.timeout(abort_backoff_us(txn.attempts))
-            if self.obs is not None:
-                self.obs.attrib_span("backoff", node_id, t0, self.sim.now,
-                                     txn.txn_id)
-        txn.committed_at = self.sim.now
-        txn.status = TxnStatus.COMMITTED
-        self.stats.inc("commits")
-        if self.obs is not None:
-            self.obs.txn_commit(node_id, txn)
+        """Coordinator entry point for a client process (generator):
+        ``txn = yield from coord.run_transaction(spec)``.  Retries on
+        abort; returns the committed :class:`Transaction`."""
+        txn = yield _Retries(self, spec)
         return txn
+
+    def _attempt(self, txn: Transaction, then) -> None:  # pragma: no cover
+        raise NotImplementedError
+
+
+class _Retries(Event):
+    """The retry driver, firing with the committed :class:`Transaction`.
+
+    A callback chain: one attempt; on abort the statistics, the abort
+    hooks and the backoff timeout, whose ``_cb0`` starts the next
+    attempt; on commit the accounting, then ``succeed``.  Each push
+    happens at the instant and in the same-instant position the
+    generator form gave it, without a generator to resume."""
+
+    __slots__ = ("c", "txn", "t0")
+
+    def __init__(self, c: Coordinator, spec: TxnSpec):
+        Event.__init__(self, c.sim, "txn")
+        self.c = c
+        self.txn = txn = Transaction(c.node.next_txn_id(), c.node.node_id,
+                                     spec)
+        txn.started_at = c.sim._now
+        c._attempt(txn, self._attempted)
+
+    def _attempted(self, ok: bool) -> None:
+        c, txn = self.c, self.txn
+        obs = c.obs
+        if ok:
+            txn.committed_at = c.sim._now
+            txn.status = TxnStatus.COMMITTED
+            c.stats.inc("commits")
+            if obs is not None:
+                obs.txn_commit(c.node.node_id, txn)
+            self.succeed(txn)
+            return
+        c.stats.inc("aborts")
+        if obs is not None:
+            obs.txn_abort(c.node.node_id, txn)
+        if c.on_abort is not None:
+            c.on_abort(txn)
+        txn.reset_for_retry()
+        self.t0 = c.sim._now
+        Timeout(c.sim, abort_backoff_us(txn.attempts))._cb0 = self._retry
+
+    def _retry(self, _ev: Event) -> None:
+        c, txn = self.c, self.txn
+        if c.obs is not None:
+            c.obs.attrib_span("backoff", c.node.node_id, self.t0, c.sim._now,
+                              txn.txn_id)
+        c._attempt(txn, self._attempted)

@@ -52,25 +52,6 @@ def test_lease_registration_and_renewal():
     assert mgr.config_epoch == 1
 
 
-def test_lease_renewal_loop_keeps_node_alive():
-    sim = Simulator()
-    mgr = ClusterManager(sim, lease_us=100.0)
-    mgr.register(0)
-    alive = {"v": True}
-
-    def stopper(sim):
-        yield sim.timeout(500.0)
-        alive["v"] = False
-
-    sim.spawn(mgr.renewal_loop(0, alive=lambda: alive["v"]))
-    sim.spawn(stopper(sim))
-    sim.run(until=450.0)
-    assert mgr.live_nodes() == {0}
-    sim.run()
-    sim._now = 700.0
-    assert mgr.live_nodes() == set()
-
-
 def test_renew_unknown_node_raises():
     mgr = ClusterManager(Simulator())
     with pytest.raises(KeyError):

@@ -18,7 +18,6 @@ from repro.core.messages import (
 )
 from repro.core.nic_runtime import NicRuntime, PendingTable
 from repro.core.txn import Transaction, TxnSpec, TxnStatus, make_txn_id
-from repro.core.txn import txn_node
 from repro.hw import Fabric, SmartNic
 from repro.sim import Simulator
 
@@ -242,7 +241,8 @@ def test_response_size_counts_payloads():
 
 def test_txn_id_packs_node():
     txn_id = make_txn_id(5, 1234)
-    assert txn_node(txn_id) == 5
+    assert txn_id & 0xFFF == 5
+    assert make_txn_id(6, 1234) != txn_id != make_txn_id(5, 1235)
 
 
 def test_txn_default_logic_and_retry_reset():

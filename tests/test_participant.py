@@ -136,9 +136,8 @@ def test_every_system_retries_on_the_shared_schedule(system):
     aborted = []
     coord.on_abort = lambda txn: aborted.append((txn.attempts, sim.now))
 
-    def attempt(txn):
-        return txn.attempts > 40
-        yield
+    def attempt(txn, then):
+        then(txn.attempts > 40)
 
     coord._attempt = attempt
     txn = sim.run_until_event(
