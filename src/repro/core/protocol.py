@@ -80,6 +80,9 @@ class XenicProtocol(Coordinator):
         self._wire_seq = [0] * n_nodes
         self._wire_seen_upto = [0] * n_nodes
         self._wire_seen_ahead = [set() for _ in range(n_nodes)]
+        # outbound messages go straight to the NIC's Ethernet port, and
+        # the fabric calls _on_wire directly
+        self._port = node.nic.port
         node.nic.set_handler(self._on_wire)
         node.pcie.set_handlers(self._on_pcie_host, self._on_pcie_nic)
         node.protocol = self
@@ -162,7 +165,7 @@ class XenicProtocol(Coordinator):
                 ("log_ack", txn_id, resp),
                 wire_id=self._next_wire_id(target),
             )
-            self.node.nic.send(msg)
+            self._port.send(msg)
 
     def _resolve_mh_ack(self, txn_id: int, resp: Response) -> None:
         # keyed by transaction alone: the backup does not know the attempt
@@ -192,7 +195,7 @@ class XenicProtocol(Coordinator):
             ("req", rid, req),
             wire_id=self._next_wire_id(dst),
         )
-        self.node.nic.send(msg)
+        self._port.send(msg)
         self.stats.inc("requests_sent")
         return fut
 
@@ -203,7 +206,7 @@ class XenicProtocol(Coordinator):
             ("oneway", req),
             wire_id=self._next_wire_id(dst),
         )
-        self.node.nic.send(msg)
+        self._port.send(msg)
 
     def _next_wire_id(self, dst: int) -> int:
         seq = self._wire_seq
@@ -290,7 +293,7 @@ class XenicProtocol(Coordinator):
             ("resp", rid, resp),
             wire_id=self._next_wire_id(src),
         )
-        self.node.nic.send(msg)
+        self._port.send(msg)
         # the request's single consumption point: any duplicate delivery
         # was already dropped by wire id before the payload is read
         recycle_request(req)

@@ -56,28 +56,22 @@ class SmartNic:
             aggregation=aggregation,
             name="%s.eth" % self.name,
         )
-        self._handler: Optional[Callable[[NetMessage], None]] = None
-        fabric.register(node_id, self._on_wire_message)
-        self.messages_handled = 0
+        # The fabric calls the firmware's handler directly; until one is
+        # installed, a delivery raises.
+        self.fabric = fabric
+        fabric.register(node_id, self._no_handler)
 
     def set_handler(self, handler: Callable[[NetMessage], None]) -> None:
         """Install the firmware's message handler (the protocol engine)."""
-        self._handler = handler
+        self.fabric.replace_handler(self.node_id, handler)
 
-    def _on_wire_message(self, msg: NetMessage) -> None:
-        if self._handler is None:
-            raise RuntimeError("%s has no firmware handler installed" % self.name)
-        self.messages_handled += 1
-        self._handler(msg)
+    def _no_handler(self, msg: NetMessage) -> None:
+        raise RuntimeError("%s has no firmware handler installed" % self.name)
 
     def send(self, msg: NetMessage) -> None:
         self.port.send(msg)
 
     # Convenience costs used by the protocol engine ------------------------
-
-    def handle_cost_event(self, extra_ref_us: float = 0.0) -> Event:
-        """Charge one NIC core for handling one inbound message."""
-        return self.cores.execute(self.params.rpc_handle_us + extra_ref_us)
 
     def nic_dram_access(self) -> Event:
         """NIC-local DRAM access (cache hit path): cheap fixed latency."""
@@ -95,18 +89,6 @@ class OffPathNic:
     def __init__(self, sim: Simulator, params: OffPathParams):
         self.sim = sim
         self.params = params
-
-    def remote_write_to_host(self) -> Event:
-        """Remote server writes host memory via RDMA (baseline path)."""
-        return self.sim.timeout(self.params.remote_to_host_write_us)
-
-    def remote_write_to_soc(self) -> Event:
-        """Remote server writes SoC memory (offloaded-state path)."""
-        return self.sim.timeout(self.params.remote_to_soc_write_us)
-
-    def soc_write_to_host(self) -> Event:
-        """Local SoC writes host memory through the internal switch."""
-        return self.sim.timeout(self.params.soc_to_host_write_us)
 
     def offload_penalty_us(self) -> float:
         """Extra latency of handling a remote request on the SoC and then

@@ -323,12 +323,13 @@ class Simulator:
         # (push-dominated) schedules.
         self._hwm = -1.0
         self._open: dict = {}
-        # Parked drain loops (repro.sim.link) by the instant their
-        # skipped idle timeout would have fired.  The first push at
-        # exactly that instant materializes the parked wake *first*, so
-        # it hosts the timestamp and fires ahead of the incoming entry —
-        # the position the stepwise timeout (pushed at round start,
-        # before anything else now pending there) would hold.
+        # Parked drain chains (repro.sim.link.BatchingLink) by the
+        # instant their skipped idle timeout would have fired.  The
+        # first push at exactly that instant materializes the parked
+        # link's wake (a ``call_at`` that runs its next round) *first*,
+        # so it hosts the timestamp and fires ahead of the incoming
+        # entry — the position the stepwise timeout (pushed at round
+        # start, before anything else now pending there) would hold.
         self._floors: dict = {}
         self._processes_spawned = 0
 

@@ -262,7 +262,7 @@ def test_smartnic_routes_wire_messages_to_handler():
     nic0.send(NetMessage(0, 1, "execute", 128))
     sim.run()
     assert handled == ["execute"]
-    assert nic1.messages_handled == 1
+    assert fabric.messages_delivered == 1
 
 
 def test_smartnic_without_handler_raises():
@@ -285,21 +285,3 @@ def test_smartnic_without_handler_raises():
 def test_offpath_soc_path_slower_than_direct(params):
     nic = OffPathNic(Simulator(), params)
     assert nic.offload_penalty_us() > 0
-
-
-def test_offpath_measured_medians():
-    sim = Simulator()
-    nic = OffPathNic(sim, BLUEFIELD_OFFPATH)
-
-    def proc(sim):
-        yield nic.remote_write_to_host()
-        t1 = sim.now
-        yield nic.remote_write_to_soc()
-        t2 = sim.now
-        yield nic.soc_write_to_host()
-        t3 = sim.now
-        return t1, t2 - t1, t3 - t2
-
-    p = sim.spawn(proc(sim))
-    sim.run()
-    assert p.value == (3.5, 4.5, 5.1)

@@ -326,7 +326,7 @@ def _run_loop(sim, bodies):
 
 
 @pytest.mark.parametrize("loop, events, spawned", [
-    (_timeouts, 101, 1), (_resource, 102, 8), (_link, 102, 4), (_commit_path, 6729, 5),
+    (_timeouts, 101, 1), (_resource, 102, 8), (_link, 102, 4), (_commit_path, 6729, 1),
     (_baseline_commit_path, 7994, 1), (_rdma_read, 542, 4),
     (_rpc, 732, 4), (_core_execute, 151, 4),
     (functools.partial(_rdma_read, spec=NEVER_FIRES), 542, 4),
@@ -340,10 +340,10 @@ def test_events_scheduled_per_op_is_exact(loop, events, spawned):
     """``events_scheduled`` is a pure function of the code: a de-fused
     site or a reintroduced spawn moves the count of the primitive that
     caused it, with no wall time involved.  ``processes_spawned`` counts
-    the generators behind them: an RDMA verb, an RPC, a queued core job
-    and every Xenic NIC handler run as callback chains, so those loops
-    spawn only their drivers (and, on the commit path, the four link
-    drainers) — under a fault plan too, where a plan that never fires
+    the generators behind them: an RDMA verb, an RPC, a queued core job,
+    every Xenic NIC handler and every link's drain loop run as callback
+    chains, so those loops spawn only their drivers — under a fault plan
+    too, where a plan that never fires
     gives the bare counts and each retry is a timeout in the verb's own
     chain."""
     sim = Simulator()
