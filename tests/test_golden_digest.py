@@ -61,3 +61,21 @@ def test_chaos_seed_digest_pinned(monkeypatch):
 
 def test_chaos_seed_digest_observer_neutral():
     assert canonical_digest(chaos_payload(obs=True)) == CHAOS_DIGEST
+
+
+# The four hardware micro-benchmarks at reduced sizes (about 1 s in all).
+# Figure 2 feeds the benchmark's ``hw.ref_fig2_err_max``; the pin holds
+# every number they report.
+MICRO_DIGEST = "9b0cd34d39d99b93943b97797f5b91585ec5e615da9cfd54266bcd3960dffed8"
+
+
+def test_micro_benchmarks_digest_pinned():
+    from repro.bench.experiments import (figure2_latency, figure3_batching,
+                                         figure4_dma, offpath_comparison)
+    payload = {
+        "fig2": figure2_latency(),
+        "fig3": figure3_batching(sizes=(16, 64, 256), ops_per_sender=250),
+        "fig4": figure4_dma(sizes=(16, 64, 256), total_ops=1200),
+        "offpath": offpath_comparison(),
+    }
+    assert canonical_digest(payload) == MICRO_DIGEST
