@@ -25,7 +25,7 @@ from ..hw.cpu import CoreGroup
 from ..hw.params import HardwareParams, TESTBED
 from ..hw.rdma import RdmaNic
 from ..sim.collector import collector_quiet
-from ..sim.core import Event, Simulator
+from ..sim.core import Event, Gather, Simulator
 from ..store.chained import ChainedTable
 from ..store.object import VersionedObject
 from ..store.replicas import group_keys, group_values
@@ -238,37 +238,6 @@ class BaselineCoordinator(Coordinator):
         raise NotImplementedError
 
 
-class _Gather:
-    """The join of one fan-out: ``AllOf`` as a counter.  Each child
-    reports ``put(i, value)`` (a verb, through ``landed``); once the
-    parent waits (:meth:`wait`) and the last child has reported, the
-    parent continues with the values in order — from inside the last
-    child's report, where ``AllOf`` would have fired, or at once if every
-    child reported before the wait."""
-
-    __slots__ = ("values", "left", "then")
-
-    def __init__(self, n: int):
-        self.values = [None] * n
-        self.left = n
-        self.then = None
-
-    def put(self, i: int, value) -> None:
-        self.values[i] = value
-        self.left -= 1
-        if not self.left and self.then is not None:
-            self.then(self.values)
-
-    def landed(self, i: int, ev: Event) -> None:
-        self.put(i, ev._value)
-
-    def wait(self, then) -> None:
-        if self.left:
-            self.then = then
-        else:
-            then(self.values)
-
-
 class _Step:
     """One operation of a baseline coordinator in flight: an attempt, or
     one shard's, key's or backup's part of a phase.
@@ -276,7 +245,7 @@ class _Step:
     A callback chain: each stage is a method registered as the ``_cb0``
     of exactly the event the generator form yielded there — a host-core
     job (``run_then`` / ``run_wall_then``), a verb, a fan-out's
-    :class:`_Gather` — so every push keeps its instant and same-instant
+    :class:`~repro.sim.core.Gather` — so every push keeps its instant and same-instant
     position, with no generator to resume and no ``Process``.  The
     constructor only stores the arguments; ``_start`` runs the first
     stage, and the step ends by calling ``then(result)``.  No stage is a
@@ -348,10 +317,10 @@ class _Attempt(_Step):
         c = self.c
         own = c.node.node_id
         local, remote = hooks
-        gather = _Gather(len(groups))
-        for i, (shard, args) in enumerate(groups.items()):
+        gather = Gather()
+        for shard, args in groups.items():
             self._spawn((local if shard == own else remote)(
-                self.txn, shard, *args, partial(gather.put, i)))
+                self.txn, shard, *args, gather.slot()))
         gather.wait(then)
 
     # -- EXECUTE ------------------------------------------------------------
@@ -424,10 +393,9 @@ class _Attempt(_Step):
         pairs = [(shard, backup, writes)
                  for shard, writes in writes_by_shard.items()
                  for backup in c.cluster.backups_of(shard)]
-        gather = _Gather(len(pairs))
-        for i, (shard, backup, writes) in enumerate(pairs):
-            self._spawn(_LogOne(c, txn, shard, backup, writes,
-                                partial(gather.put, i)))
+        gather = Gather()
+        for shard, backup, writes in pairs:
+            self._spawn(_LogOne(c, txn, shard, backup, writes, gather.slot()))
         gather.wait(self._logged)
 
     def _logged(self, results) -> None:

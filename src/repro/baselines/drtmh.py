@@ -16,9 +16,9 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Optional
 
-from ..sim.core import Event
+from ..sim.core import Event, Gather
 from .common import (BaselineCoordinator, HOST_PER_KEY_US, OBJ_HEADER,
-                     _Gather, _Issue, _Step)
+                     _Issue, _Step)
 
 __all__ = ["DrTMH", "DrTMH_NC"]
 
@@ -137,11 +137,11 @@ class _Execute(_Step):
     def _start(self, _ev: Optional[Event] = None) -> None:
         c, shard = self.c, self.shard
         self.keys = keys = list(dict.fromkeys(self.rkeys + self.wkeys))
-        gather = _Gather(len(keys))
-        for i, k in enumerate(keys):
+        gather = Gather()
+        for k in keys:
             self._spawn(_ReadChain(c, shard, k,
                                    partial(c._read_obj, shard, k), None,
-                                   partial(gather.put, i)))
+                                   gather.slot()))
         gather.wait(self._read)
 
     def _read(self, values) -> None:
@@ -198,11 +198,11 @@ class _Validate(_Step):
 
     def _start(self, _ev: Optional[Event] = None) -> None:
         c, txn, shard = self.c, self.txn, self.shard
-        gather = _Gather(len(self.keys))
-        for i, k in enumerate(self.keys):
+        gather = Gather()
+        for k in self.keys:
             self._spawn(_ReadChain(c, shard, k,
                                    partial(c._still_current, txn, shard, (k,)),
-                                   OBJ_HEADER, partial(gather.put, i)))
+                                   OBJ_HEADER, gather.slot()))
         gather.wait(self._read)
 
     def _read(self, values) -> None:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from ..sim.core import Event
+from ..sim.core import Event, Gather
 from .common import (BaselineCoordinator, HOST_PER_KEY_US, _Attempt,
-                     _Gather, _LocalExecute, _Step)
+                     _LocalExecute, _Step)
 
 __all__ = ["DrTMR"]
 
@@ -143,16 +143,15 @@ class _Execute(_Step):
 
     def _start(self, _ev: Optional[Event] = None) -> None:
         self.keys = list(dict.fromkeys(self.rkeys + self.wkeys))
-        self.gather = _Gather(len(self.keys))
+        self.gather = Gather()
         self.i = 0
         self._issue(self._cas)
 
     def _cas(self, _ev: Event) -> None:
         c, i = self.c, self.i
-        c.node.rdma.atomic(
+        self.gather.on(c.node.rdma.atomic(
             c._rdma_to(self.shard), 8,
-            on_target=partial(self._lock_and_version, self.keys[i]),
-        )._cb0 = partial(self.gather.landed, i)
+            on_target=partial(self._lock_and_version, self.keys[i])))
         self.i = i = i + 1
         if i < len(self.keys):
             self._issue(self._cas)
@@ -183,17 +182,16 @@ class _Execute(_Step):
         elif not self.rkeys:
             self.then(True)
         else:
-            self.gather = _Gather(len(self.rkeys))
+            self.gather = Gather()
             self.i = 0
             self._issue(self._read)
 
     def _read(self, _ev: Event) -> None:
         c, i = self.c, self.i
         k = self.rkeys[i]
-        c.node.rdma.read(
+        self.gather.on(c.node.rdma.read(
             c._rdma_to(self.shard), c._obj_bytes(self.shard, k),
-            on_target=partial(self._value_of, k),
-        )._cb0 = partial(self.gather.landed, i)
+            on_target=partial(self._value_of, k)))
         self.i = i = i + 1
         if i < len(self.rkeys):
             self._issue(self._read)
@@ -225,10 +223,9 @@ class _Commit(_Step):
 
     def _start(self, _ev: Optional[Event] = None) -> None:
         c, txn, shard = self.c, self.txn, self.shard
-        self.gather = gather = _Gather(len(self.writes))
-        for i, (k, v) in enumerate(self.writes.items()):
-            self._spawn(_CommitOne(c, txn, shard, k, v,
-                                   partial(gather.put, i)))
+        self.gather = gather = Gather()
+        for k, v in self.writes.items():
+            self._spawn(_CommitOne(c, txn, shard, k, v, gather.slot()))
         self.left = 2 * len(self.writes)
         self._issued(None)
 

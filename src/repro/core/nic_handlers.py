@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional
 
-from ..sim.core import Event, Timeout
+from ..sim.core import Event, Gather, Timeout
 from ..store.log import LogRecord, record_size_bytes
 from ..store.replicas import group_keys, group_values
 from .messages import (
@@ -50,23 +50,19 @@ def _versions(read_values):
 
 
 def _execute_core(p: XenicProtocol, shard: int, txn_id: int, read_keys,
-                  write_keys, inline: bool = False) -> Event:
+                  write_keys, inline: bool, then) -> None:
     """EXECUTE on one of the coordinator's own shards from its per-key
-    charge on, as an event a fan-out gathers."""
-    ev = Event(p.sim, "exec-local")
+    charge on, replying through ``then`` (a fan-out's gather slot)."""
     _Execute(p, shard, txn_id, read_keys, write_keys, inline,
-             ev.succeed)._core(p._per_key_us(len(read_keys) + len(write_keys)))
-    return ev
+             then)._core(p._per_key_us(len(read_keys) + len(write_keys)))
 
 
 def _validate_core(p: XenicProtocol, shard: int, txn_id: int,
-                   versions: Dict[int, int]) -> Event:
+                   versions: Dict[int, int], then) -> None:
     """VALIDATE on one of the coordinator's own shards from its per-key
-    charge on, as an event a fan-out gathers."""
-    ev = Event(p.sim, "validate-local")
-    _Validate(p, shard, txn_id, versions, ev.succeed)._core(
+    charge on, replying through ``then`` (a fan-out's gather slot)."""
+    _Validate(p, shard, txn_id, versions, then)._core(
         p._per_key_us(len(versions)))
-    return ev
 
 
 class _Handler:
@@ -82,8 +78,8 @@ class _Handler:
     :meth:`_core` for a two-charge kind's per-key charge, else ``_body``
     — and runs its first stage right there, in the caller's frame, with
     no start entry.  It ends by calling ``then(result)``: a parent
-    handler's stage, the ``succeed`` of the event a fan-out gathers, or
-    an inbound message's reply.
+    handler's stage, a fan-out's :class:`~repro.sim.core.Gather` slot,
+    or an inbound message's reply.
 
     A handler with a ``span`` logs it from ``t_span`` to its result
     (:meth:`_reply`): a ``server`` span at the primary or backup, a
@@ -92,7 +88,8 @@ class _Handler:
     handler keeps a reference to an event whose callbacks lead back to
     it."""
 
-    __slots__ = ("p", "txn_id", "then", "t0", "wall", "walls", "t_span")
+    __slots__ = ("p", "txn_id", "then", "t0", "wall", "walls", "t_span",
+                 "fetching")
     span: Optional[str] = None
     cat, track = "server", "nicrt"
     # a two-charge kind (EXECUTE, VALIDATE, UNLOCK): its span starts at
@@ -217,56 +214,47 @@ class _Handler:
     def _fetch(self, shard: int, keys) -> None:
         """Fetch ``keys`` at this (primary) NIC in parallel, then
         ``self._fetched(key -> (value, version))``."""
-        if len(keys) == 1:
-            _Fetch(self.p, shard, keys[0], self.txn_id, self._fetched)
-        elif keys:
-            _Fetches(self.p, shard, keys, self.txn_id, self._fetched)
-        else:
-            self._fetched({})
+        gather = Gather()
+        for k in keys:
+            _Fetch(self.p, shard, k, self.txn_id, gather.slot())
+        self.fetching = keys
+        gather.wait(self._fetched_all)
 
-    def _gather(self, evs) -> None:
-        """Wait for every event of one fan-out (remote responses and
-        local handlers alike), then ``self._gathered(values in order)``.
-        The wait is attributed to ``wire``."""
+    def _fetched_all(self, pairs) -> None:
+        self._fetched(dict(zip(self.fetching, pairs)))
+
+    def _gather(self, gather: Gather) -> None:
+        """Wait on one fan-out's join (remote responses and local
+        handlers alike), then ``self._gathered(values in order)``.  The
+        wait is attributed to ``wire``."""
         self.t0 = self.p.sim._now
-        if len(evs) == 1:
-            evs[0].add_callback(self._gathered_one)
-        else:
-            self.p.sim.all_of(evs).add_callback(self._gathered_all)
+        gather.wait(self._gathered_wire)
 
-    def _gathered_one(self, ev: Event) -> None:
+    def _gathered_wire(self, values) -> None:
         if self.p.obs is not None:
             self._attrib("wire", self.t0)
-        self._gathered((ev._value,))
-
-    def _gathered_all(self, ev: Event) -> None:
-        if self.p.obs is not None:
-            self._attrib("wire", self.t0)
-        self._gathered(ev._value)
+        self._gathered(values)
 
 
 class _Fetch(_Handler):
     """Fetch one object at this (primary) NIC: a cache hit from NIC DRAM,
     else DMA read(s) sized by the index hints.  Starts at once; ``then``
-    gets the one-key map ``{key: (value, version)}``, or a
-    :class:`_Fetches` ``group`` gets the pair.
+    gets the pair ``(value, version)``.
 
     The value and its version are read in the same synchronous step
     *after* all waits complete, mirroring the NIC's atomic access to its
     own DRAM — otherwise a commit applying during the wait could pair a
     stale value with a fresh version."""
 
-    __slots__ = ("index", "shard", "key", "cost", "group", "i")
+    __slots__ = ("index", "shard", "key", "cost")
 
     def __init__(self, p: XenicProtocol, shard: int, key: int, txn_id: int,
-                 then, group: Optional["_Fetches"] = None, i: int = 0):
+                 then):
         self.p = p
         self.txn_id = txn_id
         self.then = then
         self.shard = shard
         self.key = key
-        self.group = group
-        self.i = i
         self.index = index = p.node.index_for(shard)
         if index.cache_contains(key):
             p.node.nic.nic_dram_access()._cb0 = self._cached
@@ -317,35 +305,7 @@ class _Fetch(_Handler):
     def _found(self, value) -> None:
         if value is TOMBSTONE:
             value = None
-        key = self.key
-        vv = (value, self.index.read_version(key))
-        if self.group is None:
-            self.then({key: vv})
-        else:
-            self.group._put(self.i, vv)
-
-
-class _Fetches:
-    """Several keys fetched in parallel at one primary (one
-    :class:`_Fetch` each); ``then`` gets ``key -> (value, version)`` in
-    the keys' order once the last lands."""
-
-    __slots__ = ("keys", "values", "left", "then")
-
-    def __init__(self, p: XenicProtocol, shard: int, keys, txn_id: int,
-                 then):
-        self.keys = keys
-        self.values = [None] * len(keys)
-        self.left = len(keys)
-        self.then = then
-        for i, k in enumerate(keys):
-            _Fetch(p, shard, k, txn_id, None, self, i)
-
-    def _put(self, i: int, vv) -> None:
-        self.values[i] = vv
-        self.left -= 1
-        if not self.left:
-            self.then(dict(zip(self.keys, self.values)))
+        self.then((value, self.index.read_version(self.key)))
 
 
 # -- server side: the six wire kinds ------------------------------------------
@@ -675,24 +635,22 @@ class _Replicate(_Handler):
     def _body(self) -> None:
         p, txn, shard = self.p, self.txn, self.shard
         writes, versions = self.writes, self.versions
-        evs = []
+        gather = Gather()
         own = p.node.node_id
         for backup in p.cluster.backups_of(shard):
             if backup == own:
                 # plain Request: consumed by the local handler itself (no
                 # _respond to recycle it), so keep it off the pool
-                ev = Event(p.sim, "log-local")
                 _Log(p, Request(LOG, txn.txn_id, shard, txn.coord_node,
                                 write_values=writes, versions=versions,
                                 value_bytes=txn.spec.write_bytes),
-                     ev.succeed)._body()
-                evs.append(ev)
+                     gather.slot())._body()
             else:
-                evs.append(p._send_request(backup, take_request(
+                gather.on(p._send_request(backup, take_request(
                     LOG, txn.txn_id, shard, txn.coord_node,
                     write_values=writes, versions=versions,
                     value_bytes=txn.spec.write_bytes)))
-        self._gather(evs)
+        self._gather(gather)
 
     def _gathered(self, responses) -> None:
         ok = True
@@ -893,7 +851,7 @@ class _PhaseExecute(_Phase):
         self.t_span = p.sim._now
         txn.status = TxnStatus.EXECUTING
         self.first = None
-        evs = []
+        gather = Gather()
         smart = p.config.smart_remote_ops
         own = p.node.node_id
         primary_of = p.cluster.primary_node_id
@@ -902,8 +860,8 @@ class _PhaseExecute(_Phase):
             primary = primary_of(shard)
             if primary == own:
                 # in the ablation baseline, local locks move to wave 2 too
-                evs.append(_execute_core(p, shard, txn.txn_id, rkeys,
-                                         wkeys if smart else [], inline))
+                _execute_core(p, shard, txn.txn_id, rkeys,
+                              wkeys if smart else [], inline, gather.slot())
             elif smart:
                 req = take_request(
                     EXECUTE, txn.txn_id, shard, txn.coord_node,
@@ -911,37 +869,37 @@ class _PhaseExecute(_Phase):
                 )
                 if inline:
                     req.versions = {"inline": 1}  # flag: validate inline
-                evs.append(p._send_request(primary, req))
+                gather.on(p._send_request(primary, req))
             else:
                 # ablation baseline: per-key read requests now; per-key
                 # lock requests follow in a second wave, mirroring the
                 # one-sided read -> lock -> validate sequence (§5.7)
                 for k in rkeys:
-                    evs.append(p._send_request(primary, take_request(
+                    gather.on(p._send_request(primary, take_request(
                         EXECUTE, txn.txn_id, shard, txn.coord_node,
                         read_keys=[k])))
-        self._gather(evs)
+        self._gather(gather)
 
     def _lock_wave(self, responses) -> bool:
         """Ablation baseline: the per-key lock requests, once the reads
         are in; False when there are none."""
         p, txn = self.p, self.txn
         own = p.node.node_id
-        lock_evs = []
+        gather = Gather()
         for shard, (_rkeys, wkeys) in self.by_shard.items():
             primary = p.cluster.primary_node_id(shard)
             for k in wkeys:
                 if primary == own:
-                    lock_evs.append(_execute_core(p, shard, txn.txn_id, [],
-                                                  [k]))
+                    _execute_core(p, shard, txn.txn_id, [], [k], False,
+                                  gather.slot())
                 else:
-                    lock_evs.append(p._send_request(primary, take_request(
+                    gather.on(p._send_request(primary, take_request(
                         EXECUTE, txn.txn_id, shard, txn.coord_node,
                         write_keys=[k])))
-        if not lock_evs:
+        if not gather.values:
             return False
         self.first = responses
-        self._gather(lock_evs)
+        self._gather(gather)
         return True
 
     def _gathered(self, responses) -> None:
@@ -1043,21 +1001,21 @@ class _PhaseValidate(_Phase):
         read_values = txn.read_values
         groups = group_values({k: read_values[k][1] for k in to_check},
                               p.cluster.shard_of)
-        evs = []
+        gather = Gather()
         for shard, versions in groups.items():
             primary = p.cluster.primary_node_id(shard)
             if primary == p.node.node_id:
-                evs.append(_validate_core(p, shard, txn.txn_id, versions))
+                _validate_core(p, shard, txn.txn_id, versions, gather.slot())
             elif smart:
-                evs.append(p._send_request(primary, take_request(
+                gather.on(p._send_request(primary, take_request(
                     VALIDATE, txn.txn_id, shard, txn.coord_node,
                     versions=versions)))
             else:
                 for k, ver in versions.items():
-                    evs.append(p._send_request(primary, take_request(
+                    gather.on(p._send_request(primary, take_request(
                         VALIDATE, txn.txn_id, shard, txn.coord_node,
                         versions={k: ver})))
-        self._gather(evs)
+        self._gather(gather)
 
     def _gathered(self, responses) -> None:
         ok = True
@@ -1082,16 +1040,14 @@ class _PhaseLog(_Phase):
         p, txn = self.p, self.txn
         self.t_span = p.sim._now
         txn.status = TxnStatus.LOGGING
-        evs = []
+        gather = Gather()
         for shard, writes in self.by_shard.items():
-            ev = Event(p.sim, "log-shard")
             _Replicate(p, txn, shard, writes, p._write_versions(txn, writes),
-                       ev.succeed)._body()
-            evs.append(ev)
-        p.sim.all_of(evs).add_callback(self._logged)
+                       gather.slot())._body()
+        gather.wait(self._logged)
 
-    def _logged(self, ev: Event) -> None:
-        self._reply(all(ev._value))
+    def _logged(self, oks) -> None:
+        self._reply(all(oks))
 
 
 class _PhaseCommit(_Phase):
@@ -1106,18 +1062,16 @@ class _PhaseCommit(_Phase):
         self.t_span = p.sim._now
         txn.status = TxnStatus.COMMITTING
         own = p.node.node_id
-        evs = []
+        gather = Gather()
         for shard, writes in self.by_shard.items():
             primary = p.cluster.primary_node_id(shard)
             if primary == own:
-                ev = Event(p.sim, "commit-local")
-                _CommitLocal(p, txn, shard, writes, ev.succeed)._body()
-                evs.append(ev)
+                _CommitLocal(p, txn, shard, writes, gather.slot())._body()
             else:
-                evs.append(p._send_request(primary, take_request(
+                gather.on(p._send_request(primary, take_request(
                     COMMIT, txn.txn_id, shard, txn.coord_node,
                     write_values=writes, value_bytes=txn.spec.write_bytes)))
-        self._gather(evs)
+        self._gather(gather)
 
     def _gathered(self, responses) -> None:
         # local commits (_CommitLocal) recycle their own response and
@@ -1147,7 +1101,7 @@ class _AbortCleanup(_Handler):
 
     def _body(self) -> None:
         p, txn = self.p, self.txn
-        evs = []
+        gather = Gather()
         for shard, keys in list(txn.locked.items()):
             if not keys:
                 continue
@@ -1155,11 +1109,11 @@ class _AbortCleanup(_Handler):
             if primary == p.node.node_id:
                 p.node.index_for(shard).unlock_all(keys, txn.txn_id)
             else:
-                evs.append(p._send_request(primary, take_request(
+                gather.on(p._send_request(primary, take_request(
                     UNLOCK, txn.txn_id, shard, txn.coord_node,
                     write_keys=list(keys))))
-        if evs:
-            self._gather(evs)
+        if gather.values:
+            self._gather(gather)
         else:
             self._gathered(())
 

@@ -84,19 +84,16 @@ class CoreGroup:
     def execute(self, ref_us: float) -> Event:
         """Queue a job; event fires on completion.
 
-        The job is a callback chain (:class:`_Job`) on exactly the
-        events a spawned :meth:`run` process would wait on — a start
-        entry at now, then :meth:`run_then`'s chain — and is itself the
-        completion event."""
+        The job (:class:`_Job`) starts at an entry at now, then runs
+        :meth:`run_then`'s chain, and is itself the completion event."""
         sim = self.sim
         job = _Job(self, ref_us * self.slowdown)
         sim.call_at(sim._now, job._arrive)
         return job
 
     def run_then(self, ref_us: float, then) -> None:
-        """Chain form of ``yield from run(ref_us)`` inside a callback
-        chain: the job starts now, with no start entry, and
-        ``then(job)`` runs where the generator would resume — at once
+        """Run a job inside a callback chain: it starts now, with no
+        start entry, and ``then(job)`` runs once it completes — at once
         when a free core finishes a zero-cost job."""
         job = _Job(self, ref_us * self.slowdown)
         job._cb0 = then
@@ -147,7 +144,7 @@ class CoreGroup:
         releases the pool slot.
 
         The accounting replays term by term what the same jobs run one
-        :meth:`run_wall` after another produce: each cost takes the
+        :meth:`run_wall_then` after another produce: each cost takes the
         ``(wall / slowdown) * slowdown`` round trip, the end time is the
         left-associated sum, and the pool's busy-area summation is split
         (``note_split``) at every instant a stepwise job would have
@@ -177,41 +174,6 @@ class CoreGroup:
         self.jobs_executed += 1
         self.busy_us += service
 
-    def run_wall(self, wall_us: float):
-        """Generator form of :meth:`execute_wall`."""
-        return self.run(wall_us / self.slowdown)
-
-    def run(self, ref_us: float):
-        """Generator form for use inside a process: ``yield from cores.run(w)``.
-
-        The core is released after the ``yield``, on completion only:
-        nothing throws into a generator waiting on a timeout or a grant,
-        and the collector closing a dropped simulation's suspended
-        generator must not release — that would hand the core to a
-        waiter and resume the dead cluster's processes from inside
-        ``gc.collect()``."""
-        if not self.pool.try_acquire():
-            yield self.pool.acquire()
-        sink = self.obs_sink
-        lane = self._take_lane() if sink is not None else None
-        start = self.sim._now
-        service = ref_us * self.slowdown
-        self._book(service)
-        if service > 0:
-            yield Timeout(self.sim, service)
-        self._end_job(sink, lane, start)
-
-    def _end_job(self, sink, lane: Optional[int], start: float) -> None:
-        """Finish a job that started at ``start`` under ``sink`` (the
-        one attached then, if any): log its span on ``lane``, free the
-        lane, release the core."""
-        if sink is not None:
-            sink.core_job(self._obs_node, self._obs_track, lane,
-                          start, self.sim._now)
-            if lane is not None:
-                heappush(self._obs_free, lane)
-        self.pool.release()
-
     def utilization(self, since: float = 0.0) -> float:
         return self.pool.utilization(since)
 
@@ -223,10 +185,10 @@ class _Job(Event):
     """One core job, firing when it completes (:meth:`CoreGroup.execute`,
     :meth:`CoreGroup.run_then`).
 
-    Each stage is the ``_cb0`` of the event :meth:`CoreGroup.run` would
-    resume on at that point, so every push happens at the same instant
-    and in the same same-instant order as the generator's — without the
-    generator, its resumes or a ``Process``."""
+    A callback chain: it takes a core, at once if one is free, else at
+    the pool's grant (``_run``); books the service and waits it out on a
+    timeout (``_end``); then logs its span to the sink attached when it
+    started, frees its lane, releases the core and fires."""
 
     __slots__ = ("cores", "service", "sink", "lane", "start")
 
@@ -254,5 +216,11 @@ class _Job(Event):
             self._end(None)
 
     def _end(self, _ev: Optional[Event]) -> None:
-        self.cores._end_job(self.sink, self.lane, self.start)
+        cores, sink, lane = self.cores, self.sink, self.lane
+        if sink is not None:
+            sink.core_job(cores._obs_node, cores._obs_track, lane,
+                          self.start, cores.sim._now)
+            if lane is not None:
+                heappush(cores._obs_free, lane)
+        cores.pool.release()
         self.succeed()

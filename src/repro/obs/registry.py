@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim.core import Simulator
+from ..sim.core import Event, Simulator, Timeout
 from ..sim.stats import LogHistogram
 
 __all__ = ["MetricKey", "CounterMetric", "GaugeMetric", "HistogramMetric",
@@ -157,15 +157,15 @@ class MetricsRegistry:
 class Sampler:
     """Periodic simulated-time snapshotter for every registered gauge.
 
-    Runs as an ordinary simulation process: each tick it reads every
-    gauge callback and appends to its series.  It stops itself when the
-    rest of the simulation goes quiescent (its own timeout was the only
-    scheduled event) and is bounded by ``max_ticks`` besides, so an
-    open-ended ``sim.run()`` still terminates, and
-    the process only *reads* model state — it draws no randomness and
-    never blocks another process, so enabling it cannot change simulated
-    results (same-timestamp FIFO ordering is preserved for all other
-    events).
+    A timeout chain: it starts at an entry at now, then each tick is a
+    timeout whose callback reads every gauge and appends to its series.
+    It stops itself when the rest of the simulation goes quiescent (its
+    own timeout was the only scheduled event) and is bounded by
+    ``max_ticks`` besides, so an open-ended ``sim.run()`` still
+    terminates.  It only *reads* model state — it draws no randomness
+    and never blocks a model site, so enabling it cannot change
+    simulated results (same-timestamp FIFO ordering is preserved for all
+    other events).
     """
 
     def __init__(self, sim: Simulator, registry: MetricsRegistry,
@@ -176,11 +176,13 @@ class Sampler:
         self.max_ticks = max_ticks
         self.ticks = 0
         self._stopped = False
-        self._process = None
+        self._started = False
 
     def start(self) -> None:
-        if self._process is None:
-            self._process = self.sim.spawn(self._run())
+        if not self._started:
+            self._started = True
+            sim = self.sim
+            sim.call_at(sim.now, self._next)
 
     def stop(self) -> None:
         self._stopped = True
@@ -190,16 +192,19 @@ class Sampler:
         for gauge in self.registry.gauges.values():
             gauge.series.append((now, gauge.read()))
 
-    def _run(self):
-        while not self._stopped and self.ticks < self.max_ticks:
-            yield self.sim.timeout(self.interval_us)
-            if self._stopped:
-                return
-            self.sample_now()
-            self.ticks += 1
-            if self.sim.pending_events == 0:
-                # Our timeout was the only thing left: the rest of the
-                # simulation is quiescent and sampling further ticks
-                # would just stretch the run (and the trace) with a
-                # constant idle tail.
-                return
+    def _next(self, _ev: Optional[Event]) -> None:
+        if not self._stopped and self.ticks < self.max_ticks:
+            Timeout(self.sim, self.interval_us)._cb0 = self._tick
+
+    def _tick(self, _ev: Event) -> None:
+        if self._stopped:
+            return
+        self.sample_now()
+        self.ticks += 1
+        if self.sim.pending_events == 0:
+            # Our timeout was the only thing left: the rest of the
+            # simulation is quiescent and sampling further ticks
+            # would just stretch the run (and the trace) with a
+            # constant idle tail.
+            return
+        self._next(None)

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate (clock, processes, resources, RNG)."""
 
 from .collector import collector_quiet
-from .core import AllOf, Event, Process, SimulationError, Simulator, Timeout
+from .core import Event, Gather, Process, SimulationError, Simulator, Timeout
 from .equeue import (
     CalendarEventQueue,
     EventQueue,
@@ -19,7 +19,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
+    "Gather",
     "SimulationError",
     "collector_quiet",
     "EventQueue",

@@ -1,10 +1,12 @@
 """Discrete-event simulation core.
 
-A small, deterministic, generator-based discrete-event engine in the style
-of SimPy, specialized for this reproduction.  Simulated time is measured in
-**microseconds** (float).  Processes are Python generators that ``yield``
-awaitables: :class:`Timeout`, :class:`Event`, another :class:`Process`, or
-the :class:`AllOf` combinator.
+A small, deterministic discrete-event engine in the style of SimPy,
+specialized for this reproduction.  Simulated time is measured in
+**microseconds** (float).  The models are callback chains: each stage is
+the ``_cb0`` of the one :class:`Event` (often a :class:`Timeout`) it
+waits on, and a fan-out continues through one join, :class:`Gather`.
+A :class:`Process` runs a generator that yields events; only the
+harness's clients are processes.
 
 Determinism: events scheduled for the same timestamp fire in FIFO order of
 scheduling (a monotonically increasing sequence number breaks ties), so a
@@ -28,7 +30,8 @@ to prove byte-identical simulated results.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from functools import partial
+from typing import Any, Callable, Generator, List, Optional
 
 from .equeue import CalendarEventQueue, EventQueue
 from .collector import collector_quiet
@@ -38,7 +41,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
+    "Gather",
     "SimulationError",
 ]
 
@@ -168,39 +171,56 @@ class Timeout(Event):
         sim._push(sim._now + delay, self, value)
 
 
-class AllOf(Event):
-    """Fires once every child event has succeeded; value is the list of
-    child values in the original order.  Fails fast, exactly once, on the
-    first child failure: children that fire later change nothing."""
+class Gather:
+    """The join of one fan-out.
 
-    __slots__ = ("_pending", "_children")
+    A child joins through :meth:`slot`, which hands back the ``then`` a
+    local handler reports its value through, or :meth:`on`, which
+    reports an event's value when the event fires.  Once the parent
+    waits (:meth:`wait`) and every child has reported, the parent
+    continues with the values in child order: from inside the last
+    report, or at once if every child reported before the wait.
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name="all_of")
-        self._children = list(events)
-        self._pending = len(self._children)
-        if self._pending == 0:
-            self.succeed([])
-            return
-        # Not cached on self: a bound method of self stored on self is a
-        # cycle only the collector could free.
-        on_child = self._on_child
-        for ev in self._children:
-            if self._ok is not None:
-                # fail-fast already triggered by an immediate child; do
-                # not register on (and thereby pin) the rest
-                break
-            ev.add_callback(on_child)
+    A gather owns no queue entry and pushes nothing.  The children's
+    reports hold the gather and the gather holds only the parent's
+    continuation, so a parent that keeps no reference to its gather
+    while it waits is freed by reference count."""
 
-    def _on_child(self, ev: Event) -> None:
-        if self._ok is not None:
-            return
-        if not ev.ok:
-            self.fail(ev.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([c.value for c in self._children])
+    __slots__ = ("values", "left", "then")
+
+    def __init__(self):
+        self.values: List[Any] = []
+        self.left = 0
+        self.then: Optional[Callable[[List[Any]], None]] = None
+
+    def slot(self) -> Callable[[Any], None]:
+        """Join a new child; returns its report, ``report(value)``."""
+        values = self.values
+        values.append(None)
+        self.left += 1
+        return partial(self._put, len(values) - 1)
+
+    def on(self, ev: Event) -> None:
+        """Join ``ev`` as a new child, reporting its value when it fires."""
+        ev.add_callback(partial(_landed, self.slot()))
+
+    def wait(self, then: Callable[[List[Any]], None]) -> None:
+        """Continue with ``then(values)`` once every child has reported."""
+        if self.left:
+            self.then = then
+        else:
+            then(self.values)
+
+    def _put(self, i: int, value: Any) -> None:
+        self.values[i] = value
+        self.left -= 1
+        if not self.left and self.then is not None:
+            self.then(self.values)
+
+
+def _landed(report: Callable[[Any], None], ev: Event) -> None:
+    """A :meth:`Gather.on` child's report, as ``ev``'s callback."""
+    report(ev._value)
 
 
 def _raise(exc: BaseException) -> None:
@@ -447,9 +467,6 @@ class Simulator:
         """Register a generator as a concurrently running process."""
         self._processes_spawned += 1
         return Process(self, gen, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- execution --------------------------------------------------------
 

@@ -36,12 +36,12 @@ def test_core_group_queues_beyond_capacity():
     assert sorted(done_times) == [10.0, 10.0, 20.0, 20.0]
 
 
-def test_core_group_run_generator_form():
+def test_core_group_job_resumes_a_process_at_completion():
     sim = Simulator()
     cores = CoreGroup(sim, XEON_GOLD_5218, cores=1)
 
     def proc(sim):
-        yield from cores.run(5.0)
+        yield cores.execute(5.0)
         return sim.now
 
     p = sim.spawn(proc(sim))

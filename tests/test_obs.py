@@ -162,6 +162,7 @@ def test_observer_collects_spans_and_gauges_on_xenic():
     sim, cluster = make_xenic()
     obs = Observer(sim, sample_interval_us=20.0).install(cluster)
     run_txns(sim, cluster, [1, 2, 4, 8])
+    assert sim.processes_spawned == 4  # the clients: the sampler is none
     cats = {e.cat for e in obs.log.spans()}
     assert "txn" in cats      # commits recorded as txn spans
     assert "core" in cats     # NIC/host core lanes

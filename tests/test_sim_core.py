@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
+    Gather,
     SimulationError,
     Simulator,
 )
@@ -95,28 +95,48 @@ def test_fifo_ordering_same_timestamp():
     assert order == ["a", "b", "c"]
 
 
-def test_all_of_collects_values_in_order():
+def test_gather_reports_slot_and_event_children_in_order():
     sim = Simulator()
-
-    def proc(sim, delay, val):
-        yield sim.timeout(delay)
-        return val
-
-    def main(sim):
-        ps = [sim.spawn(proc(sim, d, v)) for d, v in [(3, "x"), (1, "y"), (2, "z")]]
-        vals = yield sim.all_of(ps)
-        return vals
-
-    m = sim.spawn(main(sim))
+    gather = Gather()
+    gather.on(sim.timeout(3.0, "x"))
+    local = gather.slot()
+    gather.on(sim.timeout(1.0, "z"))
+    sim.timeout(2.0).add_callback(lambda _e: local("y"))
+    got = []
+    gather.wait(lambda values: got.append((sim.now, values)))
     sim.run()
-    assert m.value == ["x", "y", "z"]
-    assert sim.now == 3.0
+    assert got == [(3.0, ["x", "y", "z"])]
 
 
-def test_all_of_empty_fires_immediately():
+def test_gather_continues_inside_the_last_report():
     sim = Simulator()
-    ev = AllOf(sim, [])
-    assert ev.triggered and ev.value == []
+    gather = Gather()
+    first, last = gather.slot(), gather.slot()
+    got = []
+    gather.wait(got.append)
+    first(1)
+    assert got == []
+    last(2)  # the continuation runs in this call, not at a later entry
+    assert got == [[1, 2]]
+    assert sim.events_scheduled == 0
+
+
+def test_gather_continues_at_once_when_every_child_reported():
+    sim = Simulator()
+    gather = Gather()
+    gather.slot()("a")
+    ev = sim.event()
+    gather.on(ev)
+    ev.succeed("b")
+    got = []
+    gather.wait(got.append)
+    assert got == [["a", "b"]]
+
+
+def test_empty_gather_continues_at_once():
+    got = []
+    Gather().wait(got.append)
+    assert got == [[]]
 
 
 def test_run_until_limit_pauses_at_time():
