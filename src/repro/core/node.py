@@ -167,10 +167,6 @@ class XenicNode(ReplicaPlacement):
         self.indexes[shard] = idx
         return idx
 
-    @property
-    def primary_shard(self) -> int:
-        return self.node_id
-
     # -- log application ------------------------------------------------------------
 
     def append_log(self, record: LogRecord) -> bool:

@@ -95,10 +95,6 @@ class FaultSpec:
             if not 0.0 <= p < 1.0:
                 raise ValueError("%s must be in [0, 1): %r" % (name, p))
 
-    @property
-    def any_message_faults(self) -> bool:
-        return bool(self.drop or self.delay or self.dup or self.reorder)
-
     # -- spec grammar -----------------------------------------------------
 
     _ALIASES = {

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from bisect import insort
 from typing import Dict, List
 
 __all__ = [
@@ -43,10 +42,6 @@ class OnlineStats:
     @property
     def variance(self) -> float:
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
 
     def merge(self, other: "OnlineStats") -> None:
         if other.count == 0:
@@ -137,14 +132,6 @@ class LogHistogram:
     @property
     def mean(self) -> float:
         return sum(self._sums) / self.count if self.count else 0.0
-
-    def nonzero_buckets(self) -> List[dict]:
-        """Occupied buckets as dicts (for JSON export)."""
-        out = []
-        for i, c in enumerate(self._counts):
-            if c:
-                out.append({"bucket": i, "count": c, "mean": self._sums[i] / c})
-        return out
 
     def clear(self) -> None:
         self._counts = [0] * self._n_buckets
@@ -241,23 +228,3 @@ def percentile_of_sorted(sorted_values: List[float], p: float) -> float:
         return 0.0
     rank = max(0, min(len(sorted_values) - 1, math.ceil(p / 100.0 * len(sorted_values)) - 1))
     return sorted_values[rank]
-
-
-class SlidingPercentile:
-    """Maintains a bounded, sorted sample set for cheap running medians."""
-
-    def __init__(self, limit: int = 4096):
-        self.limit = limit
-        self._values: List[float] = []
-
-    def add(self, x: float) -> None:
-        insort(self._values, x)
-        if len(self._values) > self.limit:
-            # Drop alternating extremes to keep the middle representative.
-            if len(self._values) % 2:
-                self._values.pop(0)
-            else:
-                self._values.pop()
-
-    def percentile(self, p: float) -> float:
-        return percentile_of_sorted(self._values, p)

@@ -3,9 +3,8 @@
 TPC-C keeps ORDER / NEW-ORDER / ORDER-LINE and friends in B+ trees local
 to their coordinator; manipulating them is the compute-heavy host work
 that dominates Xenic's TPC-C host-thread budget (Table 3).  This is a
-textbook in-memory B+ tree with ordered iteration, plus an operation cost
-model (reference-Xeon µs per traversal level) that the workloads charge to
-host cores.
+textbook in-memory B+ tree with ordered iteration; the workload charges
+its operations to host cores (``workloads.tpcc.BTREE_OP_US``).
 """
 
 from __future__ import annotations
@@ -14,12 +13,6 @@ import bisect
 from typing import Any, Iterator, List, Optional, Tuple
 
 __all__ = ["BPlusTree"]
-
-# Per-level traversal cost on a reference Xeon thread, calibrated so a
-# TPC-C new-order's tree work totals a few microseconds (§5.2 notes the
-# B+ tree manipulation is compute-intensive relative to hash ops).
-TRAVERSAL_US_PER_LEVEL = 0.12
-LEAF_OP_US = 0.25
 
 
 class _Node:
@@ -50,10 +43,6 @@ class BPlusTree:
     @property
     def height(self) -> int:
         return self._height
-
-    def op_cost_us(self) -> float:
-        """Reference-Xeon cost of one point operation at current height."""
-        return self._height * TRAVERSAL_US_PER_LEVEL + LEAF_OP_US
 
     # -- point ops ------------------------------------------------------------
 
@@ -155,12 +144,6 @@ class BPlusTree:
                 idx += 1
             node = node.next_leaf
             idx = 0
-
-    def min_key(self) -> Any:
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-        return node.keys[0] if node.keys else None
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         node = self._root

@@ -75,10 +75,6 @@ class DmaLookupCost:
         self.second_read_bytes = second_read_bytes
         self.extra_object_bytes = extra_object_bytes
 
-    @property
-    def total_bytes(self) -> int:
-        return self.first_read_bytes + self.second_read_bytes + self.extra_object_bytes
-
 
 class NicIndex(Participant):
     """Caching index over one host-side Robinhood table."""

@@ -49,7 +49,6 @@ def test_fault_spec_crash_without_restart():
     spec = FaultSpec.parse("crash=100@2,recovery_delay=50")
     assert spec.crashes == (CrashEvent(100.0, 2, None),)
     assert spec.recovery_delay_us == 50.0
-    assert not spec.any_message_faults
 
 
 # ---------------------------------------------------------------------------

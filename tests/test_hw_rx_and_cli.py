@@ -95,13 +95,6 @@ def test_hardware_params_network_override():
     assert testbed_params(100.0) is TESTBED
 
 
-def test_btree_op_cost_positive():
-    from repro.store import BPlusTree
-
-    t = BPlusTree()
-    assert t.op_cost_us() > 0
-
-
 def test_read_local_prefers_pending_commit():
     from repro.core import XenicCluster, XenicConfig
     from repro.store.log import LogRecord
