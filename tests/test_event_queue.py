@@ -212,3 +212,64 @@ def test_queue_kind_metadata_roundtrip():
     assert selected_queue_kind() == sim._q.kind == "calendar"
     assert selected_fusion() == "on" and sim._push == sim._riding_push
     assert selected_compiled() == "off" and compiled_available() is False
+
+
+# ---------------------------------------------------------------------------
+# same-instant rider rules (Simulator._riding_push), step by step
+# ---------------------------------------------------------------------------
+
+
+@both_kinds
+def test_rider_rules_scripted_schedule(kind):
+    """One scripted schedule pins where each same-instant push goes: into
+    the queue unregistered, into the queue as the instant's host, or onto
+    the host as a rider.  After every ``step()`` the dispatch log,
+    ``events_scheduled`` and ``pending_events`` must match; riders count
+    as pending while they wait, but never as scheduled entries."""
+    sim = Simulator(queue=kind())
+    log = []
+
+    def note(name):
+        return lambda _arg: log.append((name, sim.now, sim.pending_events))
+
+    def host(_arg):
+        log.append(("b", sim.now, sim.pending_events))
+        # Pushed while the host dispatches: the popped host no longer
+        # takes riders, so this enters the queue behind the host's riders.
+        sim.call_at(sim.now, note("d"))
+
+    def state():
+        return sim.events_scheduled, sim.pending_events
+
+    # A push at a fresh high-water instant enters the queue unregistered.
+    sim.call_at(1.0, note("a"))
+    assert state() == (1, 1) and 1.0 not in sim._open
+    # The next push at that instant claims the slot and enters the queue.
+    sim.call_at(1.0, host)
+    assert state() == (2, 2) and 1.0 in sim._open
+    # A third push rides that entry: pending, but not a queue entry.
+    sim.call_at(1.0, note("c"))
+    assert state() == (2, 3)
+
+    assert sim.step()
+    assert log == [("a", 1.0, 2)] and state() == (2, 2)
+    assert sim.step()
+    assert log == [("a", 1.0, 2), ("b", 1.0, 1), ("c", 1.0, 1)]
+    assert state() == (3, 1)
+    assert sim.step()
+    assert log[3:] == [("d", 1.0, 0)] and state() == (3, 0)
+    assert not sim.step()
+
+    # run(until=t) fires every entry at t, riders included ...
+    sim.call_at(2.0, note("e"))
+    sim.call_at(2.0, note("f"))
+    sim.call_at(2.0, note("g"))
+    assert state() == (5, 3)
+    sim.run(until=2.0)
+    assert log[4:] == [("e", 2.0, 2), ("f", 2.0, 1), ("g", 2.0, 0)]
+    assert sim.now == 2.0 and state() == (5, 0)
+    # ... and a later push at t enters the queue.
+    sim.call_at(2.0, note("h"))
+    assert state() == (6, 1)
+    assert sim.step()
+    assert log[7:] == [("h", 2.0, 0)] and state() == (6, 0)
