@@ -197,7 +197,7 @@ def figure3_batching(
                 if to_host:
                     yield runtime.dma_log_append(size)
                 else:
-                    yield target.nic_dram_access()
+                    yield sim.timeout(target.params.local_dram_us)
                 completed[0] += 1
                 if completed[0] == n_senders * ops_per_sender:
                     done.succeed(sim.now)

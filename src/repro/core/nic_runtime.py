@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional
 
 from ..hw.dma import DmaOp
 from ..hw.nic import SmartNic
-from ..sim.core import Event, Simulator, Timeout
+from ..sim.core import Event, Simulator
 from .config import XenicConfig
 
 __all__ = ["NicRuntime", "PendingTable"]
@@ -127,8 +127,8 @@ class NicRuntime:
             if config.ethernet_aggregation
             else MSG_HANDLE_WALL_US
         )
-        # The burst flusher self-rearms via a callback Timeout (no
-        # Process per burst).
+        # The burst flusher self-rearms through one queue entry per
+        # boundary (no Process per burst).
         self._burst_cb_bound = self._burst_cb
 
     # -- compute ------------------------------------------------------------
@@ -192,8 +192,7 @@ class NicRuntime:
 
     def _arm_flusher(self) -> None:
         self._flusher_running = True
-        Timeout(self.sim, BURST_INTERVAL_US).add_callback(
-            self._burst_cb_bound)
+        self.sim.call_after(BURST_INTERVAL_US, self._burst_cb_bound)
 
     def _flush_log(self) -> None:
         if not self._log_waiters:
@@ -220,15 +219,14 @@ class NicRuntime:
         self.nic.cores.charge_wall(self.nic.dma.submission_cost_us)
         self.nic.dma.submit(ops)
 
-    def _burst_cb(self, _ev: Event) -> None:
+    def _burst_cb(self, _arg: None) -> None:
         """Submits partially filled vectors and coalesced log appends at
-        burst-loop boundaries: one callback Timeout per boundary."""
+        burst-loop boundaries: one queue entry per boundary."""
         self._flush(self._read_vec)
         self._flush(self._write_vec)
         self._flush_log()
         if self._read_vec or self._write_vec or self._log_waiters:
-            Timeout(self.sim, BURST_INTERVAL_US).add_callback(
-                self._burst_cb_bound)
+            self.sim.call_after(BURST_INTERVAL_US, self._burst_cb_bound)
         else:
             self._flusher_running = False
 

@@ -18,9 +18,10 @@ while callers using the continuation-passing runtime (§4.3.1) overlap it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional
 
-from ..sim.core import Event, Simulator, Timeout
+from ..sim.core import Event, Simulator
 from ..sim.link import SerialLink
 from ..sim.stats import OnlineStats
 from .params import DmaParams
@@ -129,7 +130,7 @@ class DmaEngine:
 
         start = max(now, busy[q])
         all_done = Event(self.sim, self._vector_name)
-        pending = [len(ops)]
+        complete = partial(self._complete, all_done, [len(ops)])
 
         # The queue is *occupied* for the descriptor-processing time
         # (throughput model), but the engine is pipelined: an op's latency
@@ -152,9 +153,7 @@ class DmaEngine:
                 else self.params.write_completion_us
             )
             total_delay = finish_delay + completion
-            Timeout(self.sim, total_delay).add_callback(
-                lambda _e, op=op: self._complete(op, all_done, pending)
-            )
+            self.sim.call_after(total_delay, complete, op)
         return all_done
 
     def _pcie_busy_delay(self, nbytes: int) -> float:
@@ -168,7 +167,8 @@ class DmaEngine:
         self.pcie.transfers += 1
         return (start + dur) - now
 
-    def _complete(self, op: DmaOp, all_done: Event, pending: List[int]) -> None:
+    def _complete(self, all_done: Event, pending: List[int],
+                  op: DmaOp) -> None:
         op.completed_at = self.sim.now
         latency = op.completed_at - op.submitted_at
         (self.read_latency if op.is_read else self.write_latency).add(latency)

@@ -89,11 +89,9 @@ class EthernetPort:
         self.packets_received += 1
         # an unbatched packet (the common case off-peak) skips the sum
         nbytes = msgs[0].size if len(msgs) == 1 else sum(m.size for m in msgs)
-        self._rx_pipe.transfer(nbytes, msgs)._cb0 = self._rx_done_cb
+        self._rx_pipe.transfer(nbytes, self._rx_done_cb, msgs)
 
-    def _rx_done(self, ev) -> None:
-        msgs = ev._value
-        ev._value = None  # as in BatchingLink._arrive
+    def _rx_done(self, msgs) -> None:
         deliver = self.fabric.deliver
         node_id = self.node_id
         for msg in msgs:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..sim.core import Event, Simulator
+from ..sim.core import Simulator
 from .cpu import CoreGroup
 from .dma import DmaEngine
 from .ethernet import EthernetPort
@@ -73,9 +73,10 @@ class SmartNic:
 
     # Convenience costs used by the protocol engine ------------------------
 
-    def nic_dram_access(self) -> Event:
-        """NIC-local DRAM access (cache hit path): cheap fixed latency."""
-        return self.sim.timeout(self.params.local_dram_us)
+    def nic_dram_access(self, then: Callable[[None], None]) -> None:
+        """NIC-local DRAM access (cache hit path): ``then(None)`` runs
+        after a cheap fixed latency."""
+        self.sim.call_after(self.params.local_dram_us, then)
 
 
 class OffPathNic:

@@ -29,10 +29,17 @@ Two implementations share one small protocol (:class:`EventQueue`):
   drain loops.  Nothing in the package constructs one; a test passes
   ``Simulator(queue=HeapEventQueue())``.
 
+An entry is a continuation: the mutable list ``[when, seq, fn, arg]``
+(the calendar stores ``[-when, -seq, fn, arg]``), and popping it runs
+``fn(arg)``.  ``push`` returns the entry it stored, so the engine can
+turn a pending entry into a same-instant batch in place
+(``Simulator._riding_push``); a pop *retires* the entry — clears it —
+before running it, so an empty entry is one that left the queue.
+
 Determinism contract (both implementations, pinned by
 ``tests/test_golden_digest.py`` and ``tests/test_event_queue.py``): pop
-order is strict ``(when, seq)`` order — equal-timestamp events fire in
-FIFO scheduling order, including across bucket boundaries.  Nothing
+order is strict ``(when, seq)`` order — equal-timestamp entries run in
+FIFO order, including across bucket boundaries.  Nothing
 abandons a queued entry, so every popped entry is live and the queues
 keep no stale-entry policy in step.
 
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heapify, heappop, heappush
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = [
     "EventQueue",
@@ -53,11 +60,11 @@ __all__ = [
     "selected_queue_kind",
 ]
 
-# Entry tuples are (when, seq, event, value) for the heap and
-# (-when, -seq, event, value) for calendar buckets (negated keys make an
-# ascending-sorted list pop its *minimum* timestamp from the tail in
-# O(1)).  ``seq`` is unique, so comparisons never reach the event.
-Entry = Tuple[float, int, Any, Any]
+# Entries are [when, seq, fn, arg] for the heap and [-when, -seq, fn,
+# arg] for calendar buckets (negated keys make an ascending-sorted list
+# pop its *minimum* timestamp from the tail in O(1)).  ``seq`` is
+# unique, so comparisons never reach ``fn``.
+Entry = List[Any]
 
 
 def selected_queue_kind() -> str:
@@ -75,21 +82,23 @@ class EventQueue:
     fire one :meth:`Simulator.step` per entry, are correct for any
     conforming implementation, and are what the heap runs).
 
-    The queue owns the scheduling sequence number: ``push(when, event,
-    value)`` assigns the next ``seq`` internally, so every scheduling
-    path in the engine funnels through this one entry point.
+    The queue owns the scheduling sequence number: ``push(when, fn,
+    arg)`` assigns the next ``seq`` internally and returns the stored
+    entry, so every scheduling path in the engine funnels through this
+    one entry point.
     """
 
     kind = "abstract"
 
     seq = 0  # total entries ever pushed (the events/second numerator)
 
-    def push(self, when: float, event: Any, value: Any) -> None:
+    def push(self, when: float, fn: Callable[[Any], None],
+             arg: Any) -> Entry:
         raise NotImplementedError
 
-    def pop_min(self) -> Optional[Entry]:
-        """Remove and return the least ``(when, seq)`` entry, or
-        ``None`` when empty."""
+    def pop_min(self) -> Optional[Tuple[float, int, Any, Any]]:
+        """Remove the least ``(when, seq)`` entry, retire (clear) it and
+        return its ``(when, seq, fn, arg)``, or ``None`` when empty."""
         raise NotImplementedError
 
     def peek_time(self) -> Optional[float]:
@@ -104,8 +113,9 @@ class EventQueue:
     # -- drain loops (generic; the calendar overrides with inlined ones) --
 
     def drain_all(self, sim) -> None:
-        """Pop and fire every entry, each with its same-deadline riders
-        (``Simulator._riding_push``), one :meth:`Simulator.step` each."""
+        """Pop and run every entry (a host runs its same-deadline
+        riders, ``Simulator._riding_push``), one :meth:`Simulator.step`
+        each."""
         step = sim.step
         while step():
             pass
@@ -136,13 +146,19 @@ class HeapEventQueue(EventQueue):
         self.seq = 0
         self._heap: List[Entry] = []
 
-    def push(self, when: float, event: Any, value: Any) -> None:
+    def push(self, when: float, fn: Callable[[Any], None],
+             arg: Any) -> Entry:
         self.seq = seq = self.seq + 1
-        heappush(self._heap, (when, seq, event, value))
+        entry = [when, seq, fn, arg]
+        heappush(self._heap, entry)
+        return entry
 
-    def pop_min(self) -> Optional[Entry]:
+    def pop_min(self) -> Optional[Tuple[float, int, Any, Any]]:
         if self._heap:
-            return heappop(self._heap)
+            entry = heappop(self._heap)
+            popped = tuple(entry)
+            entry.clear()
+            return popped
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -180,7 +196,7 @@ class CalendarEventQueue(EventQueue):
     Structure:
 
     * ``_buckets``: dict mapping absolute bucket id ``int(when * inv)``
-      to an unsorted list of ``(-when, -seq, event, value)`` entries —
+      to an unsorted list of ``[-when, -seq, fn, arg]`` entries —
       push is append, O(1);
     * ``_bids``: a small heap of bucket ids with (possibly stale)
       buckets — one heap op per *bucket*, not per event;
@@ -205,7 +221,7 @@ class CalendarEventQueue(EventQueue):
         self.seq = 0
         self._width = width
         self._inv = 1.0 / width
-        self._buckets = {}          # bid -> unsorted [(-when,-seq,ev,val)]
+        self._buckets = {}          # bid -> unsorted [[-when,-seq,fn,arg]]
         self._bids: List[int] = []  # heap of bucket ids
         self._cur: List[Entry] = []  # activated bucket, sorted, pop()=min
         self._cur_id = -1           # bids <= _cur_id route into _cur
@@ -217,29 +233,34 @@ class CalendarEventQueue(EventQueue):
 
     # -- protocol ---------------------------------------------------------
 
-    def push(self, when: float, event: Any, value: Any) -> None:
+    def push(self, when: float, fn: Callable[[Any], None],
+             arg: Any) -> Entry:
         self.seq = seq = self.seq + 1
+        entry = [-when, -seq, fn, arg]
         bid = int(when * self._inv)
         if bid <= self._cur_id:
-            insort(self._cur, (-when, -seq, event, value))
+            insort(self._cur, entry)
         else:
             buckets = self._buckets
             b = buckets.get(bid)
             if b is None:
-                buckets[bid] = [(-when, -seq, event, value)]
+                buckets[bid] = [entry]
                 heappush(self._bids, bid)
             else:
-                b.append((-when, -seq, event, value))
+                b.append(entry)
+        return entry
 
-    def pop_min(self) -> Optional[Entry]:
+    def pop_min(self) -> Optional[Tuple[float, int, Any, Any]]:
         cur = self._cur
         while not cur:
             if not self._advance():
                 return None
             cur = self._cur
-        nw, ns, event, value = cur.pop()
+        entry = cur.pop()
+        nw, ns, fn, arg = entry
+        entry.clear()
         self._removed += 1
-        return (-nw, -ns, event, value)
+        return (-nw, -ns, fn, arg)
 
     def peek_time(self) -> Optional[float]:
         cur = self._cur
@@ -375,32 +396,12 @@ class CalendarEventQueue(EventQueue):
         while True:
             cur = self._cur
             while cur:
-                nw, _ns, event, value = cur.pop()
+                entry = cur.pop()
+                nw, _ns, fn, arg = entry
+                entry.clear()
                 self._removed += 1
                 sim._now = -nw
-                event._ok = True
-                event._value = value
-                cb0 = event._cb0
-                callbacks = event._callbacks
-                if cb0 is not None:
-                    event._cb0 = None
-                    event._callbacks = None
-                    cb0(event)
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(event)
-                elif callbacks:
-                    event._callbacks = None
-                    for fn in callbacks:
-                        fn(event)
-                riders = event._riders
-                if riders is not None:
-                    event._riders = None
-                    for rev, rval in riders:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
+                fn(arg)
             if not self._advance():
                 return
 
@@ -408,35 +409,14 @@ class CalendarEventQueue(EventQueue):
         while True:
             cur = self._cur
             while cur:
-                nw, ns, event, value = cur.pop()
-                when = -nw
-                if when > until:
-                    cur.append((nw, ns, event, value))  # restore the head
+                entry = cur.pop()
+                nw, _ns, fn, arg = entry
+                if -nw > until:
+                    cur.append(entry)  # restore the head
                     return
+                entry.clear()
                 self._removed += 1
-                sim._now = when
-                event._ok = True
-                event._value = value
-                cb0 = event._cb0
-                callbacks = event._callbacks
-                if cb0 is not None:
-                    event._cb0 = None
-                    event._callbacks = None
-                    cb0(event)
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(event)
-                elif callbacks:
-                    event._callbacks = None
-                    for fn in callbacks:
-                        fn(event)
-                riders = event._riders
-                if riders is not None:
-                    event._riders = None
-                    for rev, rval in riders:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
+                sim._now = -nw
+                fn(arg)
             if not self._advance():
                 return

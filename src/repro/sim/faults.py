@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from .core import Timeout
 from .rng import RngStream
 
 __all__ = ["FaultSpec", "CrashEvent", "FaultTrace", "FaultEvent", "FaultPlan"]
@@ -324,10 +324,9 @@ class FaultPlan:
             self.trace.record(self.sim.now, "reorder", site,
                               "held<=%.1fus" % spec.reorder_hold_us)
             self._held[node_id] = msg
-            flush = self.sim.timeout(spec.reorder_hold_us)
-            flush.add_callback(
-                lambda _e, d=node_id, m=msg: self._flush_held(fabric, d, m)
-            )
+            self.sim.call_after(spec.reorder_hold_us,
+                                partial(self._flush_held, fabric, node_id),
+                                msg)
             return True
         return False
 
@@ -337,10 +336,9 @@ class FaultPlan:
         return "msg:%s %s->%d" % (kind, src, node_id)
 
     def _deliver_later(self, fabric, node_id: int, msg, delay: float) -> None:
-        ev = self.sim.timeout(delay)
-        ev.add_callback(
-            lambda _e, d=node_id, m=msg: self._deliver_checked(fabric, d, m)
-        )
+        self.sim.call_after(delay,
+                            partial(self._deliver_checked, fabric, node_id),
+                            msg)
 
     def _deliver_checked(self, fabric, node_id: int, msg) -> None:
         # the destination (or source) may have crashed while in flight
@@ -423,8 +421,8 @@ class FaultPlan:
 
 class _CrashChain:
     """One scheduled crash as a callback chain: the crash instant, the
-    recovery delay, the restart.  Each stage is the callback of the
-    timeout it waits on, and the chain starts from an entry at now (where
+    recovery delay, the restart.  Each stage is the continuation of the
+    entry it waits on, and the chain starts from an entry at now (where
     a spawned process's start event would sit), so every push keeps the
     instant and same-instant position a crash process would give it."""
 
@@ -438,7 +436,7 @@ class _CrashChain:
     def _start(self, _ev) -> None:
         sim = self.plan.sim
         if self.crash.at_us > sim.now:
-            Timeout(sim, self.crash.at_us - sim.now)._cb0 = self._crashed
+            sim.call_after(self.crash.at_us - sim.now, self._crashed)
         else:
             self._crashed(None)
 
@@ -446,8 +444,7 @@ class _CrashChain:
         plan = self.plan
         plan.crash_node(self.crash.node)
         if plan.recovery is not None:
-            Timeout(plan.sim, plan.spec.recovery_delay_us)._cb0 = \
-                self._recover
+            plan.sim.call_after(plan.spec.recovery_delay_us, self._recover)
         else:
             self._schedule_restart()
 
@@ -467,7 +464,7 @@ class _CrashChain:
 
     def _schedule_restart(self) -> None:
         if self.crash.down_us is not None:
-            Timeout(self.plan.sim, self.crash.down_us)._cb0 = self._restart
+            self.plan.sim.call_after(self.crash.down_us, self._restart)
 
     def _restart(self, _ev) -> None:
         self.plan.restart_node(self.crash.node)

@@ -225,7 +225,13 @@ def _resource(sim):
 
 def _link(sim):
     link = SerialLink(sim, bandwidth_gbps=100.0, overhead_us=0.1)
-    return [(link.transfer(256) for _ in range(25)) for _ in range(4)]
+
+    def body():
+        for _ in range(25):
+            delivered = sim.event()
+            link.transfer(256, delivered.succeed)
+            yield delivered
+    return [body() for _ in range(4)]
 
 
 def _commit_path(sim):
