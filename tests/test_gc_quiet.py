@@ -279,6 +279,9 @@ def _container_lens(label, obj):
 
 def _census(bench):
     sizes = _container_lens("sim", bench.sim)
+    # Each ``_open`` value is a queue entry (a list of four fields, empty
+    # once popped): the slot table's size is its number of instants.
+    sizes["sim._open"] = len(bench.sim._open)
     sizes["sim.queue"] = len(bench.sim._q)
     sizes["messages.request_pool"] = len(messages._request_pool)
     sizes["messages.response_pool"] = len(messages._response_pool)
