@@ -14,7 +14,8 @@ __all__ = [
 
 
 class OnlineStats:
-    """Welford online mean/variance plus min/max."""
+    """Welford online mean (and sum of squared deviations, ``_m2``) plus
+    min/max."""
 
     __slots__ = ("count", "_mean", "_m2", "min", "max")
 
@@ -38,10 +39,6 @@ class OnlineStats:
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
     def merge(self, other: "OnlineStats") -> None:
         if other.count == 0:
@@ -220,11 +217,3 @@ class Counter:
 
     def clear(self) -> None:
         self._counts.clear()
-
-
-def percentile_of_sorted(sorted_values: List[float], p: float) -> float:
-    """Nearest-rank percentile over an already sorted list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, math.ceil(p / 100.0 * len(sorted_values)) - 1))
-    return sorted_values[rank]

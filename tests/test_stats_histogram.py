@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.sim.stats import (LatencyRecorder, LogHistogram,
-                             percentile_of_sorted)
+from repro.sim.stats import LatencyRecorder, LogHistogram
+
+from .stats_reference import percentile_of_sorted
 
 QUANTILES = (50.0, 90.0, 99.0, 99.9)
 # Geometric buckets with growth 1.01 bound the quantile's relative error
