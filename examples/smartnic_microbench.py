@@ -20,8 +20,8 @@ from repro.bench import (
 
 def main():
     figure2_latency(verbose=True)
-    figure3_batching(sizes=(16, 64, 256), ops_per_sender=200, verbose=True)
-    figure4_dma(sizes=(16, 64, 256), total_ops=1200, verbose=True)
+    figure3_batching(verbose=True)
+    figure4_dma(verbose=True)
     table1_cores(verbose=True)
     offpath_comparison(verbose=True)
 

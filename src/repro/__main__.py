@@ -4,12 +4,14 @@ Usage::
 
     python -m repro list
     python -m repro fig2
-    python -m repro fig8d --full
-    python -m repro tab2 --keys 50000
     python -m repro ablation-cache
+    python -m repro paper --jobs 2
+    python -m repro paper --check
 
-Each command prints the same rows/series the paper reports; ``--full``
-switches from the quick CI scale to a larger (slower) configuration.
+Each command prints the same rows/series the paper reports, at the one
+configuration its function holds.  ``paper`` runs every one of them and
+writes the rows to ``BENCH_paper.json``; ``paper --check`` reruns them
+and names every row that differs from the committed file.
 
 Fault injection (``docs/FAULTS.md``)::
 
@@ -48,6 +50,7 @@ p50/p99/p999 sojourn curve plus the detected SLO knee.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -81,6 +84,7 @@ from .bench import (
     table1_cores,
     table2_lookup,
     table3_thread_counts,
+    to_jsonable,
     workload_by_name,
     write_results_json,
 )
@@ -93,48 +97,32 @@ from .obs import (attribute_bench, diff_metrics, format_metrics_diff,
 DEFAULT_TRACE_FAULTS = "delay=0.03:6,dup=0.01"
 
 COMMANDS = {
-    "fig2": ("Figure 2: remote-op roundtrip latency",
-             lambda a: figure2_latency(verbose=True)),
-    "fig3": ("Figure 3: batched vs single remote writes",
-             lambda a: figure3_batching(
-                 sizes=(16, 64, 256),
-                 ops_per_sender=1000 if a.full else 250, verbose=True)),
-    "fig4": ("Figure 4: DMA engine throughput/latency",
-             lambda a: figure4_dma(
-                 sizes=(16, 64, 256),
-                 total_ops=6000 if a.full else 1200, verbose=True)),
-    "tab1": ("Table 1: ARM vs Xeon calibration",
-             lambda a: table1_cores(verbose=True)),
-    "tab2": ("Table 2: lookup cost at 90% occupancy",
-             lambda a: table2_lookup(n_keys=a.keys, verbose=True)),
-    "fig8a": ("Figure 8a: TPC-C New-Order curves",
-              lambda a: figure8a_tpcc_new_order(quick=not a.full,
-                                                verbose=True)),
-    "fig8b": ("Figure 8b: full TPC-C mix",
-              lambda a: figure8b_tpcc_full(quick=not a.full, verbose=True,
-                                           systems=("xenic", "drtmr"))),
-    "fig8c": ("Figure 8c: Retwis curves",
-              lambda a: figure8c_retwis(quick=not a.full, verbose=True)),
-    "fig8d": ("Figure 8d: Smallbank curves",
-              lambda a: figure8d_smallbank(quick=not a.full, verbose=True)),
+    "fig2": ("Figure 2: remote-op roundtrip latency", figure2_latency),
+    "fig3": ("Figure 3: batched vs single remote writes", figure3_batching),
+    "fig4": ("Figure 4: DMA engine throughput/latency", figure4_dma),
+    "tab1": ("Table 1: ARM vs Xeon calibration", table1_cores),
+    "tab2": ("Table 2: lookup cost at 90% occupancy", table2_lookup),
+    "fig8a": ("Figure 8a: TPC-C New-Order curves", figure8a_tpcc_new_order),
+    "fig8b": ("Figure 8b: full TPC-C mix", figure8b_tpcc_full),
+    "fig8c": ("Figure 8c: Retwis curves", figure8c_retwis),
+    "fig8d": ("Figure 8d: Smallbank curves", figure8d_smallbank),
     "tab3": ("Table 3: thread counts at >=95% of peak",
-             lambda a: table3_thread_counts(quick=not a.full, verbose=True)),
+             table3_thread_counts),
     "fig9a": ("Figure 9a: throughput feature ladder",
-              lambda a: figure9a_throughput_ablation(quick=not a.full,
-                                                     verbose=True)),
+              figure9a_throughput_ablation),
     "fig9b": ("Figure 9b: latency feature ladder",
-              lambda a: figure9b_latency_ablation(quick=not a.full,
-                                                  verbose=True)),
-    "offpath": ("§3.1: off-path SmartNIC measurements",
-                lambda a: offpath_comparison(verbose=True)),
-    "ablation-cache": ("NIC cache capacity sweep",
-                       lambda a: cache_capacity_sweep(verbose=True)),
+              figure9b_latency_ablation),
+    "offpath": ("§3.1: off-path SmartNIC measurements", offpath_comparison),
+    "ablation-cache": ("NIC cache capacity sweep", cache_capacity_sweep),
     "ablation-dm": ("Robinhood displacement-limit sweep",
-                    lambda a: displacement_limit_sweep(n_keys=a.keys,
-                                                       verbose=True)),
+                    displacement_limit_sweep),
     "ablation-offpath": ("Xenic on an off-path platform (§4.3.4)",
-                         lambda a: offpath_platform_check(verbose=True)),
+                         offpath_platform_check),
 }
+
+# Every COMMANDS row, as run by ``paper``: {"experiment": "paper",
+# "results": {name: rows}}, read from the working directory.
+PAPER_JSON = "BENCH_paper.json"
 
 
 def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
@@ -190,20 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
-    all_parser = sub.add_parser("all", help="run every experiment")
-    all_parser.add_argument("--full", action="store_true")
-    all_parser.add_argument("--keys", type=int, default=20000)
-    all_parser.add_argument("--json", action="store_true",
-                            help="write BENCH_<name>.json per experiment")
-    _add_jobs_arg(all_parser)
-    _add_fault_args(all_parser)
-    _add_obs_args(all_parser)
     for name, (help_text, _fn) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--full", action="store_true",
-                       help="larger, slower configuration")
-        p.add_argument("--keys", type=int, default=20000,
-                       help="keyspace size for table-structure experiments")
+        # argparse %-formats help text ("90% occupancy")
+        p = sub.add_parser(name, help=help_text.replace("%", "%%"))
         p.add_argument("--json", action="store_true",
                        help="write machine-readable results to "
                             "BENCH_%s.json" % name)
@@ -300,6 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "layer and print its latency attribution")
     _add_jobs_arg(slo)
     _add_fault_args(slo)
+    paper = sub.add_parser(
+        "paper",
+        help="run every experiment and write %s" % PAPER_JSON)
+    paper.add_argument("--check", action="store_true",
+                       help="write nothing; exit 1 naming every row that "
+                            "differs from the committed %s" % PAPER_JSON)
+    _add_jobs_arg(paper)
     return parser
 
 
@@ -455,6 +439,36 @@ def run_chaos_command(args) -> int:
     return 0
 
 
+def run_paper_command(args) -> int:
+    set_default_jobs(args.jobs)
+    try:
+        rows = {}
+        for name, (help_text, fn) in COMMANDS.items():
+            print("\n### %s" % help_text)
+            rows[name] = fn(verbose=True)
+    finally:
+        set_default_jobs(1)
+    if not args.check:
+        print("wrote %s" % write_results_json(PAPER_JSON, "paper", rows))
+        return 0
+    with open(PAPER_JSON) as fh:
+        committed = json.load(fh)["results"]
+    differing = 0
+    for name in list(COMMANDS) + [n for n in committed if n not in COMMANDS]:
+        if name not in committed:
+            problem = "missing from"
+        elif name not in rows:
+            problem = "no command for its row in"
+        elif committed[name] != to_jsonable(rows[name]):
+            problem = "differs from"
+        else:
+            continue
+        print("%s: %s %s" % (name, problem, PAPER_JSON))
+        differing += 1
+    print("%d row(s) differ from %s" % (differing, PAPER_JSON))
+    return 1 if differing else 0
+
+
 # Subcommands that are not paper experiments: name -> (list text, runner).
 _TOOLS = {
     "chaos": ("randomized fault schedules + invariant checks",
@@ -465,6 +479,8 @@ _TOOLS = {
     "attrib": ("observed run -> per-phase latency attribution",
                run_attrib_command),
     "slo": ("open-loop sweep -> latency vs offered load", run_slo_command),
+    "paper": ("every experiment -> %s (--check)" % PAPER_JSON,
+              run_paper_command),
 }
 
 
@@ -477,27 +493,18 @@ def main(argv=None) -> int:
         return 0
     if args.command in _TOOLS:
         return _TOOLS[args.command][1](args)
-    if getattr(args, "faults", None):
+    if args.faults:
         set_default_faults(args.faults, args.fault_seed)
-    if getattr(args, "obs", False) or getattr(args, "trace_out", None):
+    if args.obs or args.trace_out:
         set_default_obs(True)
-    set_default_jobs(getattr(args, "jobs", 1))
+    set_default_jobs(args.jobs)
     try:
-        if args.command == "all":
-            for name, (help_text, fn) in COMMANDS.items():
-                print("\n### %s" % help_text)
-                result = fn(args)
-                if args.json:
-                    print("wrote %s" % write_results_json(
-                        "BENCH_%s.json" % name, name, result))
-            _flush_obs_traces(getattr(args, "trace_out", None))
-            return 0
         _help, fn = COMMANDS[args.command]
-        result = fn(args)
+        result = fn(verbose=True)
         if args.json:
             print("wrote %s" % write_results_json(
                 "BENCH_%s.json" % args.command, args.command, result))
-        _flush_obs_traces(getattr(args, "trace_out", None))
+        _flush_obs_traces(args.trace_out)
     finally:
         set_default_faults(None)
         set_default_obs(False)

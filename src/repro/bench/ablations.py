@@ -12,7 +12,7 @@ DESIGN.md calls out three Xenic design choices worth sweeping:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..core import XenicConfig
 from ..hw.params import BLUEFIELD_OFFPATH, STINGRAY_OFFPATH
@@ -29,26 +29,21 @@ __all__ = [
 ]
 
 
-def cache_capacity_sweep(
-    capacities: Tuple[int, ...] = (64, 512, 4096, 32768, 1 << 20),
-    n_nodes: int = 3,
-    accounts: int = 6000,
-    concurrency: int = 64,
-    verbose: bool = False,
-) -> List[Dict[str, float]]:
-    """Sweep the NIC cache size on Smallbank: as the cache shrinks below
-    the hot set, DMA lookups replace NIC-DRAM hits and throughput falls
-    while latency rises (§4.3.3)."""
+def cache_capacity_sweep(verbose: bool = False) -> List[Dict[str, float]]:
+    """Sweep the NIC cache size on Smallbank at 48 contexts per node: as
+    the cache shrinks below the hot set, DMA lookups replace NIC-DRAM hits
+    and throughput falls while latency rises (§4.3.3)."""
+    n_nodes = 3
     rows = []
-    for cap in capacities:
+    for cap in (64, 1024, 16384, 1 << 20):
         config = XenicConfig(nic_cache_capacity=cap)
         bench = Bench(
             "xenic",
-            Smallbank(n_nodes, accounts_per_server=accounts,
+            Smallbank(n_nodes, accounts_per_server=4000,
                       hot_keys_fraction=0.25),
             n_nodes=n_nodes, xenic_config=config,
         )
-        r = bench.measure(concurrency, warmup_us=120.0, window_us=300.0)
+        r = bench.measure(48, warmup_us=120.0, window_us=300.0)
         hits = sum(n.index.hits for n in bench.cluster.nodes)
         misses = sum(n.index.misses for n in bench.cluster.nodes)
         rows.append({
@@ -68,21 +63,17 @@ def cache_capacity_sweep(
     return rows
 
 
-def displacement_limit_sweep(
-    dms: Tuple[int, ...] = (2, 4, 8, 16, 32),
-    n_keys: int = 20000,
-    occupancy: float = 0.9,
-    verbose: bool = False,
-) -> List[Dict[str, float]]:
-    """Sweep the Robinhood displacement limit: small Dm keeps DMA reads
-    tiny but pushes more keys to overflow buckets (extra roundtrips);
-    large Dm does the reverse (§4.1.2)."""
+def displacement_limit_sweep(verbose: bool = False) -> List[Dict[str, float]]:
+    """Sweep the Robinhood displacement limit over 8,000 keys at 90%
+    occupancy: small Dm keeps DMA reads tiny but pushes more keys to
+    overflow buckets (extra roundtrips); large Dm does the reverse
+    (§4.1.2)."""
     rng = RngStream(5, "dm-sweep")
-    keys = list(dict.fromkeys(rng.randint(0, 1 << 60) for _ in range(n_keys)))
+    keys = list(dict.fromkeys(rng.randint(0, 1 << 60) for _ in range(8000)))
     rows = []
-    for dm in dms:
+    for dm in (2, 4, 8, 16, 32):
         seg = 8
-        capacity = (int(len(keys) / occupancy) // seg) * seg
+        capacity = (int(len(keys) / 0.9) // seg) * seg
         table = RobinhoodTable(capacity, dm=dm, segment_size=seg)
         for k in keys:
             table.insert(k)
@@ -111,17 +102,14 @@ def displacement_limit_sweep(
     return rows
 
 
-def offpath_platform_check(
-    n_nodes: int = 3,
-    accounts: int = 4000,
-    verbose: bool = False,
-) -> Dict[str, float]:
+def offpath_platform_check(verbose: bool = False) -> Dict[str, float]:
     """§4.3.4: Xenic's latency edge requires an efficient NIC-to-host
     path.  Re-run Smallbank low-load latency with the PCIe crossing
     inflated to the measured off-path SoC-to-host costs; the advantage
     should evaporate."""
     import dataclasses
 
+    n_nodes = 3
     results = {}
     base_cfg = XenicConfig()
     variants = {
@@ -138,7 +126,7 @@ def offpath_platform_check(
                                       hardware=dataclasses.replace(hw, nic=nic))
         bench = Bench(
             "xenic",
-            Smallbank(n_nodes, accounts_per_server=accounts,
+            Smallbank(n_nodes, accounts_per_server=4000,
                       hot_keys_fraction=0.25),
             n_nodes=n_nodes, xenic_config=cfg,
         )

@@ -1,10 +1,9 @@
 """One entry point per table and figure of the paper's evaluation.
 
 Every function returns plain data structures (and optionally prints a
-table) so the ``benchmarks/`` suite, the examples, and EXPERIMENTS.md all
-regenerate from the same code.  ``quick=True`` shrinks workload sizes and
-measurement windows for CI; the shapes survive, the absolute numbers
-wobble.
+table) at the one configuration EXPERIMENTS.md reports, so
+``python -m repro paper``, the examples and EXPERIMENTS.md all read the
+same rows (``BENCH_paper.json``).
 """
 
 from __future__ import annotations
@@ -158,14 +157,14 @@ def figure2_latency(payload_bytes: int = 256, verbose: bool = False) -> Dict[str
 
 
 def figure3_batching(
-    sizes: Tuple[int, ...] = (16, 32, 64, 128, 256),
-    n_senders: int = 5,
-    ops_per_sender: int = 400,
+    sizes: Tuple[int, ...] = (16, 64, 256),
+    ops_per_sender: int = 250,
     verbose: bool = False,
 ) -> Dict[str, Dict[int, float]]:
     """Remote write throughput (Mops/s) to NIC DRAM and host DRAM, with and
     without batching, plus CX5 RDMA WRITE throughput (§3.4)."""
     out: Dict[str, Dict[int, float]] = {}
+    n_senders = 5
 
     def liquidio_run(size: int, to_host: bool, batched: bool) -> float:
         sim = Simulator()
@@ -359,19 +358,18 @@ class LookupRow:
     roundtrips: float
 
 
-def table2_lookup(n_keys: int = 200000, seed: int = 3,
-                  verbose: bool = False) -> List[LookupRow]:
+def table2_lookup(verbose: bool = False) -> List[LookupRow]:
     """Mean objects read and roundtrips per lookup at 90% occupancy for
     Xenic Robinhood (Dm in {8,16,32,unlimited}), FaRM Hopscotch (H=8), and
     DrTM+H chained buckets (B in {4,8,16}).
 
-    The paper uses 8M uniform-random keys; the default here is scaled but
-    the occupancy and all structure parameters match.
+    The paper uses 8M uniform-random keys; 20,000 here is scaled but the
+    occupancy and all structure parameters match.
     """
     from ..sim.rng import RngStream
 
-    rng = RngStream(seed, "table2")
-    keys = [rng.randint(0, 1 << 60) for _ in range(n_keys)]
+    rng = RngStream(3, "table2")
+    keys = [rng.randint(0, 1 << 60) for _ in range(20000)]
     keys = list(dict.fromkeys(keys))
     rows: List[LookupRow] = []
 
@@ -466,71 +464,48 @@ def _fig8_sweep(workload, workload_kwargs, concurrencies,
     return curves
 
 
-def figure8a_tpcc_new_order(quick: bool = True, verbose: bool = False,
-                            systems=FIG8_SYSTEMS):
+def figure8a_tpcc_new_order(verbose: bool = False):
     """TPC-C New-Order (DrTM+H-style uniform access), 5 systems."""
-    n_nodes = 6
     # stock rows dominate contention at reduced scale: provision enough
     # that concurrent new-orders rarely collide (the paper's 100k-item
     # stock tables make conflicts negligible)
     scale = dict(warehouses_per_server=24, stock_per_warehouse=1200,
-                 customers_per_warehouse=30) if quick else \
-        dict(warehouses_per_server=72, stock_per_warehouse=1400,
-             customers_per_warehouse=60)
-    conc = (2, 8, 24, 64) if quick else (2, 8, 24, 64, 112, 176)
+                 customers_per_warehouse=30)
     return _fig8_sweep(
-        "tpcc_no", scale, conc, systems=systems,
-        n_nodes=n_nodes, window_us=600.0,
+        "tpcc_no", scale, (2, 8, 24, 64), window_us=600.0,
         verbose=verbose, title="Figure 8a: TPC-C New-Order",
     )
 
 
-def figure8b_tpcc_full(quick: bool = True, verbose: bool = False,
-                       systems=("xenic",), network_gbps: float = None):
-    """Full TPC-C mix; throughput counts new-orders only (§5.3).
+def figure8b_tpcc_full(verbose: bool = False):
+    """Full TPC-C mix, Xenic vs DrTM+R; throughput counts new-orders only
+    (§5.3).
 
     The paper's DrTM+R comparison point is network-bound (56 Gbps at 72
     warehouses/server); at reduced scale the equivalent regime needs a
-    proportionally slower wire, so the default comparison runs both
-    systems at a link speed where replication traffic binds."""
-    n_nodes = 6
+    proportionally slower wire, so both systems run at a 12 Gbps link
+    where replication traffic binds."""
     scale = dict(warehouses_per_server=24, stock_per_warehouse=150,
-                 customers_per_warehouse=30) if quick else \
-        dict(warehouses_per_server=72, stock_per_warehouse=500,
-             customers_per_warehouse=100)
-    conc = (2, 8, 24, 64) if quick else (2, 8, 24, 64, 112, 176)
-    if network_gbps is None:
-        network_gbps = 12.0 if quick else 56.0
+                 customers_per_warehouse=30)
     return _fig8_sweep(
-        "tpcc", scale, conc, systems=systems, n_nodes=n_nodes,
-        window_us=800.0, counted_label="new_order",
-        network_gbps=network_gbps, verbose=verbose,
-        title="Figure 8b: TPC-C full mix (new-orders/s)",
+        "tpcc", scale, (2, 8, 24, 64), systems=("xenic", "drtmr"),
+        window_us=800.0, counted_label="new_order", network_gbps=12.0,
+        verbose=verbose, title="Figure 8b: TPC-C full mix (new-orders/s)",
     )
 
 
-def figure8c_retwis(quick: bool = True, verbose: bool = False,
-                    systems=FIG8_SYSTEMS):
-    n_nodes = 6
-    keys = 20000 if quick else 50000
-    conc = (2, 8, 32, 96) if quick else (2, 8, 32, 96, 160, 256)
+def figure8c_retwis(verbose: bool = False):
     return _fig8_sweep(
-        "retwis", dict(keys_per_server=keys), conc,
-        systems=systems, n_nodes=n_nodes,
+        "retwis", dict(keys_per_server=20000), (2, 8, 32, 96),
         verbose=verbose, title="Figure 8c: Retwis",
     )
 
 
-def figure8d_smallbank(quick: bool = True, verbose: bool = False,
-                       systems=FIG8_SYSTEMS):
-    n_nodes = 6
-    accounts = 8000 if quick else 20000
-    conc = (2, 16, 64, 160) if quick else (2, 16, 64, 160, 320, 512)
+def figure8d_smallbank(verbose: bool = False):
     return _fig8_sweep(
         "smallbank",
-        dict(accounts_per_server=accounts, hot_keys_fraction=0.25), conc,
-        systems=systems, n_nodes=n_nodes,
-        verbose=verbose, title="Figure 8d: Smallbank",
+        dict(accounts_per_server=8000, hot_keys_fraction=0.25),
+        (2, 16, 64, 160), verbose=verbose, title="Figure 8d: Smallbank",
     )
 
 
@@ -539,12 +514,12 @@ def figure8d_smallbank(quick: bool = True, verbose: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def table3_thread_counts(quick: bool = True, verbose: bool = False) -> Dict[str, Dict[str, float]]:
+def table3_thread_counts(verbose: bool = False) -> Dict[str, Dict[str, float]]:
     """Minimum threads sustaining >=95% of peak throughput, per system and
     workload; Xenic NIC threads are Coremark-normalized (x0.31)."""
-    n_nodes = 3 if quick else 6
-    conc = 64 if quick else 160
-    window = 300.0 if quick else 500.0
+    n_nodes = 3
+    conc = 64
+    window = 300.0
 
     def make_wl(name):
         if name == "tpcc_no":
@@ -612,13 +587,13 @@ def table3_thread_counts(quick: bool = True, verbose: bool = False) -> Dict[str,
 # ---------------------------------------------------------------------------
 
 
-def figure9a_throughput_ablation(quick: bool = True, verbose: bool = False):
+def figure9a_throughput_ablation(verbose: bool = False):
     """Retwis throughput, enabling throughput features step by step, plus
     the DrTM+H reference."""
-    n_nodes = 3 if quick else 6
-    keys = 10000 if quick else 50000
-    conc = 96 if quick else 256
-    window = 300.0 if quick else 500.0
+    n_nodes = 3
+    keys = 10000
+    conc = 96
+    window = 300.0
     results = []
     for label, config in ablation_ladder_throughput():
         bench = Bench("xenic", Retwis(n_nodes, keys_per_server=keys),
@@ -637,11 +612,11 @@ def figure9a_throughput_ablation(quick: bool = True, verbose: bool = False):
     return results
 
 
-def figure9b_latency_ablation(quick: bool = True, verbose: bool = False):
+def figure9b_latency_ablation(verbose: bool = False):
     """Smallbank median latency at low load, enabling latency features
     step by step, plus the DrTM+H reference."""
-    n_nodes = 3 if quick else 6
-    accounts = 6000 if quick else 20000
+    n_nodes = 3
+    accounts = 6000
     conc = 2
     window = 400.0
     results = []

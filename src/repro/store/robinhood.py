@@ -477,31 +477,3 @@ class RobinhoodTable(ObjectTable):
 
     def overflow_bucket_len(self, seg: int) -> int:
         return len(self._overflow.get(seg, ()))
-
-    # -- invariants (used by property tests) ---------------------------------
-
-    def check_invariants(self) -> None:
-        """Verify structural invariants; raises AssertionError on violation."""
-        seen = set()
-        for pos, key in enumerate(self._slots):
-            if key is None:
-                continue
-            assert key in self._objects, "slot key %d missing object" % key
-            assert key not in seen, "key %d duplicated in table" % key
-            seen.add(key)
-            d = self._disp(key, pos)
-            if self.dm != UNLIMITED:
-                assert d < self.dm or d == 0, (
-                    "key %d displacement %d exceeds Dm=%d" % (key, d, self.dm)
-                )
-            # no empty gap between home and the key (probe reachability)
-            assert self._path_full(self.home(key), d), (
-                "key %d unreachable: gap before slot %d" % (key, pos)
-            )
-        for seg, bucket in self._overflow.items():
-            for key in bucket:
-                assert key in self._objects
-                assert key not in seen, "key %d in table and overflow" % key
-                seen.add(key)
-                assert self.segment_of_key(key) == seg
-        assert len(seen) == self.size == len(self._objects)

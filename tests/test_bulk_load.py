@@ -17,6 +17,8 @@ from repro.sim import Simulator
 from repro.store import ChainedTable, LogRecord, RobinhoodTable, VersionedObject
 from repro.workloads import Smallbank
 
+from .robinhood_reference import check_invariants
+
 N_NODES = 3
 KEYS = st.lists(st.integers(0, 1 << 40), unique=True, min_size=1, max_size=240)
 
@@ -129,7 +131,7 @@ def test_xenic_bulk_load_equals_key_by_key(keys, dm, fill, rf, mode, split,
     assert cluster_state(bulk) == cluster_state(ref)
     for node in bulk.nodes:
         for table in node.tables.values():
-            table.check_invariants()
+            check_invariants(table)
 
 
 def test_xenic_bulk_load_reaches_overflow_and_long_chains():

@@ -68,10 +68,21 @@ def test_cli_every_subcommand_has_a_table_row(capsys):
 
     sub, = (a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(COMMANDS) | set(_TOOLS) | {"list", "all"}
+    assert set(sub.choices) == set(COMMANDS) | set(_TOOLS) | {"list"}
     main(["list"])
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert listed == list(COMMANDS) + list(_TOOLS)
+
+
+def test_cli_help_lists_every_command(capsys):
+    from repro.__main__ import COMMANDS, main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "90% occupancy" in out
+    assert all(name in out for name in COMMANDS)
 
 
 def test_cli_tab1_runs():

@@ -61,7 +61,7 @@ def test_concurrent_increments_match_reference(ops):
         sim.spawn(run_op(coord, keys, amount))
     # Bounded (a clean run drains well inside 1000us): two conflicting
     # transactions can abort each other in lockstep for ever (ROADMAP
-    # item 4), and that should fail here, not hang the suite.
+    # item 1), and that should fail here, not hang the suite.
     sim.run(until=50_000.0)
     for k in range(KEYS):
         assert cluster.read_committed_value(k) == reference[k], (

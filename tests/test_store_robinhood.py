@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.store import RobinhoodTable, VersionedObject
 
+from .robinhood_reference import check_invariants
+
 
 def make_table(capacity=64, dm=8, segment_size=8):
     return RobinhoodTable(capacity, dm=dm, segment_size=segment_size)
@@ -86,7 +88,7 @@ def test_delete_backward_shift_keeps_others_findable():
     for k in keys:
         if k != keys[3]:
             assert t.lookup(k).found, "lost key %d after delete" % k
-    t.check_invariants()
+    check_invariants(t)
 
 
 def test_displacement_limit_sends_to_overflow():
@@ -98,7 +100,7 @@ def test_displacement_limit_sends_to_overflow():
     # every key still findable
     for k in range(48):
         assert t.lookup(k).found
-    t.check_invariants()
+    check_invariants(t)
 
 
 def test_overflow_lookup_flagged():
@@ -148,7 +150,7 @@ def test_displacement_never_exceeds_dm():
     t = make_table(capacity=256, dm=4, segment_size=8)
     for k in range(230):
         t.insert(k)
-    t.check_invariants()
+    check_invariants(t)
     for k in range(230):
         res = t.lookup(k)
         assert res.found
@@ -171,7 +173,7 @@ def test_property_inserts_preserve_invariants(keys, dm):
     t = RobinhoodTable(128, dm=dm, segment_size=8)
     for k in keys:
         t.insert(k)
-    t.check_invariants()
+    check_invariants(t)
     for k in keys:
         assert t.lookup(k).found
 
@@ -192,7 +194,7 @@ def test_property_mixed_insert_delete(keys, data):
             victim = data.draw(st.sampled_from(sorted(live)))
             t.delete(victim)
             live.remove(victim)
-    t.check_invariants()
+    check_invariants(t)
     for k in keys:
         assert t.lookup(k).found == (k in live)
 
@@ -219,7 +221,7 @@ def test_property_dma_consistent_swapping(existing):
             )
     # after completion the new key is also findable
     assert t.lookup(new_key).found
-    t.check_invariants()
+    check_invariants(t)
 
 
 def test_robinhood_reduces_probe_variance_vs_fifo_order():
