@@ -13,28 +13,32 @@ configuration its function holds.  ``paper`` runs every one of them and
 writes the rows to ``BENCH_paper.json``; ``paper --check`` reruns them
 and names every row that differs from the committed file.
 
+Each experiment command takes only ``--json``, which dumps its results
+to ``BENCH_<name>.json``.  ``paper --jobs N`` runs up to N rows at once
+in worker processes and writes the same file as ``--jobs 1``.
+
 Fault injection (``docs/FAULTS.md``)::
 
     python -m repro chaos --faults "drop=0.02,dup=0.01" --seeds 20 --check
-    python -m repro fig8d --faults "delay=0.05:8" --fault-seed 7
+    python -m repro trace --faults "delay=0.05:8" --fault-seed 7
 
 ``chaos`` runs seeded randomized fault schedules against the invariant
-checker; ``--faults`` on any experiment runs that experiment under the
-given fault plan.
+checker; ``--faults`` on ``chaos``, ``slo``, ``trace``, ``metrics`` and
+``attrib`` runs under the given fault plan (``none`` for no plan), and a
+malformed spec is a usage error.  A paper experiment runs under a plan
+or an observer from the library: ``Bench(..., faults=(spec, seed),
+obs=True)``.
 
 Observability (``docs/OBSERVABILITY.md``)::
 
     python -m repro trace --workload smallbank --trace-out /tmp/t.json
     python -m repro metrics --workload retwis
     python -m repro metrics --diff a.json b.json
-    python -m repro fig8d --trace-out fig8d.json
     python -m repro chaos --obs --trace-out chaos.json
-    python -m repro fig8d --json        # machine-readable BENCH_fig8d.json
 
 ``trace`` runs one workload with the full observability layer and writes
-a Perfetto-loadable Chrome trace; ``--obs``/``--trace-out`` on any
-experiment or on ``chaos`` does the same for that run, and ``--json``
-dumps every experiment's results to ``BENCH_<name>.json``.
+a Perfetto-loadable Chrome trace; ``--obs``/``--trace-out`` on ``chaos``
+does the same for each seed.
 
 Latency attribution and SLO curves (``docs/OBSERVABILITY.md``)::
 
@@ -53,6 +57,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .bench import (
     DEFAULT_CHAOS_FAULTS,
@@ -70,16 +75,13 @@ from .bench import (
     figure8d_smallbank,
     figure9a_throughput_ablation,
     figure9b_latency_ablation,
-    live_observers,
+    fan_out,
     offpath_comparison,
     offpath_platform_check,
     format_slo_report,
     run_chaos,
-    run_chaos_seeds,
+    run_row,
     run_slo_points,
-    set_default_faults,
-    set_default_jobs,
-    set_default_obs,
     slo_report,
     table1_cores,
     table2_lookup,
@@ -91,6 +93,7 @@ from .bench import (
 from .obs import (attribute_bench, diff_metrics, format_metrics_diff,
                   print_metrics_summary, write_chrome_trace,
                   write_metrics_json)
+from .sim.faults import FaultSpec
 
 # The trace/metrics subcommands default to a light fault plan so the
 # exported timeline includes fault instant events; --faults none disables.
@@ -125,26 +128,36 @@ COMMANDS = {
 PAPER_JSON = "BENCH_paper.json"
 
 
-def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
+def _add_jobs_arg(p: argparse.ArgumentParser, what: str) -> None:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan independent curves/seeds across N worker "
-                        "processes (results are identical to --jobs 1)")
+                   help="run independent %s in up to N worker processes "
+                        "(results are identical to --jobs 1)" % what)
 
 
-def _add_fault_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--faults", default=None, metavar="SPEC",
+def _fault_spec(text: str):
+    """``--faults`` converter: ``none``, ``off`` or empty means no plan;
+    anything else must parse as a FaultSpec, or it is a usage error."""
+    if text.strip().lower() in ("none", "off", ""):
+        return None
+    try:
+        return FaultSpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("%r: %s" % (text, exc))
+
+
+def _add_fault_args(p: argparse.ArgumentParser, default=None) -> None:
+    p.add_argument("--faults", type=_fault_spec, default=default,
+                   metavar="SPEC",
                    help="fault spec, e.g. 'drop=0.02,dup=0.01,delay=0.05:8' "
-                        "(see docs/FAULTS.md)")
+                        "('none' for no plan; default: %(default)s; "
+                        "see docs/FAULTS.md)")
     p.add_argument("--fault-seed", type=int, default=1234,
                    help="root seed of the fault-injection RNG streams")
 
 
-def _add_obs_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--obs", action="store_true",
-                   help="install the observability layer "
-                        "(docs/OBSERVABILITY.md)")
-    p.add_argument("--trace-out", default=None, metavar="FILE",
-                   help="write a Chrome trace-event JSON (implies --obs)")
+def _bench_faults(args):
+    """The ``faults`` argument of a Bench for these CLI arguments."""
+    return None if args.faults is None else (args.faults, args.fault_seed)
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -163,11 +176,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7, help="workload seed")
     p.add_argument("--sample-interval", type=float, default=20.0,
                    help="gauge sampling interval, simulated µs")
-    p.add_argument("--faults", default=DEFAULT_TRACE_FAULTS, metavar="SPEC",
-                   help="fault spec ('none' to disable; default: %(default)s"
-                        " so the timeline shows fault instants)")
-    p.add_argument("--fault-seed", type=int, default=1234,
-                   help="root seed of the fault-injection RNG streams")
+    _add_fault_args(p, DEFAULT_TRACE_FAULTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,14 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="write machine-readable results to "
                             "BENCH_%s.json" % name)
-        _add_jobs_arg(p)
-        _add_fault_args(p)
-        _add_obs_args(p)
     chaos = sub.add_parser(
         "chaos",
         help="randomized fault schedules + invariant checks (docs/FAULTS.md)")
-    chaos.add_argument("--faults", default=DEFAULT_CHAOS_FAULTS,
-                       metavar="SPEC", help="fault spec to inject")
+    chaos.add_argument("--faults", type=_fault_spec,
+                       default=DEFAULT_CHAOS_FAULTS, metavar="SPEC",
+                       help="fault spec to inject ('none' for an empty "
+                            "plan; default: %(default)s)")
     chaos.add_argument("--seeds", type=int, default=5,
                        help="number of consecutive seeds to run")
     chaos.add_argument("--seed", type=int, default=1,
@@ -206,8 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit nonzero on any invariant violation")
     chaos.add_argument("--trace", action="store_true",
                        help="print the full fault trace of each run")
-    _add_jobs_arg(chaos)
-    _add_obs_args(chaos)
+    _add_jobs_arg(chaos, "seeds")
+    chaos.add_argument("--obs", action="store_true",
+                       help="install the observability layer "
+                            "(docs/OBSERVABILITY.md)")
+    chaos.add_argument("--trace-out", default=None, metavar="FILE",
+                       help="write a Chrome trace-event JSON per seed "
+                            "(implies --obs)")
     trace = sub.add_parser(
         "trace",
         help="run one workload under the observability layer and export a "
@@ -233,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one observed workload and print the per-phase latency "
              "attribution (docs/OBSERVABILITY.md)")
     _add_run_args(attrib)
-    attrib.set_defaults(faults="none")
+    attrib.set_defaults(faults=None)
     attrib.add_argument("--attrib-out", default=None, metavar="FILE",
                         help="also write the attribution JSON dump")
     slo = sub.add_parser(
@@ -275,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--attrib", action="store_true",
                      help="rerun the knee point under the observability "
                           "layer and print its latency attribution")
-    _add_jobs_arg(slo)
+    _add_jobs_arg(slo, "load points")
     _add_fault_args(slo)
     paper = sub.add_parser(
         "paper",
@@ -283,26 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     paper.add_argument("--check", action="store_true",
                        help="write nothing; exit 1 naming every row that "
                             "differs from the committed %s" % PAPER_JSON)
-    _add_jobs_arg(paper)
+    _add_jobs_arg(paper, "rows")
     return parser
 
 
 def _run_observed_bench(args) -> Bench:
-    """Shared body of the trace/metrics subcommands: one observed run."""
-    if args.faults and args.faults.lower() not in ("none", "off", ""):
-        set_default_faults(args.faults, args.fault_seed)
-    else:
-        set_default_faults(None)
-    try:
-        workload = workload_by_name(args.workload, args.nodes,
-                                    seed=args.seed)
-        bench = Bench(args.system, workload, n_nodes=args.nodes,
-                      seed=args.seed, obs=True,
-                      obs_interval_us=args.sample_interval)
-        result = bench.measure(args.concurrency, warmup_us=args.warmup,
-                               window_us=args.window)
-    finally:
-        set_default_faults(None)
+    """Shared body of the trace/metrics/attrib subcommands: one observed
+    run."""
+    workload = workload_by_name(args.workload, args.nodes, seed=args.seed)
+    bench = Bench(args.system, workload, n_nodes=args.nodes, seed=args.seed,
+                  faults=_bench_faults(args), obs=True,
+                  obs_interval_us=args.sample_interval)
+    result = bench.measure(args.concurrency, warmup_us=args.warmup,
+                           window_us=args.window)
     print(result)
     return bench
 
@@ -354,60 +360,35 @@ def run_attrib_command(args) -> int:
 
 
 def run_slo_command(args) -> int:
-    if args.faults and args.faults.lower() not in ("none", "off", ""):
-        set_default_faults(args.faults, args.fault_seed)
-    try:
-        loads = tuple(float(x) for x in args.loads.split(",") if x.strip())
-        spec = SloSpec(
-            system=args.system, workload=args.workload,
-            loads_per_node_s=loads, arrival=args.arrival,
-            burst_factor=args.burst_factor,
-            burst_fraction=args.burst_fraction,
-            max_inflight=args.max_inflight, n_nodes=args.nodes,
-            warmup_us=args.warmup, window_us=args.window, seed=args.seed,
-        )
-        points = run_slo_points(spec, jobs=args.jobs)
-        report = slo_report(spec, points, args.slo_p99,
-                            min_goodput_frac=args.goodput)
-        print(format_slo_report(report))
-        if args.json:
-            print("wrote %s" % write_results_json(args.json, "slo", report))
-        if args.attrib:
-            # Rerun one point observed: the knee if there is one, else the
-            # lowest offered load, and fold the admission-queue waits into
-            # the breakdown as the client_queue phase.
-            load = report["knee_offered_per_node_s"]
-            if load is None:
-                load = min(loads)
-            print("\nattributing offered load %.0f txn/s/node ..." % load)
-            bench = OpenLoopBench(spec, load, obs=True)
-            bench.measure()
-            print(attribute_bench(bench,
-                                  client_queue=bench.queue_waits).format())
-    finally:
-        set_default_faults(None)
+    loads = tuple(float(x) for x in args.loads.split(",") if x.strip())
+    spec = SloSpec(
+        system=args.system, workload=args.workload,
+        loads_per_node_s=loads, arrival=args.arrival,
+        burst_factor=args.burst_factor,
+        burst_fraction=args.burst_fraction,
+        max_inflight=args.max_inflight, n_nodes=args.nodes,
+        warmup_us=args.warmup, window_us=args.window, seed=args.seed,
+        faults=_bench_faults(args),
+    )
+    points = run_slo_points(spec, jobs=args.jobs)
+    report = slo_report(spec, points, args.slo_p99,
+                        min_goodput_frac=args.goodput)
+    print(format_slo_report(report))
+    if args.json:
+        print("wrote %s" % write_results_json(args.json, "slo", report))
+    if args.attrib:
+        # Rerun one point observed: the knee if there is one, else the
+        # lowest offered load, and fold the admission-queue waits into
+        # the breakdown as the client_queue phase.
+        load = report["knee_offered_per_node_s"]
+        if load is None:
+            load = min(loads)
+        print("\nattributing offered load %.0f txn/s/node ..." % load)
+        bench = OpenLoopBench(spec, load, obs=True)
+        bench.measure()
+        print(attribute_bench(bench,
+                              client_queue=bench.queue_waits).format())
     return 0
-
-
-def _flush_obs_traces(trace_out) -> None:
-    """Export the traces of every Bench built under --obs/--trace-out."""
-    observed = live_observers()
-    if not observed:
-        return
-    if trace_out is None:
-        for observer, bench in observed:
-            observer.snapshot_counters()
-        return
-    base, ext = os.path.splitext(trace_out)
-    for k, (observer, bench) in enumerate(observed):
-        if len(observed) == 1:
-            path = trace_out
-        else:
-            path = "%s-%02d-%s-%s%s" % (base, k, bench.system,
-                                        bench.workload.name, ext or ".json")
-        fault_trace = bench.fault_plan.trace if bench.fault_plan else None
-        write_chrome_trace(path, observer, fault_trace)
-        print("wrote %s (%d events)" % (path, len(observer.log)))
 
 
 def run_chaos_command(args) -> int:
@@ -415,12 +396,12 @@ def run_chaos_command(args) -> int:
     obs = bool(args.obs or args.trace_out)
     base, ext = (os.path.splitext(args.trace_out) if args.trace_out
                  else ("", ""))
-    seed_kwargs = [
-        dict(system=args.system, seed=seed, faults=args.faults,
-             n_txns=args.txns, n_nodes=args.nodes, obs=obs)
-        for seed in range(args.seed, args.seed + args.seeds)
-    ]
-    results = run_chaos_seeds(seed_kwargs, jobs=getattr(args, "jobs", 1))
+    faults = FaultSpec() if args.faults is None else args.faults
+    run_seed = partial(run_chaos, args.system, faults=faults,
+                       n_txns=args.txns, n_nodes=args.nodes, obs=obs)
+    # An Observer cannot cross a process boundary: observed seeds run here.
+    results = fan_out(run_seed, range(args.seed, args.seed + args.seeds),
+                      1 if obs else args.jobs)
     for result in results:
         seed = result.seed
         print(result)
@@ -440,14 +421,13 @@ def run_chaos_command(args) -> int:
 
 
 def run_paper_command(args) -> int:
-    set_default_jobs(args.jobs)
-    try:
-        rows = {}
-        for name, (help_text, fn) in COMMANDS.items():
-            print("\n### %s" % help_text)
-            rows[name] = fn(verbose=True)
-    finally:
-        set_default_jobs(1)
+    rows = {}
+    runs = fan_out(run_row, [fn for _help, fn in COMMANDS.values()],
+                   args.jobs)
+    for (name, (help_text, _fn)), (text, row) in zip(COMMANDS.items(), runs):
+        print("\n### %s" % help_text)
+        print(text, end="")
+        rows[name] = row
     if not args.check:
         print("wrote %s" % write_results_json(PAPER_JSON, "paper", rows))
         return 0
@@ -493,22 +473,11 @@ def main(argv=None) -> int:
         return 0
     if args.command in _TOOLS:
         return _TOOLS[args.command][1](args)
-    if args.faults:
-        set_default_faults(args.faults, args.fault_seed)
-    if args.obs or args.trace_out:
-        set_default_obs(True)
-    set_default_jobs(args.jobs)
-    try:
-        _help, fn = COMMANDS[args.command]
-        result = fn(verbose=True)
-        if args.json:
-            print("wrote %s" % write_results_json(
-                "BENCH_%s.json" % args.command, args.command, result))
-        _flush_obs_traces(args.trace_out)
-    finally:
-        set_default_faults(None)
-        set_default_obs(False)
-        set_default_jobs(1)
+    _help, fn = COMMANDS[args.command]
+    result = fn(verbose=True)
+    if args.json:
+        print("wrote %s" % write_results_json(
+            "BENCH_%s.json" % args.command, args.command, result))
     return 0
 
 

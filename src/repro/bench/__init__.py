@@ -21,11 +21,9 @@ from .experiments import (
     table3_thread_counts,
 )
 from .chaos import DEFAULT_CHAOS_FAULTS, ChaosResult, run_chaos
-from .parallel import (SweepSpec, default_jobs, run_chaos_seeds, run_sweeps,
-                       set_default_jobs)
-from .report import format_table, print_curves, print_table
-from .runner import (Bench, RunResult, live_observers, run_point, run_sweep,
-                     set_default_faults, set_default_obs, to_jsonable,
+from .parallel import fan_out
+from .report import format_table, print_curves, print_table, run_row
+from .runner import (Bench, RunResult, run_sweep, to_jsonable,
                      workload_by_name, write_results_json)
 from .slo import (OpenLoopBench, SloPoint, SloSpec, detect_knee,
                   format_slo_report, run_slo_point, run_slo_points,
@@ -34,7 +32,6 @@ from .slo import (OpenLoopBench, SloPoint, SloSpec, detect_knee,
 __all__ = [
     "Bench",
     "RunResult",
-    "run_point",
     "run_sweep",
     "figure2_latency",
     "figure3_batching",
@@ -55,26 +52,20 @@ __all__ = [
     "format_table",
     "print_table",
     "print_curves",
+    "run_row",
     "ChaosResult",
     "run_chaos",
     "DEFAULT_CHAOS_FAULTS",
-    "set_default_faults",
-    "set_default_obs",
-    "live_observers",
     "to_jsonable",
     "write_results_json",
     "workload_by_name",
-    "SweepSpec",
     "SloSpec",
     "SloPoint",
     "OpenLoopBench",
     "run_slo_point",
     "run_slo_points",
+    "fan_out",
     "detect_knee",
     "slo_report",
     "format_slo_report",
-    "run_sweeps",
-    "run_chaos_seeds",
-    "set_default_jobs",
-    "default_jobs",
 ]

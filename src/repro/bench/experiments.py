@@ -444,21 +444,28 @@ FIG8_SYSTEMS = ("xenic", "drtmh", "drtmh_nc", "fasst", "drtmr")
 def _fig8_sweep(workload, workload_kwargs, concurrencies,
                 systems=FIG8_SYSTEMS, n_nodes=6, window_us=400.0,
                 warmup_us=150.0, verbose=False, title="",
-                counted_label=None, network_gbps=None,
-                jobs=None) -> Dict[str, List[RunResult]]:
-    """Run one curve per system; independent curves fan out across a
-    process pool when ``--jobs`` (or ``jobs=``) asks for more than one."""
-    from .parallel import SweepSpec, run_sweeps
+                counted_label=None,
+                network_gbps=None) -> Dict[str, List[RunResult]]:
+    """Run one curve per system on a fresh ``WORKLOADS[workload]``."""
+    from ..workloads import WORKLOADS
 
-    specs = [
-        SweepSpec(system=system, workload=workload,
-                  workload_kwargs=workload_kwargs,
-                  concurrencies=tuple(concurrencies), n_nodes=n_nodes,
-                  warmup_us=warmup_us, window_us=window_us,
-                  counted_label=counted_label, network_gbps=network_gbps)
+    def factory():
+        wl = WORKLOADS[workload](n_nodes, **workload_kwargs)
+        if counted_label is not None:
+            wl.counted_label = counted_label
+        return wl
+
+    hardware = None
+    if network_gbps is not None and network_gbps != 100.0:
+        from ..hw.params import testbed_params
+
+        hardware = testbed_params(network_gbps)
+    curves = {
+        system: run_sweep(system, factory, list(concurrencies),
+                          n_nodes=n_nodes, warmup_us=warmup_us,
+                          window_us=window_us, hardware=hardware)
         for system in systems
-    ]
-    curves = dict(zip(systems, run_sweeps(specs, jobs=jobs)))
+    }
     if verbose:
         print_curves(title, curves)
     return curves

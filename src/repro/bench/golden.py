@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 __all__ = ["canonical_digest", "fig8d_point_payload", "fig8d_peak_payload",
            "chaos_payload", "BASELINE_SWEEP", "baseline_payload"]
@@ -35,13 +35,15 @@ def canonical_digest(payload: Any) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fig8d_point_payload(obs: bool = False) -> Dict[str, Any]:
+def fig8d_point_payload(obs: bool = False,
+                        faults: Optional[tuple] = None) -> Dict[str, Any]:
     """Simulated metrics of the reduced Figure-8d point ``FIG8D_DIGEST``
     pins (Xenic on Smallbank, 3 nodes, quick window, 16 contexts per
     node: NIC cores almost never queue — 3 of 11,078 inbound dispatches
     find no free core).  ``obs=True`` runs the same seed under
-    a live Observer — the digest must not change (observer neutrality)."""
-    return _fig8d_run(16, obs)[1]
+    a live Observer — the digest must not change (observer neutrality) —
+    and ``faults`` under that fault plan (``Bench``'s argument)."""
+    return _fig8d_run(16, obs, faults)[1]
 
 
 def fig8d_peak_payload(obs: bool = False) -> Dict[str, Any]:
@@ -53,7 +55,8 @@ def fig8d_peak_payload(obs: bool = False) -> Dict[str, Any]:
     return _fig8d_run(64, obs)[1]
 
 
-def _fig8d_run(concurrency: int, obs: bool):
+def _fig8d_run(concurrency: int, obs: bool,
+               faults: Optional[tuple] = None):
     """Run the fig8d cluster; returns ``(bench, payload)`` so a test can
     also read what the run exercised off the cluster's counters."""
     from ..workloads import Smallbank
@@ -63,6 +66,7 @@ def _fig8d_run(concurrency: int, obs: bool):
         "xenic",
         Smallbank(3, accounts_per_server=2000, hot_keys_fraction=0.25),
         n_nodes=3,
+        faults=faults,
         obs=obs,
     )
     result = bench.measure(concurrency, warmup_us=100.0, window_us=300.0)
@@ -73,14 +77,15 @@ def _fig8d_run(concurrency: int, obs: bool):
     return bench, payload
 
 
-def baseline_payload(system: str, obs: bool = False) -> List[Dict[str, Any]]:
+def baseline_payload(system: str, obs: bool = False,
+                     faults: Optional[tuple] = None) -> List[Dict[str, Any]]:
     """Simulated results of one baseline system over ``BASELINE_SWEEP`` on
     Smallbank (3 nodes, 1,500 accounts per server) plus one Retwis point
     (1,500 keys per server), one entry per measured run: commits, aborts,
     throughput, the clock at the end of the run, the events its window
     scheduled and a digest of every primary's committed values and
     versions at that instant.  ``obs=True`` runs the same points under a
-    live Observer."""
+    live Observer, and ``faults`` under that fault plan."""
     from ..workloads import Retwis, Smallbank
     from .runner import Bench
 
@@ -89,7 +94,7 @@ def baseline_payload(system: str, obs: bool = False) -> List[Dict[str, Any]]:
             (Smallbank(3, accounts_per_server=1500, hot_keys_fraction=0.25),
              BASELINE_SWEEP),
             (Retwis(3, keys_per_server=1500), (BASELINE_RETWIS_POINT,))):
-        bench = Bench(system, workload, n_nodes=3, obs=obs)
+        bench = Bench(system, workload, n_nodes=3, faults=faults, obs=obs)
         for concurrency, warmup_us, window_us in points:
             result = bench.measure(concurrency, warmup_us=warmup_us,
                                    window_us=window_us)

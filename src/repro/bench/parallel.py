@@ -1,188 +1,47 @@
-"""Parallel sweep execution: fan independent curves across processes.
+"""Fan independent runs across processes.
 
-Every curve of a Figure-8-style comparison (one system, one workload,
-one ascending-concurrency sweep) runs in its own :class:`~repro.sim.core.
-Simulator`, so curves are embarrassingly parallel.  This module describes
-a curve as a picklable :class:`SweepSpec` and runs a batch of them either
-serially or across a ``concurrent.futures`` process pool (``--jobs N`` on
-the CLI).
+Every run the harness fans out (a chaos seed, an SLO load point, a row
+of ``python -m repro paper``) builds its own
+:class:`~repro.sim.core.Simulator` from its arguments alone, so runs are
+embarrassingly parallel.  :func:`fan_out` maps one picklable function
+over the items, serially or across a ``concurrent.futures`` process
+pool.
 
-Determinism: the serial and parallel paths execute the *same* worker
-function (:func:`_run_spec`) on the same specs and merge results in
-submission order, so ``--jobs 4`` output is byte-identical to
-``--jobs 1`` — each simulation is seeded and single-threaded, and no
-result depends on pool scheduling.
-
-Two situations force the serial path: an active observability default
-(observers accumulate in-process state the parent must keep), and pool
-creation failure (sandboxes without process semaphores).
+Determinism: both paths call the *same* function on the same items and
+return results in item order, so ``jobs=4`` output is byte-identical to
+``jobs=1``: each simulation is seeded and single-threaded, and no result
+depends on pool scheduling.  Workers are spawned, not forked, so a
+worker inherits nothing from the parent but the function and its item.
+A pool that cannot be created (sandboxes without process semaphores)
+falls back to the serial path.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, TypeVar
 
-__all__ = ["SweepSpec", "run_sweeps", "run_chaos_seeds",
-           "default_jobs", "set_default_jobs"]
+__all__ = ["fan_out"]
 
-# Process-wide parallelism default, set from the CLI (--jobs): experiment
-# entry points that do not take an explicit ``jobs`` argument use this.
-_DEFAULT_JOBS = 1
+T = TypeVar("T")
+R = TypeVar("R")
 
 
-def set_default_jobs(jobs: int) -> None:
-    """Install the process-wide ``--jobs`` default (clamped to >= 1)."""
-    global _DEFAULT_JOBS
-    _DEFAULT_JOBS = max(1, int(jobs))
+def fan_out(fn: Callable[[T], R], items: Sequence[T], jobs: int) -> List[R]:
+    """``[fn(item) for item in items]``, across up to ``jobs`` worker
+    processes.  Runs serially when ``jobs <= 1`` or there is one item;
+    otherwise ``fn`` must be importable by name (a spawned worker
+    imports it afresh) and the items must pickle."""
+    items = list(items)
+    jobs = min(jobs, len(items))
+    if jobs > 1:
+        import concurrent.futures
+        import multiprocessing
 
-
-def default_jobs() -> int:
-    return _DEFAULT_JOBS
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One curve: everything :func:`repro.bench.runner.run_sweep` needs,
-    as plain picklable data (workloads travel as registry name + kwargs,
-    not as closures)."""
-
-    system: str
-    workload: str  # key in repro.workloads.WORKLOADS
-    concurrencies: Tuple[int, ...]
-    workload_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    counted_label: Optional[str] = None
-    n_nodes: int = 6
-    warmup_us: float = 150.0
-    window_us: float = 500.0
-    network_gbps: Optional[float] = None
-    baseline_host_threads: Optional[int] = None
-    # (fault spec text or FaultSpec, root seed); None inherits the
-    # parent's process-wide default at run_sweeps() time.
-    faults: Optional[tuple] = None
-    label: str = ""
-
-    def __post_init__(self):
-        if isinstance(self.workload_kwargs, dict):
-            object.__setattr__(self, "workload_kwargs",
-                               tuple(sorted(self.workload_kwargs.items())))
-        object.__setattr__(self, "concurrencies",
-                           tuple(self.concurrencies))
-        if not self.label:
-            object.__setattr__(self, "label", self.system)
-
-
-def _run_spec(spec: SweepSpec) -> List["RunResult"]:  # noqa: F821
-    """Run one curve.  Executed in a pool worker *or* inline: both paths
-    share this exact function, which is what makes them byte-identical."""
-    from ..workloads import WORKLOADS
-    from . import runner
-
-    prev_faults = runner._DEFAULT_FAULTS
-    if spec.faults is not None:
-        runner.set_default_faults(spec.faults[0], spec.faults[1])
-    else:
-        runner.set_default_faults(None)
-    try:
-        cls = WORKLOADS[spec.workload]
-        kwargs = dict(spec.workload_kwargs)
-
-        def factory():
-            wl = cls(spec.n_nodes, **kwargs)
-            if spec.counted_label is not None:
-                wl.counted_label = spec.counted_label
-            return wl
-
-        hardware = None
-        if spec.network_gbps is not None and spec.network_gbps != 100.0:
-            from ..hw.params import testbed_params
-
-            hardware = testbed_params(spec.network_gbps)
-        return runner.run_sweep(
-            spec.system, factory, list(spec.concurrencies),
-            n_nodes=spec.n_nodes, warmup_us=spec.warmup_us,
-            window_us=spec.window_us, hardware=hardware,
-            baseline_host_threads=spec.baseline_host_threads,
-        )
-    finally:
-        runner._DEFAULT_FAULTS = prev_faults
-
-
-def _resolve(specs: Sequence[SweepSpec]) -> List[SweepSpec]:
-    """Bake the parent's process-wide fault default into each spec so
-    pool workers (which may not share our globals under the ``spawn``
-    start method) reproduce the serial path's behavior."""
-    from . import runner
-
-    inherited = runner._DEFAULT_FAULTS
-    if inherited is None:
-        return list(specs)
-    return [s if s.faults is not None
-            else dataclasses.replace(s, faults=inherited)
-            for s in specs]
-
-
-def run_sweeps(specs: Sequence[SweepSpec],
-               jobs: Optional[int] = None) -> List[List["RunResult"]]:  # noqa: F821
-    """Run a batch of curves; returns one result list per spec, in spec
-    order.  ``jobs=None`` uses the CLI default (:func:`set_default_jobs`);
-    ``jobs=1`` (or an unusable pool) runs inline."""
-    specs = _resolve(specs)
-    if jobs is None:
-        jobs = _DEFAULT_JOBS
-    jobs = max(1, min(int(jobs), len(specs) or 1))
-    from . import runner
-
-    if runner._DEFAULT_OBS is not None:
-        # Observers append to the parent's _LIVE_OBSERVERS registry and
-        # hold unpicklable gauge closures: keep observed runs in-process.
-        jobs = 1
-    if jobs == 1:
-        return [_run_spec(s) for s in specs]
-    try:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_spec, s) for s in specs]
-            return [f.result() for f in futures]
-    except OSError:
-        # No process semaphores / fork support here; fall back quietly.
-        return [_run_spec(s) for s in specs]
-
-
-# ---------------------------------------------------------------------------
-# chaos-seed fan-out
-# ---------------------------------------------------------------------------
-
-
-def _run_chaos_seed(kwargs: Dict[str, Any]) -> "ChaosResult":  # noqa: F821
-    from .chaos import run_chaos
-
-    return run_chaos(**kwargs)
-
-
-def run_chaos_seeds(seed_kwargs: Sequence[Dict[str, Any]],
-                    jobs: Optional[int] = None) -> List["ChaosResult"]:  # noqa: F821
-    """Run independent chaos seeds, optionally across a process pool.
-
-    Results come back in input order.  Runs requesting an observer stay
-    serial (observers are not picklable); everything a ChaosResult carries
-    otherwise (trace, violation strings, counters) crosses the pool.
-    """
-    seed_kwargs = list(seed_kwargs)
-    if jobs is None:
-        jobs = _DEFAULT_JOBS
-    jobs = max(1, min(int(jobs), len(seed_kwargs) or 1))
-    if jobs > 1 and any(kw.get("obs") for kw in seed_kwargs):
-        jobs = 1
-    if jobs == 1:
-        return [_run_chaos_seed(kw) for kw in seed_kwargs]
-    try:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_chaos_seed, kw) for kw in seed_kwargs]
-            return [f.result() for f in futures]
-    except OSError:
-        return [_run_chaos_seed(kw) for kw in seed_kwargs]
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=jobs,
+                    mp_context=multiprocessing.get_context("spawn")) as pool:
+                return list(pool.map(fn, items))
+        except OSError:
+            pass  # no process semaphores here: run serially
+    return [fn(item) for item in items]

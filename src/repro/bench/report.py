@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["print_table", "print_curves", "format_table"]
+__all__ = ["print_table", "print_curves", "format_table", "run_row"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -57,3 +59,13 @@ def print_curves(title: str, curves: Dict[str, List]) -> None:
                          "%.0f" % r.throughput_per_server,
                          r.median_latency_us, r.p99_latency_us, r.aborts])
     print(format_table(headers, rows))
+
+
+def run_row(fn: Callable[..., Any]) -> Tuple[str, Any]:
+    """Run one experiment entry point, ``fn(verbose=True)``, capturing
+    the table it prints; returns ``(that text, its rows)``.  Lives in an
+    importable module so a spawned worker can run it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rows = fn(verbose=True)
+    return out.getvalue(), rows

@@ -18,7 +18,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..baselines import SYSTEMS, BaselineCluster
 from ..core import XenicCluster, XenicConfig
@@ -27,43 +27,11 @@ from ..sim import LatencyRecorder, Simulator, collector_quiet
 from ..workloads import WORKLOADS
 from ..workloads.base import Workload
 
-__all__ = ["RunResult", "Bench", "run_point", "run_sweep",
-           "set_default_faults", "set_default_obs", "live_observers",
-           "to_jsonable", "write_results_json", "workload_by_name"]
+__all__ = ["RunResult", "Bench", "run_sweep", "to_jsonable",
+           "write_results_json", "workload_by_name"]
 
 XENIC = "xenic"
 ALL_SYSTEMS = (XENIC, "drtmh", "drtmh_nc", "fasst", "drtmr")
-
-# Process-wide fault-injection default, set from the CLI (--faults): every
-# Bench built afterwards runs its experiment under this plan.
-_DEFAULT_FAULTS: Optional[tuple] = None
-
-# Process-wide observability default, set from the CLI (--obs /
-# --trace-out): every Bench built afterwards installs an Observer, and
-# the (observer, bench) pairs are kept so the CLI can export traces
-# after the experiment finishes.
-_DEFAULT_OBS: Optional[dict] = None
-_LIVE_OBSERVERS: List[Tuple[Observer, "Bench"]] = []
-
-
-def set_default_faults(spec: Optional[str], seed: int = 1234) -> None:
-    """Install (or clear, with ``spec=None``) a fault spec applied to every
-    subsequently built :class:`Bench` — the ``--faults`` CLI hook."""
-    global _DEFAULT_FAULTS
-    _DEFAULT_FAULTS = None if spec is None else (spec, seed)
-
-
-def set_default_obs(enabled: bool, interval_us: float = 20.0) -> None:
-    """Enable (or disable) observability on every subsequently built
-    :class:`Bench` — the ``--obs``/``--trace-out`` CLI hook."""
-    global _DEFAULT_OBS
-    _LIVE_OBSERVERS.clear()
-    _DEFAULT_OBS = {"interval_us": interval_us} if enabled else None
-
-
-def live_observers() -> List[Tuple[Observer, "Bench"]]:
-    """Observers created under :func:`set_default_obs`, in build order."""
-    return list(_LIVE_OBSERVERS)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +112,12 @@ class Bench:
     Construction and :meth:`measure` are each one collector-quiet scope
     (``repro.sim.collector``): the cluster funnel and the event loop are
     quiet on their own, and the outer scope keeps the thresholds raised
-    across the seams between them."""
+    across the seams between them.
+
+    A run is reproducible from these arguments alone.  ``faults`` is
+    ``(spec text or FaultSpec, root seed)``: the plan is installed after
+    the cluster starts, before the Observer.  ``obs`` is ``True`` or an
+    :class:`~repro.obs.Observer` to install."""
 
     def __init__(
         self,
@@ -155,6 +128,7 @@ class Bench:
         baseline_host_threads: Optional[int] = None,
         hardware=None,
         seed: int = 7,
+        faults: Optional[tuple] = None,
         obs=None,
         obs_interval_us: float = 20.0,
     ):
@@ -207,30 +181,23 @@ class Bench:
                 self.cluster.prewarm_nic_caches()
             self.cluster.start()
             self.fault_plan = None
-            if _DEFAULT_FAULTS is not None:
+            if faults is not None:
                 from ..sim.faults import FaultPlan, FaultSpec
                 from ..sim.rng import RngStream
 
-                spec_text, fault_seed = _DEFAULT_FAULTS
-                spec = (spec_text if isinstance(spec_text, FaultSpec)
-                        else FaultSpec.parse(spec_text))
+                spec, fault_seed = faults
+                if not isinstance(spec, FaultSpec):
+                    spec = FaultSpec.parse(spec)
                 self.fault_plan = FaultPlan(
                     spec, RngStream(fault_seed, "faults"),
                 ).install(self.cluster)
-            # Observability: an explicit Observer/True wins; otherwise the
-            # process-wide default (set_default_obs) applies.
             self.observer: Optional[Observer] = None
-            if obs is None and _DEFAULT_OBS is not None:
-                obs = True
-                obs_interval_us = _DEFAULT_OBS["interval_us"]
             if obs:
                 self.observer = (
                     obs if isinstance(obs, Observer)
                     else Observer(self.sim,
                                   sample_interval_us=obs_interval_us))
                 self.observer.install(self.cluster)
-                if _DEFAULT_OBS is not None:
-                    _LIVE_OBSERVERS.append((self.observer, self))
             self._contexts = 0
             self._recorder: Optional[LatencyRecorder] = None
             self._counting = False
@@ -367,23 +334,6 @@ class Bench:
             extra["wire_util"] = sum(
                 n.rdma.utilization() for n in nodes) / len(nodes)
         return extra
-
-
-def run_point(
-    system: str,
-    workload: Workload,
-    concurrency: int,
-    n_nodes: int = 6,
-    warmup_us: float = 150.0,
-    window_us: float = 500.0,
-    xenic_config: Optional[XenicConfig] = None,
-    baseline_host_threads: Optional[int] = None,
-) -> RunResult:
-    bench = Bench(system, workload, n_nodes=n_nodes,
-                  xenic_config=xenic_config,
-                  baseline_host_threads=baseline_host_threads)
-    return bench.measure(concurrency, warmup_us=warmup_us,
-                         window_us=window_us)
 
 
 def run_sweep(

@@ -13,21 +13,21 @@ knee: the highest offered load that still meets a p99 budget while
 actually sustaining the offered rate.
 
 Sweeps are described by a picklable :class:`SloSpec`; independent load
-points fan across a process pool exactly like
-:func:`repro.bench.parallel.run_sweeps` (``--jobs`` on the CLI), with the
-same two serial-path triggers (active observability default, pool
-creation failure) and byte-identical serial/parallel results.
+points fan across a process pool through
+:func:`repro.bench.parallel.fan_out` (``--jobs`` on the CLI), with
+byte-identical serial/parallel results.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim import LatencyRecorder
 from ..sim.rng import RngStream
+from .parallel import fan_out
 from .runner import Bench, workload_by_name
 
 __all__ = ["SloSpec", "SloPoint", "OpenLoopBench", "run_slo_point",
@@ -40,8 +40,7 @@ ARRIVALS = ("poisson", "bursty")
 @dataclass(frozen=True)
 class SloSpec:
     """One SLO sweep: everything needed to run each offered-load point,
-    as plain picklable data (mirrors :class:`~repro.bench.parallel.
-    SweepSpec`)."""
+    as plain picklable data."""
 
     system: str
     workload: str  # key in repro.workloads.WORKLOADS (via workload_by_name)
@@ -55,8 +54,8 @@ class SloSpec:
     warmup_us: float = 150.0
     window_us: float = 600.0
     seed: int = 7
-    # (fault spec text or FaultSpec, root seed); None inherits the
-    # parent's process-wide default at run_slo_points() time.
+    # (fault spec text or FaultSpec, root seed), or None: every point's
+    # Bench runs under this plan.
     faults: Optional[tuple] = None
     label: str = ""
 
@@ -118,7 +117,7 @@ class OpenLoopBench:
     """A cluster under open-loop load.
 
     Reuses :class:`~repro.bench.runner.Bench` for cluster construction
-    (so faults/observability defaults apply identically), then replaces
+    (with ``spec.faults`` and ``obs`` passed through), then replaces
     the closed-loop contexts with per-node arrival generators feeding a
     FIFO admission queue drained by ``max_inflight`` dispatch workers.
     The queue wait of every counted transaction is kept in
@@ -133,7 +132,7 @@ class OpenLoopBench:
         self.load_per_node_s = float(load_per_node_s)
         self.rate_us = self.load_per_node_s / 1e6  # arrivals per µs per node
         self.bench = Bench(spec.system, workload, n_nodes=spec.n_nodes,
-                           seed=spec.seed, obs=obs)
+                           seed=spec.seed, faults=spec.faults, obs=obs)
         self.sim = self.bench.sim
         self.cluster = self.bench.cluster
         self.observer = self.bench.observer
@@ -283,49 +282,11 @@ def run_slo_point(spec: SloSpec, load_per_node_s: float) -> SloPoint:
     return OpenLoopBench(spec, load_per_node_s).measure()
 
 
-def _run_slo_load(job: Tuple[SloSpec, float]) -> SloPoint:
-    """Pool worker: one load point.  Shared verbatim with the serial path
-    (same determinism contract as :func:`parallel._run_spec`)."""
-    spec, load = job
-    from . import runner
-
-    prev_faults = runner._DEFAULT_FAULTS
-    if spec.faults is not None:
-        runner.set_default_faults(spec.faults[0], spec.faults[1])
-    else:
-        runner.set_default_faults(None)
-    try:
-        return run_slo_point(spec, load)
-    finally:
-        runner._DEFAULT_FAULTS = prev_faults
-
-
-def run_slo_points(spec: SloSpec,
-                   jobs: Optional[int] = None) -> List[SloPoint]:
-    """Run every load point of the sweep, optionally across a process
-    pool.  Points are independent clusters, so results are identical for
-    any ``jobs``; observed runs and pool-less sandboxes fall back to the
-    serial path (same rules as :func:`parallel.run_sweeps`)."""
-    from . import parallel, runner
-
-    if spec.faults is None and runner._DEFAULT_FAULTS is not None:
-        spec = dataclasses.replace(spec, faults=runner._DEFAULT_FAULTS)
-    items = [(spec, load) for load in spec.loads_per_node_s]
-    if jobs is None:
-        jobs = parallel.default_jobs()
-    jobs = max(1, min(int(jobs), len(items) or 1))
-    if runner._DEFAULT_OBS is not None:
-        jobs = 1
-    if jobs == 1:
-        return [_run_slo_load(it) for it in items]
-    try:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_slo_load, it) for it in items]
-            return [f.result() for f in futures]
-    except OSError:
-        return [_run_slo_load(it) for it in items]
+def run_slo_points(spec: SloSpec, jobs: int = 1) -> List[SloPoint]:
+    """Run every load point of the sweep, across up to ``jobs`` worker
+    processes.  Points are independent clusters, so results are
+    identical for any ``jobs``."""
+    return fan_out(partial(run_slo_point, spec), spec.loads_per_node_s, jobs)
 
 
 # ---------------------------------------------------------------------------

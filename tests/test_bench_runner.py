@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import Bench, run_point, run_sweep
+from repro.bench import Bench, run_sweep
 from repro.bench.report import format_table
 from repro.bench.runner import RunResult
 from repro.workloads import Retwis, Smallbank, TpccNewOrder
@@ -49,8 +49,8 @@ def test_sweep_reuses_cluster_and_increases_load():
 
 
 def test_run_point_baseline():
-    r = run_point("fasst", small_smallbank(), concurrency=4, n_nodes=3,
-                  warmup_us=50, window_us=150)
+    r = Bench("fasst", small_smallbank(), n_nodes=3).measure(
+        4, warmup_us=50, window_us=150)
     assert r.system == "fasst" and r.throughput_per_server > 0
     assert "host_util" in r.extra
 

@@ -287,25 +287,45 @@ def test_different_seeds_diverge():
 
 
 def test_bench_default_faults_hook():
-    """set_default_faults (the CLI --faults hook) installs a plan on every
-    subsequently built Bench, and clearing it stops doing so."""
-    from repro.bench import Bench, set_default_faults
+    """``Bench(faults=(spec, seed))`` installs that plan on the run, and
+    a Bench built without one carries none."""
+    from repro.bench import Bench
     from repro.workloads import Smallbank
 
     def wl():
         return Smallbank(3, accounts_per_server=1500,
                          hot_keys_fraction=0.25)
 
-    set_default_faults("delay=0.05:5,drop=0.01", seed=9)
-    try:
-        bench = Bench("xenic", wl(), n_nodes=3)
-        assert bench.fault_plan is not None
-        r = bench.measure(2, warmup_us=50, window_us=150)
-        assert r.commits > 0
-        assert len(bench.fault_plan.trace) > 0
-    finally:
-        set_default_faults(None)
+    bench = Bench("xenic", wl(), n_nodes=3,
+                  faults=("delay=0.05:5,drop=0.01", 9))
+    assert bench.fault_plan is not None
+    r = bench.measure(2, warmup_us=50, window_us=150)
+    assert r.commits > 0
+    assert len(bench.fault_plan.trace) > 0
     assert Bench("xenic", wl(), n_nodes=3).fault_plan is None
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chaos", "--faults", "drop=2"], "drop must be in [0, 1)"),
+    (["trace", "--faults", "bogus=1"], "unknown fault primitive 'bogus'"),
+])
+def test_malformed_faults_is_a_usage_error(argv, message, monkeypatch,
+                                           capsys):
+    """A ``--faults`` value that does not parse stops argument parsing
+    with exit status 2 and a message naming the field: no cluster is
+    built."""
+    from repro import __main__ as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started on a malformed --faults")
+
+    monkeypatch.setattr(cli, "run_chaos", no_run)
+    monkeypatch.setattr(cli, "Bench", no_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --faults" in err and message in err
 
 
 def test_fault_categories_use_independent_streams():

@@ -15,7 +15,6 @@ pinned runs exercise; how few processes a peak run spawns; and the
 event count the fused paths exist to deliver.
 """
 
-import contextlib
 import functools
 from typing import NamedTuple
 from unittest import mock
@@ -25,7 +24,7 @@ import pytest
 from repro.bench.golden import (_fig8d_run, baseline_payload,
                                 canonical_digest, fig8d_peak_payload,
                                 fig8d_point_payload)
-from repro.bench.runner import Bench, set_default_faults
+from repro.bench.runner import Bench
 from repro.core.cluster import XenicCluster
 from repro.core.protocol import XenicProtocol
 from repro.sim import core as sim_core
@@ -49,18 +48,15 @@ FIG8D_PEAK_DIGEST = (
 NEVER_FIRING = FaultSpec(stall=1e-300, nic_stall=1e-300, rdma_fail=1e-300)
 
 
-@contextlib.contextmanager
 def default_faults(spec):
-    set_default_faults(spec)
-    try:
-        yield
-    finally:
-        set_default_faults(None)
+    """``Bench``'s ``faults`` argument for ``spec`` (``None``: no plan),
+    at the root seed every pin here was taken with."""
+    return None if spec is None else (spec, 1234)
 
 
 def never_firing_plan():
-    """A ``Bench`` built inside carries a fault plan that draws at every
-    site a fault can fire and never fires."""
+    """A fault plan that draws at every site a fault can fire and never
+    fires, as ``Bench``'s ``faults`` argument."""
     return default_faults(NEVER_FIRING)
 
 
@@ -78,8 +74,8 @@ def test_digests_identical_off_vs_on(monkeypatch, queue):
     pinned in test_golden_digest, on both queues — a chaos run at this
     load measures the model the figures measure."""
     use_queue(monkeypatch, queue)
-    with never_firing_plan():
-        assert canonical_digest(fig8d_point_payload()) == FIG8D_DIGEST
+    assert canonical_digest(fig8d_point_payload(
+        faults=never_firing_plan())) == FIG8D_DIGEST
 
 
 @both_queues
@@ -114,9 +110,8 @@ def golden_run(concurrency, obs=False, faults=None):
         dispatched.append(1)
         return dispatch(self, *a)
 
-    with mock.patch.object(XenicProtocol, "_dispatch", counting), \
-            default_faults(faults):
-        bench, payload = _fig8d_run(concurrency, obs)
+    with mock.patch.object(XenicProtocol, "_dispatch", counting):
+        bench, payload = _fig8d_run(concurrency, obs, default_faults(faults))
     return GoldenRun(
         canonical_digest(payload),
         sum(proto.stats.get("stepwise_dispatches")
@@ -213,9 +208,9 @@ BASELINES = sorted(BASELINE_DIGESTS)
 def baseline_run(system, queue=QUEUES[0], obs=False, faults=None):
     """``baseline_payload`` of ``system`` on ``queue``, cached: several
     tests read the same runs."""
-    with mock.patch.object(sim_core, "CalendarEventQueue", queue), \
-            default_faults(faults):
-        return baseline_payload(system, obs=obs)
+    with mock.patch.object(sim_core, "CalendarEventQueue", queue):
+        return baseline_payload(system, obs=obs,
+                                faults=default_faults(faults))
 
 
 @pytest.mark.parametrize("system", BASELINES)

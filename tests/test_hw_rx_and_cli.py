@@ -85,6 +85,28 @@ def test_cli_help_lists_every_command(capsys):
     assert all(name in out for name in COMMANDS)
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--faults", "x"],
+    ["tab1", "--trace-out", "f"],
+    ["fig8d", "--jobs", "2"],
+    ["fig8d", "--obs"],
+])
+def test_experiment_commands_take_only_json(argv, monkeypatch):
+    """A run flag on an experiment command is a usage error, not a
+    setting the experiment silently ignores: no row runs."""
+    from repro import __main__ as cli
+
+    def no_run(verbose=False):
+        raise AssertionError("an experiment ran despite a usage error")
+
+    monkeypatch.setattr(cli, "COMMANDS", {
+        name: (help_text, no_run)
+        for name, (help_text, _fn) in cli.COMMANDS.items()})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_cli_tab1_runs():
     from repro.__main__ import main
 

@@ -36,6 +36,20 @@ def test_parallel_points_match_serial():
     assert len(serial) == 2
 
 
+def test_spec_faults_reach_every_point():
+    """``SloSpec.faults`` is the plan each point's Bench runs under, on
+    the single point, the open-loop bench and the sweep alike."""
+    faulty = spec(faults=("drop=0.2,delay=0.3:20", 3))
+    bench = OpenLoopBench(faulty, 200000.0)
+    assert bench.bench.fault_plan is not None
+    point = bench.measure()
+    assert len(bench.bench.fault_plan.trace) > 0
+    assert point != run_slo_point(spec(), 200000.0)
+    assert run_slo_point(faulty, 200000.0) == point
+    assert run_slo_points(dataclasses.replace(
+        faulty, loads_per_node_s=(200000.0,)), jobs=1) == [point]
+
+
 def test_latency_grows_with_offered_load():
     s = spec(loads_per_node_s=(50000.0, 1500000.0), window_us=300.0)
     lo, hi = run_slo_points(s, jobs=1)
