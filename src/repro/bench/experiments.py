@@ -191,8 +191,7 @@ def figure3_batching(
 
         def handler(msg):
             def proc():
-                cost = 0.12 if batched else 16.0 / 71.8
-                yield target.cores.execute_wall(cost)
+                yield target.cores.execute_wall(runtime.msg_handle_us)
                 if to_host:
                     yield runtime.dma_log_append(size)
                 else:

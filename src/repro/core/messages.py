@@ -1,26 +1,18 @@
-"""Protocol message kinds, wire-size accounting, and message pooling.
+"""Protocol message kinds and wire-size accounting.
 
 Wire sizes matter: three of the four benchmarks are network-bandwidth
 bound at peak (§5), so per-message header economy is where Xenic's
-aggregated, software-defined messaging beats per-op RDMA framing.
+aggregated, software-defined messaging beats per-op RDMA framing.  One
+sizer per direction (:func:`request_size`, :func:`response_size`)
+counts every field a message carries; a field a kind does not use is
+empty and adds nothing.
 
-Hot-path notes (wall-clock only; no effect on simulated results):
-
-* :class:`Request`/:class:`Response` are hand-written ``__slots__``
-  classes (not dataclasses — the CI floor is Python 3.9, which lacks
-  ``@dataclass(slots=True)``).  Empty collection defaults are shared
-  immutable-by-convention singletons instead of per-instance allocations;
-  nothing in the codebase mutates a message field in place (checked by
-  the golden-digest suite).
-* A free-list pool recycles the highest-churn message objects
-  (:func:`take_request`/:func:`recycle_request` and the response pair).
-  Recycling is safe at the single consumption point of each message:
-  transport-level duplicates are suppressed by wire id *before* the
-  payload is touched (see ``XenicProtocol._on_wire``), so no late
-  delivery can observe a recycled object.
-* ``request_size``/``response_size`` dispatch through per-kind size
-  tables; each sizer touches only the fields its kind carries instead of
-  branching over every field on every send.
+:class:`Request`/:class:`Response` are plain values: hand-written
+``__slots__`` classes (not dataclasses — the CI floor is Python 3.9,
+which lacks ``@dataclass(slots=True)``), built fresh for each message
+and freed by reference count.  Empty collection defaults are shared
+immutable-by-convention singletons instead of per-instance allocations;
+nothing in the codebase mutates an empty default in place.
 """
 
 from __future__ import annotations
@@ -33,10 +25,6 @@ __all__ = [
     "Response",
     "request_size",
     "response_size",
-    "take_request",
-    "recycle_request",
-    "take_response",
-    "recycle_response",
     "EXECUTE",
     "VALIDATE",
     "LOG",
@@ -140,67 +128,8 @@ class Response:
                    ", reason=%r" % self.reason if self.reason else ""))
 
 
-# ---------------------------------------------------------------------------
-# free-list pools
-# ---------------------------------------------------------------------------
-
-# Bounded so a burst (e.g. a chaos run's abort storm) cannot pin
-# unbounded garbage; overflow falls through to the GC.
-_POOL_MAX = 512
-_request_pool: List[Request] = []
-_response_pool: List[Response] = []
-
-
-def take_request(*args, **kwargs) -> Request:
-    """Pool-aware ``Request(...)``: reuses a recycled instance if one is
-    available (same constructor signature)."""
-    if _request_pool:
-        req = _request_pool.pop()
-        req.__init__(*args, **kwargs)
-        return req
-    return Request(*args, **kwargs)
-
-
-def recycle_request(req: Request) -> None:
-    """Return a fully consumed request to the pool.  Only call from the
-    message's single consumption point (after the handler completed);
-    references must not be retained."""
-    if len(_request_pool) < _POOL_MAX:
-        # drop object references so pooled messages don't pin specs/values
-        req.read_keys = _EMPTY_LIST
-        req.write_keys = _EMPTY_LIST
-        req.versions = _EMPTY_DICT
-        req.write_values = _EMPTY_DICT
-        req.spec = None
-        req.pre_read = _EMPTY_DICT
-        _request_pool.append(req)
-
-
-def take_response(*args, **kwargs) -> Response:
-    """Pool-aware ``Response(...)`` (same constructor signature)."""
-    if _response_pool:
-        resp = _response_pool.pop()
-        resp.__init__(*args, **kwargs)
-        return resp
-    return Response(*args, **kwargs)
-
-
-def recycle_response(resp: Response) -> None:
-    """Return a fully consumed response to the pool."""
-    if len(_response_pool) < _POOL_MAX:
-        resp.read_values = _EMPTY_DICT
-        resp.versions = _EMPTY_DICT
-        resp.write_values = _EMPTY_DICT
-        _response_pool.append(resp)
-
-
-# ---------------------------------------------------------------------------
-# wire sizes — per-kind tables keep the per-send work to the fields the
-# kind actually carries; the generic fallback covers every field.
-# ---------------------------------------------------------------------------
-
-
-def _req_size_generic(req: Request, value_size: int) -> int:
+def request_size(req: Request, value_size: int) -> int:
+    """Bytes of an outbound request on the wire."""
     size = APP_HEADER
     vb = req.value_bytes if req.value_bytes is not None else value_size
     size += PER_KEY * (len(req.read_keys) + len(req.write_keys))
@@ -212,80 +141,10 @@ def _req_size_generic(req: Request, value_size: int) -> int:
     return size
 
 
-def _req_size_execute(req: Request, value_size: int) -> int:
-    # keys only (the inline-validate flag rides in ``versions``)
-    return (APP_HEADER
-            + PER_KEY * (len(req.read_keys) + len(req.write_keys))
-            + PER_VERSION * len(req.versions))
-
-
-def _req_size_validate(req: Request, value_size: int) -> int:
-    return APP_HEADER + PER_VERSION * len(req.versions)
-
-
-def _req_size_write_set(req: Request, value_size: int) -> int:
-    # LOG / COMMIT: write values (+ versions on LOG, + read-key unlocks on
-    # multi-hop COMMIT)
-    vb = req.value_bytes if req.value_bytes is not None else value_size
-    return (APP_HEADER
-            + PER_KEY * len(req.read_keys)
-            + PER_VERSION * len(req.versions)
-            + (PER_KEY + vb) * len(req.write_values))
-
-
-def _req_size_unlock(req: Request, value_size: int) -> int:
-    return APP_HEADER + PER_KEY * len(req.write_keys)
-
-
-_REQ_SIZERS = {
-    EXECUTE: _req_size_execute,
-    VALIDATE: _req_size_validate,
-    LOG: _req_size_write_set,
-    COMMIT: _req_size_write_set,
-    UNLOCK: _req_size_unlock,
-    EXEC_SHIP: _req_size_generic,  # carries spec + pre_read
-}
-
-
-def request_size(req: Request, value_size: int) -> int:
-    """Bytes of an outbound request on the wire."""
-    sizer = _REQ_SIZERS.get(req.kind)
-    if sizer is None:
-        return _req_size_generic(req, value_size)
-    return sizer(req, value_size)
-
-
-def _resp_size_generic(resp: Response, value_size: int) -> int:
+def response_size(resp: Response, value_size: int) -> int:
+    """Bytes of a response on the wire."""
     size = ACK
     size += (PER_KEY + PER_VERSION + value_size) * len(resp.read_values)
     size += PER_VERSION * len(resp.versions)
     size += (PER_KEY + value_size) * len(resp.write_values)
     return size
-
-
-def _resp_size_ack(resp: Response, value_size: int) -> int:
-    return ACK
-
-
-def _resp_size_execute(resp: Response, value_size: int) -> int:
-    return (ACK
-            + (PER_KEY + PER_VERSION + value_size) * len(resp.read_values)
-            + PER_VERSION * len(resp.versions))
-
-
-_RESP_SIZERS = {
-    EXECUTE: _resp_size_execute,
-    VALIDATE: _resp_size_ack,
-    LOG: _resp_size_ack,
-    COMMIT: _resp_size_ack,
-    UNLOCK: _resp_size_ack,
-    EXEC_SHIP: _resp_size_generic,  # carries read + write values
-}
-
-
-def response_size(resp: Response, value_size: int) -> int:
-    """Bytes of a response on the wire."""
-    sizer = _RESP_SIZERS.get(resp.kind)
-    if sizer is None:
-        return _resp_size_generic(resp, value_size)
-    return sizer(resp, value_size)

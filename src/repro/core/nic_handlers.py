@@ -28,10 +28,6 @@ from .messages import (
     VALIDATE,
     Request,
     Response,
-    recycle_request,
-    recycle_response,
-    take_request,
-    take_response,
 )
 from .txn import NeedMoreKeys, TOMBSTONE, Transaction, TxnSpec, TxnStatus
 
@@ -336,8 +332,8 @@ class _Execute(_Handler):
         self.index = index = p.node.index_for(self.shard)
         if not index.lock_all(self.write_keys, txn_id):
             p.stats.inc("lock_conflicts")
-            self._reply(take_response(EXECUTE, txn_id, self.shard, False,
-                                      reason="lock-conflict"))
+            self._reply(Response(EXECUTE, txn_id, self.shard, False,
+                                 reason="lock-conflict"))
             return
         self._fetch(self.shard, self.read_keys)
 
@@ -347,13 +343,13 @@ class _Execute(_Handler):
         if self.inline and not index.reads_current(
                 _versions(read_values), txn_id, skip=write_keys):
             index.unlock_all(write_keys, txn_id)
-            self._reply(take_response(EXECUTE, txn_id, shard, False,
-                                      reason="inline-validate"))
+            self._reply(Response(EXECUTE, txn_id, shard, False,
+                                 reason="inline-validate"))
             return
         versions = {k: index.read_version(k) for k in write_keys}
-        self._reply(take_response(EXECUTE, txn_id, shard, True,
-                                  read_values=read_values,
-                                  versions=versions))
+        self._reply(Response(EXECUTE, txn_id, shard, True,
+                             read_values=read_values,
+                             versions=versions))
 
 
 class _Validate(_Handler):
@@ -375,11 +371,11 @@ class _Validate(_Handler):
         p, txn_id, shard = self.p, self.txn_id, self.shard
         if p.node.index_for(shard).reads_current(self.versions.items(),
                                                  txn_id):
-            self._reply(take_response(VALIDATE, txn_id, shard, True))
+            self._reply(Response(VALIDATE, txn_id, shard, True))
             return
         p.stats.inc("validate_conflicts")
-        self._reply(take_response(VALIDATE, txn_id, shard, False,
-                                  reason="version-changed"))
+        self._reply(Response(VALIDATE, txn_id, shard, False,
+                             reason="version-changed"))
 
 
 class _Unlock(_Handler):
@@ -398,7 +394,7 @@ class _Unlock(_Handler):
         req = self.req
         self.p.node.index_for(req.shard).unlock_all(req.write_keys,
                                                     req.txn_id)
-        self._reply(take_response(UNLOCK, req.txn_id, req.shard, True))
+        self._reply(Response(UNLOCK, req.txn_id, req.shard, True))
 
 
 class _Append(_Handler):
@@ -462,7 +458,7 @@ class _Log(_Append):
         if p.obs is not None:
             self._attrib("dma", self.t0)
         p.node.append_log(self.record)
-        self._reply(take_response(LOG, req.txn_id, req.shard, True))
+        self._reply(Response(LOG, req.txn_id, req.shard, True))
 
 
 class _Commit(_Append):
@@ -502,29 +498,16 @@ class _Commit(_Append):
             p.stats.inc("commit_unlock_mismatch", missed)
         # multi-hop: read keys locked during shipped execution release here
         index.unlock_all(req.read_keys, req.txn_id)
-        self._reply(take_response(COMMIT, req.txn_id, req.shard, True))
+        self._reply(Response(COMMIT, req.txn_id, req.shard, True))
 
 
-class _CommitLocal(_Commit):
-    """The coordinator's COMMIT on one of its own shards: a pooled
-    request it consumes itself, so it recycles the request and the
-    response, and replies None."""
-
-    __slots__ = ()
-
-    def __init__(self, p: XenicProtocol, txn: Transaction, shard: int,
-                 writes, then):
-        _Commit.__init__(
-            self, p,
-            take_request(COMMIT, txn.txn_id, shard, txn.coord_node,
-                         write_values=writes,
-                         value_bytes=txn.spec.write_bytes),
-            then)
-
-    def _reply(self, resp: Response) -> None:
-        recycle_request(self.req)
-        recycle_response(resp)
-        _Commit._reply(self, None)
+def _commit_request(txn: Transaction, shard: int, writes,
+                    read_keys=None) -> Request:
+    """The COMMIT of ``txn``'s ``writes`` on ``shard``: sent to a remote
+    primary, or handed to a :class:`_Commit` on this NIC's own shard."""
+    return Request(COMMIT, txn.txn_id, shard, txn.coord_node,
+                   read_keys=read_keys, write_values=writes,
+                   value_bytes=txn.spec.write_bytes)
 
 
 class _ExecShip(_Handler):
@@ -548,8 +531,8 @@ class _ExecShip(_Handler):
         self.t_span = p.sim._now
         self.index = index = p.node.index_for(req.shard)
         if not index.lock_all(req.write_keys, req.txn_id):
-            self._reply(take_response(EXEC_SHIP, req.txn_id, req.shard,
-                                      False, reason="ship-lock-conflict"))
+            self._reply(Response(EXEC_SHIP, req.txn_id, req.shard,
+                                 False, reason="ship-lock-conflict"))
             return
         self._fetch(req.shard, req.read_keys)
 
@@ -559,8 +542,8 @@ class _ExecShip(_Handler):
         if not index.reads_current(_versions(read_values), req.txn_id,
                                    skip=req.write_keys):
             index.unlock_all(req.write_keys, req.txn_id)
-            self._reply(take_response(EXEC_SHIP, req.txn_id, req.shard,
-                                      False, reason="ship-validate"))
+            self._reply(Response(EXEC_SHIP, req.txn_id, req.shard,
+                                 False, reason="ship-validate"))
             return
         # merge coordinator-side pre-read values and run the logic here
         spec: TxnSpec = req.spec
@@ -598,29 +581,28 @@ class _ExecShip(_Handler):
                     versions[k] = self.index.read_version(k)
                 else:
                     versions[k] = 0
+            log_req = Request(LOG, req.txn_id, shard, req.coord_node,
+                              write_values=writes, versions=versions,
+                              reply_to=req.reply_to,
+                              value_bytes=spec.write_bytes)
             for backup in p.cluster.backups_of(shard):
-                log_req = take_request(LOG, req.txn_id, shard, req.coord_node,
-                                       write_values=writes,
-                                       versions=versions,
-                                       reply_to=req.reply_to,
-                                       value_bytes=spec.write_bytes)
                 if backup == own:
                     _Log(p, log_req,
                          partial(p._redirect_log_ack, log_req))._body()
                 else:
                     p._send_oneway(backup, log_req)
-        self._reply(take_response(EXEC_SHIP, req.txn_id, req.shard, True,
-                                  read_values=read_values,
-                                  write_values=write_values))
+        self._reply(Response(EXEC_SHIP, req.txn_id, req.shard, True,
+                             read_values=read_values,
+                             write_values=write_values))
 
 
 class _Replicate(_Handler):
     """Send LOG records for one shard's write set to all its backups;
     replies whether every backup acknowledged the durable append.
 
-    ``writes``/``versions`` are shared (not copied) into the LOG
-    requests: no handler mutates a request's dict fields, and pool
-    recycling only reassigns them."""
+    Every backup gets the same LOG request, which shares (does not copy)
+    ``writes``/``versions``: a LOG handler reads its request and never
+    mutates it."""
 
     __slots__ = ("txn", "shard", "writes", "versions")
 
@@ -636,31 +618,20 @@ class _Replicate(_Handler):
 
     def _body(self) -> None:
         p, txn, shard = self.p, self.txn, self.shard
-        writes, versions = self.writes, self.versions
+        req = Request(LOG, txn.txn_id, shard, txn.coord_node,
+                      write_values=self.writes, versions=self.versions,
+                      value_bytes=txn.spec.write_bytes)
         gather = Gather()
         own = p.node.node_id
         for backup in p.cluster.backups_of(shard):
             if backup == own:
-                # plain Request: consumed by the local handler itself (no
-                # _respond to recycle it), so keep it off the pool
-                _Log(p, Request(LOG, txn.txn_id, shard, txn.coord_node,
-                                write_values=writes, versions=versions,
-                                value_bytes=txn.spec.write_bytes),
-                     gather.slot())._body()
+                _Log(p, req, gather.slot())._body()
             else:
-                gather.on(p._send_request(backup, take_request(
-                    LOG, txn.txn_id, shard, txn.coord_node,
-                    write_values=writes, versions=versions,
-                    value_bytes=txn.spec.write_bytes)))
+                gather.on(p._send_request(backup, req))
         self._gather(gather)
 
     def _gathered(self, responses) -> None:
-        ok = True
-        for r in responses:
-            if not r.ok:
-                ok = False
-            recycle_response(r)
-        self.then(ok)
+        self.then(all(r.ok for r in responses))
 
 
 # -- coordinator side: the two PCIe entries ------------------------------------
@@ -712,8 +683,8 @@ class _LocalCommit(_Handler):
             self._reply(None)
             return
         p._notify_host(txn, True, None)
-        _CommitLocal(p, txn, p.node.node_id, txn.write_values,
-                     self._reply)._body()
+        _Commit(p, _commit_request(txn, p.node.node_id, txn.write_values),
+                self._reply)._body()
 
 
 class _Coordination(_Handler):
@@ -865,7 +836,7 @@ class _PhaseExecute(_Phase):
                 _execute_core(p, shard, txn.txn_id, rkeys,
                               wkeys if smart else [], inline, gather.slot())
             elif smart:
-                req = take_request(
+                req = Request(
                     EXECUTE, txn.txn_id, shard, txn.coord_node,
                     read_keys=rkeys, write_keys=wkeys,
                 )
@@ -877,7 +848,7 @@ class _PhaseExecute(_Phase):
                 # lock requests follow in a second wave, mirroring the
                 # one-sided read -> lock -> validate sequence (§5.7)
                 for k in rkeys:
-                    gather.on(p._send_request(primary, take_request(
+                    gather.on(p._send_request(primary, Request(
                         EXECUTE, txn.txn_id, shard, txn.coord_node,
                         read_keys=[k])))
         self._gather(gather)
@@ -895,7 +866,7 @@ class _PhaseExecute(_Phase):
                     _execute_core(p, shard, txn.txn_id, [], [k], False,
                                   gather.slot())
                 else:
-                    gather.on(p._send_request(primary, take_request(
+                    gather.on(p._send_request(primary, Request(
                         EXECUTE, txn.txn_id, shard, txn.coord_node,
                         write_keys=[k])))
         if not gather.values:
@@ -925,7 +896,6 @@ class _PhaseExecute(_Phase):
             else:
                 ok = False
                 reason = resp.reason or "execute-abort"
-            recycle_response(resp)
         if ok and len(self.by_shard) == 1 and txn.read_only and smart:
             txn.status = TxnStatus.VALIDATING  # validated inline
         self._reply((ok, reason))
@@ -1009,12 +979,12 @@ class _PhaseValidate(_Phase):
             if primary == p.node.node_id:
                 _validate_core(p, shard, txn.txn_id, versions, gather.slot())
             elif smart:
-                gather.on(p._send_request(primary, take_request(
+                gather.on(p._send_request(primary, Request(
                     VALIDATE, txn.txn_id, shard, txn.coord_node,
                     versions=versions)))
             else:
                 for k, ver in versions.items():
-                    gather.on(p._send_request(primary, take_request(
+                    gather.on(p._send_request(primary, Request(
                         VALIDATE, txn.txn_id, shard, txn.coord_node,
                         versions={k: ver})))
         self._gather(gather)
@@ -1026,7 +996,6 @@ class _PhaseValidate(_Phase):
             if not resp.ok and ok:
                 ok = False
                 reason = resp.reason or "validate-abort"
-            recycle_response(resp)
         self._reply((ok, reason))
 
 
@@ -1067,20 +1036,14 @@ class _PhaseCommit(_Phase):
         gather = Gather()
         for shard, writes in self.by_shard.items():
             primary = p.cluster.primary_node_id(shard)
+            req = _commit_request(txn, shard, writes)
             if primary == own:
-                _CommitLocal(p, txn, shard, writes, gather.slot())._body()
+                _Commit(p, req, gather.slot())._body()
             else:
-                gather.on(p._send_request(primary, take_request(
-                    COMMIT, txn.txn_id, shard, txn.coord_node,
-                    write_values=writes, value_bytes=txn.spec.write_bytes)))
+                gather.on(p._send_request(primary, req))
         self._gather(gather)
 
-    def _gathered(self, responses) -> None:
-        # local commits (_CommitLocal) recycle their own response and
-        # reply None
-        for r in responses:
-            if r is not None:
-                recycle_response(r)
+    def _gathered(self, _responses) -> None:
         self._reply(None)
 
 
@@ -1111,7 +1074,7 @@ class _AbortCleanup(_Handler):
             if primary == p.node.node_id:
                 p.node.index_for(shard).unlock_all(keys, txn.txn_id)
             else:
-                gather.on(p._send_request(primary, take_request(
+                gather.on(p._send_request(primary, Request(
                     UNLOCK, txn.txn_id, shard, txn.coord_node,
                     write_keys=list(keys))))
         if gather.values:
@@ -1119,9 +1082,7 @@ class _AbortCleanup(_Handler):
         else:
             self._gathered(())
 
-    def _gathered(self, responses) -> None:
-        for r in responses:
-            recycle_response(r)
+    def _gathered(self, _responses) -> None:
         self.txn.clear_locks()
         self.then(None)
 
@@ -1178,7 +1139,7 @@ class _Multihop(_Phase):
         # collect them from now, fix the count when the response lands.
         self.acks = p.runtime.pending.expect_count(("mh_log", txn.txn_id))
         rkeys, wkeys = self.by_shard[self.remote]
-        req = take_request(
+        req = Request(
             EXEC_SHIP, txn.txn_id, self.remote, txn.coord_node,
             read_keys=rkeys, write_keys=wkeys,
             spec=txn.spec, pre_read=pre_read, reply_to=p.node.node_id,
@@ -1197,13 +1158,9 @@ class _Multihop(_Phase):
             self.index.unlock_all(self.local_keys, txn.txn_id)
             p._notify_host(txn, False,
                            resp.reason or "multihop-remote-conflict")
-            recycle_response(resp)
             self._reply(None)
             return
-        # take the write-value dict over (the response is recycled; its
-        # fields are reassigned, never cleared in place)
         txn.write_values = resp.write_values
-        recycle_response(resp)
         self.writes_by_shard = writes_by_shard = group_values(
             txn.write_values, p.cluster.shard_of)
         p.runtime.pending.set_count(("mh_log", txn.txn_id), sum(
@@ -1216,19 +1173,14 @@ class _Multihop(_Phase):
         p, txn = self.p, self.txn
         if p.obs is not None:
             self._attrib("wire", self.t0)
-        ok = True
-        for a in ev._value:
-            if not a.ok:
-                ok = False
-            recycle_response(a)
-        if not ok:
+        if not all(a.ok for a in ev._value):
             # a backup failed the append: release and retry
             self.index.unlock_all(self.local_keys, txn.txn_id)
             # awaited so a delayed release can't outlive this attempt and
             # steal the lock from the retry (same txn_id re-locks)
             rkeys, wkeys = self.by_shard[self.remote]
             self.t0 = p.sim._now
-            p._send_request(self.remote_primary, take_request(
+            p._send_request(self.remote_primary, Request(
                 UNLOCK, txn.txn_id, self.remote, txn.coord_node,
                 write_keys=rkeys + wkeys))._cb0 = self._unlocked
             return
@@ -1236,38 +1188,35 @@ class _Multihop(_Phase):
         # commit the local shard writes, release local read locks
         local_writes = self.writes_by_shard.get(self.local)
         if local_writes:
-            _CommitLocal(p, txn, self.local, local_writes,
-                         self._committed_local)._body()
+            _Commit(p, _commit_request(txn, self.local, local_writes),
+                    self._committed_local)._body()
         else:
             self._committed_local(None)
 
-    def _unlocked(self, ev: Event) -> None:
+    def _unlocked(self, _ev: Event) -> None:
         p = self.p
         if p.obs is not None:
             self._attrib("wire", self.t0)
-        recycle_response(ev._value)
         p._notify_host(self.txn, False, "multihop-log-failed")
         self._reply(None)
 
-    def _committed_local(self, _none) -> None:
+    def _committed_local(self, _result) -> None:
         p, txn = self.p, self.txn
         self.index.unlock_all(self.local_keys, txn.txn_id)
         # commit the remote shard (unlocks its read locks too; versions are
         # assigned by the primary from its own metadata)
         remote_writes = self.writes_by_shard.get(self.remote, {})
-        req = take_request(COMMIT, txn.txn_id, self.remote, txn.coord_node,
-                           write_values=remote_writes,
-                           value_bytes=txn.spec.write_bytes)
-        req.read_keys = [k for k in self.by_shard[self.remote][0]
-                         if k not in remote_writes]
+        req = _commit_request(
+            txn, self.remote, remote_writes,
+            read_keys=[k for k in self.by_shard[self.remote][0]
+                       if k not in remote_writes])
         self.t0 = p.sim._now
         p._send_request(self.remote_primary, req)._cb0 = self._committed
 
-    def _committed(self, ev: Event) -> None:
+    def _committed(self, _ev: Event) -> None:
         p = self.p
         if p.obs is not None:
             self._attrib("wire", self.t0)
-        recycle_response(ev._value)
         self._reply(None)
 
 

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional
 
 from ..hw.dma import DmaOp
 from ..hw.nic import SmartNic
+from ..hw.params import LIQUIDIO3, NIC_RPC_HANDLE_US_AGGREGATED
 from ..sim.core import Event, Simulator
 from .config import XenicConfig
 
@@ -27,12 +28,6 @@ __all__ = ["NicRuntime", "PendingTable"]
 # End-of-burst flush interval for partially filled DMA vectors: the burst
 # loop (§4.3.2) submits pending vectors once per iteration.
 BURST_INTERVAL_US = 0.25
-
-# Per-message handling cost on a NIC core (wall-µs).  The standalone cost
-# comes from §3.3 (71.8 Mops/s over 16 threads); burst RX processing under
-# aggregation amortizes the per-packet share of it.
-MSG_HANDLE_WALL_US = 16.0 / 71.8
-MSG_HANDLE_WALL_US_AGGREGATED = 0.12
 
 
 class PendingTable:
@@ -122,10 +117,11 @@ class NicRuntime:
         # Optional fault injector (repro.sim.faults): transient NIC-core
         # scheduling stalls inflate compute slices.
         self.injector = None
+        # per-message handling cost on a NIC core (wall-µs)
         self.msg_handle_us = (
-            MSG_HANDLE_WALL_US_AGGREGATED
+            NIC_RPC_HANDLE_US_AGGREGATED
             if config.ethernet_aggregation
-            else MSG_HANDLE_WALL_US
+            else LIQUIDIO3.rpc_handle_us
         )
         # The burst flusher self-rearms through one queue entry per
         # boundary (no Process per burst).

@@ -31,13 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from ..hw.network import NetMessage
 from ..sim.core import Event
-from .messages import (
-    Request,
-    Response,
-    recycle_request,
-    request_size,
-    response_size,
-)
+from .messages import Request, Response, request_size, response_size
 from .nic_handlers import _INBOUND
 from .nic_runtime import NicRuntime, PendingTable
 from .txn import Coordinator, NeedMoreKeys, TOMBSTONE, Transaction, TxnSpec
@@ -227,7 +221,7 @@ class XenicProtocol(Coordinator):
         if tag == "req":
             _tag, rid, req = msg.payload
             self._dispatch(req.kind, req,
-                           partial(self._respond, msg.src, rid, req))
+                           partial(self._respond, msg.src, rid))
         elif tag == "resp":
             _tag, rid, resp = msg.payload
             self._charge_rx_then(self._resolve_response, rid, resp)
@@ -286,7 +280,7 @@ class XenicProtocol(Coordinator):
         else:
             fut.succeed(resp)
 
-    def _respond(self, src: int, rid, req: Request, resp: Response) -> None:
+    def _respond(self, src: int, rid, resp: Response) -> None:
         msg = NetMessage(
             self.node.node_id, src, "resp",
             response_size(resp, self.cluster.value_size),
@@ -294,9 +288,6 @@ class XenicProtocol(Coordinator):
             wire_id=self._next_wire_id(src),
         )
         self._port.send(msg)
-        # the request's single consumption point: any duplicate delivery
-        # was already dropped by wire id before the payload is read
-        recycle_request(req)
 
     # -- inbound dispatch -----------------------------------------------------
 
@@ -319,7 +310,6 @@ class XenicProtocol(Coordinator):
         """Reply of a multi-hop LOG: the ack goes to the coordinator NIC
         (``reply_to``), not back to the shipping primary."""
         self._deliver_log_ack(req.reply_to, req.txn_id, resp)
-        recycle_request(req)
 
     # -- PCIe handlers ------------------------------------------------------------
 

@@ -184,6 +184,13 @@ STINGRAY_OFFPATH = OffPathParams(
 # Coremark-normalized NIC/host per-thread ratio used in Table 3 (§5.6).
 NIC_HOST_CORE_RATIO = LIQUIDIO3_CPU.coremark_per_thread / XEON_GOLD_5218.coremark_per_thread
 
+# Per-message handling cost on a NIC core under Ethernet aggregation, in
+# place of ``SmartNicParams.rpc_handle_us``.  Not a §3 measurement but a
+# modelling choice: burst RX processing (§4.3.2) amortizes the per-packet
+# share of the standalone cost over the payloads a packet carries.  A
+# module constant, not a field, so it is stated once and not settable.
+NIC_RPC_HANDLE_US_AGGREGATED = 0.12
+
 
 @dataclass(frozen=True)
 class HardwareParams:

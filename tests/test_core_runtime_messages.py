@@ -9,8 +9,12 @@ from repro.core.config import (
     ablation_ladder_throughput,
 )
 from repro.core.messages import (
+    COMMIT,
+    EXEC_SHIP,
     EXECUTE,
     LOG,
+    UNLOCK,
+    VALIDATE,
     Request,
     Response,
     request_size,
@@ -212,26 +216,66 @@ def test_aggregation_lowers_message_handle_cost():
 # ---------------------------------------------------------------------------
 
 
-def test_request_size_counts_keys_and_values():
-    base = Request(EXECUTE, 1, 0, 0)
-    small = request_size(base, 64)
-    withkeys = request_size(
-        Request(EXECUTE, 1, 0, 0, read_keys=[1, 2], write_keys=[3]), 64
-    )
-    assert withkeys == small + 3 * 10
-    withvalues = request_size(
-        Request(LOG, 1, 0, 0, write_values={1: "a", 2: "b"}), 64
-    )
-    assert withvalues == small + 2 * (10 + 64)
+_SPEC = TxnSpec([1, 2, 4], [3], external_state_bytes=40, write_bytes=32)
+
+# Each kind as the protocol builds it, with its wire bytes at a 64-byte
+# object size: header 18, 10 per key, 6 per version, 10 + value bytes
+# per written value, 10 + 6 + 64 per pre-read pair, and a shipped spec's
+# external state + 8.
+REQUEST_BYTES = [
+    ("execute_inline",
+     Request(EXECUTE, 1, 0, 0, read_keys=[1, 2], write_keys=[3],
+             versions={"inline": 1}), 54),
+    ("execute_ablation_read", Request(EXECUTE, 1, 0, 0, read_keys=[1]), 28),
+    ("validate", Request(VALIDATE, 1, 0, 0, versions={1: 3, 2: 5}), 30),
+    ("log_value_bytes",
+     Request(LOG, 1, 0, 0, write_values={1: "a", 2: "b"},
+             versions={1: 2, 2: 0}, reply_to=2, value_bytes=32), 114),
+    ("log_full_values",
+     Request(LOG, 1, 0, 0, write_values={1: "a"}, versions={1: 2}), 98),
+    ("commit", Request(COMMIT, 1, 0, 0, write_values={1: "a", 2: "b"},
+                       value_bytes=32), 102),
+    ("commit_multihop",
+     Request(COMMIT, 1, 0, 0, read_keys=[4, 5], write_values={1: "a"},
+             value_bytes=32), 80),
+    ("unlock", Request(UNLOCK, 1, 0, 0, write_keys=[1, 2, 3]), 48),
+    ("exec_ship",
+     Request(EXEC_SHIP, 1, 0, 0, read_keys=[1, 2], write_keys=[3],
+             spec=_SPEC, pre_read={4: ("v", 1), 3: (None, 2)}, reply_to=0),
+     256),
+]
+
+RESPONSE_BYTES = [
+    ("execute_empty", Response(EXECUTE, 1, 0, True), 10),
+    ("execute",
+     Response(EXECUTE, 1, 0, True, read_values={1: ("v", 0), 2: ("w", 1)},
+              versions={3: 4}), 176),
+    ("execute_abort",
+     Response(EXECUTE, 1, 0, False, reason="lock-conflict"), 10),
+    ("validate_ack", Response(VALIDATE, 1, 0, True), 10),
+    ("validate_nack",
+     Response(VALIDATE, 1, 0, False, reason="version-changed"), 10),
+    ("log_ack", Response(LOG, 1, 0, True), 10),
+    ("commit_ack", Response(COMMIT, 1, 0, True), 10),
+    ("unlock_ack", Response(UNLOCK, 1, 0, True), 10),
+    ("exec_ship",
+     Response(EXEC_SHIP, 1, 0, True, read_values={1: ("v", 0)},
+              write_values={3: "x", 4: "y"}), 238),
+    ("exec_ship_abort",
+     Response(EXEC_SHIP, 1, 0, False, reason="ship-validate"), 10),
+]
 
 
-def test_response_size_counts_payloads():
-    empty = response_size(Response(EXECUTE, 1, 0, True), 64)
-    filled = response_size(
-        Response(EXECUTE, 1, 0, True, read_values={1: ("v", 0), 2: ("w", 1)}),
-        64,
-    )
-    assert filled == empty + 2 * (10 + 6 + 64)
+@pytest.mark.parametrize("req,nbytes", [c[1:] for c in REQUEST_BYTES],
+                         ids=[c[0] for c in REQUEST_BYTES])
+def test_request_size_counts_keys_and_values(req, nbytes):
+    assert request_size(req, 64) == nbytes
+
+
+@pytest.mark.parametrize("resp,nbytes", [c[1:] for c in RESPONSE_BYTES],
+                         ids=[c[0] for c in RESPONSE_BYTES])
+def test_response_size_counts_payloads(resp, nbytes):
+    assert response_size(resp, 64) == nbytes
 
 
 # ---------------------------------------------------------------------------

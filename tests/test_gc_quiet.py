@@ -283,8 +283,6 @@ def _census(bench):
     # once popped): the slot table's size is its number of instants.
     sizes["sim._open"] = len(bench.sim._open)
     sizes["sim.queue"] = len(bench.sim._q)
-    sizes["messages.request_pool"] = len(messages._request_pool)
-    sizes["messages.response_pool"] = len(messages._response_pool)
     for proto in bench.cluster.protocols:
         node = proto.node
         n = "n%d" % node.node_id
@@ -415,7 +413,7 @@ def test_crash_dropped_gap_is_written_off_within_the_window(monkeypatch):
     parked_max = [0, 0]
 
     def unlock(i):
-        return messages.take_request(messages.UNLOCK, 10_000 + i, 1, 0)
+        return messages.Request(messages.UNLOCK, 10_000 + i, 1, 0)
 
     def driver():
         for i in range(5):
