@@ -22,11 +22,13 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..hw.cpu import CoreGroup
-from ..hw.params import HardwareParams, TESTBED
+from ..hw.params import (BASELINE_APPLY_US, HOST_PER_KEY_US, RDMA_ISSUE_US,
+                         HardwareParams, TESTBED)
 from ..hw.rdma import RdmaNic
 from ..sim.collector import collector_quiet
 from ..sim.core import Event, Gather, Simulator
 from ..store.chained import ChainedTable
+from ..store.log import record_size_bytes
 from ..store.object import VersionedObject
 from ..store.replicas import group_keys, group_values
 from ..core.cluster import ShardedCluster
@@ -35,15 +37,7 @@ from ..core.txn import Coordinator, Transaction
 
 __all__ = ["BaselineNode", "BaselineCluster", "BaselineCoordinator"]
 
-# host core cost of issuing one RDMA verb: doorbell write, WQE build,
-# completion poll amortization (FaSST/Herd report 0.2-0.4us per verb)
-ISSUE_WALL_US = 0.15
-# host core cost per key for local table operations
-HOST_PER_KEY_US = 0.10
-# host core cost of applying one replicated write at a backup
-APPLY_WALL_US = 0.30
 OBJ_HEADER = 16  # key + version + lock word alongside the value
-RECORD_HEADER = 24
 
 
 class BaselineNode(ReplicaPlacement):
@@ -70,7 +64,7 @@ class BaselineNode(ReplicaPlacement):
         )
         self.rdma = RdmaNic(
             sim, node_id, params=hardware.rdma, host_cores=self.host_cores,
-            host_rpc_handle_us=hardware.host.rpc_handle_us,
+            host=hardware.host,
             name="b%d.rdma" % node_id,
         )
         n_buckets = max(1, int(keys_per_shard / bucket_size / 0.9))
@@ -197,11 +191,6 @@ class BaselineCoordinator(Coordinator):
 
     # -- LOG ------------------------------------------------------------
 
-    def _record_bytes(self, writes: Dict[int, object],
-                      write_bytes: Optional[int] = None) -> int:
-        vb = write_bytes if write_bytes is not None else self.cluster.value_size
-        return RECORD_HEADER + len(writes) * (16 + vb)
-
     def _write_bytes(self, txn) -> int:
         # The published baselines replicate whole objects: FaRM/DrTM+H log
         # records and DrTM+R commit WRITEs carry the full value in their
@@ -216,7 +205,7 @@ class BaselineCoordinator(Coordinator):
         background (charged to its host cores inside ``apply_fn``)."""
         return _Issue(self, partial(
             self.node.rdma.write, self._rdma_to(backup),
-            self._record_bytes(writes, self._write_bytes(txn)),
+            record_size_bytes(len(writes), self._write_bytes(txn)),
             on_target=apply_fn), then)
 
     # -- COMMIT ------------------------------------------------------------
@@ -263,7 +252,7 @@ class _Step:
 
     def _issue(self, stage) -> None:
         """The host-core cost of issuing one RDMA verb, then ``stage``."""
-        self.c.node.host_cores.run_wall_then(ISSUE_WALL_US, stage)
+        self.c.node.host_cores.run_wall_then(RDMA_ISSUE_US, stage)
 
     def _spawn(self, step: _Step) -> None:
         """Start ``step`` at an entry at now, where the generator form
@@ -523,7 +512,7 @@ class _LogOne(_Step):
             k: txn.read_values.get(k, (None, 0))[1] + 1 for k in self.writes
         }
         if self.backup == c.node.node_id:
-            c.node.host_cores.run_wall_then(APPLY_WALL_US, self._applied_here)
+            c.node.host_cores.run_wall_then(BASELINE_APPLY_US, self._applied_here)
         else:
             c._remote_log(txn, self.shard, self.backup, self.writes,
                           self._apply_at_backup, self.then)._start()
@@ -533,7 +522,7 @@ class _LogOne(_Step):
         table = node.tables[self.shard]
         writes = self.writes
         # background application charged to the backup's host cores
-        node.host_cores.execute_wall(APPLY_WALL_US * max(1, len(writes)))
+        node.host_cores.execute_wall(BASELINE_APPLY_US * max(1, len(writes)))
         versions = self.versions
         for k, v in writes.items():
             table.get_or_create(k, node.value_size).install(v, versions[k])

@@ -16,14 +16,12 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Optional
 
+from ..core.messages import APP_HEADER, PER_KEY, PER_VERSION
+from ..hw.params import HOST_PER_KEY_US
 from ..sim.core import Event, Gather
-from .common import (BaselineCoordinator, HOST_PER_KEY_US, OBJ_HEADER,
-                     _Issue, _Step)
+from .common import BaselineCoordinator, OBJ_HEADER, _Issue, _Step
 
 __all__ = ["DrTMH", "DrTMH_NC"]
-
-RPC_HEADER = 18
-PER_KEY = 10
 
 
 class DrTMH(BaselineCoordinator):
@@ -57,9 +55,9 @@ class DrTMH(BaselineCoordinator):
     # -- COMMIT ------------------------------------------------------------
 
     def _remote_commit(self, txn, shard, writes, then) -> _Step:
-        req = RPC_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
+        req = APP_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
         return _Issue(self, partial(
-            self.node.rdma.rpc, self._rdma_to(shard), req, RPC_HEADER,
+            self.node.rdma.rpc, self._rdma_to(shard), req, APP_HEADER,
             handler_ref_us=HOST_PER_KEY_US * len(writes),
             on_target=partial(self._apply_commit_at, shard, txn, writes),
         ), then)
@@ -67,9 +65,9 @@ class DrTMH(BaselineCoordinator):
     # -- aborts ------------------------------------------------------------
 
     def _remote_unlock(self, txn, shard, keys, then) -> _Step:
-        req = RPC_HEADER + PER_KEY * len(keys)
+        req = APP_HEADER + PER_KEY * len(keys)
         return _Issue(self, partial(
-            self.node.rdma.rpc, self._rdma_to(shard), req, RPC_HEADER,
+            self.node.rdma.rpc, self._rdma_to(shard), req, APP_HEADER,
             handler_ref_us=HOST_PER_KEY_US * len(keys),
             on_target=partial(self._primary_table(shard).unlock_all, keys,
                               txn.txn_id),
@@ -153,9 +151,9 @@ class _Execute(_Step):
 
     def _issued(self, _ev: Event) -> None:
         c, wkeys = self.c, self.wkeys
-        req = RPC_HEADER + (PER_KEY + 6) * len(wkeys)
+        req = APP_HEADER + (PER_KEY + PER_VERSION) * len(wkeys)
         c.node.rdma.rpc(
-            c._rdma_to(self.shard), req, RPC_HEADER,
+            c._rdma_to(self.shard), req, APP_HEADER,
             handler_ref_us=HOST_PER_KEY_US * len(wkeys),
             on_target=self._lock_at_versions,
         )._cb0 = self._locked

@@ -13,9 +13,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
+from ..hw.params import HOST_PER_KEY_US
 from ..sim.core import Event, Gather
-from .common import (BaselineCoordinator, HOST_PER_KEY_US, _Attempt,
-                     _LocalExecute, _Step)
+from .common import BaselineCoordinator, _Attempt, _LocalExecute, _Step
 
 __all__ = ["DrTMR"]
 

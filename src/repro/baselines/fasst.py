@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from functools import partial
 
-from .common import (BaselineCoordinator, HOST_PER_KEY_US, OBJ_HEADER,
-                     _Issue, _Step)
+from ..core.messages import APP_HEADER, PER_KEY, PER_VERSION
+from ..hw.params import HOST_PER_KEY_US
+from ..store.log import record_size_bytes
+from .common import BaselineCoordinator, OBJ_HEADER, _Issue, _Step
 
 __all__ = ["FaSST"]
-
-RPC_HEADER = 18
-PER_KEY = 10
-PER_VERSION = 6
 
 
 class FaSST(BaselineCoordinator):
@@ -57,34 +55,34 @@ class FaSST(BaselineCoordinator):
             then(True)
 
         n = len(set(rkeys) | set(wkeys))
-        req = RPC_HEADER + PER_KEY * n
-        resp = RPC_HEADER + n * (self.cluster.value_size + OBJ_HEADER)
+        req = APP_HEADER + PER_KEY * n
+        resp = APP_HEADER + n * (self.cluster.value_size + OBJ_HEADER)
         return self._rpc(shard, req, resp, n, handler, took)
 
     # -- VALIDATE: one RPC per shard ------------------------------------------
 
     def _remote_validate(self, txn, shard, keys, then) -> _Step:
-        req = RPC_HEADER + (PER_KEY + PER_VERSION) * len(keys)
-        return self._rpc(shard, req, RPC_HEADER, len(keys),
+        req = APP_HEADER + (PER_KEY + PER_VERSION) * len(keys)
+        return self._rpc(shard, req, APP_HEADER, len(keys),
                          partial(self._still_current, txn, shard, keys), then)
 
     # -- LOG: RPC to each backup (no one-sided verbs at all) -----------------
 
     def _remote_log(self, txn, shard, backup, writes, apply_fn,
                     then) -> _Step:
-        req = self._record_bytes(writes, self._write_bytes(txn))
-        return self._rpc(backup, req, RPC_HEADER, len(writes), apply_fn, then)
+        req = record_size_bytes(len(writes), self._write_bytes(txn))
+        return self._rpc(backup, req, APP_HEADER, len(writes), apply_fn, then)
 
     # -- COMMIT ------------------------------------------------------------
 
     def _remote_commit(self, txn, shard, writes, then) -> _Step:
-        req = RPC_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
-        return self._rpc(shard, req, RPC_HEADER, len(writes),
+        req = APP_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
+        return self._rpc(shard, req, APP_HEADER, len(writes),
                          partial(self._apply_commit_at, shard, txn, writes),
                          then)
 
     def _remote_unlock(self, txn, shard, keys, then) -> _Step:
-        req = RPC_HEADER + PER_KEY * len(keys)
-        return self._rpc(shard, req, RPC_HEADER, len(keys),
+        req = APP_HEADER + PER_KEY * len(keys)
+        return self._rpc(shard, req, APP_HEADER, len(keys),
                          partial(self._primary_table(shard).unlock_all, keys,
                                  txn.txn_id), then)

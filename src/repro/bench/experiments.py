@@ -24,7 +24,7 @@ from ..hw import (
     STINGRAY_OFFPATH,
     XEON_GOLD_5218,
 )
-from ..hw.params import LIQUIDIO3, LIQUIDIO3_CPU, NIC_HOST_CORE_RATIO
+from ..hw.params import HOST, LIQUIDIO3, LIQUIDIO3_CPU, NIC_HOST_CORE_RATIO
 from ..sim import Simulator
 from ..store import ChainedTable, HopscotchTable, NicIndex, RobinhoodTable
 from ..workloads import Retwis, Smallbank, TpccFull, TpccNewOrder
@@ -110,7 +110,7 @@ def figure2_latency(payload_bytes: int = 256, verbose: bool = False) -> Dict[str
     def host_rpc(sim, nic):
         host = CoreGroup(sim, XEON_GOLD_5218, cores=2)
         yield sim.timeout(nicp.pcie_crossing_us)
-        yield host.execute(16.0 / 23.0 + 1.5)  # handle + host stack
+        yield host.execute(HOST.rpc_handle_us + HOST.rpc_stack_us)
         yield sim.timeout(nicp.pcie_crossing_us)
 
     for source, from_nic in (("host", False), ("nic", True)):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..hw.params import HardwareParams, TESTBED
+from ..hw.params import HardwareParams, TESTBED, WORKER_APPLY_US
 
 __all__ = ["XenicConfig", "ablation_ladder_throughput", "ablation_ladder_latency"]
 
@@ -38,18 +38,10 @@ class XenicConfig:
     # scale).  Sized in objects.
     nic_cache_capacity: int = 1 << 20
     dm: int = 8  # Robinhood displacement limit
-    segment_size: int = 8
-    k_slack: int = 1
     table_fill: float = 0.75  # provisioned host-table occupancy
     log_capacity: int = 1 << 14
-
-    # --- per-op compute costs (wall-µs on the executing CPU) --------------
-    nic_per_key_us: float = 0.05  # index lookup/lock per key on a NIC core
-    host_per_key_us: float = 0.10  # table op per key on a host core
-    # Host worker applying one log write.  Calibrated against Table 3:
-    # 3 worker threads sustain Smallbank's peak (~12M txn/s/server x 3
-    # records/txn), i.e. well under 100ns per applied write.
-    worker_apply_us: float = 0.06
+    # Host worker applying one log write (wall-µs); see hw.params.
+    worker_apply_us: float = WORKER_APPLY_US
 
     hardware: HardwareParams = field(default_factory=lambda: TESTBED)
 

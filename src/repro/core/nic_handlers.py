@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional
 
+from ..hw.params import LOG_RETRY_US, NIC_ADMIT_US, NIC_PER_KEY_US
 from ..sim.core import Event, Gather
 from ..store.log import LogRecord, record_size_bytes
 from ..store.replicas import group_keys, group_values
@@ -33,11 +34,6 @@ from .txn import NeedMoreKeys, TOMBSTONE, Transaction, TxnSpec, TxnStatus
 
 if TYPE_CHECKING:
     from .protocol import XenicProtocol
-
-# NIC-side admission cost for a new transaction (wall-µs on a NIC core).
-NIC_ADMIT_US = 0.08
-# Log-append retry interval when the host log is full (back-pressure).
-LOG_RETRY_US = 2.0
 
 
 def _versions(read_values):
@@ -1115,7 +1111,7 @@ class _Multihop(_Phase):
             dict.fromkeys(local_rkeys + local_wkeys))
         # Lock every local key (reads too: execution happens remotely, so
         # the lock stands in for validation) and gather local read values.
-        self._charge(NIC_ADMIT_US + p.config.nic_per_key_us * len(local_keys),
+        self._charge(NIC_ADMIT_US + NIC_PER_KEY_US * len(local_keys),
                      self._admitted)
 
     def _admitted(self, _job: Event) -> None:

@@ -19,15 +19,12 @@ from typing import Any, Dict, List, Optional
 
 from ..hw.dma import DmaOp
 from ..hw.nic import SmartNic
-from ..hw.params import LIQUIDIO3, NIC_RPC_HANDLE_US_AGGREGATED
+from ..hw.params import (BURST_INTERVAL_US, LIQUIDIO3,
+                         NIC_RPC_HANDLE_US_AGGREGATED)
 from ..sim.core import Event, Simulator
 from .config import XenicConfig
 
 __all__ = ["NicRuntime", "PendingTable"]
-
-# End-of-burst flush interval for partially filled DMA vectors: the burst
-# loop (§4.3.2) submits pending vectors once per iteration.
-BURST_INTERVAL_US = 0.25
 
 
 class PendingTable:

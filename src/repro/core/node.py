@@ -23,7 +23,7 @@ from ..sim.core import Simulator
 from ..sim.resources import Semaphore
 from ..store.log import HostLog, LogRecord
 from ..store.nic_index import NicIndex
-from ..store.robinhood import RobinhoodTable
+from ..store.robinhood import SEGMENT_SIZE, RobinhoodTable
 from .config import XenicConfig
 from .txn import TOMBSTONE, make_txn_id
 
@@ -92,8 +92,7 @@ class XenicNode(ReplicaPlacement):
             name="n%d.nic" % node_id,
         )
         self.pcie = PcieChannel(
-            sim,
-            crossing_us=hw.nic.pcie_crossing_us,
+            sim, hw.nic,
             aggregation=config.ethernet_aggregation,
             name="n%d.pcie" % node_id,
         )
@@ -104,16 +103,13 @@ class XenicNode(ReplicaPlacement):
         self.tables: Dict[int, RobinhoodTable] = {}
         for shard in self.replicated_shards():
             self.tables[shard] = RobinhoodTable(
-                capacity, dm=config.dm, segment_size=config.segment_size,
-                hash_salt=shard,
-            )
+                capacity, dm=config.dm, hash_salt=shard)
         # NIC caching index per shard this node is *primary* for (only its
         # own shard initially; recovery can promote it for others)
         self.indexes: Dict[int, NicIndex] = {
             node_id: NicIndex(
                 self.tables[node_id],
                 cache_capacity=config.nic_cache_capacity,
-                k_slack=config.k_slack,
                 value_size=value_size,
             )
         }
@@ -131,9 +127,9 @@ class XenicNode(ReplicaPlacement):
 
     @staticmethod
     def _table_capacity(keys_per_shard: int, config: XenicConfig) -> int:
-        raw = max(int(keys_per_shard / config.table_fill), config.segment_size)
+        raw = max(int(keys_per_shard / config.table_fill), SEGMENT_SIZE)
         # round up to a segment multiple
-        return int(math.ceil(raw / config.segment_size)) * config.segment_size
+        return int(math.ceil(raw / SEGMENT_SIZE)) * SEGMENT_SIZE
 
     # -- placement ------------------------------------------------------------
 
@@ -161,7 +157,6 @@ class XenicNode(ReplicaPlacement):
         idx = NicIndex(
             self.tables[shard],
             cache_capacity=self.config.nic_cache_capacity,
-            k_slack=self.config.k_slack,
             value_size=self.value_size,
         )
         self.indexes[shard] = idx

@@ -30,6 +30,7 @@ from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ..hw.network import NetMessage
+from ..hw.params import HOST_COMPLETE_US, HOST_PER_KEY_US, NIC_PER_KEY_US
 from ..sim.core import Event
 from .messages import Request, Response, request_size, response_size
 from .nic_handlers import _INBOUND
@@ -38,8 +39,6 @@ from .txn import Coordinator, NeedMoreKeys, TOMBSTONE, Transaction, TxnSpec
 
 __all__ = ["XenicProtocol"]
 
-# Host-side completion handling per transaction (wall-µs on an app core).
-HOST_COMPLETE_US = 0.15
 # Small PCIe payloads (control messages).
 DONE_MSG_BYTES = 24
 # Duplicate suppression: how many wire ids from one peer may arrive ahead
@@ -112,7 +111,7 @@ class XenicProtocol(Coordinator):
 
     def _per_key_us(self, n_keys: int) -> float:
         """NIC-core wall-µs of the per-key index work of one request."""
-        return self.config.nic_per_key_us * max(1, n_keys)
+        return NIC_PER_KEY_US * max(1, n_keys)
 
     def _write_versions(self, txn: Transaction, keys) -> Dict[int, int]:
         versions = {}
@@ -296,7 +295,7 @@ class XenicProtocol(Coordinator):
 
     def _msg_with_keys(self, n_keys: int) -> Tuple[float]:
         return (self.runtime.msg_handle_us
-                + n_keys * self.config.nic_per_key_us,)
+                + n_keys * NIC_PER_KEY_US,)
 
     def _dispatch(self, kind, msg, then) -> None:
         """Take one inbound message — a wire kind, or a PCIe entry from
@@ -448,7 +447,7 @@ class _HostAttempt:
         n_keys = len(self.txn.spec.all_keys())
         self.t0 = p._t0()
         p.node.host_app_cores.run_wall_then(
-            p.config.host_per_key_us * max(1, n_keys), self._executed)
+            HOST_PER_KEY_US * max(1, n_keys), self._executed)
 
     def _executed(self, _ev: Event) -> None:
         p, txn = self.p, self.txn

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..hw.params import ABORT_BACKOFF_US
 from ..sim.core import Event
 from ..sim.stats import Counter
 
@@ -50,10 +51,6 @@ _NODE_BITS = 12
 def make_txn_id(node_id: int, seq: int) -> int:
     """Pack (node, sequence) into a transaction id."""
     return (seq << _NODE_BITS) | node_id
-
-
-# Abort backoff: linear in the attempt count, in microseconds.
-ABORT_BACKOFF_US = 1.5
 
 
 def abort_backoff_us(attempts: int) -> float:

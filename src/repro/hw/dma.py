@@ -24,16 +24,9 @@ from typing import Callable, List, Optional
 from ..sim.core import Event, Simulator
 from ..sim.link import SerialLink
 from ..sim.stats import OnlineStats
-from .params import DmaParams
+from .params import DMA_ENGINE_PER_OP_US, DMA_ENGINE_SUBMIT_US, DmaParams
 
 __all__ = ["DmaOp", "DmaEngine"]
-
-# Engine-side per-submission overhead and per-op processing time, solved so
-# that 8 queues of full 15-vectors hit 8.7 Mops/s (Figure 4a) while a
-# single-op submission keeps the sub-2µs latency of Figure 4b:
-#   8 * 15 / (F + 15 p) = 8.7  with  F = 0.25
-_ENGINE_SUBMIT_US = 0.25
-_ENGINE_PER_OP_US = 0.9027
 
 
 @dataclass
@@ -137,7 +130,7 @@ class DmaEngine:
         # is its wait for the queue plus the fixed submission/completion
         # pipeline, not the full occupancy (§3.5, Figure 4b: vectors do
         # not increase per-op latency).
-        occupancy = _ENGINE_SUBMIT_US + len(ops) * _ENGINE_PER_OP_US
+        occupancy = DMA_ENGINE_SUBMIT_US + len(ops) * DMA_ENGINE_PER_OP_US
         self._queue_busy_until[q] = start + occupancy
         if self.obs_sink is not None:
             self.obs_sink.dma_vector(self._obs_node, q, start, occupancy,

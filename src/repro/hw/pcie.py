@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 from ..sim.core import Simulator
 from ..sim.link import BatchingLink
-from .params import DmaParams
+from .params import PCIE_DOORBELL_US, PCIE_MAX_BATCH_BYTES, SmartNicParams
 
 __all__ = ["PcieChannel"]
 
@@ -22,21 +22,20 @@ _NIC = "nic"
 
 
 class PcieChannel:
-    """Bidirectional host<->NIC message path over the PCIe interface."""
+    """Bidirectional host<->NIC message path over the PCIe interface of
+    the SmartNIC ``params`` describes (its crossing latency and its DMA
+    engine's PCIe bandwidth)."""
 
     def __init__(
         self,
         sim: Simulator,
-        crossing_us: float,
-        bandwidth_gbps: float = None,
+        params: SmartNicParams,
         deliver_to_host: Callable[[Any], None] = None,
         deliver_to_nic: Callable[[Any], None] = None,
         aggregation: bool = True,
         name: str = "pcie",
     ):
         self.sim = sim
-        self.crossing_us = crossing_us
-        bw = bandwidth_gbps if bandwidth_gbps is not None else DmaParams().pcie_bandwidth_gbps
         self._deliver_to_host = deliver_to_host
         self._deliver_to_nic = deliver_to_nic
         # The crossing cost is mostly *latency* (DPDK submit + PCIe + pickup
@@ -44,12 +43,12 @@ class PcieChannel:
         # small per-transfer overhead models the doorbell/descriptor work.
         self._link = BatchingLink(
             sim,
-            bandwidth_gbps=bw,
-            overhead_us=0.10,
-            propagation_us=max(0.0, crossing_us - 0.10),
+            bandwidth_gbps=params.dma.pcie_bandwidth_gbps,
+            overhead_us=PCIE_DOORBELL_US,
+            propagation_us=max(0.0, params.pcie_crossing_us - PCIE_DOORBELL_US),
             deliver=self._deliver,
             aggregation=aggregation,
-            max_batch_bytes=32768,
+            max_batch_bytes=PCIE_MAX_BATCH_BYTES,
             name=name,
         )
         self.to_nic_count = 0

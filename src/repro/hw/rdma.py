@@ -15,7 +15,7 @@ from typing import Optional
 from ..sim.core import Event, Simulator
 from ..sim.link import SerialLink
 from .cpu import CoreGroup
-from .params import RdmaParams
+from .params import HOST, HostParams, RdmaParams
 
 __all__ = ["RdmaNic", "OneSidedVerb"]
 
@@ -36,9 +36,9 @@ _ACK_BYTES = 12
 class RdmaNic:
     """Per-node RDMA NIC.
 
-    The constructor wires two NICs together lazily through the shared
-    :class:`RdmaFabricRegistry`-style dict owned by the cluster; for
-    simplicity each verb call names the target NIC object directly.
+    NICs are not registered anywhere: each verb call names the target NIC
+    object directly.  ``host`` is the server the NIC sits in; a two-sided
+    RPC charges its ``rpc_handle_us`` to the target's ``host_cores``.
     """
 
     def __init__(
@@ -47,8 +47,7 @@ class RdmaNic:
         node_id: int,
         params: RdmaParams = None,
         host_cores: Optional[CoreGroup] = None,
-        host_rpc_handle_us: float = 16.0 / 23.0,
-        host_rpc_stack_us: float = 1.5,
+        host: HostParams = HOST,
         name: str = "",
     ):
         self.sim = sim
@@ -78,8 +77,7 @@ class RdmaNic:
             name="%s.wire" % self.name,
         )
         self.host_cores = host_cores
-        self.host_rpc_handle_us = host_rpc_handle_us
-        self.host_rpc_stack_us = host_rpc_stack_us
+        self.host = host
         # fixed processing latency so an unloaded verb matches the measured
         # RTT after subtracting two propagation delays
         self._fixed = {
@@ -92,7 +90,7 @@ class RdmaNic:
                 0.0,
                 self.params.rpc_rtt_us
                 - 2 * self.params.propagation_us
-                - host_rpc_handle_us,
+                - host.rpc_handle_us,
             ),
         }
         self.ops = {READ: 0, WRITE: 0, ATOMIC: 0, SEND: 0}
@@ -182,7 +180,7 @@ class RdmaNic:
         per_op = self.params.per_op_wire_bytes
         return _Rpc(self, target, req_size + per_op, resp_size + per_op,
                     self._fixed[SEND], on_target,
-                    target.host_rpc_handle_us + handler_ref_us)
+                    target.host.rpc_handle_us + handler_ref_us)
 
 
 class _Verb(Event):

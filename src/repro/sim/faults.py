@@ -32,7 +32,7 @@ its simulated timestamp, making failing seeds replayable postmortems.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -154,12 +154,6 @@ class FaultSpec:
             node, down = rest.split(":", 1)
             return CrashEvent(float(at), int(node), float(down))
         return CrashEvent(float(at), int(rest), None)
-
-    def with_crash(self, at_us: float, node: int,
-                   down_us: Optional[float] = None) -> "FaultSpec":
-        return replace(
-            self, crashes=self.crashes + (CrashEvent(at_us, node, down_us),)
-        )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ TPC-C keeps ORDER / NEW-ORDER / ORDER-LINE and friends in B+ trees local
 to their coordinator; manipulating them is the compute-heavy host work
 that dominates Xenic's TPC-C host-thread budget (Table 3).  This is a
 textbook in-memory B+ tree with ordered iteration; the workload charges
-its operations to host cores (``workloads.tpcc.BTREE_OP_US``).
+its operations to host cores (``hw.params.TPCC_BTREE_OP_US``).
 """
 
 from __future__ import annotations

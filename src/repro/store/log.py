@@ -44,15 +44,6 @@ class LogRecord:
         self.writes = writes
         self.acked = acked
 
-    @property
-    def size_bytes(self) -> int:
-        payload = sum(
-            PER_WRITE_HEADER_BYTES + getattr(v, "size", 8) if hasattr(v, "size")
-            else PER_WRITE_HEADER_BYTES + 8
-            for _k, v, _ver in self.writes
-        )
-        return RECORD_HEADER_BYTES + payload
-
 
 def record_size_bytes(n_writes: int, value_size: int) -> int:
     """Wire/DMA size of a log record carrying ``n_writes`` values."""

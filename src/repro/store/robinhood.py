@@ -27,6 +27,7 @@ from .object import ObjectTable, VersionedObject, mix64, share
 __all__ = ["RobinhoodTable", "InsertResult", "LookupResult", "DeleteResult"]
 
 UNLIMITED = 1 << 30
+SEGMENT_SIZE = 8  # slots per segment (default)
 
 
 # Result records are hand-written ``__slots__`` classes: one is allocated
@@ -75,7 +76,7 @@ class RobinhoodTable(ObjectTable):
         self,
         capacity: int,
         dm: int = 8,
-        segment_size: int = 8,
+        segment_size: int = SEGMENT_SIZE,
         hash_salt: int = 0,
     ):
         if capacity < segment_size:
@@ -105,7 +106,7 @@ class RobinhoodTable(ObjectTable):
         self.probe_stats = OnlineStats()
 
     @classmethod
-    def unlimited(cls, capacity: int, segment_size: int = 8) -> "RobinhoodTable":
+    def unlimited(cls, capacity: int, segment_size: int = SEGMENT_SIZE) -> "RobinhoodTable":
         """A table with no displacement limit (the 'no limit' row of
         Table 2); overflow buckets are never used."""
         table = cls(capacity, dm=1, segment_size=segment_size)

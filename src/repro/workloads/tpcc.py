@@ -27,6 +27,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.txn import TxnSpec
+from ..hw.params import (TPCC_BTREE_OP_US, TPCC_DELIVERY_US,
+                         TPCC_ITEM_LOOKUP_US, TPCC_ORDER_STATUS_US,
+                         TPCC_PAYMENT_LOCAL_US, TPCC_STOCK_LEVEL_US)
 from ..sim.rng import RngStream
 from ..store.btree import BPlusTree
 from .base import Workload, make_key
@@ -40,14 +43,6 @@ CUSTOMER_BYTES = 660
 STOCK_BYTES = 320
 
 DISTRICTS_PER_WAREHOUSE = 10
-
-# reference-Xeon µs costs of coordinator-local work
-ITEM_LOOKUP_US = 0.10  # read-only ITEM catalog access
-BTREE_OP_US = 0.35  # one B+ tree insert/lookup
-PAYMENT_LOCAL_US = 1.2  # history insert + misc
-ORDER_STATUS_US = 2.5  # customer-by-name + order scan
-DELIVERY_US = 4.0  # new-order scan + order updates (chopped, per district)
-STOCK_LEVEL_US = 3.0  # recent-order scan
 
 FULL_MIX = [
     ("new_order", 45),
@@ -166,7 +161,8 @@ class _TpccBase(Workload):
 
         # coordinator-local work: ITEM catalog lookups plus ORDER /
         # ORDER-LINE B+ tree inserts
-        local_us = n_items * ITEM_LOOKUP_US + (1 + n_items) * BTREE_OP_US
+        local_us = (n_items * TPCC_ITEM_LOOKUP_US
+                    + (1 + n_items) * TPCC_BTREE_OP_US)
 
         def post_commit():
             self._insert_order(node_id, home, did, n_items)
@@ -264,7 +260,7 @@ class TpccFull(_TpccBase):
 
         return TxnSpec(
             read_keys=[wk, dk, ck], write_keys=[wk, dk, ck], logic=logic,
-            logic_cost_us=0.15, local_compute_us=PAYMENT_LOCAL_US,
+            logic_cost_us=0.15, local_compute_us=TPCC_PAYMENT_LOCAL_US,
             ship_execution=True,  # §5.3: payment ships to the NIC
             label="payment",
             write_bytes=16,  # ytd / balance field updates
@@ -274,7 +270,7 @@ class TpccFull(_TpccBase):
         home = self._home_warehouse(rng, node_id)
         ck = self.customer_key(home, rng.randrange(self.customers_per_wh))
         return TxnSpec(read_keys=[ck], write_keys=[], read_only=True,
-                       local_compute_us=ORDER_STATUS_US,
+                       local_compute_us=TPCC_ORDER_STATUS_US,
                        ship_execution=False, label="order_status")
 
     def _delivery(self, rng, node_id) -> TxnSpec:
@@ -287,7 +283,7 @@ class TpccFull(_TpccBase):
             return {ck: {"balance": c["balance"] + 25}}
 
         return TxnSpec(read_keys=[ck], write_keys=[ck], logic=logic,
-                       logic_cost_us=0.2, local_compute_us=DELIVERY_US,
+                       logic_cost_us=0.2, local_compute_us=TPCC_DELIVERY_US,
                        ship_execution=False, label="delivery",
                        write_bytes=16)
 
@@ -302,5 +298,5 @@ class TpccFull(_TpccBase):
         ]
         stock_keys = list(dict.fromkeys(stock_keys))
         return TxnSpec(read_keys=[dk] + stock_keys, write_keys=[],
-                       read_only=True, local_compute_us=STOCK_LEVEL_US,
+                       read_only=True, local_compute_us=TPCC_STOCK_LEVEL_US,
                        ship_execution=False, label="stock_level")

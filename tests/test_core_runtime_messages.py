@@ -23,6 +23,7 @@ from repro.core.messages import (
 from repro.core.nic_runtime import NicRuntime, PendingTable
 from repro.core.txn import Transaction, TxnSpec, TxnStatus, make_txn_id
 from repro.hw import Fabric, SmartNic
+from repro.hw.params import NIC_PER_KEY_US
 from repro.sim import Simulator
 
 
@@ -202,7 +203,7 @@ def test_handle_cost_scales_with_keys():
         sim.run()
     assert took[0] == pytest.approx(proto.runtime.msg_handle_us)
     assert took[1] - took[0] == pytest.approx(
-        10 * proto.config.nic_per_key_us)
+        10 * NIC_PER_KEY_US)
 
 
 def test_aggregation_lowers_message_handle_cost():

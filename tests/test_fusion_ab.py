@@ -94,6 +94,7 @@ class GoldenRun(NamedTuple):
     events: int
     spawned: int
     commits: int
+    unlock_mismatches: int  # COMMIT unlocks that found the lock not held
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,7 +118,9 @@ def golden_run(concurrency, obs=False, faults=None):
         sum(proto.stats.get("stepwise_dispatches")
             for proto in bench.cluster.protocols),
         len(dispatched), bench.sim.events_scheduled,
-        bench.sim.processes_spawned, payload["total_commits"])
+        bench.sim.processes_spawned, payload["total_commits"],
+        sum(proto.stats.get("commit_unlock_mismatch")
+            for proto in bench.cluster.protocols))
 
 
 def test_peak_digest_observer_neutral():
@@ -139,6 +142,14 @@ def test_pins_cover_fast_path_fallback_and_mix():
         assert golden_run(16, **mode)[:3] == (FIG8D_DIGEST, 3, 11078), mode
         assert golden_run(64, **mode)[:3] == (
             FIG8D_PEAK_DIGEST, 2342, 36551), mode
+
+
+@pytest.mark.parametrize("concurrency", [16, 64])
+def test_fault_free_commits_release_every_lock(concurrency):
+    """``commit_unlock_mismatch`` counts COMMIT unlocks that find the lock
+    rebuilt or reassigned since EXECUTE, which only recovery does: on a
+    fault-free run it stays 0."""
+    assert golden_run(concurrency).unlock_mismatches == 0
 
 
 @pytest.mark.parametrize("concurrency, contended",

@@ -17,7 +17,9 @@ from repro.hw.params import (
     BLUEFIELD_OFFPATH,
     CX5_RDMA,
     EthernetParams,
+    LIQUIDIO3,
     STINGRAY_OFFPATH,
+    TESTBED,
 )
 from repro.sim import Simulator
 
@@ -238,17 +240,44 @@ def test_pcie_channel_roundtrip():
     got = {"host": [], "nic": []}
     chan = PcieChannel(
         sim,
-        crossing_us=1.25,
+        LIQUIDIO3,
         deliver_to_host=lambda p: got["host"].append((sim.now, p)),
         deliver_to_nic=lambda p: got["nic"].append((sim.now, p)),
     )
     chan.host_to_nic(256, "txn-state")
     sim.run()
     assert got["nic"][0][1] == "txn-state"
-    assert got["nic"][0][0] >= 1.25
+    assert got["nic"][0][0] >= LIQUIDIO3.pcie_crossing_us
     chan.nic_to_host(64, "result")
     sim.run()
     assert got["host"][0][1] == "result"
+
+
+def test_node_pcie_channel_serializes_at_its_bundles_bandwidth():
+    """A node's host <-> NIC channel reads the PCIe bandwidth of the
+    hardware bundle the node is built with, not a fresh default."""
+    import dataclasses
+
+    from repro.core import XenicCluster, XenicConfig
+
+    nbytes = 20000
+
+    def arrival(hardware):
+        sim = Simulator()
+        node = XenicCluster(sim, 1, XenicConfig(hardware=hardware),
+                            keys_per_shard=64).nodes[0]
+        got = []
+        node.pcie.set_handlers(lambda p: None, lambda p: got.append(sim.now))
+        node.pcie.host_to_nic(nbytes, "state")
+        sim.run()
+        return got[0]
+
+    nic = TESTBED.nic
+    slow = dataclasses.replace(TESTBED, nic=dataclasses.replace(
+        nic, dma=dataclasses.replace(nic.dma, pcie_bandwidth_gbps=8.0)))
+    assert arrival(slow) - arrival(TESTBED) == pytest.approx(
+        nbytes / (8.0 * 125.0)
+        - nbytes / (nic.dma.pcie_bandwidth_gbps * 125.0))
 
 
 def test_smartnic_routes_wire_messages_to_handler():

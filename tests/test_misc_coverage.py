@@ -80,13 +80,6 @@ def test_chained_contains_and_objects():
     assert t.get_object(3) is None
 
 
-def test_log_record_size_property():
-    from repro.store import LogRecord, VersionedObject
-
-    rec = LogRecord(1, "log", 0, [(5, VersionedObject(5, size=100), 1)])
-    assert rec.size_bytes == 24 + 16 + 100
-
-
 def test_event_fail_requires_exception():
     from repro.sim import Simulator
 

@@ -185,8 +185,6 @@ def test_log_poll_batch_limit():
 def test_record_size_accounting():
     assert record_size_bytes(0, 64) == 24
     assert record_size_bytes(3, 64) == 24 + 3 * 80
-    rec = make_record(n_writes=2)
-    assert rec.size_bytes == 24 + 2 * (16 + 8)
 
 
 def test_log_capacity_validation():

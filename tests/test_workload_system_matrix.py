@@ -42,3 +42,4 @@ def test_matrix(system, workload):
             assert proto.stats.get("stray_responses") == 0
             assert proto.stats.get("stray_done") == 0
             assert proto.stats.get("stray_log_acks") == 0
+            assert proto.stats.get("commit_unlock_mismatch") == 0
