@@ -2,12 +2,7 @@
 
 from .collector import collector_quiet
 from .core import Event, Gather, Process, SimulationError, Simulator, Timeout
-from .equeue import (
-    CalendarEventQueue,
-    EventQueue,
-    HeapEventQueue,
-    selected_queue_kind,
-)
+from .equeue import selected_queue_kind
 from .faults import CrashEvent, FaultEvent, FaultPlan, FaultSpec, FaultTrace
 from .link import BatchingLink, SerialLink
 from .resources import Resource, Semaphore
@@ -22,9 +17,6 @@ __all__ = [
     "Gather",
     "SimulationError",
     "collector_quiet",
-    "EventQueue",
-    "HeapEventQueue",
-    "CalendarEventQueue",
     "selected_queue_kind",
     "Resource",
     "Semaphore",

@@ -16,32 +16,27 @@ Determinism: events scheduled for the same timestamp fire in FIFO order of
 scheduling (a monotonically increasing sequence number breaks ties), so a
 simulation driven by seeded RNG streams is exactly reproducible.
 
-Hot-path notes (see ``docs/PERFORMANCE.md``): a queue entry is the
-mutable list ``[when, seq, fn, arg]`` (the calendar stores negated
-keys), and popping it retires it (clears it) and runs ``fn(arg)``; a
-queued event is the entry ``_fire(event)``.  Entries pushed at an
-instant that already has a pending entry ride that *host* entry: the
-host turns into a batch in place (``Simulator._riding_push``).  Events
-store their first callback in a dedicated slot so the common
-single-waiter case allocates no list, and :meth:`Simulator.run`
-dispatches through the queue's inlined drain loop.  Nothing cancels a
-scheduled entry or interrupts a process, so an entry runs only by its
-own pop and a process is resumed only by the one event it waits on.
-
-The scheduler data structure sits behind one narrow interface
-(:class:`~repro.sim.equeue.EventQueue`): every scheduling site funnels
-through ``Simulator._riding_push`` into the queue's ``push``.  The
-engine runs on the calendar/bucket queue; the binary heap is kept as
-the reference the tests swap in (``Simulator(queue=HeapEventQueue())``)
-to prove byte-identical simulated results.
+Hot-path notes (see ``docs/PERFORMANCE.md``): the queue is a binary
+heap (``heapq``) of mutable lists ``[when, seq, fn, arg]`` kept on the
+:class:`Simulator`, and popping an entry retires it (clears it) and
+runs ``fn(arg)``; a queued event is the entry ``_fire(event)``.  Every
+scheduling site funnels through ``Simulator._riding_push``, which
+assigns ``seq``.  Entries pushed at an instant that already has a
+pending entry ride that *host* entry: the host turns into a batch in
+place.  Events store their first callback in a dedicated slot so the
+common single-waiter case allocates no list, and :meth:`Simulator.run`
+pops and dispatches in one inlined loop.  Nothing cancels a scheduled
+entry or interrupts a process, so an entry runs only by its own pop and
+a process is resumed only by the one event it waits on.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, List, Optional
 
-from .equeue import CalendarEventQueue, EventQueue
 from .collector import collector_quiet
 
 __all__ = [
@@ -320,24 +315,20 @@ class Simulator:
         assert proc.value == "done"
     """
 
-    __slots__ = ("_now", "_q", "_riders_pending", "_open", "_floors",
-                 "_hwm", "_push", "_batch", "_processes_spawned")
+    __slots__ = ("_now", "_heap", "_seq", "_riders_pending", "_open",
+                 "_floors", "_hwm", "_push", "_batch", "_processes_spawned")
 
-    def __init__(self, queue: Optional[EventQueue] = None):
+    def __init__(self):
         self._now = 0.0
-        # The scheduler structure sits behind the EventQueue protocol
-        # (docs/PERFORMANCE.md): the calendar queue, unless the caller
-        # hands in another implementation (the tests' heap reference).
-        if queue is None:
-            queue = CalendarEventQueue()
-        elif not isinstance(queue, EventQueue):
-            raise TypeError("queue must be an EventQueue instance, not %r"
-                            % (queue,))
-        self._q = queue
-        # Every scheduling path funnels through this one bound method —
-        # the queue assigns seq numbers and owns the entry layout —
-        # which absorbs pushes whose deadline collides with a pending
-        # entry as riders on that entry instead of growing the queue.
+        # The event queue: a heap of [when, seq, fn, arg] entries.  seq
+        # is unique, so entries pop in strict (when, seq) order and a
+        # comparison never reaches fn.
+        self._heap: List[List[Any]] = []
+        self._seq = 0  # entries ever pushed
+        # Every scheduling path funnels through this one bound method,
+        # which assigns seq numbers and absorbs pushes whose deadline
+        # collides with a pending entry as riders on that entry instead
+        # of growing the queue.
         self._push = self._riding_push
         # A host entry with riders runs this, bound once.
         self._batch = self._run_batch
@@ -372,13 +363,13 @@ class Simulator:
         without them a process resumed by the batch's host entry would
         see false quiescence while its same-instant cohort still waits
         to fire."""
-        return len(self._q) + self._riders_pending
+        return len(self._heap) + self._riders_pending
 
     @property
     def events_scheduled(self) -> int:
         """Total queue entries pushed so far: the numerator of
         ``events_per_txn`` and of the exact events-per-op test gates."""
-        return self._q.seq
+        return self._seq
 
     @property
     def processes_spawned(self) -> int:
@@ -424,7 +415,8 @@ class Simulator:
             # same-instant entries fire in (when, seq) order whether the
             # first one hosts or merely precedes the host in the queue.
             self._hwm = when
-            self._q.push(when, fn, arg)
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, [when, seq, fn, arg])
             return
         open_ = self._open
         host = open_.get(when)
@@ -437,8 +429,10 @@ class Simulator:
                 host[2] = batch
             self._riders_pending += 1
             return
-        open_[when] = self._q.push(when, fn, arg)
-        if len(open_) >= 8192 and len(open_) > (len(self._q) << 2):
+        self._seq = seq = self._seq + 1
+        open_[when] = entry = [when, seq, fn, arg]
+        heappush(self._heap, entry)
+        if len(open_) >= 8192 and len(open_) > (len(self._heap) << 2):
             # The slot table only ever grows on distinct timestamps;
             # shed popped hosts once it dwarfs the live queue.
             self._open = {w: e for w, e in open_.items() if e}
@@ -489,10 +483,12 @@ class Simulator:
     def step(self) -> bool:
         """Run one scheduled entry (a host runs its same-deadline riders
         too, in attach order); returns False if the queue is empty."""
-        entry = self._q.pop_min()
-        if entry is None:
+        heap = self._heap
+        if not heap:
             return False
+        entry = heappop(heap)
         when, _seq, fn, arg = entry
+        entry.clear()
         self._now = when
         fn(arg)
         return True
@@ -504,25 +500,30 @@ class Simulator:
         event time when draining, exactly ``until`` otherwise.  Events
         scheduled past ``until`` are never fired.
 
-        Both forms delegate to the queue's drain loops
-        (``drain_all``/``drain_until``; the calendar's fire and dispatch
-        without per-event method calls), and both run collector-quiet
-        (``repro.sim.collector``): steady-state simulation frees its
-        state by reference count, so automatic collections are deferred
-        to the caller's next allocation after the drain returns.
+        Both forms run :meth:`step`'s pop, clear and dispatch in one
+        inlined loop, collector-quiet (``repro.sim.collector``):
+        steady-state simulation frees its state by reference count, so
+        automatic collections are deferred to the caller's next
+        allocation after the drain returns.
         """
+        if until is None:
+            until = inf
+        elif until < self._now:
+            raise SimulationError("until=%r is in the past" % (until,))
+        heap = self._heap
+        pop = heappop
         with collector_quiet:
-            if until is None:
-                self._q.drain_all(self)
-                return self._now
-            if until < self._now:
-                raise SimulationError("until=%r is in the past" % (until,))
-            self._q.drain_until(self, until)
-            # The loop only fires entries <= until, so the clock never
-            # overruns; land exactly on the boundary.
-            if self._now < until:
-                self._now = until
-            return self._now
+            while heap and heap[0][0] <= until:
+                entry = pop(heap)
+                when, _seq, fn, arg = entry
+                entry.clear()
+                self._now = when
+                fn(arg)
+        # The loop only fires entries <= until, so the clock never
+        # overruns; a bounded run lands exactly on the boundary.
+        if self._now < until < inf:
+            self._now = until
+        return self._now
 
     def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
         """Run until ``event`` triggers; returns its value.
@@ -530,14 +531,12 @@ class Simulator:
         Raises :class:`SimulationError` if the queue drains (or ``limit`` is
         reached) without the event firing.
         """
-        peek = self._q.peek_time
+        heap = self._heap
         with collector_quiet:
             while not event.triggered:
-                if limit is not None:
-                    head = peek()
-                    if head is not None and head > limit:
-                        raise SimulationError(
-                            "time limit reached before event fired")
+                if limit is not None and heap and heap[0][0] > limit:
+                    raise SimulationError(
+                        "time limit reached before event fired")
                 if not self.step():
                     raise SimulationError(
                         "simulation drained before event fired")

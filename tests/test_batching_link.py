@@ -21,8 +21,9 @@ import random
 import pytest
 
 from repro.sim.core import Simulator
-from repro.sim.equeue import HeapEventQueue
 from repro.sim.link import BatchingLink
+
+from .queue_legs import QUEUE_LEGS, queue_leg
 
 
 class _Driver:
@@ -109,16 +110,17 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
+@pytest.mark.parametrize("queue", QUEUE_LEGS)
 @pytest.mark.parametrize("seed", sorted(PINS))
 def test_batching_link_trace_pinned(seed, queue):
     """600 driver steps per seed, every aim taken at least once: the
     delivery trace (instant, link, destination, payloads), the packet
     counts and ``events_scheduled`` are a pure function of the seed, on
-    either queue."""
-    sim = Simulator(queue=HeapEventQueue() if queue == "heap" else None)
-    drv = _Driver(sim, seed, steps=600)
-    sim.run()
+    either leg of ``tests/queue_legs.py``."""
+    with queue_leg(queue):
+        sim = Simulator()
+        drv = _Driver(sim, seed, steps=600)
+        sim.run()
     assert drv.payload == sum(len(t[3]) for t in drv.trace if len(t) == 4)
     assert all(drv.aims.values()), drv.aims
     got = hashlib.sha256(repr(drv.trace).encode()).hexdigest()[:16]

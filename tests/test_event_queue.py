@@ -1,103 +1,111 @@
-"""Scheduler edge cases, exercised identically on both event-queue
-implementations: the ``EventQueue`` contract says pop order and the
-simulated clock are byte-identical between the calendar queue the
-engine runs on and the heap kept as its reference, so every test here
-is parametrized over both, passed as ``Simulator(queue=<instance>)``,
-and several also assert cross-impl identity directly.
+"""Scheduler edge cases on the engine's one event queue, a binary heap
+of ``[when, seq, fn, arg]`` entries on the ``Simulator``.  Its contract
+is that entries pop in strict ``(when, seq)`` order, so the tests
+compare what it fires against that order computed without a simulator:
+``sorted((when, push_index))``, with the same-instant rider rules
+restated beside it for ``events_scheduled``.  The edge cases run on both
+legs of ``tests/queue_legs.py``: the engine's heap and the same entries
+kept fully sorted.
 """
 
 import pytest
 
 from repro.sim import Simulator, Timeout
-from repro.sim.equeue import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    selected_queue_kind,
-)
+from repro.sim.equeue import selected_queue_kind
 
-KINDS = (HeapEventQueue, CalendarEventQueue)
-both_kinds = pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.kind)
+from .queue_legs import both_legs, queue_leg
 
 
 # ---------------------------------------------------------------------------
-# construction
+# an empty simulator
 # ---------------------------------------------------------------------------
 
 
-def test_simulator_accepts_queue_instance_only():
-    q = HeapEventQueue()
-    sim = Simulator(queue=q)
-    assert sim._q is q
-    Timeout(sim, 1.0)
-    assert len(q) == 1
-    with pytest.raises(TypeError, match="EventQueue instance"):
-        Simulator(queue="heap")
+@both_legs
+def test_empty_queue_peek_time(queue):
+    """An empty queue has no head to peek: ``step()`` fires nothing and
+    ``run()`` returns ``now``."""
+    with queue_leg(queue):
+        sim = Simulator()
+        assert not sim.step()
+        assert sim.run() == 0.0
+        assert sim.pending_events == 0 and sim.events_scheduled == 0
+        # Still empty after a push/pop cycle; a bounded run lands on its
+        # boundary with nothing to fire.
+        Timeout(sim, 5.0)
+        assert sim.pending_events == 1
+        assert sim.run() == 5.0
+        assert not sim.step()
+        assert sim.pending_events == 0 and sim.events_scheduled == 1
+        assert sim.run(until=7.5) == 7.5 and sim.now == 7.5
 
 
 # ---------------------------------------------------------------------------
-# empty-queue peek_time
+# equal-timestamp FIFO ordering
 # ---------------------------------------------------------------------------
 
 
-@both_kinds
-def test_empty_queue_peek_time(kind):
-    q = kind()
-    assert q.peek_time() is None
-    assert q.pop_min() is None
-    assert len(q) == 0
-    # Still empty (and still None) after a push/pop cycle.
-    sim = Simulator(queue=q)
-    Timeout(sim, 5.0)
-    assert q.peek_time() == 5.0
-    sim.run()
-    assert q.peek_time() is None
-    assert q.pop_min() is None
-
-
-# ---------------------------------------------------------------------------
-# equal-timestamp FIFO ordering, including across bucket boundaries
-# ---------------------------------------------------------------------------
-
-
-@both_kinds
-def test_equal_timestamp_fifo(kind):
-    sim = Simulator(queue=kind())
-    fired = []
-    for i in range(50):
-        Timeout(sim, 10.0).add_callback(lambda _e, i=i: fired.append(i))
-    sim.run()
+@both_legs
+def test_equal_timestamp_fifo(queue):
+    with queue_leg(queue):
+        sim = Simulator()
+        fired = []
+        for i in range(50):
+            Timeout(sim, 10.0).add_callback(lambda _e, i=i: fired.append(i))
+        sim.run()
     assert fired == list(range(50))
 
 
-@both_kinds
-def test_fifo_across_bucket_boundaries(kind):
-    # Interleave schedule order across many distinct deadlines so bucket
-    # routing (calendar) must still produce global (when, seq) order.
-    sim = Simulator(queue=kind())
-    fired = []
-    lanes = [3.0, 3.5, 100.25, 7.0, 100.25, 0.5, 3.0]
-    expect = []
-    for i, delay in enumerate(lanes * 40):
-        Timeout(sim, delay).add_callback(
-            lambda _e, i=i, d=delay: fired.append((d, i)))
-        expect.append((delay, i))
-    expect.sort()  # (when, schedule order) — FIFO within equal deadlines
-    sim.run()
+@both_legs
+def test_fifo_across_bucket_boundaries(queue):
+    # Interleave schedule order across many distinct deadlines, far
+    # apart and close together: the pop order is still global (when,
+    # schedule order).
+    with queue_leg(queue):
+        sim = Simulator()
+        fired = []
+        lanes = [3.0, 3.5, 100.25, 7.0, 100.25, 0.5, 3.0]
+        expect = []
+        for i, delay in enumerate(lanes * 40):
+            Timeout(sim, delay).add_callback(
+                lambda _e, i=i, d=delay: fired.append((d, i)))
+            expect.append((delay, i))
+        expect.sort()  # (when, schedule order) — FIFO within equal deadlines
+        sim.run()
     assert fired == expect
 
 
-def test_pop_order_identical_across_impls():
-    def trace(kind):
-        sim = Simulator(queue=kind())
-        out = []
-        delays = [(i * 37 % 19) + (0.5 if i % 3 else 0.0) for i in range(400)]
-        for i, d in enumerate(delays):
-            Timeout(sim, float(d)).add_callback(
-                lambda _e, i=i: out.append((sim.now, i)))
-        sim.run()
-        return out
+def test_pop_order_matches_sorted_reference():
+    sim = Simulator()
+    out = []
+    delays = [(i * 37 % 19) + (0.5 if i % 3 else 0.0) for i in range(400)]
+    for i, d in enumerate(delays):
+        Timeout(sim, float(d)).add_callback(
+            lambda _e, i=i: out.append((sim.now, i)))
+    sim.run()
+    assert out == sorted((float(d), i) for i, d in enumerate(delays))
 
-    assert trace(HeapEventQueue) == trace(CalendarEventQueue)
+
+def test_mid_drain_pushes_land_in_order():
+    sim = Simulator()
+    fired = []
+
+    def note(_arg):
+        fired.append(sim.now)
+
+    def at_one(_arg):
+        fired.append(sim.now)
+        # Pushed while the queue drains: one at now (behind the running
+        # entry), one ahead of the queued head, one between queued ones.
+        sim.call_after(0.0, note)
+        sim.call_after(0.5, note)
+        sim.call_after(2.0, note)
+
+    sim.call_at(1.0, at_one)
+    sim.call_at(2.0, note)
+    sim.call_at(4.0, note)
+    sim.run()
+    assert fired == [1.0, 1.0, 1.5, 2.0, 3.0, 4.0]
 
 
 # ---------------------------------------------------------------------------
@@ -105,85 +113,103 @@ def test_pop_order_identical_across_impls():
 # ---------------------------------------------------------------------------
 
 
-@both_kinds
-def test_run_until_leaves_live_head_past_boundary(kind):
-    sim = Simulator(queue=kind())
-    fired = []
-    Timeout(sim, 50.0).add_callback(lambda _e: fired.append(sim.now))
-    sim.run(until=49.999)
-    assert fired == [] and sim.now == 49.999
-    sim.run(until=50.0)
-    assert fired == [50.0] and sim.now == 50.0
+@both_legs
+def test_run_until_leaves_live_head_past_boundary(queue):
+    with queue_leg(queue):
+        sim = Simulator()
+        fired = []
+        Timeout(sim, 50.0).add_callback(lambda _e: fired.append(sim.now))
+        sim.run(until=49.999)
+        assert fired == [] and sim.now == 49.999
+        sim.run(until=50.0)
+        assert fired == [50.0] and sim.now == 50.0
 
 
 # ---------------------------------------------------------------------------
-# calendar internals: rebalance keeps order and population
+# property test: random op streams against a reference without a simulator
 # ---------------------------------------------------------------------------
 
 
-def test_calendar_rebalance_preserves_order_and_len():
-    q = CalendarEventQueue(width=1.0)
-    sim = Simulator(queue=q)
-    fired = []
-    # Sparse far-flung population to force a first-activation rebalance.
-    n = 300
-    for i in range(n):
-        Timeout(sim, 1.0 + 97.0 * i).add_callback(
-            lambda _e, i=i: fired.append(i))
-    assert len(q) == n
-    sim.run()
-    assert fired == list(range(n))
-    assert q.width != 1.0  # the load-factor trigger actually fired
-    assert len(q) == 0
-
-
-def test_calendar_push_into_active_band():
-    q = CalendarEventQueue(width=8.0)
-    sim = Simulator(queue=q)
-    fired = []
-
-    def proc():
-        yield Timeout(sim, 1.0)
-        fired.append(sim.now)
-        # Schedule behind and ahead within the active band; both must
-        # fire in timestamp order even though the band is mid-drain.
-        Timeout(sim, 0.5).add_callback(lambda _e: fired.append(sim.now))
-        Timeout(sim, 2.0).add_callback(lambda _e: fired.append(sim.now))
-
-    sim.spawn(proc())
-    sim.run()
-    assert fired == [1.0, 1.5, 3.0]
-
-
-# ---------------------------------------------------------------------------
-# property test: random op streams, identical across every queue impl
-# ---------------------------------------------------------------------------
-
-
-def _drive(kind, ops):
-    """Replay one random op stream on one queue implementation and
-    return everything digest-visible: the fire log, the final clock,
-    and the scheduled-event counter."""
-    sim = Simulator(queue=kind())
+def _drive(ops, stepwise=False):
+    """Replay one random op stream on a ``Simulator`` and return
+    everything digest-visible: the fire log, the final clock and the
+    scheduled-entry counter.  ``stepwise`` fires every entry through
+    ``step()``; ``run(until)`` then only lands the clock."""
+    sim = Simulator()
     log = []
-    pushed = 0
-    for op in ops:
-        if op[0] == "push":
-            Timeout(sim, op[1]).add_callback(
-                lambda _e, i=pushed: log.append(("fire", i, sim.now)))
-            pushed += 1
-        else:  # ("run", dt): bounded drain
-            sim.run(until=sim.now + op[1])
-            log.append(("clock", sim.now))
-    sim.run()
+
+    def fire(i):
+        log.append(("fire", i, sim.now))
+
+    for i, (kind, dt) in enumerate(ops):
+        if kind == "push":
+            sim.call_after(dt, fire, i)
+            continue
+        until = sim.now + dt
+        if stepwise:
+            heap = sim._heap
+            while heap and heap[0][0] <= until:
+                assert sim.step()
+            fired = len(log)
+            sim.run(until=until)
+            assert len(log) == fired
+        else:
+            sim.run(until=until)
+        log.append(("clock", sim.now))
+    if stepwise:
+        while sim.step():
+            pass
+    else:
+        sim.run()
     return log, sim.now, sim.events_scheduled
 
 
-_hyp = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+def _reference(ops):
+    """The same stream without a simulator: entries fire in
+    ``sorted((when, push_index))`` order, and a push is a queue entry
+    unless it rides a pending entry registered at its instant (the
+    rider rules of ``Simulator._riding_push``: the first push at a fresh
+    high-water instant goes unregistered, the next registers)."""
+    clock, hwm = 0.0, -1.0
+    pending, hosts, log, scheduled = [], set(), [], 0
 
-_delay = st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
-                   allow_infinity=False)
+    def fire(due):
+        log.extend(("fire", i, when) for when, i in sorted(due))
+
+    for i, (kind, dt) in enumerate(ops):
+        if kind == "push":
+            when = clock + dt
+            pending.append((when, i))
+            if when > hwm:
+                hwm = when
+                scheduled += 1
+            elif when not in hosts:
+                hosts.add(when)
+                scheduled += 1
+            continue
+        clock = clock + dt
+        fire([e for e in pending if e[0] <= clock])
+        pending = [e for e in pending if e[0] > clock]
+        hosts = {w for w in hosts if w > clock}
+        log.append(("clock", clock))
+    fire(pending)
+    if pending:
+        clock = max(pending)[0]
+    return log, clock, scheduled
+
+
+_hyp = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# A few exact values beside the floats, so pushes collide on an instant
+# and the rider rules are exercised.
+_delay = st.one_of(
+    st.sampled_from((0.0, 0.5, 1.0)),
+    st.integers(0, 4).map(float),
+    st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
+              allow_infinity=False),
+)
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"), _delay),
@@ -195,11 +221,18 @@ _ops = st.lists(
 
 @settings(max_examples=30, deadline=None)
 @given(ops=_ops)
-def test_random_streams_identical_across_impls(ops):
-    """Random push/run(until) streams must produce the identical
-    pop order, final clock, and event counter on the heap queue and the
-    calendar queue."""
-    assert _drive(HeapEventQueue, ops) == _drive(CalendarEventQueue, ops)
+# Three pushes at one instant (unregistered, host, rider), a run landing
+# on it, then pushes at the instant just drained and at a fresh one.
+@example(ops=[("push", 1.0), ("push", 1.0), ("push", 1.0), ("push", 0.0),
+              ("run", 1.0), ("push", 0.0), ("push", 0.0), ("push", 0.5),
+              ("push", 0.5), ("push", 0.5), ("run", 0.25)])
+def test_random_streams_match_sorted_reference(ops):
+    """Random push/run(until) streams produce the same pop order, final
+    clock and event counter through ``run()``, through a replay that
+    fires only by ``step()``, and in the reference."""
+    expect = _reference(ops)
+    assert _drive(ops) == expect
+    assert _drive(ops, stepwise=True) == expect
 
 
 def test_queue_kind_metadata_roundtrip():
@@ -209,7 +242,7 @@ def test_queue_kind_metadata_roundtrip():
     from repro.sim.fusion import selected_fusion
 
     sim = Simulator()
-    assert selected_queue_kind() == sim._q.kind == "calendar"
+    assert selected_queue_kind() == "heap" and type(sim._heap) is list
     assert selected_fusion() == "on" and sim._push == sim._riding_push
     assert selected_compiled() == "off" and compiled_available() is False
 
@@ -219,14 +252,19 @@ def test_queue_kind_metadata_roundtrip():
 # ---------------------------------------------------------------------------
 
 
-@both_kinds
-def test_rider_rules_scripted_schedule(kind):
+@both_legs
+def test_rider_rules_scripted_schedule(queue):
     """One scripted schedule pins where each same-instant push goes: into
     the queue unregistered, into the queue as the instant's host, or onto
     the host as a rider.  After every ``step()`` the dispatch log,
     ``events_scheduled`` and ``pending_events`` must match; riders count
     as pending while they wait, but never as scheduled entries."""
-    sim = Simulator(queue=kind())
+    with queue_leg(queue):
+        _rider_rules_scripted_schedule()
+
+
+def _rider_rules_scripted_schedule():
+    sim = Simulator()
     log = []
 
     def note(name):

@@ -6,9 +6,9 @@ the traffic leaves it no free core.  Who is attached decides nothing:
 an Observer gets the fused form's spans from the instants it computed,
 and a fault plan's draws are stages of the same chains, so a plan
 changes the schedule only where a fault fires.  The tests here pin the
-digest at the benchmark's peak load (c=64) on the engine's queue and on
-the heap oracle, unobserved, observed and under a plan that never fires
-alike, and the four baselines' results the same ways
+digest at the benchmark's peak load (c=64) on both legs of
+``tests/queue_legs.py``, unobserved, observed and under a plan that
+never fires alike, and the four baselines' results the same ways
 (``BASELINE_DIGESTS``); that such a plan is the bare run at every load
 tested, on Xenic and on the four baselines; how much of each form the
 pinned runs exercise; how few processes a peak run spawns; and the
@@ -27,14 +27,12 @@ from repro.bench.golden import (_fig8d_run, baseline_payload,
 from repro.bench.runner import Bench
 from repro.core.cluster import XenicCluster
 from repro.core.protocol import XenicProtocol
-from repro.sim import core as sim_core
 from repro.sim.core import Simulator
 from repro.sim.faults import FaultSpec
 from repro.workloads import Smallbank
 
-from .test_golden_digest import FIG8D_DIGEST, QUEUES, use_queue
-
-both_queues = pytest.mark.parametrize("queue", QUEUES, ids=lambda q: q.kind)
+from .queue_legs import both_legs, queue_leg
+from .test_golden_digest import FIG8D_DIGEST
 
 # The fig8d cluster at the benchmark's peak load (c=64), default leg.
 FIG8D_PEAK_DIGEST = (
@@ -68,23 +66,23 @@ def smallbank_bench(system, accounts, **kwargs):
     )
 
 
-@both_queues
-def test_digests_identical_off_vs_on(monkeypatch, queue):
+@both_legs
+def test_digests_identical_off_vs_on(queue):
     """Under a plan that never fires the golden point keeps the digest
-    pinned in test_golden_digest, on both queues — a chaos run at this
-    load measures the model the figures measure."""
-    use_queue(monkeypatch, queue)
-    assert canonical_digest(fig8d_point_payload(
-        faults=never_firing_plan())) == FIG8D_DIGEST
+    pinned in test_golden_digest, on both queue legs — a chaos run at
+    this load measures the model the figures measure."""
+    with queue_leg(queue):
+        assert canonical_digest(fig8d_point_payload(
+            faults=never_firing_plan())) == FIG8D_DIGEST
 
 
-@both_queues
-def test_peak_digest_pinned_on_default_leg(monkeypatch, queue):
+@both_legs
+def test_peak_digest_pinned_on_default_leg(queue):
     """The load level the benchmark's peak phase measures (c=64, NIC
-    cores queueing) is pinned too, on the engine's queue and on the heap
-    oracle; the golden point is c=16."""
-    use_queue(monkeypatch, queue)
-    assert canonical_digest(fig8d_peak_payload()) == FIG8D_PEAK_DIGEST
+    cores queueing) is pinned too, on both queue legs; the golden point
+    is c=16."""
+    with queue_leg(queue):
+        assert canonical_digest(fig8d_peak_payload()) == FIG8D_PEAK_DIGEST
 
 
 class GoldenRun(NamedTuple):
@@ -216,52 +214,48 @@ BASELINES = sorted(BASELINE_DIGESTS)
 
 
 @functools.lru_cache(maxsize=None)
-def baseline_run(system, queue=QUEUES[0], obs=False, faults=None):
-    """``baseline_payload`` of ``system`` on ``queue``, cached: several
-    tests read the same runs."""
-    with mock.patch.object(sim_core, "CalendarEventQueue", queue):
+def baseline_run(system, queue="heap", obs=False, faults=None):
+    """``baseline_payload`` of ``system`` on queue leg ``queue``, cached:
+    several tests read the same runs."""
+    with queue_leg(queue):
         return baseline_payload(system, obs=obs,
                                 faults=default_faults(faults))
 
 
 @pytest.mark.parametrize("system", BASELINES)
-@both_queues
+@both_legs
 def test_baseline_digests_pinned(system, queue):
     """Each baseline's commits, aborts, throughput, clock, events and
-    committed values over the sweep and the Retwis point, on the
-    engine's queue and on the heap oracle."""
+    committed values over the sweep and the Retwis point, on both queue
+    legs."""
     assert canonical_digest(baseline_run(system, queue)) == \
         BASELINE_DIGESTS[system]
 
 
 @pytest.mark.parametrize("system", BASELINES)
 def test_baseline_digest_observer_neutral(system):
-    """An Observer changes no simulated result of a baseline run, on
-    either queue.  Its sampler schedules events of its own, so only the
-    event count may differ."""
+    """An Observer changes no simulated result of a baseline run.  Its
+    sampler schedules events of its own, so only the event count may
+    differ."""
     def simulated(runs):
         return [dict(run, events_scheduled=None) for run in runs]
 
-    for queue in QUEUES:
-        assert simulated(baseline_run(system, queue, obs=True)) == \
-            simulated(baseline_run(system, queue)), queue.kind
+    assert simulated(baseline_run(system, obs=True)) == \
+        simulated(baseline_run(system))
 
 
 @pytest.mark.parametrize("system", ["drtmh", "drtmr", "fasst", "drtmh_nc"])
 def test_baseline_rdma_identical_off_vs_on(system):
     """A plan that never fires leaves the four baseline systems' runs
-    untouched at c=8, 32 and 64 and on the Retwis point, on the engine's
-    queue and on the heap oracle: retries and link stalls are drawn in
-    the one verb and RPC chain, so commits, aborts, throughput, clock,
-    events and committed values all match the bare run.  DrTM+R is the
-    sensitive one: its CAS linearization order flips if the
-    on_target-carrying event is pushed early, so this scale is chosen to
-    have caught exactly that.  FaSST is all RPCs: the one full exercise
-    of the RPC chain's host-core job."""
-    for queue in QUEUES:
-        planned = baseline_run(system, queue, faults=NEVER_FIRING)
-        assert canonical_digest(planned) == BASELINE_DIGESTS[system], \
-            queue.kind
+    untouched at c=8, 32 and 64 and on the Retwis point: retries and
+    link stalls are drawn in the one verb and RPC chain, so commits,
+    aborts, throughput, clock, events and committed values all match the
+    bare run.  DrTM+R is the sensitive one: its CAS linearization order
+    flips if the on_target-carrying event is pushed early, so this scale
+    is chosen to have caught exactly that.  FaSST is all RPCs: the one
+    full exercise of the RPC chain's host-core job."""
+    planned = baseline_run(system, faults=NEVER_FIRING)
+    assert canonical_digest(planned) == BASELINE_DIGESTS[system]
 
 
 @pytest.mark.parametrize("system", BASELINES)

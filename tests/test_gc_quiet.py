@@ -282,7 +282,7 @@ def _census(bench):
     # Each ``_open`` value is a queue entry (a list of four fields, empty
     # once popped): the slot table's size is its number of instants.
     sizes["sim._open"] = len(bench.sim._open)
-    sizes["sim.queue"] = len(bench.sim._q)
+    sizes["sim.queue"] = len(bench.sim._heap)
     for proto in bench.cluster.protocols:
         node = proto.node
         n = "n%d" % node.node_id

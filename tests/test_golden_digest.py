@@ -10,10 +10,7 @@ reclassified as a modeling change (with an explicit digest re-pin and a
 note in EXPERIMENTS.md).
 
 Observer neutrality rides on the same pins: the ``--obs`` variants must
-produce the *same* digest as the bare runs.  So does the event queue:
-the pinned runs repeat with ``HeapEventQueue``, the reference
-implementation, swapped in for the calendar queue every ``Simulator()``
-builds.
+produce the *same* digest as the bare runs.
 """
 
 from repro.bench.golden import (
@@ -21,8 +18,6 @@ from repro.bench.golden import (
     chaos_payload,
     fig8d_point_payload,
 )
-from repro.sim import core as sim_core
-from repro.sim.equeue import CalendarEventQueue, HeapEventQueue
 
 # Captured from the pre-optimization model layer (PR 4 tree); simulated
 # results are frozen at these values for the committed seeds.
@@ -30,33 +25,16 @@ FIG8D_DIGEST = "4829497d19fcb834dabcd8f6df4f856c1e012a07f14171c651dcb765841ed7af
 CHAOS_DIGEST = "261dcd150aeaee14626773601d2b4aeead9bfe1633c1491f43acf2137d30cfe1"
 
 
-# The queue every Simulator() builds, then the reference implementation
-# in its place: the digests must not notice.
-QUEUES = (CalendarEventQueue, HeapEventQueue)
-
-
-def use_queue(monkeypatch, queue_cls):
-    """Make every ``Simulator()`` built from here on run on ``queue_cls``."""
-    monkeypatch.setattr(sim_core, "CalendarEventQueue", queue_cls)
-    assert type(sim_core.Simulator()._q) is queue_cls  # not vacuous
-
-
-def test_fig8d_point_digest_pinned(monkeypatch):
-    for queue_cls in QUEUES:
-        use_queue(monkeypatch, queue_cls)
-        assert canonical_digest(fig8d_point_payload()) == FIG8D_DIGEST, \
-            queue_cls.kind
+def test_fig8d_point_digest_pinned():
+    assert canonical_digest(fig8d_point_payload()) == FIG8D_DIGEST
 
 
 def test_fig8d_point_digest_observer_neutral():
     assert canonical_digest(fig8d_point_payload(obs=True)) == FIG8D_DIGEST
 
 
-def test_chaos_seed_digest_pinned(monkeypatch):
-    for queue_cls in QUEUES:
-        use_queue(monkeypatch, queue_cls)
-        assert canonical_digest(chaos_payload()) == CHAOS_DIGEST, \
-            queue_cls.kind
+def test_chaos_seed_digest_pinned():
+    assert canonical_digest(chaos_payload()) == CHAOS_DIGEST
 
 
 def test_chaos_seed_digest_observer_neutral():
