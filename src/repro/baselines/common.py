@@ -7,7 +7,7 @@ CX5 RDMA model.  They differ only in which verb implements each phase —
 exactly the §5.1 comparison axes — expressed here as hook methods that
 each variant overrides.  Nothing here is a generator: an attempt and each
 shard's, key's or backup's part of a phase is a callback chain
-(:class:`_Step`) on exactly the events the generator form yielded.
+(:class:`_Step`) on exactly the waits the generator form yielded.
 
 Locks and versions live on the host :class:`VersionedObject`s, reached
 through the participant verbs of their table
@@ -26,7 +26,7 @@ from ..hw.params import (BASELINE_APPLY_US, HOST_PER_KEY_US, RDMA_ISSUE_US,
                          HardwareParams, TESTBED)
 from ..hw.rdma import RdmaNic
 from ..sim.collector import collector_quiet
-from ..sim.core import Event, Gather, Simulator
+from ..sim.core import Gather, Simulator
 from ..store.chained import ChainedTable
 from ..store.log import record_size_bytes
 from ..store.object import VersionedObject
@@ -231,16 +231,16 @@ class _Step:
     """One operation of a baseline coordinator in flight: an attempt, or
     one shard's, key's or backup's part of a phase.
 
-    A callback chain: each stage is a method registered as the ``_cb0``
-    of exactly the event the generator form yielded there — a host-core
-    job (``run_then`` / ``run_wall_then``), a verb, a fan-out's
-    :class:`~repro.sim.core.Gather` — so every push keeps its instant and same-instant
-    position, with no generator to resume and no ``Process``.  The
-    constructor only stores the arguments; ``_start`` runs the first
-    stage, and the step ends by calling ``then(result)``.  No stage is a
-    closure that reaches its own step, and a step that holds a gather
-    drops it before it waits on it, so a finished step is freed by
-    reference count."""
+    A callback chain: each stage is a method passed as the ``then`` of
+    exactly the wait the generator form yielded there — a host-core job
+    (``run_then`` / ``run_wall_then``), a verb, a fan-out's
+    :class:`~repro.sim.core.Gather` — so every push keeps its instant
+    and same-instant position, with no generator to resume and no
+    ``Process``.  The constructor only stores the arguments; ``_start``
+    runs the first stage, and the step ends by calling
+    ``then(result)``.  No stage is a closure that reaches its own step,
+    and a step that holds a gather drops it before it waits on it, so a
+    finished step is freed by reference count."""
 
     __slots__ = ("c", "txn", "then")
 
@@ -262,8 +262,8 @@ class _Step:
 
 
 class _Issue(_Step):
-    """Issue one verb: the issuing core's charge, then the verb ``make()``
-    returns, then ``then(its value)``."""
+    """Issue one verb: the issuing core's charge, then the verb
+    ``make(then)`` starts, which reports ``then(its value)``."""
 
     __slots__ = ("make",)
 
@@ -271,14 +271,11 @@ class _Issue(_Step):
         _Step.__init__(self, c, None, then)
         self.make = make
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         self._issue(self._issued)
 
-    def _issued(self, _ev: Event) -> None:
-        self.make()._cb0 = self._landed
-
-    def _landed(self, ev: Event) -> None:
-        self.then(ev._value)
+    def _issued(self, _arg: None) -> None:
+        self.make(self.then)
 
 
 class _Attempt(_Step):
@@ -290,7 +287,7 @@ class _Attempt(_Step):
 
     __slots__ = ("writes_by_shard", "todo")
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         spec = self.txn.spec
         if spec.local_compute_us > 0:
             self.c.node.host_cores.run_then(spec.local_compute_us,
@@ -314,7 +311,7 @@ class _Attempt(_Step):
 
     # -- EXECUTE ------------------------------------------------------------
 
-    def _execute(self, _ev: Optional[Event]) -> None:
+    def _execute(self, _arg: None) -> None:
         c = self.c
         spec = self.txn.spec
         self._fan_out(
@@ -334,7 +331,7 @@ class _Attempt(_Step):
         else:
             self._run_logic(None)
 
-    def _run_logic(self, _ev: Optional[Event]) -> None:
+    def _run_logic(self, _arg: None) -> None:
         self.txn.write_values = self.txn.run_logic()
         self._validate()
 
@@ -398,7 +395,7 @@ class _Attempt(_Step):
 
     # -- COMMIT, in the background ------------------------------------------
 
-    def _commit(self, _ev: Event) -> None:
+    def _commit(self, _arg: None) -> None:
         self.todo = iter(self.writes_by_shard.items())
         self._commit_next()
 
@@ -414,7 +411,7 @@ class _Attempt(_Step):
             return
         self._committed()
 
-    def _commit_here(self, _ev: Event) -> None:
+    def _commit_here(self, _arg: None) -> None:
         own = self.c.node.node_id
         self.c._apply_commit_at(own, self.txn, self.writes_by_shard[own])
         self._commit_next()
@@ -440,6 +437,10 @@ class _Attempt(_Step):
         self.then(False)
 
 
+def _applied_in_background(_arg: None) -> None:
+    """A backup's background apply ends: nobody waits on it."""
+
+
 class _LocalExecute(_Step):
     """EXECUTE on the coordinator's own shard: the per-key charge, then
     the locks key by key — each recorded as taken, so one lost to a
@@ -454,12 +455,12 @@ class _LocalExecute(_Step):
         self.rkeys = rkeys
         self.wkeys = wkeys
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         self.c.node.host_cores.run_wall_then(
             HOST_PER_KEY_US * max(1, len(self.rkeys) + len(self.wkeys)),
             self._run)
 
-    def _run(self, _ev: Event) -> None:
+    def _run(self, _arg: None) -> None:
         c, txn, shard = self.c, self.txn, self.shard
         table = c._primary_table(shard)
         for k in self.wkeys:
@@ -486,11 +487,11 @@ class _LocalValidate(_Step):
         self.shard = shard
         self.keys = keys
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         self.c.node.host_cores.run_wall_then(
             HOST_PER_KEY_US * len(self.keys), self._run)
 
-    def _run(self, _ev: Event) -> None:
+    def _run(self, _arg: None) -> None:
         self.then(self.c._still_current(self.txn, self.shard, self.keys))
 
 
@@ -506,7 +507,7 @@ class _LogOne(_Step):
         self.backup = backup
         self.writes = writes
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         c, txn = self.c, self.txn
         self.versions = {
             k: txn.read_values.get(k, (None, 0))[1] + 1 for k in self.writes
@@ -522,12 +523,13 @@ class _LogOne(_Step):
         table = node.tables[self.shard]
         writes = self.writes
         # background application charged to the backup's host cores
-        node.host_cores.execute_wall(BASELINE_APPLY_US * max(1, len(writes)))
+        node.host_cores.execute_wall(BASELINE_APPLY_US * max(1, len(writes)),
+                                     _applied_in_background)
         versions = self.versions
         for k, v in writes.items():
             table.get_or_create(k, node.value_size).install(v, versions[k])
         return True
 
-    def _applied_here(self, _ev: Event) -> None:
+    def _applied_here(self, _arg: None) -> None:
         self._apply_at_backup()
         self.then(True)

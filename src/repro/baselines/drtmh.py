@@ -14,11 +14,11 @@ quantified in Table 2 and exposed in Figure 8a.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional
+from typing import List
 
 from ..core.messages import APP_HEADER, PER_KEY, PER_VERSION
 from ..hw.params import HOST_PER_KEY_US
-from ..sim.core import Event, Gather
+from ..sim.core import Gather
 from .common import BaselineCoordinator, OBJ_HEADER, _Issue, _Step
 
 __all__ = ["DrTMH", "DrTMH_NC"]
@@ -96,26 +96,26 @@ class _ReadChain(_Step):
         self.observe = observe
         self.last_bytes = last_bytes
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         self.sizes = sizes = self.c._read_roundtrips(self.shard, self.key)
         if self.last_bytes is not None:
             sizes[-1] = self.last_bytes
         self.i = 0
         self._issue(self._issued)
 
-    def _issued(self, _ev: Event) -> None:
+    def _issued(self, _arg: None) -> None:
         c = self.c
         last = self.i == len(self.sizes) - 1
         c.node.rdma.read(
-            c._rdma_to(self.shard), self.sizes[self.i],
-            on_target=self.observe if last else None)._cb0 = self._landed
+            c._rdma_to(self.shard), self.sizes[self.i], self._landed,
+            on_target=self.observe if last else None)
 
-    def _landed(self, ev: Event) -> None:
+    def _landed(self, value) -> None:
         self.i += 1
         if self.i < len(self.sizes):
             self._issue(self._issued)
         else:
-            self.then(ev._value)
+            self.then(value)
 
 
 class _Execute(_Step):
@@ -132,7 +132,7 @@ class _Execute(_Step):
         self.rkeys = rkeys
         self.wkeys = wkeys
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         c, shard = self.c, self.shard
         self.keys = keys = list(dict.fromkeys(self.rkeys + self.wkeys))
         gather = Gather()
@@ -149,14 +149,14 @@ class _Execute(_Step):
         else:
             self._issue(self._issued)
 
-    def _issued(self, _ev: Event) -> None:
+    def _issued(self, _arg: None) -> None:
         c, wkeys = self.c, self.wkeys
         req = APP_HEADER + (PER_KEY + PER_VERSION) * len(wkeys)
         c.node.rdma.rpc(
-            c._rdma_to(self.shard), req, APP_HEADER,
+            c._rdma_to(self.shard), req, APP_HEADER, self._locked,
             handler_ref_us=HOST_PER_KEY_US * len(wkeys),
             on_target=self._lock_at_versions,
-        )._cb0 = self._locked
+        )
 
     def _lock_at_versions(self) -> bool:
         """The lock RPC's handler: it verifies that the versions read
@@ -171,8 +171,8 @@ class _Execute(_Step):
         table.unlock_all(wkeys, txn.txn_id)
         return False
 
-    def _locked(self, ev: Event) -> None:
-        if not ev._value:
+    def _locked(self, ok: bool) -> None:
+        if not ok:
             self.c.stats.inc("lock_conflicts")
             self.then(False)
             return
@@ -194,7 +194,7 @@ class _Validate(_Step):
         self.shard = shard
         self.keys = keys
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         c, txn, shard = self.c, self.txn, self.shard
         gather = Gather()
         for k in self.keys:

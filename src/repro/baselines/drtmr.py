@@ -11,10 +11,9 @@ verbs are the cost that Figure 8 exposes.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
 
 from ..hw.params import HOST_PER_KEY_US
-from ..sim.core import Event, Gather
+from ..sim.core import Gather
 from .common import BaselineCoordinator, _Attempt, _LocalExecute, _Step
 
 __all__ = ["DrTMR"]
@@ -41,10 +40,11 @@ class DrTMR(BaselineCoordinator):
     def _remote_commit(self, txn, shard, writes, then) -> _Step:
         return _Commit(self, txn, shard, writes, then)
 
-    def _atomic_unlock(self, txn, shard, k) -> Event:
-        """One ATOMIC releasing ``k`` at ``shard`` if ``txn`` holds it."""
-        return self.node.rdma.atomic(
-            self._rdma_to(shard), 8,
+    def _atomic_unlock(self, txn, shard, k, then) -> None:
+        """One ATOMIC releasing ``k`` at ``shard`` if ``txn`` holds it;
+        ``then(whether it did)``."""
+        self.node.rdma.atomic(
+            self._rdma_to(shard), 8, then,
             on_target=partial(self._primary_table(shard).unlock_if_held, k,
                               txn.txn_id))
 
@@ -110,12 +110,12 @@ class _LocalLockAll(_LocalExecute):
 
     __slots__ = ("keys",)
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         self.keys = list(dict.fromkeys(self.rkeys + self.wkeys))
         self.c.node.host_cores.run_wall_then(
             HOST_PER_KEY_US * max(1, len(self.keys)), self._run)
 
-    def _run(self, _ev: Event) -> None:
+    def _run(self, _arg: None) -> None:
         c, txn, shard = self.c, self.txn, self.shard
         table = c._primary_table(shard)
         for k in self.keys:
@@ -141,17 +141,17 @@ class _Execute(_Step):
         self.rkeys = rkeys
         self.wkeys = wkeys
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         self.keys = list(dict.fromkeys(self.rkeys + self.wkeys))
         self.gather = Gather()
         self.i = 0
         self._issue(self._cas)
 
-    def _cas(self, _ev: Event) -> None:
+    def _cas(self, _arg: None) -> None:
         c, i = self.c, self.i
-        self.gather.on(c.node.rdma.atomic(
-            c._rdma_to(self.shard), 8,
-            on_target=partial(self._lock_and_version, self.keys[i])))
+        c.node.rdma.atomic(
+            c._rdma_to(self.shard), 8, self.gather.slot(),
+            on_target=partial(self._lock_and_version, self.keys[i]))
         self.i = i = i + 1
         if i < len(self.keys):
             self._issue(self._cas)
@@ -186,12 +186,12 @@ class _Execute(_Step):
             self.i = 0
             self._issue(self._read)
 
-    def _read(self, _ev: Event) -> None:
+    def _read(self, _arg: None) -> None:
         c, i = self.c, self.i
         k = self.rkeys[i]
-        self.gather.on(c.node.rdma.read(
+        c.node.rdma.read(
             c._rdma_to(self.shard), c._obj_bytes(self.shard, k),
-            on_target=partial(self._value_of, k)))
+            self.gather.slot(), on_target=partial(self._value_of, k))
         self.i = i = i + 1
         if i < len(self.rkeys):
             self._issue(self._read)
@@ -221,7 +221,7 @@ class _Commit(_Step):
         self.shard = shard
         self.writes = writes
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         c, txn, shard = self.c, self.txn, self.shard
         self.gather = gather = Gather()
         for k, v in self.writes.items():
@@ -229,7 +229,7 @@ class _Commit(_Step):
         self.left = 2 * len(self.writes)
         self._issued(None)
 
-    def _issued(self, _ev: Optional[Event]) -> None:
+    def _issued(self, _arg: None) -> None:
         if self.left:
             self.left -= 1
             self._issue(self._issued)
@@ -254,23 +254,19 @@ class _CommitOne(_Step):
         self.key = key
         self.value = value
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         c = self.c
         c.node.rdma.write(
             c._rdma_to(self.shard), c._write_bytes(self.txn) + 16,
-            on_target=self._install)._cb0 = self._written
+            self._written, on_target=self._install)
 
     def _install(self) -> None:
         c = self.c
         c._primary_table(self.shard).get_or_create(
             self.key, c.cluster.value_size).commit_write(self.value)
 
-    def _written(self, _ev: Event) -> None:
-        self.c._atomic_unlock(self.txn, self.shard,
-                              self.key)._cb0 = self._unlocked
-
-    def _unlocked(self, ev: Event) -> None:
-        self.then(ev._value)
+    def _written(self, _arg: None) -> None:
+        self.c._atomic_unlock(self.txn, self.shard, self.key, self.then)
 
 
 class _Unlock(_Step):
@@ -285,16 +281,16 @@ class _Unlock(_Step):
         self.keys = keys
         self.i = 0
 
-    def _start(self, _ev: Optional[Event] = None) -> None:
+    def _start(self, _arg: None = None) -> None:
         self._next(None)
 
-    def _next(self, _ev: Optional[Event]) -> None:
+    def _next(self, _result=None) -> None:
         if self.i == len(self.keys):
             self.then(None)
         else:
             self._issue(self._issued)
 
-    def _issued(self, _ev: Event) -> None:
+    def _issued(self, _arg: None) -> None:
         k = self.keys[self.i]
         self.i += 1
-        self.c._atomic_unlock(self.txn, self.shard, k)._cb0 = self._next
+        self.c._atomic_unlock(self.txn, self.shard, k, self._next)

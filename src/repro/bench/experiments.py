@@ -25,7 +25,7 @@ from ..hw import (
     XEON_GOLD_5218,
 )
 from ..hw.params import HOST, LIQUIDIO3, LIQUIDIO3_CPU, NIC_HOST_CORE_RATIO
-from ..sim import Simulator
+from ..sim import Event, Gather, Simulator
 from ..store import ChainedTable, HopscotchTable, NicIndex, RobinhoodTable
 from ..workloads import Retwis, Smallbank, TpccFull, TpccNewOrder
 from .report import print_curves, print_table
@@ -46,6 +46,14 @@ __all__ = [
     "figure9b_latency_ablation",
     "offpath_comparison",
 ]
+
+
+def _waited(sim: Simulator, call, *args) -> Event:
+    """The event a process yields to wait on one model call: built here,
+    fired by the call's continuation (its last argument)."""
+    done = sim.event()
+    call(*args, done.succeed)
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +80,14 @@ def figure2_latency(payload_bytes: int = 256, verbose: bool = False) -> Dict[str
 
         def dst_handler(msg):
             def proc():
-                yield dst.cores.execute_wall(nicp.rpc_handle_us)
+                yield _waited(sim, dst.cores.execute_wall, nicp.rpc_handle_us)
                 yield from target_work(sim, dst)
                 dst.send(NetMessage(1, 0, "resp", payload_bytes, "resp"))
             sim.spawn(proc(), name="dst")
 
         def src_handler(msg):
             def proc():
-                yield src.cores.execute_wall(nicp.rpc_handle_us)
+                yield _waited(sim, src.cores.execute_wall, nicp.rpc_handle_us)
                 if not from_nic:
                     # response crosses PCIe back to the host
                     yield sim.timeout(nicp.pcie_crossing_us)
@@ -102,15 +110,16 @@ def figure2_latency(payload_bytes: int = 256, verbose: bool = False) -> Dict[str
         yield
 
     def dma_read(sim, nic):
-        yield nic.dma.read(payload_bytes)
+        yield _waited(sim, nic.dma.read, payload_bytes)
 
     def dma_write(sim, nic):
-        yield nic.dma.write(payload_bytes)
+        yield _waited(sim, nic.dma.write, payload_bytes)
 
     def host_rpc(sim, nic):
         host = CoreGroup(sim, XEON_GOLD_5218, cores=2)
         yield sim.timeout(nicp.pcie_crossing_us)
-        yield host.execute(HOST.rpc_handle_us + HOST.rpc_stack_us)
+        yield _waited(sim, host.execute,
+                      HOST.rpc_handle_us + HOST.rpc_stack_us)
         yield sim.timeout(nicp.pcie_crossing_us)
 
     for source, from_nic in (("host", False), ("nic", True)):
@@ -128,9 +137,9 @@ def figure2_latency(payload_bytes: int = 256, verbose: bool = False) -> Dict[str
 
         def proc():
             if kind == "rpc":
-                yield a.rpc(b, payload_bytes, payload_bytes)
+                yield _waited(sim, a.rpc, b, payload_bytes, payload_bytes)
             else:
-                yield a.one_sided(b, kind, payload_bytes)
+                yield _waited(sim, a.one_sided, b, kind, payload_bytes)
             return sim.now
 
         p = sim.spawn(proc(), name="rdma")
@@ -191,9 +200,10 @@ def figure3_batching(
 
         def handler(msg):
             def proc():
-                yield target.cores.execute_wall(runtime.msg_handle_us)
+                yield _waited(sim, target.cores.execute_wall,
+                              runtime.msg_handle_us)
                 if to_host:
-                    yield runtime.dma_log_append(size)
+                    yield _waited(sim, runtime.dma_log_append, size)
                 else:
                     yield sim.timeout(target.params.local_dram_us)
                 completed[0] += 1
@@ -225,7 +235,7 @@ def figure3_batching(
         def sender(nic):
             outstanding = []
             for _ in range(ops_per_sender):
-                outstanding.append(nic.write(target, size))
+                outstanding.append(_waited(sim, nic.write, target, size))
                 if len(outstanding) >= 64:  # doorbell batch window
                     yield outstanding.pop(0)
             for ev in outstanding:
@@ -282,8 +292,14 @@ def figure4_dma(
             outstanding = []
             while remaining > 0:
                 n = min(vector, remaining)
-                ops = [DmaOp(size=size, is_read=is_read) for _ in range(n)]
-                outstanding.append(engine.submit(ops))
+                # one vector, joined through its ops' slots
+                vector_done = Gather()
+                engine.submit([DmaOp(size=size, is_read=is_read,
+                                     then=vector_done.slot())
+                               for _ in range(n)])
+                done = sim.event()
+                vector_done.wait(done.succeed)
+                outstanding.append(done)
                 remaining -= n
                 yield sim.timeout(engine.submission_cost_us)
                 # keep the queues fed without unbounded backlog

@@ -17,7 +17,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..hw.params import LOG_RETRY_US, NIC_ADMIT_US, NIC_PER_KEY_US
-from ..sim.core import Event, Gather
+from ..sim.core import Gather
 from ..store.log import LogRecord, record_size_bytes
 from ..store.replicas import group_keys, group_values
 from .messages import (
@@ -61,7 +61,7 @@ class _Handler:
     """One NIC-side handler in flight.
 
     Each stage is a method that runs where the handler's wait ends: the
-    ``_cb0`` of the event it waits on (a core job, a DMA, a response), a
+    ``then`` of what it waits on (a core job, a DMA, a response), a
     fan-out's continuation, or the ``call_at`` / ``call_after`` entry of
     a fixed wait (a NIC DRAM access, a log retry) — so every push
     happens at the instant and in the same-instant order a generator
@@ -79,8 +79,8 @@ class _Handler:
     (:meth:`_reply`): a ``server`` span at the primary or backup, a
     ``phase`` span at the coordinator.  Handlers are freed by reference
     count (``repro.sim.collector``): no stage is a closure, and no
-    handler keeps a reference to an event whose callbacks lead back to
-    it."""
+    handler keeps a reference to a join whose continuation leads back
+    to it."""
 
     __slots__ = ("p", "txn_id", "then", "t0", "wall", "walls", "t_span",
                  "fetching")
@@ -97,7 +97,7 @@ class _Handler:
         message: its leading charges (``walls``), then ``_body``.
 
         Fast form, whenever a NIC core is free: the charges are held as
-        ONE core occupancy ending in ONE callback event, which releases
+        ONE core occupancy ending in ONE ``call_at`` entry, which releases
         the core and enters the body.  The core is taken here, inside the
         delivery callback, and held across the split between two charges;
         ``CoreGroup.hold`` keeps the timestamps and core accounting those
@@ -127,7 +127,7 @@ class _Handler:
             self.walls = walls
             sim.call_at(sim._now, self._arrive)
 
-    def _enter(self, _ev: Event) -> None:
+    def _enter(self, _arg: None) -> None:
         p = self.p
         p.node.nic.cores.pool.release()
         if p.obs is not None:
@@ -147,10 +147,10 @@ class _Handler:
         if self.keyed:
             self.t_span = edges[1]
 
-    def _arrive(self, _ev: Event) -> None:
+    def _arrive(self, _arg: None) -> None:
         self._charge(self.walls[0], self._charged_msg)
 
-    def _charged_msg(self, _ev: Event) -> None:
+    def _charged_msg(self, _arg: None) -> None:
         if self.p.obs is not None:
             self._log_charge()
         if self.keyed:
@@ -166,7 +166,7 @@ class _Handler:
         self.t_span = self.p.sim._now
         self._charge(wall_us, self._charged_keys)
 
-    def _charged_keys(self, _ev: Event) -> None:
+    def _charged_keys(self, _arg: None) -> None:
         if self.p.obs is not None:
             self._log_charge()
         self._body()
@@ -266,23 +266,22 @@ class _Fetch(_Handler):
         p = self.p
         self.cost = cost = self.index.miss_cost(self.key)
         self.t0 = p.sim._now
-        p.runtime.dma_read(cost.first_read_bytes)._cb0 = self._read_first
+        p.runtime.dma_read(cost.first_read_bytes, self._read_first)
 
-    def _read_first(self, _ev: Event) -> None:
+    def _read_first(self, _arg: None) -> None:
         if self.cost.second_read_bytes:
-            self.p.runtime.dma_read(
-                self.cost.second_read_bytes)._cb0 = self._read_second
+            self.p.runtime.dma_read(self.cost.second_read_bytes,
+                                    self._read_second)
         else:
             self._read_second(None)
 
-    def _read_second(self, _ev: Optional[Event]) -> None:
+    def _read_second(self, _arg: None) -> None:
         if self.cost.extra_object_bytes:
-            self.p.runtime.dma_read(
-                self.cost.extra_object_bytes)._cb0 = self._read
+            self.p.runtime.dma_read(self.cost.extra_object_bytes, self._read)
         else:
             self._read(None)
 
-    def _read(self, _ev: Optional[Event]) -> None:
+    def _read(self, _arg: None) -> None:
         p = self.p
         if p.obs is not None:
             self._attrib("dma", self.t0)
@@ -432,8 +431,7 @@ class _Append(_Handler):
             else p.cluster.value_size
         self.t0 = p.sim._now
         p.runtime.dma_log_append(
-            record_size_bytes(len(self.record.writes), vb))._cb0 = \
-            self._written
+            record_size_bytes(len(self.record.writes), vb), self._written)
 
 
 class _Log(_Append):
@@ -449,7 +447,7 @@ class _Log(_Append):
                   for k, v in req.write_values.items()]
         self._append(LogRecord(req.txn_id, "log", req.shard, writes))
 
-    def _written(self, _ev: Event) -> None:
+    def _written(self, _arg: None) -> None:
         p, req = self.p, self.req
         if p.obs is not None:
             self._attrib("dma", self.t0)
@@ -476,7 +474,7 @@ class _Commit(_Append):
                   for k, v in req.write_values.items()]
         self._append(LogRecord(req.txn_id, "commit", req.shard, writes))
 
-    def _written(self, _ev: Event) -> None:
+    def _written(self, _arg: None) -> None:
         p, req, index, record = self.p, self.req, self.index, self.record
         if p.obs is not None:
             self._attrib("dma", self.t0)
@@ -551,7 +549,7 @@ class _ExecShip(_Handler):
         self.t0 = p.sim._now
         p.node.nic.cores.run_then(spec.logic_cost_us, self._ran)
 
-    def _ran(self, _job: Event) -> None:
+    def _ran(self, _arg: None) -> None:
         p, req, read_values = self.p, self.req, self.read_values
         spec: TxnSpec = req.spec
         obs = p.obs
@@ -623,7 +621,7 @@ class _Replicate(_Handler):
             if backup == own:
                 _Log(p, req, gather.slot())._body()
             else:
-                gather.on(p._send_request(backup, req))
+                p._send_request(backup, req, gather.slot())
         self._gather(gather)
 
     def _gathered(self, responses) -> None:
@@ -838,15 +836,15 @@ class _PhaseExecute(_Phase):
                 )
                 if inline:
                     req.versions = {"inline": 1}  # flag: validate inline
-                gather.on(p._send_request(primary, req))
+                p._send_request(primary, req, gather.slot())
             else:
                 # ablation baseline: per-key read requests now; per-key
                 # lock requests follow in a second wave, mirroring the
                 # one-sided read -> lock -> validate sequence (§5.7)
                 for k in rkeys:
-                    gather.on(p._send_request(primary, Request(
+                    p._send_request(primary, Request(
                         EXECUTE, txn.txn_id, shard, txn.coord_node,
-                        read_keys=[k])))
+                        read_keys=[k]), gather.slot())
         self._gather(gather)
 
     def _lock_wave(self, responses) -> bool:
@@ -862,9 +860,9 @@ class _PhaseExecute(_Phase):
                     _execute_core(p, shard, txn.txn_id, [], [k], False,
                                   gather.slot())
                 else:
-                    gather.on(p._send_request(primary, Request(
+                    p._send_request(primary, Request(
                         EXECUTE, txn.txn_id, shard, txn.coord_node,
-                        write_keys=[k])))
+                        write_keys=[k]), gather.slot())
         if not gather.values:
             return False
         self.first = responses
@@ -924,14 +922,14 @@ class _RunLogic(_Handler):
             p.node.nic.cores.run_then(spec.logic_cost_us, self._ran_on_nic)
             return
         # PCIe roundtrip to the host for application execution
-        fut = p.runtime.pending.expect(
-            ("logic", txn.txn_id, txn.attempts, self.round_no))
+        p.runtime.pending.expect(
+            ("logic", txn.txn_id, txn.attempts, self.round_no),
+            self._ran_on_host)
         read_bytes = sum(16 + p._value_bytes(k) for k in txn.read_values)
         p.node.pcie.nic_to_host(read_bytes,
                                 ("logic_req", txn, self.round_no))
-        fut.add_callback(self._ran_on_host)
 
-    def _ran_on_nic(self, _job: Event) -> None:
+    def _ran_on_nic(self, _arg: None) -> None:
         p = self.p
         obs = p.obs
         if obs is not None:
@@ -941,9 +939,9 @@ class _RunLogic(_Handler):
         p.stats.inc("nic_executions")
         self._reply(self.txn.run_logic())
 
-    def _ran_on_host(self, ev: Event) -> None:
+    def _ran_on_host(self, result) -> None:
         self.p.stats.inc("host_executions")
-        self._reply(ev._value)
+        self._reply(result)
 
 
 class _PhaseValidate(_Phase):
@@ -975,14 +973,14 @@ class _PhaseValidate(_Phase):
             if primary == p.node.node_id:
                 _validate_core(p, shard, txn.txn_id, versions, gather.slot())
             elif smart:
-                gather.on(p._send_request(primary, Request(
+                p._send_request(primary, Request(
                     VALIDATE, txn.txn_id, shard, txn.coord_node,
-                    versions=versions)))
+                    versions=versions), gather.slot())
             else:
                 for k, ver in versions.items():
-                    gather.on(p._send_request(primary, Request(
+                    p._send_request(primary, Request(
                         VALIDATE, txn.txn_id, shard, txn.coord_node,
-                        versions={k: ver})))
+                        versions={k: ver}), gather.slot())
         self._gather(gather)
 
     def _gathered(self, responses) -> None:
@@ -1036,7 +1034,7 @@ class _PhaseCommit(_Phase):
             if primary == own:
                 _Commit(p, req, gather.slot())._body()
             else:
-                gather.on(p._send_request(primary, req))
+                p._send_request(primary, req, gather.slot())
         self._gather(gather)
 
     def _gathered(self, _responses) -> None:
@@ -1070,9 +1068,9 @@ class _AbortCleanup(_Handler):
             if primary == p.node.node_id:
                 p.node.index_for(shard).unlock_all(keys, txn.txn_id)
             else:
-                gather.on(p._send_request(primary, Request(
+                p._send_request(primary, Request(
                     UNLOCK, txn.txn_id, shard, txn.coord_node,
-                    write_keys=list(keys))))
+                    write_keys=list(keys)), gather.slot())
         if gather.values:
             self._gather(gather)
         else:
@@ -1091,7 +1089,7 @@ class _Multihop(_Phase):
     shard.  Replies None."""
 
     __slots__ = ("local", "remote", "remote_primary", "index", "local_keys",
-                 "acks", "writes_by_shard")
+                 "writes_by_shard")
     span = "multihop"
 
     def __init__(self, p: XenicProtocol, txn: Transaction, by_shard,
@@ -1114,7 +1112,7 @@ class _Multihop(_Phase):
         self._charge(NIC_ADMIT_US + NIC_PER_KEY_US * len(local_keys),
                      self._admitted)
 
-    def _admitted(self, _job: Event) -> None:
+    def _admitted(self, _arg: None) -> None:
         p = self.p
         if p.obs is not None:
             self._log_charge()
@@ -1133,7 +1131,7 @@ class _Multihop(_Phase):
         # *writes*, acks redirected here.  Which shards those are is known
         # only from its response, and an ack can overtake the response:
         # collect them from now, fix the count when the response lands.
-        self.acks = p.runtime.pending.expect_count(("mh_log", txn.txn_id))
+        p.runtime.pending.expect_count(("mh_log", txn.txn_id), self._acked)
         rkeys, wkeys = self.by_shard[self.remote]
         req = Request(
             EXEC_SHIP, txn.txn_id, self.remote, txn.coord_node,
@@ -1141,14 +1139,12 @@ class _Multihop(_Phase):
             spec=txn.spec, pre_read=pre_read, reply_to=p.node.node_id,
         )
         self.t0 = p.sim._now
-        p._send_request(self.remote_primary, req)._cb0 = self._shipped
+        p._send_request(self.remote_primary, req, self._shipped)
 
-    def _shipped(self, ev: Event) -> None:
+    def _shipped(self, resp: Response) -> None:
         p, txn = self.p, self.txn
-        resp = ev._value
         if p.obs is not None:
             self._attrib("wire", self.t0)
-        acks, self.acks = self.acks, None
         if not resp.ok:
             p.runtime.pending.cancel(("mh_log", txn.txn_id))
             self.index.unlock_all(self.local_keys, txn.txn_id)
@@ -1159,17 +1155,17 @@ class _Multihop(_Phase):
         txn.write_values = resp.write_values
         self.writes_by_shard = writes_by_shard = group_values(
             txn.write_values, p.cluster.shard_of)
+        self.t0 = p.sim._now
+        # every ack may be in already: then fixing the count runs
+        # _acked right here
         p.runtime.pending.set_count(("mh_log", txn.txn_id), sum(
             len(p.cluster.backups_of(s)) for s in writes_by_shard))
-        self.t0 = p.sim._now
-        # every ack may be in already: then the count fired it just now
-        acks.add_callback(self._acked)
 
-    def _acked(self, ev: Event) -> None:
+    def _acked(self, acks) -> None:
         p, txn = self.p, self.txn
         if p.obs is not None:
             self._attrib("wire", self.t0)
-        if not all(a.ok for a in ev._value):
+        if not all(a.ok for a in acks):
             # a backup failed the append: release and retry
             self.index.unlock_all(self.local_keys, txn.txn_id)
             # awaited so a delayed release can't outlive this attempt and
@@ -1178,7 +1174,7 @@ class _Multihop(_Phase):
             self.t0 = p.sim._now
             p._send_request(self.remote_primary, Request(
                 UNLOCK, txn.txn_id, self.remote, txn.coord_node,
-                write_keys=rkeys + wkeys))._cb0 = self._unlocked
+                write_keys=rkeys + wkeys), self._unlocked)
             return
         p._notify_host(txn, True, None)
         # commit the local shard writes, release local read locks
@@ -1189,7 +1185,7 @@ class _Multihop(_Phase):
         else:
             self._committed_local(None)
 
-    def _unlocked(self, _ev: Event) -> None:
+    def _unlocked(self, _resp: Response) -> None:
         p = self.p
         if p.obs is not None:
             self._attrib("wire", self.t0)
@@ -1207,9 +1203,9 @@ class _Multihop(_Phase):
             read_keys=[k for k in self.by_shard[self.remote][0]
                        if k not in remote_writes])
         self.t0 = p.sim._now
-        p._send_request(self.remote_primary, req)._cb0 = self._committed
+        p._send_request(self.remote_primary, req, self._committed)
 
-    def _committed(self, _ev: Event) -> None:
+    def _committed(self, _resp: Response) -> None:
         p = self.p
         if p.obs is not None:
             self._attrib("wire", self.t0)

@@ -9,64 +9,65 @@ Provides the two execution disciplines the paper contrasts:
 * **blocking single DMA** (the Figure 9a baseline) — each DMA is
   submitted alone and a NIC core spins until completion.
 
-It also owns request/response plumbing: outbound requests register a
-pending future; responses (and redirected multi-hop acks) resolve it.
+It also owns request/response plumbing: an outbound request registers
+its continuation in the pending table; the response (or the redirected
+multi-hop acks) runs it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
 from ..hw.dma import DmaOp
 from ..hw.nic import SmartNic
 from ..hw.params import (BURST_INTERVAL_US, LIQUIDIO3,
                          NIC_RPC_HANDLE_US_AGGREGATED)
-from ..sim.core import Event, Simulator
+from ..sim.core import Simulator
 from .config import XenicConfig
 
 __all__ = ["NicRuntime", "PendingTable"]
 
 
 class PendingTable:
-    """Futures for outstanding requests, keyed by caller-chosen ids."""
+    """The continuations of outstanding requests, keyed by caller-chosen
+    ids: ``resolve`` runs the one waiting on a key with the value it
+    delivers."""
 
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._futures: Dict[Any, Event] = {}
-        self._counters: Dict[Any, List[int]] = {}
+    def __init__(self):
+        self._waiting: Dict[Any, Callable[[Any], None]] = {}
+        self._counters: Dict[Any, List[Any]] = {}
 
-    def expect(self, key: Any) -> Event:
-        if key in self._futures:
+    def expect(self, key: Any, then: Callable[[Any], None]) -> None:
+        """Run ``then(value)`` when ``key`` is resolved."""
+        if key in self._waiting:
             raise RuntimeError("duplicate pending key %r" % (key,))
-        ev = self.sim.event(name="pending")
-        self._futures[key] = ev
-        return ev
+        self._waiting[key] = then
 
     def resolve(self, key: Any, value: Any = None) -> bool:
-        ev = self._futures.pop(key, None)
-        if ev is None:
+        then = self._waiting.pop(key, None)
+        if then is None:
             return False
-        ev.succeed(value)
+        then(value)
         return True
 
-    def expect_count(self, key: Any, n: Optional[int] = None) -> Event:
-        """A future that fires after ``n`` resolve_one() calls; its value is
-        the list of delivered values.  ``n`` None leaves the count open:
+    def expect_count(self, key: Any, then: Callable[[Any], None],
+                     n: Optional[int] = None) -> None:
+        """Run ``then(values)`` after ``n`` resolve_one() calls, with the
+        list of delivered values.  ``n`` None leaves the count open:
         deliveries accumulate until :meth:`set_count` fixes it."""
         if n is not None and n <= 0:
-            ev = self.sim.event(name="pending-zero")
-            ev.succeed([])
-            return ev
-        ev = self.sim.event(name="pending-count")
-        self._futures[key] = ev
+            then([])
+            return
+        self._waiting[key] = then
         # [deliveries still awaited (negative while the count is open),
         #  values delivered]
         self._counters[key] = [n or 0, []]
-        return ev
 
     def set_count(self, key: Any, n: int) -> None:
-        """Fix the count of a future expected open: it fires once ``n``
-        deliveries have arrived, those already made included."""
+        """Fix the count of a key expected open: its continuation runs
+        once ``n`` deliveries have arrived, those already made
+        included — here, if they all have."""
         state = self._counters[key]
         state[0] += n
         self._fire_if_complete(key, state)
@@ -83,15 +84,16 @@ class PendingTable:
     def _fire_if_complete(self, key: Any, state) -> None:
         if state[0] == 0:
             del self._counters[key]
-            self._futures.pop(key).succeed(state[1])
+            self._waiting.pop(key)(state[1])
 
     def cancel(self, key: Any) -> bool:
-        """Drop a pending future without firing it (abort cleanup)."""
+        """Drop a pending continuation without running it (abort
+        cleanup)."""
         self._counters.pop(key, None)
-        return self._futures.pop(key, None) is not None
+        return self._waiting.pop(key, None) is not None
 
     def __len__(self) -> int:
-        return len(self._futures)
+        return len(self._waiting)
 
 
 class NicRuntime:
@@ -101,11 +103,12 @@ class NicRuntime:
         self.sim = sim
         self.nic = nic
         self.config = config
-        self.pending = PendingTable(sim)
+        self.pending = PendingTable()
         self._read_vec: List[DmaOp] = []
         self._write_vec: List[DmaOp] = []
         self._log_bytes = 0
-        self._log_waiters: List[Event] = []
+        # continuations of the log appends the next flush carries
+        self._log_waiters: List[Callable[[Any], None]] = []
         self._flusher_running = False
         self.dma_reads = 0
         self.dma_writes = 0
@@ -135,35 +138,37 @@ class NicRuntime:
 
     # -- DMA ------------------------------------------------------------
 
-    def dma(self, nbytes: int, is_read: bool) -> Event:
-        """Issue a host-memory DMA; returns the per-op completion event."""
+    def dma(self, nbytes: int, is_read: bool,
+            then: Callable[[Any], None]) -> None:
+        """Issue a host-memory DMA; ``then(None)`` at its completion."""
         if is_read:
             self.dma_reads += 1
         else:
             self.dma_writes += 1
-        op = DmaOp(size=nbytes, is_read=is_read, done=self.sim.event())
         if not self.config.async_dma:
             # blocking mode: single-op submission, and a NIC core spins on
             # the completion status byte for the whole DMA duration
+            op = DmaOp(size=nbytes, is_read=is_read)
             self.nic.dma.submit([op])
-            _Spin(self.nic.cores, op.done)
-            return op.done
+            op.then = _Spin(self.nic.cores, then)._landed
+            return
         vec = self._read_vec if is_read else self._write_vec
-        vec.append(op)
+        vec.append(DmaOp(size=nbytes, is_read=is_read, then=then))
         if len(vec) >= self.nic.dma.params.max_vector:
             self._flush(vec)
         elif not self._flusher_running:
             self._arm_flusher()
-        return op.done
 
-    def dma_read(self, nbytes: int) -> Event:
-        return self.dma(nbytes, is_read=True)
+    def dma_read(self, nbytes: int, then: Callable[[Any], None]) -> None:
+        self.dma(nbytes, True, then)
 
-    def dma_write(self, nbytes: int) -> Event:
-        return self.dma(nbytes, is_read=False)
+    def dma_write(self, nbytes: int, then: Callable[[Any], None]) -> None:
+        self.dma(nbytes, False, then)
 
-    def dma_log_append(self, nbytes: int) -> Event:
-        """Append bytes to the host-memory log region.
+    def dma_log_append(self, nbytes: int,
+                       then: Callable[[Any], None]) -> None:
+        """Append bytes to the host-memory log region; ``then(None)`` once
+        they land.
 
         Log records target a contiguous hugepage ring, so all appends
         pending at the end of a burst coalesce into a *single* DMA write
@@ -173,15 +178,14 @@ class NicRuntime:
         """
         self.log_appends += 1
         if not self.config.async_dma:
-            return self.dma(nbytes, is_read=False)
-        done = self.sim.event(name="log-append")
+            self.dma(nbytes, False, then)
+            return
         self._log_bytes += nbytes
-        self._log_waiters.append(done)
+        self._log_waiters.append(then)
         if self._log_bytes >= 8192:
             self._flush_log()
         elif not self._flusher_running:
             self._arm_flusher()
-        return done
 
     def _arm_flusher(self) -> None:
         self._flusher_running = True
@@ -195,12 +199,9 @@ class NicRuntime:
         self._log_waiters = []
         self._log_bytes = 0
         self.log_flushes += 1
-        op = DmaOp(size=nbytes, is_read=False, done=self.sim.event())
-        op.done.add_callback(
-            lambda _e: [w.succeed() for w in waiters]
-        )
         self.nic.cores.charge_wall(self.nic.dma.submission_cost_us)
-        self.nic.dma.submit([op])
+        self.nic.dma.submit([DmaOp(size=nbytes, is_read=False,
+                                   then=partial(_run_all, waiters))])
         self.dma_writes += 1
 
     def _flush(self, vec: List[DmaOp]) -> None:
@@ -224,29 +225,48 @@ class NicRuntime:
             self._flusher_running = False
 
 
+def _run_all(waiters: List[Callable[[Any], None]], _arg: None) -> None:
+    """A coalesced log write landed: every append it carried, in order."""
+    for then in waiters:
+        then(None)
+
+
 class _Spin:
     """A NIC core busy-waiting on one blocking DMA (non-async mode), from
     the grant of a core to the DMA's completion.  A callback chain: the
-    start entry a spawned spin pushed, the FIFO core grant, the
-    completion event."""
+    start entry a spawned spin pushed, the FIFO core grant, the DMA's
+    completion (:meth:`_landed`), which runs the waiter's ``then`` and
+    then frees the core — or, when the DMA lands before a core is
+    granted, the grant frees it at once."""
 
-    __slots__ = ("cores", "done", "start")
+    __slots__ = ("cores", "then", "start", "state")
 
-    def __init__(self, cores, done: Event):
+    def __init__(self, cores, then: Callable[[Any], None]):
         self.cores = cores
-        self.done = done
+        self.then = then
+        self.state = None  # "spinning" once granted, "landed" once done
         sim = cores.sim
         sim.call_at(sim._now, self._arrive)
 
-    def _arrive(self, _ev: Event) -> None:
+    def _arrive(self, _arg: None) -> None:
         self.start = self.cores.sim._now
-        self.cores.pool.acquire().add_callback(self._spin)
+        self.cores.pool.acquire(self._spin)
 
-    def _spin(self, _ev: Event) -> None:
-        # done -> this stage -> self until done fires: no cycle outlives it
-        self.done.add_callback(self._release)
+    def _spin(self, _arg: None) -> None:
+        if self.state == "landed":
+            self._release()
+        else:
+            self.state = "spinning"
 
-    def _release(self, _ev: Event) -> None:
+    def _landed(self, _arg: None) -> None:
+        then, self.then = self.then, None
+        then(None)
+        if self.state == "spinning":
+            self._release()
+        else:
+            self.state = "landed"
+
+    def _release(self) -> None:
         # the core was occupied from acquisition to completion
         cores = self.cores
         cores.busy_us += cores.sim._now - self.start

@@ -239,8 +239,8 @@ class _Worker:
     on — its start entry, each signal it blocks on, each batch's end —
     so every push lands at the same instant and in the same same-instant
     order.  A signal already raised is taken in the loop of
-    :meth:`_wait`, not by a nested call, so a long backlog of signals
-    costs no stack.
+    :meth:`_wait` (``try_down``), not by a nested call, so a long
+    backlog of signals costs no stack.
 
     Delay fusion: a batch charges all its per-record apply costs up
     front and sleeps to one deadline instead of one timeout per record.
@@ -261,21 +261,18 @@ class _Worker:
         sim = node.sim
         sim.call_at(sim._now, self._started)
 
-    def _started(self, _ev) -> None:
+    def _started(self, _arg: None) -> None:
         self._wait()
 
     def _wait(self) -> None:
         """Block on the log signal; drain at once while it is raised."""
-        down = self.node.log_signal.down
-        while True:
-            signal = down()
-            if signal._ok is None:
-                signal._cb0 = self._signalled
-                return
+        signal = self.node.log_signal
+        while signal.try_down():
             if self._drain():
                 return
+        signal.down(self._signalled)
 
-    def _signalled(self, _ev) -> None:
+    def _signalled(self, _arg: None) -> None:
         if not self._drain():
             self._wait()
 
@@ -299,7 +296,7 @@ class _Worker:
             self._apply(batch)
         return False
 
-    def _applied(self, _ev) -> None:
+    def _applied(self, _arg: None) -> None:
         batch, self.batch = self.batch, None
         self._apply(batch)
         if not self._drain():

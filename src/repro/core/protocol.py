@@ -31,7 +31,6 @@ from typing import Dict, Optional, Tuple
 
 from ..hw.network import NetMessage
 from ..hw.params import HOST_COMPLETE_US, HOST_PER_KEY_US, NIC_PER_KEY_US
-from ..sim.core import Event
 from .messages import Request, Response, request_size, response_size
 from .nic_handlers import _INBOUND
 from .nic_runtime import NicRuntime, PendingTable
@@ -58,7 +57,7 @@ class XenicProtocol(Coordinator):
         super().__init__(cluster, node)
         self.config = node.config
         self.runtime = NicRuntime(self.sim, node.nic, node.config)
-        self.host_pending = PendingTable(self.sim)
+        self.host_pending = PendingTable()
         self._req_seq = 0
         # Transport-level exactly-once delivery, the way an RC transport
         # dedups PSNs: outbound messages carry a per-(sender, receiver)
@@ -170,18 +169,18 @@ class XenicProtocol(Coordinator):
     # message plumbing
     # ------------------------------------------------------------------
 
-    def _send_request(self, dst: int, req: Request):
-        """Send a request; returns an event resolving to its Response.
+    def _send_request(self, dst: int, req: Request, then) -> None:
+        """Send a request; ``then(response)`` runs when its Response
+        lands.
 
-        Open-coded ``PendingTable`` single-waiter fast path: request ids
-        are plain per-node-unique ints (the response resolves in *this*
-        node's table, so no node qualifier is needed), stored directly in
-        ``_futures`` — int keys cannot collide with the tuple keys other
+        Open-coded ``PendingTable.expect``: request ids are plain
+        per-node-unique ints (the response resolves in *this* node's
+        table, so no node qualifier is needed), stored directly in
+        ``_waiting`` — int keys cannot collide with the tuple keys other
         subsystems use."""
         self._req_seq += 1
         rid = self._req_seq
-        fut = self.sim.event(name="pending")
-        self.runtime.pending._futures[rid] = fut
+        self.runtime.pending._waiting[rid] = then
         msg = NetMessage(
             self.node.node_id, dst, req.kind,
             request_size(req, self.cluster.value_size),
@@ -190,7 +189,6 @@ class XenicProtocol(Coordinator):
         )
         self._port.send(msg)
         self.stats.inc("requests_sent")
-        return fut
 
     def _send_oneway(self, dst: int, req: Request) -> None:
         msg = NetMessage(
@@ -256,8 +254,8 @@ class XenicProtocol(Coordinator):
 
     def _charge_rx_then(self, fn, a, b) -> None:
         """Charge one NIC core for inbound-message handling, then run
-        ``fn(a, b)``: one callback event on a free core, else a FIFO
-        grant and then that event."""
+        ``fn(a, b)``: one ``call_at`` entry on a free core, else a FIFO
+        grant and then that entry."""
         cores = self.node.nic.cores
         walls = (self.runtime.msg_handle_us + self.runtime._stall_us(),)
 
@@ -269,15 +267,15 @@ class XenicProtocol(Coordinator):
         if end is not None:
             self.sim.call_at(end, then)
         else:
-            cores.pool.acquire().add_callback(
+            cores.pool.acquire(
                 lambda _e: self.sim.call_at(cores.hold(walls), then))
 
     def _resolve_response(self, rid, resp: Response) -> None:
-        fut = self.runtime.pending._futures.pop(rid, None)
-        if fut is None:
+        then = self.runtime.pending._waiting.pop(rid, None)
+        if then is None:
             self.stats.inc("stray_responses")
         else:
-            fut.succeed(resp)
+            then(resp)
 
     def _respond(self, src: int, rid, resp: Response) -> None:
         msg = NetMessage(
@@ -338,10 +336,11 @@ class XenicProtocol(Coordinator):
     def _host_logic(self, txn: Transaction, round_no: int) -> None:
         """Run the transaction's logic on a host app core, then ship the
         result to the NIC.  A free core is held for the (known) cost and
-        one callback event ends it; otherwise, and for zero-cost logic,
-        the :meth:`CoreGroup.execute` job runs it with the continuation
-        as its callback — the job's start entry, FIFO grant and single
-        timeout are the contended and zero-cost instants."""
+        one ``call_at`` entry ends it; otherwise, and for zero-cost
+        logic, the :meth:`CoreGroup.execute` job runs it with the
+        continuation as its ``then`` — the job's start entry, FIFO grant
+        and single ``call_after`` are the contended and zero-cost
+        instants."""
         cores = self.node.host_app_cores
         cost = txn.spec.logic_cost_us
         service = cores.service_us(cost)
@@ -358,7 +357,7 @@ class XenicProtocol(Coordinator):
 
             self.sim.call_at(cores.hold((service,)), release_then)
         else:
-            cores.execute(cost)._cb0 = then
+            cores.execute(cost, then)
 
     def _host_logic_done(self, txn: Transaction, round_no: int) -> None:
         result = txn.run_logic()
@@ -386,9 +385,9 @@ class XenicProtocol(Coordinator):
 class _HostAttempt:
     """One attempt of the host coordinator, in the application thread.
 
-    A callback chain like the NIC's handlers: each stage is the ``_cb0``
-    of the event it waits on — an app-core job (``run_then`` /
-    ``run_wall_then``) or the ``host_pending`` future the NIC's ``done``
+    A callback chain like the NIC's handlers: each stage is the
+    continuation of what it waits on — an app-core job (``run_then`` /
+    ``run_wall_then``) or the ``host_pending`` key the NIC's ``done``
     resolves — and the attempt reports ``then(committed)``.  The
     ``host`` attribution spans run from the instant a job was entered to
     the instant its stage runs.  A transaction whose keys all live on
@@ -409,7 +408,7 @@ class _HostAttempt:
         else:
             self._route()
 
-    def _computed(self, _ev: Event) -> None:
+    def _computed(self, _arg: None) -> None:
         self.p._attrib("host", self.t0, self.txn.txn_id)
         self._route()
 
@@ -423,19 +422,18 @@ class _HostAttempt:
             self._local()
             return
         # distributed: hand the transaction state to the coordinator NIC
-        fut = p.host_pending.expect(("done", txn.txn_id, txn.attempts))
+        p.host_pending.expect(("done", txn.txn_id, txn.attempts), self._done)
         p.node.pcie.host_to_nic(p._txn_state_bytes(spec), ("start", txn))
-        fut._cb0 = self._done
 
-    def _done(self, ev: Event) -> None:
+    def _done(self, outcome) -> None:
         p = self.p
-        self.ok, reason = ev._value
+        self.ok, reason = outcome
         self.txn.abort_reason = None if self.ok else (reason or "unknown")
         self.t0 = p._t0()
         p.node.host_app_cores.run_wall_then(HOST_COMPLETE_US,
                                             self._completed)
 
-    def _completed(self, _ev: Event) -> None:
+    def _completed(self, _arg: None) -> None:
         self.p._attrib("host", self.t0, self.txn.txn_id)
         self.then(self.ok)
 
@@ -449,7 +447,7 @@ class _HostAttempt:
         p.node.host_app_cores.run_wall_then(
             HOST_PER_KEY_US * max(1, n_keys), self._executed)
 
-    def _executed(self, _ev: Event) -> None:
+    def _executed(self, _arg: None) -> None:
         p, txn = self.p, self.txn
         spec = txn.spec
         p._attrib("host", self.t0, txn.txn_id)
@@ -469,21 +467,21 @@ class _HostAttempt:
         else:
             self._commit_local()
 
-    def _ran(self, _ev: Event) -> None:
+    def _ran(self, _arg: None) -> None:
         self.p._attrib("host", self.t0, self.txn.txn_id)
         self._commit_local()
 
     def _commit_local(self) -> None:
         p, txn = self.p, self.txn
         txn.write_values = txn.run_logic()
-        fut = p.host_pending.expect(("done", txn.txn_id, txn.attempts))
+        p.host_pending.expect(("done", txn.txn_id, txn.attempts),
+                              self._local_done)
         state_bytes = p._txn_state_bytes(txn.spec) + sum(
             10 + p._value_bytes(k) for k in txn.write_values
         )
         p.node.pcie.host_to_nic(state_bytes, ("local_commit", txn))
-        fut._cb0 = self._local_done
 
-    def _local_done(self, ev: Event) -> None:
-        ok, reason = ev._value
+    def _local_done(self, outcome) -> None:
+        ok, reason = outcome
         self.txn.abort_reason = None if ok else (reason or "unknown")
         self.then(ok)

@@ -267,28 +267,33 @@ class Coordinator:
     def run_transaction(self, spec: TxnSpec):
         """Coordinator entry point for a client process (generator):
         ``txn = yield from coord.run_transaction(spec)``.  Retries on
-        abort; returns the committed :class:`Transaction`."""
-        txn = yield _Retries(self, spec)
+        abort; returns the committed :class:`Transaction`.
+
+        The one event this builds is the one the client yields: every
+        model call below it takes a continuation."""
+        done = Event(self.sim, "txn")
+        _Retries(self, spec, done.succeed)
+        txn = yield done
         return txn
 
     def _attempt(self, txn: Transaction, then) -> None:  # pragma: no cover
         raise NotImplementedError
 
 
-class _Retries(Event):
-    """The retry driver, firing with the committed :class:`Transaction`.
+class _Retries:
+    """The retry driver, reporting ``then(committed Transaction)``.
 
     A callback chain: one attempt; on abort the statistics, the abort
     hooks and the backoff entry, which starts the next attempt; on
-    commit the accounting, then ``succeed``.  Each push happens at the
+    commit the accounting, then ``then``.  Each push happens at the
     instant and in the same-instant position the generator form gave
     it, without a generator to resume."""
 
-    __slots__ = ("c", "txn", "t0")
+    __slots__ = ("c", "txn", "then", "t0")
 
-    def __init__(self, c: Coordinator, spec: TxnSpec):
-        Event.__init__(self, c.sim, "txn")
+    def __init__(self, c: Coordinator, spec: TxnSpec, then):
         self.c = c
+        self.then = then
         self.txn = txn = Transaction(c.node.next_txn_id(), c.node.node_id,
                                      spec)
         txn.started_at = c.sim._now
@@ -303,7 +308,7 @@ class _Retries(Event):
             c.stats.inc("commits")
             if obs is not None:
                 obs.txn_commit(c.node.node_id, txn)
-            self.succeed(txn)
+            self.then(txn)
             return
         c.stats.inc("aborts")
         if obs is not None:

@@ -10,9 +10,9 @@ those costs by the Coremark-derived speed ratio (Table 1), which is how the
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from ..sim.core import Event, Simulator
+from ..sim.core import Simulator
 from ..sim.resources import Resource
 from .params import CpuParams, XEON_GOLD_5218
 
@@ -22,9 +22,11 @@ __all__ = ["CoreGroup"]
 class CoreGroup:
     """A pool of cores with FIFO dispatch.
 
-    ``execute(ref_us)`` runs a job costing ``ref_us`` reference-Xeon
-    microseconds; the returned event fires when the job completes (queueing
-    + scaled service time).
+    ``execute(ref_us, then)`` runs a job costing ``ref_us``
+    reference-Xeon microseconds and calls ``then(None)`` when it
+    completes (queueing + scaled service time); ``run_then`` is the same
+    job with no start entry, for a caller already inside a callback
+    chain.  No form builds an event.
     """
 
     def __init__(
@@ -42,11 +44,12 @@ class CoreGroup:
             raise ValueError("need at least one core")
         self.name = name or params.name
         self.pool = Resource(sim, self.cores, name=self.name)
-        self._exec_name = "%s.exec" % self.name
         # scale factor: >1 means these cores are slower than the reference
         self.slowdown = reference.coremark_per_thread / params.coremark_per_thread
         self.jobs_executed = 0
         self.busy_us = 0.0
+        # the free-core job's end, bound once: one per job otherwise
+        self._done_cb = self._done
         # Observability hook (repro.obs): when attached, each job emits a
         # per-core span on a logical lane.  A lane a hold or a lazy charge
         # occupies has no completion event to free it, so it waits in
@@ -81,32 +84,57 @@ class CoreGroup:
         """Wall time on one of these cores for a reference-cost job."""
         return ref_us * self.slowdown
 
-    def execute(self, ref_us: float) -> Event:
-        """Queue a job; event fires on completion.
+    def execute(self, ref_us: float, then: Callable[[Any], None]) -> None:
+        """Queue a job costing ``ref_us`` reference-Xeon µs; ``then(None)``
+        runs once it completes (queueing + scaled service time).
 
-        The job (:class:`_Job`) starts at an entry at now, then runs
-        :meth:`run_then`'s chain, and is itself the completion event."""
+        The job arrives at an entry at now, then runs as
+        :meth:`run_then`."""
         sim = self.sim
-        job = _Job(self, ref_us * self.slowdown)
-        sim.call_at(sim._now, job._arrive)
-        return job
+        sim.call_at(sim._now, self._arrive, (ref_us, then))
 
-    def run_then(self, ref_us: float, then) -> None:
-        """Run a job inside a callback chain: it starts now, with no
-        start entry, and ``then(job)`` runs once it completes — at once
-        when a free core finishes a zero-cost job."""
-        job = _Job(self, ref_us * self.slowdown)
-        job._cb0 = then
-        job._arrive(None)
+    def execute_wall(self, wall_us: float,
+                     then: Callable[[Any], None]) -> None:
+        """:meth:`execute` for a cost given in *these cores'* wall time
+        (e.g. NIC handler costs measured on the NIC itself, §3.3)."""
+        self.execute(wall_us / self.slowdown, then)
 
-    def run_wall_then(self, wall_us: float, then) -> None:
+    def _arrive(self, job) -> None:
+        """An :meth:`execute` job's start entry: ``(ref_us, then)``."""
+        self.run_then(*job)
+
+    def run_then(self, ref_us: float, then: Callable[[Any], None]) -> None:
+        """Run a job inside a callback chain: it arrives now, with no
+        start entry, and ``then(None)`` runs once it completes — at once
+        when a free core finishes a zero-cost job.
+
+        On a free core with no sink attached the job books its service
+        and waits it out on one ``call_after`` entry whose continuation
+        releases the core and runs ``then`` (:meth:`_done`); a job that
+        queues for a core, or that logs a span, is a :class:`_Job`."""
+        service = ref_us * self.slowdown
+        pool = self.pool
+        if pool.try_acquire():
+            if self.obs_sink is None:
+                self._book(service)
+                if service > 0:
+                    self.sim.call_after(service, self._done_cb, then)
+                else:
+                    self._done(then)
+                return
+            _Job(self, service, then)._run(None)
+        else:
+            pool.acquire(_Job(self, service, then)._run)
+
+    def run_wall_then(self, wall_us: float,
+                      then: Callable[[Any], None]) -> None:
         """:meth:`run_then` for a cost in these cores' wall time."""
         self.run_then(wall_us / self.slowdown, then)
 
-    def execute_wall(self, wall_us: float) -> Event:
-        """Queue a job whose cost is given in *these cores'* wall time
-        (e.g. NIC handler costs measured on the NIC itself, §3.3)."""
-        return self.execute(wall_us / self.slowdown)
+    def _done(self, then: Callable[[Any], None]) -> None:
+        """A job on a free core ends: release the core, then ``then``."""
+        self.pool.release()
+        then(None)
 
     def charge_wall(self, wall_us: float) -> None:
         """Fire-and-forget :meth:`execute_wall`: occupy a core for
@@ -114,14 +142,13 @@ class CoreGroup:
 
         Queueing semantics match ``execute_wall`` exactly — when all cores
         are busy the charge waits its FIFO turn — but the free-core case
-        runs without a Process, a done event or a release event: the
-        pool tracks the slot as a virtual occupancy expiring at the
-        instant a release entry would have run
-        (``Resource.charge_until``), so the uncontended charge costs zero
-        events."""
+        runs without a completion entry: the pool tracks the slot as a
+        virtual occupancy expiring at the instant a release entry would
+        have run (``Resource.charge_until``), so the uncontended charge
+        costs zero events."""
         pool = self.pool
         if not pool.try_acquire():
-            self.execute_wall(wall_us)
+            self.execute_wall(wall_us, _ignore)
             return
         end = self.hold((wall_us,))
         if end > self.sim._now:
@@ -181,31 +208,28 @@ class CoreGroup:
         self.pool.reset_utilization()
 
 
-class _Job(Event):
-    """One core job, firing when it completes (:meth:`CoreGroup.execute`,
-    :meth:`CoreGroup.run_then`).
+def _ignore(_value: Any) -> None:
+    """The continuation of a charge nobody waits on."""
 
-    A callback chain: it takes a core, at once if one is free, else at
-    the pool's grant (``_run``); books the service and waits it out on a
-    ``call_after`` entry (``_end``); then logs its span to the sink
-    attached when it started, frees its lane, releases the core and
-    fires."""
 
-    __slots__ = ("cores", "service", "sink", "lane", "start")
+class _Job:
+    """One core job that queues for a core or logs a span
+    (:meth:`CoreGroup.run_then`).
 
-    def __init__(self, cores: CoreGroup, service: float):
-        Event.__init__(self, cores.sim, cores._exec_name)
+    A callback chain: it takes a core at the pool's grant (or at once),
+    books the service and waits it out on a ``call_after`` entry
+    (``_end``); then logs its span to the sink attached when it started,
+    frees its lane, releases the core and runs ``then``."""
+
+    __slots__ = ("cores", "service", "then", "sink", "lane", "start")
+
+    def __init__(self, cores: CoreGroup, service: float,
+                 then: Callable[[Any], None]):
         self.cores = cores
         self.service = service
+        self.then = then
 
-    def _arrive(self, _ev: Optional[Event]) -> None:
-        pool = self.cores.pool
-        if pool.try_acquire():
-            self._run(None)
-        else:
-            pool.acquire().add_callback(self._run)
-
-    def _run(self, _ev: Optional[Event]) -> None:
+    def _run(self, _arg: None) -> None:
         cores = self.cores
         self.sink = sink = cores.obs_sink
         self.lane = cores._take_lane() if sink is not None else None
@@ -216,7 +240,7 @@ class _Job(Event):
         else:
             self._end(None)
 
-    def _end(self, _ev: Optional[Event]) -> None:
+    def _end(self, _arg: None) -> None:
         cores, sink, lane = self.cores, self.sink, self.lane
         if sink is not None:
             sink.core_job(cores._obs_node, cores._obs_track, lane,
@@ -224,4 +248,4 @@ class _Job(Event):
             if lane is not None:
                 heappush(cores._obs_free, lane)
         cores.pool.release()
-        self.succeed()
+        self.then(None)

@@ -18,10 +18,9 @@ while callers using the continuation-passing runtime (§4.3.1) overlap it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
-from ..sim.core import Event, Simulator
+from ..sim.core import Simulator
 from ..sim.link import SerialLink
 from ..sim.stats import OnlineStats
 from .params import DMA_ENGINE_PER_OP_US, DMA_ENGINE_SUBMIT_US, DmaParams
@@ -31,12 +30,12 @@ __all__ = ["DmaOp", "DmaEngine"]
 
 @dataclass
 class DmaOp:
-    """One host-memory read or write in a DMA vector."""
+    """One host-memory read or write in a DMA vector; ``then(None)``, if
+    given, runs at its completion."""
 
     size: int
     is_read: bool
-    done: Optional[Event] = None
-    on_complete: Optional[Callable[[], None]] = None
+    then: Optional[Callable[[Any], None]] = None
     submitted_at: float = field(default=0.0)
     completed_at: float = field(default=0.0)
 
@@ -48,7 +47,6 @@ class DmaEngine:
         self.sim = sim
         self.params = params or DmaParams()
         self.name = name
-        self._vector_name = "%s.vector" % name
         self._queue_busy_until = [0.0] * self.params.queues
         self._rr = 0
         self.pcie = SerialLink(
@@ -91,11 +89,11 @@ class DmaEngine:
         190 ns, amortized across up to 15 memory operations)."""
         return self.params.submission_us
 
-    def submit(self, ops: List[DmaOp]) -> Event:
+    def submit(self, ops: List[DmaOp]) -> None:
         """Submit a vector of up to ``max_vector`` ops to the least-loaded
-        queue.  Returns an event firing when *all* ops have completed;
-        each op's own ``done`` event / ``on_complete`` callback fires at
-        its individual completion time."""
+        queue.  Each op's ``then`` runs at its own completion time; a
+        caller that waits for the whole vector joins its ops through one
+        :class:`~repro.sim.core.Gather`."""
         if not ops:
             raise ValueError("empty DMA vector")
         if len(ops) > self.params.max_vector:
@@ -122,8 +120,7 @@ class DmaEngine:
         self._rr = (q + 1) % nq
 
         start = max(now, busy[q])
-        all_done = Event(self.sim, self._vector_name)
-        complete = partial(self._complete, all_done, [len(ops)])
+        complete = self._complete
 
         # The queue is *occupied* for the descriptor-processing time
         # (throughput model), but the engine is pipelined: an op's latency
@@ -147,7 +144,6 @@ class DmaEngine:
             )
             total_delay = finish_delay + completion
             self.sim.call_after(total_delay, complete, op)
-        return all_done
 
     def _pcie_busy_delay(self, nbytes: int) -> float:
         """Reserve link time for the payload; returns delay until the bytes
@@ -160,25 +156,19 @@ class DmaEngine:
         self.pcie.transfers += 1
         return (start + dur) - now
 
-    def _complete(self, all_done: Event, pending: List[int],
-                  op: DmaOp) -> None:
+    def _complete(self, op: DmaOp) -> None:
         op.completed_at = self.sim.now
         latency = op.completed_at - op.submitted_at
         (self.read_latency if op.is_read else self.write_latency).add(latency)
-        if op.done is not None and not op.done.triggered:
-            op.done.succeed()
-        if op.on_complete is not None:
-            op.on_complete()
-        pending[0] -= 1
-        if pending[0] == 0:
-            all_done.succeed()
+        if op.then is not None:
+            op.then(None)
 
     # Convenience single-op helpers ---------------------------------------
 
-    def read(self, nbytes: int) -> Event:
-        # For a single-op vector the vector-completion event *is* the op's
-        # completion; no per-op done event needed.
-        return self.submit([DmaOp(size=nbytes, is_read=True)])
+    def read(self, nbytes: int, then: Callable[[Any], None]) -> None:
+        """One read alone in its vector; ``then(None)`` at completion."""
+        self.submit([DmaOp(size=nbytes, is_read=True, then=then)])
 
-    def write(self, nbytes: int) -> Event:
-        return self.submit([DmaOp(size=nbytes, is_read=False)])
+    def write(self, nbytes: int, then: Callable[[Any], None]) -> None:
+        """One write alone in its vector; ``then(None)`` at completion."""
+        self.submit([DmaOp(size=nbytes, is_read=False, then=then)])

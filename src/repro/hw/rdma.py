@@ -10,9 +10,9 @@ Figure 8 comparisons hinge on.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from ..sim.core import Event, Simulator
+from ..sim.core import Simulator
 from ..sim.link import SerialLink
 from .cpu import CoreGroup
 from .params import HOST, HostParams, RdmaParams
@@ -94,9 +94,6 @@ class RdmaNic:
             ),
         }
         self.ops = {READ: 0, WRITE: 0, ATOMIC: 0, SEND: 0}
-        self._verb_names = {v: "%s.%s" % (self.name, v)
-                            for v in (READ, WRITE, ATOMIC)}
-        self._verb_names[SEND] = "%s.rpc" % self.name
         # Optional fault injector (repro.sim.faults): transient verb
         # failures retried by the RC transport, each paying a timeout
         # (``_Verb._draw``).
@@ -125,15 +122,17 @@ class RdmaNic:
         target: "RdmaNic",
         verb: OneSidedVerb,
         size: int,
+        then: Callable[[Any], None],
         on_target=None,
-    ) -> Event:
+    ) -> None:
         """Issue a one-sided verb against ``target``'s host memory.
 
-        Returns an event firing at the initiator when the response/ack
-        arrives; its value is whatever ``on_target`` returned.  ``on_target``
-        (if given) runs at the moment the target NIC touches host memory —
-        the linearization point of the verb — so reads/CASes are atomic in
-        simulated time.  ``size`` is the payload length.
+        ``then(value)`` runs at the initiator when the response/ack
+        arrives, ``value`` being whatever ``on_target`` returned.
+        ``on_target`` (if given) runs at the moment the target NIC
+        touches host memory — the linearization point of the verb — so
+        reads/CASes are atomic in simulated time.  ``size`` is the
+        payload length.
         """
         if verb not in (READ, WRITE, ATOMIC):
             raise ValueError("not a one-sided verb: %r" % verb)
@@ -147,17 +146,20 @@ class RdmaNic:
         else:  # ATOMIC
             out_bytes = _ATOMIC_DESC + self.params.per_op_wire_bytes
             back_bytes = size + self.params.per_op_wire_bytes
-        return _Verb(self, target, verb, out_bytes, back_bytes,
-                     self._fixed[verb], on_target)
+        _Verb(self, target, verb, out_bytes, back_bytes, self._fixed[verb],
+              on_target, then)
 
-    def read(self, target: "RdmaNic", size: int, on_target=None) -> Event:
-        return self.one_sided(target, READ, size, on_target)
+    def read(self, target: "RdmaNic", size: int, then: Callable[[Any], None],
+             on_target=None) -> None:
+        self.one_sided(target, READ, size, then, on_target)
 
-    def write(self, target: "RdmaNic", size: int, on_target=None) -> Event:
-        return self.one_sided(target, WRITE, size, on_target)
+    def write(self, target: "RdmaNic", size: int, then: Callable[[Any], None],
+              on_target=None) -> None:
+        self.one_sided(target, WRITE, size, then, on_target)
 
-    def atomic(self, target: "RdmaNic", size: int = 8, on_target=None) -> Event:
-        return self.one_sided(target, ATOMIC, size, on_target)
+    def atomic(self, target: "RdmaNic", size: int,
+               then: Callable[[Any], None], on_target=None) -> None:
+        self.one_sided(target, ATOMIC, size, then, on_target)
 
     # -- two-sided RPC ------------------------------------------------------
 
@@ -166,26 +168,27 @@ class RdmaNic:
         target: "RdmaNic",
         req_size: int,
         resp_size: int,
+        then: Callable[[Any], None],
         handler_ref_us: float = 0.0,
         on_target=None,
-    ) -> Event:
+    ) -> None:
         """Two-sided SEND/RECV RPC: consumes a host core at the target for
         the message handling cost plus ``handler_ref_us`` of application
         work (reference-Xeon µs).  ``on_target`` runs on the target host
-        right after the handler cost is paid; its return value becomes the
-        completion event's value."""
+        right after the handler cost is paid; ``then`` gets its return
+        value when the response lands at the initiator."""
         if target.host_cores is None:
             raise RuntimeError("target %s has no host cores attached" % target.name)
         self.ops[SEND] += 1
         per_op = self.params.per_op_wire_bytes
-        return _Rpc(self, target, req_size + per_op, resp_size + per_op,
-                    self._fixed[SEND], on_target,
-                    target.host.rpc_handle_us + handler_ref_us)
+        _Rpc(self, target, req_size + per_op, resp_size + per_op,
+             self._fixed[SEND], on_target, then,
+             target.host.rpc_handle_us + handler_ref_us)
 
 
-class _Verb(Event):
-    """A one-sided verb in flight, firing at the initiator when the
-    response or ack lands (value: ``on_target``'s).
+class _Verb:
+    """A one-sided verb in flight, calling ``then`` at the initiator
+    when the response or ack lands (value: ``on_target``'s).
 
     A callback chain, not a process: each stage is the continuation of
     one queue entry — an entry at now (where a spawned process's start
@@ -206,13 +209,13 @@ class _Verb(Event):
     puts one retry wait per transient failure in front of the wire;
     with none attached the chain is the one above, call for call."""
 
-    __slots__ = ("nic", "target", "verb", "out_bytes", "back_bytes",
-                 "budget", "on_target", "result", "left")
+    __slots__ = ("sim", "nic", "target", "verb", "out_bytes", "back_bytes",
+                 "budget", "on_target", "then", "result", "left")
 
     def __init__(self, nic: RdmaNic, target: RdmaNic, verb: str,
-                 out_bytes: int, back_bytes: int, budget: float, on_target):
-        sim = nic.sim
-        Event.__init__(self, sim, nic._verb_names[verb])
+                 out_bytes: int, back_bytes: int, budget: float, on_target,
+                 then: Callable[[Any], None]):
+        self.sim = sim = nic.sim
         self.nic = nic
         self.target = target
         self.verb = verb
@@ -220,10 +223,11 @@ class _Verb(Event):
         self.back_bytes = back_bytes
         self.budget = budget
         self.on_target = on_target
+        self.then = then
         self.result = None
         sim.call_at(sim._now, self._start)
 
-    def _start(self, _ev: Event) -> None:
+    def _start(self, _arg: None) -> None:
         nic = self.nic
         nic.inflight += 1
         # initiator NIC descriptor processing
@@ -270,7 +274,7 @@ class _Verb(Event):
 
     def _land(self, _arg: None) -> None:
         self.nic.inflight -= 1
-        self.succeed(self.result)
+        self.then(self.result)
 
 
 class _Rpc(_Verb):
@@ -286,16 +290,16 @@ class _Rpc(_Verb):
 
     def __init__(self, nic: RdmaNic, target: RdmaNic, out_bytes: int,
                  back_bytes: int, budget: float, on_target,
-                 handler_us: float):
+                 then: Callable[[Any], None], handler_us: float):
         self.handler_us = handler_us
         _Verb.__init__(self, nic, target, SEND, out_bytes, back_bytes,
-                       budget, on_target)
+                       budget, on_target, then)
 
     def _serve(self, _arg: None) -> None:
         # host CPU polls, handles the buffer, runs the handler
-        self.target.host_cores.execute(self.handler_us)._cb0 = self._touch
+        self.target.host_cores.execute(self.handler_us, self._touch)
 
-    def _touch(self, _ev: Event) -> None:
+    def _touch(self, _arg: None) -> None:
         if self.on_target is not None:
             self.result = self.on_target()
         self.sim.call_after(self.budget, self._respond)

@@ -5,12 +5,15 @@ specialized for this reproduction.  Simulated time is measured in
 **microseconds** (float).  The models are callback chains, and every
 queue entry is a continuation: :meth:`Simulator.call_at` and
 :meth:`Simulator.call_after` schedule ``fn(arg)`` with no event built.
-An :class:`Event` exists only where something waits on it: a
-:class:`Process` yields it, a :class:`Gather` joins it (``on``), or a
-caller is handed it back; a stage waiting on one is its ``_cb0``.  A
-fan-out continues through one join, :class:`Gather`.  A
-:class:`Process` runs a generator that yields events; only the
-harness's clients are processes.
+Every model call that waits takes a continuation ``then(value)`` too —
+a core job, a verb, a DMA, a log append, a request, a resource grant —
+and a fan-out continues through one join, :class:`Gather`.  So an
+:class:`Event` exists only where a process waits: a :class:`Process`
+runs a generator that yields events, and only the harness's clients,
+the examples and the tests are processes.  A client's transaction
+builds one event (``Coordinator.run_transaction``); a process that
+waits on a model call builds its own and passes its ``succeed`` as the
+call's ``then``.
 
 Determinism: events scheduled for the same timestamp fire in FIFO order of
 scheduling (a monotonically increasing sequence number breaks ties), so a
@@ -62,8 +65,8 @@ class Event:
     fired run immediately.
 
     The first callback lives in ``_cb0``; only a second registration
-    allocates the overflow list, so the ubiquitous one-waiter events
-    (resource grants, request futures, verbs) never build a list at all.
+    allocates the overflow list, so the usual one-waiter event (the one
+    a process yields) never builds a list at all.
     """
 
     __slots__ = ("sim", "_cb0", "_callbacks", "_ok", "_value", "_name")
@@ -174,12 +177,12 @@ class Timeout(Event):
 class Gather:
     """The join of one fan-out.
 
-    A child joins through :meth:`slot`, which hands back the ``then`` a
-    local handler reports its value through, or :meth:`on`, which
-    reports an event's value when the event fires.  Once the parent
-    waits (:meth:`wait`) and every child has reported, the parent
-    continues with the values in child order: from inside the last
-    report, or at once if every child reported before the wait.
+    A child joins through :meth:`slot`, which hands back the ``then`` it
+    reports its value through: a local handler's, a request's, a verb's
+    or a DMA op's continuation.  Once the parent waits (:meth:`wait`)
+    and every child has reported, the parent continues with the values
+    in child order: from inside the last report, or at once if every
+    child reported before the wait.
 
     A gather owns no queue entry and pushes nothing.  The children's
     reports hold the gather and the gather holds only the parent's
@@ -200,10 +203,6 @@ class Gather:
         self.left += 1
         return partial(self._put, len(values) - 1)
 
-    def on(self, ev: Event) -> None:
-        """Join ``ev`` as a new child, reporting its value when it fires."""
-        ev.add_callback(partial(_landed, self.slot()))
-
     def wait(self, then: Callable[[List[Any]], None]) -> None:
         """Continue with ``then(values)`` once every child has reported."""
         if self.left:
@@ -216,11 +215,6 @@ class Gather:
         self.left -= 1
         if not self.left and self.then is not None:
             self.then(self.values)
-
-
-def _landed(report: Callable[[Any], None], ev: Event) -> None:
-    """A :meth:`Gather.on` child's report, as ``ev``'s callback."""
-    report(ev._value)
 
 
 def _raise(exc: BaseException) -> None:

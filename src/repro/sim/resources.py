@@ -1,7 +1,9 @@
 """Shared-resource primitives for the simulation engine.
 
-These mirror the SimPy resource set but with an explicit request/release
-API that fits generator-based processes:
+These mirror the SimPy resource set with an explicit request/release
+API that takes a continuation: a wait hands over ``then``, which runs
+with ``None`` once the slot or count is granted (at once when it is
+free), so no event is built.
 
 * :class:`Resource` — ``capacity`` interchangeable slots, FIFO granting.
 * :class:`Semaphore` — counting semaphore (non-slot-tracking Resource).
@@ -11,9 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Deque
+from typing import Any, Callable, Deque
 
-from .core import Event, SimulationError, Simulator
+from .core import SimulationError, Simulator
 
 __all__ = ["Resource", "Semaphore"]
 
@@ -21,16 +23,23 @@ __all__ = ["Resource", "Semaphore"]
 class Resource:
     """A pool of ``capacity`` identical slots granted in FIFO order.
 
-    Usage from a process::
+    Usage from a callback chain::
 
-        if not res.try_acquire():
-            yield res.acquire()
-        yield sim.timeout(service_time)
-        res.release()
+        def start(self):
+            res.acquire(self._granted)       # at once if a slot is free
 
-    Release after the ``yield``, not in a ``finally``: the collector
-    closes the suspended generators of a dropped simulation, and a
-    release there would hand the slot to a waiter and resume that dead
+        def _granted(self, _arg):
+            sim.call_after(service_time, self._served)
+
+        def _served(self, _arg):
+            res.release()
+
+    A process waits through an event it builds itself, passing the
+    event's ``succeed`` as ``then`` and yielding the event.
+
+    Release after the wait, not in a ``finally``: the collector closes
+    the suspended generators of a dropped simulation, and a release
+    there would hand the slot to a waiter and resume that dead
     simulation's processes from inside ``gc.collect()``.
     """
 
@@ -40,9 +49,9 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._acquire_name = "%s.acquire" % name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        # the continuations of queued acquires, granted in FIFO order
+        self._waiters: Deque[Callable[[Any], None]] = deque()
         # Time-weighted busy accounting for utilization reports.
         self._busy_area = 0.0
         self._last_change = 0.0
@@ -94,7 +103,7 @@ class Resource:
             if self._waiters:
                 # A release with waiters hands the slot over directly;
                 # occupancy (and the busy-area sum) is unchanged.
-                self._waiters.popleft().succeed()
+                self._waiters.popleft()(None)
             else:
                 if self._splits:
                     self._consume_splits(t)
@@ -129,9 +138,9 @@ class Resource:
         self._last_change = now
 
     def try_acquire(self) -> bool:
-        """Grab a free slot without allocating an event; returns False if
-        the caller must fall back to :meth:`acquire` and wait.  This is the
-        hot-path front door: ``if not r.try_acquire(): yield r.acquire()``.
+        """Grab a free slot now; returns False if the caller must fall
+        back to :meth:`acquire` and wait.  This is the hot-path front
+        door: ``if r.try_acquire(): ... else: r.acquire(then)``.
         """
         now = self.sim._now
         if self._lazy:
@@ -145,21 +154,20 @@ class Resource:
             return True
         return False
 
-    def acquire(self) -> Event:
-        """Returns an event that fires when a slot is granted."""
+    def acquire(self, then: Callable[[Any], None]) -> None:
+        """Run ``then(None)`` once a slot is granted: at once when one is
+        free and nobody queues, else at the FIFO hand-over."""
         if self._lazy:
             self._expire(self.sim._now)
-        ev = Event(self.sim, self._acquire_name)
         if self._in_use < self.capacity and not self._waiters:
             self._account()
             self._in_use += 1
-            ev.succeed()
+            then(None)
         else:
-            self._waiters.append(ev)
+            self._waiters.append(then)
             if self._lazy and not self._lazy_armed:
                 self._lazy_armed = True
                 self.sim.call_at(self._lazy[0], self._lazy_wake)
-        return ev
 
     def release(self) -> None:
         now = self.sim._now
@@ -169,7 +177,7 @@ class Resource:
             raise SimulationError("release of idle resource %r" % self.name)
         if self._waiters:
             # Hand the slot directly to the next waiter; occupancy unchanged.
-            self._waiters.popleft().succeed()
+            self._waiters.popleft()(None)
         else:
             # _account() inlined: lazy charges are already expired.
             if self._splits:
@@ -193,33 +201,39 @@ class Resource:
 
 
 class Semaphore:
-    """Counting semaphore with FIFO wakeup."""
+    """Counting semaphore with FIFO wakeup: :meth:`down` takes a
+    continuation like :meth:`Resource.acquire`."""
 
     def __init__(self, sim: Simulator, initial: int = 0, name: str = ""):
         if initial < 0:
             raise ValueError("initial count must be >= 0")
         self.sim = sim
         self.name = name
-        self._down_name = "%s.down" % name
         self._count = initial
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[Callable[[Any], None]] = deque()
 
     @property
     def count(self) -> int:
         return self._count
 
-    def down(self) -> Event:
-        ev = Event(self.sim, self._down_name)
+    def try_down(self) -> bool:
+        """Take one count now if one is free and nobody queues."""
         if self._count > 0 and not self._waiters:
             self._count -= 1
-            ev.succeed()
+            return True
+        return False
+
+    def down(self, then: Callable[[Any], None]) -> None:
+        """Run ``then(None)`` once a count is taken: at once when one is
+        free, else at the FIFO wakeup of a later :meth:`up`."""
+        if self.try_down():
+            then(None)
         else:
-            self._waiters.append(ev)
-        return ev
+            self._waiters.append(then)
 
     def up(self, n: int = 1) -> None:
         for _ in range(n):
             if self._waiters:
-                self._waiters.popleft().succeed()
+                self._waiters.popleft()(None)
             else:
                 self._count += 1

@@ -40,24 +40,6 @@ class OnlineStats:
     def mean(self) -> float:
         return self._mean if self.count else 0.0
 
-    def merge(self, other: "OnlineStats") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean = (self._mean * self.count + other._mean * other.count) / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
 
 class LogHistogram:
     """Fixed-bucket log-scale histogram over positive values.

@@ -19,7 +19,7 @@ segment) that the SmartNIC index uses to size its DMA reads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.stats import OnlineStats
 from .object import ObjectTable, VersionedObject, mix64, share
@@ -221,26 +221,6 @@ class RobinhoodTable(ObjectTable):
                 pos = 0
             cur_disp += 1
         raise RuntimeError("robinhood table is full")
-
-    def insert_steps(self, key: int) -> Iterator[None]:
-        """Generator form of :meth:`insert` yielding after each atomic slot
-        write — used by the DMA-consistency property test to interleave a
-        concurrent reader between steps."""
-        if key in self._objects:
-            raise KeyError("duplicate key %d" % key)
-        chain, overflowed = self._plan_insert(key, self.home(key))
-        self._objects[key] = VersionedObject(key)
-        self.size += 1
-        seg_size = self.segment_size
-        if overflowed is not None:
-            over_key, over_home = overflowed
-            self._overflow.setdefault(over_home // seg_size, []).append(over_key)
-            self._seg_max_disp[over_home // seg_size] = None
-            yield
-        for slot, k, k_home in reversed(chain):
-            self._slots[slot] = k
-            self._seg_max_disp[k_home // seg_size] = None
-            yield
 
     def insert_many(self, objs: Iterable[VersionedObject]) -> None:
         """Insert ``objs`` in order, as :meth:`insert` would one by one,

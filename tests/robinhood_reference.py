@@ -1,6 +1,10 @@
-"""The Robinhood table's structural invariants, as the tests check them;
-no model reads them, so they live here, not in ``repro``."""
+"""The Robinhood table's structural invariants, as the tests check them,
+and its insertion one atomic slot write at a time; no model reads
+either, so they live here, not in ``repro``."""
 
+from typing import Iterator
+
+from repro.store.object import VersionedObject
 from repro.store.robinhood import UNLIMITED, RobinhoodTable
 
 
@@ -29,3 +33,24 @@ def check_invariants(table: RobinhoodTable) -> None:
             seen.add(key)
             assert table.segment_of_key(key) == seg
     assert len(seen) == table.size == len(table._objects)
+
+
+def insert_steps(table: RobinhoodTable, key: int) -> Iterator[None]:
+    """Generator form of :meth:`RobinhoodTable.insert` yielding after
+    each atomic slot write — used by the DMA-consistency property test
+    to interleave a concurrent reader between steps."""
+    if key in table._objects:
+        raise KeyError("duplicate key %d" % key)
+    chain, overflowed = table._plan_insert(key, table.home(key))
+    table._objects[key] = VersionedObject(key)
+    table.size += 1
+    seg_size = table.segment_size
+    if overflowed is not None:
+        over_key, over_home = overflowed
+        table._overflow.setdefault(over_home // seg_size, []).append(over_key)
+        table._seg_max_disp[over_home // seg_size] = None
+        yield
+    for slot, k, k_home in reversed(chain):
+        table._slots[slot] = k
+        table._seg_max_disp[k_home // seg_size] = None
+        yield

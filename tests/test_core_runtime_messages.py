@@ -1,5 +1,5 @@
-"""Tests for the NIC runtime (async DMA, coalescing, pending futures),
-message sizing, and configuration ladders."""
+"""Tests for the NIC runtime (async DMA, coalescing, the pending
+table), message sizing, and configuration ladders."""
 
 import pytest
 
@@ -42,59 +42,62 @@ def make_runtime(**flags):
 
 
 def test_pending_expect_resolve():
-    sim = Simulator()
-    table = PendingTable(sim)
-    fut = table.expect("a")
-    assert not fut.triggered
+    table = PendingTable()
+    got = []
+    table.expect("a", got.append)
+    assert got == []
     assert table.resolve("a", 42)
-    assert fut.value == 42
+    assert got == [42]
     assert not table.resolve("a", 1)  # already gone
+    assert got == [42]
 
 
 def test_pending_duplicate_key_rejected():
-    table = PendingTable(Simulator())
-    table.expect("x")
+    table = PendingTable()
+    table.expect("x", lambda _v: None)
     with pytest.raises(RuntimeError):
-        table.expect("x")
+        table.expect("x", lambda _v: None)
 
 
 def test_pending_count_future():
-    sim = Simulator()
-    table = PendingTable(sim)
-    fut = table.expect_count("acks", 3)
+    table = PendingTable()
+    got = []
+    table.expect_count("acks", got.append, 3)
     table.resolve_one("acks", "a")
     table.resolve_one("acks", "b")
-    assert not fut.triggered
+    assert got == []
     table.resolve_one("acks", "c")
-    assert fut.value == ["a", "b", "c"]
+    assert got == [["a", "b", "c"]]
 
 
 def test_pending_count_zero_fires_immediately():
-    table = PendingTable(Simulator())
-    fut = table.expect_count("none", 0)
-    assert fut.triggered and fut.value == []
+    table = PendingTable()
+    got = []
+    table.expect_count("none", got.append, 0)
+    assert got == [[]]
 
 
 @pytest.mark.parametrize("early, n", [(0, 2), (1, 2), (2, 2), (0, 0)])
 def test_pending_open_count_includes_early_deliveries(early, n):
     """A count left open collects deliveries until ``set_count`` fixes
     it; the ones that raced ahead count toward it."""
-    table = PendingTable(Simulator())
-    fut = table.expect_count("acks")
+    table = PendingTable()
+    got = []
+    table.expect_count("acks", got.append)
     for i in range(early):
         assert table.resolve_one("acks", i)
-    assert not fut.triggered
+    assert got == []
     table.set_count("acks", n)
     for i in range(early, n):
-        assert not fut.triggered
+        assert got == []
         assert table.resolve_one("acks", i)
-    assert fut.value == list(range(n))
+    assert got == [list(range(n))]
     assert not table.resolve_one("acks", "late") and len(table) == 0
 
 
 def test_pending_cancel():
-    table = PendingTable(Simulator())
-    table.expect("gone")
+    table = PendingTable()
+    table.expect("gone", lambda _v: None)
     assert table.cancel("gone")
     assert not table.cancel("gone")
     assert not table.resolve("gone")
@@ -109,7 +112,9 @@ def test_async_dma_vectors_accumulate():
     sim, nic, runtime = make_runtime(async_dma=True)
 
     def proc():
-        evs = [runtime.dma_read(64) for _ in range(20)]
+        evs = [sim.event() for _ in range(20)]
+        for ev in evs:
+            runtime.dma_read(64, ev.succeed)
         for ev in evs:
             yield ev
 
@@ -126,7 +131,9 @@ def test_blocking_dma_one_submission_each():
 
     def proc():
         for _ in range(5):
-            yield runtime.dma_read(64)
+            read = sim.event()
+            runtime.dma_read(64, read.succeed)
+            yield read
 
     sim.spawn(proc(), name="p")
     sim.run()
@@ -138,7 +145,9 @@ def test_blocking_dma_occupies_a_core():
     sim, nic, runtime = make_runtime(async_dma=False)
 
     def proc():
-        yield runtime.dma_read(64)
+        read = sim.event()
+        runtime.dma_read(64, read.succeed)
+        yield read
 
     sim.spawn(proc(), name="p")
     sim.run()
@@ -149,7 +158,9 @@ def test_log_append_coalesces_to_one_dma_op():
     sim, nic, runtime = make_runtime(async_dma=True)
 
     def proc():
-        evs = [runtime.dma_log_append(100) for _ in range(10)]
+        evs = [sim.event() for _ in range(10)]
+        for ev in evs:
+            runtime.dma_log_append(100, ev.succeed)
         for ev in evs:
             yield ev
 
@@ -165,7 +176,9 @@ def test_log_append_flushes_at_size_threshold():
     sim, nic, runtime = make_runtime(async_dma=True)
 
     def proc():
-        evs = [runtime.dma_log_append(3000) for _ in range(6)]  # 18 KB
+        evs = [sim.event() for _ in range(6)]
+        for ev in evs:
+            runtime.dma_log_append(3000, ev.succeed)  # 18 KB in all
         for ev in evs:
             yield ev
 
@@ -179,7 +192,9 @@ def test_log_append_blocking_mode_per_record():
 
     def proc():
         for _ in range(4):
-            yield runtime.dma_log_append(100)
+            appended = sim.event()
+            runtime.dma_log_append(100, appended.succeed)
+            yield appended
 
     sim.spawn(proc(), name="p")
     sim.run()
@@ -198,7 +213,7 @@ def test_handle_cost_scales_with_keys():
     for n_keys in (0, 10):
         (wall,) = proto._msg_with_keys(n_keys)
         start = sim.now
-        cores.run_wall_then(wall, lambda _job, t=start: took.append(
+        cores.run_wall_then(wall, lambda _arg, t=start: took.append(
             sim.now - t))
         sim.run()
     assert took[0] == pytest.approx(proto.runtime.msg_handle_us)

@@ -11,10 +11,12 @@ digest at the benchmark's peak load (c=64) on both legs of
 never fires alike, and the four baselines' results the same ways
 (``BASELINE_DIGESTS``); that such a plan is the bare run at every load
 tested, on Xenic and on the four baselines; how much of each form the
-pinned runs exercise; how few processes a peak run spawns; and the
-event count the fused paths exist to deliver.
+pinned runs exercise; how few processes a peak run spawns and how few
+``Event`` objects it builds (one per transaction, the client's); and
+the event count the fused paths exist to deliver.
 """
 
+import contextlib
 import functools
 from typing import NamedTuple
 from unittest import mock
@@ -27,7 +29,8 @@ from repro.bench.golden import (_fig8d_run, baseline_payload,
 from repro.bench.runner import Bench
 from repro.core.cluster import XenicCluster
 from repro.core.protocol import XenicProtocol
-from repro.sim.core import Simulator
+from repro.core.txn import Coordinator
+from repro.sim.core import Event, Process, Simulator, Timeout
 from repro.sim.faults import FaultSpec
 from repro.workloads import Smallbank
 
@@ -173,6 +176,52 @@ def test_peak_run_spawns_no_process_per_commit():
     assert run.spawned / run.commits < 0.03
 
 
+@contextlib.contextmanager
+def counting_events():
+    """Count every ``Event`` built — a ``Timeout``, a ``Process`` and
+    any other subclass included — and every ``run_transaction`` call,
+    while the block runs.  ``Timeout`` is the one subclass that does not
+    run ``Event.__init__``, so the two constructors see every event."""
+    def subclasses(cls):
+        return {c for sub in cls.__subclasses__()
+                for c in {sub} | subclasses(sub)}
+
+    assert subclasses(Event) == {Timeout, Process}
+    counts = {"events": 0, "calls": 0}
+    event_init, timeout_init = Event.__init__, Timeout.__init__
+    run_transaction = Coordinator.run_transaction
+
+    def built(init):
+        def counted(self, *args, **kwargs):
+            counts["events"] += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    def called(self, spec):
+        counts["calls"] += 1
+        return run_transaction(self, spec)
+
+    with mock.patch.object(Event, "__init__", built(event_init)), \
+            mock.patch.object(Timeout, "__init__", built(timeout_init)), \
+            mock.patch.object(Coordinator, "run_transaction", called):
+        yield counts
+
+
+def test_peak_run_builds_one_event_per_transaction():
+    """Every model call below the client takes a continuation, so the
+    c=64 golden run builds one ``Event`` per ``run_transaction`` call,
+    the one its client yields, and otherwise only its 192 load
+    contexts' processes: no core job, DMA, log append, request,
+    resource grant or retry driver builds one."""
+    with counting_events() as counts:
+        bench, payload = _fig8d_run(64, False)
+    assert payload["total_commits"] == 7721
+    spawned = bench.sim.processes_spawned
+    assert spawned == 192
+    assert counts["events"] - spawned == counts["calls"]
+    assert counts["calls"] <= payload["total_commits"] + spawned
+
+
 def test_attribution_sums_with_fusion_on():
     """Per-phase latency attribution stays exact (the fused forms emit
     every annotation the stepwise ones do, from their computed
@@ -268,6 +317,20 @@ def test_baseline_peak_run_spawns_no_process_per_commit(system):
     result = bench.measure(64, warmup_us=20.0, window_us=100.0)
     assert result.commits > 500
     assert bench.sim.processes_spawned == 3 * 64
+
+
+@pytest.mark.parametrize("system", BASELINES)
+def test_baseline_peak_run_builds_one_event_per_transaction(system):
+    """A baseline's verbs, RPCs, core jobs and retry driver take
+    continuations: its c=64 run builds one ``Event`` per
+    ``run_transaction`` call beside its 192 load contexts' processes."""
+    with counting_events() as counts:
+        bench = smallbank_bench(system, 1500)
+        result = bench.measure(64, warmup_us=20.0, window_us=100.0)
+    assert result.commits > 500
+    spawned = bench.sim.processes_spawned
+    assert spawned == 3 * 64
+    assert counts["events"] - spawned == counts["calls"]
 
 
 def test_construction_is_event_free_and_linear(monkeypatch):

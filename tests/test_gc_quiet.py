@@ -27,6 +27,8 @@ from repro.sim.collector import QUIET_ALLOCATION_BUDGET
 from repro.sim.faults import FaultPlan, FaultSpec
 from repro.workloads import Retwis, Smallbank
 
+from .waits import waited
+
 
 def golden_bench(system="xenic", workload=None):
     """The cluster of ``repro.bench.golden`` (the reduced fig8d point
@@ -415,18 +417,21 @@ def test_crash_dropped_gap_is_written_off_within_the_window(monkeypatch):
     def unlock(i):
         return messages.Request(messages.UNLOCK, 10_000 + i, 1, 0)
 
+    def ignore(_resp):
+        """The continuation of a request nobody waits on."""
+
     def driver():
         for i in range(5):
-            yield peer._send_request(1, unlock(i))
+            yield waited(sim, peer._send_request, 1, unlock(i))
         plan.crash_node(1)
         for i in range(5, 12):
-            peer._send_request(1, unlock(i))     # numbered, then dropped
+            peer._send_request(1, unlock(i), ignore)  # numbered, then dropped
         for i in range(3):
-            crasher._send_request(0, unlock(i))  # a zombie's sends too
+            crasher._send_request(0, unlock(i), ignore)  # a zombie's sends too
         yield sim.timeout(50.0)
         plan.restart_node(1)
         for i in range(12, 12 + 4 * window):
-            resp = yield peer._send_request(1, unlock(i))
+            resp = yield waited(sim, peer._send_request, 1, unlock(i))
             answered.append(resp.ok)
             parked_max[0] = max(parked_max[0],
                                 len(crasher._wire_seen_ahead[0]))

@@ -6,6 +6,8 @@ from repro.hw import CoreGroup, DmaEngine, DmaOp, LIQUIDIO3_CPU, XEON_GOLD_5218
 from repro.hw.params import DmaParams
 from repro.sim import Simulator
 
+from .waits import vector_waited, waited
+
 
 # ---------------------------------------------------------------------------
 # CoreGroup
@@ -27,7 +29,7 @@ def test_core_group_queues_beyond_capacity():
     done_times = []
 
     def proc(sim):
-        yield cores.execute(10.0)
+        yield waited(sim, cores.execute, 10.0)
         done_times.append(sim.now)
 
     for _ in range(4):
@@ -41,7 +43,7 @@ def test_core_group_job_resumes_a_process_at_completion():
     cores = CoreGroup(sim, XEON_GOLD_5218, cores=1)
 
     def proc(sim):
-        yield cores.execute(5.0)
+        yield waited(sim, cores.execute, 5.0)
         return sim.now
 
     p = sim.spawn(proc(sim))
@@ -54,7 +56,7 @@ def test_core_group_utilization():
     cores = CoreGroup(sim, XEON_GOLD_5218, cores=1)
 
     def proc(sim):
-        yield cores.execute(6.0)
+        yield waited(sim, cores.execute, 6.0)
         yield sim.timeout(4.0)
 
     sim.spawn(proc(sim))
@@ -79,7 +81,7 @@ def test_every_form_books_a_job_the_same():
     def hold(sim, cores):
         sim.call_at(cores.try_hold((wall,)), lambda _e: cores.pool.release())
 
-    stepwise = booked(lambda sim, cores: cores.execute_wall(wall))
+    stepwise = booked(lambda sim, cores: cores.execute_wall(wall, lambda _arg: None))
     assert stepwise[1] != wall
     assert booked(hold) == stepwise
     assert booked(lambda sim, cores: cores.charge_wall(wall)) == stepwise
@@ -121,7 +123,7 @@ def test_dma_single_read_latency_includes_completion():
     engine = DmaEngine(sim)
 
     def proc(sim):
-        yield engine.read(64)
+        yield waited(sim, engine.read, 64)
         return sim.now
 
     p = sim.spawn(proc(sim))
@@ -136,7 +138,7 @@ def test_dma_write_completion_faster_than_read():
     engine = DmaEngine(sim)
 
     def rd(sim):
-        yield engine.read(64)
+        yield waited(sim, engine.read, 64)
         return sim.now
 
     p_r = sim.spawn(rd(sim))
@@ -146,7 +148,7 @@ def test_dma_write_completion_faster_than_read():
     engine2 = DmaEngine(sim2)
 
     def wr(sim):
-        yield engine2.write(64)
+        yield waited(sim, engine2.write, 64)
         return sim.now
 
     p_w = sim2.spawn(wr(sim2))
@@ -176,7 +178,7 @@ def test_dma_vectored_throughput_beats_single():
             while remaining > 0:
                 n = min(vector_size, remaining)
                 ops = [DmaOp(size=32, is_read=False) for _ in range(n)]
-                ev = engine.submit(ops)
+                ev = vector_waited(sim, engine, ops)
                 remaining -= n
                 # 8 queues: keep them all fed by not waiting for completion,
                 # but pace at the submission cost.
@@ -200,12 +202,12 @@ def test_dma_per_op_callbacks_fire():
     engine = DmaEngine(sim)
     completed = []
     ops = [
-        DmaOp(size=16, is_read=True, on_complete=lambda i=i: completed.append(i))
+        DmaOp(size=16, is_read=True,
+              then=lambda _arg, i=i: completed.append(i))
         for i in range(5)
     ]
-    ev = engine.submit(ops)
+    engine.submit(ops)
     sim.run()
-    assert ev.triggered
     assert sorted(completed) == [0, 1, 2, 3, 4]
 
 
@@ -219,7 +221,7 @@ def test_dma_large_transfers_bounded_by_pcie_bandwidth():
         evs = []
         for _ in range(100):
             ops = [DmaOp(size=4096, is_read=False) for _ in range(10)]
-            evs.append(engine.submit(ops))
+            evs.append(vector_waited(sim, engine, ops))
         for ev in evs:
             yield ev
 
@@ -235,8 +237,8 @@ def test_dma_latency_stats_recorded():
     engine = DmaEngine(sim)
 
     def proc(sim):
-        yield engine.read(64)
-        yield engine.write(64)
+        yield waited(sim, engine.read, 64)
+        yield waited(sim, engine.write, 64)
 
     sim.spawn(proc(sim))
     sim.run()

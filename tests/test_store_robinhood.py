@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.store import RobinhoodTable, VersionedObject
 
-from .robinhood_reference import check_invariants
+from .robinhood_reference import check_invariants, insert_steps
 
 
 def make_table(capacity=64, dm=8, segment_size=8):
@@ -214,7 +214,7 @@ def test_property_dma_consistent_swapping(existing):
     for k in unique:
         t.insert(k)
     pre_existing = list(unique)
-    for _step in t.insert_steps(new_key):
+    for _step in insert_steps(t, new_key):
         for k in pre_existing:
             assert t.lookup(k).found, (
                 "concurrent reader lost key %d mid-insertion" % k
