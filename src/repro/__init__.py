@@ -7,7 +7,7 @@ Public API tour:
 * :mod:`repro.hw` — simulated hardware: SmartNICs, RDMA NICs, DMA engines,
   PCIe, Ethernet fabric, parameterized from the paper's §3 measurements.
 * :mod:`repro.store` — Robinhood / Hopscotch / chained hash tables, the
-  SmartNIC caching index, B+ trees, and the host-memory log.
+  SmartNIC caching index, and the host-memory log.
 * :mod:`repro.core` — the Xenic system: OCC commit protocol, function
   shipping, multi-hop OCC, local fast paths, recovery.
 * :mod:`repro.baselines` — DrTM+H, DrTM+H-NC, FaSST, DrTM+R.

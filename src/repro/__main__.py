@@ -304,7 +304,7 @@ def _run_observed_bench(args) -> Bench:
     """Shared body of the trace/metrics/attrib subcommands: one observed
     run."""
     workload = workload_by_name(args.workload, args.nodes, seed=args.seed)
-    bench = Bench(args.system, workload, n_nodes=args.nodes, seed=args.seed,
+    bench = Bench(args.system, workload, n_nodes=args.nodes,
                   faults=_bench_faults(args), obs=True,
                   obs_interval_us=args.sample_interval)
     result = bench.measure(args.concurrency, warmup_us=args.warmup,

@@ -1,9 +1,10 @@
 """Chaos harness: randomized fault schedules + global invariant checks.
 
-``run_chaos`` builds a small cluster (Xenic or a baseline), installs a
-seeded :class:`~repro.sim.faults.FaultPlan`, drives a deterministic
-commuting-increment workload through it, and checks the invariants that
-must hold no matter what the fault layer did:
+``run_chaos`` is a :class:`~repro.bench.runner.Bench` run of the
+:class:`Increments` workload on a small cluster (Xenic or a baseline)
+under a seeded :class:`~repro.sim.faults.FaultPlan`.  It starts each
+increment once, at a drawn time, runs to a fixed horizon and checks the
+invariants that must hold no matter what the fault layer did:
 
 * **no limbo** — every admitted transaction reaches commit (the
   coordinator retries aborts), so every driver process finishes;
@@ -26,20 +27,61 @@ resolves them), which the dedicated recovery tests assert precisely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..baselines import SYSTEMS, BaselineCluster
-from ..core import TxnSpec, XenicCluster, XenicConfig
+from ..core import TxnSpec
 from ..obs import Observer
-from ..sim import RngStream, Simulator, collector_quiet
-from ..sim.faults import FaultPlan, FaultSpec, FaultTrace
+from ..sim import RngStream, collector_quiet
+from ..sim.faults import FaultSpec, FaultTrace
+from ..workloads.base import Workload
+from .runner import XENIC, Bench
 
-__all__ = ["ChaosResult", "run_chaos", "DEFAULT_CHAOS_FAULTS"]
-
-XENIC = "xenic"
+__all__ = ["ChaosResult", "Increments", "run_chaos", "DEFAULT_CHAOS_FAULTS"]
 
 # The CI smoke spec: every message primitive enabled at once.
 DEFAULT_CHAOS_FAULTS = "drop=0.02,dup=0.01,delay=0.05:8,reorder=0.02"
+
+KEYS = 24  # the keyspace the increments touch
+START_SPAN = 300.0  # µs: each increment starts at a time drawn from [0, this)
+HORIZON = 500_000.0  # µs: the run's end, ample for every retry to resolve
+
+
+def increment(keys: Tuple[int, ...], amount: int) -> TxnSpec:
+    """A transaction that adds ``amount`` to each of ``keys``."""
+
+    def logic(reads, state):
+        return {k: (reads[k] or 0) + amount for k in keys}
+
+    return TxnSpec(read_keys=list(keys), write_keys=list(keys), logic=logic)
+
+
+class Increments(Workload):
+    """Commuting increments over ``KEYS`` keys: whatever order they
+    serialize in, each key ends at the sum of the amounts added to it.
+    Not in ``WORKLOADS``: :func:`run_chaos` schedules its transactions."""
+
+    name = "increments"
+    value_size = 16
+    baseline_host_threads = 4
+    prewarm = False
+
+    def keys_per_shard(self) -> int:
+        return max(128, KEYS)
+
+    def partition(self, key: int) -> int:
+        return key % self.n_nodes
+
+    def load(self, cluster) -> None:
+        cluster.load_keys((k, 0, None) for k in range(KEYS))
+
+    def draw(self, rng: RngStream) -> Tuple[Tuple[int, ...], int]:
+        """One increment: its sorted keys (one to three) and amount."""
+        n_keys = rng.randint(1, 3)
+        keys = tuple(sorted(rng.sample(range(KEYS), n_keys)))
+        return keys, rng.randint(1, 9)
+
+    def next_spec(self, rng: RngStream, node_id: int) -> TxnSpec:
+        return increment(*self.draw(rng))
 
 
 @dataclass
@@ -77,37 +119,12 @@ class ChaosResult:
         return line
 
 
-def _build_cluster(system: str, sim: Simulator, n_nodes: int, keys: int,
-                   config: Optional[XenicConfig], rf: int):
-    if system == XENIC:
-        cfg = config or XenicConfig(replication_factor=rf)
-        cluster = XenicCluster(sim, n_nodes, config=cfg,
-                               keys_per_shard=max(128, keys),
-                               value_size=16)
-    elif system in SYSTEMS:
-        cluster = BaselineCluster(sim, n_nodes, SYSTEMS[system],
-                                  host_threads=4,
-                                  keys_per_shard=max(128, keys),
-                                  value_size=16,
-                                  replication_factor=rf)
-    else:
-        raise ValueError("unknown system %r" % system)
-    cluster.load_keys((k, 0, None) for k in range(keys))
-    cluster.start()
-    return cluster
-
-
 def run_chaos(
     system: str = XENIC,
     seed: int = 1,
     faults: Union[str, FaultSpec] = DEFAULT_CHAOS_FAULTS,
     n_txns: int = 40,
     n_nodes: int = 3,
-    keys: int = 24,
-    rf: int = 3,
-    span_us: float = 300.0,
-    limit_us: float = 500_000.0,
-    config: Optional[XenicConfig] = None,
     obs: bool = False,
 ) -> ChaosResult:
     """One seeded chaos run; see the module docstring for the invariants.
@@ -118,55 +135,45 @@ def run_chaos(
     timeline as instant events)."""
     spec = FaultSpec.parse(faults) if isinstance(faults, str) else faults
     with collector_quiet:
-        sim = Simulator()
-        cluster = _build_cluster(system, sim, n_nodes, keys, config, rf)
-        plan = FaultPlan(spec, RngStream(seed, "faults")).install(cluster)
-        observer = Observer(sim).install(cluster) if obs else None
+        bench = Bench(system, Increments(n_nodes), n_nodes=n_nodes,
+                      faults=(spec, seed), obs=obs)
+        sim, cluster = bench.sim, bench.cluster
 
-        # deterministic commuting-increment workload, independent RNG stream
-        wl = RngStream(seed, "workload")
+        # each increment's coordinator, keys, amount and start time, from
+        # a stream of its own
+        rng = RngStream(seed, "workload")
         crashing = {c.node for c in spec.crashes}
         coords = [n for n in range(n_nodes) if n not in crashing] or [0]
         ops = []
         for _ in range(n_txns):
-            coord = coords[wl.randrange(len(coords))]
-            n_keys = wl.randint(1, 3)
-            op_keys = tuple(sorted(wl.sample(range(keys), n_keys)))
-            amount = wl.randint(1, 9)
-            start = wl.uniform(0.0, span_us)
-            ops.append((coord, op_keys, amount, start))
-        reference: Dict[int, int] = {k: 0 for k in range(keys)}
-        for _coord, op_keys, amount, _start in ops:
-            for k in op_keys:
+            coord = coords[rng.randrange(len(coords))]
+            keys, amount = bench.workload.draw(rng)
+            ops.append((coord, keys, amount, rng.uniform(0.0, START_SPAN)))
+        reference: Dict[int, int] = {k: 0 for k in range(KEYS)}
+        for _coord, keys, amount, _start in ops:
+            for k in keys:
                 reference[k] += amount
 
         done: List[int] = []
 
-        def run_op(i, coord, op_keys, amount, start):
+        def run_op(i, coord, keys, amount, start):
             yield sim.timeout(start)
-
-            def logic(reads, state, keys=op_keys, amount=amount):
-                return {k: (reads[k] or 0) + amount for k in keys}
-
-            spec_ = TxnSpec(read_keys=list(op_keys), write_keys=list(op_keys),
-                            logic=logic)
-            yield from cluster.protocols[coord].run_transaction(spec_)
+            yield from cluster.protocols[coord].run_transaction(
+                increment(keys, amount))
             done.append(i)
 
-        for i, (coord, op_keys, amount, start) in enumerate(ops):
-            sim.spawn(run_op(i, coord, op_keys, amount, start),
-                      name="chaos-txn-%d" % i)
-        sim.run(until=limit_us)
+        for i, op in enumerate(ops):
+            sim.spawn(run_op(i, *op), name="chaos-txn-%d" % i)
+        sim.run(until=HORIZON)
 
-        commits = sum(p.stats.get("commits") for p in cluster.protocols)
-        aborts = sum(p.stats.get("aborts") for p in cluster.protocols)
+        commits = bench.total_commits()
         limbo = n_txns - len(done)
         result = ChaosResult(system=system, seed=seed, spec=spec,
-                             commits=commits, aborts=aborts, limbo=limbo,
-                             trace=plan.trace, sim_time_us=sim.now,
-                             observer=observer,
+                             commits=commits, aborts=bench.total_aborts(),
+                             limbo=limbo, trace=bench.fault_plan.trace,
+                             sim_time_us=sim.now, observer=bench.observer,
                              final_values={k: cluster.read_committed_value(k)
-                                           for k in range(keys)},
+                                           for k in range(KEYS)},
                              events_scheduled=sim.events_scheduled)
         if not spec.crashes:
             if limbo:
@@ -177,8 +184,7 @@ def run_chaos(
                 result.violations.append(
                     "commit conservation: %d commits for %d transactions"
                     % (commits, n_txns))
-            for k in range(keys):
-                got = cluster.read_committed_value(k)
+            for k, got in result.final_values.items():
                 if got != reference[k]:
                     result.violations.append(
                         "serializability: key %d = %r, reference %d"

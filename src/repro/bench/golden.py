@@ -72,8 +72,8 @@ def _fig8d_run(concurrency: int, obs: bool,
     result = bench.measure(concurrency, warmup_us=100.0, window_us=300.0)
     payload = to_jsonable(result)
     payload["sim_now_us"] = bench.sim.now
-    payload["total_commits"] = bench._total_commits()
-    payload["total_aborts"] = bench._total_aborts()
+    payload["total_commits"] = bench.total_commits()
+    payload["total_aborts"] = bench.total_aborts()
     return bench, payload
 
 
@@ -127,7 +127,7 @@ def chaos_payload(obs: bool = False) -> Dict[str, Any]:
     from .chaos import run_chaos
 
     result = run_chaos(system="xenic", seed=3, n_txns=40, n_nodes=3,
-                       keys=24, obs=obs)
+                       obs=obs)
     return {
         "system": result.system,
         "seed": result.seed,

@@ -27,7 +27,7 @@ from ..sim import LatencyRecorder, Simulator, collector_quiet
 from ..workloads import WORKLOADS
 from ..workloads.base import Workload
 
-__all__ = ["RunResult", "Bench", "run_sweep", "to_jsonable",
+__all__ = ["RunResult", "Window", "Bench", "run_sweep", "to_jsonable",
            "write_results_json", "workload_by_name"]
 
 XENIC = "xenic"
@@ -106,18 +106,37 @@ class RunResult:
         )
 
 
+@dataclass
+class Window:
+    """What one measurement window (:meth:`Bench.window`) counted."""
+
+    # the counted completions: those that carry the counted label
+    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
+    counted: int = 0
+    # how deep into its transaction each abort struck, and why it aborted
+    aborted_at: LatencyRecorder = field(default_factory=LatencyRecorder)
+    abort_reasons: Dict[str, int] = field(default_factory=dict)
+    elapsed_us: float = 0.0
+    commits: int = 0  # protocol-reported, counted label or not
+    aborts: int = 0
+    events: int = 0  # queue entries pushed during the window
+    utilization: Dict[str, float] = field(default_factory=dict)
+
+
 class Bench:
-    """A (system, workload) pair under closed-loop load.
+    """A (system, workload) pair: the one place a run is built.  Its
+    closed-loop contexts (:meth:`measure`) are one load driver of several
+    (``bench.slo``, ``bench.chaos``); all count through :meth:`window`.
 
     Construction and :meth:`measure` are each one collector-quiet scope
     (``repro.sim.collector``): the cluster funnel and the event loop are
     quiet on their own, and the outer scope keeps the thresholds raised
     across the seams between them.
 
-    A run is reproducible from these arguments alone.  ``faults`` is
-    ``(spec text or FaultSpec, root seed)``: the plan is installed after
-    the cluster starts, before the Observer.  ``obs`` is ``True`` or an
-    :class:`~repro.obs.Observer` to install."""
+    A run is reproducible from these arguments and the workload's seed.
+    ``faults`` is ``(spec text or FaultSpec, root seed)``: the plan is
+    installed after the cluster starts, before the Observer.  ``obs`` is
+    ``True`` or an :class:`~repro.obs.Observer` to install."""
 
     def __init__(
         self,
@@ -127,7 +146,6 @@ class Bench:
         xenic_config: Optional[XenicConfig] = None,
         baseline_host_threads: Optional[int] = None,
         hardware=None,
-        seed: int = 7,
         faults: Optional[tuple] = None,
         obs=None,
         obs_interval_us: float = 20.0,
@@ -137,7 +155,6 @@ class Bench:
             self.workload = workload
             self.n_nodes = n_nodes
             self.sim = Simulator()
-            self.seed = seed
             if system.startswith(XENIC):
                 config = xenic_config
                 if config is None:
@@ -148,8 +165,6 @@ class Bench:
                             workload, "xenic_worker_threads", 3),
                     )
                 if hardware is not None:
-                    import dataclasses
-
                     config = dataclasses.replace(config, hardware=hardware)
                 self.cluster = XenicCluster(
                     self.sim, n_nodes, config=config,
@@ -175,7 +190,7 @@ class Bench:
             else:
                 raise ValueError("unknown system %r" % system)
             workload.load(self.cluster)
-            if system.startswith(XENIC):
+            if system.startswith(XENIC) and workload.prewarm:
                 # measure warm-cache steady state (the paper's long-running
                 # systems have their hot sets resident in NIC DRAM)
                 self.cluster.prewarm_nic_caches()
@@ -199,25 +214,30 @@ class Bench:
                                   sample_interval_us=obs_interval_us))
                 self.observer.install(self.cluster)
             self._contexts = 0
-            self._recorder: Optional[LatencyRecorder] = None
-            self._counting = False
-            self._count = 0
-            self._aborts_base = 0
             self.counted_label = getattr(workload, "counted_label", None)
-            # Abort accounting: every abort during the measurement window
-            # records how deep into the transaction it struck, plus a
-            # per-reason counter (lock conflict, validation, ...).
-            self._abort_recorder: Optional[LatencyRecorder] = None
-            self._abort_reasons: Dict[str, int] = {}
+            # the window being counted, or None between windows
+            self.open_window: Optional[Window] = None
             for proto in self.cluster.protocols:
                 proto.on_abort = self._note_abort
 
     def _note_abort(self, txn) -> None:
-        if not self._counting or self._abort_recorder is None:
+        win = self.open_window
+        if win is None:
             return
-        self._abort_recorder.record(self.sim.now - txn.started_at)
+        win.aborted_at.record(self.sim.now - txn.started_at)
         reason = getattr(txn, "abort_reason", None) or "unknown"
-        self._abort_reasons[reason] = self._abort_reasons.get(reason, 0) + 1
+        win.abort_reasons[reason] = win.abort_reasons.get(reason, 0) + 1
+
+    def record(self, spec, latency_us: float) -> bool:
+        """Count one finished transaction toward the open window if it
+        carries the counted label; returns whether it counted."""
+        win = self.open_window
+        if win is None or (self.counted_label is not None
+                           and spec.label != self.counted_label):
+            return False
+        win.counted += 1
+        win.latency.record(latency_us)
+        return True
 
     # -- load generation ------------------------------------------------------------
 
@@ -227,16 +247,8 @@ class Bench:
         while True:
             spec = gen.next()
             start = self.sim.now
-            txn = yield from proto.run_transaction(spec)
-            if spec.post_commit is not None:
-                spec.post_commit()
-            latency = self.sim.now - start
-            if self._counting and (
-                self.counted_label is None or spec.label == self.counted_label
-            ):
-                self._count += 1
-                if self._recorder is not None:
-                    self._recorder.record(latency)
+            yield from proto.run_transaction(spec)
+            self.record(spec, self.sim.now - start)
 
     def ensure_contexts(self, concurrency_per_node: int) -> None:
         """Spawn additional contexts up to the requested count per node."""
@@ -251,6 +263,28 @@ class Bench:
 
     # -- measurement ------------------------------------------------------------
 
+    def window(self, warmup_us: float, window_us: float) -> Window:
+        """Run ``warmup_us`` uncounted, then count ``window_us``: the
+        measurement window every load driver shares.  Completions count
+        through :meth:`record`, aborts through the protocols'
+        ``on_abort``."""
+        with collector_quiet:
+            self.sim.run(until=self.sim.now + warmup_us)
+            win = Window()
+            commits0 = self.total_commits()
+            aborts0 = self.total_aborts()
+            events0 = self.sim.events_scheduled
+            start = self.sim.now
+            self.open_window = win
+            self.sim.run(until=start + window_us)
+            self.open_window = None
+            win.elapsed_us = self.sim.now - start
+            win.commits = self.total_commits() - commits0
+            win.aborts = self.total_aborts() - aborts0
+            win.events = self.sim.events_scheduled - events0
+            win.utilization = self._utilization_snapshot()
+            return win
+
     def measure(
         self,
         concurrency_per_node: int,
@@ -264,76 +298,56 @@ class Bench:
                     % (self._contexts, concurrency_per_node)
                 )
             self.ensure_contexts(concurrency_per_node)
-            self.sim.run(until=self.sim.now + warmup_us)
-            self._recorder = LatencyRecorder()
-            self._abort_recorder = LatencyRecorder()
-            self._abort_reasons = {}
-            self._count = 0
-            self._counting = True
-            aborts0 = self._total_aborts()
-            commits0 = self._total_commits()
-            events0 = self.sim.events_scheduled
-            start = self.sim.now
-            self.sim.run(until=start + window_us)
-            self._counting = False
-            elapsed = self.sim.now - start
-            throughput = (self._count / elapsed * 1e6 / self.n_nodes
+            win = self.window(warmup_us, window_us)
+            elapsed = win.elapsed_us
+            throughput = (win.counted / elapsed * 1e6 / self.n_nodes
                           if elapsed else 0.0)
-            rec = self._recorder
             result = RunResult(
                 system=self.system,
                 workload=self.workload.name,
                 concurrency=concurrency_per_node,
                 throughput_per_server=throughput,
-                median_latency_us=rec.median,
-                p99_latency_us=rec.p99,
-                mean_latency_us=rec.mean,
-                commits=self._total_commits() - commits0,
-                aborts=self._total_aborts() - aborts0,
+                median_latency_us=win.latency.median,
+                p99_latency_us=win.latency.p99,
+                mean_latency_us=win.latency.mean,
+                commits=win.commits,
+                aborts=win.aborts,
                 window_us=elapsed,
-                extra=self._utilization_snapshot(),
+                extra=win.utilization,
             )
             # Attached as plain instance attributes, not dataclass fields:
             # to_jsonable() serializes fields only, so pinned result digests
             # (tests/test_golden_digest.py) are unaffected.
-            result.abort_latency = self._abort_recorder.summary()
-            result.abort_reasons = dict(self._abort_reasons)
+            result.abort_latency = win.aborted_at.summary()
+            result.abort_reasons = win.abort_reasons
             # Scheduler work attribution for this window: queue entries
             # pushed during the measurement window and the same per committed
             # txn — the honest cost metric for delay fusion, which removes
             # events without moving any simulated timestamp.
-            result.events_scheduled = self.sim.events_scheduled - events0
+            result.events_scheduled = win.events
             result.events_per_txn = (
-                result.events_scheduled / result.commits
-                if result.commits else 0.0
+                win.events / win.commits if win.commits else 0.0
             )
             return result
 
-    def _total_commits(self) -> int:
+    def total_commits(self) -> int:
         return sum(p.stats.get("commits") for p in self.cluster.protocols)
 
-    def _total_aborts(self) -> int:
+    def total_aborts(self) -> int:
         return sum(p.stats.get("aborts") for p in self.cluster.protocols)
 
     def _utilization_snapshot(self) -> Dict[str, float]:
-        extra: Dict[str, float] = {}
+        nodes = self.cluster.nodes
         if self.system.startswith(XENIC):
-            nodes = self.cluster.nodes
-            extra["nic_core_util"] = sum(
-                n.nic.cores.utilization() for n in nodes) / len(nodes)
-            extra["host_app_util"] = sum(
-                n.host_app_cores.utilization() for n in nodes) / len(nodes)
-            extra["worker_util"] = sum(
-                n.worker_cores.utilization() for n in nodes) / len(nodes)
-            extra["eth_util"] = sum(
-                n.nic.port.utilization() for n in nodes) / len(nodes)
+            parts = (("nic_core_util", lambda n: n.nic.cores),
+                     ("host_app_util", lambda n: n.host_app_cores),
+                     ("worker_util", lambda n: n.worker_cores),
+                     ("eth_util", lambda n: n.nic.port))
         else:
-            nodes = self.cluster.nodes
-            extra["host_util"] = sum(
-                n.host_cores.utilization() for n in nodes) / len(nodes)
-            extra["wire_util"] = sum(
-                n.rdma.utilization() for n in nodes) / len(nodes)
-        return extra
+            parts = (("host_util", lambda n: n.host_cores),
+                     ("wire_util", lambda n: n.rdma))
+        return {name: sum(part(n).utilization() for n in nodes) / len(nodes)
+                for name, part in parts}
 
 
 def run_sweep(

@@ -116,11 +116,11 @@ class SloPoint:
 class OpenLoopBench:
     """A cluster under open-loop load.
 
-    Reuses :class:`~repro.bench.runner.Bench` for cluster construction
-    (with ``spec.faults`` and ``obs`` passed through), then replaces
-    the closed-loop contexts with per-node arrival generators feeding a
-    FIFO admission queue drained by ``max_inflight`` dispatch workers.
-    The queue wait of every counted transaction is kept in
+    A :class:`~repro.bench.runner.Bench` run (with ``spec.faults`` and
+    ``obs`` passed through) whose load driver is per-node arrival
+    generators feeding a FIFO admission queue drained by
+    ``max_inflight`` dispatch workers; :meth:`Bench.window` does the
+    counting.  The queue wait of every counted transaction is kept in
     ``queue_waits`` (txn_id -> µs) so the latency attributor can report
     it as the ``client_queue`` phase.
     """
@@ -132,25 +132,18 @@ class OpenLoopBench:
         self.load_per_node_s = float(load_per_node_s)
         self.rate_us = self.load_per_node_s / 1e6  # arrivals per µs per node
         self.bench = Bench(spec.system, workload, n_nodes=spec.n_nodes,
-                           seed=spec.seed, faults=spec.faults, obs=obs)
+                           faults=spec.faults, obs=obs)
         self.sim = self.bench.sim
         self.cluster = self.bench.cluster
         self.observer = self.bench.observer
-        self.counted_label = self.bench.counted_label
         self._queues = [deque() for _ in range(spec.n_nodes)]
         self._idle_workers = [[] for _ in range(spec.n_nodes)]
         self._inflight = [0] * spec.n_nodes
         self._started = False
-        self._counting = False
         self._arrivals = 0
-        self._count = 0
-        self._sojourn = LatencyRecorder()
         self._queue_wait = LatencyRecorder()
-        self._abort_lat = LatencyRecorder()
         self.abort_reasons: Dict[str, int] = {}
         self.queue_waits: Dict[int, float] = {}
-        for proto in self.cluster.protocols:
-            proto.on_abort = self._note_abort
 
     # -- arrival processes -------------------------------------------------
 
@@ -177,7 +170,7 @@ class OpenLoopBench:
         idle = self._idle_workers[node_id]
         while True:
             yield self.sim.timeout(self._gap_us(rng))
-            if self._counting:
+            if self.bench.open_window is not None:
                 self._arrivals += 1
             queue.append((self.sim.now, gen.next()))
             if idle:
@@ -196,24 +189,11 @@ class OpenLoopBench:
             wait = self.sim.now - arrived_at
             self._inflight[node_id] += 1
             txn = yield from proto.run_transaction(spec)
-            if spec.post_commit is not None:
-                spec.post_commit()
             self._inflight[node_id] -= 1
-            if self._counting and (
-                self.counted_label is None
-                or spec.label == self.counted_label
-            ):
-                self._count += 1
-                self._sojourn.record(self.sim.now - arrived_at)
+            # the sojourn: arrival to commit, queueing included
+            if self.bench.record(spec, self.sim.now - arrived_at):
                 self._queue_wait.record(wait)
                 self.queue_waits[txn.txn_id] = wait
-
-    def _note_abort(self, txn) -> None:
-        if not self._counting:
-            return
-        self._abort_lat.record(self.sim.now - txn.started_at)
-        reason = getattr(txn, "abort_reason", None) or "unknown"
-        self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
 
     def _start(self) -> None:
         if self._started:
@@ -236,21 +216,13 @@ class OpenLoopBench:
         if window_us is None:
             window_us = spec.window_us
         self._start()
-        self.sim.run(until=self.sim.now + warmup_us)
-        self._sojourn = LatencyRecorder()
-        self._queue_wait = LatencyRecorder()
-        self._abort_lat = LatencyRecorder()
-        self.abort_reasons = {}
-        self.queue_waits = {}
+        # counted only while the window is open
         self._arrivals = 0
-        self._count = 0
-        self._counting = True
-        commits0 = self.bench._total_commits()
-        aborts0 = self.bench._total_aborts()
-        start = self.sim.now
-        self.sim.run(until=start + window_us)
-        self._counting = False
-        elapsed = self.sim.now - start
+        self._queue_wait = LatencyRecorder()
+        self.queue_waits = {}
+        win = self.bench.window(warmup_us, window_us)
+        self.abort_reasons = win.abort_reasons
+        elapsed = win.elapsed_us
         per_node_s = 1e6 / (elapsed * spec.n_nodes) if elapsed else 0.0
         point = SloPoint(
             system=spec.system,
@@ -258,22 +230,22 @@ class OpenLoopBench:
             arrival=spec.arrival,
             offered_per_node_s=self.load_per_node_s,
             arrived_per_node_s=self._arrivals * per_node_s,
-            achieved_per_node_s=self._count * per_node_s,
-            p50_us=self._sojourn.median,
-            p99_us=self._sojourn.p99,
-            p999_us=self._sojourn.p999,
-            mean_us=self._sojourn.mean,
+            achieved_per_node_s=win.counted * per_node_s,
+            p50_us=win.latency.median,  # the sojourn, queueing included
+            p99_us=win.latency.p99,
+            p999_us=win.latency.p999,
+            mean_us=win.latency.mean,
             queue_mean_us=self._queue_wait.mean,
             queue_p99_us=self._queue_wait.percentile(99),
-            commits=self.bench._total_commits() - commits0,
-            aborts=self.bench._total_aborts() - aborts0,
+            commits=win.commits,
+            aborts=win.aborts,
             backlog=sum(len(q) for q in self._queues) + sum(self._inflight),
             window_us=elapsed,
-            extra=self.bench._utilization_snapshot(),
+            extra=win.utilization,
         )
-        if self._abort_lat.count:
-            point.extra["abort_p50_us"] = self._abort_lat.median
-            point.extra["abort_p99_us"] = self._abort_lat.p99
+        if win.aborted_at.count:
+            point.extra["abort_p50_us"] = win.aborted_at.median
+            point.extra["abort_p99_us"] = win.aborted_at.p99
         return point
 
 

@@ -132,8 +132,8 @@ class TxnSpec:
         local_compute_us: float = 0.0,
         read_only: bool = False,
         label: str = "txn",
-        # host-side callback after commit (e.g. local B+ tree
-        # maintenance, already accounted in local_compute_us)
+        # host-side callback after commit (no workload sets one; the
+        # benchmark audit still calls it)
         post_commit: Optional[Callable[[], None]] = None,
     ):
         self.read_keys = read_keys

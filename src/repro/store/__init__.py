@@ -1,6 +1,5 @@
-"""Data stores: Robinhood/Hopscotch/chained tables, NIC index, B+ tree, log."""
+"""Data stores: Robinhood/Hopscotch/chained tables, NIC index, log."""
 
-from .btree import BPlusTree
 from .chained import ChainedLookup, ChainedTable
 from .hopscotch import HopscotchLookup, HopscotchTable
 from .log import HostLog, LogRecord, record_size_bytes
@@ -29,7 +28,6 @@ __all__ = [
     "NicIndex",
     "TxnMeta",
     "DmaLookupCost",
-    "BPlusTree",
     "HostLog",
     "LogRecord",
     "record_size_bytes",

@@ -48,6 +48,8 @@ class Workload(abc.ABC):
     xenic_app_threads = 2
     xenic_worker_threads = 3
     baseline_host_threads = 16
+    # warm Xenic's NIC caches before the run (``Bench``)
+    prewarm = True
 
     def __init__(self, n_nodes: int, seed: int = 1):
         self.n_nodes = n_nodes

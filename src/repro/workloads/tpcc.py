@@ -4,7 +4,8 @@ Nine tables.  WAREHOUSE / DISTRICT / CUSTOMER / STOCK live in the
 replicated hash stores (these are the cross-cluster tables); ITEM is a
 read-only catalog (modeled as coordinator-local compute); ORDER /
 NEW-ORDER / ORDER-LINE / HISTORY are B+ trees local to each coordinator
-(§5.2), maintained by the workload and charged as host compute.
+(§5.2).  Their inserts are charged as host compute; no transaction here
+reads them back, so no tree is kept.
 
 Two modes:
 
@@ -24,14 +25,13 @@ warehouse) with the access pattern preserved.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..core.txn import TxnSpec
 from ..hw.params import (TPCC_BTREE_OP_US, TPCC_DELIVERY_US,
                          TPCC_ITEM_LOOKUP_US, TPCC_ORDER_STATUS_US,
                          TPCC_PAYMENT_LOCAL_US, TPCC_STOCK_LEVEL_US)
 from ..sim.rng import RngStream
-from ..store.btree import BPlusTree
 from .base import Workload, make_key
 
 __all__ = ["TpccNewOrder", "TpccFull"]
@@ -77,10 +77,6 @@ class _TpccBase(Workload):
             self._customer_base + w * customers_per_warehouse
         )
         self._keys_per_shard = self._stock_base + w * stock_per_warehouse
-        # coordinator-local B+ trees: node -> table -> tree
-        self.order_trees: Dict[int, BPlusTree] = {}
-        self.order_line_trees: Dict[int, BPlusTree] = {}
-        self._next_order_id: Dict[int, int] = {}
 
     # -- key layout ------------------------------------------------------------
 
@@ -164,9 +160,6 @@ class _TpccBase(Workload):
         local_us = (n_items * TPCC_ITEM_LOOKUP_US
                     + (1 + n_items) * TPCC_BTREE_OP_US)
 
-        def post_commit():
-            self._insert_order(node_id, home, did, n_items)
-
         return TxnSpec(
             read_keys=[dk] + stock_keys,
             write_keys=[dk] + stock_keys,
@@ -175,20 +168,10 @@ class _TpccBase(Workload):
             local_compute_us=local_us,
             ship_execution=True,  # §5.3: new-order ships to the NIC
             label="new_order",
-            post_commit=post_commit,
             # only a few fields of each row change (s_quantity, s_ytd,
             # d_next_o_id): replicate deltas, not whole rows
             write_bytes=24,
         )
-
-    def _insert_order(self, node_id: int, wid: int, did: int, n_items: int) -> None:
-        tree = self.order_trees.setdefault(node_id, BPlusTree(order=32))
-        lines = self.order_line_trees.setdefault(node_id, BPlusTree(order=32))
-        oid = self._next_order_id.get(node_id, 0)
-        self._next_order_id[node_id] = oid + 1
-        tree.insert((wid, did, oid), {"items": n_items})
-        for line in range(n_items):
-            lines.insert((wid, did, oid, line), {"qty": 1})
 
 
 class TpccNewOrder(_TpccBase):

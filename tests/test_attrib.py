@@ -13,7 +13,7 @@ from repro.workloads import Smallbank
 def small_bench(system="xenic", n=3, seed=7):
     wl = Smallbank(n, accounts_per_server=1500, hot_keys_fraction=0.25,
                    seed=seed)
-    return Bench(system, wl, n_nodes=n, seed=seed, obs=True)
+    return Bench(system, wl, n_nodes=n, obs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_observer_neutral_with_attribution_installed():
     def run(concurrency, **obs):
         wl = Smallbank(3, accounts_per_server=1500, hot_keys_fraction=0.25,
                        seed=7)
-        bench = Bench("xenic", wl, n_nodes=3, seed=7, **obs)
+        bench = Bench("xenic", wl, n_nodes=3, **obs)
         return bench, bench.measure(concurrency, warmup_us=60.0,
                                     window_us=200.0)
 

@@ -22,9 +22,9 @@ from repro.bench.golden import canonical_digest
 from repro.bench.runner import Bench
 from repro.core import messages, protocol
 from repro.hw.network import NetMessage
-from repro.sim import RngStream, Simulator, collector_quiet
+from repro.sim import Simulator, collector_quiet
 from repro.sim.collector import QUIET_ALLOCATION_BUDGET
-from repro.sim.faults import FaultPlan, FaultSpec
+from repro.sim.faults import FaultSpec
 from repro.workloads import Retwis, Smallbank
 
 from .waits import waited
@@ -341,17 +341,17 @@ DUP_CHAOS_DIGEST = \
 
 
 def test_dup_fault_plan_drops_exactly_the_injected_duplicates(monkeypatch):
-    clusters = []
-    build = chaos._build_cluster
+    benches = []
 
-    def capture(*args, **kwargs):
-        clusters.append(build(*args, **kwargs))
-        return clusters[-1]
+    class Captured(Bench):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            benches.append(self)
 
-    monkeypatch.setattr(chaos, "_build_cluster", capture)
+    monkeypatch.setattr(chaos, "Bench", Captured)
     result = chaos.run_chaos(system="xenic", seed=3, faults="dup=0.2",
-                             n_txns=40, n_nodes=3, keys=24)
-    protocols = clusters[0].protocols
+                             n_txns=40, n_nodes=3)
+    protocols = benches[0].cluster.protocols
     assert result.ok
     injected = result.trace.counts["dup"]
     assert injected > 20
@@ -407,9 +407,9 @@ def test_crash_dropped_gap_is_written_off_within_the_window(monkeypatch):
     back on the in-order path; nothing fresh is dropped meanwhile."""
     window = 16
     monkeypatch.setattr(protocol, "WIRE_REORDER_WINDOW", window)
-    sim = Simulator()
-    cluster = chaos._build_cluster("xenic", sim, 3, 24, None, 3)
-    plan = FaultPlan(FaultSpec(), RngStream(1, "faults")).install(cluster)
+    bench = Bench("xenic", chaos.Increments(3), n_nodes=3,
+                  faults=(FaultSpec(), 1))
+    sim, cluster, plan = bench.sim, bench.cluster, bench.fault_plan
     peer, crasher = cluster.protocols[0], cluster.protocols[1]
     answered = []
     parked_max = [0, 0]

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.bench.runner import Bench
+from repro.bench.golden import canonical_digest
+from repro.bench.runner import Bench, to_jsonable
 from repro.bench.slo import (OpenLoopBench, SloPoint, SloSpec, detect_knee,
                              format_slo_report, run_slo_point,
                              run_slo_points, slo_report)
@@ -131,7 +132,7 @@ def test_open_loop_abort_accounting():
 def test_closed_loop_bench_abort_recorder():
     wl = Smallbank(3, accounts_per_server=1500, hot_keys_fraction=0.25,
                    seed=7)
-    bench = Bench("xenic", wl, n_nodes=3, seed=7)
+    bench = Bench("xenic", wl, n_nodes=3)
     result = bench.measure(8, warmup_us=60.0, window_us=300.0)
     # attached as plain attributes, not dataclass fields (digest safety)
     assert "abort_latency" not in [
@@ -163,3 +164,28 @@ def test_attrib_cli_smoke(capsys):
     text = capsys.readouterr().out
     assert "latency attribution" in text
     assert "max per-txn residual" in text
+
+
+# Pinned open-loop output: two Xenic Poisson loads (the second drives
+# aborts), one bursty point and one DrTM+H point, with each point's
+# abort extras, abort reasons and count of attributed queue waits.
+# Captured before OpenLoopBench moved onto Bench.window.
+SLO_DIGEST = "0726bd7760772235d54a0dd8248744b23540d94c078e506a592699147a1401ac"
+
+
+def slo_digest():
+    runs = []
+    for s, load in ((spec(), 200000.0), (spec(), 1200000.0),
+                    (spec(arrival="bursty"), 300000.0),
+                    (spec(system="drtmh"), 400000.0)):
+        bench = OpenLoopBench(s, load)
+        point = bench.measure()
+        runs.append({"point": to_jsonable(point),
+                     "abort_reasons": dict(bench.abort_reasons),
+                     "queue_waits": len(bench.queue_waits),
+                     "sim_now_us": bench.sim.now})
+    return canonical_digest(runs)
+
+
+def test_slo_digest_pinned():
+    assert slo_digest() == SLO_DIGEST

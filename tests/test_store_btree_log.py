@@ -1,108 +1,8 @@
-"""Tests for the B+ tree and the host-memory log."""
+"""Tests for the host-memory log."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.store import BPlusTree, HostLog, LogRecord, record_size_bytes
-
-
-# ---------------------------------------------------------------------------
-# B+ tree
-# ---------------------------------------------------------------------------
-
-
-def test_btree_insert_get():
-    t = BPlusTree(order=4)
-    t.insert(5, "five")
-    assert t.get(5) == "five"
-    assert t.get(6) is None
-    assert t.get(6, "dflt") == "dflt"
-
-
-def test_btree_overwrite():
-    t = BPlusTree(order=4)
-    t.insert(1, "a")
-    t.insert(1, "b")
-    assert t.get(1) == "b"
-    assert len(t) == 1
-
-
-def test_btree_splits_grow_height():
-    t = BPlusTree(order=4)
-    for k in range(100):
-        t.insert(k, k)
-    assert t.height > 1
-    for k in range(100):
-        assert t.get(k) == k
-
-
-def test_btree_range_scan_ordered():
-    t = BPlusTree(order=4)
-    import random
-
-    keys = list(range(0, 200, 2))
-    random.Random(1).shuffle(keys)
-    for k in keys:
-        t.insert(k, k * 10)
-    got = list(t.range(50, 70))
-    assert got == [(k, k * 10) for k in range(50, 70, 2)]
-
-
-def test_btree_range_empty():
-    t = BPlusTree()
-    assert list(t.range(0, 100)) == []
-
-
-def test_btree_delete():
-    t = BPlusTree(order=4)
-    for k in range(50):
-        t.insert(k, k)
-    assert t.delete(25)
-    assert t.get(25) is None
-    assert not t.delete(25)
-    assert len(t) == 49
-
-
-def test_btree_min_key_and_items():
-    t = BPlusTree(order=4)
-    for k in (5, 3, 9, 1):
-        t.insert(k, str(k))
-    assert [k for k, _ in t.items()] == [1, 3, 5, 9]
-
-
-def test_btree_order_validation():
-    with pytest.raises(ValueError):
-        BPlusTree(order=2)
-
-
-@settings(max_examples=30, deadline=None)
-@given(kv=st.dictionaries(st.integers(), st.integers(), min_size=1, max_size=300))
-def test_btree_property_matches_dict(kv):
-    t = BPlusTree(order=6)
-    for k, v in kv.items():
-        t.insert(k, v)
-    assert len(t) == len(kv)
-    for k, v in kv.items():
-        assert t.get(k) == v
-    assert [k for k, _ in t.items()] == sorted(kv)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    keys=st.lists(st.integers(min_value=0, max_value=10**6), unique=True,
-                  min_size=5, max_size=200),
-    data=st.data(),
-)
-def test_btree_property_delete_consistency(keys, data):
-    t = BPlusTree(order=5)
-    for k in keys:
-        t.insert(k, k)
-    victims = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
-    for v in victims:
-        assert t.delete(v)
-    live = sorted(set(keys) - set(victims))
-    assert [k for k, _ in t.items()] == live
+from repro.store import HostLog, LogRecord, record_size_bytes
 
 
 # ---------------------------------------------------------------------------

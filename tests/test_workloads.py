@@ -252,16 +252,6 @@ def test_tpcc_new_order_only_uniform_supply():
     assert remote / total > 0.6  # uniform across 6 nodes
 
 
-def test_tpcc_post_commit_inserts_orders():
-    wl = TpccNewOrder(3, warehouses_per_server=2, stock_per_warehouse=200)
-    r = rng()
-    spec = wl.next_spec(r, 0)
-    assert spec.post_commit is not None
-    spec.post_commit()
-    assert len(wl.order_trees[0]) == 1
-    assert len(wl.order_line_trees[0]) >= 5
-
-
 def test_workload_spec_streams_deterministic():
     wl1 = Smallbank(3, accounts_per_server=500, seed=9)
     wl2 = Smallbank(3, accounts_per_server=500, seed=9)
