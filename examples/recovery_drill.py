@@ -51,7 +51,7 @@ def main():
 
     # crash the primary of shard 1
     recovery.fail_node(1)
-    print("node 1 failed; lease expired (epoch %d)"
+    print("node 1 failed; membership revoked (epoch %d)"
           % recovery.manager.config_epoch)
 
     report = recovery.recover_shard(1)

@@ -32,6 +32,7 @@ from ..store.log import record_size_bytes
 from ..store.object import VersionedObject
 from ..store.replicas import group_keys, group_values
 from ..core.cluster import ShardedCluster
+from ..core.messages import APP_HEADER, PER_KEY
 from ..core.node import ReplicaPlacement
 from ..core.txn import Coordinator, Transaction
 
@@ -131,7 +132,9 @@ class BaselineCluster(ShardedCluster):
 
 class BaselineCoordinator(Coordinator):
     """Base OCC coordinator (``run_transaction``: the shared retry
-    driver); variants override the ``_remote_*`` hooks.
+    driver); variants override the ``_remote_*`` hooks.  EXECUTE and
+    VALIDATE have no default; LOG defaults to one one-sided WRITE, and
+    COMMIT and the abort's unlock to one RPC each (:meth:`_rpc`).
 
     Every hook returns an unstarted :class:`_Step` that reports
     ``then(result)``.  Its caller starts it inline (``step._start()``),
@@ -170,6 +173,16 @@ class BaselineCoordinator(Coordinator):
 
     def _rdma_to(self, shard: int) -> RdmaNic:
         return self.cluster.nodes[shard].rdma
+
+    def _rpc(self, shard, req_bytes, resp_bytes, n_keys, on_target,
+             then) -> _Step:
+        """One RPC to ``shard``'s host: the issue, the RPC, then
+        ``then(on_target's result)``."""
+        return _Issue(self, partial(
+            self.node.rdma.rpc, self._rdma_to(shard), req_bytes, resp_bytes,
+            handler_ref_us=HOST_PER_KEY_US * max(1, n_keys),
+            on_target=on_target,
+        ), then)
 
     # -- EXECUTE ------------------------------------------------------------
 
@@ -216,15 +229,21 @@ class BaselineCoordinator(Coordinator):
             table.get_or_create(k, self.cluster.value_size).commit_write(v)
         table.unlock_all(writes, txn.txn_id)
 
-    def _remote_commit(self, txn, shard, writes,
-                       then) -> _Step:  # pragma: no cover
-        raise NotImplementedError
+    def _remote_commit(self, txn, shard, writes, then) -> _Step:
+        """Default: one RPC that applies and unlocks at the primary."""
+        req = APP_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
+        return self._rpc(shard, req, APP_HEADER, len(writes),
+                         partial(self._apply_commit_at, shard, txn, writes),
+                         then)
 
     # -- aborts ------------------------------------------------------------
 
-    def _remote_unlock(self, txn, shard, keys,
-                       then) -> _Step:  # pragma: no cover
-        raise NotImplementedError
+    def _remote_unlock(self, txn, shard, keys, then) -> _Step:
+        """Default: one RPC that releases ``keys`` at the primary."""
+        req = APP_HEADER + PER_KEY * len(keys)
+        return self._rpc(shard, req, APP_HEADER, len(keys),
+                         partial(self._primary_table(shard).unlock_all, keys,
+                                 txn.txn_id), then)
 
 
 class _Step:

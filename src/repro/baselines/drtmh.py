@@ -19,7 +19,7 @@ from typing import List
 from ..core.messages import APP_HEADER, PER_KEY, PER_VERSION
 from ..hw.params import HOST_PER_KEY_US
 from ..sim.core import Gather
-from .common import BaselineCoordinator, OBJ_HEADER, _Issue, _Step
+from .common import BaselineCoordinator, OBJ_HEADER, _Step
 
 __all__ = ["DrTMH", "DrTMH_NC"]
 
@@ -51,27 +51,6 @@ class DrTMH(BaselineCoordinator):
 
     def _remote_validate(self, txn, shard, keys, then) -> _Step:
         return _Validate(self, txn, shard, keys, then)
-
-    # -- COMMIT ------------------------------------------------------------
-
-    def _remote_commit(self, txn, shard, writes, then) -> _Step:
-        req = APP_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
-        return _Issue(self, partial(
-            self.node.rdma.rpc, self._rdma_to(shard), req, APP_HEADER,
-            handler_ref_us=HOST_PER_KEY_US * len(writes),
-            on_target=partial(self._apply_commit_at, shard, txn, writes),
-        ), then)
-
-    # -- aborts ------------------------------------------------------------
-
-    def _remote_unlock(self, txn, shard, keys, then) -> _Step:
-        req = APP_HEADER + PER_KEY * len(keys)
-        return _Issue(self, partial(
-            self.node.rdma.rpc, self._rdma_to(shard), req, APP_HEADER,
-            handler_ref_us=HOST_PER_KEY_US * len(keys),
-            on_target=partial(self._primary_table(shard).unlock_all, keys,
-                              txn.txn_id),
-        ), then)
 
 
 class DrTMH_NC(DrTMH):

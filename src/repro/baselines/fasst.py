@@ -13,9 +13,8 @@ from __future__ import annotations
 from functools import partial
 
 from ..core.messages import APP_HEADER, PER_KEY, PER_VERSION
-from ..hw.params import HOST_PER_KEY_US
 from ..store.log import record_size_bytes
-from .common import BaselineCoordinator, OBJ_HEADER, _Issue, _Step
+from .common import BaselineCoordinator, OBJ_HEADER, _Step
 
 __all__ = ["FaSST"]
 
@@ -24,16 +23,6 @@ class FaSST(BaselineCoordinator):
     """All-RPC coordinator."""
 
     name = "fasst"
-
-    def _rpc(self, shard, req_bytes, resp_bytes, n_keys, on_target,
-             then) -> _Step:
-        """One RPC to ``shard``'s host: the issue, the RPC, then
-        ``then(on_target's result)``."""
-        return _Issue(self, partial(
-            self.node.rdma.rpc, self._rdma_to(shard), req_bytes, resp_bytes,
-            handler_ref_us=HOST_PER_KEY_US * max(1, n_keys),
-            on_target=on_target,
-        ), then)
 
     # -- EXECUTE: one consolidated read+lock RPC per shard ------------------
 
@@ -72,17 +61,3 @@ class FaSST(BaselineCoordinator):
                     then) -> _Step:
         req = record_size_bytes(len(writes), self._write_bytes(txn))
         return self._rpc(backup, req, APP_HEADER, len(writes), apply_fn, then)
-
-    # -- COMMIT ------------------------------------------------------------
-
-    def _remote_commit(self, txn, shard, writes, then) -> _Step:
-        req = APP_HEADER + len(writes) * (PER_KEY + self._write_bytes(txn))
-        return self._rpc(shard, req, APP_HEADER, len(writes),
-                         partial(self._apply_commit_at, shard, txn, writes),
-                         then)
-
-    def _remote_unlock(self, txn, shard, keys, then) -> _Step:
-        req = APP_HEADER + PER_KEY * len(keys)
-        return self._rpc(shard, req, APP_HEADER, len(keys),
-                         partial(self._primary_table(shard).unlock_all, keys,
-                                 txn.txn_id), then)

@@ -51,7 +51,7 @@ def fig8d_peak_payload(obs: bool = False) -> Dict[str, Any]:
     (64 contexts per node).  NIC cores have waiters here — 2,342 of
     36,551 inbound dispatches find no free core and take the contended
     form — and the digest is the same observed, unobserved and under a
-    fault plan that never fires (``tests/test_fusion_ab.py``)."""
+    fault plan that never fires (``tests/test_peak_pins.py``)."""
     return _fig8d_run(64, obs)[1]
 
 

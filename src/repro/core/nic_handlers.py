@@ -3,12 +3,16 @@
 Xenic's NIC runtime is a run-to-completion handler loop: a DMA
 completion, a response or a core grant continues the handler that
 waited on it.  Each handler here is a slotted :class:`_Handler` whose
-stages are methods, one per event it waits on; the inbound table
-(``_INBOUND``) maps each message kind that reaches a NIC — the six wire
-kinds and the two PCIe entries from the host — to its leading core
-charges and its handler.  :class:`~repro.core.protocol.XenicProtocol`
-owns the state they act on (node, cluster, runtime, statistics) and
-dispatches the messages (``_dispatch``).
+stages are methods, one per event it waits on: one object per inbound
+message, and one per coordinated attempt (:class:`_Coordination` runs
+every phase), with a separate object only per fan-out branch (a
+:class:`_Replicate` per shard, a :class:`_Fetch` per key, a participant
+handler per local shard).  The inbound table (``_INBOUND``) maps each
+message kind that reaches a NIC — the six wire kinds and the two PCIe
+entries from the host — to its leading core charges and its handler.
+:class:`~repro.core.protocol.XenicProtocol` owns the state they act on
+(node, cluster, runtime, statistics) and dispatches the messages
+(``_dispatch``).
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ def _validate_core(p: XenicProtocol, shard: int, txn_id: int,
 
 
 class _Handler:
-    """One NIC-side handler in flight.
+    """One NIC-side handler in flight: an inbound message's, an
+    attempt's coordination, or one branch of a fan-out.
 
     Each stage is a method that runs where the handler's wait ends: the
     ``then`` of what it waits on (a core job, a DMA, a response), a
@@ -77,10 +82,10 @@ class _Handler:
 
     A handler with a ``span`` logs it from ``t_span`` to its result
     (:meth:`_reply`): a ``server`` span at the primary or backup, a
-    ``phase`` span at the coordinator.  Handlers are freed by reference
-    count (``repro.sim.collector``): no stage is a closure, and no
-    handler keeps a reference to a join whose continuation leads back
-    to it."""
+    ``phase`` span at the coordinator, whose phases log their own.
+    Handlers are freed by reference count (``repro.sim.collector``): no
+    stage is a closure, and no handler keeps a reference to a join
+    whose continuation leads back to it."""
 
     __slots__ = ("p", "txn_id", "then", "t0", "wall", "walls", "t_span",
                  "fetching")
@@ -685,9 +690,17 @@ class _Coordination(_Handler):
     """Coordinate one distributed attempt (the ``start`` entry): the
     multi-hop pattern where it applies, else EXECUTE — in rounds, for
     multi-shot logic — VALIDATE and LOG; then report to the host and
-    COMMIT, or release the locks and report the abort."""
+    COMMIT, or release the locks and report the abort.
 
-    __slots__ = ("txn", "by_shard", "round_no", "reason", "writes_by_shard")
+    One object runs every phase of the attempt; each fan-out branch (a
+    shard's EXECUTE or VALIDATE, a :class:`_Replicate`, a COMMIT) is its
+    own handler or request.  A phase logs its ``phase`` span from
+    ``t_phase`` to its result, and a fan-out's join continues at the
+    stage its phase set in ``join`` before the wait: a plain function,
+    so the object holds nothing that leads back to it."""
+
+    __slots__ = ("txn", "by_shard", "executing", "first", "round_no",
+                 "reason", "writes_by_shard", "t_phase", "join")
     span = "nic_coordinate"
     cat, track = "phase", "proto"
 
@@ -710,113 +723,27 @@ class _Coordination(_Handler):
                       self._reply)._body()
             return
         self.by_shard = by_shard
-        _PhaseExecute(p, txn, by_shard, self._executed)._body()
+        self.round_no = -1
+        self._execute(by_shard)
 
-    def _executed(self, result) -> None:
-        ok, reason = result
-        txn = self.txn
-        # execution rounds: multi-shot logic may extend the key sets and
-        # re-run until it produces the final write set (§4.2 step 3)
-        if ok and (txn.spec.logic is not None or not txn.read_only):
-            self.round_no = 0
-            _RunLogic(self.p, txn, 0, self._logic_ran)._body()
-        else:
-            self._validate(ok, reason)
+    def _gathered(self, values) -> None:
+        self.join(self, values)
 
-    def _logic_ran(self, result) -> None:
-        txn = self.txn
-        if not isinstance(result, NeedMoreKeys):
-            txn.write_values = result or {}
-            self._validate(True, None)
-            return
+    def _phase_span(self, name: str) -> None:
+        """The ``phase`` span ``name`` from ``t_phase`` to now."""
         p = self.p
-        p.stats.inc("multi_shot_rounds")
-        txn.add_keys(result)
-        _PhaseExecute(p, txn, group_keys(result.read_keys, result.write_keys,
-                                         p.cluster.shard_of),
-                      self._round_executed)._body()
+        if p.obs is not None:
+            t = self.t_phase
+            p.obs.span(name, "phase", p.node.node_id, "proto", t,
+                       p.sim._now - t, txn_id=self.txn_id)
 
-    def _round_executed(self, result) -> None:
-        ok, reason = result
-        if not ok:
-            self._validate(ok, reason)
-            return
-        self.round_no += 1
-        _RunLogic(self.p, self.txn, self.round_no, self._logic_ran)._body()
+    # -- EXECUTE, at every primary of one round's keys ----------------------
 
-    def _validate(self, ok: bool, reason) -> None:
-        if not ok:
-            self._log(ok, reason)
-            return
-        txn = self.txn
-        if txn.extra_read_keys or txn.extra_write_keys:
-            # multi-shot rounds may have pulled in new shards; regroup.
-            # (Single-shot transactions reuse the EXECUTE grouping:
-            # _PhaseValidate only consults the shard count and regroups
-            # the version checks itself from read_values.)
-            self.by_shard = group_keys(txn.effective_read_keys(),
-                                       txn.effective_write_keys(),
-                                       self.p.cluster.shard_of)
-        _PhaseValidate(self.p, txn, self.by_shard, self._validated)._body()
-
-    def _validated(self, result) -> None:
-        self._log(*result)
-
-    def _log(self, ok: bool, reason) -> None:
-        txn = self.txn
-        if ok and not txn.read_only:
-            self.writes_by_shard = group_values(txn.write_values,
-                                                self.p.cluster.shard_of)
-            _PhaseLog(self.p, txn, self.writes_by_shard, self._logged)._body()
-        else:
-            self._decide(ok, reason)
-
-    def _logged(self, ok: bool) -> None:
-        self._decide(ok, "log-failed")
-
-    def _decide(self, ok: bool, reason) -> None:
+    def _execute(self, by_shard) -> None:
         p, txn = self.p, self.txn
-        if not ok:
-            self.reason = reason
-            _AbortCleanup(p, txn, self._cleaned)._body()
-            return
-        # Committed: report to the host, then apply at the primaries.
-        p._notify_host(txn, True, None)
-        if self.writes_by_shard is not None:
-            _PhaseCommit(p, txn, self.writes_by_shard, self._reply)._body()
-        else:
-            self._reply(None)
-
-    def _cleaned(self, _none) -> None:
-        self.p._notify_host(self.txn, False, self.reason)
-        self._reply(None)
-
-
-class _Phase(_Handler):
-    """One phase of a coordination over ``by_shard``; logs its ``phase``
-    span from its start to its result."""
-
-    __slots__ = ("txn", "by_shard")
-    cat, track = "phase", "proto"
-
-    def __init__(self, p: XenicProtocol, txn: Transaction, by_shard, then):
-        self.p = p
-        self.txn_id = txn.txn_id
-        self.then = then
-        self.txn = txn
-        self.by_shard = by_shard
-
-
-class _PhaseExecute(_Phase):
-    """EXECUTE at every shard's primary; replies ``(ok, reason)``."""
-
-    __slots__ = ("first",)
-    span = "phase_execute"
-
-    def _body(self) -> None:
-        p, txn, by_shard = self.p, self.txn, self.by_shard
-        self.t_span = p.sim._now
+        self.t_phase = p.sim._now
         txn.status = TxnStatus.EXECUTING
+        self.executing = by_shard
         self.first = None
         gather = Gather()
         smart = p.config.smart_remote_ops
@@ -845,15 +772,16 @@ class _PhaseExecute(_Phase):
                     p._send_request(primary, Request(
                         EXECUTE, txn.txn_id, shard, txn.coord_node,
                         read_keys=[k]), gather.slot())
+        self.join = _Coordination._execute_joined
         self._gather(gather)
 
     def _lock_wave(self, responses) -> bool:
-        """Ablation baseline: the per-key lock requests, once the reads
-        are in; False when there are none."""
+        """Ablation baseline: the per-key lock requests of the round's
+        keys, once the reads are in; False when there are none."""
         p, txn = self.p, self.txn
         own = p.node.node_id
         gather = Gather()
-        for shard, (_rkeys, wkeys) in self.by_shard.items():
+        for shard, (_rkeys, wkeys) in self.executing.items():
             primary = p.cluster.primary_node_id(shard)
             for k in wkeys:
                 if primary == own:
@@ -869,7 +797,7 @@ class _PhaseExecute(_Phase):
         self._gather(gather)
         return True
 
-    def _gathered(self, responses) -> None:
+    def _execute_joined(self, responses) -> None:
         p, txn = self.p, self.txn
         smart = p.config.smart_remote_ops
         if self.first is not None:
@@ -890,30 +818,24 @@ class _PhaseExecute(_Phase):
             else:
                 ok = False
                 reason = resp.reason or "execute-abort"
-        if ok and len(self.by_shard) == 1 and txn.read_only and smart:
+        if ok and len(self.executing) == 1 and txn.read_only and smart:
             txn.status = TxnStatus.VALIDATING  # validated inline
-        self._reply((ok, reason))
+        self._phase_span("phase_execute")
+        # execution rounds: multi-shot logic may extend the key sets and
+        # re-run until it produces the final write set (§4.2 step 3); a
+        # later round's EXECUTE (round_no >= 0) always runs it again
+        if ok and (self.round_no >= 0 or txn.spec.logic is not None
+                   or not txn.read_only):
+            self.round_no += 1
+            self._run_logic()
+        else:
+            self._validate(ok, reason)
 
+    # -- one execution round's logic ----------------------------------------
 
-class _RunLogic(_Handler):
-    """One execution round; replies the logic result (a final write-value
-    dict, or NeedMoreKeys for multi-shot logic)."""
-
-    __slots__ = ("txn", "round_no")
-    span = "run_logic"
-    cat, track = "phase", "proto"
-
-    def __init__(self, p: XenicProtocol, txn: Transaction, round_no: int,
-                 then):
-        self.p = p
-        self.txn_id = txn.txn_id
-        self.then = then
-        self.txn = txn
-        self.round_no = round_no
-
-    def _body(self) -> None:
+    def _run_logic(self) -> None:
         p, txn = self.p, self.txn
-        self.t_span = p.sim._now
+        self.t_phase = p.sim._now
         spec = txn.spec
         if p.config.nic_execution and spec.ship_execution:
             # execute on the coordinator-side NIC (§4.2.2): reference cost
@@ -937,23 +859,43 @@ class _RunLogic(_Handler):
                 "nic", p.node.node_id, self.t0, p.sim._now, self.txn_id,
                 svc=p.node.nic.cores.service_us(self.txn.spec.logic_cost_us))
         p.stats.inc("nic_executions")
-        self._reply(self.txn.run_logic())
+        self._logic_ran(self.txn.run_logic())
 
     def _ran_on_host(self, result) -> None:
         self.p.stats.inc("host_executions")
-        self._reply(result)
+        self._logic_ran(result)
 
+    def _logic_ran(self, result) -> None:
+        """The round's result: a final write-value dict, or NeedMoreKeys
+        for multi-shot logic, whose keys the next round EXECUTEs."""
+        self._phase_span("run_logic")
+        txn = self.txn
+        if not isinstance(result, NeedMoreKeys):
+            txn.write_values = result or {}
+            self._validate(True, None)
+            return
+        p = self.p
+        p.stats.inc("multi_shot_rounds")
+        txn.add_keys(result)
+        self._execute(group_keys(result.read_keys, result.write_keys,
+                                 p.cluster.shard_of))
 
-class _PhaseValidate(_Phase):
-    """VALIDATE the read set at every shard's primary; replies
-    ``(ok, reason)``."""
+    # -- VALIDATE the read set at every primary -----------------------------
 
-    __slots__ = ()
-    span = "phase_validate"
-
-    def _body(self) -> None:
+    def _validate(self, ok: bool, reason) -> None:
+        if not ok:
+            self._log(ok, reason)
+            return
         p, txn = self.p, self.txn
-        self.t_span = p.sim._now
+        if txn.extra_read_keys or txn.extra_write_keys:
+            # multi-shot rounds may have pulled in new shards; regroup.
+            # (Single-shot transactions reuse the EXECUTE grouping: only
+            # its shard count is consulted here, and the version checks
+            # regroup from read_values.)
+            self.by_shard = group_keys(txn.effective_read_keys(),
+                                       txn.effective_write_keys(),
+                                       p.cluster.shard_of)
+        self.t_phase = p.sim._now
         txn.status = TxnStatus.VALIDATING
         write_set = set(txn.write_values) | set(txn.effective_write_keys())
         to_check = [k for k in txn.effective_read_keys()
@@ -962,7 +904,8 @@ class _PhaseValidate(_Phase):
         if not to_check or (smart and txn.read_only
                             and len(self.by_shard) == 1):
             # nothing to check, or validated inline during EXECUTE
-            self._reply((True, None))
+            self._phase_span("phase_validate")
+            self._log(True, None)
             return
         read_values = txn.read_values
         groups = group_values({k: read_values[k][1] for k in to_check},
@@ -981,84 +924,80 @@ class _PhaseValidate(_Phase):
                     p._send_request(primary, Request(
                         VALIDATE, txn.txn_id, shard, txn.coord_node,
                         versions={k: ver}), gather.slot())
+        self.join = _Coordination._validate_joined
         self._gather(gather)
 
-    def _gathered(self, responses) -> None:
+    def _validate_joined(self, responses) -> None:
         ok = True
         reason = None
         for resp in responses:
             if not resp.ok and ok:
                 ok = False
                 reason = resp.reason or "validate-abort"
-        self._reply((ok, reason))
+        self._phase_span("phase_validate")
+        self._log(ok, reason)
 
+    # -- LOG every shard's writes at its backups ----------------------------
 
-class _PhaseLog(_Phase):
-    """LOG every shard's writes at its backups, one :class:`_Replicate`
-    per shard (``by_shard`` is the write set by shard); replies whether
-    every append was acknowledged."""
-
-    __slots__ = ()
-    span = "phase_log"
-
-    def _body(self) -> None:
-        p, txn = self.p, self.txn
-        self.t_span = p.sim._now
+    def _log(self, ok: bool, reason) -> None:
+        txn = self.txn
+        if not ok or txn.read_only:
+            self._decide(ok, reason)
+            return
+        p = self.p
+        self.writes_by_shard = writes_by_shard = group_values(
+            txn.write_values, p.cluster.shard_of)
+        self.t_phase = p.sim._now
         txn.status = TxnStatus.LOGGING
         gather = Gather()
-        for shard, writes in self.by_shard.items():
+        for shard, writes in writes_by_shard.items():
             _Replicate(p, txn, shard, writes, p._write_versions(txn, writes),
                        gather.slot())._body()
         gather.wait(self._logged)
 
     def _logged(self, oks) -> None:
-        self._reply(all(oks))
+        self._phase_span("phase_log")
+        self._decide(all(oks), "log-failed")
 
+    # -- the decision: COMMIT at every primary, or the abort cleanup --------
 
-class _PhaseCommit(_Phase):
-    """COMMIT every shard's writes at its primary (``by_shard`` is the
-    write set by shard); replies None."""
-
-    __slots__ = ()
-    span = "phase_commit"
-
-    def _body(self) -> None:
+    def _decide(self, ok: bool, reason) -> None:
         p, txn = self.p, self.txn
-        self.t_span = p.sim._now
+        if not ok:
+            self.reason = reason
+            self._abort()
+            return
+        # Committed: report to the host, then apply at the primaries.
+        p._notify_host(txn, True, None)
+        if self.writes_by_shard is None:
+            self._reply(None)
+            return
+        self.t_phase = p.sim._now
         txn.status = TxnStatus.COMMITTING
         own = p.node.node_id
         gather = Gather()
-        for shard, writes in self.by_shard.items():
+        for shard, writes in self.writes_by_shard.items():
             primary = p.cluster.primary_node_id(shard)
             req = _commit_request(txn, shard, writes)
             if primary == own:
                 _Commit(p, req, gather.slot())._body()
             else:
                 p._send_request(primary, req, gather.slot())
+        self.join = _Coordination._committed
         self._gather(gather)
 
-    def _gathered(self, _responses) -> None:
+    def _committed(self, _responses) -> None:
+        self._phase_span("phase_commit")
         self._reply(None)
 
+    def _abort(self) -> None:
+        """Release the locks EXECUTE took at the primaries.
 
-class _AbortCleanup(_Handler):
-    """Release locks acquired at primaries during EXECUTE; replies None.
-
-    Remote releases are *awaited* requests, not fire-and-forget: a
-    delayed oneway UNLOCK could land after a later attempt of the same
-    transaction re-locked the key (same txn_id) and silently steal the
-    fresh lock.  Waiting for the ack orders the release before the
-    retry's next EXECUTE round."""
-
-    __slots__ = ("txn",)
-
-    def __init__(self, p: XenicProtocol, txn: Transaction, then):
-        self.p = p
-        self.txn_id = txn.txn_id
-        self.then = then
-        self.txn = txn
-
-    def _body(self) -> None:
+        Remote releases are *awaited* requests, not fire-and-forget: a
+        delayed oneway UNLOCK could land after a later attempt of the
+        same transaction re-locked the key (same txn_id) and silently
+        steal the fresh lock.  Waiting for the ack orders the release
+        before the retry's next EXECUTE round."""
         p, txn = self.p, self.txn
         gather = Gather()
         for shard, keys in list(txn.locked.items()):
@@ -1072,29 +1011,37 @@ class _AbortCleanup(_Handler):
                     UNLOCK, txn.txn_id, shard, txn.coord_node,
                     write_keys=list(keys)), gather.slot())
         if gather.values:
+            self.join = _Coordination._cleaned
             self._gather(gather)
         else:
-            self._gathered(())
+            self._cleaned(())
 
-    def _gathered(self, _responses) -> None:
-        self.txn.clear_locks()
-        self.then(None)
+    def _cleaned(self, _responses) -> None:
+        txn = self.txn
+        txn.clear_locks()
+        self.p._notify_host(txn, False, self.reason)
+        self._reply(None)
 
 
-class _Multihop(_Phase):
+class _Multihop(_Handler):
     """Multi-hop OCC (§4.2.3, Figure 7b) over one ``remote`` shard and
     this node's ``local`` one: lock and read the local keys, ship
     execution to the remote primary, which LOGs to the backups with the
     acks redirected here; then commit the local writes and the remote
     shard.  Replies None."""
 
-    __slots__ = ("local", "remote", "remote_primary", "index", "local_keys",
-                 "writes_by_shard")
+    __slots__ = ("txn", "by_shard", "local", "remote", "remote_primary",
+                 "index", "local_keys", "writes_by_shard")
     span = "multihop"
+    cat, track = "phase", "proto"
 
     def __init__(self, p: XenicProtocol, txn: Transaction, by_shard,
                  local: int, remote: int, then):
-        _Phase.__init__(self, p, txn, by_shard, then)
+        self.p = p
+        self.txn_id = txn.txn_id
+        self.then = then
+        self.txn = txn
+        self.by_shard = by_shard
         self.local = local
         self.remote = remote
 

@@ -1,10 +1,10 @@
-"""Fault tolerance: leases, backup promotion, lock rebuild (§4.2.1).
+"""Fault tolerance: membership, backup promotion, lock rebuild (§4.2.1).
 
 Xenic adopts FaRM's reconfiguration/recovery design.  The pieces modeled
 here:
 
-* a :class:`ClusterManager` (the ZooKeeper stand-in) holding per-node
-  leases; expiry triggers reconfiguration;
+* a :class:`ClusterManager` (the ZooKeeper stand-in) holding the
+  membership; revoking a failed node starts a new configuration;
 * :class:`RecoveryManager.recover_shard` — when a primary fails, a
   surviving backup is promoted.  Lock state lives only in (the failed)
   SmartNIC memory, so it is *rebuilt*: each surviving replica scans its
@@ -23,67 +23,31 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..sim.core import Simulator
 from ..store.log import LogRecord
 
-__all__ = ["Lease", "ClusterManager", "RecoveryManager", "RecoveryReport"]
-
-
-@dataclass
-class Lease:
-    node_id: int
-    expires_at: float
+__all__ = ["ClusterManager", "RecoveryManager", "RecoveryReport"]
 
 
 class ClusterManager:
-    """Lease-based membership service (off the critical path)."""
+    """Membership service (off the critical path): the registered nodes.
 
-    def __init__(self, sim: Simulator, lease_us: float = 5000.0):
+    A node leaves only by :meth:`revoke` (a fail-stop declaration), which
+    bumps the configuration epoch.  No lease timer runs: nothing in the
+    model renews a lease, so a timer would expire every node once its
+    term passed."""
+
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.lease_us = lease_us
-        self._leases: Dict[int, Lease] = {}
+        self.members: Set[int] = set()
         self.config_epoch = 0
         self.expired_log: List[Tuple[float, int]] = []
 
-    def register(self, node_id: int) -> Lease:
-        lease = Lease(node_id, self.sim.now + self.lease_us)
-        self._leases[node_id] = lease
-        return lease
-
-    def renew(self, node_id: int) -> None:
-        lease = self._leases.get(node_id)
-        if lease is None:
-            raise KeyError("node %d has no lease" % node_id)
-        lease.expires_at = self.sim.now + self.lease_us
-
-    def live_nodes(self) -> Set[int]:
-        """Nodes whose lease has not lapsed.
-
-        The boundary is inclusive: a lease renewed at exactly its expiry
-        instant (``expires_at == now``) is still live — the holder acted
-        within its lease.  ``check_expiry`` uses the strict complement, so
-        a node is never simultaneously live and expired.
-        """
-        return {
-            nid for nid, lease in self._leases.items()
-            if lease.expires_at >= self.sim.now
-        }
-
-    def check_expiry(self) -> List[int]:
-        """Returns newly expired nodes and bumps the configuration epoch."""
-        expired = [
-            nid for nid, lease in self._leases.items()
-            if lease.expires_at < self.sim.now
-        ]
-        for nid in expired:
-            del self._leases[nid]
-            self.expired_log.append((self.sim.now, nid))
-        if expired:
-            self.config_epoch += 1
-        return expired
+    def register(self, node_id: int) -> None:
+        self.members.add(node_id)
 
     def revoke(self, node_id: int) -> None:
-        """Administratively drop a node's lease (fail-stop declaration),
-        independent of the expiry boundary."""
-        if node_id in self._leases:
-            del self._leases[node_id]
+        """Drop a registered node (fail-stop declaration) and bump the
+        epoch; a second revoke of the same node does nothing."""
+        if node_id in self.members:
+            self.members.discard(node_id)
             self.expired_log.append((self.sim.now, node_id))
             self.config_epoch += 1
 
@@ -110,10 +74,9 @@ class RecoveryManager:
             self.manager.register(node.node_id)
 
     def fail_node(self, node_id: int) -> None:
-        """Mark a node failed (its lease is revoked immediately)."""
+        """Mark a node failed and revoke its membership."""
         self.cluster.failed.add(node_id)
         self.manager.revoke(node_id)
-        self.manager.check_expiry()
 
     def recover_shard(self, shard: int) -> RecoveryReport:
         """Promote a surviving backup to primary for ``shard`` and resolve

@@ -60,11 +60,11 @@ class Event:
     """A one-shot occurrence that processes may wait on.
 
     An event starts *pending*; it may be *succeeded* with a value or
-    *failed* with an exception, exactly once.  Callbacks registered before
-    triggering run when the event fires; callbacks registered after it has
-    fired run immediately.
+    *failed* with an exception, exactly once.  The processes waiting on
+    it (:class:`Process` registers itself when it yields the event) run
+    when it fires.
 
-    The first callback lives in ``_cb0``; only a second registration
+    The first waiter lives in ``_cb0``; only a second registration
     allocates the overflow list, so the usual one-waiter event (the one
     a process yields) never builds a list at all.
     """
@@ -111,18 +111,6 @@ class Event:
         self._value = exc
         self._dispatch()
         return self
-
-    def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        """Run ``fn(event)`` when this event fires (immediately if fired)."""
-        if self._ok is None:
-            if self._cb0 is None:
-                self._cb0 = fn
-            elif self._callbacks is None:
-                self._callbacks = [fn]
-            else:
-                self._callbacks.append(fn)
-        else:
-            fn(self)
 
     def _dispatch(self) -> None:
         cb0 = self._cb0

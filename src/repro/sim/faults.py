@@ -21,7 +21,7 @@ models rather than replacing them:
 * **SmartNIC cores** (``core.nic_runtime.NicRuntime``) — scheduling
   stalls that inflate a compute slice's wall time;
 * **nodes** — scheduled fail-stop crashes: inbound and outbound traffic
-  is blackholed, the lease is revoked, and (when wired to a
+  is blackholed, its membership is revoked, and (when wired to a
   ``RecoveryManager``) the crashed node's primary shard is re-covered by
   backup promotion; an optional restart re-admits the node as a backup.
 
@@ -389,7 +389,7 @@ class FaultPlan:
 
     def crash_node(self, node_id: int) -> None:
         """Fail-stop ``node_id`` now: blackhole its traffic and revoke its
-        lease.  Processes already running inside the node become zombies
+        membership.  Processes already running inside the node become zombies
         whose outward effects are suppressed at the fabric boundary."""
         if node_id in self.crashed:
             return

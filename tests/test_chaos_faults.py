@@ -255,7 +255,7 @@ def test_recovery_chaos_catches_inflight_txns():
 
 def test_scheduled_crash_with_restart_rejoins():
     """A spec-scheduled crash auto-recovers the shard and the restarted
-    node re-registers its lease."""
+    node re-registers as a member."""
     result = run_chaos(seed=6, faults="drop=0.02,crash=300@1:5000",
                        n_txns=25, n_nodes=4)
     trace = result.trace

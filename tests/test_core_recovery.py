@@ -1,4 +1,5 @@
-"""Tests for leases, backup promotion, and lock/txn recovery (§4.2.1)."""
+"""Tests for membership, backup promotion, and lock/txn recovery
+(§4.2.1)."""
 
 import pytest
 
@@ -27,78 +28,36 @@ def run_txn(sim, cluster, node_id, spec):
 
 
 # ---------------------------------------------------------------------------
-# leases
+# membership
 # ---------------------------------------------------------------------------
 
 
-def test_lease_registration_and_renewal():
-    sim = Simulator()
-    mgr = ClusterManager(sim, lease_us=100.0)
-    mgr.register(0)
-    mgr.register(1)
-    assert mgr.live_nodes() == {0, 1}
-
-    def advance(sim):
-        yield sim.timeout(60.0)
-        mgr.renew(0)
-        yield sim.timeout(60.0)
-
-    sim.spawn(advance(sim))
-    sim.run()
-    # node 1 never renewed: expired at t=100; node 0 renewed at t=60
-    assert mgr.live_nodes() == {0}
-    expired = mgr.check_expiry()
-    assert expired == [1]
-    assert mgr.config_epoch == 1
-
-
-def test_renew_unknown_node_raises():
-    mgr = ClusterManager(Simulator())
-    with pytest.raises(KeyError):
-        mgr.renew(5)
-
-
-def test_lease_renewed_at_expiry_instant_is_live():
-    """Boundary pin: a lease renewed at exactly its expiry instant
-    (``expires_at == now``) is still live — the holder acted within its
-    lease — and ``check_expiry`` (the strict complement) must not expire
-    it, so a node is never simultaneously live and expired."""
-    sim = Simulator()
-    mgr = ClusterManager(sim, lease_us=100.0)
-    mgr.register(0)
-
-    def at_expiry(sim):
-        yield sim.timeout(100.0)  # now == expires_at, to the instant
-        assert mgr.live_nodes() == {0}
-        assert mgr.check_expiry() == []
-        assert mgr.config_epoch == 0
-        mgr.renew(0)
-
-    sim.spawn(at_expiry(sim))
-    sim.run()
-    # renewed at t=100 -> expires at t=200; live through the boundary
-    sim._now = 200.0
-    assert mgr.live_nodes() == {0}
-    assert mgr.check_expiry() == []
-    sim._now = 200.5
-    assert mgr.live_nodes() == set()
-    assert mgr.check_expiry() == [0]
-    assert mgr.config_epoch == 1
-
-
 def test_revoke_drops_lease_immediately():
-    """fail_node-style revocation removes the lease regardless of the
-    expiry boundary and bumps the epoch exactly once."""
+    """fail_node-style revocation removes the node from the membership
+    and bumps the epoch exactly once."""
     sim = Simulator()
-    mgr = ClusterManager(sim, lease_us=100.0)
+    mgr = ClusterManager(sim)
     mgr.register(0)
     mgr.register(1)
     mgr.revoke(1)
-    assert mgr.live_nodes() == {0}
+    assert mgr.members == {0}
     assert mgr.expired_log == [(0.0, 1)]
     assert mgr.config_epoch == 1
     mgr.revoke(1)  # idempotent
     assert mgr.config_epoch == 1
+
+
+def test_late_crash_revokes_only_the_failed_node():
+    """A crash long after the cluster registered (6,000 us, past any
+    lease term) declares only the failed node gone: one revocation, one
+    new configuration, and the survivors stay members."""
+    sim, cluster = make_cluster()
+    recovery = RecoveryManager(cluster)
+    sim.run(until=6000.0)
+    recovery.fail_node(1)
+    assert recovery.manager.expired_log == [(6000.0, 1)]
+    assert recovery.manager.config_epoch == 1
+    assert recovery.manager.members == {0, 2, 3}
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_equal_timestamp_fifo(queue):
         sim = Simulator()
         fired = []
         for i in range(50):
-            Timeout(sim, 10.0).add_callback(lambda _e, i=i: fired.append(i))
+            sim.call_after(10.0, fired.append, i)
         sim.run()
     assert fired == list(range(50))
 
@@ -67,8 +67,7 @@ def test_fifo_across_bucket_boundaries(queue):
         lanes = [3.0, 3.5, 100.25, 7.0, 100.25, 0.5, 3.0]
         expect = []
         for i, delay in enumerate(lanes * 40):
-            Timeout(sim, delay).add_callback(
-                lambda _e, i=i, d=delay: fired.append((d, i)))
+            sim.call_after(delay, fired.append, (delay, i))
             expect.append((delay, i))
         expect.sort()  # (when, schedule order) — FIFO within equal deadlines
         sim.run()
@@ -80,8 +79,7 @@ def test_pop_order_matches_sorted_reference():
     out = []
     delays = [(i * 37 % 19) + (0.5 if i % 3 else 0.0) for i in range(400)]
     for i, d in enumerate(delays):
-        Timeout(sim, float(d)).add_callback(
-            lambda _e, i=i: out.append((sim.now, i)))
+        sim.call_after(float(d), lambda i: out.append((sim.now, i)), i)
     sim.run()
     assert out == sorted((float(d), i) for i, d in enumerate(delays))
 
@@ -118,7 +116,7 @@ def test_run_until_leaves_live_head_past_boundary(queue):
     with queue_leg(queue):
         sim = Simulator()
         fired = []
-        Timeout(sim, 50.0).add_callback(lambda _e: fired.append(sim.now))
+        sim.call_after(50.0, lambda _arg: fired.append(sim.now))
         sim.run(until=49.999)
         assert fired == [] and sim.now == 49.999
         sim.run(until=50.0)

@@ -135,8 +135,8 @@ def test_collector_timing_cannot_reach_simulated_state():
 
 
 def _thresholds_seen_by_a_callback(sim, seen):
-    sim.timeout(1.0).add_callback(
-        lambda _e: seen.append((gc.get_threshold(), gc.isenabled())))
+    sim.call_after(
+        1.0, lambda _arg: seen.append((gc.get_threshold(), gc.isenabled())))
 
 
 def test_run_raises_threshold_and_restores_it():
@@ -150,9 +150,11 @@ def test_run_raises_threshold_and_restores_it():
     # the bounded form and run_until_event are scopes too
     _thresholds_seen_by_a_callback(sim, seen)
     sim.run(until=sim.now + 5.0)
-    done = sim.timeout(1.0)
-    done.add_callback(lambda _e: seen.append((gc.get_threshold(), True)))
-    sim.run_until_event(done)
+    def observe(sim):
+        yield sim.timeout(1.0)
+        seen.append((gc.get_threshold(), True))
+
+    sim.run_until_event(sim.spawn(observe(sim)))
     assert [s[0][0] for s in seen] == [QUIET_ALLOCATION_BUDGET] * 3
     assert gc.get_threshold() == before
 
@@ -164,7 +166,7 @@ def test_restored_after_a_callback_raises_out_of_run():
     def boom(_e):
         raise RuntimeError("model bug")
 
-    sim.timeout(1.0).add_callback(boom)
+    sim.call_after(1.0, boom)
     with pytest.raises(RuntimeError, match="model bug"):
         sim.run()
     assert gc.get_threshold() == before and gc.isenabled()
@@ -181,7 +183,7 @@ def test_nested_run_until_event_keeps_the_outer_scope():
         # the inner drain returned; the outer one is still running
         seen.append(gc.get_threshold()[0])
 
-    outer.timeout(1.0).add_callback(nested)
+    outer.call_after(1.0, nested)
     outer.run()
     assert seen == [QUIET_ALLOCATION_BUDGET]
     assert gc.get_threshold() == before

@@ -96,15 +96,19 @@ def test_fifo_ordering_same_timestamp():
 
 
 def test_gather_reports_slot_and_event_children_in_order():
-    """A child reports through its slot whenever it lands: at a queue
-    entry, or from an event a test waits on."""
+    """A child reports through its slot whenever it lands: at its own
+    queue entry, or from a process a test runs."""
     sim = Simulator()
     gather = Gather()
     sim.call_after(3.0, gather.slot(), "x")
     local = gather.slot()
-    sim.timeout(1.0, "z").add_callback(
-        lambda ev, report=gather.slot(): report(ev.value))
-    sim.timeout(2.0).add_callback(lambda _e: local("y"))
+
+    def child(sim, report):
+        value = yield sim.timeout(1.0, "z")
+        report(value)
+
+    sim.spawn(child(sim, gather.slot()))
+    sim.call_after(2.0, local, "y")
     got = []
     gather.wait(lambda values: got.append((sim.now, values)))
     sim.run()
@@ -128,9 +132,8 @@ def test_gather_continues_at_once_when_every_child_reported():
     sim = Simulator()
     gather = Gather()
     gather.slot()("a")
-    ev = sim.event()
-    ev.add_callback(lambda e, report=gather.slot(): report(e.value))
-    ev.succeed("b")
+    sim.call_at(0.0, gather.slot(), "b")
+    sim.run()
     got = []
     gather.wait(got.append)
     assert got == [["a", "b"]]
