@@ -15,22 +15,25 @@ builds one event (``Coordinator.run_transaction``); a process that
 waits on a model call builds its own and passes its ``succeed`` as the
 call's ``then``.
 
-Determinism: events scheduled for the same timestamp fire in FIFO order of
-scheduling (a monotonically increasing sequence number breaks ties), so a
-simulation driven by seeded RNG streams is exactly reproducible.
+Determinism: continuations scheduled for the same instant fire in the
+order they were pushed, so a simulation driven by seeded RNG streams is
+exactly reproducible.
 
-Hot-path notes (see ``docs/PERFORMANCE.md``): the queue is a binary
-heap (``heapq``) of mutable lists ``[when, seq, fn, arg]`` kept on the
-:class:`Simulator`, and popping an entry retires it (clears it) and
-runs ``fn(arg)``; a queued event is the entry ``_fire(event)``.  Every
-scheduling site funnels through ``Simulator._riding_push``, which
-assigns ``seq``.  Entries pushed at an instant that already has a
-pending entry ride that *host* entry: the host turns into a batch in
-place.  Events store their first callback in a dedicated slot so the
-common single-waiter case allocates no list, and :meth:`Simulator.run`
-pops and dispatches in one inlined loop.  Nothing cancels a scheduled
-entry or interrupts a process, so an entry runs only by its own pop and
-a process is resumed only by the one event it waits on.
+Hot-path notes (see ``docs/PERFORMANCE.md``): the queue is one entry
+per instant.  :class:`Simulator` keeps a binary heap (``heapq``) of the
+distinct pending instants, plain floats, and a dict from each instant to
+its bucket: the continuations pushed there, in push order, as one flat
+``[fn, arg, fn, arg, ...]`` list.  Every scheduling site funnels through
+``Simulator._push``: a push at an instant that has a bucket appends to
+it, and only the first push at an instant touches the heap.
+:meth:`Simulator.run` pops an instant and runs its bucket in one
+inlined loop; the bucket stays open while it runs, so a push at the
+running instant joins its end.  A queued event is the continuation
+``_fire(event)``.  Events store their first callback in a dedicated
+slot so the common single-waiter case allocates no list.  Nothing
+cancels a scheduled continuation or interrupts a process, so a
+continuation runs only from its own bucket and a process is resumed
+only by the one event it waits on.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from functools import partial
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from .collector import collector_quiet
 
@@ -297,37 +300,29 @@ class Simulator:
         assert proc.value == "done"
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_riders_pending", "_open",
-                 "_floors", "_hwm", "_push", "_batch", "_processes_spawned")
+    __slots__ = ("_now", "_heap", "_buckets", "_queued", "_floors", "_push",
+                 "_processes_spawned")
 
     def __init__(self):
         self._now = 0.0
-        # The event queue: a heap of [when, seq, fn, arg] entries.  seq
-        # is unique, so entries pop in strict (when, seq) order and a
-        # comparison never reaches fn.
-        self._heap: List[List[Any]] = []
-        self._seq = 0  # entries ever pushed
-        # Every scheduling path funnels through this one bound method,
-        # which assigns seq numbers and absorbs pushes whose deadline
-        # collides with a pending entry as riders on that entry instead
-        # of growing the queue.
-        self._push = self._riding_push
-        # A host entry with riders runs this, bound once.
-        self._batch = self._run_batch
-        self._riders_pending = 0
-        # High-water mark of every timestamp ever pushed: a push
-        # strictly above it cannot collide with any pending entry, so
-        # _riding_push skips the slot-table work entirely for monotone
-        # (push-dominated) schedules.
-        self._hwm = -1.0
-        self._open: dict = {}
+        # The event queue: a heap of the distinct pending instants, and
+        # each instant's bucket, its continuations in push order as one
+        # flat [fn, arg, fn, arg, ...] list.  A running bucket stays in
+        # _buckets until it is done, so a push at the running instant
+        # joins it; a started slot's fn is set to None.
+        self._heap: List[float] = []
+        self._buckets: Dict[float, List[Any]] = {}
+        self._queued = 0  # instants ever pushed onto the heap
+        # Every scheduling path funnels through this one bound method.
+        self._push = self._bucket_push
         # Parked drain chains (repro.sim.link.BatchingLink) by the
         # instant their skipped idle timeout would have fired.  The
         # first push at exactly that instant materializes the parked
         # link's wake (a ``call_at`` that runs its next round) *first*,
-        # so it hosts the timestamp and fires ahead of the incoming
-        # entry — the position the stepwise timeout (pushed at round
-        # start, before anything else now pending there) would hold.
+        # so it leads that instant's bucket and fires ahead of the
+        # incoming entry — the position the stepwise timeout (pushed at
+        # round start, before anything else now pending there) would
+        # hold.
         self._floors: dict = {}
         self._processes_spawned = 0
 
@@ -338,20 +333,25 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Scheduled events not yet fired.  Zero means quiescence: in a
-        closed discrete-event simulation no process can run again.
-        Riders of an in-flight pop batch (``_riding_push``) are pending
-        events that already left the queue, so they are counted in —
-        without them a process resumed by the batch's host entry would
-        see false quiescence while its same-instant cohort still waits
-        to fire."""
-        return len(self._heap) + self._riders_pending
+        """Continuations pushed and not yet started; the running one is
+        excluded.  Zero means quiescence: in a closed discrete-event
+        simulation no process can run again.  Counted on read: every
+        bucket's slots, less the started ones of the running bucket."""
+        buckets = self._buckets
+        slots = sum(map(len, buckets.values()))
+        running = buckets.get(self._now)
+        if running is not None:
+            slots -= 2 * running[::2].count(None)
+        return slots >> 1
 
     @property
     def events_scheduled(self) -> int:
-        """Total queue entries pushed so far: the numerator of
-        ``events_per_txn`` and of the exact events-per-op test gates."""
-        return self._seq
+        """Instants pushed onto the queue so far, one per bucket opened:
+        the numerator of ``events_per_txn`` and of the exact
+        events-per-op test gates.  A push that joins a pending or
+        running instant's bucket costs no heap operation and counts
+        nothing."""
+        return self._queued
 
     @property
     def processes_spawned(self) -> int:
@@ -363,71 +363,26 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
-    def _riding_push(self, when: float, fn: Callable[[Any], None],
+    def _bucket_push(self, when: float, fn: Callable[[Any], None],
                      arg: Any) -> None:
-        """Same-deadline rider merging (the queue-layer half of delay
-        fusion).  Two entries with equal timestamps always pop
-        consecutively in push order — nothing at another time can sort
-        between them — so a push whose ``when`` collides with a *pending*
-        queue entry need not enter the queue at all: it rides that host
-        entry and runs, in attach order, right after the host's own
-        continuation.  This is exact by construction: the dispatch
-        sequence is byte-identical to the stepwise pop order.
-
-        ``_open`` maps each timestamp to the entry pushed for it; the
-        entry is non-empty iff it is still queued (its pop retires it:
-        clears it before running it).  The first rider turns the host
-        into a batch in place, ``[.., _run_batch, [(fn0, arg0), (fn,
-        arg)]]``, and later riders append to that list.  A popped host
-        is simply replaced: the new entry pops after any in-flight
-        batch, matching the seq order one queue entry per push would
-        have produced."""
+        """Append ``fn(arg)`` to the bucket of instant ``when``, opening
+        the bucket (and pushing ``when`` onto the heap) if there is none.
+        Continuations at one instant fire in push order, which is the
+        order one ``(when, seq)`` heap entry per push would pop them in."""
         floors = self._floors
         if floors:
             parked = floors.pop(when, None)
             if parked is not None:
                 for ln in parked:
                     ln._materialize(when)
-        if when > self._hwm:
-            # Fresh high-water mark: no entry was ever pushed at this
-            # instant, so the slot probe below cannot find a host.  Skip
-            # the dict work — the entry goes unregistered, and the first
-            # *follower* at this timestamp claims the slot and hosts any
-            # later riders.  Dispatch order is unchanged either way:
-            # same-instant entries fire in (when, seq) order whether the
-            # first one hosts or merely precedes the host in the queue.
-            self._hwm = when
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, [when, seq, fn, arg])
-            return
-        open_ = self._open
-        host = open_.get(when)
-        if host:
-            batch = self._batch
-            if host[2] is batch:
-                host[3].append((fn, arg))
-            else:
-                host[3] = [(host[2], host[3]), (fn, arg)]
-                host[2] = batch
-            self._riders_pending += 1
-            return
-        self._seq = seq = self._seq + 1
-        open_[when] = entry = [when, seq, fn, arg]
-        heappush(self._heap, entry)
-        if len(open_) >= 8192 and len(open_) > (len(self._heap) << 2):
-            # The slot table only ever grows on distinct timestamps;
-            # shed popped hosts once it dwarfs the live queue.
-            self._open = {w: e for w, e in open_.items() if e}
-
-    def _run_batch(self, batch: List[Any]) -> None:
-        """A host entry's continuation once riders joined it: the host's
-        own ``fn(arg)``, then each rider in attach order, each leaving
-        the pending count just before it runs."""
-        # The host is no rider: the increment cancels its decrement.
-        self._riders_pending += 1
-        for fn, arg in batch:
-            self._riders_pending -= 1
-            fn(arg)
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [fn, arg]
+            heappush(self._heap, when)
+            self._queued += 1
+        else:
+            bucket.append(fn)
+            bucket.append(arg)
 
     def event(self, name: str = "") -> Event:
         return Event(self, name)
@@ -463,16 +418,13 @@ class Simulator:
     # -- execution --------------------------------------------------------
 
     def step(self) -> bool:
-        """Run one scheduled entry (a host runs its same-deadline riders
-        too, in attach order); returns False if the queue is empty."""
+        """Run the earliest pending instant: its whole bucket, pushes it
+        makes at that instant included.  Returns False if none is
+        pending."""
         heap = self._heap
         if not heap:
             return False
-        entry = heappop(heap)
-        when, _seq, fn, arg = entry
-        entry.clear()
-        self._now = when
-        fn(arg)
+        self.run(heap[0])
         return True
 
     def run(self, until: Optional[float] = None) -> float:
@@ -480,27 +432,46 @@ class Simulator:
 
         Returns the simulated time at which execution stopped: the last
         event time when draining, exactly ``until`` otherwise.  Events
-        scheduled past ``until`` are never fired.
+        scheduled past ``until`` are never fired; every one at ``until``
+        is.
 
-        Both forms run :meth:`step`'s pop, clear and dispatch in one
-        inlined loop, collector-quiet (``repro.sim.collector``):
-        steady-state simulation frees its state by reference count, so
-        automatic collections are deferred to the caller's next
-        allocation after the drain returns.
+        The loop pops an instant and runs its bucket by index, marking
+        each slot started before it runs; the bucket grows while it runs
+        if a continuation pushes at the running instant, and is deleted
+        once done.  A continuation's exception escapes, and what it did
+        not reach stays queued.  The loop runs collector-quiet
+        (``repro.sim.collector``): steady-state simulation frees its
+        state by reference count, so automatic collections are deferred
+        to the caller's next allocation after the drain returns.
         """
         if until is None:
             until = inf
         elif until < self._now:
             raise SimulationError("until=%r is in the past" % (until,))
         heap = self._heap
+        buckets = self._buckets
         pop = heappop
         with collector_quiet:
-            while heap and heap[0][0] <= until:
-                entry = pop(heap)
-                when, _seq, fn, arg = entry
-                entry.clear()
-                self._now = when
-                fn(arg)
+            while heap and heap[0] <= until:
+                self._now = when = pop(heap)
+                bucket = buckets[when]
+                i = 0
+                try:
+                    while i < len(bucket):
+                        fn = bucket[i]
+                        bucket[i] = None
+                        fn(bucket[i + 1])
+                        i += 2
+                except BaseException:
+                    # The error escapes with the rest of the instant
+                    # still queued, so a caller that handles it can run on.
+                    del bucket[:i + 2]
+                    if bucket:
+                        heappush(heap, when)
+                    else:
+                        del buckets[when]
+                    raise
+                del buckets[when]
         # The loop only fires entries <= until, so the clock never
         # overruns; a bounded run lands exactly on the boundary.
         if self._now < until < inf:
@@ -508,7 +479,8 @@ class Simulator:
         return self._now
 
     def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
-        """Run until ``event`` triggers; returns its value.
+        """Run instant by instant until ``event`` triggers; returns its
+        value.
 
         Raises :class:`SimulationError` if the queue drains (or ``limit`` is
         reached) without the event firing.
@@ -516,7 +488,7 @@ class Simulator:
         heap = self._heap
         with collector_quiet:
             while not event.triggered:
-                if limit is not None and heap and heap[0][0] > limit:
+                if limit is not None and heap and heap[0] > limit:
                     raise SimulationError(
                         "time limit reached before event fired")
                 if not self.step():

@@ -167,14 +167,14 @@ class BatchingLink:
         # the floor; a send at or past the floor runs the next round
         # directly, exactly as any parked-state send always did.
         # Ordering at the floor instant is preserved through the
-        # rider invariant (repro.sim.core): same-instant entries form
-        # one host plus riders firing in push order, so a wake pushed
-        # when no entry exists at the floor becomes the host — firing
-        # before every later-pushed same-instant event, just as the
-        # stepwise idle entry (pushed at round start) would.  When an
-        # entry at the floor already exists at round end, the stepwise
-        # idle entry is pushed as-is: it rides that entry for free with
-        # its exact cohort position.  A round that slept the wait
+        # bucket invariant (repro.sim.core): continuations at one
+        # instant fire in push order, so a wake pushed when no bucket
+        # exists at the floor leads it — firing before every
+        # later-pushed same-instant continuation, just as the stepwise
+        # idle entry (pushed at round start) would.  When the floor
+        # instant already has a bucket at round end, the stepwise idle
+        # entry is pushed as-is: it joins that bucket at no heap cost,
+        # in its exact push-order position.  A round that slept the wait
         # out leaves ``_floor`` at zero, so sends to it take the
         # immediate-wake branch unchanged.  A fault plan's link stall is
         # drawn inside ``transfer`` and is already in the wait's length.
@@ -197,10 +197,10 @@ class BatchingLink:
                 self._round()
             elif not self._armed:
                 # Send inside a fused wire-clear window: materialize one
-                # wake at the floor instant.  Pushed while no entry
-                # exists there, it hosts that timestamp and fires before
-                # every later-pushed same-instant event — the stepwise
-                # idle entry's exact position.
+                # wake at the floor instant.  Pushed while no bucket
+                # exists there, it leads that instant's bucket and fires
+                # before every later-pushed same-instant continuation —
+                # the stepwise idle entry's exact position.
                 self._armed = True
                 self.sim.call_at(self._floor, self._arm_cb_bound)
 
@@ -308,16 +308,16 @@ class BatchingLink:
             if idle > 0:
                 if not queue:
                     floor = sim._now + idle
-                    if not sim._open.get(floor):
+                    if floor not in sim._buckets:
                         # Fused park: skip the idle wait and record
                         # where it would have fired; a send inside the
                         # window arms an exact wake there (see ``send``).
                         self._park_floor(floor)
                         self._parked = True
                         return
-                    # A pending entry at the floor instant already
-                    # exists: the stepwise idle entry below rides it for
-                    # free, in its exact same-instant cohort position.
+                    # The floor instant already has a bucket: the
+                    # stepwise idle entry below joins it at no heap
+                    # cost, in its exact push-order position.
                 sim.call_after(idle, self._round_cb)
                 return
             if not queue:

@@ -1,16 +1,16 @@
 """The two ways the scheduling pins keep the engine's queue.
 
-The engine's queue is a binary heap of ``[when, seq, fn, arg]`` entries
+The engine's queue is a binary heap of the distinct pending instants
 on the ``Simulator``, pushed and popped through ``repro.sim.core``'s
-``heappush`` / ``heappop``.  Its contract is strict ``(when, seq)`` pop
-order, whatever keeps the entries, so the pins that name a queue run on
-two legs:
+``heappush`` / ``heappop``, beside each instant's bucket of
+continuations.  Its contract is ascending instants, whatever keeps
+them, so the pins that name a queue run on two legs:
 
 - ``heap``: the engine as it is.
-- ``calendar``: the same entries kept as a one-day calendar, a single
+- ``calendar``: the same instants kept as a one-day calendar, a single
   sorted list, inserted in order on push and popped from the front.  A
   sorted list is also a valid heap, so the engine's ``heap[0]`` peeks
-  still read the head, and the pop order is ``(when, seq)`` by
+  still read the head, and the pop order is ascending by
   construction.
 
 A result that moves between the legs depends on how the queue is kept,
@@ -46,5 +46,5 @@ def queue_leg(queue):
         probe = sim_core.Simulator()
         for when in (3.0, 1.0, 2.0):
             probe.call_at(when, _pop_front)
-        assert [entry[0] for entry in probe._heap] == [1.0, 2.0, 3.0]
+        assert probe._heap == [1.0, 2.0, 3.0]
         yield

@@ -10,7 +10,10 @@ used.  The cluster digests check this only indirectly; here three links
 the default cap, aggregation off) share one simulator and a driver that
 reads each link's parked floor and aims sends and unrelated events
 before, exactly at, and after it.  The whole delivery trace, interleaved
-with the unrelated events, is digested in firing order.
+with the unrelated events, is digested in firing order.  A second driver
+aims at the instant each link's idle wait ends instead, read off the
+wire, so what it aims at does not depend on whether a round parked:
+its trace is the same whichever rounds park.
 """
 
 from __future__ import annotations
@@ -69,6 +72,10 @@ class _Driver:
         if self.rng.random() < 0.5:
             self._send(link)
 
+    def _targets(self, now):
+        """(link, instant) pairs to aim at: each parked link's floor."""
+        return [(ln, ln._floor) for ln in self.links if ln._floor > now]
+
     def _step(self, _ev):
         rng, sim = self.rng, self.sim
         self.steps -= 1
@@ -81,10 +88,9 @@ class _Driver:
         if self.steps <= 0:
             return
         now = sim.now
-        parked = [ln for ln in self.links if ln._floor > now]
-        if parked and rng.random() < 0.75:
-            target = rng.choice(parked)
-            floor = target._floor
+        targets = self._targets(now)
+        if targets and rng.random() < 0.75:
+            target, floor = rng.choice(targets)
             aim = rng.choice(("before", "at", "after", "tick_at"))
             self.aims[aim] += 1
             if aim == "tick_at":
@@ -102,11 +108,15 @@ class _Driver:
         sim.call_at(when, self._step)
 
 
-# seed -> (trace digest, packets sent per link, events scheduled)
+# seed -> (trace digest, packets sent per link, events scheduled).  The
+# driver aims at the parked floors, so its schedule follows the park
+# decision: a round parks only where its floor instant has no bucket yet.
+# Re-pinned when the queue became one entry per instant, which changed
+# which rounds park (an idle wait joining an existing bucket is free).
 PINS = {
-    1: ("1333599184ef1418", (284, 292, 310), 1575),
-    2: ("b8ea5c51f3420a6b", (295, 216, 294), 1484),
-    3: ("36ae7452a8162bb3", (290, 265, 250), 1499),
+    1: ("7085df89fd1f9b13", (259, 257, 329), 1442),
+    2: ("050d6b54706d53e3", (275, 239, 300), 1396),
+    3: ("58954cb3987a482f", (266, 229, 281), 1342),
 }
 
 
@@ -126,3 +136,42 @@ def test_batching_link_trace_pinned(seed, queue):
     got = hashlib.sha256(repr(drv.trace).encode()).hexdigest()[:16]
     assert (got, tuple(ln.packets_sent for ln in drv.links),
             sim.events_scheduled) == PINS[seed]
+
+
+class _WireDriver(_Driver):
+    """The same schedule aimed at the instant each busy link's idle wait
+    would end, read off the wire (``link._busy_until``) with the round's
+    own float expression, whether or not the round parked there.  What
+    it aims at does not depend on the park decision, so its trace pins
+    that a park and the idle wait it stands for deliver the same."""
+
+    def _targets(self, now):
+        return [(ln, now + (ln.link._busy_until - now)) for ln in self.links
+                if ln.link._busy_until > now]
+
+
+# seeds 1-40 of _WireDriver: (digest of every seed's trace and packet
+# counts, packets per link over all seeds, events scheduled over all
+# seeds).  The digest and packets were taken before the queue became one
+# entry per instant and held through it; the events went 60,043 -> 56,938.
+WIRE_SEEDS = range(1, 41)
+WIRE_PIN = ("27a692832e3a010e", (10628, 10567, 12324), 56938)
+
+
+@pytest.mark.parametrize("queue", QUEUE_LEGS)
+def test_batching_link_wire_aimed_trace_pinned(queue):
+    """600 steps per seed over 40 seeds, aimed at the wire's idle
+    instants: the traces and packet counts, on either queue leg."""
+    runs, packets, events = [], [0, 0, 0], 0
+    with queue_leg(queue):
+        for seed in WIRE_SEEDS:
+            sim = Simulator()
+            drv = _WireDriver(sim, seed, steps=600)
+            sim.run()
+            assert all(drv.aims.values()), (seed, drv.aims)
+            sent = tuple(ln.packets_sent for ln in drv.links)
+            runs.append((drv.trace, sent))
+            packets = [a + b for a, b in zip(packets, sent)]
+            events += sim.events_scheduled
+    got = hashlib.sha256(repr(runs).encode()).hexdigest()[:16]
+    assert (got, tuple(packets), events) == WIRE_PIN

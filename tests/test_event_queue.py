@@ -1,11 +1,12 @@
-"""Scheduler edge cases on the engine's one event queue, a binary heap
-of ``[when, seq, fn, arg]`` entries on the ``Simulator``.  Its contract
-is that entries pop in strict ``(when, seq)`` order, so the tests
-compare what it fires against that order computed without a simulator:
-``sorted((when, push_index))``, with the same-instant rider rules
-restated beside it for ``events_scheduled``.  The edge cases run on both
-legs of ``tests/queue_legs.py``: the engine's heap and the same entries
-kept fully sorted.
+"""Scheduler edge cases on the engine's one event queue: a binary heap
+of the distinct pending instants on the ``Simulator``, each with a
+bucket of its continuations in push order.  Its contract is that
+continuations fire in ascending instant and, within an instant, in push
+order, so the tests compare what it fires against that order computed
+without a simulator: ``sorted((when, push_index))``, with the bucket
+rule for ``events_scheduled`` (one per instant opened) restated beside
+it.  The edge cases run on both legs of ``tests/queue_legs.py``: the
+engine's heap and the same instants kept fully sorted.
 """
 
 import pytest
@@ -106,6 +107,31 @@ def test_mid_drain_pushes_land_in_order():
     assert fired == [1.0, 1.0, 1.5, 2.0, 3.0, 4.0]
 
 
+def test_exception_leaves_the_rest_of_its_instant_queued():
+    """A continuation's exception escapes ``run``; what the instant had
+    not started, pushes made before the error included, stays pending and
+    runs in push order on the next call."""
+    sim = Simulator()
+    fired = []
+
+    def fail(_arg):
+        sim.call_at(sim.now, fired.append, "late")
+        raise KeyError("boom")
+
+    sim.call_at(1.0, fired.append, "a")
+    sim.call_at(1.0, fail)
+    sim.call_at(1.0, fired.append, "b")
+    sim.call_at(2.0, fired.append, "c")
+    with pytest.raises(KeyError):
+        sim.run()
+    assert fired == ["a"] and sim.now == 1.0
+    assert sim.pending_events == 3 and sim.events_scheduled == 2
+    sim.call_at(1.0, fired.append, "after")
+    assert sim.run() == 2.0
+    assert fired == ["a", "b", "late", "after", "c"]
+    assert sim.pending_events == 0 and sim._buckets == {}
+
+
 # ---------------------------------------------------------------------------
 # run(until) boundary
 # ---------------------------------------------------------------------------
@@ -146,7 +172,7 @@ def _drive(ops, stepwise=False):
         until = sim.now + dt
         if stepwise:
             heap = sim._heap
-            while heap and heap[0][0] <= until:
+            while heap and heap[0] <= until:
                 assert sim.step()
             fired = len(log)
             sim.run(until=until)
@@ -163,13 +189,12 @@ def _drive(ops, stepwise=False):
 
 
 def _reference(ops):
-    """The same stream without a simulator: entries fire in
-    ``sorted((when, push_index))`` order, and a push is a queue entry
-    unless it rides a pending entry registered at its instant (the
-    rider rules of ``Simulator._riding_push``: the first push at a fresh
-    high-water instant goes unregistered, the next registers)."""
-    clock, hwm = 0.0, -1.0
-    pending, hosts, log, scheduled = [], set(), [], 0
+    """The same stream without a simulator: continuations fire in
+    ``sorted((when, push_index))`` order, and a push counts as scheduled
+    exactly when no pending continuation shares its instant (it opens
+    that instant's bucket)."""
+    clock = 0.0
+    pending, log, scheduled = [], [], 0
 
     def fire(due):
         log.extend(("fire", i, when) for when, i in sorted(due))
@@ -177,18 +202,13 @@ def _reference(ops):
     for i, (kind, dt) in enumerate(ops):
         if kind == "push":
             when = clock + dt
+            if all(w != when for w, _ in pending):
+                scheduled += 1
             pending.append((when, i))
-            if when > hwm:
-                hwm = when
-                scheduled += 1
-            elif when not in hosts:
-                hosts.add(when)
-                scheduled += 1
             continue
         clock = clock + dt
         fire([e for e in pending if e[0] <= clock])
         pending = [e for e in pending if e[0] > clock]
-        hosts = {w for w in hosts if w > clock}
         log.append(("clock", clock))
     fire(pending)
     if pending:
@@ -201,7 +221,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 # A few exact values beside the floats, so pushes collide on an instant
-# and the rider rules are exercised.
+# and the bucket rule is exercised.
 _delay = st.one_of(
     st.sampled_from((0.0, 0.5, 1.0)),
     st.integers(0, 4).map(float),
@@ -219,8 +239,8 @@ _ops = st.lists(
 
 @settings(max_examples=30, deadline=None)
 @given(ops=_ops)
-# Three pushes at one instant (unregistered, host, rider), a run landing
-# on it, then pushes at the instant just drained and at a fresh one.
+# Three pushes at one instant (one bucket), a run landing on it, then
+# pushes at the instant just drained and at a fresh one.
 @example(ops=[("push", 1.0), ("push", 1.0), ("push", 1.0), ("push", 0.0),
               ("run", 1.0), ("push", 0.0), ("push", 0.0), ("push", 0.5),
               ("push", 0.5), ("push", 0.5), ("run", 0.25)])
@@ -241,71 +261,76 @@ def test_queue_kind_metadata_roundtrip():
 
     sim = Simulator()
     assert selected_queue_kind() == "heap" and type(sim._heap) is list
-    assert selected_fusion() == "on" and sim._push == sim._riding_push
+    assert selected_fusion() == "on" and sim._push == sim._bucket_push
     assert selected_compiled() == "off" and compiled_available() is False
 
 
 # ---------------------------------------------------------------------------
-# same-instant rider rules (Simulator._riding_push), step by step
+# the bucket rules (Simulator._bucket_push, Simulator.run), step by step
 # ---------------------------------------------------------------------------
 
 
 @both_legs
-def test_rider_rules_scripted_schedule(queue):
-    """One scripted schedule pins where each same-instant push goes: into
-    the queue unregistered, into the queue as the instant's host, or onto
-    the host as a rider.  After every ``step()`` the dispatch log,
-    ``events_scheduled`` and ``pending_events`` must match; riders count
-    as pending while they wait, but never as scheduled entries."""
+def test_bucket_rules_scripted_schedule(queue):
+    """One scripted schedule pins the bucket rules: pushes at one instant
+    fire in push order; a push at the running instant joins its bucket
+    and counts nothing; ``pending_events`` excludes every started
+    continuation, the running one included; ``run(until=t)`` runs all of
+    ``t``, and ``step()`` one whole instant.  After every step the
+    dispatch log, ``events_scheduled`` and ``pending_events`` must
+    match."""
     with queue_leg(queue):
-        _rider_rules_scripted_schedule()
+        _bucket_rules_scripted_schedule()
 
 
-def _rider_rules_scripted_schedule():
+def _bucket_rules_scripted_schedule():
     sim = Simulator()
     log = []
-
-    def note(name):
-        return lambda _arg: log.append((name, sim.now, sim.pending_events))
-
-    def host(_arg):
-        log.append(("b", sim.now, sim.pending_events))
-        # Pushed while the host dispatches: the popped host no longer
-        # takes riders, so this enters the queue behind the host's riders.
-        sim.call_at(sim.now, note("d"))
 
     def state():
         return sim.events_scheduled, sim.pending_events
 
-    # A push at a fresh high-water instant enters the queue unregistered.
+    def note(name):
+        return lambda _arg: log.append((name, sim.now, sim.pending_events))
+
+    def joiner(name, joined):
+        def fn(_arg):
+            log.append((name, sim.now, sim.pending_events))
+            scheduled = sim.events_scheduled
+            heap = list(sim._heap)
+            sim.call_at(sim.now, note(joined))
+            assert sim.events_scheduled == scheduled and sim._heap == heap
+        return fn
+
+    # The first push at an instant opens its bucket: one heap entry.
     sim.call_at(1.0, note("a"))
-    assert state() == (1, 1) and 1.0 not in sim._open
-    # The next push at that instant claims the slot and enters the queue.
-    sim.call_at(1.0, host)
-    assert state() == (2, 2) and 1.0 in sim._open
-    # A third push rides that entry: pending, but not a queue entry.
+    assert state() == (1, 1) and sim._heap == [1.0]
+    # Later pushes at that instant append to its bucket.
+    sim.call_at(1.0, joiner("b", "d"))
     sim.call_at(1.0, note("c"))
-    assert state() == (2, 3)
+    assert state() == (1, 3) and sim._heap == [1.0]
+    sim.call_at(2.0, joiner("e", "g"))
+    assert state() == (2, 4)
 
+    # step() runs the whole instant in push order, "d" (pushed by "b"
+    # while 1.0 runs) last; no started continuation counts as pending.
     assert sim.step()
-    assert log == [("a", 1.0, 2)] and state() == (2, 2)
-    assert sim.step()
-    assert log == [("a", 1.0, 2), ("b", 1.0, 1), ("c", 1.0, 1)]
-    assert state() == (3, 1)
-    assert sim.step()
-    assert log[3:] == [("d", 1.0, 0)] and state() == (3, 0)
-    assert not sim.step()
+    assert log == [("a", 1.0, 3), ("b", 1.0, 2), ("c", 1.0, 2),
+                   ("d", 1.0, 1)]
+    assert sim.now == 1.0 and state() == (2, 1) and 1.0 not in sim._buckets
 
-    # run(until=t) fires every entry at t, riders included ...
-    sim.call_at(2.0, note("e"))
+    # run(until=t) runs all of t, pushes made while t runs included ...
     sim.call_at(2.0, note("f"))
-    sim.call_at(2.0, note("g"))
-    assert state() == (5, 3)
+    sim.call_at(3.0, note("h"))
+    assert state() == (3, 3)
     sim.run(until=2.0)
-    assert log[4:] == [("e", 2.0, 2), ("f", 2.0, 1), ("g", 2.0, 0)]
-    assert sim.now == 2.0 and state() == (5, 0)
-    # ... and a later push at t enters the queue.
-    sim.call_at(2.0, note("h"))
-    assert state() == (6, 1)
+    assert log[4:] == [("e", 2.0, 2), ("f", 2.0, 2), ("g", 2.0, 1)]
+    assert sim.now == 2.0 and state() == (3, 1) and sim._heap == [3.0]
+    # ... and a later push at t opens a new bucket there.
+    sim.call_at(2.0, note("i"))
+    assert state() == (4, 2)
     assert sim.step()
-    assert log[7:] == [("h", 2.0, 0)] and state() == (6, 0)
+    assert log[7:] == [("i", 2.0, 1)] and state() == (4, 1)
+    assert sim.run() == 3.0
+    assert log[8:] == [("h", 3.0, 0)] and state() == (4, 0)
+    assert sim._buckets == {} and not sim.step()

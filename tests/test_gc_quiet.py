@@ -256,7 +256,6 @@ def test_leaking_model_is_collected_within_the_budget(counter):
 _SIZED = (dict, set, list, deque)
 # Containers allowed to move between two equal windows by more than the
 # in-flight slack, with the fixed cap each one sheds at.
-_OPEN_SHED = 8192          # Simulator._riding_push
 _FLOORS_SHED = 2 * 4096    # BatchingLink._park_floor: entry + park list
 _IN_FLIGHT_SLACK = 256
 
@@ -283,10 +282,6 @@ def _container_lens(label, obj):
 
 def _census(bench):
     sizes = _container_lens("sim", bench.sim)
-    # Each ``_open`` value is a queue entry (a list of four fields, empty
-    # once popped): the slot table's size is its number of instants.
-    sizes["sim._open"] = len(bench.sim._open)
-    sizes["sim.queue"] = len(bench.sim._heap)
     for proto in bench.cluster.protocols:
         node = proto.node
         n = "n%d" % node.node_id
@@ -315,12 +310,13 @@ def test_steady_state_containers_do_not_grow():
         attr = name.rsplit(".", 1)[1]
         if attr in ("_meta", "_loc_hints"):
             continue  # per key, not per transaction: bounded below
-        slack = {"_open": _OPEN_SHED, "_floors": _FLOORS_SHED}.get(
-            attr, _IN_FLIGHT_SLACK)
+        slack = {"_floors": _FLOORS_SHED}.get(attr, _IN_FLIGHT_SLACK)
         if size > after1[name] + slack:
             grown[name] = (after1[name], size)
     assert grown == {}
-    assert after2["sim._open"] <= _OPEN_SHED + 4 * after2["sim.queue"]
+    # Between runs every bucket is a pending instant's: one heap entry
+    # each, and none left behind by an instant that ran.
+    assert len(bench.sim._buckets) == len(bench.sim._heap)
     assert after2["sim._floors"] <= _FLOORS_SHED
     for node in bench.cluster.nodes:
         for index in node.indexes.values():

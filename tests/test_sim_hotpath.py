@@ -308,20 +308,21 @@ def _run_loop(sim, bodies):
 
 
 @pytest.mark.parametrize("loop, events, spawned", [
-    (_timeouts, 101, 1), (_resource, 102, 8), (_link, 102, 4), (_commit_path, 6729, 1),
-    (_baseline_commit_path, 7994, 1), (_rdma_read, 542, 4),
-    (_rpc, 732, 4), (_core_execute, 151, 4),
-    (functools.partial(_rdma_read, spec=NEVER_FIRES), 542, 4),
-    (functools.partial(_rpc, spec=NEVER_FIRES), 732, 4),
-    (functools.partial(_rdma_read, spec=RETRIED), 632, 4),
-    (functools.partial(_rpc, spec=RETRIED), 834, 4)],
+    (_timeouts, 101, 1), (_resource, 51, 8), (_link, 101, 4), (_commit_path, 6591, 1),
+    (_baseline_commit_path, 5796, 1), (_rdma_read, 386, 4),
+    (_rpc, 461, 4), (_core_execute, 51, 4),
+    (functools.partial(_rdma_read, spec=NEVER_FIRES), 386, 4),
+    (functools.partial(_rpc, spec=NEVER_FIRES), 461, 4),
+    (functools.partial(_rdma_read, spec=RETRIED), 532, 4),
+    (functools.partial(_rpc, spec=RETRIED), 635, 4)],
     ids=["timeouts", "resource", "link", "commit_path",
          "baseline_commit_path", "rdma_read", "rpc", "core_execute", "rdma_read_never_fires",
          "rpc_never_fires", "rdma_read_retried", "rpc_retried"])
 def test_events_scheduled_per_op_is_exact(loop, events, spawned):
-    """``events_scheduled`` is a pure function of the code: a de-fused
-    site or a reintroduced spawn moves the count of the primitive that
-    caused it, with no wall time involved.  ``processes_spawned`` counts
+    """``events_scheduled`` (instants queued: one per bucket opened) is
+    a pure function of the code: a de-fused site or a reintroduced spawn
+    moves the count of the primitive that caused it, with no wall time
+    involved.  ``processes_spawned`` counts
     the generators behind them: an RDMA verb, an RPC, a queued core job,
     every Xenic NIC handler and every link's drain loop run as callback
     chains, so those loops spawn only their drivers — under a fault plan
