@@ -300,7 +300,7 @@ class Simulator:
         assert proc.value == "done"
     """
 
-    __slots__ = ("_now", "_heap", "_buckets", "_queued", "_floors", "_push",
+    __slots__ = ("_now", "_heap", "_buckets", "_queued", "_push",
                  "_processes_spawned")
 
     def __init__(self):
@@ -315,15 +315,6 @@ class Simulator:
         self._queued = 0  # instants ever pushed onto the heap
         # Every scheduling path funnels through this one bound method.
         self._push = self._bucket_push
-        # Parked drain chains (repro.sim.link.BatchingLink) by the
-        # instant their skipped idle timeout would have fired.  The
-        # first push at exactly that instant materializes the parked
-        # link's wake (a ``call_at`` that runs its next round) *first*,
-        # so it leads that instant's bucket and fires ahead of the
-        # incoming entry — the position the stepwise timeout (pushed at
-        # round start, before anything else now pending there) would
-        # hold.
-        self._floors: dict = {}
         self._processes_spawned = 0
 
     @property
@@ -369,12 +360,6 @@ class Simulator:
         the bucket (and pushing ``when`` onto the heap) if there is none.
         Continuations at one instant fire in push order, which is the
         order one ``(when, seq)`` heap entry per push would pop them in."""
-        floors = self._floors
-        if floors:
-            parked = floors.pop(when, None)
-            if parked is not None:
-                for ln in parked:
-                    ln._materialize(when)
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = [fn, arg]

@@ -119,10 +119,10 @@ class BatchingLink:
 
     The drain loop is a callback chain, not a process: a round
     (:meth:`_round`) runs from the entry the first send pushes at now,
-    from its idle wait's entry, or directly from whatever wakes it
-    while it is parked (a send, the floor wake) — exactly where a drain
-    process would resume, so every push keeps the instant and the
-    same-instant position a process would give it.
+    from its idle wait's entry, or directly from the send that finds it
+    parked — exactly where a drain process would resume, so every push
+    keeps the instant and the same-instant position a process would
+    give it.
     """
 
     def __init__(
@@ -154,34 +154,12 @@ class BatchingLink:
         self._queue: Deque[Tuple[Any, int, Any]] = deque()
         # The chain's state: not started until the first send; then each
         # round ends either waiting on an idle entry or parked until a
-        # send (or the floor wake) runs the next round directly.
+        # send runs the next round directly.
         self._started = False
         self._parked = False
         self.packets_sent = 0
         self.payloads_sent = 0
-        # Delay fusion: when a drain round leaves the
-        # queue empty, the chain parks immediately instead of
-        # sleeping out the wire-clear wait, recording in ``_floor`` the
-        # instant its stepwise idle entry would have run.  A send
-        # landing inside the window arms one exact ``call_at`` wake at
-        # the floor; a send at or past the floor runs the next round
-        # directly, exactly as any parked-state send always did.
-        # Ordering at the floor instant is preserved through the
-        # bucket invariant (repro.sim.core): continuations at one
-        # instant fire in push order, so a wake pushed when no bucket
-        # exists at the floor leads it — firing before every
-        # later-pushed same-instant continuation, just as the stepwise
-        # idle entry (pushed at round start) would.  When the floor
-        # instant already has a bucket at round end, the stepwise idle
-        # entry is pushed as-is: it joins that bucket at no heap cost,
-        # in its exact push-order position.  A round that slept the wait
-        # out leaves ``_floor`` at zero, so sends to it take the
-        # immediate-wake branch unchanged.  A fault plan's link stall is
-        # drawn inside ``transfer`` and is already in the wait's length.
-        self._floor = 0.0
-        self._armed = False
         # Bound once: the stages below run several times per transaction.
-        self._arm_cb_bound = self._arm_cb
         self._round_cb = self._round
         self._arrive_cb = self._arrive
 
@@ -193,57 +171,7 @@ class BatchingLink:
             self._started = True
             self.sim.call_at(self.sim._now, self._round)
         elif self._parked:
-            if self.sim._now >= self._floor:
-                self._round()
-            elif not self._armed:
-                # Send inside a fused wire-clear window: materialize one
-                # wake at the floor instant.  Pushed while no bucket
-                # exists there, it leads that instant's bucket and fires
-                # before every later-pushed same-instant continuation —
-                # the stepwise idle entry's exact position.
-                self._armed = True
-                self.sim.call_at(self._floor, self._arm_cb_bound)
-
-    def _arm_cb(self, _arg: None) -> None:
-        self._armed = False
-        if not self._parked or not self._queue:
-            return
-        if self.sim._now >= self._floor:
             self._round()
-        else:
-            # The park this arm was meant for was already served by a
-            # same-instant send and the chain re-parked with a later
-            # floor; carry the pending sends forward to it.
-            self._armed = True
-            self.sim.call_at(self._floor, self._arm_cb_bound)
-
-    def _materialize(self, floor: float) -> None:
-        """Called by the scheduler on the first push at a parked floor
-        instant (``Simulator._floors``): claim the timestamp for the
-        wake before the incoming entry lands, so the wake fires ahead of
-        every event scheduled there after the park — the stepwise idle
-        entry's exact cohort position."""
-        if self._floor == floor and not self._armed and self._parked:
-            self._armed = True
-            self.sim.call_at(floor, self._arm_cb_bound)
-
-    def _park_floor(self, floor: float) -> None:
-        """Register a fused park so pushes at ``floor`` materialize the
-        wake first (see ``_materialize``)."""
-        self._floor = floor
-        floors = self.sim._floors
-        lst = floors.get(floor)
-        if lst is None:
-            floors[floor] = [self]
-        else:
-            lst.append(self)
-        if len(floors) >= 4096:
-            # Shed registrations whose park has since been served.
-            self.sim._floors = {
-                w: ls
-                for w, ls in floors.items()
-                if any(ln._floor == w for ln in ls)
-            }
 
     def _arrive(self, packet: Tuple[Any, Any]) -> None:
         dest, payloads = packet
@@ -252,11 +180,10 @@ class BatchingLink:
     def _round(self, _arg: None = None) -> None:
         """Drain rounds until one ends on an idle wait or a park.
 
-        Runs from the first send's entry, from a send or the floor wake
-        that finds the link parked, and as the idle wait's entry — the
-        one entry that can find the queue empty, and then parks."""
+        Runs from the first send's entry, from a send that finds the link
+        parked, and as the idle wait's entry — the one entry that can
+        find the queue empty, and then parks."""
         queue = self._queue
-        self._floor = 0.0
         if not queue:
             self._parked = True
             return
@@ -306,18 +233,6 @@ class BatchingLink:
                 if queue:
                     idle = max(idle, self.batch_window_us)
             if idle > 0:
-                if not queue:
-                    floor = sim._now + idle
-                    if floor not in sim._buckets:
-                        # Fused park: skip the idle wait and record
-                        # where it would have fired; a send inside the
-                        # window arms an exact wake there (see ``send``).
-                        self._park_floor(floor)
-                        self._parked = True
-                        return
-                    # The floor instant already has a bucket: the
-                    # stepwise idle entry below joins it at no heap
-                    # cost, in its exact push-order position.
                 sim.call_after(idle, self._round_cb)
                 return
             if not queue:

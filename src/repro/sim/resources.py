@@ -55,8 +55,8 @@ class Resource:
         # Time-weighted busy accounting for utilization reports.
         self._busy_area = 0.0
         self._last_change = 0.0
-        # Pending busy-area split points (heap).  A fused delay chain
-        # (repro.sim.fusion) merges back-to-back charges into one event;
+        # Pending busy-area split points (heap).  ``CoreGroup.hold``
+        # (repro.hw.cpu) books back-to-back core jobs as one charge;
         # registering the stepwise chain's intermediate release/re-acquire
         # timestamps here keeps the _busy_area float summation split at
         # exactly the same points, so utilization stays byte-identical

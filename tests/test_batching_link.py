@@ -1,19 +1,17 @@
-"""A standalone :class:`~repro.sim.link.BatchingLink` under a seeded random
-send schedule, pinned on its own.
+"""A standalone :class:`~repro.sim.link.BatchingLink`, pinned on its own.
 
-The drain loop's schedule is exact only through its same-instant
-positions: a parked floor (the fused idle wait) must wake ahead of every
-later-pushed event at that instant, and a send inside, at or past the
-floor must reach the wire at the instant the stepwise loop would have
-used.  The cluster digests check this only indirectly; here three links
-(aggregation on with a tight ``max_batch_bytes`` cap, aggregation on with
-the default cap, aggregation off) share one simulator and a driver that
-reads each link's parked floor and aims sends and unrelated events
-before, exactly at, and after it.  The whole delivery trace, interleaved
-with the unrelated events, is digested in firing order.  A second driver
-aims at the instant each link's idle wait ends instead, read off the
-wire, so what it aims at does not depend on whether a round parked:
-its trace is the same whichever rounds park.
+The drain loop's rule: a round sends everything queued, then sleeps out
+the wire-clear wait as one queue entry; a send during that wait leaves
+in the next round, at the wait's end, and a send that finds the link
+parked goes out at once.  A scripted schedule checks the rule with exact
+delivery instants and ``events_scheduled``.  The cluster digests check
+it only indirectly, so a seeded random driver also runs three links
+(aggregation on with a tight ``max_batch_bytes`` cap, aggregation on
+with the default cap, aggregation off) on one simulator, aiming sends
+and unrelated events before, exactly at, and after the instant each
+busy link's idle wait ends, read off the wire.  The whole delivery
+trace, interleaved with the unrelated events, is digested in firing
+order.
 """
 
 from __future__ import annotations
@@ -66,15 +64,18 @@ class _Driver:
                       self.payload)
 
     def _tick(self, link):
-        # an unrelated event at a parked floor; half of them send on the
-        # parked link, which shows whether the wake fired ahead of them
+        # an unrelated event at the end of an idle wait; half of them
+        # send on the link, which shows whether the wait fired ahead of them
         self.trace.append((self.sim.now, "tick", link.name))
         if self.rng.random() < 0.5:
             self._send(link)
 
     def _targets(self, now):
-        """(link, instant) pairs to aim at: each parked link's floor."""
-        return [(ln, ln._floor) for ln in self.links if ln._floor > now]
+        """(link, instant) pairs to aim at: the instant each busy link's
+        idle wait ends, read off the wire (``link._busy_until``) with the
+        round's own float expression."""
+        return [(ln, now + (ln.link._busy_until - now)) for ln in self.links
+                if ln.link._busy_until > now]
 
     def _step(self, _ev):
         rng, sim = self.rng, self.sim
@@ -90,72 +91,31 @@ class _Driver:
         now = sim.now
         targets = self._targets(now)
         if targets and rng.random() < 0.75:
-            target, floor = rng.choice(targets)
+            target, end = rng.choice(targets)
             aim = rng.choice(("before", "at", "after", "tick_at"))
             self.aims[aim] += 1
             if aim == "tick_at":
-                # pushed before any send inside the window arms a wake
-                sim.call_at(floor, lambda _e, ln=target: self._tick(ln))
+                sim.call_at(end, lambda _e, ln=target: self._tick(ln))
                 aim = rng.choice(("before", "at"))
             if aim == "before":
-                when = now + (floor - now) * rng.random()
+                when = now + (end - now) * rng.random()
             elif aim == "after":
-                when = floor + rng.choice((1e-9, 0.05, 0.5))
+                when = end + rng.choice((1e-9, 0.05, 0.5))
             else:
-                when = floor
+                when = end
         else:
             when = now + rng.choice((0.0, 0.05, 0.4, 1.5, 6.0))
         sim.call_at(when, self._step)
 
 
-# seed -> (trace digest, packets sent per link, events scheduled).  The
-# driver aims at the parked floors, so its schedule follows the park
-# decision: a round parks only where its floor instant has no bucket yet.
-# Re-pinned when the queue became one entry per instant, which changed
-# which rounds park (an idle wait joining an existing bucket is free).
-PINS = {
-    1: ("7085df89fd1f9b13", (259, 257, 329), 1442),
-    2: ("050d6b54706d53e3", (275, 239, 300), 1396),
-    3: ("58954cb3987a482f", (266, 229, 281), 1342),
-}
-
-
-@pytest.mark.parametrize("queue", QUEUE_LEGS)
-@pytest.mark.parametrize("seed", sorted(PINS))
-def test_batching_link_trace_pinned(seed, queue):
-    """600 driver steps per seed, every aim taken at least once: the
-    delivery trace (instant, link, destination, payloads), the packet
-    counts and ``events_scheduled`` are a pure function of the seed, on
-    either leg of ``tests/queue_legs.py``."""
-    with queue_leg(queue):
-        sim = Simulator()
-        drv = _Driver(sim, seed, steps=600)
-        sim.run()
-    assert drv.payload == sum(len(t[3]) for t in drv.trace if len(t) == 4)
-    assert all(drv.aims.values()), drv.aims
-    got = hashlib.sha256(repr(drv.trace).encode()).hexdigest()[:16]
-    assert (got, tuple(ln.packets_sent for ln in drv.links),
-            sim.events_scheduled) == PINS[seed]
-
-
-class _WireDriver(_Driver):
-    """The same schedule aimed at the instant each busy link's idle wait
-    would end, read off the wire (``link._busy_until``) with the round's
-    own float expression, whether or not the round parked there.  What
-    it aims at does not depend on the park decision, so its trace pins
-    that a park and the idle wait it stands for deliver the same."""
-
-    def _targets(self, now):
-        return [(ln, now + (ln.link._busy_until - now)) for ln in self.links
-                if ln.link._busy_until > now]
-
-
-# seeds 1-40 of _WireDriver: (digest of every seed's trace and packet
-# counts, packets per link over all seeds, events scheduled over all
-# seeds).  The digest and packets were taken before the queue became one
-# entry per instant and held through it; the events went 60,043 -> 56,938.
+# seeds 1-40: (digest of every seed's trace and packet counts, packets
+# per link over all seeds, events scheduled over all seeds).  The digest
+# and packets were taken before the queue became one entry per instant
+# and have held since; the events went 60,043 -> 56,938 with the
+# one-entry-per-instant queue and 56,938 -> 60,394 when every idle wait
+# became its own queue entry (no fused park).
 WIRE_SEEDS = range(1, 41)
-WIRE_PIN = ("27a692832e3a010e", (10628, 10567, 12324), 56938)
+WIRE_PIN = ("27a692832e3a010e", (10628, 10567, 12324), 60394)
 
 
 @pytest.mark.parametrize("queue", QUEUE_LEGS)
@@ -166,7 +126,7 @@ def test_batching_link_wire_aimed_trace_pinned(queue):
     with queue_leg(queue):
         for seed in WIRE_SEEDS:
             sim = Simulator()
-            drv = _WireDriver(sim, seed, steps=600)
+            drv = _Driver(sim, seed, steps=600)
             sim.run()
             assert all(drv.aims.values()), (seed, drv.aims)
             sent = tuple(ln.packets_sent for ln in drv.links)
@@ -175,3 +135,44 @@ def test_batching_link_wire_aimed_trace_pinned(queue):
             events += sim.events_scheduled
     got = hashlib.sha256(repr(runs).encode()).hexdigest()[:16]
     assert (got, tuple(packets), events) == WIRE_PIN
+
+
+def test_idle_wait_is_one_entry_and_a_parked_send_goes_at_once():
+    """One link, 1,000 bytes per microsecond, 0.5 us per packet and
+    1 us of propagation, so every instant below is exact."""
+    sim = Simulator()
+    got = []
+    ln = BatchingLink(sim, bandwidth_gbps=8.0, overhead_us=0.5,
+                      propagation_us=1.0, name="l",
+                      deliver=lambda dest, payloads: got.append(
+                          (sim.now, dest, list(payloads))))
+    ln.send(0, 1000, "p1")
+    assert sim.events_scheduled == 1        # the first round, at now
+    sim.run(until=0.5)
+    # p1 is on the wire until 1.5 (delivered at 2.5); the round then
+    # sleeps out the wire-clear wait: one entry, at 1.5.
+    assert sim.events_scheduled == 3
+    assert ln.link._busy_until == 1.5 and not ln._parked
+    ln.send(1, 500, "p2")
+    sim.run(until=1.0)
+    ln.send(1, 500, "p3")
+    assert sim.events_scheduled == 3        # sends inside the wait push nothing
+    assert ln.packets_sent == 1
+    sim.run(until=1.5)
+    # The wait's entry ran the next round: p2 and p3 left at 1.5 as one
+    # packet (delivered at 4.0), and the next wait ends at 3.0.
+    assert ln.packets_sent == 2 and ln.link._busy_until == 3.0
+    assert sim.events_scheduled == 5
+    sim.run(until=5.0)
+    # That wait found the queue empty and parked, pushing nothing.
+    assert ln._parked and sim.events_scheduled == 5
+    ln.send(0, 1000, "p4")
+    # A send to a parked link goes out at once: on the wire until 6.5,
+    # delivered at 7.5, with one wait entry at 6.5.
+    assert not ln._parked and ln.packets_sent == 3
+    assert ln.link._busy_until == 6.5 and sim.events_scheduled == 7
+    sim.run()
+    assert got == [(2.5, 0, ["p1"]), (4.0, 1, ["p2", "p3"]),
+                   (7.5, 0, ["p4"])]
+    assert ln._parked and ln.payloads_sent == 4
+    assert sim.events_scheduled == 7

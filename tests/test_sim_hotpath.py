@@ -308,7 +308,7 @@ def _run_loop(sim, bodies):
 
 
 @pytest.mark.parametrize("loop, events, spawned", [
-    (_timeouts, 101, 1), (_resource, 51, 8), (_link, 101, 4), (_commit_path, 6591, 1),
+    (_timeouts, 101, 1), (_resource, 51, 8), (_link, 101, 4), (_commit_path, 7856, 1),
     (_baseline_commit_path, 5796, 1), (_rdma_read, 386, 4),
     (_rpc, 461, 4), (_core_execute, 51, 4),
     (functools.partial(_rdma_read, spec=NEVER_FIRES), 386, 4),
