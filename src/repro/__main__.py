@@ -11,7 +11,8 @@ Usage::
 Each command prints the same rows/series the paper reports, at the one
 configuration its function holds.  ``paper`` runs every one of them and
 writes the rows to ``BENCH_paper.json``; ``paper --check`` reruns them
-and names every row that differs from the committed file.
+and names every row that differs from the committed file, with one
+``path: before -> after`` line per value that moved.
 
 Each experiment command takes only ``--json``, which dumps its results
 to ``BENCH_<name>.json``.  ``paper --jobs N`` runs up to N rows at once
@@ -65,6 +66,7 @@ from .bench import (
     OpenLoopBench,
     SloSpec,
     cache_capacity_sweep,
+    diff_lines,
     displacement_limit_sweep,
     figure2_latency,
     figure3_batching,
@@ -435,15 +437,20 @@ def run_paper_command(args) -> int:
         committed = json.load(fh)["results"]
     differing = 0
     for name in list(COMMANDS) + [n for n in committed if n not in COMMANDS]:
+        changes = []
         if name not in committed:
             problem = "missing from"
         elif name not in rows:
             problem = "no command for its row in"
-        elif committed[name] != to_jsonable(rows[name]):
-            problem = "differs from"
         else:
-            continue
+            changes = diff_lines(committed[name], to_jsonable(rows[name]),
+                                 name)
+            if not changes:
+                continue
+            problem = "differs from"
         print("%s: %s %s" % (name, problem, PAPER_JSON))
+        for line in changes:
+            print("  " + line)
         differing += 1
     print("%d row(s) differ from %s" % (differing, PAPER_JSON))
     return 1 if differing else 0

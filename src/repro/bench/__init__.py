@@ -22,7 +22,8 @@ from .experiments import (
 )
 from .chaos import DEFAULT_CHAOS_FAULTS, ChaosResult, run_chaos
 from .parallel import fan_out
-from .report import format_table, print_curves, print_table, run_row
+from .report import (diff_lines, format_table, print_curves, print_table,
+                     run_row)
 from .runner import (Bench, RunResult, run_sweep, to_jsonable,
                      workload_by_name, write_results_json)
 from .slo import (OpenLoopBench, SloPoint, SloSpec, detect_knee,
@@ -53,6 +54,7 @@ __all__ = [
     "print_table",
     "print_curves",
     "run_row",
+    "diff_lines",
     "ChaosResult",
     "run_chaos",
     "DEFAULT_CHAOS_FAULTS",

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-__all__ = ["print_table", "print_curves", "format_table", "run_row"]
+__all__ = ["print_table", "print_curves", "format_table", "run_row",
+           "diff_lines"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -69,3 +72,31 @@ def run_row(fn: Callable[..., Any]) -> Tuple[str, Any]:
     with contextlib.redirect_stdout(out):
         rows = fn(verbose=True)
     return out.getvalue(), rows
+
+
+_NONE = object()
+
+
+def diff_lines(before: Any, after: Any, path: str = "",
+               depth: Optional[int] = None) -> List[str]:
+    """One ``path: before -> after`` line per value that differs between
+    two JSON documents, descending ``depth`` levels (``None``: all) into
+    objects and into lists of equal length; a key on one side only reads
+    ``(none)`` on the other."""
+    pairs = []
+    if depth != 0 and type(before) is type(after) is dict:
+        pairs = [("%s.%s" % (path, k) if path else k,
+                  before.get(k, _NONE), after.get(k, _NONE))
+                 for k in sorted(before.keys() | after.keys())]
+    elif (depth != 0 and type(before) is type(after) is list
+          and len(before) == len(after)):
+        pairs = [("%s[%d]" % (path, i), a, b)
+                 for i, (a, b) in enumerate(zip(before, after))]
+    elif before is _NONE or after is _NONE or before != after:
+        return ["%s: %s -> %s" % (path, _show(before), _show(after))]
+    sub = None if depth is None else depth - 1
+    return [line for p, a, b in pairs for line in diff_lines(a, b, p, sub)]
+
+
+def _show(value: Any) -> str:
+    return "(none)" if value is _NONE else json.dumps(value, sort_keys=True)

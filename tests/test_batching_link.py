@@ -24,6 +24,7 @@ import pytest
 from repro.sim.core import Simulator
 from repro.sim.link import BatchingLink
 
+from .pins import pinned
 from .queue_legs import QUEUE_LEGS, queue_leg
 
 
@@ -108,20 +109,15 @@ class _Driver:
         sim.call_at(when, self._step)
 
 
-# seeds 1-40: (digest of every seed's trace and packet counts, packets
-# per link over all seeds, events scheduled over all seeds).  The digest
-# and packets were taken before the queue became one entry per instant
-# and have held since; the events went 60,043 -> 56,938 with the
-# one-entry-per-instant queue and 56,938 -> 60,394 when every idle wait
-# became its own queue entry (no fused park).
 WIRE_SEEDS = range(1, 41)
-WIRE_PIN = ("27a692832e3a010e", (10628, 10567, 12324), 60394)
 
 
 @pytest.mark.parametrize("queue", QUEUE_LEGS)
 def test_batching_link_wire_aimed_trace_pinned(queue):
     """600 steps per seed over 40 seeds, aimed at the wire's idle
-    instants: the traces and packet counts, on either queue leg."""
+    instants, on either queue leg: the pin ``link.wire_aimed`` is (the
+    digest of every seed's trace and packet counts, packets per link
+    over all seeds, events scheduled over all seeds)."""
     runs, packets, events = [], [0, 0, 0], 0
     with queue_leg(queue):
         for seed in WIRE_SEEDS:
@@ -134,7 +130,7 @@ def test_batching_link_wire_aimed_trace_pinned(queue):
             packets = [a + b for a, b in zip(packets, sent)]
             events += sim.events_scheduled
     got = hashlib.sha256(repr(runs).encode()).hexdigest()[:16]
-    assert (got, tuple(packets), events) == WIRE_PIN
+    pinned("link.wire_aimed", (got, packets, events))
 
 
 def test_idle_wait_is_one_entry_and_a_parked_send_goes_at_once():

@@ -23,6 +23,8 @@ from repro.core import RecoveryManager, TxnSpec, XenicCluster, XenicConfig
 from repro.sim import RngStream, Simulator
 from repro.sim.faults import CrashEvent, FaultPlan, FaultSpec
 
+from .pins import pinned
+
 # ---------------------------------------------------------------------------
 # spec parsing
 # ---------------------------------------------------------------------------
@@ -90,48 +92,34 @@ def test_chaos_baseline_system_under_rdma_faults():
     assert result.trace.counts.get("rdma-fail", 0) > 0
 
 
-# (system, faults, seed) -> (fault-trace digest, commits, aborts,
-# final-values digest), 40 transactions each; digests cut to 16 hex
-# digits.  The baselines' RDMA retries and link stalls and Xenic's link
-# stalls are drawn inside the fused chains at the instants a process
-# would draw them; Xenic's NIC-core stalls are drawn when an inbound
-# dispatch takes its core, once per charge it holds.
-CHAOS_PINS = [
-    ("drtmh", "rdma=0.05,stall=0.02", 1,
-     ("8e20285d68e0f188", 40, 35, "7c732e0ef644481d")),
-    ("drtmh", "rdma=0.05,stall=0.02", 2,
-     ("6b070787fe24ae9b", 40, 19, "6a425b12e6b6684c")),
-    ("fasst", "rdma=0.05,stall=0.02", 1,
-     ("600609cb75f894f9", 40, 48, "7c732e0ef644481d")),
-    ("fasst", "rdma=0.05,stall=0.02", 2,
-     ("c8794a5d10876378", 40, 33, "6a425b12e6b6684c")),
-    ("drtmr", "rdma=0.05,stall=0.02", 1,
-     ("3cddbc4cf45f1027", 40, 50, "7c732e0ef644481d")),
-    ("drtmr", "rdma=0.05,stall=0.02", 2,
-     ("99f3a92096a6ca21", 40, 22, "6a425b12e6b6684c")),
-    ("xenic", "stall=0.05", 1,
-     ("9c8005d701e13cfd", 40, 12, "7c732e0ef644481d")),
-    ("xenic", "stall=0.05", 2,
-     ("0f5aa7aef25faf58", 40, 6, "6a425b12e6b6684c")),
-    ("xenic", "nic=0.2", 1,
-     ("2836b5c62f711c18", 40, 17, "7c732e0ef644481d")),
-    ("xenic", "nic=0.2", 2,
-     ("5da5b713e1c0314a", 40, 4, "6a425b12e6b6684c")),
-]
+# (system, faults, seed) of the pinned chaos runs, 40 transactions each.
+# The baselines' RDMA retries and link stalls and Xenic's link stalls are
+# drawn inside the fused chains at the instants a process would draw
+# them; Xenic's NIC-core stalls are drawn when an inbound dispatch takes
+# its core, once per charge it holds.
+CHAOS_RUNS = {"%s-%s-%d" % (system, faults.split("=")[0], seed):
+              (system, faults, seed)
+              for system, faults in (("drtmh", "rdma=0.05,stall=0.02"),
+                                     ("fasst", "rdma=0.05,stall=0.02"),
+                                     ("drtmr", "rdma=0.05,stall=0.02"),
+                                     ("xenic", "stall=0.05"),
+                                     ("xenic", "nic=0.2"))
+              for seed in (1, 2)}
 
 
-@pytest.mark.parametrize(
-    "system, faults, seed, pinned", CHAOS_PINS,
-    ids=["%s-%s-%d" % (row[0], row[1].split("=")[0], row[2])
-         for row in CHAOS_PINS])
-def test_chaos_outputs_pinned(system, faults, seed, pinned):
+@pytest.mark.parametrize("run", CHAOS_RUNS)
+def test_chaos_outputs_pinned(run):
     """Chaos runs under link, RDMA and NIC-core faults reproduce their
     pinned fault trace, counts and committed values exactly, with no
-    limbo and no violation."""
+    limbo and no violation: the pin ``chaos_faults.<run>`` is (fault-trace
+    digest, commits, aborts, final-values digest), digests cut to 16 hex
+    digits."""
+    system, faults, seed = CHAOS_RUNS[run]
     result = run_chaos(system=system, seed=seed, faults=faults)
     values = json.dumps(sorted(result.final_values.items()))
-    assert (result.trace.digest()[:16], result.commits, result.aborts,
-            hashlib.sha256(values.encode()).hexdigest()[:16]) == pinned
+    pinned("chaos_faults." + run,
+           (result.trace.digest()[:16], result.commits, result.aborts,
+            hashlib.sha256(values.encode()).hexdigest()[:16]))
     assert result.limbo == 0
     assert result.violations == []
 

@@ -18,7 +18,6 @@ from collections import deque
 import pytest
 
 from repro.bench import chaos
-from repro.bench.golden import canonical_digest
 from repro.bench.runner import Bench
 from repro.core import messages, protocol
 from repro.hw.network import NetMessage
@@ -27,12 +26,15 @@ from repro.sim.collector import QUIET_ALLOCATION_BUDGET
 from repro.sim.faults import FaultSpec
 from repro.workloads import Retwis, Smallbank
 
+from .golden import canonical_digest
+from .pins import pinned
 from .waits import waited
 
 
 def golden_bench(system="xenic", workload=None):
-    """The cluster of ``repro.bench.golden`` (the reduced fig8d point
-    ``FIG8D_DIGEST`` pins), or the same three nodes on ``workload``."""
+    """The cluster of ``tests/golden.py`` (the reduced fig8d point
+    ``golden.c16.digest`` pins), or the same three nodes on
+    ``workload``."""
     return Bench(system, workload or Smallbank(
         3, accounts_per_server=2000, hot_keys_fraction=0.25), n_nodes=3)
 
@@ -328,11 +330,6 @@ def test_steady_state_containers_do_not_grow():
 # (e) duplicate suppression drops exactly the duplicates
 # ---------------------------------------------------------------------------
 
-# Captured at the parent commit (full (src, wire_id) set), every leg.
-DUP_CHAOS_DIGEST = \
-    "e66b38280435d61b8bcf96bddff986691a2144aaaa72fa91e272fdda19d3720d"
-
-
 def test_dup_fault_plan_drops_exactly_the_injected_duplicates(monkeypatch):
     benches = []
 
@@ -360,7 +357,7 @@ def test_dup_fault_plan_drops_exactly_the_injected_duplicates(monkeypatch):
         "final_values": {str(k): v for k, v in
                          sorted(result.final_values.items())},
     }
-    assert canonical_digest(payload) == DUP_CHAOS_DIGEST
+    pinned("chaos_dup.digest", canonical_digest(payload))
 
 
 def test_sequence_dedupe_matches_a_full_set_under_reordering():

@@ -58,11 +58,14 @@ def test_paper_check_names_a_row_that_differs(tmp_path, monkeypatch, capsys):
     assert main(["paper", "--check"]) == 0
     capsys.readouterr()
 
+    ratio = ROWS["tab1"]["coremark_multi_ratio"]
     written["results"]["tab1"]["coremark_multi_ratio"] += 1.0
     (tmp_path / PAPER_JSON).write_text(json.dumps(written))
     assert main(["paper", "--check"]) == 1
     out = capsys.readouterr().out
     assert "tab1: differs from %s" % PAPER_JSON in out
+    assert "  tab1.coremark_multi_ratio: %r -> %r\n" % (ratio + 1.0,
+                                                        ratio) in out
 
     (tmp_path / PAPER_JSON).write_text(json.dumps(
         {"experiment": "paper", "results": {"fig2": ROWS["fig2"]}}))

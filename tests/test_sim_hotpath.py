@@ -18,6 +18,7 @@ from repro.sim.link import SerialLink
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStream
 
+from .pins import pinned
 from .waits import waited
 
 
@@ -268,7 +269,7 @@ def _host_cores(sim):
 
 
 # RDMA loops whose initiator carries a fault plan: one that never fires,
-# and one whose 100 verbs draw 36 retries over 25 failures (seed 1)
+# and one whose 100 verbs draw retries (seed 1)
 NEVER_FIRES = FaultSpec(rdma_fail=1e-300)
 RETRIED = FaultSpec(rdma_fail=0.3, rdma_retry_us=8.0)
 
@@ -307,18 +308,20 @@ def _run_loop(sim, bodies):
         sim.run_until_event(proc)
 
 
-@pytest.mark.parametrize("loop, events, spawned", [
-    (_timeouts, 101, 1), (_resource, 51, 8), (_link, 101, 4), (_commit_path, 7856, 1),
-    (_baseline_commit_path, 5796, 1), (_rdma_read, 386, 4),
-    (_rpc, 461, 4), (_core_execute, 51, 4),
-    (functools.partial(_rdma_read, spec=NEVER_FIRES), 386, 4),
-    (functools.partial(_rpc, spec=NEVER_FIRES), 461, 4),
-    (functools.partial(_rdma_read, spec=RETRIED), 532, 4),
-    (functools.partial(_rpc, spec=RETRIED), 635, 4)],
-    ids=["timeouts", "resource", "link", "commit_path",
-         "baseline_commit_path", "rdma_read", "rpc", "core_execute", "rdma_read_never_fires",
-         "rpc_never_fires", "rdma_read_retried", "rpc_retried"])
-def test_events_scheduled_per_op_is_exact(loop, events, spawned):
+PER_OP_LOOPS = {
+    "timeouts": _timeouts, "resource": _resource, "link": _link,
+    "commit_path": _commit_path,
+    "baseline_commit_path": _baseline_commit_path,
+    "rdma_read": _rdma_read, "rpc": _rpc, "core_execute": _core_execute,
+    "rdma_read_never_fires": functools.partial(_rdma_read, spec=NEVER_FIRES),
+    "rpc_never_fires": functools.partial(_rpc, spec=NEVER_FIRES),
+    "rdma_read_retried": functools.partial(_rdma_read, spec=RETRIED),
+    "rpc_retried": functools.partial(_rpc, spec=RETRIED),
+}
+
+
+@pytest.mark.parametrize("op", PER_OP_LOOPS)
+def test_events_scheduled_per_op_is_exact(op):
     """``events_scheduled`` (instants queued: one per bucket opened) is
     a pure function of the code: a de-fused site or a reintroduced spawn
     moves the count of the primitive that caused it, with no wall time
@@ -328,24 +331,20 @@ def test_events_scheduled_per_op_is_exact(loop, events, spawned):
     chains, so those loops spawn only their drivers — under a fault plan
     too, where a plan that never fires
     gives the bare counts and each retry is a timeout in the verb's own
-    chain."""
+    chain.  The pin ``per_op.<op>`` is (events, processes)."""
     sim = Simulator()
-    _run_loop(sim, loop(sim))
-    assert sim.events_scheduled == events
-    assert sim.processes_spawned == spawned
+    _run_loop(sim, PER_OP_LOOPS[op](sim))
+    pinned("per_op." + op, (sim.events_scheduled, sim.processes_spawned))
 
 
-@pytest.mark.parametrize("rpc, end", [(False, 222.9146666666665),
-                                      (True, 243.05298550724615)],
-                         ids=["rdma_read", "rpc"])
-def test_rdma_retries_land_at_exact_instants(rpc, end):
-    """The retried loops above: 25 traced failures drawn at TX-done,
-    36 retries counted on the initiator, and the last verb lands at an
-    exact instant — each retry waits ``rdma_retry_us`` in front of the
-    wire."""
+@pytest.mark.parametrize("op", ["rdma_read", "rpc"])
+def test_rdma_retries_land_at_exact_instants(op):
+    """The retried loops above: the last verb lands at an exact instant
+    — each retry waits ``rdma_retry_us`` in front of the wire.  The pin
+    ``retried.<op>`` is (that instant, retries counted on the initiator,
+    traced failures drawn at TX-done)."""
     sim = Simulator()
-    nic, bodies = _verbs(sim, rpc, RETRIED)
+    nic, bodies = _verbs(sim, op == "rpc", RETRIED)
     _run_loop(sim, bodies)
-    assert sim.now == end
-    assert nic.retries == 36
-    assert len(nic.injector.trace) == 25
+    pinned("retried." + op,
+           (sim.now, nic.retries, len(nic.injector.trace)))

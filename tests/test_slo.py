@@ -4,12 +4,14 @@ import dataclasses
 
 import pytest
 
-from repro.bench.golden import canonical_digest
 from repro.bench.runner import Bench, to_jsonable
 from repro.bench.slo import (OpenLoopBench, SloPoint, SloSpec, detect_knee,
                              format_slo_report, run_slo_point,
                              run_slo_points, slo_report)
 from repro.workloads import Smallbank
+
+from .golden import canonical_digest
+from .pins import pinned
 
 
 def spec(**kw):
@@ -166,14 +168,11 @@ def test_attrib_cli_smoke(capsys):
     assert "max per-txn residual" in text
 
 
-# Pinned open-loop output: two Xenic Poisson loads (the second drives
-# aborts), one bursty point and one DrTM+H point, with each point's
-# abort extras, abort reasons and count of attributed queue waits.
-# Captured before OpenLoopBench moved onto Bench.window.
-SLO_DIGEST = "0726bd7760772235d54a0dd8248744b23540d94c078e506a592699147a1401ac"
-
-
 def slo_digest():
+    """Digest of the pinned open-loop output: two Xenic Poisson loads
+    (the second drives aborts), one bursty point and one DrTM+H point,
+    with each point's abort extras, abort reasons and count of
+    attributed queue waits."""
     runs = []
     for s, load in ((spec(), 200000.0), (spec(), 1200000.0),
                     (spec(arrival="bursty"), 300000.0),
@@ -188,4 +187,4 @@ def slo_digest():
 
 
 def test_slo_digest_pinned():
-    assert slo_digest() == SLO_DIGEST
+    pinned("slo.digest", slo_digest())
