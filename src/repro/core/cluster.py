@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..hw.network import Fabric
 from ..sim.collector import collector_quiet
 from ..sim.core import Simulator
-from ..store import group_by_shard, load_replicas
+from ..store import VersionedObject, group_by_shard, load_replicas
 from .config import XenicConfig
 from .node import XenicNode
 from .protocol import XenicProtocol
@@ -32,12 +33,19 @@ class ShardedCluster:
         with collector_quiet:
             by_shard = group_by_shard(items, self.partition, self.value_size)
             for shard, objs in by_shard.items():
-                load_replicas(
-                    self.nodes[shard].tables[shard],
-                    [self.nodes[n].tables[shard]
-                     for n in self.backups_of(shard)],
-                    objs,
-                )
+                self.load_shard(shard, objs)
+
+    def load_shard(self, shard: int, objs: Sequence[VersionedObject]) -> None:
+        """Install fresh objects, in order, on ``shard``'s primary and
+        every backup replica; each must be a key ``partition`` maps to
+        ``shard``.  For a workload that lays out each shard's keys itself
+        and so needs no per-key ``partition`` call or grouping pass."""
+        with collector_quiet:
+            load_replicas(
+                self.nodes[shard].tables[shard],
+                [self.nodes[n].tables[shard] for n in self.backups_of(shard)],
+                objs,
+            )
 
 
 class XenicCluster(ShardedCluster):
@@ -126,14 +134,7 @@ class XenicCluster(ShardedCluster):
         with collector_quiet:
             for shard in range(self.n_nodes):
                 node = self.primary_of(shard)
-                index = node.index_for(shard)
-                budget = index.cache_capacity - index.cache_size
-                for obj in node.tables[shard].objects():
-                    if budget <= 0:
-                        break
-                    if not index.cache_contains(obj.key):
-                        index.install_cache(obj.key, obj.value)
-                        budget -= 1
+                node.index_for(shard).prewarm(node.tables[shard].objects())
 
     # -- verification helpers ------------------------------------------------
 

@@ -20,9 +20,10 @@ NIC-resident metadata for the host-side Robinhood table:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from .object import Participant
+from .object import Participant, VersionedObject
 from .robinhood import RobinhoodTable
 
 __all__ = ["NicIndex", "TxnMeta", "DmaLookupCost"]
@@ -219,6 +220,17 @@ class NicIndex(Participant):
         cache[key] = value
         if pin:
             self._pins[key] = self._pins.get(key, 0) + 1
+
+    def prewarm(self, objs: Iterable[VersionedObject]) -> None:
+        """Fill the cache's free room with the first uncached ``objs``, in
+        order, in one insert: the entries, order and counters a per-key
+        :meth:`install_cache` of each would leave, since that evicts
+        nothing while there is room."""
+        cache = self._cache
+        room = self.cache_capacity - len(cache)
+        if room > 0:
+            cache.update(islice(((obj.key, obj.value) for obj in objs
+                                 if obj.key not in cache), room))
 
     def pin(self, key: int) -> None:
         if key not in self._cache:

@@ -228,9 +228,11 @@ class RobinhoodTable(ObjectTable):
 
         Nothing can probe the table between two inserts of a batch, so
         moves are written in probe order, the common free-home-slot case
-        skips the chain walk, and the per-segment displacement cache is
-        invalidated once at the end.  On an error the objects before the
-        offending one stay inserted, as they would in a loop.
+        skips the chain walk, and every segment's displacement cache is
+        invalidated once at the end (a load touches nearly all of them;
+        an untouched one recomputes to the value it had).  On an error
+        the objects before the offending one stay inserted, as they
+        would in a loop.
         """
         slots = self._slots
         homes = self._homes
@@ -240,8 +242,6 @@ class RobinhoodTable(ObjectTable):
         salt = self.hash_salt
         seg_size = self.segment_size
         plan = self._plan_insert
-        dirty = set()
-        mark = dirty.add
         try:
             for obj in objs:
                 key = obj.key
@@ -252,23 +252,18 @@ class RobinhoodTable(ObjectTable):
                     home = homes[key] = mix64(key ^ salt) % cap
                 if slots[home] is None:
                     slots[home] = key
-                    mark(home // seg_size)
                 else:
                     chain, overflowed = plan(key, home)
                     if overflowed is not None:
                         over_key, over_home = overflowed
                         overflow.setdefault(over_home // seg_size,
                                             []).append(over_key)
-                        mark(over_home // seg_size)
-                    for slot, k, k_home in chain:
+                    for slot, k, _ in chain:
                         slots[slot] = k
-                        mark(k_home // seg_size)
                 objects[key] = obj
         finally:
             self.size = len(objects)
-            seg_max_disp = self._seg_max_disp
-            for seg in dirty:
-                seg_max_disp[seg] = None
+            self._seg_max_disp = [None] * self.n_segments
 
     def is_blank(self) -> bool:
         """True while the table is as constructed: no key, and therefore

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from ..core.txn import TxnSpec
 from ..sim.rng import HotspotGenerator, RngStream
+from ..store import VersionedObject
 from .base import Workload, make_key
 
 __all__ = ["Smallbank"]
@@ -67,12 +68,15 @@ class Smallbank(Workload):
         return self.accounts_per_server * 2
 
     def load(self, cluster) -> None:
-        def accounts():
-            for customer in range(self.total_accounts):
-                yield self.checking_key(customer), INITIAL_BALANCE, VALUE_SIZE
-                yield self.savings_key(customer), INITIAL_BALANCE, VALUE_SIZE
-
-        cluster.load_keys(accounts())
+        # Shard s holds customers s, s + n, ..., each checking then
+        # savings: local indices 0, 1, 2, ... in customer order, so each
+        # shard's objects are built in place, in the order a per-customer
+        # walk would insert them.
+        for shard in range(self.n_nodes):
+            first = make_key(shard, 0)
+            cluster.load_shard(shard, [
+                VersionedObject(key, INITIAL_BALANCE, VALUE_SIZE)
+                for key in range(first, first + self.keys_per_shard())])
 
     def _customer(self, rng: RngStream) -> int:
         picker = self._pickers.get(rng.name)

@@ -11,6 +11,7 @@ logic) is a modeling change, not a speedup, and fails there.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Any, Dict, List, Optional
@@ -51,6 +52,15 @@ def fig8d_run(concurrency: int, obs: bool = False,
     payload["total_commits"] = bench.total_commits()
     payload["total_aborts"] = bench.total_aborts()
     return bench, payload
+
+
+@functools.lru_cache(maxsize=None)
+def golden_point(concurrency: int, obs: bool = False):
+    """:func:`fig8d_run` built once per session, for the tests that only
+    read the run (its payload, its observer's log, its cluster).  A test
+    that counts calls while the run is built, or runs it under a fault
+    plan or a queue leg, builds its own."""
+    return fig8d_run(concurrency, obs)
 
 
 def baseline_payload(system: str, obs: bool = False,

@@ -1,5 +1,9 @@
 """Tests for the benchmark harness and the microbenchmark experiments."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench import Bench, run_sweep
@@ -198,3 +202,33 @@ def test_bench_hardware_override_applies_to_both_system_kinds():
     assert b1.cluster.nodes[0].nic.port.params.bandwidth_gbps == 50.0
     b2 = Bench("drtmh", small_smallbank(), n_nodes=3, hardware=hw)
     assert b2.cluster.nodes[0].rdma.params.bandwidth_gbps == 50.0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Imports every module of the package and of the benchmark suite, then
+# builds and runs a small bench, in a fresh interpreter.
+NO_NUMPY_RUN = """
+import importlib, pkgutil, sys
+sys.path[:0] = [%r, %r]
+import repro
+for mod in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(mod.name)
+for name in ("run", "harness", "spec", "layers", "audit", "counters"):
+    importlib.import_module(name)
+from repro.bench import Bench
+from repro.workloads import Smallbank
+bench = Bench("xenic", Smallbank(3, accounts_per_server=200), n_nodes=3)
+assert bench.measure(4, warmup_us=20.0, window_us=60.0).commits > 0
+print("numpy" in sys.modules)
+""" % (str(ROOT / "src"), str(ROOT / "benchmarks" / "suite"))
+
+
+def test_a_run_imports_no_numpy():
+    """numpy is a test dependency only (one test's oracle): no module of
+    the package or of the benchmark suite imports it, so a run does not
+    pay its import time or its memory."""
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]

@@ -14,8 +14,10 @@ from repro.baselines import SYSTEMS, BaselineCluster
 from repro.bench.runner import Bench
 from repro.core import XenicCluster, XenicConfig
 from repro.sim import Simulator
-from repro.store import ChainedTable, LogRecord, RobinhoodTable, VersionedObject
+from repro.store import (ChainedTable, LogRecord, NicIndex, RobinhoodTable,
+                         VersionedObject)
 from repro.workloads import Smallbank
+from repro.workloads.smallbank import INITIAL_BALANCE, VALUE_SIZE
 
 from .robinhood_reference import check_invariants
 
@@ -242,6 +244,106 @@ def test_each_loaded_object_is_held_once(system):
     held = {id(obj) for node in bench.cluster.nodes
             for table in node.tables.values() for obj in table.objects()}
     assert live() - base == len(held) < 18000
+
+
+def customer_order(workload):
+    """Smallbank's accounts as a per-customer walk, checking then
+    savings, for ``load_keys`` to group by shard."""
+    for customer in range(workload.total_accounts):
+        yield workload.checking_key(customer), INITIAL_BALANCE, VALUE_SIZE
+        yield workload.savings_key(customer), INITIAL_BALANCE, VALUE_SIZE
+
+
+def smallbank_cluster(kind, workload):
+    size = dict(keys_per_shard=workload.keys_per_shard(),
+                value_size=workload.value_size, partition=workload.partition)
+    if kind == "xenic":
+        return XenicCluster(Simulator(), workload.n_nodes, **size)
+    return BaselineCluster(Simulator(), workload.n_nodes, SYSTEMS["drtmh"],
+                           host_threads=2, **size)
+
+
+def shared_flags(cluster):
+    return {(node.node_id, shard): [o.shared for o in table.objects()]
+            for node in cluster.nodes for shard, table in node.tables.items()}
+
+
+@pytest.mark.parametrize("kind", ["xenic", "drtmh"])
+@pytest.mark.parametrize("n_nodes", [1, 3, 32])
+def test_smallbank_load_by_shard_equals_customer_order(kind, n_nodes):
+    """``Smallbank.load`` builds each shard's objects in place and hands
+    them to ``load_shard``; the tables must be the ones ``load_keys``
+    builds from a walk over the customers: same slots, overflow, object
+    order and sharing, and after a prewarm the same NIC caches."""
+    workload = Smallbank(n_nodes, accounts_per_server=150)
+    by_shard = smallbank_cluster(kind, workload)
+    workload.load(by_shard)
+    walked = smallbank_cluster(kind, workload)
+    walked.load_keys(customer_order(workload))
+    assert cluster_state(by_shard) == cluster_state(walked)
+    assert shared_flags(by_shard) == shared_flags(walked)
+    assert sum(table.size for node in by_shard.nodes
+               for table in node.tables.values()) == \
+        2 * workload.total_accounts * min(3, n_nodes)
+    if kind == "xenic":
+        by_shard.prewarm_nic_caches()
+        walked.prewarm_nic_caches()
+        caches = [[list(node.index_for(s)._cache.items())
+                   for s, node in enumerate(c.nodes)]
+                  for c in (by_shard, walked)]
+        assert caches[0] == caches[1]
+        assert all(caches[0])
+
+
+def install_one_by_one(index, objs):
+    """The NIC-cache prewarm as a per-key loop: install each uncached
+    object until the cache's free room is used up."""
+    budget = index.cache_capacity - index.cache_size
+    for obj in objs:
+        if budget <= 0:
+            break
+        if not index.cache_contains(obj.key):
+            index.install_cache(obj.key, obj.value)
+            budget -= 1
+
+
+def cache_state(index):
+    return (list(index._cache.items()), dict(index._pins), index.evictions,
+            index.pins_blocked_eviction)
+
+
+@pytest.mark.parametrize("prefill", ["blank", "partly", "pinned_full"])
+@pytest.mark.parametrize("capacity", [10, 40, 41, 100])
+def test_bulk_prewarm_equals_per_key_installs(capacity, prefill):
+    """``NicIndex.prewarm`` fills the free room in one insert: the same
+    entries in the same order, and the same eviction counters, as
+    installing each object in turn, below, at and above the key count
+    and on a cache that already holds entries (some pinned, some of the
+    table's keys, some over capacity)."""
+    states = []
+    for warm in (NicIndex.prewarm, install_one_by_one):
+        table = RobinhoodTable(64, dm=8, segment_size=8)
+        table.insert_many(VersionedObject(k, ("v", k)) for k in range(41))
+        index = NicIndex(table, cache_capacity=capacity)
+        if prefill == "partly":
+            index.install_cache(7, "old")
+            index.apply_commit(3, "pinned")
+            index.install_cache(1000, "not in the table")
+        elif prefill == "pinned_full":
+            for k in range(capacity + 2):
+                index.apply_commit(k, "pinned")
+        warm(index, table.objects())
+        first = cache_state(index)
+        warm(index, table.objects())  # again, on the cache it filled
+        states.append((first, cache_state(index)))
+    assert states[0] == states[1]
+    cached = len(states[0][0][0])
+    if prefill == "blank":
+        assert cached == min(capacity, 41)
+    elif prefill == "partly":
+        assert cached == min(capacity, 42)
+    else:
+        assert cached == capacity + 2
 
 
 @pytest.mark.parametrize("make", [

@@ -12,16 +12,16 @@ Observer neutrality rides on the same pins: the ``--obs`` variants must
 produce the *same* digest as the bare runs.
 """
 
-from .golden import canonical_digest, chaos_payload, fig8d_run
+from .golden import canonical_digest, chaos_payload, golden_point
 from .pins import pinned
 
 
 def test_fig8d_point_digest_pinned():
-    pinned("golden.c16.digest", canonical_digest(fig8d_run(16)[1]))
+    pinned("golden.c16.digest", canonical_digest(golden_point(16)[1]))
 
 
 def test_fig8d_point_digest_observer_neutral():
-    pinned("golden.c16.digest", canonical_digest(fig8d_run(16, obs=True)[1]))
+    pinned("golden.c16.digest", canonical_digest(golden_point(16, obs=True)[1]))
 
 
 def test_chaos_seed_digest_pinned():

@@ -24,7 +24,7 @@ from repro.obs import (
 from repro.sim import Simulator
 from repro.workloads import Smallbank
 
-from .golden import canonical_digest, fig8d_run
+from .golden import canonical_digest, golden_point
 from .pins import pinned, pinned_floor
 
 
@@ -275,7 +275,7 @@ def test_fused_forms_emit_the_stepwise_spans_on_the_golden_cluster():
     fewer, and up to 0.1 % more — a hold or a lazy charge logs its jobs
     when it is taken, so the ones still in flight when the run stops are
     in the log too."""
-    bench, _payload = fig8d_run(16, obs=True)
+    bench, _payload = golden_point(16, obs=True)
     log = bench.observer.log
     assert log.dropped == 0
     count = Counter("%s.%s" % (e.cat, e.name) for e in log)
@@ -308,7 +308,7 @@ def test_golden_cluster_spans_pinned():
     pin ``golden.c16.spans`` is how many, and the canonical digest of the
     rows.  A site may change the form it runs in, never what it logs or
     at which instants."""
-    bench, _payload = fig8d_run(16, obs=True)
+    bench, _payload = golden_point(16, obs=True)
     log = bench.observer.log
     assert log.dropped == 0
     rows = sorted(([e.ts, e.node, e.cat, e.name, e.track, e.dur, e.txn_id,
