@@ -92,6 +92,7 @@ from .bench import (
     workload_by_name,
     write_results_json,
 )
+from .bench.slo import offered_loads
 from .obs import (attribute_bench, diff_metrics, format_metrics_diff,
                   print_metrics_summary, write_chrome_trace,
                   write_metrics_json)
@@ -145,6 +146,23 @@ def _fault_spec(text: str):
         return FaultSpec.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("%r: %s" % (text, exc))
+
+
+def _loads(text: str):
+    """``--loads`` converter: comma-separated offered loads, one or more,
+    each > 0; anything else is a usage error."""
+    try:
+        return offered_loads(x for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("%r: %s" % (text, exc))
+
+
+def _seeds(text: str) -> int:
+    """``--seeds`` converter: a count of one or more."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("%r: must be at least 1" % text)
+    return n
 
 
 def _add_fault_args(p: argparse.ArgumentParser, default=None) -> None:
@@ -202,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_CHAOS_FAULTS, metavar="SPEC",
                        help="fault spec to inject ('none' for an empty "
                             "plan; default: %(default)s)")
-    chaos.add_argument("--seeds", type=int, default=5,
+    chaos.add_argument("--seeds", type=_seeds, default=5,
                        help="number of consecutive seeds to run")
     chaos.add_argument("--seed", type=int, default=1,
                        help="first seed")
@@ -261,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--system", default="xenic",
                      help="xenic | drtmh | drtmh_nc | fasst | drtmr")
     slo.add_argument("--nodes", type=int, default=3, help="cluster size")
-    slo.add_argument("--loads", default="50000,100000,200000,400000,800000",
+    slo.add_argument("--loads", type=_loads,
+                     default="50000,100000,200000,400000,800000",
                      metavar="R1,R2,...",
                      help="offered loads, txn/s per node "
                           "(default: %(default)s)")
@@ -362,10 +381,9 @@ def run_attrib_command(args) -> int:
 
 
 def run_slo_command(args) -> int:
-    loads = tuple(float(x) for x in args.loads.split(",") if x.strip())
     spec = SloSpec(
         system=args.system, workload=args.workload,
-        loads_per_node_s=loads, arrival=args.arrival,
+        loads_per_node_s=args.loads, arrival=args.arrival,
         burst_factor=args.burst_factor,
         burst_fraction=args.burst_fraction,
         max_inflight=args.max_inflight, n_nodes=args.nodes,
@@ -384,7 +402,7 @@ def run_slo_command(args) -> int:
         # the breakdown as the client_queue phase.
         load = report["knee_offered_per_node_s"]
         if load is None:
-            load = min(loads)
+            load = min(args.loads)
         print("\nattributing offered load %.0f txn/s/node ..." % load)
         bench = OpenLoopBench(spec, load, obs=True)
         bench.measure()

@@ -118,9 +118,6 @@ class BaselineCluster(ShardedCluster):
     def shard_of(self, key: int) -> int:
         return self.partition(key)
 
-    def primary_node_id(self, shard: int) -> int:
-        return shard
-
     def backups_of(self, shard: int) -> List[int]:
         return self.nodes[shard].backups_of(shard)
 

@@ -80,9 +80,6 @@ class Increments(Workload):
         keys = tuple(sorted(rng.sample(range(KEYS), n_keys)))
         return keys, rng.randint(1, 9)
 
-    def next_spec(self, rng: RngStream, node_id: int) -> TxnSpec:
-        return increment(*self.draw(rng))
-
 
 @dataclass
 class ChaosResult:

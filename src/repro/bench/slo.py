@@ -37,6 +37,15 @@ __all__ = ["SloSpec", "SloPoint", "OpenLoopBench", "run_slo_point",
 ARRIVALS = ("poisson", "bursty")
 
 
+def offered_loads(values) -> Tuple[float, ...]:
+    """``values`` as a sweep's offered loads: one or more, each > 0."""
+    loads = tuple(float(x) for x in values)
+    if not loads or min(loads) <= 0:
+        raise ValueError("offered loads must be one or more values > 0, "
+                         "got %r" % (loads,))
+    return loads
+
+
 @dataclass(frozen=True)
 class SloSpec:
     """One SLO sweep: everything needed to run each offered-load point,
@@ -61,7 +70,7 @@ class SloSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "loads_per_node_s",
-                           tuple(float(x) for x in self.loads_per_node_s))
+                           offered_loads(self.loads_per_node_s))
         if self.arrival not in ARRIVALS:
             raise ValueError("arrival must be one of %s" % (ARRIVALS,))
         if self.burst_factor * self.burst_fraction >= 1.0:
@@ -99,18 +108,8 @@ class SloPoint:
         against the *measured* arrival rate, not the nominal target, so
         Poisson sampling noise in short windows doesn't read as load
         shedding."""
-        ref = self.arrived_per_node_s or self.offered_per_node_s
-        if ref <= 0:
-            return 1.0
-        return self.achieved_per_node_s / ref
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return ("%s/%s %s offered=%.0f/s/node achieved=%.0f "
-                "p50=%.1fus p99=%.1fus p999=%.1fus queue_p99=%.1fus"
-                % (self.system, self.workload, self.arrival,
-                   self.offered_per_node_s, self.achieved_per_node_s,
-                   self.p50_us, self.p99_us, self.p999_us,
-                   self.queue_p99_us))
+        return self.achieved_per_node_s / (self.arrived_per_node_s
+                                           or self.offered_per_node_s)
 
 
 class OpenLoopBench:

@@ -90,11 +90,6 @@ class Request:
         self.reply_to = reply_to
         self.value_bytes = value_bytes
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return ("Request(%s, txn=%d, shard=%d, r=%r, w=%r)"
-                % (self.kind, self.txn_id, self.shard, self.read_keys,
-                   list(self.write_values) or self.write_keys))
-
 
 class Response:
     __slots__ = ("kind", "txn_id", "shard", "ok", "read_values",
@@ -121,11 +116,6 @@ class Response:
         self.write_values = (_EMPTY_DICT if write_values is None
                              else write_values)
         self.reason = reason
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return ("Response(%s, txn=%d, shard=%d, ok=%r%s)"
-                % (self.kind, self.txn_id, self.shard, self.ok,
-                   ", reason=%r" % self.reason if self.reason else ""))
 
 
 def request_size(req: Request, value_size: int) -> int:

@@ -597,7 +597,8 @@ class _ExecShip(_Handler):
 
 class _Replicate(_Handler):
     """Send LOG records for one shard's write set to all its backups;
-    replies whether every backup acknowledged the durable append.
+    replies once every backup acknowledged the durable append (an append
+    waits out a full log rather than fail).
 
     Every backup gets the same LOG request, which shares (does not copy)
     ``writes``/``versions``: a LOG handler reads its request and never
@@ -629,8 +630,8 @@ class _Replicate(_Handler):
                 p._send_request(backup, req, gather.slot())
         self._gather(gather)
 
-    def _gathered(self, responses) -> None:
-        self.then(all(r.ok for r in responses))
+    def _gathered(self, _responses) -> None:
+        self.then(None)
 
 
 # -- coordinator side: the two PCIe entries ------------------------------------
@@ -674,13 +675,8 @@ class _LocalCommit(_Handler):
         versions = {k: index.read_version(k) for k in writes}
         _Replicate(p, txn, shard, writes, versions, self._replicated)._body()
 
-    def _replicated(self, ok: bool) -> None:
+    def _replicated(self, _arg: None) -> None:
         p, txn = self.p, self.txn
-        if not ok:
-            p.node.index.unlock_all(txn.write_values, txn.txn_id)
-            p._notify_host(txn, False, "log-failed")
-            self._reply(None)
-            return
         p._notify_host(txn, True, None)
         _Commit(p, _commit_request(txn, p.node.node_id, txn.write_values),
                 self._reply)._body()
@@ -955,9 +951,9 @@ class _Coordination(_Handler):
                        gather.slot())._body()
         gather.wait(self._logged)
 
-    def _logged(self, oks) -> None:
+    def _logged(self, _acks) -> None:
         self._phase_span("phase_log")
-        self._decide(all(oks), "log-failed")
+        self._decide(True, None)
 
     # -- the decision: COMMIT at every primary, or the abort cleanup --------
 
@@ -1108,21 +1104,10 @@ class _Multihop(_Handler):
         p.runtime.pending.set_count(("mh_log", txn.txn_id), sum(
             len(p.cluster.backups_of(s)) for s in writes_by_shard))
 
-    def _acked(self, acks) -> None:
+    def _acked(self, _acks) -> None:
         p, txn = self.p, self.txn
         if p.obs is not None:
             self._attrib("wire", self.t0)
-        if not all(a.ok for a in acks):
-            # a backup failed the append: release and retry
-            self.index.unlock_all(self.local_keys, txn.txn_id)
-            # awaited so a delayed release can't outlive this attempt and
-            # steal the lock from the retry (same txn_id re-locks)
-            rkeys, wkeys = self.by_shard[self.remote]
-            self.t0 = p.sim._now
-            p._send_request(self.remote_primary, Request(
-                UNLOCK, txn.txn_id, self.remote, txn.coord_node,
-                write_keys=rkeys + wkeys), self._unlocked)
-            return
         p._notify_host(txn, True, None)
         # commit the local shard writes, release local read locks
         local_writes = self.writes_by_shard.get(self.local)
@@ -1131,13 +1116,6 @@ class _Multihop(_Handler):
                     self._committed_local)._body()
         else:
             self._committed_local(None)
-
-    def _unlocked(self, _resp: Response) -> None:
-        p = self.p
-        if p.obs is not None:
-            self._attrib("wire", self.t0)
-        p._notify_host(self.txn, False, "multihop-log-failed")
-        self._reply(None)
 
     def _committed_local(self, _result) -> None:
         p, txn = self.p, self.txn

@@ -162,9 +162,6 @@ class NicRuntime:
     def dma_read(self, nbytes: int, then: Callable[[Any], None]) -> None:
         self.dma(nbytes, True, then)
 
-    def dma_write(self, nbytes: int, then: Callable[[Any], None]) -> None:
-        self.dma(nbytes, False, then)
-
     def dma_log_append(self, nbytes: int,
                        then: Callable[[Any], None]) -> None:
         """Append bytes to the host-memory log region; ``then(None)`` once

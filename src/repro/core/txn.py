@@ -88,9 +88,6 @@ class NeedMoreKeys:
         self.read_keys = list(read_keys)
         self.write_keys = list(write_keys)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<NeedMoreKeys r=%r w=%r>" % (self.read_keys, self.write_keys)
-
 
 class TxnSpec:
     """What the workload asks for: keys, logic, and shipping hints.
@@ -160,10 +157,6 @@ class TxnSpec:
             keys = self._all_keys = list(seen)
         return keys
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return ("TxnSpec(%s, r=%r, w=%r)"
-                % (self.label, self.read_keys, self.write_keys))
-
 
 class Transaction:
     """In-flight transaction state (slotted: one per in-flight txn on the
@@ -198,10 +191,6 @@ class Transaction:
         self.started_at = 0.0
         self.committed_at = 0.0
         self.abort_reason: Optional[str] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return ("Transaction(txn=%d, coord=%d, %s)"
-                % (self.txn_id, self.coord_node, self.status.value))
 
     @property
     def read_only(self) -> bool:

@@ -70,9 +70,6 @@ class CoreGroup:
         self._obs_free = list(range(self.cores))
         self._obs_held = []
 
-    def detach_obs(self) -> None:
-        self.obs_sink = None
-
     def _take_lane(self) -> Optional[int]:
         free, held = self._obs_free, self._obs_held
         now = self.sim._now
@@ -203,9 +200,6 @@ class CoreGroup:
 
     def utilization(self, since: float = 0.0) -> float:
         return self.pool.utilization(since)
-
-    def reset_utilization(self) -> None:
-        self.pool.reset_utilization()
 
 
 def _ignore(_value: Any) -> None:

@@ -69,9 +69,6 @@ class DmaEngine:
         self.obs_sink = sink
         self._obs_node = node
 
-    def detach_obs(self) -> None:
-        self.obs_sink = None
-
     def busy_queues(self) -> int:
         """Queues with descriptor work still outstanding (gauge source)."""
         now = self.sim.now

@@ -60,10 +60,6 @@ class EthernetPort:
         self.bytes_sent = 0
         self.packets_received = 0
 
-    @property
-    def aggregation(self) -> bool:
-        return self._link.aggregation
-
     def send(self, msg: NetMessage) -> None:
         """Queue a message for transmission; delivery is asynchronous."""
         if msg.dst == self.node_id:
@@ -102,10 +98,6 @@ class EthernetPort:
     @property
     def packets_sent(self) -> int:
         return self._link.packets_sent
-
-    @property
-    def mean_batch(self) -> float:
-        return self._link.mean_batch
 
     def utilization(self, since: float = 0.0) -> float:
         return self._link.link.utilization(since)

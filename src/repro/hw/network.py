@@ -38,9 +38,6 @@ class NetMessage:
         # PSNs.  None disables dedup (e.g. raw messages in unit tests).
         self.wire_id = wire_id
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<NetMessage %s %d->%d %dB>" % (self.kind, self.src, self.dst, self.size)
-
 
 class Fabric:
     """Registry of node message handlers, keyed by node id.

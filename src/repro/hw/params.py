@@ -64,10 +64,6 @@ class CpuParams:
     coremark_per_thread: float  # all-cores-active per-thread score (Table 1)
     coremark_single: float  # single-thread score (Table 1)
 
-    def relative_speed(self, reference: "CpuParams") -> float:
-        """Per-thread speed relative to ``reference`` with all cores active."""
-        return self.coremark_per_thread / reference.coremark_per_thread
-
 
 @dataclass(frozen=True)
 class DmaParams:

@@ -81,7 +81,3 @@ class PcieChannel:
                 raise RuntimeError("no host-side handler set")
             for payload in payloads:
                 self._deliver_to_host(payload)
-
-    @property
-    def mean_batch(self) -> float:
-        return self._link.mean_batch

@@ -30,12 +30,6 @@ class SpanEvent:
         self.txn_id = txn_id
         self.args = args
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return ("SpanEvent(%r, cat=%r, node=%d, track=%r, ts=%.3f, "
-                "dur=%.3f, txn=%s)" % (self.name, self.cat, self.node,
-                                       self.track, self.ts, self.dur,
-                                       self.txn_id))
-
 
 class InstantEvent:
     """A zero-duration marker (aborts, retries, faults)."""
@@ -52,10 +46,6 @@ class InstantEvent:
         self.ts = ts
         self.txn_id = txn_id
         self.args = args
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "InstantEvent(%r, cat=%r, node=%d, ts=%.3f)" % (
-            self.name, self.cat, self.node, self.ts)
 
 
 class EventLog:
@@ -88,7 +78,3 @@ class EventLog:
 
     def instants(self) -> List[InstantEvent]:
         return [e for e in self.events if isinstance(e, InstantEvent)]
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped = 0

@@ -5,11 +5,10 @@ models expose — core groups, DMA engines, the protocol's span hooks —
 and registers occupancy gauges with the sampler.  The protocol's
 coordinator phases and server-side handlers log their own ``phase`` and
 ``server`` spans, from the instants their callback chains computed, to
-the sink they find on the protocol.  Every hook is reversible
-(``uninstall``), reads simulated time only, and adds no simulation
-events beyond the sampler's own timeouts; and no model site chooses its
-form from whether a sink is attached, so installing an Observer never
-changes simulated results, at any load.
+the sink they find on the protocol.  Every hook reads simulated time
+only and adds no simulation events beyond the sampler's own timeouts;
+and no model site chooses its form from whether a sink is attached, so
+installing an Observer never changes simulated results, at any load.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ class Observer:
         self.sampler = Sampler(sim, self.registry, interval_us=sample_interval_us)
         self.cluster = None
         self._protocols: List[Any] = []
-        self._core_groups: List[Any] = []
-        self._dma_engines: List[Any] = []
 
     # ------------------------------------------------------------------
     # event emission (called from the instrumented models)
@@ -46,12 +43,6 @@ class Observer:
              args: Optional[dict] = None) -> None:
         self.log.append(SpanEvent(name, cat, node, track, ts, dur,
                                   txn_id=txn_id, args=args))
-
-    def instant(self, name: str, cat: str, node: int, track: str, ts: float,
-                txn_id: Optional[int] = None,
-                args: Optional[dict] = None) -> None:
-        self.log.append(InstantEvent(name, cat, node, track, ts,
-                                     txn_id=txn_id, args=args))
 
     def core_job(self, node: int, track: str, slot: Optional[int],
                  start: float, end: float) -> None:
@@ -115,7 +106,6 @@ class Observer:
     def _attach_cores(self, group, node_id: int, track: str,
                       component: str) -> None:
         group.attach_obs(self, node_id, track)
-        self._core_groups.append(group)
         self._gauge(component, track + "_in_use", lambda p=group.pool: p.in_use)
         self._gauge(component, track + "_run_queue",
                     lambda p=group.pool: p.queue_len)
@@ -132,7 +122,6 @@ class Observer:
             self._attach_cores(node.host_app_cores, i, "host", comp)
             self._attach_cores(node.worker_cores, i, "worker", comp)
             node.nic.dma.attach_obs(self, i)
-            self._dma_engines.append(node.nic.dma)
             self._gauge(comp, "dma_busy_queues",
                         lambda d=node.nic.dma: d.busy_queues())
             self._gauge(comp, "dma_backlog_us",
@@ -160,18 +149,8 @@ class Observer:
             self._protocols.append(proto)
 
     # ------------------------------------------------------------------
-    # teardown and snapshots
+    # snapshots
     # ------------------------------------------------------------------
-
-    def uninstall(self) -> None:
-        for proto in self._protocols:
-            proto.obs = None
-        for group in self._core_groups:
-            group.detach_obs()
-        for dma in self._dma_engines:
-            dma.detach_obs()
-        self.sampler.stop()
-        self.cluster = None
 
     def snapshot_counters(self) -> None:
         """Copy every cumulative model counter into the registry (called

@@ -38,9 +38,6 @@ class CounterMetric:
         self.labels = labels
         self.value = 0.0
 
-    def inc(self, n: float = 1.0) -> None:
-        self.value += n
-
 
 class GaugeMetric:
     """A sampled read-callback; `Sampler` fills ``series``."""
@@ -58,9 +55,6 @@ class GaugeMetric:
 
     def read(self) -> float:
         return float(self.fn())
-
-    def last(self) -> float:
-        return self.series[-1][1] if self.series else self.read()
 
 
 class HistogramMetric:
@@ -109,9 +103,6 @@ class MetricsRegistry:
             metric = self.histograms[key] = HistogramMetric(
                 component, name, key[2])
         return metric
-
-    def __len__(self) -> int:
-        return len(self.counters) + len(self.gauges) + len(self.histograms)
 
     def as_dict(self) -> dict:
         """JSON-ready dump of every metric (gauges include final value
@@ -175,7 +166,6 @@ class Sampler:
         self.interval_us = float(interval_us)
         self.max_ticks = max_ticks
         self.ticks = 0
-        self._stopped = False
         self._started = False
 
     def start(self) -> None:
@@ -184,21 +174,16 @@ class Sampler:
             sim = self.sim
             sim.call_at(sim.now, self._next)
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def sample_now(self) -> None:
         now = self.sim.now
         for gauge in self.registry.gauges.values():
             gauge.series.append((now, gauge.read()))
 
     def _next(self, _arg: None) -> None:
-        if not self._stopped and self.ticks < self.max_ticks:
+        if self.ticks < self.max_ticks:
             self.sim.call_after(self.interval_us, self._tick)
 
     def _tick(self, _arg: None) -> None:
-        if self._stopped:
-            return
         self.sample_now()
         self.ticks += 1
         if self.sim.pending_events == 0:

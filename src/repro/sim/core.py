@@ -126,10 +126,6 @@ class Event:
             for fn in callbacks:
                 fn(self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "pending" if self._ok is None else ("ok" if self._ok else "failed")
-        return "<Event %s %s>" % (self._name or hex(id(self)), state)
-
 
 def _fire(ev: Event) -> None:
     """The continuation of a queued event: it fires with the value it
@@ -243,10 +239,6 @@ class Process(Event):
         self._wait_cb = self._resume
         # Start on the next scheduler step so the spawner can keep a handle.
         sim._push(sim._now, self._wait_cb, _STARTED)
-
-    @property
-    def alive(self) -> bool:
-        return not self.triggered
 
     # -- internal ---------------------------------------------------------
 

@@ -238,8 +238,3 @@ class BatchingLink:
             if not queue:
                 self._parked = True
                 return
-
-    @property
-    def mean_batch(self) -> float:
-        sent = self.packets_sent
-        return self.payloads_sent / sent if sent else 0.0

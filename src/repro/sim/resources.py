@@ -194,11 +194,6 @@ class Resource:
             return 0.0
         return self._busy_area / (span * self.capacity)
 
-    def reset_utilization(self) -> None:
-        self._account()
-        self._busy_area = 0.0
-        self._last_change = self.sim.now
-
 
 class Semaphore:
     """Counting semaphore with FIFO wakeup: :meth:`down` takes a
@@ -211,10 +206,6 @@ class Semaphore:
         self.name = name
         self._count = initial
         self._waiters: Deque[Callable[[Any], None]] = deque()
-
-    @property
-    def count(self) -> int:
-        return self._count
 
     def try_down(self) -> bool:
         """Take one count now if one is free and nobody queues."""

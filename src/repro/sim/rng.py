@@ -46,12 +46,6 @@ class RngStream:
     def randrange(self, n: int) -> int:
         return self._rng.randrange(n)
 
-    def choice(self, seq: Sequence):
-        return self._rng.choice(seq)
-
-    def shuffle(self, seq: List) -> None:
-        self._rng.shuffle(seq)
-
     def sample(self, seq: Sequence, k: int) -> List:
         return self._rng.sample(seq, k)
 
@@ -60,9 +54,6 @@ class RngStream:
 
     def uniform(self, a: float, b: float) -> float:
         return self._rng.uniform(a, b)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
 
 
 class ZipfGenerator:
@@ -134,10 +125,6 @@ class ZipfGenerator:
                 k = n
             if k - x <= s or u >= h(k + 0.5) - powq(k):
                 return int(k) - 1
-
-    def __iter__(self):
-        while True:
-            yield self.next()
 
 
 class HotspotGenerator:

@@ -112,13 +112,6 @@ class LogHistogram:
     def mean(self) -> float:
         return sum(self._sums) / self.count if self.count else 0.0
 
-    def clear(self) -> None:
-        self._counts = [0] * self._n_buckets
-        self._sums = [0.0] * self._n_buckets
-        self.count = 0
-        self.min = math.inf
-        self.max = -math.inf
-
 
 class LatencyRecorder:
     """Collects latency samples and reports percentiles.
@@ -137,9 +130,6 @@ class LatencyRecorder:
     def record(self, latency_us: float) -> None:
         self.hist.add(latency_us)
         self.stats.add(latency_us)
-
-    def __len__(self) -> int:
-        return self.hist.count
 
     @property
     def count(self) -> int:
@@ -177,10 +167,6 @@ class LatencyRecorder:
             "p999": self.p999,
         }
 
-    def clear(self) -> None:
-        self.hist.clear()
-        self.stats = OnlineStats()
-
 
 class Counter:
     """A named bag of integer counters."""
@@ -196,6 +182,3 @@ class Counter:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self._counts)
-
-    def clear(self) -> None:
-        self._counts.clear()

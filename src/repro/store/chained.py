@@ -53,9 +53,6 @@ class ChainedTable(ObjectTable):
         """Occupancy relative to main-bucket capacity (the paper's metric)."""
         return self.size / (self.n_buckets * self.b)
 
-    def __len__(self) -> int:
-        return self.size
-
     def __contains__(self, key: int) -> bool:
         bucket = self._buckets[self.bucket_index(key)]
         while bucket is not None:

@@ -12,7 +12,7 @@ keeping: an undersized log or too few workers throttles commit throughput.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["LogRecord", "HostLog"]
 
@@ -110,11 +110,3 @@ class HostLog:
         while self._records and self._records[0].acked:
             self._records.pop(0)
             self._reclaimed += 1
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "appended": self.appended,
-            "acked": self.acked,
-            "pending": self.pending,
-            "in_log": self.in_log,
-        }

@@ -72,13 +72,6 @@ class VersionedObject:
             return True
         return False
 
-    def unlock(self, txn_id: int) -> None:
-        if not self.unlock_if_held(txn_id):
-            raise RuntimeError(
-                "txn %d unlocking object %d held by %r"
-                % (txn_id, self.key, self.lock_owner)
-            )
-
     def unlock_if_held(self, txn_id: int) -> bool:
         """Release the lock only if ``txn_id`` still owns it; returns
         whether it did."""
@@ -109,13 +102,6 @@ class VersionedObject:
             self._refuse_shared()
         self.value = value
         self.version = version
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<Obj %d v%d%s>" % (
-            self.key,
-            self.version,
-            " L" if self.locked else "",
-        )
 
 
 def share(objs: Iterable[VersionedObject]) -> None:

@@ -16,7 +16,6 @@ contention and communication patterns are preserved.
 from __future__ import annotations
 
 import abc
-from typing import Iterable
 
 from ..core.txn import TxnSpec
 from ..sim.rng import RngStream
@@ -70,9 +69,11 @@ class Workload(abc.ABC):
 
     # -- transaction generation ----------------------------------------------
 
-    @abc.abstractmethod
     def next_spec(self, rng: RngStream, node_id: int) -> TxnSpec:
-        """Generate the next transaction for a coordinator on ``node_id``."""
+        """Generate the next transaction for a coordinator on ``node_id``.
+        A workload that schedules its own transactions (the chaos
+        harness's ``Increments``) has none."""
+        raise NotImplementedError("%s draws no specs" % self.name)
 
     def generator_for(self, node_id: int, stream: str) -> "SpecStream":
         return SpecStream(self, node_id, self.rng.split("%s/%d" % (stream, node_id)))
@@ -88,7 +89,3 @@ class SpecStream:
 
     def next(self) -> TxnSpec:
         return self.workload.next_spec(self.rng, self.node_id)
-
-    def __iter__(self) -> Iterable[TxnSpec]:
-        while True:
-            yield self.next()

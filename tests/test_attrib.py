@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.runner import Bench
 from repro.obs import Observer
+from repro.obs.events import InstantEvent
 from repro.obs.attrib import (ATTRIB_PHASES, LatencyAttributor,
                               attribute_bench)
 from repro.sim.core import Simulator
@@ -91,11 +92,12 @@ def test_client_queue_rides_along():
 
 def test_abort_instants_counted_by_reason():
     obs = make_observer()
-    obs.instant("abort", "txn", 0, "txn", 5.0, txn_id=9,
-                args={"reason": "lock-conflict"})
-    obs.instant("abort", "txn", 1, "txn", 6.0, txn_id=9,
-                args={"reason": "lock-conflict"})
-    obs.instant("abort", "txn", 0, "txn", 7.0, txn_id=11, args={})
+    obs.log.append(InstantEvent("abort", "txn", 0, "txn", 5.0, txn_id=9,
+                                args={"reason": "lock-conflict"}))
+    obs.log.append(InstantEvent("abort", "txn", 1, "txn", 6.0, txn_id=9,
+                                args={"reason": "lock-conflict"}))
+    obs.log.append(InstantEvent("abort", "txn", 0, "txn", 7.0, txn_id=11,
+                                args={}))
     res = LatencyAttributor(obs).attribute()
     assert res.aborted_attempts == 3
     assert res.abort_reasons == {"lock-conflict": 2, "unknown": 1}

@@ -316,6 +316,30 @@ def test_malformed_faults_is_a_usage_error(argv, message, monkeypatch,
     assert "argument --faults" in err and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["slo", "--loads", "-5"], "offered loads must be one or more"),
+    (["slo", "--loads", ","], "offered loads must be one or more"),
+    (["chaos", "--seeds", "0", "--check"], "must be at least 1"),
+])
+def test_bad_loads_or_seeds_is_a_usage_error(argv, message, monkeypatch,
+                                             capsys):
+    """A sweep with no load or a load <= 0, or a chaos campaign of no
+    seeds, stops argument parsing with exit status 2: nothing runs, so
+    nothing reads as a clean result."""
+    from repro import __main__ as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started on a usage error")
+
+    monkeypatch.setattr(cli, "run_chaos", no_run)
+    monkeypatch.setattr(cli, "run_slo_points", no_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("argument %s" % argv[1]) in err and message in err
+
+
 def test_fault_categories_use_independent_streams():
     """Drawing from one category's RNG stream must never perturb another
     category's stream (same seed => same message-fault draws, no matter

@@ -59,7 +59,6 @@ def test_ethernet_aggregation_batches_same_destination():
     assert len(received) == 50
     # far fewer wire packets than messages
     assert p0.packets_sent < 20
-    assert p0.mean_batch > 2.0
 
 
 def test_ethernet_no_aggregation_one_packet_per_message():

@@ -23,17 +23,19 @@ def run_txn(sim, cluster, node_id, spec):
 
 
 def test_log_backpressure_recovers():
-    """A tiny log forces append retries; commits still succeed."""
-    config = XenicConfig(log_capacity=2)
+    """A tiny log with slow workers makes appends wait; every transaction
+    still commits and every log drains."""
+    config = XenicConfig(log_capacity=2, worker_apply_us=5.0)
     sim, cluster = make_cluster(config=config)
-    for i in range(8):
-        k = 1 + 3 * (i % 4)
-        run_txn(sim, cluster, 0,
-                TxnSpec(read_keys=[k], write_keys=[k],
-                        logic=lambda r, s, i=i: {k: i}))
+    keys = [1 + 3 * i for i in range(8)]
+    for i, k in enumerate(keys):
+        sim.spawn(cluster.protocols[i % 3].run_transaction(
+            TxnSpec(read_keys=[k], write_keys=[k],
+                    logic=lambda r, s, k=k, i=i: {k: i})))
     sim.run()
     bp = sum(p.stats.get("log_backpressure") for p in cluster.protocols)
     commits = sum(p.stats.get("commits") for p in cluster.protocols)
+    assert bp > 0
     assert commits == 8
     for node in cluster.nodes:
         assert node.log.in_log == 0

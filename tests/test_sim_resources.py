@@ -96,4 +96,4 @@ def test_semaphore_up_n():
     sim = Simulator()
     sem = Semaphore(sim, initial=0)
     sem.up(3)
-    assert sem.count == 3
+    assert [sem.try_down() for _ in range(4)] == [True, True, True, False]

