@@ -157,12 +157,21 @@ def _loads(text: str):
         raise argparse.ArgumentTypeError("%r: %s" % (text, exc))
 
 
-def _seeds(text: str) -> int:
-    """``--seeds`` converter: a count of one or more."""
+def _count(text: str) -> int:
+    """Converter for a count (``--seeds``, ``--txns``, ``--concurrency``):
+    one or more, since a run of none checks nothing."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("%r: must be at least 1" % text)
     return n
+
+
+def _window(text: str) -> float:
+    """``--window`` converter: simulated µs, more than 0."""
+    x = float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError("%r: must be more than 0" % text)
+    return x
 
 
 def _add_fault_args(p: argparse.ArgumentParser, default=None) -> None:
@@ -187,11 +196,11 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", default="xenic",
                    help="xenic | drtmh | drtmh_nc | fasst | drtmr")
     p.add_argument("--nodes", type=int, default=3, help="cluster size")
-    p.add_argument("--concurrency", type=int, default=4,
+    p.add_argument("--concurrency", type=_count, default=4,
                    help="closed-loop contexts per node")
     p.add_argument("--warmup", type=float, default=100.0,
                    help="warmup before the window, simulated µs")
-    p.add_argument("--window", type=float, default=400.0,
+    p.add_argument("--window", type=_window, default=400.0,
                    help="measurement window, simulated µs")
     p.add_argument("--seed", type=int, default=7, help="workload seed")
     p.add_argument("--sample-interval", type=float, default=20.0,
@@ -220,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_CHAOS_FAULTS, metavar="SPEC",
                        help="fault spec to inject ('none' for an empty "
                             "plan; default: %(default)s)")
-    chaos.add_argument("--seeds", type=_seeds, default=5,
+    chaos.add_argument("--seeds", type=_count, default=5,
                        help="number of consecutive seeds to run")
     chaos.add_argument("--seed", type=int, default=1,
                        help="first seed")
-    chaos.add_argument("--txns", type=int, default=40,
+    chaos.add_argument("--txns", type=_count, default=40,
                        help="transactions per seed")
     chaos.add_argument("--nodes", type=int, default=3,
                        help="cluster size")
@@ -295,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="admission limit per node")
     slo.add_argument("--warmup", type=float, default=150.0,
                      help="warmup before the window, simulated µs")
-    slo.add_argument("--window", type=float, default=600.0,
+    slo.add_argument("--window", type=_window, default=600.0,
                      help="measurement window, simulated µs")
     slo.add_argument("--seed", type=int, default=7, help="workload seed")
     slo.add_argument("--slo-p99", type=float, default=100.0, metavar="US",

@@ -399,9 +399,11 @@ class _Unlock(_Handler):
 
 class _Append(_Handler):
     """A record's durable append to the host log, then ``_written``: wait
-    out a full host log (back-pressure), then DMA-write the record's
-    bytes.  The DMA write IS the append: the record only becomes visible
-    to the host workers once the bytes land in host memory."""
+    out a full host log (back-pressure), reserve the record's space, then
+    DMA-write the record's bytes.  The DMA write IS the append: the
+    record only becomes visible to the host workers once the bytes land
+    in host memory, into the space reserved for it, so an append that
+    found room cannot find the log full when it lands."""
 
     __slots__ = ("req", "record")
 
@@ -432,6 +434,7 @@ class _Append(_Handler):
 
     def _write(self) -> None:
         p, req = self.p, self.req
+        p.node.log.reserve()
         vb = req.value_bytes if req.value_bytes is not None \
             else p.cluster.value_size
         self.t0 = p.sim._now

@@ -73,11 +73,7 @@ class EthernetPort:
         self._link.send(msg.dst, msg.size, msg)
 
     def _deliver(self, dst: int, msgs) -> None:
-        port = self.fabric._ports.get(dst)
-        if port is None:
-            self.fabric.rx_packet(dst, msgs)
-        else:
-            port.receive_packet(msgs)
+        self.fabric._ports[dst].receive_packet(msgs)
 
     def receive_packet(self, msgs) -> None:
         """Serialize one inbound packet through the RX pipeline, then hand

@@ -73,17 +73,6 @@ class Fabric:
     def register_port(self, node_id: int, port) -> None:
         self._ports[node_id] = port
 
-    def rx_packet(self, node_id: int, msgs) -> None:
-        """Deliver one wire packet carrying ``msgs`` to the destination.
-        If the destination has a registered port, the packet first passes
-        its per-packet RX pipeline; otherwise it is delivered directly."""
-        port = self._ports.get(node_id)
-        if port is not None:
-            port.receive_packet(msgs)
-        else:
-            for msg in msgs:
-                self.deliver(node_id, msg)
-
     def deliver(self, node_id: int, msg: NetMessage) -> None:
         if self.injector is not None and \
                 self.injector.intercept_delivery(self, node_id, msg):

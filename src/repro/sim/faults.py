@@ -31,12 +31,11 @@ its simulated timestamp, making failing seeds replayable postmortems.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from .rng import RngStream
+from .rng import RngStream, sha256
 
 __all__ = ["FaultSpec", "CrashEvent", "FaultTrace", "FaultEvent", "FaultPlan"]
 
@@ -192,7 +191,7 @@ class FaultTrace:
 
     def digest(self) -> str:
         """SHA-256 of the canonical text form."""
-        return hashlib.sha256(self.format().encode()).hexdigest()
+        return sha256(self.format().encode()).hexdigest()
 
     def summary(self) -> str:
         if not self.counts:

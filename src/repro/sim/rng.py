@@ -7,10 +7,19 @@ streams (split by name from a root seed).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import List, Sequence
+
+# The interpreter's built-in SHA-256, as random.py takes its SHA-512:
+# hashlib would map OpenSSL into every run only to seed its streams.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.9-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["RngStream", "ZipfGenerator", "HotspotGenerator"]
 
@@ -29,7 +38,7 @@ class RngStream:
 
     @staticmethod
     def _derive(seed: int, name: str) -> int:
-        digest = hashlib.sha256(("%d/%s" % (seed, name)).encode()).digest()
+        digest = sha256(("%d/%s" % (seed, name)).encode()).digest()
         return int.from_bytes(digest[:8], "little")
 
     def split(self, name: str) -> "RngStream":

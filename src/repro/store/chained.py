@@ -26,8 +26,8 @@ class ChainedLookup:
 class _Bucket:
     __slots__ = ("keys", "next")
 
-    def __init__(self, size: int):
-        self.keys: List[Optional[int]] = [None] * size
+    def __init__(self, keys: List[Optional[int]]):
+        self.keys = keys
         self.next: Optional["_Bucket"] = None
 
 
@@ -40,10 +40,14 @@ class ChainedTable(ObjectTable):
         self.n_buckets = n_buckets
         self.b = bucket_size
         self.hash_salt = hash_salt
-        self._buckets = [_Bucket(bucket_size) for _ in range(n_buckets)]
+        self._buckets = [_Bucket([None] * bucket_size)
+                         for _ in range(n_buckets)]
         self._objects: Dict[int, VersionedObject] = {}
         self.size = 0
         self.linked_buckets = 0
+        # True while clone_from shares the bucket chains with another
+        # table; a structural write copies them first
+        self._layout_shared = False
 
     def bucket_index(self, key: int) -> int:
         return mix64(key ^ self.hash_salt) % self.n_buckets
@@ -67,6 +71,8 @@ class ChainedTable(ObjectTable):
         # check needs no chain walk (and no second hash of the key)
         if key in self._objects:
             raise KeyError("duplicate key %d" % key)
+        if self._layout_shared:
+            self._own_layout()
         self._objects[key] = obj if obj is not None else VersionedObject(key)
         bucket = self._buckets[self.bucket_index(key)]
         depth = 1
@@ -77,7 +83,7 @@ class ChainedTable(ObjectTable):
                 self.size += 1
                 return depth
             if bucket.next is None:
-                bucket.next = _Bucket(self.b)
+                bucket.next = _Bucket([None] * self.b)
                 self.linked_buckets += 1
             bucket = bucket.next
             depth += 1
@@ -101,25 +107,39 @@ class ChainedTable(ObjectTable):
         ``other``'s objects, marked ``shared``: each table takes its own
         copy of a key when it first writes it
         (:meth:`~repro.store.object.ObjectTable.writable`), so replicas
-        are still updated independently."""
+        are still updated independently.  They share ``other``'s bucket
+        chains the same way: both are marked, and the first structural
+        write on either one (:meth:`insert`, :meth:`delete`) copies them
+        first (:meth:`_own_layout`)."""
         if not (
             type(other) is type(self) and self.is_blank()
             and (self.n_buckets, self.b, self.hash_salt)
             == (other.n_buckets, other.b, other.hash_salt)
         ):
             return False
-        for mine, theirs in zip(self._buckets, other._buckets):
-            mine.keys = list(theirs.keys)
-            while theirs.next is not None:
-                theirs = theirs.next
-                mine.next = _Bucket(self.b)
-                mine = mine.next
-                mine.keys = list(theirs.keys)
+        self._buckets = other._buckets
+        self._layout_shared = other._layout_shared = True
         share(other._objects.values())
         self._objects = dict(other._objects)
         self.size = other.size
         self.linked_buckets = other.linked_buckets
         return True
+
+    def _own_layout(self) -> None:
+        """Swap bucket chains shared by :meth:`clone_from` for this
+        table's own copy.  The mark is never cleared on the other
+        holders: the last one still holding the original copies it once
+        more."""
+        buckets = []
+        for theirs in self._buckets:
+            mine = _Bucket(list(theirs.keys))
+            buckets.append(mine)
+            while theirs.next is not None:
+                theirs = theirs.next
+                mine.next = _Bucket(list(theirs.keys))
+                mine = mine.next
+        self._buckets = buckets
+        self._layout_shared = False
 
     def lookup(self, key: int) -> ChainedLookup:
         bucket = self._buckets[self.bucket_index(key)]
@@ -134,6 +154,8 @@ class ChainedTable(ObjectTable):
         return ChainedLookup(False, objects, hops)
 
     def delete(self, key: int) -> None:
+        if self._layout_shared:
+            self._own_layout()
         bucket = self._buckets[self.bucket_index(key)]
         while bucket is not None:
             for i, k in enumerate(bucket.keys):

@@ -60,6 +60,8 @@ class HostLog:
         self._records: List[LogRecord] = []
         self._applied = 0  # index of next record to apply
         self._reclaimed = 0  # records dropped from the front
+        # space held for appends whose bytes are still in flight
+        self._reserved = 0
         self.appended = 0
         self.acked = 0
         self._on_ack: Optional[Callable[[LogRecord], None]] = None
@@ -80,12 +82,24 @@ class HostLog:
 
     @property
     def full(self) -> bool:
-        return len(self._records) >= self.capacity
+        """No space for one more record: reserved space counts as used."""
+        return len(self._records) + self._reserved >= self.capacity
+
+    def reserve(self) -> None:
+        """Hold one record's space for an append whose DMA write is still
+        in flight, so the log cannot fill before its bytes land.  The
+        caller checks :attr:`full` first."""
+        if self.full:
+            raise RuntimeError("reserve on a full log")
+        self._reserved += 1
 
     def append(self, record: LogRecord) -> bool:
-        """NIC-side append; returns False when the log is full
+        """NIC-side append, into reserved space when any is held;
+        without a reservation it returns False when the log is full
         (back-pressure: the caller must retry after acks)."""
-        if self.full:
+        if self._reserved:
+            self._reserved -= 1
+        elif self.full:
             return False
         self._records.append(record)
         self.appended += 1

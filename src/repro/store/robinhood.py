@@ -19,6 +19,7 @@ segment) that the SmartNIC index uses to size its DMA reads.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.stats import OnlineStats
@@ -91,15 +92,19 @@ class RobinhoodTable(ObjectTable):
         self.hash_salt = hash_salt
         self.n_segments = capacity // segment_size
         self._slots: List[Optional[int]] = [None] * capacity
-        # home(key) memo: a pure function of (key, salt, capacity), all
-        # fixed after construction — probe loops hit it constantly
-        self._homes: Dict[int, int] = {}
+        # each slot's displacement from its key's home, 0 for a free slot:
+        # the byte a slot carries in §4.1.2, so moving or passing an
+        # occupant never rehashes it
+        self._disps = array("I", [0]) * capacity
         self._objects: Dict[int, VersionedObject] = {}
         # overflow buckets per segment: key lists (linked bucket model)
         self._overflow: Dict[int, List[int]] = {}
         # per-segment max displacement of keys whose *home* is in the
         # segment; None marks dirty (recompute lazily)
         self._seg_max_disp: List[Optional[int]] = [0] * self.n_segments
+        # True while clone_from shares the four layout containers above
+        # with another table; a structural write copies them first
+        self._layout_shared = False
         self.size = 0
         # Aggregate probe-length distribution across every lookup; read by
         # the observability layer (repro.obs) as a gauge/histogram source.
@@ -116,19 +121,13 @@ class RobinhoodTable(ObjectTable):
     # -- hashing ------------------------------------------------------------
 
     def home(self, key: int) -> int:
-        h = self._homes.get(key)
-        if h is None:
-            h = self._homes[key] = mix64(key ^ self.hash_salt) % self.capacity
-        return h
+        return mix64(key ^ self.hash_salt) % self.capacity
 
     def segment_of_slot(self, slot: int) -> int:
         return slot // self.segment_size
 
     def segment_of_key(self, key: int) -> int:
         return self.segment_of_slot(self.home(key))
-
-    def _disp(self, key: int, slot: int) -> int:
-        return (slot - self.home(key)) % self.capacity
 
     # -- occupancy ------------------------------------------------------------
 
@@ -160,7 +159,10 @@ class RobinhoodTable(ObjectTable):
             raise KeyError("duplicate key %d" % key)
         if obj is None:
             obj = VersionedObject(key)
+        if self._layout_shared:
+            self._own_layout()
         chain, overflowed = self._plan_insert(key, self.home(key))
+        cap = self.capacity
         seg_size = self.segment_size
         seg_max_disp = self._seg_max_disp
         if overflowed is not None:
@@ -173,9 +175,11 @@ class RobinhoodTable(ObjectTable):
         # order).
         chain.reverse()
         slots = self._slots
-        for slot, k, k_home in chain:
+        disps = self._disps
+        for slot, k, d in chain:
             slots[slot] = k
-            seg_max_disp[k_home // seg_size] = None
+            disps[slot] = d
+            seg_max_disp[(slot - d) % cap // seg_size] = None
         self._objects[key] = obj
         self.size += 1
         swaps = len(chain) if overflowed is not None else len(chain) - 1
@@ -186,7 +190,7 @@ class RobinhoodTable(ObjectTable):
         """Walk ``key``'s displacement chain without mutating anything.
 
         Returns ``(chain, overflowed)``: ``chain`` lists the
-        ``(slot, key, key's home)`` writes in probe order, and
+        ``(slot, key, key's displacement there)`` writes in probe order, and
         ``overflowed`` is the ``(key, home)`` of the carried element that
         reached ``Dm`` (it belongs in its home segment's overflow bucket)
         or None when the chain ended at a free slot.  Probe positions
@@ -196,26 +200,22 @@ class RobinhoodTable(ObjectTable):
         cap = self.capacity
         dm = self.dm
         slots = self._slots
-        homes = self._homes
-        salt = self.hash_salt
+        disps = self._disps
         chain: List[Tuple[int, int, int]] = []
-        cur_key, cur_home, cur_disp = key, home, 0
+        cur_key, cur_disp = key, 0
         pos = home
         for _ in range(cap + 1):
             if cur_disp >= dm:
-                return chain, (cur_key, cur_home)
+                return chain, (cur_key, (pos - cur_disp) % cap)
             occupant = slots[pos]
             if occupant is None:
-                chain.append((pos, cur_key, cur_home))
+                chain.append((pos, cur_key, cur_disp))
                 return chain, None
-            occ_home = homes.get(occupant)
-            if occ_home is None:
-                occ_home = homes[occupant] = mix64(occupant ^ salt) % cap
-            occ_disp = (pos - occ_home) % cap
+            occ_disp = disps[pos]
             if occ_disp < cur_disp:
                 # steal the slot; carry the occupant forward
-                chain.append((pos, cur_key, cur_home))
-                cur_key, cur_home, cur_disp = occupant, occ_home, occ_disp
+                chain.append((pos, cur_key, cur_disp))
+                cur_key, cur_disp = occupant, occ_disp
             pos += 1
             if pos == cap:
                 pos = 0
@@ -234,8 +234,10 @@ class RobinhoodTable(ObjectTable):
         the objects before the offending one stay inserted, as they
         would in a loop.
         """
+        if self._layout_shared:
+            self._own_layout()
         slots = self._slots
-        homes = self._homes
+        disps = self._disps
         objects = self._objects
         overflow = self._overflow
         cap = self.capacity
@@ -247,19 +249,18 @@ class RobinhoodTable(ObjectTable):
                 key = obj.key
                 if key in objects:
                     raise KeyError("duplicate key %d" % key)
-                home = homes.get(key)
-                if home is None:
-                    home = homes[key] = mix64(key ^ salt) % cap
+                home = mix64(key ^ salt) % cap
                 if slots[home] is None:
-                    slots[home] = key
+                    slots[home] = key  # displacement 0, as a free slot's
                 else:
                     chain, overflowed = plan(key, home)
                     if overflowed is not None:
                         over_key, over_home = overflowed
                         overflow.setdefault(over_home // seg_size,
                                             []).append(over_key)
-                    for slot, k, _ in chain:
+                    for slot, k, d in chain:
                         slots[slot] = k
+                        disps[slot] = d
                 objects[key] = obj
         finally:
             self.size = len(objects)
@@ -279,8 +280,12 @@ class RobinhoodTable(ObjectTable):
         Both tables then hold ``other``'s objects, marked ``shared``:
         each table takes its own copy of a key when it first writes it
         (:meth:`~repro.store.object.ObjectTable.writable`), so replicas
-        are still updated independently.  The ``home()`` memo, a pure
-        function of the shared parameters, is shared outright.
+        are still updated independently.  They share ``other``'s layout
+        (slots, displacements, overflow buckets and the ``d_i`` cache)
+        the same way: both are marked, and the first structural write on
+        either one (:meth:`insert`, :meth:`insert_many`, :meth:`delete`)
+        copies it first (:meth:`_own_layout`).  The ``d_i`` cache is a
+        pure function of the layout, so any holder may fill it.
         """
         if not (
             type(other) is type(self) and self.is_blank()
@@ -288,14 +293,25 @@ class RobinhoodTable(ObjectTable):
             == (other.capacity, other.dm, other.segment_size, other.hash_salt)
         ):
             return False
-        self._slots = list(other._slots)
-        self._overflow = {seg: list(b) for seg, b in other._overflow.items()}
-        self._seg_max_disp = list(other._seg_max_disp)
-        self._homes = other._homes
+        self._slots = other._slots
+        self._disps = other._disps
+        self._overflow = other._overflow
+        self._seg_max_disp = other._seg_max_disp
+        self._layout_shared = other._layout_shared = True
         share(other._objects.values())
         self._objects = dict(other._objects)
         self.size = other.size
         return True
+
+    def _own_layout(self) -> None:
+        """Swap a layout shared by :meth:`clone_from` for this table's
+        own copy.  The mark is never cleared on the other holders: the
+        last one still holding the original copies it once more."""
+        self._slots = list(self._slots)
+        self._disps = array("I", self._disps)
+        self._overflow = {seg: list(b) for seg, b in self._overflow.items()}
+        self._seg_max_disp = list(self._seg_max_disp)
+        self._layout_shared = False
 
     # -- lookup ------------------------------------------------------------
 
@@ -307,8 +323,8 @@ class RobinhoodTable(ObjectTable):
         return result
 
     def _lookup(self, key: int) -> LookupResult:
-        home = self.home(key)
         cap = self.capacity
+        home = mix64(key ^ self.hash_salt) % cap
         dm = self.dm
         limit = dm if dm < cap else cap
         slots = self._slots
@@ -322,7 +338,7 @@ class RobinhoodTable(ObjectTable):
                     return LookupResult(True, i + 1, False, pos, i)
                 if occupant is None:
                     # An empty slot ends probing (no tombstones by design).
-                    return self._overflow_lookup(key, i + 1)
+                    return self._overflow_lookup(key, home, i + 1)
                 pos += 1
         else:
             for i in range(limit + 1):
@@ -331,11 +347,12 @@ class RobinhoodTable(ObjectTable):
                 if occupant == key:
                     return LookupResult(True, i + 1, False, pos, i)
                 if occupant is None:
-                    return self._overflow_lookup(key, i + 1)
-        return self._overflow_lookup(key, limit + 1)
+                    return self._overflow_lookup(key, home, i + 1)
+        return self._overflow_lookup(key, home, limit + 1)
 
-    def _overflow_lookup(self, key: int, probed: int) -> LookupResult:
-        bucket = self._overflow.get(self.segment_of_key(key))
+    def _overflow_lookup(self, key: int, home: int,
+                         probed: int) -> LookupResult:
+        bucket = self._overflow.get(home // self.segment_size)
         if bucket and key in bucket:
             return LookupResult(True, probed, True, None, None)
         return LookupResult(False, probed, False, None, None)
@@ -345,6 +362,8 @@ class RobinhoodTable(ObjectTable):
     def delete(self, key: int) -> DeleteResult:
         if key not in self._objects:
             raise KeyError("no such key %d" % key)
+        if self._layout_shared:
+            self._own_layout()
         seg = self.segment_of_key(key)
         bucket = self._overflow.get(seg)
         if bucket and key in bucket:
@@ -364,20 +383,26 @@ class RobinhoodTable(ObjectTable):
             del self._objects[key]
             self.size -= 1
             return DeleteResult(True, True, 0)
-        # Backward shift: pull successors with positive displacement back.
+        # Backward shift: pull successors with positive displacement back
+        # (a free slot holds displacement 0, so it ends the shift too).
+        slots, disps = self._slots, self._disps
+        cap, seg_size = self.capacity, self.segment_size
+        seg_max_disp = self._seg_max_disp
+        seg_max_disp[(slot - disps[slot]) % cap // seg_size] = None
         shift = 0
         pos = slot
         while True:
-            nxt = (pos + 1) % self.capacity
-            occupant = self._slots[nxt]
-            if occupant is None or self._disp(occupant, nxt) == 0:
-                self._slots[pos] = None
+            nxt = (pos + 1) % cap
+            d = disps[nxt]
+            if d == 0:
+                slots[pos] = None
+                disps[pos] = 0
                 break
-            self._slots[pos] = occupant
-            self._mark_dirty_for_key(occupant)
+            slots[pos] = slots[nxt]
+            disps[pos] = d - 1
+            seg_max_disp[(nxt - d) % cap // seg_size] = None
             pos = nxt
             shift += 1
-        self._mark_dirty_for_key(key)
         del self._objects[key]
         self.size -= 1
         return DeleteResult(True, False, shift)
@@ -410,7 +435,8 @@ class RobinhoodTable(ObjectTable):
                     if not bucket:
                         del self._overflow[seg]
                     self._slots[slot] = k
-                    self._mark_dirty_for_key(k)
+                    self._disps[slot] = disp
+                    self._seg_max_disp[home // self.segment_size] = None
                     return k
         return None
 
@@ -422,29 +448,23 @@ class RobinhoodTable(ObjectTable):
 
     # -- NIC index support ---------------------------------------------------
 
-    def _mark_dirty_for_key(self, key: int) -> None:
-        self._seg_max_disp[self.segment_of_key(key)] = None
-
     def segment_max_displacement(self, seg: int) -> int:
         """d_i: the max displacement among keys whose home lies in segment
         ``seg`` (0 when the segment is empty).  Recomputed lazily."""
         cached = self._seg_max_disp[seg]
         if cached is not None:
             return cached
+        cap = self.capacity
         lo = seg * self.segment_size
         hi = lo + self.segment_size
+        disps = self._disps
         best = 0
-        span = min(self.dm if self.dm != UNLIMITED else self.capacity, self.capacity)
-        for i in range(self.segment_size + span):
-            pos = (lo + i) % self.capacity
-            occupant = self._slots[pos]
-            if occupant is None:
-                continue
-            home = self.home(occupant)
-            if lo <= home < hi:
-                d = self._disp(occupant, pos)
-                if d > best:
-                    best = d
+        # a free slot holds 0, which never raises the max
+        for i in range(self.segment_size + min(self.dm, cap)):
+            pos = (lo + i) % cap
+            d = disps[pos]
+            if d > best and lo <= (pos - d) % cap < hi:
+                best = d
         self._seg_max_disp[seg] = best
         return best
 

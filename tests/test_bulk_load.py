@@ -28,6 +28,7 @@ KEYS = st.lists(st.integers(0, 1 << 40), unique=True, min_size=1, max_size=240)
 def robinhood_state(t):
     return (
         list(t._slots),
+        list(t._disps),
         {seg: list(bucket) for seg, bucket in t._overflow.items()},
         t.size,
         [t.segment_max_displacement(seg) for seg in range(t.n_segments)],
@@ -380,6 +381,64 @@ def test_clone_needs_a_blank_table_with_the_same_parameters():
     twin = RobinhoodTable(64, dm=4, segment_size=8, hash_salt=1)
     assert twin.clone_from(src)
     assert robinhood_state(twin) == robinhood_state(src)
+
+
+def blank(kind):
+    if kind == "robinhood":
+        return RobinhoodTable(64, dm=2, segment_size=8, hash_salt=1)
+    return ChainedTable(4, bucket_size=4, hash_salt=1)
+
+
+def filled(kind):
+    """A table with overflow buckets (Robinhood, 48 keys in 64 slots at
+    Dm = 2) or linked buckets (chained, 24 keys in 16 slots), so every
+    layout container has something to share."""
+    t = blank(kind)
+    t.insert_many(VersionedObject(k)
+                  for k in range(48 if kind == "robinhood" else 24))
+    return t
+
+
+def structural_write(table, write):
+    if write == "insert":
+        table.insert(1000)
+    elif write == "insert_many":
+        table.insert_many([VersionedObject(1000), VersionedObject(1001)])
+    else:  # deletes from main slots and from overflow buckets alike
+        for k in range(0, 24, 3):
+            table.delete(k)
+
+
+@pytest.mark.parametrize("write", ["insert", "insert_many", "delete"])
+@pytest.mark.parametrize("writer", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["robinhood", "chained"])
+def test_a_structural_write_leaves_the_shared_layout_alone(kind, writer,
+                                                           write):
+    """A primary and two backups cloned from it share one layout.  A
+    structural write on any of them copies the layout first: the other
+    two keep their slots, displacements, overflow (or bucket chains) and
+    d_i, and the writer reaches the state a table that never shared
+    reaches under the same write."""
+    primary = filled(kind)
+    replicas = [primary, blank(kind), blank(kind)]
+    for backup in replicas[1:]:
+        assert backup.clone_from(primary)
+    if kind == "robinhood":
+        assert primary._overflow and primary._slots is replicas[1]._slots
+    else:
+        assert primary.linked_buckets
+        assert primary._buckets is replicas[1]._buckets
+    before = table_state(primary)
+    structural_write(replicas[writer], write)
+    reference = filled(kind)
+    structural_write(reference, write)
+    assert table_state(replicas[writer]) == table_state(reference)
+    assert table_state(reference) != before
+    for i, other in enumerate(replicas):
+        if i != writer:
+            assert table_state(other) == before
+        if kind == "robinhood":
+            check_invariants(other)
 
 
 def test_emptied_chained_table_with_links_is_not_blank():

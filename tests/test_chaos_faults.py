@@ -353,3 +353,27 @@ def test_fault_categories_use_independent_streams():
         plan_b._rdma_rng.random()
     draws_b = [plan_b._msg_rng.random() for _ in range(16)]
     assert draws_a == draws_b
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chaos", "--txns", "0", "--check"], "must be at least 1"),
+    (["trace", "--concurrency", "0"], "must be at least 1"),
+    (["slo", "--window", "0"], "must be more than 0"),
+])
+def test_counts_that_check_nothing_are_usage_errors(argv, message,
+                                                    monkeypatch, capsys):
+    """A chaos seed of no transactions, a run of no clients or an SLO
+    point with no window would report a clean result of nothing: each
+    stops argument parsing with exit status 2, naming the field."""
+    from repro import __main__ as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started on a usage error")
+
+    for name in ("run_chaos", "run_slo_points", "Bench"):
+        monkeypatch.setattr(cli, name, no_run)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("argument %s" % argv[1]) in err and message in err

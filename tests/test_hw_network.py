@@ -31,6 +31,7 @@ def make_fabric_pair(aggregation=True):
     fabric = Fabric(sim)
     received = []
     p0 = EthernetPort(sim, fabric, 0, aggregation=aggregation)
+    EthernetPort(sim, fabric, 1)  # every node has a port, as in a cluster
     fabric.register(1, lambda msg: received.append((sim.now, msg)))
     return sim, fabric, p0, received
 

@@ -6,15 +6,6 @@ from repro.hw import EthernetPort, Fabric, NetMessage
 from repro.sim import Simulator
 
 
-def test_fabric_rx_packet_without_port_falls_back():
-    sim = Simulator()
-    fabric = Fabric(sim)
-    got = []
-    fabric.register(5, lambda m: got.append(m.kind))
-    fabric.rx_packet(5, [NetMessage(0, 5, "a", 10), NetMessage(0, 5, "b", 10)])
-    assert got == ["a", "b"]
-
-
 def test_port_rx_serializes_packets():
     sim = Simulator()
     fabric = Fabric(sim)

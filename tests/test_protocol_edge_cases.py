@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import RecoveryManager, TxnSpec, XenicCluster, XenicConfig
 from repro.sim import Simulator
+from repro.store import HostLog
 
 
 def make_cluster(n_nodes=3, config=None, keys=64, value_size=64):
@@ -39,6 +40,36 @@ def test_log_backpressure_recovers():
     assert commits == 8
     for node in cluster.nodes:
         assert node.log.in_log == 0
+
+
+def test_full_log_drops_no_record(monkeypatch):
+    """An append that found room reserved it: when its DMA write lands the
+    log takes the record even if other appends filled it meanwhile, so
+    every replica applies every committed write."""
+    refused = []
+    append = HostLog.append
+
+    def counted(log, record):
+        ok = append(log, record)
+        if not ok:
+            refused.append(record.txn_id)
+        return ok
+
+    monkeypatch.setattr(HostLog, "append", counted)
+    config = XenicConfig(log_capacity=2, worker_apply_us=5.0)
+    sim, cluster = make_cluster(config=config)
+    keys = [1 + 3 * i for i in range(8)]  # all of shard 1
+    for i, k in enumerate(keys):
+        sim.spawn(cluster.protocols[i % 3].run_transaction(
+            TxnSpec(read_keys=[k], write_keys=[k],
+                    logic=lambda r, s, k=k, i=i: {k: ("new", i)})))
+    sim.run()
+    assert sum(p.stats.get("commits") for p in cluster.protocols) == 8
+    assert sum(p.stats.get("log_backpressure") for p in cluster.protocols) > 0
+    assert refused == []
+    for i, k in enumerate(keys):
+        for n in [1] + cluster.backups_of(1):
+            assert cluster.nodes[n].tables[1].get_object(k).value == ("new", i)
 
 
 def test_large_objects_roundtrip():

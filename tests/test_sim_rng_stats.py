@@ -1,5 +1,6 @@
 """Tests for RNG streams, distribution samplers, and statistics helpers."""
 
+import hashlib
 import math
 
 import pytest
@@ -45,6 +46,18 @@ def test_rng_split_independent():
     root.split("other").random()
     c1b = RngStream(1).split("child")
     assert [c1b.randint(0, 100) for _ in range(5)] == seq1
+
+
+@pytest.mark.parametrize("seed, name", [
+    (0, "root"), (1, "child"), (42, "x"), (7, "root/workload/zipf"),
+    (2 ** 64 - 1, "faults/drop"), (-3, "n\u00e9gatif"),
+])
+def test_stream_seed_is_the_hashlib_sha256_derivation(seed, name):
+    """The built-in SHA-256 the streams take (no OpenSSL) derives the
+    same seed hashlib does, so every run draws what it drew before."""
+    digest = hashlib.sha256(("%d/%s" % (seed, name)).encode()).digest()
+    assert RngStream._derive(seed, name) == int.from_bytes(digest[:8],
+                                                           "little")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,20 @@ def test_log_backpressure_when_full():
     assert log.append(r3)  # space reclaimed
 
 
+def test_reserved_space_counts_as_used():
+    """A reservation fills the log for every other appender, and the
+    append it was taken for lands even once the log reads full."""
+    log = HostLog(capacity_records=2)
+    log.reserve()
+    log.reserve()
+    assert log.full and log.in_log == 0
+    with pytest.raises(RuntimeError):
+        log.reserve()
+    assert log.append(make_record(1)) and log.append(make_record(2))
+    assert log.full and log.in_log == 2
+    assert not log.append(make_record(3))  # no space and none reserved
+
+
 def test_log_ack_handler_fires():
     log = HostLog()
     acked = []

@@ -80,15 +80,22 @@ def test_delete_removes_key():
 
 
 def test_delete_backward_shift_keeps_others_findable():
+    """Deleting a key whose successor sits away from home shifts the
+    successors back, each with its stored displacement one smaller
+    (``check_invariants``), and every other key stays findable."""
     t = make_table(capacity=32, dm=8)
     keys = list(range(100, 125))
     for k in keys:
         t.insert(k)
-    t.delete(keys[3])
+    victims = [k for k in keys
+               if t._disps[(t.lookup(k).slot + 1) % t.capacity] > 0][:3]
+    assert victims
+    for k in victims:
+        assert t.delete(k).shift_len > 0
+        check_invariants(t)
     for k in keys:
-        if k != keys[3]:
-            assert t.lookup(k).found, "lost key %d after delete" % k
-    check_invariants(t)
+        assert t.lookup(k).found == (k not in victims), \
+            "key %d after deletes" % k
 
 
 def test_displacement_limit_sends_to_overflow():
