@@ -182,13 +182,15 @@ class XenicNode(ReplicaPlacement):
 
     def read_local(self, key: int):
         """Host-side read of an own-shard object: the freshest of the
-        applied table value and any unapplied commit record."""
+        applied table value and any unapplied commit record.  An absent
+        object reads as None at the NIC index's version, which a delete's
+        tombstone advanced past the host copy it removed."""
         pending = self.pending_local.get(key)
         obj = self.tables[self.node_id].get_object(key)
         if pending is not None and (obj is None or pending[1] > obj.version):
             return pending
         if obj is None:
-            return None, 0
+            return None, self.index.read_version(key)
         return obj.value, obj.version
 
     def _on_log_ack(self, record: LogRecord) -> None:

@@ -142,7 +142,10 @@ class ObjectTable(Participant):
 
     Replicas of a shard may hold the same ``shared`` object; every write
     reaches an object through :meth:`writable`, which first swaps a
-    shared one for this table's own copy."""
+    shared one for this table's own copy.  The ``_objects`` map is the
+    table's contents even before its slot layout is built (a table
+    builds that on first use), so membership and object reads never
+    touch the layout, and a replica copies only the map."""
 
     def get_object(self, key: int) -> Optional[VersionedObject]:
         """The object stored under ``key``, for reading only."""

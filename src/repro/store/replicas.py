@@ -71,11 +71,12 @@ def load_replicas(primary, backups: Sequence,
     A shard's replica tables are built with the same parameters and see
     the same insert sequence, so they end up equal slot for slot.  When
     that is observable — ``primary`` blank before this call, a backup
-    blank with the primary's parameters — the backup is cloned from the
-    finished primary instead of replaying the inserts; any other backup
-    has the same objects inserted in the same order.  Either way every
-    replica holds the one object loaded per key, marked ``shared``, until
-    it first writes that key and takes its own copy
+    blank with the primary's parameters, neither layout built yet — the
+    backup copies the primary's key -> object map instead of replaying
+    the inserts, and builds its own layout on first use; any other
+    backup has the same objects inserted in the same order.  Either way
+    every replica holds the one object loaded per key, marked
+    ``shared``, until it first writes that key and takes its own copy
     (:meth:`~repro.store.object.ObjectTable.writable`).  Works on any
     table with ``is_blank`` / ``insert_many`` / ``clone_from``
     (:class:`RobinhoodTable`, :class:`ChainedTable`).

@@ -15,6 +15,11 @@ distances by displacement stealing, with the Xenic modifications:
 
 The table tracks structural cost metrics (probe lengths, displacement per
 segment) that the SmartNIC index uses to size its DMA reads.
+
+The layout is built on first use.  Loading records the objects; the
+first lookup, insert, delete or hint read places them all, in load
+order, as inserting them one by one would have.  A run whose NIC caches
+serve every read never builds one.
 """
 
 from __future__ import annotations
@@ -91,20 +96,19 @@ class RobinhoodTable(ObjectTable):
         self.segment_size = segment_size
         self.hash_salt = hash_salt
         self.n_segments = capacity // segment_size
-        self._slots: List[Optional[int]] = [None] * capacity
-        # each slot's displacement from its key's home, 0 for a free slot:
-        # the byte a slot carries in §4.1.2, so moving or passing an
-        # occupant never rehashes it
-        self._disps = array("I", [0]) * capacity
         self._objects: Dict[int, VersionedObject] = {}
-        # overflow buckets per segment: key lists (linked bucket model)
-        self._overflow: Dict[int, List[int]] = {}
-        # per-segment max displacement of keys whose *home* is in the
-        # segment; None marks dirty (recompute lazily)
-        self._seg_max_disp: List[Optional[int]] = [0] * self.n_segments
-        # True while clone_from shares the four layout containers above
-        # with another table; a structural write copies them first
-        self._layout_shared = False
+        # The layout: the slots, each slot's displacement from its key's
+        # home (0 for a free slot: the byte a slot carries in §4.1.2, so
+        # moving or passing an occupant never rehashes it), the overflow
+        # buckets per segment (key lists, the linked bucket model) and
+        # the per-segment max displacement of keys whose *home* is in the
+        # segment (None marks dirty, recomputed lazily).  All four stay
+        # None until the first call that reads or changes the layout
+        # (_build_layout): a load only records objects.
+        self._slots: Optional[List[Optional[int]]] = None
+        self._disps: Optional[array] = None
+        self._overflow: Optional[Dict[int, List[int]]] = None
+        self._seg_max_disp: Optional[List[Optional[int]]] = None
         self.size = 0
         # Aggregate probe-length distribution across every lookup; read by
         # the observability layer (repro.obs) as a gauge/histogram source.
@@ -134,11 +138,12 @@ class RobinhoodTable(ObjectTable):
     @property
     def occupancy(self) -> float:
         """Main-table occupancy (overflow keys excluded)."""
-        in_table = self.size - sum(len(v) for v in self._overflow.values())
-        return in_table / self.capacity
+        return (self.size - self.overflow_count) / self.capacity
 
     @property
     def overflow_count(self) -> int:
+        if self._slots is None:
+            self._build_layout()
         return sum(len(v) for v in self._overflow.values())
 
     def __len__(self) -> int:
@@ -159,8 +164,8 @@ class RobinhoodTable(ObjectTable):
             raise KeyError("duplicate key %d" % key)
         if obj is None:
             obj = VersionedObject(key)
-        if self._layout_shared:
-            self._own_layout()
+        if self._slots is None:
+            self._build_layout()
         chain, overflowed = self._plan_insert(key, self.home(key))
         cap = self.capacity
         seg_size = self.segment_size
@@ -226,92 +231,96 @@ class RobinhoodTable(ObjectTable):
         """Insert ``objs`` in order, as :meth:`insert` would one by one,
         for callers that read no :class:`InsertResult` (cluster loading).
 
-        Nothing can probe the table between two inserts of a batch, so
-        moves are written in probe order, the common free-home-slot case
-        skips the chain walk, and every segment's displacement cache is
-        invalidated once at the end (a load touches nearly all of them;
-        an untouched one recomputes to the value it had).  On an error
-        the objects before the offending one stay inserted, as they
-        would in a loop.
+        Before the layout is built this only records the objects and
+        rejects a duplicate key; the first call that reads or changes the
+        layout places them (:meth:`_build_layout`).  A load that fills
+        every slot builds the layout there and inserts the rest of the
+        batch, since only then can a placement find the table full.  On
+        an error the objects before the offending one stay inserted, as
+        they would in a loop.
         """
-        if self._layout_shared:
-            self._own_layout()
-        slots = self._slots
-        disps = self._disps
-        objects = self._objects
-        overflow = self._overflow
+        objs = iter(objs)
+        if self._slots is None:
+            objects = self._objects
+            cap = self.capacity
+            try:
+                for obj in objs:
+                    key = obj.key
+                    if key in objects:
+                        raise KeyError("duplicate key %d" % key)
+                    objects[key] = obj
+                    if len(objects) == cap:
+                        break
+                else:
+                    return
+            finally:
+                self.size = len(objects)
+            self._build_layout()
+        for obj in objs:
+            self.insert(obj.key, obj)
+
+    def _build_layout(self) -> None:
+        """Allocate the layout and place every recorded key in it, in
+        insertion order: the layout inserting them one by one builds.
+
+        Nothing can probe the table during the build, so moves are
+        written in probe order, the common free-home-slot case skips the
+        chain walk, and every segment's displacement cache is left dirty
+        (the build touches nearly all of them).  At most ``capacity``
+        keys are recorded, so a free slot is always left to reach.
+        """
         cap = self.capacity
+        self._slots = slots = [None] * cap
+        self._disps = disps = array("I", [0]) * cap
+        self._overflow = overflow = {}
+        self._seg_max_disp = [None] * self.n_segments
         salt = self.hash_salt
         seg_size = self.segment_size
         plan = self._plan_insert
-        try:
-            for obj in objs:
-                key = obj.key
-                if key in objects:
-                    raise KeyError("duplicate key %d" % key)
-                home = mix64(key ^ salt) % cap
-                if slots[home] is None:
-                    slots[home] = key  # displacement 0, as a free slot's
-                else:
-                    chain, overflowed = plan(key, home)
-                    if overflowed is not None:
-                        over_key, over_home = overflowed
-                        overflow.setdefault(over_home // seg_size,
-                                            []).append(over_key)
-                    for slot, k, d in chain:
-                        slots[slot] = k
-                        disps[slot] = d
-                objects[key] = obj
-        finally:
-            self.size = len(objects)
-            self._seg_max_disp = [None] * self.n_segments
+        for key in self._objects:
+            home = mix64(key ^ salt) % cap
+            if slots[home] is None:
+                slots[home] = key  # displacement 0, as a free slot's
+            else:
+                chain, overflowed = plan(key, home)
+                if overflowed is not None:
+                    over_key, over_home = overflowed
+                    overflow.setdefault(over_home // seg_size,
+                                        []).append(over_key)
+                for slot, k, d in chain:
+                    slots[slot] = k
+                    disps[slot] = d
 
     def is_blank(self) -> bool:
-        """True while the table is as constructed: no key, and therefore
-        no occupied slot or overflow bucket (deletes leave no tombstones)."""
+        """True while the table holds no key (deletes leave no
+        tombstones, so an emptied layout is as constructed)."""
         return self.size == 0
 
     def clone_from(self, other: "RobinhoodTable") -> bool:
-        """Become a copy of ``other`` if this table is blank and was built
-        with ``other``'s parameters — the state it would reach by
-        receiving ``other``'s insert sequence — and return True; otherwise
-        change nothing and return False.
+        """Become a copy of ``other`` if neither table has built its
+        layout, this one is blank and it was built with ``other``'s
+        parameters — the state it would reach by receiving ``other``'s
+        insert sequence — and return True; otherwise change nothing and
+        return False.
 
-        Both tables then hold ``other``'s objects, marked ``shared``:
-        each table takes its own copy of a key when it first writes it
+        Only the key -> object map is copied: each table builds its own
+        layout on first use, so no layout is shared.  Both tables hold
+        ``other``'s objects, marked ``shared``: each takes its own copy
+        of a key when it first writes it
         (:meth:`~repro.store.object.ObjectTable.writable`), so replicas
-        are still updated independently.  They share ``other``'s layout
-        (slots, displacements, overflow buckets and the ``d_i`` cache)
-        the same way: both are marked, and the first structural write on
-        either one (:meth:`insert`, :meth:`insert_many`, :meth:`delete`)
-        copies it first (:meth:`_own_layout`).  The ``d_i`` cache is a
-        pure function of the layout, so any holder may fill it.
+        are still updated independently.
         """
         if not (
             type(other) is type(self) and self.is_blank()
+            and self._slots is None and other._slots is None
             and (self.capacity, self.dm, self.segment_size, self.hash_salt)
             == (other.capacity, other.dm, other.segment_size, other.hash_salt)
         ):
             return False
-        self._slots = other._slots
-        self._disps = other._disps
-        self._overflow = other._overflow
-        self._seg_max_disp = other._seg_max_disp
-        self._layout_shared = other._layout_shared = True
         share(other._objects.values())
         self._objects = dict(other._objects)
         self.size = other.size
         return True
-
-    def _own_layout(self) -> None:
-        """Swap a layout shared by :meth:`clone_from` for this table's
-        own copy.  The mark is never cleared on the other holders: the
-        last one still holding the original copies it once more."""
-        self._slots = list(self._slots)
-        self._disps = array("I", self._disps)
-        self._overflow = {seg: list(b) for seg, b in self._overflow.items()}
-        self._seg_max_disp = list(self._seg_max_disp)
-        self._layout_shared = False
 
     # -- lookup ------------------------------------------------------------
 
@@ -328,6 +337,9 @@ class RobinhoodTable(ObjectTable):
         dm = self.dm
         limit = dm if dm < cap else cap
         slots = self._slots
+        if slots is None:
+            self._build_layout()
+            slots = self._slots
         if home + limit < cap:
             # no wraparound within the probe window: skip the per-probe
             # modulo entirely
@@ -362,8 +374,8 @@ class RobinhoodTable(ObjectTable):
     def delete(self, key: int) -> DeleteResult:
         if key not in self._objects:
             raise KeyError("no such key %d" % key)
-        if self._layout_shared:
-            self._own_layout()
+        if self._slots is None:
+            self._build_layout()
         seg = self.segment_of_key(key)
         bucket = self._overflow.get(seg)
         if bucket and key in bucket:
@@ -451,6 +463,8 @@ class RobinhoodTable(ObjectTable):
     def segment_max_displacement(self, seg: int) -> int:
         """d_i: the max displacement among keys whose home lies in segment
         ``seg`` (0 when the segment is empty).  Recomputed lazily."""
+        if self._slots is None:
+            self._build_layout()
         cached = self._seg_max_disp[seg]
         if cached is not None:
             return cached
@@ -469,7 +483,11 @@ class RobinhoodTable(ObjectTable):
         return best
 
     def segment_has_overflow(self, seg: int) -> bool:
+        if self._slots is None:
+            self._build_layout()
         return seg in self._overflow
 
     def overflow_bucket_len(self, seg: int) -> int:
+        if self._slots is None:
+            self._build_layout()
         return len(self._overflow.get(seg, ()))

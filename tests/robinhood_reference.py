@@ -14,7 +14,10 @@ def _disp(table: RobinhoodTable, key: int, pos: int) -> int:
 
 
 def check_invariants(table: RobinhoodTable) -> None:
-    """Verify structural invariants; raises AssertionError on violation."""
+    """Verify structural invariants, building the layout first if a
+    load left it unbuilt; raises AssertionError on violation."""
+    if table._slots is None:
+        table._build_layout()
     seen = set()
     assert len(table._disps) == len(table._slots) == table.capacity
     for pos, key in enumerate(table._slots):
@@ -55,8 +58,8 @@ def insert_steps(table: RobinhoodTable, key: int) -> Iterator[None]:
     between steps."""
     if key in table._objects:
         raise KeyError("duplicate key %d" % key)
-    if table._layout_shared:
-        table._own_layout()
+    if table._slots is None:
+        table._build_layout()
     chain, overflowed = table._plan_insert(key, table.home(key))
     table._objects[key] = VersionedObject(key)
     table.size += 1

@@ -1,7 +1,8 @@
-"""Bulk cluster loading builds each shard once: the primary table takes
-every insert, blank backups are cloned from it.  The result must be the
-state key-by-key loading reaches — slot for slot, chain for chain — and
-the replicas, which share the loaded objects, must still change
+"""Bulk cluster loading records each shard once: the primary table takes
+every object, blank backups copy its key -> object map, and every table
+builds its layout on first use.  The layout built must be the state
+key-by-key loading reaches — slot for slot, chain for chain — and the
+replicas, which share the loaded objects, must still change
 independently."""
 
 import gc
@@ -25,7 +26,21 @@ N_NODES = 3
 KEYS = st.lists(st.integers(0, 1 << 40), unique=True, min_size=1, max_size=240)
 
 
+def is_built(t):
+    """Whether ``t`` has built its layout (a load leaves it unbuilt)."""
+    layout = t._slots if isinstance(t, RobinhoodTable) else t._buckets
+    return layout is not None
+
+
+def built(t):
+    """``t``, its layout built first if it was not."""
+    if not is_built(t):
+        t._build_layout()
+    return t
+
+
 def robinhood_state(t):
+    built(t)
     return (
         list(t._slots),
         list(t._disps),
@@ -38,6 +53,7 @@ def robinhood_state(t):
 
 
 def chained_state(t):
+    built(t)
     chains = []
     for bucket in t._buckets:
         chain = []
@@ -363,24 +379,33 @@ def test_duplicate_keys_still_raise(make):
         cluster.load_key(1)
 
 
-def test_clone_needs_a_blank_table_with_the_same_parameters():
+def test_clone_copies_the_map_of_an_unbuilt_table():
+    """A blank, unbuilt table with the source's parameters takes a copy
+    of its key -> object map and nothing else; any other table, or a
+    source that has built its layout, is left as it was."""
     src = RobinhoodTable(64, dm=4, segment_size=8, hash_salt=1)
     src.insert_many(VersionedObject(k) for k in range(40))
+    built_blank = RobinhoodTable(64, dm=4, segment_size=8, hash_salt=1)
+    built_blank.lookup(7)
+    used = RobinhoodTable(64, dm=4, segment_size=8, hash_salt=1)
+    used.insert_many([VersionedObject(7)])
     for other in (RobinhoodTable(128, dm=4, segment_size=8, hash_salt=1),
                   RobinhoodTable(64, dm=8, segment_size=8, hash_salt=1),
                   RobinhoodTable(64, dm=4, segment_size=16, hash_salt=1),
                   RobinhoodTable(64, dm=4, segment_size=8, hash_salt=2),
-                  ChainedTable(8, bucket_size=8, hash_salt=1)):
-        before = table_state(other)
+                  ChainedTable(8, bucket_size=8, hash_salt=1),
+                  built_blank, used):
+        before = (is_built(other), list(other.objects()))
         assert not other.clone_from(src)
-        assert table_state(other) == before
-    used = RobinhoodTable(64, dm=4, segment_size=8, hash_salt=1)
-    used.insert(7)
-    assert not used.clone_from(src)
-    assert used.size == 1
+        assert (is_built(other), list(other.objects())) == before
     twin = RobinhoodTable(64, dm=4, segment_size=8, hash_salt=1)
     assert twin.clone_from(src)
+    assert not is_built(twin) and not is_built(src)
+    assert twin._objects == src._objects and twin._objects is not src._objects
     assert robinhood_state(twin) == robinhood_state(src)
+    late = RobinhoodTable(64, dm=4, segment_size=8, hash_salt=1)
+    assert not late.clone_from(src)  # src built its layout just above
+    assert late.is_blank() and not is_built(late)
 
 
 def blank(kind):
@@ -389,14 +414,86 @@ def blank(kind):
     return ChainedTable(4, bucket_size=4, hash_salt=1)
 
 
+def n_filled(kind):
+    # Robinhood: 48 keys in 64 slots at Dm = 2, so overflow buckets fill;
+    # chained: 24 keys in 16 slots, so buckets link
+    return 48 if kind == "robinhood" else 24
+
+
 def filled(kind):
-    """A table with overflow buckets (Robinhood, 48 keys in 64 slots at
-    Dm = 2) or linked buckets (chained, 24 keys in 16 slots), so every
-    layout container has something to share."""
+    """A loaded table whose layout, once built, has overflow buckets
+    (Robinhood) or linked buckets (chained)."""
     t = blank(kind)
-    t.insert_many(VersionedObject(k)
-                  for k in range(48 if kind == "robinhood" else 24))
+    t.insert_many(VersionedObject(k) for k in range(n_filled(kind)))
     return t
+
+
+def inserted(kind, keys):
+    """The table ``keys`` reach inserted one by one, each building on
+    the layout the last one left."""
+    t = blank(kind)
+    for k in keys:
+        t.insert(k)
+    return t
+
+
+@given(keys=st.lists(st.integers(0, 1 << 40), unique=True, max_size=60),
+       kind=st.sampled_from(["robinhood", "chained"]))
+def test_a_built_layout_equals_key_by_key_inserts(keys, kind):
+    """The layout a table builds on first use over what a load recorded
+    is the one inserting each key in load order builds."""
+    loaded = blank(kind)
+    loaded.insert_many(VersionedObject(k) for k in keys)
+    assert not is_built(loaded)
+    assert table_state(loaded) == table_state(inserted(kind, keys))
+    if kind == "robinhood":
+        check_invariants(loaded)
+
+
+@pytest.mark.parametrize("kind", ["robinhood", "chained"])
+def test_a_built_layout_has_overflow_and_linked_buckets(kind):
+    """The crowded layout, built from a load, equals the key-by-key one
+    in the containers only crowding fills: Robinhood overflow buckets
+    and linked chained buckets."""
+    loaded = filled(kind)
+    loaded.lookup(0)
+    reference = inserted(kind, range(n_filled(kind)))
+    if kind == "robinhood":
+        assert loaded._overflow == reference._overflow and loaded._overflow
+        assert loaded.overflow_count == reference.overflow_count > 0
+    else:
+        assert loaded.linked_buckets == reference.linked_buckets > 0
+    assert table_state(loaded) == table_state(reference)
+
+
+@pytest.mark.parametrize("kind", ["robinhood", "chained"])
+def test_a_load_rejects_a_duplicate_before_any_layout(kind):
+    """A duplicate key raises at load time, on an unbuilt table, and
+    leaves the objects before it loaded, as a loop of inserts would."""
+    t = blank(kind)
+    with pytest.raises(KeyError):
+        t.insert_many(VersionedObject(k) for k in (1, 2, 3, 2, 4))
+    assert not is_built(t)
+    assert [o.key for o in t.objects()] == [1, 2, 3] and t.size == 3
+    with pytest.raises(KeyError):
+        t.insert_many([VersionedObject(3)])
+    assert table_state(t) == table_state(inserted(kind, [1, 2, 3]))
+
+
+def test_an_overfull_unlimited_table_raises_at_load():
+    """With no displacement limit a key past the last free slot has
+    nowhere to go: the load that brings it raises, as key-by-key inserts
+    do, and keeps the keys before it."""
+    t = RobinhoodTable.unlimited(16)
+    with pytest.raises(RuntimeError):
+        t.insert_many(VersionedObject(k) for k in range(17))
+    reference = RobinhoodTable.unlimited(16)
+    for k in range(16):
+        reference.insert(k)
+    with pytest.raises(RuntimeError):
+        reference.insert(16)
+    assert table_state(t) == table_state(reference)
+    assert t.size == 16 and 16 not in t
 
 
 def structural_write(table, write):
@@ -412,33 +509,65 @@ def structural_write(table, write):
 @pytest.mark.parametrize("write", ["insert", "insert_many", "delete"])
 @pytest.mark.parametrize("writer", [0, 1, 2])
 @pytest.mark.parametrize("kind", ["robinhood", "chained"])
-def test_a_structural_write_leaves_the_shared_layout_alone(kind, writer,
+def test_a_structural_write_builds_only_the_written_layout(kind, writer,
                                                            write):
-    """A primary and two backups cloned from it share one layout.  A
-    structural write on any of them copies the layout first: the other
-    two keep their slots, displacements, overflow (or bucket chains) and
-    d_i, and the writer reaches the state a table that never shared
-    reaches under the same write."""
+    """A primary and two backups copied from it share the loaded objects
+    and no layout.  An insert or a delete on any of them builds that
+    replica's layout, and only that one (an ``insert_many`` on an
+    unbuilt table records, like the load); the writer reaches the state
+    a table loaded alone reaches under the same write, and the other
+    two keep their contents."""
     primary = filled(kind)
     replicas = [primary, blank(kind), blank(kind)]
     for backup in replicas[1:]:
         assert backup.clone_from(primary)
-    if kind == "robinhood":
-        assert primary._overflow and primary._slots is replicas[1]._slots
-    else:
-        assert primary.linked_buckets
-        assert primary._buckets is replicas[1]._buckets
-    before = table_state(primary)
+    keys = [o.key for o in primary.objects()]
     structural_write(replicas[writer], write)
+    assert [is_built(t) for t in replicas] == [
+        i == writer and write != "insert_many" for i in range(3)]
     reference = filled(kind)
     structural_write(reference, write)
     assert table_state(replicas[writer]) == table_state(reference)
-    assert table_state(reference) != before
     for i, other in enumerate(replicas):
         if i != writer:
-            assert table_state(other) == before
+            assert [o.key for o in other.objects()] == keys
+            assert table_state(other) == table_state(filled(kind))
         if kind == "robinhood":
             check_invariants(other)
+
+
+def layouts_built(bench):
+    return sorted((node.node_id, shard) for node in bench.cluster.nodes
+                  for shard, table in node.tables.items() if is_built(table))
+
+
+@pytest.mark.parametrize("system", ["xenic", "drtmh"])
+def test_a_warm_run_builds_no_layout(system):
+    """Set-up, a low-load window and a peak window of warm Smallbank
+    (every read a NIC-cache hit on Xenic, one one-sided READ through the
+    remote-address cache on DrTM+H) read no table layout, so none is
+    built."""
+    bench = Bench(system, Smallbank(3, accounts_per_server=2000,
+                                    hot_keys_fraction=0.25), n_nodes=3)
+    assert layouts_built(bench) == []
+    bench.measure(2, warmup_us=100.0, window_us=100.0)
+    bench.measure(64, warmup_us=100.0, window_us=60.0)
+    assert layouts_built(bench) == []
+
+
+def test_a_cold_run_builds_its_primaries_layouts_in_low_load():
+    """With a 64-entry NIC cache every read misses to the host table:
+    the first miss on each primary builds that primary's layout, all of
+    them inside the low-load window, and no backup's is ever built."""
+    bench = Bench("xenic", Smallbank(3, accounts_per_server=2000,
+                                     hot_keys_fraction=0.25), n_nodes=3,
+                  xenic_config=XenicConfig(nic_cache_capacity=64))
+    assert layouts_built(bench) == []
+    bench.measure(2, warmup_us=100.0, window_us=100.0)
+    primaries = [(n, n) for n in range(3)]
+    assert layouts_built(bench) == primaries
+    bench.measure(64, warmup_us=100.0, window_us=60.0)
+    assert layouts_built(bench) == primaries
 
 
 def test_emptied_chained_table_with_links_is_not_blank():

@@ -4,7 +4,7 @@ protocol as tombstone writes)."""
 import pytest
 
 from repro.core import TxnSpec, XenicCluster, XenicConfig
-from repro.core.txn import TOMBSTONE
+from repro.core.txn import TOMBSTONE, TxnStatus
 from repro.sim import Simulator
 
 
@@ -114,3 +114,37 @@ def test_local_delete_fast_path():
     sim.run()
     assert cluster.read_committed_value(k) is None
     assert cluster.nodes[0].tables[0].get_object(k) is None
+
+
+def after_delete_spec(kind, key):
+    if kind == "read_only":
+        return TxnSpec(read_keys=[key], write_keys=[], read_only=True)
+    reads = [key] if kind == "read_modify_write" else []
+    return TxnSpec(read_keys=reads, write_keys=[key],
+                   logic=lambda r, s: {key: "reborn"})
+
+
+@pytest.mark.parametrize("kind",
+                         ["read_modify_write", "read_only", "blind_write"])
+@pytest.mark.parametrize("coordinator", [0, 1, 2])
+def test_deleted_key_is_current_on_every_coordinator(coordinator, kind):
+    """After node 0 deletes key 1, a transaction on key 1 commits at its
+    first attempt from every node, its primary (node 1, which reads and
+    validates on the host) included: a reader sees the tombstone's
+    version, 1, though the delete removed the host object, and a write
+    lands at version 2."""
+    sim, cluster = make_cluster()
+    k = 1
+    run_txn(sim, cluster, 0, delete_spec(k))
+    sim.run()
+    # a transaction that keeps aborting retries for ever: bound the run
+    proc = sim.spawn(cluster.protocols[coordinator].run_transaction(
+        after_delete_spec(kind, k)))
+    txn = sim.run_until_event(proc, limit=sim.now + 5000.0)
+    assert txn.status is TxnStatus.COMMITTED and txn.attempts == 1
+    sim.run()
+    if kind == "read_only":
+        assert txn.read_values[k] == (None, 1)
+    else:
+        assert cluster.read_committed_value(k) == "reborn"
+        assert cluster.nodes[1].index.read_version(k) == 2
