@@ -1073,6 +1073,7 @@ class _Multihop(_Handler):
         for k in self.by_shard.get(self.local, ((), ()))[1]:
             if k not in pre_read:
                 pre_read[k] = (None, index.read_version(k))
+        txn.read_values.update(pre_read)
         # The remote primary LOGs to the backups of the shards its logic
         # *writes*, acks redirected here.  Which shards those are is known
         # only from its response, and an ack can overtake the response:
@@ -1098,6 +1099,7 @@ class _Multihop(_Handler):
                            resp.reason or "multihop-remote-conflict")
             self._reply(None)
             return
+        txn.read_values.update(resp.read_values)
         txn.write_values = resp.write_values
         self.writes_by_shard = writes_by_shard = group_values(
             txn.write_values, p.cluster.shard_of)

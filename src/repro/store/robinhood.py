@@ -158,7 +158,7 @@ class RobinhoodTable(ObjectTable):
         """Insert ``key``; returns the structural cost of the insertion.
 
         Raises ``KeyError`` on duplicate insertion and ``RuntimeError``
-        when the table is full.
+        when an unlimited table is full (a limited one overflows).
         """
         if key in self._objects:
             raise KeyError("duplicate key %d" % key)
@@ -198,7 +198,9 @@ class RobinhoodTable(ObjectTable):
         ``(slot, key, key's displacement there)`` writes in probe order, and
         ``overflowed`` is the ``(key, home)`` of the carried element that
         reached ``Dm`` (it belongs in its home segment's overflow bucket)
-        or None when the chain ended at a free slot.  Probe positions
+        or None when the chain ended at a free slot.  On a limited table
+        whose main slots are all taken, no carried element reaches ``Dm``:
+        ``key`` itself overflows, with an empty chain.  Probe positions
         never repeat before the walk gives up, so the unmodified slot
         array is the only state it has to read.
         """
@@ -225,6 +227,8 @@ class RobinhoodTable(ObjectTable):
             if pos == cap:
                 pos = 0
             cur_disp += 1
+        if dm != UNLIMITED:
+            return [], (key, home)
         raise RuntimeError("robinhood table is full")
 
     def insert_many(self, objs: Iterable[VersionedObject]) -> None:

@@ -225,9 +225,10 @@ print("numpy" in sys.modules, "_hashlib" in sys.modules)
 
 
 def test_a_run_imports_no_numpy():
-    """numpy is a test dependency only (one test's oracle): no module of
-    the package or of the benchmark suite imports it, so a run does not
-    pay its import time or its memory.  Nor does a run map OpenSSL
+    """No module of the package or of the benchmark suite imports numpy,
+    so a run does not pay its import time or its memory (nor is it a
+    test dependency: where it is not installed, an import fails the
+    module walk).  Nor does a run map OpenSSL
     (``_hashlib``): the RNG streams seed from the built-in SHA-256."""
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN],
                           capture_output=True, text=True, timeout=300)

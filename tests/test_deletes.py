@@ -148,3 +148,17 @@ def test_deleted_key_is_current_on_every_coordinator(coordinator, kind):
     else:
         assert cluster.read_committed_value(k) == "reborn"
         assert cluster.nodes[1].index.read_version(k) == 2
+
+
+@pytest.mark.parametrize("coordinator", [0, 1, 2])
+def test_a_read_modify_write_returns_its_reads_on_every_coordinator(
+        coordinator):
+    """Node 1 runs the read-modify-write of key 1 on its own shard;
+    nodes 0 and 2 ship it through multi-hop OCC.  Every coordinator
+    returns the value and version it read."""
+    sim, cluster = make_cluster()
+    txn = run_txn(sim, cluster, coordinator,
+                  TxnSpec(read_keys=[1], write_keys=[1],
+                          logic=lambda r, s: {1: r[1]}))
+    assert txn.status is TxnStatus.COMMITTED
+    assert txn.read_values == {1: (("init", 1), 0)}

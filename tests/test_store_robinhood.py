@@ -137,6 +137,32 @@ def test_full_table_raises():
         t.insert(100)
 
 
+def test_a_full_limited_table_overflows_the_new_key():
+    """Eight keys at their homes fill the main table with displacement
+    0, so the carried key never reaches Dm: the ninth goes to its home
+    segment's overflow bucket and nothing moves."""
+    t = make_table(capacity=8, dm=2, segment_size=8)
+    at_home = {}
+    k = 0
+    while len(at_home) < 8:
+        at_home.setdefault(t.home(k), k)
+        k += 1
+    for key in at_home.values():
+        t.insert(key)
+    before = list(t._slots)
+    result = t.insert(1000)
+    assert (result.swaps, result.used_overflow, result.moves) == (0, True, [])
+    assert t._slots == before
+    assert t.lookup(1000).in_overflow
+    check_invariants(t)
+    stepped = make_table(capacity=8, dm=2, segment_size=8)
+    stepped.insert_many(VersionedObject(key) for key in at_home.values())
+    for _step in insert_steps(stepped, 1000):
+        pass
+    assert stepped.lookup(1000).in_overflow
+    check_invariants(stepped)
+
+
 def test_segment_max_displacement_tracks_inserts():
     t = make_table(capacity=64, dm=8)
     assert all(
